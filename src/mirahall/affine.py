@@ -463,6 +463,10 @@ def _predicted_jumps(x: RBAffElt, jlo: int, jhi: int, model: _Model):
 
 
 def _classify(base_cols, gens, v_vec, jlo, jhi, model: _Model) -> RBAffElt:
+    """Classify a truncated triple: the first flag is the coordinate one,
+    the second is given by base support plus step generators, the marked
+    vector by its coordinates.  Returns the unique label whose invariants
+    match; raises TruncationTooSmall when the window cannot decide."""
     tops, jumps = _classify_core(base_cols, gens, v_vec, jlo, jhi, model)
     n = model.N
     for j in range(jlo, jhi + 1 - n):
@@ -476,14 +480,6 @@ def _classify(base_cols, gens, v_vec, jlo, jhi, model: _Model) -> RBAffElt:
             f"label {label} does not reproduce the observed invariants"
         )
     return label
-
-
-def classify_triple(base_cols, gens, v_vec, jlo: int, jhi: int, model: _Model) -> RBAffElt:
-    """Classify a truncated triple: the first flag is the coordinate one,
-    the second is given by base support plus step generators, the marked
-    vector by its coordinates.  Returns the unique label whose invariants
-    match; raises TruncationTooSmall when the window cannot decide."""
-    return _classify(base_cols, gens, v_vec, jlo, jhi, model)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +553,7 @@ def rep_roundtrip(x: RBAffElt, q: int = 2) -> RBAffElt:
     base = _rep_base(x.w, -jw, model)
     gens = {j: [x.w(j)] for j in range(-jw, jw + 1)}
     v = _rep_vector(x.beta, model)
-    return classify_triple(base, gens, v, -jw, jw, model)
+    return _classify(base, gens, v, -jw, jw, model)
 
 
 @lru_cache(maxsize=4096)

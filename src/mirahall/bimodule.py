@@ -4,8 +4,9 @@ pair labels, with the transition table of its cyclic basis.
 The left action of a shape inserts an invariant subspace below the
 marked vector's line of sight (the vector survives on the quotient);
 the right action inserts one containing the vector.  Both are computed
-through the square-zero generator decomposition, with the directly
-counted tables as the independent check.
+through the square-zero generator decomposition, one generator at a
+time from the closed tables of `closedform`.  `act_direct` reads the
+directly counted tables instead; it is the oracle the tests replay.
 
 `pi_table` normalises the cyclic basis into the transition table whose
 entries are the polynomials the rest of the package consumes; the
@@ -19,6 +20,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from . import pairs
+from .closedform import closed_form_G
 from .errors import DiagonalNotUnit, NotInTable, OracleMismatch, RankTooSmall
 from .hall import HallElt, _gen_decomposition, c_expand
 from .laurent import LaurentPoly
@@ -28,7 +30,6 @@ from .partitions import (
     add_parts,
     ah_leq,
     bipartitions_of,
-    contains_diagram,
     pair_codim,
     pair_orbit_dim,
     trim,
@@ -135,24 +136,10 @@ def gen_act(side: str, r: int, m: MirElt) -> MirElt:
         return m
     if r > m.rank:
         return MirElt.zero(m.rank)
-    table = (
-        pairs.left_elementary_constants
-        if side == "left"
-        else pairs.right_elementary_constants
-    )
     out = MirElt.zero(m.rank)
     for src, cs in m._c.items():
-        n = pairs.label_size(src) + r
-        terms: dict[Bipartition, LaurentPoly] = {}
-        for tgt in bipartitions_of(n):
-            nu = add_parts(*tgt)
-            if len(nu) > m.rank:
-                continue
-            if not contains_diagram(add_parts(*src), nu):
-                continue
-            g = table(tgt, r).get(src)
-            if g is not None:
-                terms[tgt] = cs * g.to_laurent()
+        column = closed_form_G(r, src, side)
+        terms = {tgt: cs * g.to_laurent() for tgt, g in column.items()}
         out = out + MirElt(m.rank, terms)
     return out
 

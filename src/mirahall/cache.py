@@ -1,9 +1,10 @@
 """Keyed store for computed tables.
 
-An entry is addressed by (module, parameters, code tag); the tag is the
-package version, so tables written by another version never satisfy a
-lookup.  Payloads are JSON trees built from strings, ints and lists,
-which keeps a cache hit byte-identical to a cold rebuild downstream.
+An entry is addressed by (module, parameters, code tag); the tag is a
+digest of the package's source files, so tables written by other code
+never satisfy a lookup, whatever its version number says.  Payloads
+are JSON trees built from strings, ints and lists, which keeps a cache
+hit byte-identical to a cold rebuild downstream.
 """
 
 from __future__ import annotations
@@ -12,12 +13,30 @@ import hashlib
 import json
 import os
 import tempfile
+from functools import lru_cache
 from typing import Mapping
 
-from . import __version__
 from .errors import IOFailure
 
-CODE_TAG = __version__
+PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+def source_digest(directory: str = PACKAGE_DIR) -> str:
+    """sha256 over the names and bytes of the .py files in `directory`."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name), "rb") as fh:
+                data = fh.read()
+            h.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+            h.update(data)
+    return h.hexdigest()
+
+
+@lru_cache(maxsize=None)
+def code_tag() -> str:
+    """Digest of this package's source, computed once per process."""
+    return source_digest()
 
 
 def default_dir() -> str:
@@ -28,7 +47,7 @@ def default_dir() -> str:
 
 
 def _entry_path(directory: str, module: str, params: Mapping) -> str:
-    blob = json.dumps([CODE_TAG, module, params], sort_keys=True)
+    blob = json.dumps([code_tag(), module, params], sort_keys=True)
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
     return os.path.join(directory or default_dir(), f"{module}-{digest}.json")
 
@@ -44,7 +63,7 @@ def load(module: str, params: Mapping, directory: str = ""):
             entry = json.load(fh)
     except (OSError, ValueError):
         return None
-    if not isinstance(entry, dict) or entry.get("tag") != CODE_TAG:
+    if not isinstance(entry, dict) or entry.get("tag") != code_tag():
         return None
     if entry.get("module") != module or entry.get("params") != _plain(params):
         return None
@@ -54,7 +73,7 @@ def load(module: str, params: Mapping, directory: str = ""):
 def store(module: str, params: Mapping, payload, directory: str = "") -> str:
     path = _entry_path(directory, module, params)
     entry = {
-        "tag": CODE_TAG,
+        "tag": code_tag(),
         "module": module,
         "params": _plain(params),
         "payload": payload,

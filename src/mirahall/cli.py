@@ -29,8 +29,15 @@ from .affine import (
     validate,
 )
 from .bimodule import mhl_poly, pi_table
-from .closedform import closed_form_G, rho_check, stable_right_constant, verify_closed_form
-from .config import FORMATS, RunConfig, parse_primes, read_config_file, resolve
+from .closedform import closed_form_G, rho_check, stable_right_column, verify_closed_form
+from .config import (
+    FORMATS,
+    RunConfig,
+    check_prime,
+    parse_primes,
+    read_config_file,
+    resolve,
+)
 from .errors import IOFailure, MiraError, OracleMismatch, UsageError
 from .hall import hall_mul, hall_mul_direct, psi, u_elt
 from .laurent import LaurentPoly, QPoly
@@ -199,20 +206,11 @@ def hall_payload(x, y, rank: int) -> dict:
 def mirabolic_payload(src, r: int, side: str, rank: int) -> dict:
     if r < 1:
         raise UsageError(f"generator degree must be positive, got {r}")
-    n = size(src[0]) + size(src[1]) + r
     if side == "left":
         table = closed_form_G(r, src)
-        terms = [
-            {"label": bplabel(tgt), "coeff": table[tgt].to_json()}
-            for tgt in bipartitions_of(n)
-            if tgt in table
-        ]
     else:
-        terms = []
-        for tgt in bipartitions_of(n):
-            val = stable_right_constant(tgt, src, r, rank)
-            if not val.is_zero():
-                terms.append({"label": bplabel(tgt), "coeff": val.to_json()})
+        table = stable_right_column(r, src, rank)
+    terms = [{"label": bplabel(tgt), "coeff": c.to_json()} for tgt, c in table.items()]
     return {
         "kind": "mirabolic",
         "side": side,
@@ -309,9 +307,10 @@ def _suite_constants(cfg: RunConfig) -> list[dict]:
                 if r > n:
                     continue
                 for tgt in bipartitions_of(n):
-                    verify_closed_form(tgt, r)
-                    tables += 1
-            return f"{tables} closed tables against counts"
+                    for side in ("left", "right"):
+                        verify_closed_form(tgt, r, side)
+                        tables += 1
+            return f"{tables} closed left and right tables against counts"
         out.append(_check("constants", f"n={n}", run))
     return out
 
@@ -779,6 +778,11 @@ def _flag_values(args: argparse.Namespace) -> dict:
 # --- handlers -------------------------------------------------------------------
 
 
+def _field_size(args: argparse.Namespace, cfg: RunConfig) -> int:
+    """--q, or the first configured prime; the field must be prime."""
+    return cfg.primes[0] if args.q is None else check_prime(args.q)
+
+
 def _cmd_pi(args: argparse.Namespace, cfg: RunConfig) -> int:
     payload = pi_payload(cfg.n, cfg.resolved_rank(), cfg)
     _emit(render(payload, cfg.fmt), args.out)
@@ -792,10 +796,7 @@ def _cmd_mhl(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace, cfg: RunConfig) -> int:
-    q = args.q if args.q is not None else cfg.primes[0]
-    if q < 2:
-        raise UsageError(f"prime must be at least 2, got {q}")
-    payload = trace_payload(cfg.n, q, cfg)
+    payload = trace_payload(cfg.n, _field_size(args, cfg), cfg)
     _emit(render(payload, cfg.fmt), args.out)
     return 0
 
@@ -818,8 +819,7 @@ def _cmd_mirabolic(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_green(args: argparse.Namespace, cfg: RunConfig) -> int:
-    q = args.q if args.q is not None else cfg.primes[0]
-    payload = green_payload(cfg.n, q)
+    payload = green_payload(cfg.n, _field_size(args, cfg))
     _emit(render(payload, cfg.fmt), args.out)
     return 0
 

@@ -21,6 +21,12 @@ gaps coexist; every formula here is pinned by brute-force counts.
 
 Targets with no vector component have no gaps and reduce to the
 classical one-flag count.
+
+These closed tables serve every structure constant in the package: the
+Hall product, both sides of the bimodule, the class ring and the
+`mirabolic` command.  The counted tables of `pairs`, and the checks
+`verify_closed_form`, `stable_right_constant` and `rho_check` here, are
+oracles that only `verify` and the tests reach.
 """
 
 from __future__ import annotations
@@ -188,23 +194,81 @@ def closed_left_table(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def closed_form_G(r: int, src: Bipartition) -> Mapping[Bipartition, QPoly]:
-    """Constants of the square-zero left action on one source, keyed by
-    target label."""
+@lru_cache(maxsize=None)
+def closed_right_table(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
+    """Constants of the rank-r square-zero right action at one target,
+    keyed by source label.
+
+    Each cell is the mirror of the closed left table at rank |tgt|
+    (`right_via_star`), with two boundary rules: the vectorless
+    square-zero target ((), (1^n)) takes the Gauss binomial
+    [n choose r] on the source ((), (1^(n-r))) and nothing else, and
+    r = n leaves no other cell."""
+    tgt = (trim(tgt[0]), trim(tgt[1]))
+    n = sum(tgt[0]) + sum(tgt[1])
+    if r < 1:
+        raise UsageError(f"rank-{r} generator outside 1..{n}")
+    if r > n:
+        return {}
+    if tgt == ((), (1,) * n):
+        return {((), (1,) * (n - r)): gauss_binomial(n, r)}
+    if r == n:
+        return {}
+    cells = {src: right_via_star(tgt, src, r, n) for src in bipartitions_of(n - r)}
+    return {src: poly for src, poly in cells.items() if poly}
+
+
+@lru_cache(maxsize=None)
+def closed_form_G(
+    r: int, src: Bipartition, side: str = "left"
+) -> Mapping[Bipartition, QPoly]:
+    """Constants of the square-zero action on one side and one source,
+    keyed by target label."""
+    table = {"left": closed_left_table, "right": closed_right_table}[side]
     src = (trim(src[0]), trim(src[1]))
     n = sum(src[0]) + sum(src[1]) + r
-    out: dict[Bipartition, QPoly] = {}
-    for tgt in bipartitions_of(n):
-        poly = closed_left_table(tgt, r).get(src)
-        if poly is not None and not poly.is_zero():
-            out[tgt] = poly
-    return out
+    cells = {tgt: table(tgt, r).get(src) for tgt in bipartitions_of(n)}
+    return {tgt: poly for tgt, poly in cells.items() if poly}
 
 
-def verify_closed_form(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
-    """Closed table checked entrywise against the counted one."""
-    closed = dict(closed_left_table(tgt, r))
-    counted = dict(pairs.left_elementary_constants(tgt, r))
+def stable_right_column(
+    r: int, src: Bipartition, rank: int
+) -> Mapping[Bipartition, QPoly]:
+    """Stabilised right constants (`stable_right_constant`) on one
+    source, keyed by target label, read from the mirror at `rank`.
+
+    Labels have at most `rank` rows per component: a longer source, or
+    r >= rank on a nonempty source, is a usage error, and longer targets
+    are skipped.  Only at the vectorless square-zero target do these
+    differ from the module's right table, which keeps the mass that the
+    stabilised count sheds."""
+    src = (trim(src[0]), trim(src[1]))
+    if len(src[0]) > rank or len(src[1]) > rank:
+        raise UsageError(f"source {src} needs more than {rank} rows")
+    if src == ((), ()):
+        return {((), (1,) * r): QPoly.one()} if r <= rank else {}
+    if r >= rank:
+        raise UsageError(f"rank-{r} generator on {src} needs rank above {r}, "
+                         f"got {rank}")
+    n = sum(src[0]) + sum(src[1]) + r
+    cells = {
+        tgt: right_via_star(tgt, src, r, rank)
+        for tgt in bipartitions_of(n)
+        if len(tgt[0]) <= rank and len(tgt[1]) <= rank
+    }
+    return {tgt: poly for tgt, poly in cells.items() if poly}
+
+
+def verify_closed_form(
+    tgt: Bipartition, r: int, side: str = "left"
+) -> Mapping[Bipartition, QPoly]:
+    """Closed table of one side checked entrywise against the counted one."""
+    if side == "left":
+        closed = dict(closed_left_table(tgt, r))
+        counted = dict(pairs.left_elementary_constants(tgt, r))
+    else:
+        closed = dict(closed_right_table(tgt, r))
+        counted = dict(pairs.right_elementary_constants(tgt, r))
     if closed != counted:
         keys = sorted(set(closed) | set(counted), reverse=True)
         diffs = [
@@ -214,7 +278,7 @@ def verify_closed_form(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
             if closed.get(k, QPoly.zero()) != counted.get(k, QPoly.zero())
         ]
         raise EdgeConventionMismatch(
-            f"target {tgt}, rank {r}: " + "; ".join(diffs)
+            f"{side} target {tgt}, rank {r}: " + "; ".join(diffs)
         )
     return closed
 
@@ -223,11 +287,6 @@ def shift_labels(bp: Bipartition, boxes: int, rows: int) -> Bipartition:
     """Add `boxes` full columns of height `rows` to the first component."""
     lam = pad(bp[0], rows)
     return (trim(tuple(x + boxes for x in lam)), trim(bp[1]))
-
-
-def _star_shift(lam: Partition, mu: Partition, rank: int) -> tuple:
-    """Integer-vector labels of the mirrored pair, before lifting."""
-    return (star(mu, rank), star(lam, rank))
 
 
 def right_via_star(tgt: Bipartition, src: Bipartition, r: int, rank: int) -> QPoly:
@@ -239,12 +298,17 @@ def right_via_star(tgt: Bipartition, src: Bipartition, r: int, rank: int) -> QPo
     left generator adding rank - r.  The two slots take independent
     lifts (one for first components, one for second), shared between
     target and source; the left table does not move under such lifts
-    once every entry is a nonnegative row."""
+    once every entry is a nonnegative row.
+
+    The result is the stabilised constant that `stable_right_constant`
+    counts (`rho_check` pins the two together), and the only route by
+    which right-side constants are served: `stable_right_column` reads
+    it as is, `closed_right_table` adds the module's boundary rules."""
     if not 1 <= r <= rank - 1:
         raise UsageError(f"rank-{r} generator outside 1..{rank - 1}")
-    a, b = _star_shift(tgt[0], tgt[1], rank)
-    a = tuple(x + 1 for x in a)
-    a2, b2 = _star_shift(src[0], src[1], rank)
+    a = tuple(x + 1 for x in star(tgt[1], rank))
+    b = star(tgt[0], rank)
+    a2, b2 = star(src[1], rank), star(src[0], rank)
     i = max(0, -min(a + a2)) + 1
     j = max(0, -min(b + b2)) + 1
     lift = lambda vec, s: trim(tuple(x + s for x in vec))
@@ -282,16 +346,13 @@ def stable_right_constant(
 
 def rho_check(src: Bipartition, r: int, rank: int) -> bool:
     """Mirror identity between stabilized right constants and the
-    mirrored left table, checked over every target one step up."""
+    served column `stable_right_column`, checked over every target one
+    step up that fits in `rank` rows."""
+    mirrored = stable_right_column(r, src, rank)
     src = (trim(src[0]), trim(src[1]))
-    if len(src[0]) > rank or len(src[1]) > rank:
-        raise UsageError("source needs more rows than the rank allows")
     n = sum(src[0]) + sum(src[1]) + r
-    for tgt in bipartitions_of(n):
-        if len(tgt[0]) > rank or len(tgt[1]) > rank:
-            continue
-        direct = stable_right_constant(tgt, src, r, rank)
-        mirrored = right_via_star(tgt, src, r, rank)
-        if direct != mirrored:
-            return False
-    return True
+    return all(
+        stable_right_constant(tgt, src, r, rank) == mirrored.get(tgt, QPoly.zero())
+        for tgt in bipartitions_of(n)
+        if len(tgt[0]) <= rank and len(tgt[1]) <= rank
+    )

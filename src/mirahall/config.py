@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
 from .errors import IOFailure, UsageError
+from .laurent import _is_prime
 
 CACHE_ENV = "MIRAHALL_CACHE_DIR"
 FORMATS = ("json", "csv", "latex")
@@ -46,8 +47,8 @@ class RunConfig:
             raise UsageError(f"max_n must be nonnegative, got {self.max_n}")
         if not self.primes:
             raise UsageError("prime list is empty")
-        if any(p < 2 for p in self.primes):
-            raise UsageError(f"primes must be at least 2, got {self.primes}")
+        for p in self.primes:
+            check_prime(p)
         if len(set(self.primes)) != len(self.primes):
             raise UsageError(f"repeated primes in {self.primes}")
         if self.window < 1:
@@ -57,6 +58,13 @@ class RunConfig:
         if self.verbosity < 0:
             raise UsageError("verbosity must be nonnegative")
         return self
+
+
+def check_prime(p: int) -> int:
+    """The finite-field routines invert by Fermat, so q must be prime."""
+    if not _is_prime(p):
+        raise UsageError(f"field size must be prime, got {p}")
+    return p
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

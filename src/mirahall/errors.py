@@ -22,10 +22,6 @@ class RankTooSmall(MiraError):
     """A bipartition needs more parts than the ambient rank allows."""
 
 
-class SizeMismatch(MiraError):
-    """Sizes of combinatorial inputs are inconsistent."""
-
-
 class NotInImage(MiraError):
     """No preimage exists under the pair-to-bipartition correspondence."""
 
@@ -40,10 +36,6 @@ class NotNilpotent(MiraError):
 
 class CostGuard(MiraError):
     """Requested brute-force computation exceeds the configured budget."""
-
-
-class RankMismatch(MiraError):
-    """Two routes to the same rank disagree."""
 
 
 class EdgeConventionMismatch(MiraError):

@@ -5,11 +5,12 @@ Shapes with more rows than `rank` span an ideal (a submodule or
 quotient of a module with at most `rank` generators again has at most
 `rank` generators), so dropping them leaves an honest algebra.
 
-Products are computed two ways.  The workhorse expresses each basis
+Products are computed two ways.  `hall_mul` expresses each basis
 element through monomials in the square-zero elements and multiplies
-one generator at a time, which only ever sweeps kernels.  The direct
-route counts invariant subspaces for each pair of factors; it is used
-by the tests as an independent check.
+one generator at a time, reading each generator's constants from the
+closed left table at vectorless targets (Macdonald's Hall polynomials
+G^c_{b (1^r)}).  `hall_mul_direct` counts invariant subspaces for each
+pair of factors; it is the oracle that `verify` and the tests replay.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from functools import lru_cache
 from typing import Mapping
 
 from . import pairs
+from .closedform import closed_form_G
 from .errors import DiagonalNotUnit, OracleMismatch
 from .laurent import LaurentPoly
 from .partitions import (
     Partition,
     conjugate,
-    contains_diagram,
     dominance_leq,
     n_stat,
     partitions_of,
@@ -127,14 +128,8 @@ def gen_mul(r: int, x: HallElt) -> HallElt:
         return HallElt.zero(x.rank)
     out = HallElt.zero(x.rank)
     for b, cb in x._c.items():
-        n = sum(b) + r
-        terms: dict[Partition, LaurentPoly] = {}
-        for c in partitions_of(n):
-            if len(c) > x.rank or not contains_diagram(b, c):
-                continue
-            g = pairs.left_elementary_constants(((), c), r).get(((), b))
-            if g is not None:
-                terms[c] = cb * g.to_laurent()
+        column = closed_form_G(r, ((), b))
+        terms = {c: cb * g.to_laurent() for (a, c), g in column.items() if not a}
         out = out + HallElt(x.rank, terms)
     return out
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import InsufficientSamples, NonIntegral, OracleMismatch
 
@@ -522,13 +522,5 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+
 DEFAULT_PRIMES = (2, 3, 5, 7, 11)
-
-
-def prime_stream() -> Iterator[int]:
-    """2, 3, 5, 7, ... without end."""
-    n = 2
-    while True:
-        if _is_prime(n):
-            yield n
-        n += 1

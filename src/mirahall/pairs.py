@@ -1,12 +1,13 @@
 """Brute-force counting for (nilpotent operator, vector) pairs.
 
-One engine serves every table in the package.  Fix the normal-form
-pair of a target label, sweep subspaces over a prime field, classify
-the induced structures on sub and quotient.  Left actions keep the
-marked vector on the quotient; right actions require the subspace to
-contain it.  Counting polynomials in q come out of exact interpolation
-with a certified degree bound, and every surplus sample doubles as a
-cross-check.
+These are the oracles: `verify` and the tests replay them against the
+closed tables of `closedform`, which serve every structure constant.
+Fix the normal-form pair of a target label, sweep subspaces over a
+prime field, classify the induced structures on sub and quotient.
+Left actions keep the marked vector on the quotient; right actions
+require the subspace to contain it.  Counting polynomials in q come
+out of exact interpolation with a certified degree bound, and every
+surplus sample doubles as a cross-check.
 
 Conventions.  A label is a bipartition (lam, mu).  Its normal form
 puts the operator in Jordan blocks of sizes nu = lam + mu and marks
@@ -347,6 +348,7 @@ def right_elementary_profile(
     if k < d0:
         return {}
     comp = [j for j in range(n) if j not in piv]
+    _guard_sweep(len(comp), k - d0, p)
     out: Counter = Counter()
     for pattern, batch in gf.subspace_batches(len(comp), k - d0, p):
         B = batch.shape[0]

@@ -15,7 +15,7 @@ from itertools import product as cartesian
 from typing import Iterable, Mapping
 
 from . import pairs
-from .bimodule import PiTable, pi_table
+from .bimodule import PiTable, act, pi_table, u_bip
 from .errors import (
     CostGuard,
     FieldMismatch,
@@ -24,6 +24,7 @@ from .errors import (
     OracleMismatch,
     UsageError,
 )
+from .hall import u_elt
 from .laurent import LaurentPoly, QPoly
 from .partitions import (
     Bipartition,
@@ -362,8 +363,9 @@ def green_mul(
     """Bilinear product with a plain class acting on one side.
 
     The structure constant splits over the support: each polynomial
-    contributes its finite-rank constant evaluated at q raised to the
-    degree, and polynomials outside the acting support pass through."""
+    contributes the bimodule's finite-rank constant evaluated at q
+    raised to the degree, and polynomials outside the acting support
+    pass through."""
     if side not in ("left", "right"):
         raise UsageError(f"side {side!r}")
     if not cls.is_pure():
@@ -379,17 +381,12 @@ def green_mul(
             nu = nu_pair[1]
             src = glab.get(f)
             qd = cls.q ** (len(f) - 1)
-            opts = []
-            for tgt in bipartitions_of(pairs.label_size(src) + sum(nu)):
-                if side == "left":
-                    g = pairs.left_constants(tgt, sum(nu)).get((nu, src))
-                else:
-                    g = pairs.right_constants(tgt, pairs.label_size(src)).get(
-                        (src, nu)
-                    )
-                if g is not None:
-                    opts.append((f, tgt, g.evaluate(qd)))
-            choices.append(opts)
+            rank = pairs.label_size(src) + sum(nu)
+            image = act(side, u_elt(nu, rank), u_bip(src, rank))
+            # coefficients are polynomials in q = v**2: read them at q**deg(f)
+            choices.append(
+                [(f, tgt, g.bar().to_t_poly().evaluate(qd)) for tgt, g in image.items()]
+            )
         for combo in cartesian(*choices):
             support = glab.support()
             coeff = c0

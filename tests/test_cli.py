@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +113,17 @@ def test_stale_cache_entry_is_ignored(tmp_path, capsys):
     entry.write_text(json.dumps(data))
     _, second = run(capsys, "pi", "--n", "1", "--N", "1")
     assert first == second
+    # the tag is a digest of the package source: one changed byte in one
+    # module changes it, with the version string untouched
+    assert data["tag"] != cache.code_tag() == cache.source_digest()
+    copy = tmp_path / "pkg"
+    copy.mkdir()
+    for src in Path(cache.PACKAGE_DIR).glob("*.py"):
+        (copy / src.name).write_bytes(src.read_bytes())
+    assert cache.source_digest(str(copy)) == cache.code_tag()
+    module = copy / "pairs.py"
+    module.write_bytes(module.read_bytes().replace(b"MAX_SWEEP = ", b"MAX_SWEEP =  "))
+    assert cache.source_digest(str(copy)) != cache.code_tag()
 
 
 def test_config_file_flags_win(tmp_path, capsys):
@@ -130,6 +142,40 @@ def test_config_file_flags_win(tmp_path, capsys):
     assert cli.main(["--config", str(bad), "pi"]) == 2
 
 
+def test_non_prime_field_is_usage_error(tmp_path, capsys):
+    # Z/4 is not a field: Fermat inversion and the irreducibility
+    # listing are wrong there, so every way of naming q rejects it
+    assert run(capsys, "green", "--n", "1", "--q", "4")[0] == 2
+    assert run(capsys, "trace", "--n", "1", "--q", "9")[0] == 2
+    assert run(capsys, "trace", "--n", "1", "--q", "1")[0] == 2
+    assert run(capsys, "verify", "--suite", "census", "--qs", "4")[0] == 2
+    assert run(capsys, "iwahori", "mult", "--N", "2", "--qs", "2,6")[0] == 2
+    cfgfile = tmp_path / "field.cfg"
+    cfgfile.write_text("primes = 3,4\n")
+    assert cli.main(["--config", str(cfgfile), "green", "--n", "1"]) == 2
+    assert run(capsys, "green", "--n", "1", "--q", "5")[0] == 0
+
+
+def test_right_mirabolic_bounded_by_rank(capsys):
+    def terms(*argv):
+        code, out = run(capsys, "mirabolic", "--side", "right", *argv)
+        assert code == 0
+        return {t["label"]: QPoly.from_json(t["coeff"]) for t in json.loads(out)["terms"]}
+
+    q = QPoly.q_power(1)
+    # default rank (the size): the stabilised constant, q^2 at the
+    # vectorless square-zero target where the module has 1 + q + q^2
+    assert terms("--src", "|1,1", "--r", "1") == {"()|(2,1)": QPoly.one(), "()|(1,1,1)": q * q}
+    # targets longer than the rank are skipped
+    assert terms("--src", "|1,1", "--r", "1", "--N", "2") == {"()|(2,1)": QPoly.one()}
+    assert terms("--src", "|", "--r", "2", "--N", "2") == {"()|(1,1)": QPoly.one()}
+    # r >= N on a nonempty source, or a source longer than N rows
+    assert run(capsys, "mirabolic", "--src", "1|1", "--r", "2", "--side", "right",
+               "--N", "2")[0] == 2
+    assert run(capsys, "mirabolic", "--src", "|1,1,1", "--r", "1", "--side", "right",
+               "--N", "2")[0] == 2
+
+
 def test_config_validation():
     with pytest.raises(UsageError):
         RunConfig(primes=()).validate()
@@ -139,6 +185,8 @@ def test_config_validation():
         RunConfig(fmt="yaml").validate()
     with pytest.raises(UsageError):
         RunConfig(window=0).validate()
+    with pytest.raises(UsageError):
+        RunConfig(primes=(2, 9)).validate()
     assert resolve({}, {}).primes == (2, 3)
 
 

@@ -3,6 +3,7 @@ import pytest
 from mirahall.closedform import (
     closed_form_G,
     closed_left_table,
+    closed_right_table,
     rho_check,
     right_via_star,
     shift_labels,
@@ -10,9 +11,13 @@ from mirahall.closedform import (
     verify_closed_form,
 )
 from mirahall.errors import UsageError
-from mirahall.laurent import QPoly
+from mirahall.laurent import QPoly, gauss_binomial
 from mirahall.partitions import add_parts, bipartitions_of, trim
-from mirahall import pairs
+from mirahall import bimodule, closedform, gf, hall, pairs, partitions, symfunc, traces
+from mirahall.bimodule import gen_act, mhl_poly, pi_table, u_bip
+from mirahall.cli import mirabolic_payload
+from mirahall.hall import hall_mul, u_elt
+from mirahall.traces import GreenLabel, green_mul
 
 one = QPoly.one()
 q = QPoly.q_power(1)
@@ -109,3 +114,57 @@ def test_guards():
         right_via_star(((), (1,)), ((), ()), 0, 2)
     with pytest.raises(UsageError):
         rho_check(((1, 1, 1), ()), 1, 2)
+
+
+def test_closed_right_table_boundaries():
+    assert closed_right_table(((), (1, 1, 1)), 1) == {((), (1, 1)): gauss_binomial(3, 1)}
+    assert closed_right_table(((), (1, 1)), 2) == {((), ()): one}
+    assert closed_right_table(((1,), (1,)), 2) == {}
+    assert closed_right_table(((2,), ()), 3) == {}
+
+
+def test_closed_right_matches_counted_exhaustive_small():
+    # every target up to size 4 and every rank, read as a table and
+    # through the module action at rank n and n + 1
+    for n in range(1, 5):
+        for tgt in bipartitions_of(n):
+            for r in range(1, n + 1):
+                counted = pairs.right_elementary_constants(tgt, r)
+                assert verify_closed_form(tgt, r, "right") == counted
+                for rank in (n, n + 1):
+                    for src in bipartitions_of(n - r):
+                        got = gen_act("right", r, u_bip(src, rank)).coeff(tgt)
+                        want = counted.get(src, QPoly.zero()).to_laurent()
+                        assert got == want, (tgt, r, rank, src)
+
+
+def _clear_caches():
+    for module in (bimodule, closedform, hall, pairs, partitions, symfunc, traces):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def test_serving_path_never_counts(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the serving path reached a counting oracle")
+
+    _clear_caches()
+    monkeypatch.setattr(gf, "subspace_batches", refuse)
+    for name in dir(pairs):
+        if name.endswith(("_constants", "_profile", "_constant")):
+            monkeypatch.setattr(pairs, name, refuse)
+    monkeypatch.setattr(closedform, "stable_right_constant", refuse)
+    try:
+        assert len(pi_table(3, 3).order) == 10
+        prod = hall_mul(u_elt((2,), 3), u_elt((1, 1), 3))
+        assert not prod.coeff((2, 1, 1)).is_zero()
+        tensor, _ = mhl_poly(((1,), (1,)), 2)
+        assert not tensor.is_zero()
+        payload = mirabolic_payload(((2,), (1,)), 1, "right", 4)
+        assert {t["label"] for t in payload["terms"]} == {"(2)|(2)", "(2)|(1,1)"}
+        x = {GreenLabel(2, {(1, 1): ((), (1,))}): 1}
+        for side in ("left", "right"):
+            assert green_mul(side, GreenLabel(2, {(1, 1): ((), (1,))}), x)
+    finally:
+        _clear_caches()

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,11 @@ def test_flag_fiber_frozen():
 def test_sweep_guard():
     with pytest.raises(CostGuard):
         pairs._guard_sweep(20, 10, 11)
+
+
+def test_right_sweep_guard_fires_before_sweeping():
+    # [12 choose 6]_2 is about 2.3e11 subspaces
+    start = time.perf_counter()
+    with pytest.raises(CostGuard):
+        pairs.right_elementary_profile(((), (1,) * 12), 6, 2)
+    assert time.perf_counter() - start < 1.0
