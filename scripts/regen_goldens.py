@@ -6,7 +6,7 @@ against the values hard-coded in tests/.  Nothing here writes files;
 the point is an eyeball check with provenance in one place.
 """
 
-from mirahall.affine import pattern_check, ts_action, universe
+from mirahall.affine import counted_ts_action, pattern_check, ts_action, universe
 from mirahall.bimodule import pi_table
 from mirahall.closedform import closed_form_G
 from mirahall.hall import hall_mul, u_elt
@@ -42,11 +42,16 @@ def line_square():
 def wall_histogram():
     print("# wall-product template counts, N=2, window 2")
     hist: dict[int, int] = {}
+    agree = total = 0
     for x in universe(2):
         for i in (1, 2):
-            case = pattern_check(x, i, ts_action(x, i))
+            prod = ts_action(x, i)
+            case = pattern_check(x, i, prod)
             hist[case] = hist.get(case, 0) + 1
+            agree += prod == counted_ts_action(x, i)
+            total += 1
     print(f"  {dict(sorted(hist.items()))}")
+    print(f"  served and counted products agree on {agree} of {total}")
 
 
 def trace_goldens():

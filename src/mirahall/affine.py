@@ -1,11 +1,18 @@
-"""Periodic flag combinatorics in a truncated lattice model.
+"""Periodic flag combinatorics: labels, wall crossing, closure order.
 
 Labels are pairs (w, beta): a permutation of Z commuting with the step-N
 shift, and a subset of Z containing every small integer and missing every
-large one.  The module builds representative triples over F_q, classifies
-arbitrary triples back to labels through rank invariants, and computes the
-wall-crossing right action by brute-force point counts, interpolated to
-polynomials in q.
+large one.  The wall-crossing right action `ts_action` is served in
+closed form: the q lines of the P^1 at the wall fall into three classes
+(`_line_classes`), each landing on a label read off its permutation and
+marked-vector jump profile, and a coefficient is the summed weight of the
+classes that come back.  No finite field is built on that route.
+
+The counting oracle, reached only from `verify` and the tests, builds
+representative triples over F_q in a truncated lattice model (`_Model`),
+classifies every line back to a label through rank invariants
+(`_classify`), and interpolates the point counts to polynomials in q
+(`counted_ts_action`, `mass_check`, `rep_roundtrip`).
 
 Conventions, fixed by the orbit bijection and checked by the template and
 quadratic-relation tests:
@@ -26,6 +33,7 @@ from itertools import permutations, product as cartesian
 
 import numpy as np
 
+from .config import check_prime
 from .errors import (
     ComponentMismatch,
     Incompatible,
@@ -63,8 +71,9 @@ class AffinePerm:
         return len(self.window)
 
     def __call__(self, k: int) -> int:
-        c, r = divmod(k - 1, self.N)
-        return self.window[r] + self.N * c
+        window = self.window
+        c, r = divmod(k - 1, len(window))
+        return window[r] + len(window) * c
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AffinePerm) and self.window == other.window
@@ -416,13 +425,14 @@ def _classify_core(base_cols, gens, v_vec, jlo: int, jhi: int, model: _Model):
     return tops, jumps
 
 
-def _beta_from_jumps(w: AffinePerm, jumps, jlo: int, jhi: int, model: _Model) -> BetaSet:
+def _beta_from_jumps(w: AffinePerm, jumps, jlo: int, jhi: int, floor: int) -> BetaSet:
     """Records of the jump profile, completed downward.
 
     The profile max{m in beta : u(m) > j} changes exactly at steps whose
     new index is a fresh maximum; every member of beta sits below some
     record in both the identity and the u order, so the downward closure
-    of the records in that product order restores beta."""
+    of the records in that product order restores beta.  floor is the
+    lowest e-index the window sees."""
     records = []
     prev = jumps[jhi]
     for j in range(jhi - 1, jlo - 1, -1):
@@ -436,27 +446,32 @@ def _beta_from_jumps(w: AffinePerm, jumps, jlo: int, jhi: int, model: _Model) ->
         raise TruncationTooSmall("marked vector invisible in the window")
     u = w.inverse()
     margin = w.spread() + w.N + 1
-    floor = min(records) - 2 * margin
-    if floor <= model.floor:
+    low = min(records) - 2 * margin
+    if low <= floor:
         raise TruncationTooSmall("marked set reaches the window floor")
+    ranked = [(r, u(r)) for r in records]
     members = [
         m
-        for m in range(floor, max(records) + 1)
-        if any(m <= r and u(m) <= u(r) for r in records)
+        for m in range(low, max(records) + 1)
+        if any(m <= r and u(m) <= ur for r, ur in ranked)
     ]
-    return BetaSet(floor - 1, members)
+    return BetaSet(low - 1, members)
 
 
-def _predicted_jumps(x: RBAffElt, jlo: int, jhi: int, model: _Model):
-    """Jump profile of the representative of x, computed combinatorially."""
+def _predicted_jumps(x: RBAffElt, jlo: int, jhi: int):
+    """Jump profile of the representative of x, computed combinatorially:
+    J(j) = max{m in beta : u(m) > j}, a running maximum over the members
+    taken in decreasing u order while j walks down."""
     u = x.w.inverse()
     margin = x.w.spread() + x.w.N + 1
-    floor = x.beta.lo - 2 * margin
+    members = x.beta.members_in(x.beta.lo - 2 * margin, x.beta.top())
+    ranked = sorted((u(m), m) for m in members)
     out = {}
-    for j in range(jlo, jhi + 1):
-        best = None
-        for m in x.beta.members_in(floor, max(x.beta.top(), j + margin)):
-            if u(m) > j and (best is None or m > best):
+    best = None
+    for j in range(jhi, jlo - 1, -1):
+        while ranked and ranked[-1][0] > j:
+            m = ranked.pop()[1]
+            if best is None or m > best:
                 best = m
         out[j] = best
     return out
@@ -473,9 +488,14 @@ def _classify(base_cols, gens, v_vec, jlo, jhi, model: _Model) -> RBAffElt:
         if tops[j + n] != tops[j] + n:
             raise TruncationTooSmall(f"period broken at step {j}")
     w = AffinePerm(tuple(tops[j] for j in range(1, n + 1)))
-    beta = _beta_from_jumps(w, jumps, jlo, jhi, model)
-    label = RBAffElt(w, beta)
-    if _predicted_jumps(label, jlo, jhi, model) != jumps:
+    return _label_from_jumps(w, jumps, jlo, jhi, model.floor)
+
+
+def _label_from_jumps(w: AffinePerm, jumps, jlo: int, jhi: int, floor: int) -> RBAffElt:
+    """The label with permutation w and jump profile `jumps` on jlo..jhi;
+    raises TruncationTooSmall when the window cannot decide."""
+    label = RBAffElt(w, _beta_from_jumps(w, jumps, jlo, jhi, floor))
+    if _predicted_jumps(label, jlo, jhi) != jumps:
         raise TruncationTooSmall(
             f"label {label} does not reproduce the observed invariants"
         )
@@ -491,6 +511,81 @@ def _bounds(x: RBAffElt, i: int):
     return b
 
 
+def _window(x: RBAffElt, i: int, grow: int):
+    """(M, jlo, jhi): lattice depth and step range of the wall-crossing
+    window, widened by `grow` retries."""
+    n = x.w.N
+    b = _bounds(x, i) + 2 * grow
+    jw = b + 3 * n + 1
+    M = (jw + b + n + 2) // n + 1
+    jlo, jhi = -jw, jw
+    if (jlo - 1 - i) % n == 0:
+        # the base step must not sit at a perturbed position
+        jlo -= 1
+    return M, jlo, jhi
+
+
+def _retry(fn, x: RBAffElt, i: int, *args):
+    """fn(x, i, *args, grow) on a window widened until it decides."""
+    last = None
+    for grow in range(_GROW_STEPS):
+        try:
+            return fn(x, i, *args, grow)
+        except TruncationTooSmall as exc:
+            last = exc
+    raise TruncationTooSmall(f"wall crossing at {x}, position {i}: {last}")
+
+
+_ONE = QPoly.one()
+_GENERIC = QPoly.q_power(1) - 2
+
+
+def _marked_top(a: int, b: int, beta: BetaSet, line: str, ascent: bool):
+    """The e-index among a, b that the marked vector keeps modulo the step
+    through `line`, or None: line is "inf" for e_b, "one" for e_a + e_b
+    and "generic" for e_a + c e_b with c outside {0, 1}."""
+    if line == "inf":
+        return a if a in beta else None
+    top, low = (b, a) if ascent else (a, b)
+    if top in beta:
+        return None if line == "one" and low in beta else low
+    return low if low in beta else None
+
+
+def _line_classes_at(x: RBAffElt, i: int, grow: int):
+    n = x.w.N
+    M, jlo, jhi = _window(x, i, grow)
+    w = x.w
+    ws = w.after(AffinePerm.simple(n, i))
+    ascent = w(i) < w(i + 1)
+    J = _predicted_jumps(x, jlo, jhi + 1)
+    out = []
+    for line, weight in (("inf", _ONE), ("one", _ONE), ("generic", _GENERIC)):
+        jumps = {j: J[j] for j in range(jlo, jhi + 1)}
+        for j in range(jlo + (i - jlo) % n, jhi + 1, n):
+            kept = J[j + 1]
+            top = _marked_top(w(j), w(j + 1), x.beta, line, ascent)
+            if top is not None and (kept is None or top > kept):
+                kept = top
+            jumps[j] = kept
+        perm = ws if line == "inf" or ascent else w
+        out.append((_label_from_jumps(perm, jumps, jlo, jhi, 1 - M * n), weight))
+    return tuple(out)
+
+
+@lru_cache(maxsize=8192)
+def _line_classes(x: RBAffElt, i: int):
+    """The lines of the P^1 at wall i other than x's own, in three classes:
+    (label, weight) for e_b (weight 1), e_a + e_b (weight 1) and
+    e_a + c e_b with c outside {0, 1} (weight q - 2), a = w(i), b = w(i+1).
+
+    A class keeps x's jump profile except at the steps congruent to i,
+    where the line leaves the marked vector's part from the later steps
+    plus at most one of e_a, e_b (`_marked_top`); its permutation is w s
+    for e_b and on an ascent, w otherwise."""
+    return _retry(_line_classes_at, x, i)
+
+
 def _sweep_lines(x: RBAffElt, i: int, model: _Model, jlo: int, jhi: int):
     cs = [None] + list(range(1, model.q)) + ["inf"]
     base = _rep_base(x.w, jlo, model)
@@ -502,15 +597,8 @@ def _sweep_lines(x: RBAffElt, i: int, model: _Model, jlo: int, jhi: int):
 
 
 def _ts_counts_at(x: RBAffElt, i: int, q: int, grow: int):
-    n = x.w.N
-    b = _bounds(x, i) + 2 * grow
-    jw = b + 3 * n + 1
-    M = (jw + b + n + 2) // n + 1
-    model = _Model(n, M, q)
-    jlo, jhi = -jw, jw
-    if (jlo - 1 - i) % n == 0:
-        # the base step must not sit at a perturbed position
-        jlo -= 1
+    M, jlo, jhi = _window(x, i, grow)
+    model = _Model(x.w.N, M, q)
 
     tally: dict[RBAffElt, int] = {}
     for _, base, gens, v in _sweep_lines(x, i, model, jlo, jhi):
@@ -534,13 +622,7 @@ def _ts_counts_at(x: RBAffElt, i: int, q: int, grow: int):
 
 @lru_cache(maxsize=8192)
 def _ts_counts(x: RBAffElt, i: int, q: int):
-    last = None
-    for grow in range(_GROW_STEPS):
-        try:
-            return _ts_counts_at(x, i, q, grow)
-        except TruncationTooSmall as exc:
-            last = exc
-    raise TruncationTooSmall(f"wall crossing at {x}, position {i}: {last}")
+    return _retry(_ts_counts_at, x, i, q)
 
 
 def rep_roundtrip(x: RBAffElt, q: int = 2) -> RBAffElt:
@@ -556,16 +638,40 @@ def rep_roundtrip(x: RBAffElt, q: int = 2) -> RBAffElt:
     return _classify(base, gens, v, -jw, jw, model)
 
 
-@lru_cache(maxsize=4096)
-def ts_action(x: RBAffElt, i: int, primes=DEFAULT_PRIMES) -> dict:
-    """Expansion of the product with the wall generator at position i.
-
-    Counted over each finite field, then interpolated; every coefficient
-    has degree at most one in q.  Cached; treat the result as read-only."""
+def _check_wall(x: RBAffElt, i: int, primes) -> None:
     if not 1 <= i <= x.w.N:
         raise UsageError(f"wall position {i} out of range 1..{x.w.N}")
     if len(primes) < 2:
         raise UsageError("need at least two primes to pin a linear coefficient")
+    for p in primes:
+        check_prime(p)
+
+
+@lru_cache(maxsize=4096)
+def ts_action(x: RBAffElt, i: int, primes=DEFAULT_PRIMES) -> dict:
+    """Expansion of the product with the wall generator at position i.
+
+    Closed form: the candidates are x and the labels of x's line classes,
+    and the coefficient of y is the summed weight of y's classes that
+    land on x.  `primes` is validated as for the counting oracle but does
+    not enter the result.  Cached; treat the result as read-only."""
+    _check_wall(x, i, primes)
+    out = {}
+    for y in sorted({x} | {y for y, _ in _line_classes(x, i)}, key=_sort_key):
+        coeff = QPoly.zero()
+        for z, weight in _line_classes(y, i):
+            if z == x:
+                coeff = coeff + weight
+        if coeff:
+            out[y] = coeff
+    return out
+
+
+def counted_ts_action(x: RBAffElt, i: int, primes=DEFAULT_PRIMES) -> dict:
+    """The counting oracle for `ts_action`: the lines are counted over
+    each finite field and the counts interpolated; every coefficient has
+    degree at most one in q."""
+    _check_wall(x, i, primes)
     per_q = {}
     for q in primes:
         counts, _ = _ts_counts(x, i, q)

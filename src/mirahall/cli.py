@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 from . import cache
 from .affine import (
     bruhat_leq,
+    counted_ts_action,
     h_basis_check,
     hecke_quadratic_check,
     mass_check,
@@ -207,7 +208,12 @@ def mirabolic_payload(src, r: int, side: str, rank: int) -> dict:
     if r < 1:
         raise UsageError(f"generator degree must be positive, got {r}")
     if side == "left":
-        table = closed_form_G(r, src)
+        if any(len(trim(part)) > rank for part in src):
+            raise UsageError(f"source {src} needs more than {rank} rows")
+        table = {
+            tgt: c for tgt, c in closed_form_G(r, src).items()
+            if len(tgt[0]) <= rank and len(tgt[1]) <= rank
+        }
     else:
         table = stable_right_column(r, src, rank)
     terms = [{"label": bplabel(tgt), "coeff": c.to_json()} for tgt, c in table.items()]
@@ -466,6 +472,8 @@ def _suite_iwahori(cfg: RunConfig) -> list[dict]:
         for x in labs:
             for i in (1, 2):
                 prod = ts_action(x, i, cfg.primes)
+                if prod != counted_ts_action(x, i, cfg.primes):
+                    raise OracleMismatch(f"served product differs from the count at {x}, {i}")
                 hist[pattern_check(x, i, prod, cfg.primes)] += 1
                 if any(c.degree() > 1 for c in prod.values()):
                     raise OracleMismatch(f"coefficient degree above one at {x}, {i}")
@@ -747,7 +755,9 @@ def build_parser() -> argparse.ArgumentParser:
     mp = isub.add_parser("mult", help="product table with case assignments")
     mp.add_argument("--N", type=int, default=2)
     mp.add_argument("--window", type=int, default=None)
-    mp.add_argument("--qs", default=None, help="comma-separated primes")
+    mp.add_argument("--qs", default=None,
+                    help="comma-separated primes, checked and echoed; "
+                         "the closed products do not depend on them")
     _add_common(mp)
 
     sp = sub.add_parser("verify", help="run oracle suites and report")

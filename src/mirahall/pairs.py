@@ -27,6 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from . import gf
+from .config import check_prime
 from .errors import CostGuard, NotNilpotent, OracleMismatch
 from .laurent import QPoly, gauss_binomial, interpolate, primes
 from .partitions import (
@@ -515,6 +516,7 @@ def orbit_census(n: int, q: int, seed: int = 0, max_rounds: int = 512):
     union-find classes merged by random invertible commutant elements
     (every merge is a true orbit relation).  Equality certifies both.
     """
+    check_prime(q)
     if q**n > 4096:
         raise CostGuard(f"census over {q}^{n} vectors exceeds the budget")
     rng = random.Random(seed)

@@ -16,6 +16,7 @@ from typing import Iterable, Mapping
 
 from . import pairs
 from .bimodule import PiTable, act, pi_table, u_bip
+from .config import check_prime
 from .errors import (
     CostGuard,
     FieldMismatch,
@@ -329,6 +330,7 @@ class GreenLabel:
 def green_labels(n: int, q: int, pure: bool = False) -> list["GreenLabel"]:
     """All labels of weighted size n over F_q, plain shapes only when
     pure is set, in a deterministic order."""
+    check_prime(q)
     if n < 0:
         return []
     polys = irreducible_polys(q, max(n, 1))
@@ -427,6 +429,7 @@ def _invertible_over_rationals(rows: list[list[int]]) -> bool:
 def green_freeness_check(n: int, q: int) -> dict:
     """Two-sided products of plain classes against the empty label must
     hit the size-n labels through a square invertible matrix over Q."""
+    check_prime(q)
     labels = green_labels(n, q)
     unit = GreenLabel(q)
     rows = []

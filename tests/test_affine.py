@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mirahall.affine as affine
+import mirahall.cli as cli
 from mirahall.affine import (
     AffinePerm,
     BetaSet,
     RBAffElt,
     apply_ts,
     bruhat_leq,
+    counted_ts_action,
     h_basis_check,
     hecke_quadratic_check,
     mass_check,
@@ -19,6 +22,7 @@ from mirahall.affine import (
     universe,
     validate,
 )
+from mirahall.config import RunConfig
 from mirahall.errors import (
     ComponentMismatch,
     Incompatible,
@@ -169,6 +173,61 @@ def test_ts_action_usage_errors():
         ts_action(x, 3)
     with pytest.raises(UsageError):
         ts_action(x, 1, primes=(2,))
+
+
+PERIOD3_SPOTS = [
+    (((2, 1, 3), 0, ()), 2),
+    (((-2, -1, 3), -2, (0,)), 3),
+    (((-2, -1, 3), 0, (3,)), 3),
+]
+
+
+def _assert_served_is_counted(x, i):
+    served = ts_action(x, i)
+    counted = counted_ts_action(x, i)
+    # same terms, same coefficients, same term order
+    assert list(served.items()) == list(counted.items()), (x, i)
+
+
+def test_closed_ts_action_matches_count_window2():
+    for args in ((2,), (2, 1, 1)):
+        for x in universe(*args):
+            for i in (1, 2):
+                _assert_served_is_counted(x, i)
+
+
+def test_closed_ts_action_matches_count_period3():
+    labs = [validate(*args) for args, _ in PERIOD3_SPOTS]
+    labs += random.Random(3).sample(list(universe(3)), 100)
+    for x in labs:
+        for i in (1, 2, 3):
+            _assert_served_is_counted(x, i)
+
+
+def test_served_products_make_no_count(monkeypatch, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the serving path reached the counting oracle")
+
+    ts_action.cache_clear()
+    affine._line_classes.cache_clear()
+    monkeypatch.setattr(affine, "_classify_core", forbidden)
+    monkeypatch.setattr(affine, "_ts_counts", forbidden)
+    monkeypatch.setattr(affine, "interpolate", forbidden)
+    cfg = RunConfig(cache_dir=str(tmp_path / "cache"))
+    payload = cli.iwahori_payload(2, 2, (2, 3), cfg)
+    assert len(payload["products"]) == 2 * len(universe(2))
+    for args, i in PERIOD3_SPOTS:
+        assert pattern_check(validate(*args), i) in range(1, 6)
+    with pytest.raises(AssertionError):
+        counted_ts_action(validate((1, 2), 0), 1)
+
+
+def test_served_product_ignores_primes():
+    x = validate((-1, 2), -2)
+    assert ts_action(x, 2, (5, 7)) == ts_action(x, 2) == ts_action(x, 2, (3, 2))
+    for primes in ((2, 4), (1, 3), (2,)):
+        with pytest.raises(UsageError):
+            ts_action(x, 2, primes)
 
 
 def test_pattern_exhaustive_window2():

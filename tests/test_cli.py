@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -174,6 +176,37 @@ def test_right_mirabolic_bounded_by_rank(capsys):
                "--N", "2")[0] == 2
     assert run(capsys, "mirabolic", "--src", "|1,1,1", "--r", "1", "--side", "right",
                "--N", "2")[0] == 2
+
+
+def test_left_mirabolic_bounded_by_rank(capsys):
+    def labels(*argv):
+        code, out = run(capsys, "mirabolic", *argv)
+        assert code == 0
+        return [t["label"] for t in json.loads(out)["terms"]]
+
+    # targets with a component longer than N rows are left out
+    assert labels("--src", "1,1|", "--r", "1", "--N", "2") == ["(2,1)|()", "(1,1)|(1)"]
+    assert labels("--src", "1,1,1|", "--r", "1", "--N", "3") == ["(2,1,1)|()", "(1,1,1)|(1)"]
+    # the default rank (the target size) leaves every target in
+    assert "(1,1,1,1)|()" in labels("--src", "1,1,1|", "--r", "1")
+    # a source longer than N rows is a usage error
+    assert run(capsys, "mirabolic", "--src", "1,1,1|", "--r", "1", "--N", "2")[0] == 2
+    assert run(capsys, "mirabolic", "--src", "|1,1,1", "--r", "1", "--N", "2")[0] == 2
+
+
+def test_readme_config_keys_resolve(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("Recognized keys:", 1)[1].split("Unknown", 1)[0]
+    keys = re.findall(r"`(\w+)`", listed)
+    values = {"primes": "2,5", "fmt": "csv", "format": "latex",
+              "cache_dir": str(tmp_path / "c")}
+    cfgfile = tmp_path / "keys.cfg"
+    cfgfile.write_text("".join(f"{k} = {values.get(k, 1)}\n" for k in keys))
+    read = read_config_file(str(cfgfile))
+    # the list names every key the reader accepts, and each one resolves
+    assert set(read) == {f.name for f in fields(RunConfig)}
+    cfg = resolve(read, {})
+    assert cfg.primes == (2, 5) and cfg.fmt == "latex" and cfg.verbosity == 1
 
 
 def test_config_validation():

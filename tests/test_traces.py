@@ -10,6 +10,7 @@ from mirahall.errors import (
 )
 from mirahall.hall import u_elt
 from mirahall.laurent import LaurentPoly, QPoly
+from mirahall.pairs import orbit_census
 from mirahall.partitions import bipartitions_of, partitions_of
 from mirahall.traces import (
     GreenLabel,
@@ -178,6 +179,19 @@ def test_green_guards():
         green_mul("left", GreenLabel(2, {(1, 1): ((1,), ())}), {GreenLabel(2): 1})
     with pytest.raises(UsageError):
         green_mul("up", GreenLabel(2), {GreenLabel(2): 1})
+
+
+def test_library_entry_points_reject_non_prime_fields():
+    # Z/4 and Z/6 are not fields: the irreducibility listing and the
+    # Fermat inversion behind the census are wrong there
+    for q in (1, 4, 6):
+        with pytest.raises(UsageError):
+            green_labels(1, q)
+        with pytest.raises(UsageError):
+            green_freeness_check(1, q)
+        with pytest.raises(UsageError):
+            orbit_census(1, q)
+    assert green_freeness_check(1, 5)["passed"]
 
 
 def test_green_bimodule_axiom_sampled():
