@@ -543,7 +543,12 @@ _GENERIC = QPoly.q_power(1) - 2
 def _marked_top(a: int, b: int, beta: BetaSet, line: str, ascent: bool):
     """The e-index among a, b that the marked vector keeps modulo the step
     through `line`, or None: line is "inf" for e_b, "one" for e_a + e_b
-    and "generic" for e_a + c e_b with c outside {0, 1}."""
+    and "generic" for e_a + c e_b with c outside {0, 1}.
+
+    The marked vector's part in span(e_a, e_b) is p = [a in beta] e_a +
+    [b in beta] e_b.  Modulo the line it leaves the index that is not the
+    line's pivot (a for e_b, the smaller of a, b otherwise) unless p lies
+    on the line: p = 0, or p = e_a + e_b on the line c = 1."""
     if line == "inf":
         return a if a in beta else None
     top, low = (b, a) if ascent else (a, b)
@@ -579,10 +584,33 @@ def _line_classes(x: RBAffElt, i: int):
     (label, weight) for e_b (weight 1), e_a + e_b (weight 1) and
     e_a + c e_b with c outside {0, 1} (weight q - 2), a = w(i), b = w(i+1).
 
-    A class keeps x's jump profile except at the steps congruent to i,
-    where the line leaves the marked vector's part from the later steps
-    plus at most one of e_a, e_b (`_marked_top`); its permutation is w s
-    for e_b and on an ascent, w otherwise."""
+    Why this is the counting oracle's classification in closed form.  In
+    x's representative the step L_j is spanned by e_{w(k)}, k <= j, and
+    the marked vector is v, the sum of e_k over k in beta.  Moving the line
+    at every step j = i mod N (a = w(j), b = w(j+1)) to a line l of
+    span(e_a, e_b) changes only the steps L_j, to L_{j-1} + l.
+    `_classify` reads a label off two invariants of the flag, and both
+    are intrinsic to the subspaces, so they are unchanged at the other
+    steps:
+
+    * the pivots, the index each step adds.  At step j it is the top
+      index of l: b for e_b, and max(a, b) for e_a + c e_b with c != 0.
+      So the permutation becomes w s for e_b and on an ascent (a < b),
+      and stays w for the c != 0 lines on a descent;
+    * the jump profile, the top index of v modulo each step.  Modulo
+      L_{j-1}, v is its part modulo L_{j+1} (top J(j+1), on indices
+      no step up to j+1 has as pivot) plus p = [a in beta] e_a +
+      [b in beta] e_b.  Modulo l, p leaves the non-pivot index of l
+      unless p lies on l, so J'(j) = max({J(j+1)} | T) with T that
+      index or empty (`_marked_top`).
+
+    p lies on e_a + c e_b, c != 0, only if p = 0 or c = 1 with a and b
+    both in beta.  So every c outside {0, 1} has the same pivots and
+    jumps and lands on one label; the q - 2 of them give the weight.
+    By `_label_from_jumps` the pair (pivots, jumps) fixes the label, as
+    it does in the oracle.  The rule has been checked against the count
+    on all of universe(2), universe(2, 1, 1) and seeded samples of
+    universe(3) and universe(4) (tests/test_affine.py)."""
     return _retry(_line_classes_at, x, i)
 
 
@@ -638,9 +666,12 @@ def rep_roundtrip(x: RBAffElt, q: int = 2) -> RBAffElt:
     return _classify(base, gens, v, -jw, jw, model)
 
 
-def _check_wall(x: RBAffElt, i: int, primes) -> None:
+def _check_wall(x: RBAffElt, i: int) -> None:
     if not 1 <= i <= x.w.N:
         raise UsageError(f"wall position {i} out of range 1..{x.w.N}")
+
+
+def _check_primes(primes) -> None:
     if len(primes) < 2:
         raise UsageError("need at least two primes to pin a linear coefficient")
     for p in primes:
@@ -648,14 +679,14 @@ def _check_wall(x: RBAffElt, i: int, primes) -> None:
 
 
 @lru_cache(maxsize=4096)
-def ts_action(x: RBAffElt, i: int, primes=DEFAULT_PRIMES) -> dict:
+def ts_action(x: RBAffElt, i: int) -> dict:
     """Expansion of the product with the wall generator at position i.
 
     Closed form: the candidates are x and the labels of x's line classes,
     and the coefficient of y is the summed weight of y's classes that
-    land on x.  `primes` is validated as for the counting oracle but does
-    not enter the result.  Cached; treat the result as read-only."""
-    _check_wall(x, i, primes)
+    land on x.  No field size enters.  Cached; treat the result as
+    read-only."""
+    _check_wall(x, i)
     out = {}
     for y in sorted({x} | {y for y, _ in _line_classes(x, i)}, key=_sort_key):
         coeff = QPoly.zero()
@@ -671,7 +702,8 @@ def counted_ts_action(x: RBAffElt, i: int, primes=DEFAULT_PRIMES) -> dict:
     """The counting oracle for `ts_action`: the lines are counted over
     each finite field and the counts interpolated; every coefficient has
     degree at most one in q."""
-    _check_wall(x, i, primes)
+    _check_wall(x, i)
+    _check_primes(primes)
     per_q = {}
     for q in primes:
         counts, _ = _ts_counts(x, i, q)
@@ -691,7 +723,8 @@ def counted_ts_action(x: RBAffElt, i: int, primes=DEFAULT_PRIMES) -> dict:
 def mass_check(x: RBAffElt, i: int, primes=DEFAULT_PRIMES) -> bool:
     """Every line in the sweep lands on a label and the landing set is the
     product support together with the source itself."""
-    product = ts_action(x, i, primes)
+    _check_primes(primes)
+    product = ts_action(x, i)
     for q in primes:
         counts, tally = _ts_counts(x, i, q)
         if sum(tally.values()) != q + 1:
@@ -707,11 +740,11 @@ def _sort_key(x: RBAffElt):
     return (x.length(), x.w.window, x.beta.lo, x.beta.extra)
 
 
-def apply_ts(comb: dict, i: int, primes=DEFAULT_PRIMES) -> dict:
+def apply_ts(comb: dict, i: int) -> dict:
     """Extend ts_action linearly over combinations with QPoly weights."""
     out = {}
     for lab, coeff in comb.items():
-        for lab2, c2 in ts_action(lab, i, primes).items():
+        for lab2, c2 in ts_action(lab, i).items():
             cur = out.get(lab2, QPoly.zero()) + coeff * c2
             out[lab2] = cur
     return {lab: c for lab, c in out.items() if c}
@@ -771,7 +804,7 @@ def _match_template(x: RBAffElt, i: int, product):
     return hits[0]
 
 
-def pattern_check(x: RBAffElt, i: int, product=None, primes=DEFAULT_PRIMES) -> int:
+def pattern_check(x: RBAffElt, i: int, product=None) -> int:
     """Match the wall-crossing product against the five closed shapes and
     return the unique case number.
 
@@ -787,14 +820,14 @@ def pattern_check(x: RBAffElt, i: int, product=None, primes=DEFAULT_PRIMES) -> i
     demands it be a single toggle and the case assignment be unique.
     """
     if product is None:
-        product = ts_action(x, i, primes)
+        product = ts_action(x, i)
     return _match_template(x, i, product)[0]
 
 
-def hecke_quadratic_check(x: RBAffElt, i: int, primes=DEFAULT_PRIMES) -> bool:
+def hecke_quadratic_check(x: RBAffElt, i: int) -> bool:
     """T_s T_s = (q - 1) T_s + q, applied on the right of x."""
-    first = ts_action(x, i, primes)
-    twice = apply_ts(first, i, primes)
+    first = ts_action(x, i)
+    twice = apply_ts(first, i)
     qq = QPoly.q_power(1)
     want = {lab: (qq - 1) * c for lab, c in first.items()}
     want[x] = want.get(x, QPoly.zero()) + qq
@@ -802,14 +835,14 @@ def hecke_quadratic_check(x: RBAffElt, i: int, primes=DEFAULT_PRIMES) -> bool:
     return twice == want
 
 
-def h_basis_check(x: RBAffElt, i: int, primes=DEFAULT_PRIMES) -> bool:
+def h_basis_check(x: RBAffElt, i: int) -> bool:
     """Rescale the product by signed powers of v and compare against the
     five shapes written in the normalized basis.
 
     The normalized basis element of y is (-v)^{-length(y)} times the plain
     one, and the wall generator is shifted by -v^{-1}; the equality encodes
     both the case shapes and the length bookkeeping."""
-    product = ts_action(x, i, primes)
+    product = ts_action(x, i)
     case, roles = _match_template(x, i, product)
 
     def mv(e: int) -> LaurentPoly:

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 from . import cache
 from .affine import (
+    DEFAULT_PRIMES,
     bruhat_leq,
     counted_ts_action,
     h_basis_check,
@@ -30,7 +31,12 @@ from .affine import (
     validate,
 )
 from .bimodule import mhl_poly, pi_table
-from .closedform import closed_form_G, rho_check, stable_right_column, verify_closed_form
+from .closedform import (
+    closed_left_column,
+    rho_check,
+    stable_right_column,
+    verify_closed_form,
+)
 from .config import (
     FORMATS,
     RunConfig,
@@ -207,15 +213,8 @@ def hall_payload(x, y, rank: int) -> dict:
 def mirabolic_payload(src, r: int, side: str, rank: int) -> dict:
     if r < 1:
         raise UsageError(f"generator degree must be positive, got {r}")
-    if side == "left":
-        if any(len(trim(part)) > rank for part in src):
-            raise UsageError(f"source {src} needs more than {rank} rows")
-        table = {
-            tgt: c for tgt, c in closed_form_G(r, src).items()
-            if len(tgt[0]) <= rank and len(tgt[1]) <= rank
-        }
-    else:
-        table = stable_right_column(r, src, rank)
+    column = closed_left_column if side == "left" else stable_right_column
+    table = column(r, src, rank)
     terms = [{"label": bplabel(tgt), "coeff": c.to_json()} for tgt, c in table.items()]
     return {
         "kind": "mirabolic",
@@ -237,16 +236,16 @@ def green_payload(n: int, q: int) -> dict:
     }
 
 
-def iwahori_payload(N: int, window: int, qs: tuple[int, ...], cfg: RunConfig) -> dict:
-    params = {"N": N, "window": window, "qs": list(qs)}
+def iwahori_payload(N: int, window: int, cfg: RunConfig) -> dict:
+    params = {"N": N, "window": window}
     hit = cache.load("iwahori", params, cfg.cache_dir)
     if hit is not None:
         return hit
     products = []
     for x in universe(N, 1, window):
         for i in range(1, N + 1):
-            prod = ts_action(x, i, qs)
-            case = pattern_check(x, i, prod, qs)
+            prod = ts_action(x, i)
+            case = pattern_check(x, i, prod)
             ordered = sorted(
                 prod.items(),
                 key=lambda kv: (kv[0].length(), kv[0].w.window, kv[0].beta.lo,
@@ -267,7 +266,9 @@ def iwahori_payload(N: int, window: int, qs: tuple[int, ...], cfg: RunConfig) ->
         "kind": "iwahori",
         "N": N,
         "window": window,
-        "qs": list(qs),
+        # kept for a stable output format: the closed products take no
+        # field size, and this reads the counting oracle's default primes
+        "qs": list(DEFAULT_PRIMES),
         "products": products,
     }
     cache.store("iwahori", params, payload, cfg.cache_dir)
@@ -471,13 +472,13 @@ def _suite_iwahori(cfg: RunConfig) -> list[dict]:
         hist: Counter = Counter()
         for x in labs:
             for i in (1, 2):
-                prod = ts_action(x, i, cfg.primes)
+                prod = ts_action(x, i)
                 if prod != counted_ts_action(x, i, cfg.primes):
                     raise OracleMismatch(f"served product differs from the count at {x}, {i}")
-                hist[pattern_check(x, i, prod, cfg.primes)] += 1
+                hist[pattern_check(x, i, prod)] += 1
                 if any(c.degree() > 1 for c in prod.values()):
                     raise OracleMismatch(f"coefficient degree above one at {x}, {i}")
-                if not h_basis_check(x, i, cfg.primes):
+                if not h_basis_check(x, i):
                     raise OracleMismatch(f"normalized shape fails at {x}, {i}")
         counts = json.dumps({str(k): hist[k] for k in sorted(hist)})
         return f"cases {counts} over {len(labs)} sources"
@@ -486,7 +487,7 @@ def _suite_iwahori(cfg: RunConfig) -> list[dict]:
         rng = random.Random(cfg.seed)
         for x in rng.sample(list(labs), min(30, len(labs))):
             for i in (1, 2):
-                if not hecke_quadratic_check(x, i, cfg.primes):
+                if not hecke_quadratic_check(x, i):
                     raise OracleMismatch(f"quadratic relation fails at {x}, {i}")
                 if not mass_check(x, i, cfg.primes):
                     raise OracleMismatch(f"fiber mass off at {x}, {i}")
@@ -495,7 +496,7 @@ def _suite_iwahori(cfg: RunConfig) -> list[dict]:
     def support():
         for x in labs:
             for i in (1, 2):
-                prod = ts_action(x, i, cfg.primes)
+                prod = ts_action(x, i)
                 top = max(prod, key=lambda y: y.length())
                 for y in prod:
                     if not bruhat_leq(y, top):
@@ -505,7 +506,7 @@ def _suite_iwahori(cfg: RunConfig) -> list[dict]:
     def spots():
         for args, i in ((((2, 1, 3), 0, ()), 2), (((-2, -1, 3), 0, (3,)), 3)):
             x = validate(*args)
-            pattern_check(x, i, None, cfg.primes)
+            pattern_check(x, i)
             if not mass_check(x, i, cfg.primes):
                 raise OracleMismatch(f"fiber mass off at {x}, {i}")
         return "period-3 spot labels classified"
@@ -755,9 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
     mp = isub.add_parser("mult", help="product table with case assignments")
     mp.add_argument("--N", type=int, default=2)
     mp.add_argument("--window", type=int, default=None)
-    mp.add_argument("--qs", default=None,
-                    help="comma-separated primes, checked and echoed; "
-                         "the closed products do not depend on them")
     _add_common(mp)
 
     sp = sub.add_parser("verify", help="run oracle suites and report")
@@ -839,7 +837,7 @@ def _cmd_iwahori(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise UsageError(f"unknown iwahori action {args.icmd!r}")
     if args.N < 2:
         raise UsageError(f"period must be at least 2, got {args.N}")
-    payload = iwahori_payload(args.N, cfg.window, cfg.primes, cfg)
+    payload = iwahori_payload(args.N, cfg.window, cfg)
     _emit(render(payload, cfg.fmt), args.out)
     return 0
 

@@ -231,6 +231,29 @@ def closed_form_G(
     return {tgt: poly for tgt, poly in cells.items() if poly}
 
 
+def _fits(label: Bipartition, rank: int) -> bool:
+    return len(label[0]) <= rank and len(label[1]) <= rank
+
+
+def _rank_source(src: Bipartition, rank: int) -> Bipartition:
+    """The trimmed source, which must have at most `rank` rows per
+    component."""
+    src = (trim(src[0]), trim(src[1]))
+    if not _fits(src, rank):
+        raise UsageError(f"source {src} needs more than {rank} rows")
+    return src
+
+
+def closed_left_column(
+    r: int, src: Bipartition, rank: int
+) -> Mapping[Bipartition, QPoly]:
+    """`closed_form_G` on the left, with labels of at most `rank` rows
+    per component: a longer source is a usage error and longer targets
+    are skipped, as in `stable_right_column`."""
+    src = _rank_source(src, rank)
+    return {tgt: c for tgt, c in closed_form_G(r, src).items() if _fits(tgt, rank)}
+
+
 def stable_right_column(
     r: int, src: Bipartition, rank: int
 ) -> Mapping[Bipartition, QPoly]:
@@ -242,9 +265,7 @@ def stable_right_column(
     are skipped.  Only at the vectorless square-zero target do these
     differ from the module's right table, which keeps the mass that the
     stabilised count sheds."""
-    src = (trim(src[0]), trim(src[1]))
-    if len(src[0]) > rank or len(src[1]) > rank:
-        raise UsageError(f"source {src} needs more than {rank} rows")
+    src = _rank_source(src, rank)
     if src == ((), ()):
         return {((), (1,) * r): QPoly.one()} if r <= rank else {}
     if r >= rank:
@@ -254,7 +275,7 @@ def stable_right_column(
     cells = {
         tgt: right_via_star(tgt, src, r, rank)
         for tgt in bipartitions_of(n)
-        if len(tgt[0]) <= rank and len(tgt[1]) <= rank
+        if _fits(tgt, rank)
     }
     return {tgt: poly for tgt, poly in cells.items() if poly}
 

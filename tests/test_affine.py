@@ -171,8 +171,9 @@ def test_ts_action_usage_errors():
     x = validate((1, 2), 0)
     with pytest.raises(UsageError):
         ts_action(x, 3)
+    # the field sizes belong to the counting oracle alone
     with pytest.raises(UsageError):
-        ts_action(x, 1, primes=(2,))
+        counted_ts_action(x, 1, primes=(2,))
 
 
 PERIOD3_SPOTS = [
@@ -182,9 +183,9 @@ PERIOD3_SPOTS = [
 ]
 
 
-def _assert_served_is_counted(x, i):
+def _assert_served_is_counted(x, i, primes=(2, 3)):
     served = ts_action(x, i)
-    counted = counted_ts_action(x, i)
+    counted = counted_ts_action(x, i, primes)
     # same terms, same coefficients, same term order
     assert list(served.items()) == list(counted.items()), (x, i)
 
@@ -204,6 +205,12 @@ def test_closed_ts_action_matches_count_period3():
             _assert_served_is_counted(x, i)
 
 
+def test_closed_ts_action_matches_count_period4():
+    for x in random.Random(4).sample(list(universe(4)), 12):
+        for i in (1, 2, 3, 4):
+            _assert_served_is_counted(x, i)
+
+
 def test_served_products_make_no_count(monkeypatch, tmp_path):
     def forbidden(*args, **kwargs):
         raise AssertionError("the serving path reached the counting oracle")
@@ -214,7 +221,7 @@ def test_served_products_make_no_count(monkeypatch, tmp_path):
     monkeypatch.setattr(affine, "_ts_counts", forbidden)
     monkeypatch.setattr(affine, "interpolate", forbidden)
     cfg = RunConfig(cache_dir=str(tmp_path / "cache"))
-    payload = cli.iwahori_payload(2, 2, (2, 3), cfg)
+    payload = cli.iwahori_payload(2, 2, cfg)
     assert len(payload["products"]) == 2 * len(universe(2))
     for args, i in PERIOD3_SPOTS:
         assert pattern_check(validate(*args), i) in range(1, 6)
@@ -223,11 +230,18 @@ def test_served_products_make_no_count(monkeypatch, tmp_path):
 
 
 def test_served_product_ignores_primes():
+    # the served product takes no field size; the count agrees with it
+    # whichever primes it interpolates through, and rejects non-primes
     x = validate((-1, 2), -2)
-    assert ts_action(x, 2, (5, 7)) == ts_action(x, 2) == ts_action(x, 2, (3, 2))
+    with pytest.raises(TypeError):
+        ts_action(x, 2, (2, 3))
+    for primes in ((5, 7), (3, 2)):
+        _assert_served_is_counted(x, 2, primes)
     for primes in ((2, 4), (1, 3), (2,)):
         with pytest.raises(UsageError):
-            ts_action(x, 2, primes)
+            counted_ts_action(x, 2, primes)
+        with pytest.raises(UsageError):
+            mass_check(x, 2, primes)
 
 
 def test_pattern_exhaustive_window2():

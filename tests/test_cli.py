@@ -151,7 +151,8 @@ def test_non_prime_field_is_usage_error(tmp_path, capsys):
     assert run(capsys, "trace", "--n", "1", "--q", "9")[0] == 2
     assert run(capsys, "trace", "--n", "1", "--q", "1")[0] == 2
     assert run(capsys, "verify", "--suite", "census", "--qs", "4")[0] == 2
-    assert run(capsys, "iwahori", "mult", "--N", "2", "--qs", "2,6")[0] == 2
+    # iwahori mult takes no field size at all
+    assert run(capsys, "iwahori", "mult", "--N", "2", "--qs", "2,3")[0] == 2
     cfgfile = tmp_path / "field.cfg"
     cfgfile.write_text("primes = 3,4\n")
     assert cli.main(["--config", str(cfgfile), "green", "--n", "1"]) == 2
@@ -250,17 +251,16 @@ def test_green_csv(capsys):
 
 
 def test_iwahori_mult_cases(capsys):
-    code, out = run(capsys, "iwahori", "mult", "--N", "2", "--window", "1",
-                    "--qs", "2,3")
+    code, out = run(capsys, "iwahori", "mult", "--N", "2", "--window", "1")
     assert code == 0
     payload = json.loads(out)
+    # a fixed echo of the counting oracle's default primes
     assert payload["qs"] == [2, 3]
     cases = {p["case"] for p in payload["products"]}
     assert cases <= {1, 2, 3, 4, 5}
     for prod in payload["products"]:
         assert prod["terms"], prod
-    _, again = run(capsys, "iwahori", "mult", "--N", "2", "--window", "1",
-                   "--qs", "2,3")
+    _, again = run(capsys, "iwahori", "mult", "--N", "2", "--window", "1")
     assert out == again
 
 

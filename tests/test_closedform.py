@@ -2,6 +2,7 @@ import pytest
 
 from mirahall.closedform import (
     closed_form_G,
+    closed_left_column,
     closed_left_table,
     closed_right_table,
     rho_check,
@@ -168,3 +169,15 @@ def test_serving_path_never_counts(monkeypatch):
             assert green_mul(side, GreenLabel(2, {(1, 1): ((), (1,))}), x)
     finally:
         _clear_caches()
+
+
+def test_left_column_bounded_by_rank():
+    full = closed_form_G(1, ((1, 1), ()))
+    # the same row rule as stable_right_column: longer targets are left out
+    assert closed_left_column(1, ((1, 1), ()), 3) == full
+    kept = closed_left_column(1, ((1, 1), ()), 2)
+    assert kept == {t: c for t, c in full.items() if len(t[0]) <= 2 and len(t[1]) <= 2}
+    assert kept and len(kept) < len(full)
+    # and a longer source is a usage error
+    with pytest.raises(UsageError):
+        closed_left_column(1, ((1, 1, 1), ()), 2)
