@@ -12,7 +12,9 @@ The counting oracle, reached only from `verify` and the tests, builds
 representative triples over F_q in a truncated lattice model (`_Model`),
 classifies every line back to a label through rank invariants
 (`_classify`), and interpolates the point counts to polynomials in q
-(`counted_ts_action`, `mass_check`, `rep_roundtrip`).
+(`counted_ts_action`, `mass_check`, `rep_roundtrip`).  Its numpy helpers
+(`_Model.unit`, `_rep_vector`, `_classify_core`) import numpy when they
+run, so serving a wall product never loads it.
 
 Conventions, fixed by the orbit bijection and checked by the template and
 quadratic-relation tests:
@@ -30,8 +32,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product as cartesian
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import check_prime
 from .errors import (
@@ -42,6 +43,9 @@ from .errors import (
     UsageError,
 )
 from .laurent import LaurentPoly, QPoly, interpolate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_PRIMES = (2, 3)
 
@@ -307,6 +311,8 @@ class _Model:
         return col + self.floor
 
     def unit(self, k: int) -> np.ndarray:
+        import numpy as np
+
         if not self.floor <= k <= self.ceil:
             raise TruncationTooSmall(f"index {k} outside the window")
         vec = np.zeros(self.dim, dtype=np.int64)
@@ -333,6 +339,8 @@ def _rep_base(w: AffinePerm, jlo: int, model: _Model) -> frozenset:
 
 
 def _rep_vector(beta: BetaSet, model: _Model) -> np.ndarray:
+    import numpy as np
+
     if beta.top() > model.ceil:
         raise TruncationTooSmall("marked set leaks above the window")
     vec = np.zeros(model.dim, dtype=np.int64)
@@ -376,6 +384,8 @@ def _classify_core(base_cols, gens, v_vec, jlo: int, jhi: int, model: _Model):
     """Echelon sweep: returns (tops, jumps) with tops[j] the new e-index
     entering at step j and jumps[j] the top e-index of the marked vector
     reduced modulo step j (None once it is absorbed)."""
+    import numpy as np
+
     q = model.q
     rows: dict[int, np.ndarray] = {}
     base = np.array(sorted(base_cols), dtype=np.int64)
@@ -879,18 +889,17 @@ def h_basis_check(x: RBAffElt, i: int) -> bool:
 # closure order
 
 
-def _count_below(w: AffinePerm, j: int, k: int, floor: int) -> int:
-    return sum(1 for m in range(floor, k + 1) if w(m) <= j)
-
-
-def _jump_value(x: RBAffElt, k: int) -> int | None:
-    u = x.w.inverse()
-    margin = x.w.spread() + x.w.N + 1
-    best = None
-    for m in x.beta.members_in(x.beta.lo - margin, max(x.beta.top(), k + margin)):
-        if u(m) > k and (best is None or m > best):
-            best = m
-    return best
+def _rank_rows(w: AffinePerm, floor: int, lo: int, hi: int):
+    """For k = lo..hi in turn, the row #{m in [floor, k] : w(m) <= j}
+    over j = lo..hi; each k extends the previous prefix by one index.
+    The same list is yielded each time, updated in place."""
+    width = hi - lo + 1
+    row = [0] * width
+    for m in range(floor, hi + 1):
+        for t in range(max(w(m) - lo, 0), width):
+            row[t] += 1
+        if m >= lo:
+            yield row
 
 
 def bruhat_leq(a: RBAffElt, b: RBAffElt) -> bool:
@@ -911,18 +920,23 @@ def bruhat_leq(a: RBAffElt, b: RBAffElt) -> bool:
     lo = min(a.beta.lo, b.beta.lo, -a.w.spread(), -b.w.spread()) - 3 * n
     hi = max(a.beta.top(), b.beta.top(), a.w.spread(), b.w.spread(), n) + 3 * n
     floor1 = lo - max(a.w.spread(), b.w.spread()) - n
-    for k in range(lo, hi + 1):
-        ja = _jump_value(a, k)
-        jb = _jump_value(b, k)
-        for j in range(lo, hi + 1):
-            diff = _count_below(a.w, j, k, floor1) - _count_below(b.w, j, k, floor1)
-            diff2 = _count_below(a.w, j, k, floor1 - n) - _count_below(b.w, j, k, floor1 - n)
-            if diff != diff2:
+    ja = _predicted_jumps(a, lo, hi)
+    jb = _predicted_jumps(b, lo, hi)
+    rows = zip(
+        _rank_rows(a.w, floor1, lo, hi),
+        _rank_rows(b.w, floor1, lo, hi),
+        _rank_rows(a.w, floor1 - n, lo, hi),
+        _rank_rows(b.w, floor1 - n, lo, hi),
+    )
+    for k, (ra, rb, ra2, rb2) in zip(range(lo, hi + 1), rows):
+        for t, j in enumerate(range(lo, hi + 1)):
+            diff = ra[t] - rb[t]
+            if diff != ra2[t] - rb2[t]:
                 raise TruncationTooSmall("rank difference did not stabilize")
             if diff < 0:
                 return False
-            da = 1 if ja is None or ja <= j else 0
-            db = 1 if jb is None or jb <= j else 0
+            da = 1 if ja[k] is None or ja[k] <= j else 0
+            db = 1 if jb[k] is None or jb[k] <= j else 0
             if diff + da - db < 0:
                 return False
     return True

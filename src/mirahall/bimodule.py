@@ -19,7 +19,6 @@ import json
 from functools import lru_cache
 from typing import Mapping
 
-from . import pairs
 from .closedform import closed_form_G
 from .errors import DiagonalNotUnit, NotInTable, OracleMismatch, RankTooSmall
 from .hall import HallElt, _gen_decomposition, c_expand
@@ -30,6 +29,7 @@ from .partitions import (
     add_parts,
     ah_leq,
     bipartitions_of,
+    label_size,
     pair_codim,
     pair_orbit_dim,
     trim,
@@ -165,12 +165,14 @@ def act(side: str, a: HallElt, m: MirElt) -> MirElt:
 def act_direct(side: str, a: HallElt, m: MirElt) -> MirElt:
     """Action by the directly counted tables, one pair of basis
     elements at a time.  Test oracle."""
+    from . import pairs
+
     if a.rank != m.rank:
         raise ValueError("rank mismatch")
     out = MirElt.zero(m.rank)
     for w, cw in a._c.items():
         for src, cs in m._c.items():
-            n = pairs.label_size(src) + sum(w)
+            n = label_size(src) + sum(w)
             terms: dict[Bipartition, LaurentPoly] = {}
             for tgt in bipartitions_of(n):
                 if len(add_parts(*tgt)) > m.rank:
@@ -178,7 +180,7 @@ def act_direct(side: str, a: HallElt, m: MirElt) -> MirElt:
                 if side == "left":
                     g = pairs.left_constants(tgt, sum(w)).get((w, src))
                 else:
-                    g = pairs.right_constants(tgt, pairs.label_size(src)).get(
+                    g = pairs.right_constants(tgt, label_size(src)).get(
                         (src, w)
                     )
                 if g is not None:
@@ -376,7 +378,7 @@ def _basis_in_tensor(n: int, rank: int) -> Mapping[Bipartition, TensorSym]:
 
 def basis_in_tensor(bp: Bipartition, rank: int) -> TensorSym:
     bp = _norm_label(bp)
-    n = pairs.label_size(bp)
+    n = label_size(bp)
     table = _basis_in_tensor(n, rank)
     if bp not in table:
         raise NotInTable(f"{bp} exceeds rank {rank}")
@@ -390,7 +392,7 @@ def mhl_poly(bp: Bipartition, rank: int) -> tuple[TensorSym, LaurentPoly]:
     codimension power as a separate prefactor, left unmultiplied so callers
     can specialize either part on its own."""
     bp = _norm_label(bp)
-    if rank < pairs.label_size(bp):
-        raise RankTooSmall(f"label {bp} needs rank >= {pairs.label_size(bp)}")
+    if rank < label_size(bp):
+        raise RankTooSmall(f"label {bp} needs rank >= {label_size(bp)}")
     b = pair_codim(bp)
     return basis_in_tensor(bp, rank), LaurentPoly.v_power(b, -1 if b % 2 else 1)

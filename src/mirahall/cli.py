@@ -48,7 +48,6 @@ from .config import (
 from .errors import IOFailure, MiraError, OracleMismatch, UsageError
 from .hall import hall_mul, hall_mul_direct, psi, u_elt
 from .laurent import LaurentPoly, QPoly
-from .pairs import orbit_census
 from .partitions import ah_leq, bipartitions_of, partitions_of, size, trim
 from .symfunc import kostka_foulkes
 from .traces import green_freeness_check, green_labels, trace_value, fiber_oracle_check
@@ -292,6 +291,8 @@ def _check(suite: str, name: str, fn) -> dict:
 
 
 def _suite_census(cfg: RunConfig) -> list[dict]:
+    from .pairs import orbit_census
+
     out = []
     for n in range(1, cfg.max_n + 1):
         for q in cfg.primes:

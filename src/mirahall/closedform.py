@@ -35,7 +35,6 @@ from itertools import product
 from functools import lru_cache
 from typing import Mapping
 
-from . import pairs
 from .errors import EdgeConventionMismatch, MiraError, UsageError
 from .laurent import QPoly, gauss_binomial
 from .partitions import (
@@ -284,6 +283,8 @@ def verify_closed_form(
     tgt: Bipartition, r: int, side: str = "left"
 ) -> Mapping[Bipartition, QPoly]:
     """Closed table of one side checked entrywise against the counted one."""
+    from . import pairs
+
     if side == "left":
         closed = dict(closed_left_table(tgt, r))
         counted = dict(pairs.left_elementary_constants(tgt, r))
@@ -352,6 +353,8 @@ def stable_right_constant(
     labels whose first component has a negative row; those labels exist
     in the lattice picture but have no partition shape.  One extra
     column clears the boundary, a second confirms the plateau."""
+    from . import pairs
+
     def at(i: int) -> QPoly:
         T = (_pad_add(tgt[0], i, rank), tgt[1])
         S = (_pad_add(src[0], i, rank), src[1])

@@ -2,9 +2,11 @@
 
 Everything is numpy int64 with entries reduced mod p.  Matrices act on
 column vectors; subspaces are stored as row-stacked basis matrices.
-The batch helpers enumerate every reduced echelon basis with a fixed
-pivot pattern in one array, which keeps exhaustive subspace sweeps
-affordable at q = 11 or 13.
+The batch helpers enumerate the reduced echelon bases with a fixed
+pivot pattern as arrays of at most BATCH_ROWS bases, which keeps
+exhaustive subspace sweeps affordable at q = 11 or 13 and their memory
+independent of q.  Inverses are taken by Fermat, so every entry point
+rejects a field size that is not prime.
 """
 
 from __future__ import annotations
@@ -14,9 +16,14 @@ from typing import Iterator
 
 import numpy as np
 
+from .config import check_prime
+
+BATCH_ROWS = 1 << 16
+
 
 def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form mod p.  Returns (nonzero rows, pivot columns)."""
+    check_prime(p)
     A = (np.asarray(mat, dtype=np.int64) % p).copy()
     if A.ndim != 2:
         raise ValueError("rref needs a 2-d array")
@@ -66,6 +73,7 @@ def reduce_against(R: np.ndarray, piv: tuple[int, ...], X, p: int):
     the row span of R exactly when its residual vanishes, and then
     X = coefficients @ R.
     """
+    check_prime(p)
     X = np.asarray(X, dtype=np.int64) % p
     if len(piv) == 0:
         return X, X[..., :0]
@@ -74,21 +82,33 @@ def reduce_against(R: np.ndarray, piv: tuple[int, ...], X, p: int):
     return resid, C
 
 
-def rrefs_with_pattern(pattern: tuple[int, ...], n: int, p: int) -> np.ndarray:
-    """Every RREF basis with the given pivot columns, shape (B, k, n)."""
-    k = len(pattern)
+def _free_slots(pattern: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     pivset = set(pattern)
-    free = [
+    return [
         (i, j)
-        for i in range(k)
+        for i in range(len(pattern))
         for j in range(pattern[i] + 1, n)
         if j not in pivset
     ]
-    B = p ** len(free)
-    R = np.zeros((B, k, n), dtype=np.int64)
+
+
+def rrefs_with_pattern(
+    pattern: tuple[int, ...], n: int, p: int, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """RREF bases with the given pivot columns, shape (B, k, n).
+
+    The p**free bases are numbered by their free entries read as base-p
+    digits; rows start..stop-1 of that numbering are built (all of them
+    by default)."""
+    check_prime(p)
+    k = len(pattern)
+    free = _free_slots(pattern, n)
+    if stop is None:
+        stop = p ** len(free)
+    R = np.zeros((stop - start, k, n), dtype=np.int64)
     for i, c in enumerate(pattern):
         R[:, i, c] = 1
-    idx = np.arange(B, dtype=np.int64)
+    idx = np.arange(start, stop, dtype=np.int64)
     for pos, (i, j) in enumerate(free):
         R[:, i, j] = (idx // p**pos) % p
     return R
@@ -97,13 +117,19 @@ def rrefs_with_pattern(pattern: tuple[int, ...], n: int, p: int) -> np.ndarray:
 def subspace_batches(
     n: int, k: int, p: int
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """All k-dimensional subspaces of F_p^n, one batch per pivot pattern."""
+    """All k-dimensional subspaces of F_p^n, in batches of at most
+    BATCH_ROWS bases that share one pivot pattern."""
+    check_prime(p)
     for pattern in combinations(range(n), k):
-        yield pattern, rrefs_with_pattern(pattern, n, p)
+        total = p ** len(_free_slots(pattern, n))
+        for start in range(0, total, BATCH_ROWS):
+            stop = min(start + BATCH_ROWS, total)
+            yield pattern, rrefs_with_pattern(pattern, n, p, start, stop)
 
 
 def all_vectors(n: int, p: int) -> np.ndarray:
     """Every vector of F_p^n, shape (p**n, n); row index = sum x_j p**j."""
+    check_prime(p)
     B = p**n
     out = np.zeros((B, n), dtype=np.int64)
     idx = np.arange(B, dtype=np.int64)

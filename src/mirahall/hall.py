@@ -18,7 +18,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping
 
-from . import pairs
 from .closedform import closed_form_G
 from .errors import DiagonalNotUnit, OracleMismatch
 from .laurent import LaurentPoly
@@ -182,6 +181,8 @@ def hall_mul(x: HallElt, y: HallElt) -> HallElt:
 def hall_mul_direct(x: HallElt, y: HallElt) -> HallElt:
     """Product by counting invariant subspaces pair by pair.  Slower;
     kept as the independent route."""
+    from . import pairs
+
     x._check(y)
     out = HallElt.zero(x.rank)
     for a, ca in x._c.items():

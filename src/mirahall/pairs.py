@@ -37,6 +37,7 @@ from .partitions import (
     bipartitions_of,
     conjugate,
     contains_diagram,
+    label_size,
     n_stat,
     partitions_of,
     trim,
@@ -44,10 +45,6 @@ from .partitions import (
 )
 
 MAX_SWEEP = 5_000_000
-
-
-def label_size(bp: Bipartition) -> int:
-    return sum(bp[0]) + sum(bp[1])
 
 
 def normal_form(bp: Bipartition) -> tuple[np.ndarray, np.ndarray]:

@@ -42,6 +42,11 @@ def size(lam: Partition) -> int:
     return sum(lam)
 
 
+def label_size(bp: Bipartition) -> int:
+    """Boxes in both components of a pair label."""
+    return sum(bp[0]) + sum(bp[1])
+
+
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram.
 

@@ -14,7 +14,6 @@ from functools import lru_cache
 from itertools import product as cartesian
 from typing import Iterable, Mapping
 
-from . import pairs
 from .bimodule import PiTable, act, pi_table, u_bip
 from .config import check_prime
 from .errors import (
@@ -30,6 +29,7 @@ from .laurent import LaurentPoly, QPoly
 from .partitions import (
     Bipartition,
     bipartitions_of,
+    label_size,
     n_standard_tableaux,
     n_stat,
     pair_codim,
@@ -169,6 +169,8 @@ def fiber_oracle_check(n: int, q: int, table: PiTable | None = None) -> dict:
     anchored at the open stratum where exactly one flag survives.
     Raises OracleMismatch naming the first offending stratum and step.
     """
+    from . import pairs
+
     if n > 4 or (q > 2 and n > 3):
         raise CostGuard(f"flag sweep at n={n}, q={q} exceeds the budget")
     if table is None:
@@ -383,7 +385,7 @@ def green_mul(
             nu = nu_pair[1]
             src = glab.get(f)
             qd = cls.q ** (len(f) - 1)
-            rank = pairs.label_size(src) + sum(nu)
+            rank = label_size(src) + sum(nu)
             image = act(side, u_elt(nu, rank), u_bip(src, rank))
             # coefficients are polynomials in q = v**2: read them at q**deg(f)
             choices.append(

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mirahall import gf
+from mirahall.errors import UsageError
 from mirahall.laurent import gauss_binomial
 
 small_primes = st.sampled_from([2, 3, 5])
@@ -101,3 +102,35 @@ def test_empty_shapes():
     assert gf.nullspace(np.zeros((0, 3), dtype=np.int64), 2).shape == (3, 3)
     pat = list(gf.subspace_batches(3, 0, 2))
     assert len(pat) == 1 and pat[0][1].shape == (1, 0, 3)
+
+
+def test_non_prime_field_is_usage_error():
+    A = [[2]]
+    with pytest.raises(UsageError):
+        gf.rank(A, 4)
+    with pytest.raises(UsageError):
+        list(gf.subspace_batches(2, 1, 6))
+    for call in (
+        lambda: gf.rref(A, 4),
+        lambda: gf.nullspace(A, 9),
+        lambda: gf.reduce_against(np.eye(1, dtype=np.int64), (0,), A, 4),
+        lambda: gf.rrefs_with_pattern((0,), 2, 1),
+        lambda: gf.all_vectors(2, 6),
+    ):
+        with pytest.raises(UsageError):
+            call()
+
+
+def test_subspace_batches_sliced(monkeypatch):
+    monkeypatch.setattr(gf, "BATCH_ROWS", 3)
+    for p in (2, 3, 5):
+        for n in range(6):
+            for k in range(n + 1):
+                sizes = [batch.shape[0] for _, batch in gf.subspace_batches(n, k, p)]
+                assert max(sizes) <= 3
+                assert sum(sizes) == gauss_binomial(n, k).evaluate(p)
+    seen = set()
+    for _, batch in gf.subspace_batches(4, 2, 3):
+        for b in batch:
+            seen.add(gf.rref(b, 3)[0].tobytes())
+    assert len(seen) == gauss_binomial(4, 2).evaluate(3)

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from mirahall import pairs
+from mirahall import gf, pairs
 from mirahall.errors import CostGuard, NotNilpotent
 from mirahall.laurent import QPoly
 from mirahall.partitions import add_parts, bipartitions_of, partitions_of
@@ -126,6 +126,21 @@ def test_elementary_profiles_match_full_sweeps():
                     src: c for (src, w), c in right.items() if w == ones
                 }
                 assert pairs.right_elementary_profile(bp, r, p) == expect_r
+
+
+def test_profiles_unchanged_by_batch_slicing(monkeypatch):
+    sweeps = (pairs.left_profile, pairs.right_profile, pairs.right_elementary_profile)
+    cases = [(bp, k, p) for bp in bps_up_to(3)
+             for k in range(pairs.label_size(bp) + 1) for p in (2, 3)]
+    whole = [[dict(f(*case)) for f in sweeps] for case in cases]
+    monkeypatch.setattr(gf, "BATCH_ROWS", 2)
+    for f in sweeps:
+        f.cache_clear()
+    try:
+        assert [[dict(f(*case)) for f in sweeps] for case in cases] == whole
+    finally:
+        for f in sweeps:
+            f.cache_clear()
 
 
 def test_invariant_subspace_mass_ignores_vector():
