@@ -20,7 +20,13 @@ from functools import lru_cache
 from typing import Mapping
 
 from .closedform import closed_form_G
-from .errors import DiagonalNotUnit, NotInTable, OracleMismatch, RankTooSmall
+from .errors import (
+    CostGuard,
+    DiagonalNotUnit,
+    NotInTable,
+    OracleMismatch,
+    RankTooSmall,
+)
 from .hall import HallElt, _gen_decomposition, c_expand
 from .laurent import LaurentPoly
 from .partitions import (
@@ -28,12 +34,32 @@ from .partitions import (
     Partition,
     add_parts,
     ah_leq,
+    bipartition_count,
     bipartitions_of,
     label_size,
     pair_codim,
     pair_orbit_dim,
     trim,
 )
+
+
+# Largest label count (`bipartition_count(n)`) whose tables `pi`, `mhl`
+# and `trace` build.  Cold on a 2-vCPU box, n = 8 (185 labels) took 22 s
+# for `pi` and 45 s for `mhl`, n = 9 (300 labels) 71 s and 269 MB for
+# `pi` and 161 s for `mhl`; each size costs three to four times the one
+# below, so n = 10 (481 labels) would take about ten minutes.
+MAX_LABELS = 300
+
+
+def check_cost(n: int) -> None:
+    """Refuse a size whose tables would take too long to build, judged
+    by its label count before any table work."""
+    count = bipartition_count(n)
+    if count > MAX_LABELS:
+        raise CostGuard(
+            f"tables at n={n} have {count} labels, above the budget of "
+            f"{MAX_LABELS}"
+        )
 
 
 def _norm_label(bp: Bipartition) -> Bipartition:
@@ -67,6 +93,15 @@ class MirElt:
     def zero(cls, rank: int) -> "MirElt":
         return cls(rank)
 
+    @classmethod
+    def _trusted(cls, rank: int, c: dict) -> "MirElt":
+        """Wrap labels that are already trimmed, fit the rank and carry
+        nonzero coefficients, without validating them again."""
+        out = cls.__new__(cls)
+        out.rank = rank
+        out._c = c
+        return out
+
     def is_zero(self) -> bool:
         return not self._c
 
@@ -88,9 +123,8 @@ class MirElt:
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         out = dict(self._c)
-        for k, a in other._c.items():
-            out[k] = out.get(k, LaurentPoly.zero()) + a
-        return MirElt(self.rank, out)
+        _accumulate(out, other._c.items())
+        return MirElt._trusted(self.rank, out)
 
     def __sub__(self, other: "MirElt") -> "MirElt":
         return self + (-1) * other
@@ -100,7 +134,8 @@ class MirElt:
             scalar = LaurentPoly.from_int(scalar)
         if not isinstance(scalar, LaurentPoly):
             return NotImplemented
-        return MirElt(self.rank, {k: a * scalar for k, a in self._c.items()})
+        out = {k: a * scalar for k, a in self._c.items()}
+        return MirElt._trusted(self.rank, {k: a for k, a in out.items() if a})
 
     __rmul__ = __mul__
 
@@ -116,6 +151,17 @@ class MirElt:
             for bp, coeff in self.items()
         ]
         return json.dumps({"rank": self.rank, "terms": terms})
+
+
+def _accumulate(acc: dict, terms) -> None:
+    """Add (label, coefficient) terms into `acc`, dropping zero sums."""
+    for k, a in terms:
+        prev = acc.get(k)
+        total = a if prev is None else prev + a
+        if total.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = total
 
 
 def u_bip(bp: Bipartition, rank: int) -> MirElt:
@@ -136,19 +182,22 @@ def gen_act(side: str, r: int, m: MirElt) -> MirElt:
         return m
     if r > m.rank:
         return MirElt.zero(m.rank)
-    out = MirElt.zero(m.rank)
+    out: dict[Bipartition, LaurentPoly] = {}
     for src, cs in m._c.items():
         column = closed_form_G(r, src, side)
-        terms = {tgt: cs * g.to_laurent() for tgt, g in column.items()}
-        out = out + MirElt(m.rank, terms)
-    return out
+        _accumulate(out, (
+            (tgt, cs * g.to_laurent())
+            for tgt, g in column.items()
+            if max(len(tgt[0]), len(tgt[1])) <= m.rank
+        ))
+    return MirElt._trusted(m.rank, out)
 
 
 def act(side: str, a: HallElt, m: MirElt) -> MirElt:
     """Module action via the generator decomposition of the operator."""
     if a.rank != m.rank:
         raise ValueError("rank mismatch")
-    out = MirElt.zero(m.rank)
+    out: dict[Bipartition, LaurentPoly] = {}
     for w, cw in a._c.items():
         for cols, cf in _gen_decomposition(w, a.rank).items():
             term = m
@@ -158,8 +207,9 @@ def act(side: str, a: HallElt, m: MirElt) -> MirElt:
             else:
                 for r in cols:
                     term = gen_act("right", r, term)
-            out = out + (cw * cf) * term
-    return out
+            scale = cw * cf
+            _accumulate(out, ((k, scale * c) for k, c in term._c.items()))
+    return MirElt._trusted(m.rank, out)
 
 
 def act_direct(side: str, a: HallElt, m: MirElt) -> MirElt:

@@ -30,7 +30,7 @@ from .affine import (
     universe,
     validate,
 )
-from .bimodule import mhl_poly, pi_table
+from .bimodule import check_cost, mhl_poly, pi_table
 from .closedform import (
     closed_left_column,
     rho_check,
@@ -49,7 +49,7 @@ from .errors import IOFailure, MiraError, OracleMismatch, UsageError
 from .hall import hall_mul, hall_mul_direct, psi, u_elt
 from .laurent import LaurentPoly, QPoly
 from .partitions import ah_leq, bipartitions_of, partitions_of, size, trim
-from .symfunc import kostka_foulkes
+from .symfunc import _kostka_table
 from .traces import green_freeness_check, green_labels, trace_value, fiber_oracle_check
 
 SUITES = (
@@ -108,6 +108,7 @@ def _ilabel(x) -> dict:
 
 
 def pi_payload(n: int, rank: int, cfg: RunConfig) -> dict:
+    check_cost(n)
     params = {"n": n, "N": rank}
     hit = cache.load("pi", params, cfg.cache_dir)
     if hit is not None:
@@ -142,6 +143,7 @@ def pi_payload(n: int, rank: int, cfg: RunConfig) -> dict:
 
 
 def mhl_payload(n: int, rank: int, cfg: RunConfig) -> dict:
+    check_cost(n)
     params = {"n": n, "N": rank}
     hit = cache.load("mhl", params, cfg.cache_dir)
     if hit is not None:
@@ -165,11 +167,12 @@ def mhl_payload(n: int, rank: int, cfg: RunConfig) -> dict:
 
 
 def trace_payload(n: int, q: int, cfg: RunConfig) -> dict:
+    check_cost(n)
     params = {"n": n, "q": q}
     hit = cache.load("trace", params, cfg.cache_dir)
     if hit is not None:
         return hit
-    table = pi_table(n, n)
+    table = pi_table(n, max(n, 1))
     cells = []
     for row in table.order:
         for col in table.order:
@@ -406,9 +409,10 @@ def _suite_classical(cfg: RunConfig) -> list[dict]:
     for n in range(2, cfg.max_n + 1):
         def run(n=n):
             table = pi_table(n, n)
+            oracle = _kostka_table(n, n)
             for col in partitions_of(n):
                 for row in partitions_of(n):
-                    want = LaurentPoly.from_t_poly(kostka_foulkes(col, row))
+                    want = LaurentPoly.from_t_poly(oracle.get((col, row), QPoly.zero()))
                     if table.value(((), row), ((), col)) != want:
                         raise OracleMismatch(f"second-slot block at ({row}, {col})")
                     if table.value((row, ()), (col, ())) != want:

@@ -202,7 +202,10 @@ def closed_right_table(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
     (`right_via_star`), with two boundary rules: the vectorless
     square-zero target ((), (1^n)) takes the Gauss binomial
     [n choose r] on the source ((), (1^(n-r))) and nothing else, and
-    r = n leaves no other cell."""
+    r = n leaves no other cell.  All sources share one lift, the
+    largest that any one of them needs (`_mirror`), so the whole table
+    is read from a single lifted left table; the left table does not
+    move under such lifts."""
     tgt = (trim(tgt[0]), trim(tgt[1]))
     n = sum(tgt[0]) + sum(tgt[1])
     if r < 1:
@@ -213,7 +216,10 @@ def closed_right_table(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
         return {((), (1,) * (n - r)): gauss_binomial(n, r)}
     if r == n:
         return {}
-    cells = {src: right_via_star(tgt, src, r, n) for src in bipartitions_of(n - r)}
+    sources = bipartitions_of(n - r)
+    big_tgt, big_srcs = _mirror(tgt, sources, n)
+    left = closed_left_table(big_tgt, n - r)
+    cells = {src: left.get(big) for src, big in zip(sources, big_srcs)}
     return {src: poly for src, poly in cells.items() if poly}
 
 
@@ -311,16 +317,36 @@ def shift_labels(bp: Bipartition, boxes: int, rows: int) -> Bipartition:
     return (trim(tuple(x + boxes for x in lam)), trim(bp[1]))
 
 
+def _mirror(
+    tgt: Bipartition, sources, rank: int
+) -> tuple[Bipartition, list[Bipartition]]:
+    """Target and sources of a right constant carried to the left side.
+
+    Mirroring swaps the two components and negates their rows; the
+    target's first slot then takes one extra box per row.  The two
+    slots take independent lifts (one for first components, one for
+    second), shared between the target and every source: each is the
+    least that leaves every row of every label positive."""
+    a = tuple(x + 1 for x in star(tgt[1], rank))
+    b = star(tgt[0], rank)
+    starred = [(star(src[1], rank), star(src[0], rank)) for src in sources]
+    i = max(0, -min(a), *(-min(a2) for a2, _ in starred)) + 1
+    j = max(0, -min(b), *(-min(b2) for _, b2 in starred)) + 1
+    lift = lambda vec, s: trim(tuple(x + s for x in vec))
+    return (lift(a, i), lift(b, j)), [(lift(a2, i), lift(b2, j)) for a2, b2 in starred]
+
+
 def right_via_star(tgt: Bipartition, src: Bipartition, r: int, rank: int) -> QPoly:
     """Right-action constant from the mirrored left-action table.
 
-    Mirroring swaps the two components and negates their rows; the
-    target's first slot then takes one extra box per row.  That much is
-    forced by box count: a right generator adding r boxes must match a
-    left generator adding rank - r.  The two slots take independent
-    lifts (one for first components, one for second), shared between
-    target and source; the left table does not move under such lifts
-    once every entry is a nonnegative row.
+    `_mirror` carries the target and the source to the left side: swap
+    the components, negate the rows, give the target's first slot one
+    extra box per row, and lift both slots until every row is positive.
+    The extra boxes are forced by box count: a right generator adding r
+    boxes must match a left generator adding rank - r.  The left table
+    does not move under larger shared lifts once every entry is a
+    nonnegative row, which is what lets `closed_right_table` read all
+    its sources from one lifted table.
 
     The result is the stabilised constant that `stable_right_constant`
     counts (`rho_check` pins the two together), and the only route by
@@ -328,14 +354,7 @@ def right_via_star(tgt: Bipartition, src: Bipartition, r: int, rank: int) -> QPo
     it as is, `closed_right_table` adds the module's boundary rules."""
     if not 1 <= r <= rank - 1:
         raise UsageError(f"rank-{r} generator outside 1..{rank - 1}")
-    a = tuple(x + 1 for x in star(tgt[1], rank))
-    b = star(tgt[0], rank)
-    a2, b2 = star(src[1], rank), star(src[0], rank)
-    i = max(0, -min(a + a2)) + 1
-    j = max(0, -min(b + b2)) + 1
-    lift = lambda vec, s: trim(tuple(x + s for x in vec))
-    big_tgt = (lift(a, i), lift(b, j))
-    big_src = (lift(a2, i), lift(b2, j))
+    big_tgt, (big_src,) = _mirror(tgt, [src], rank)
     return closed_left_table(big_tgt, rank - r).get(big_src, QPoly.zero())
 
 

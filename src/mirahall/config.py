@@ -36,7 +36,8 @@ class RunConfig:
     seed: int = DEFAULT_SEED
 
     def resolved_rank(self, n: int | None = None) -> int:
-        return self.rank if self.rank else (self.n if n is None else n)
+        """The rank, or when it is 0 the size, but never below 1."""
+        return self.rank if self.rank else max(self.n if n is None else n, 1)
 
     def validate(self) -> "RunConfig":
         if self.n < 0:

@@ -223,7 +223,9 @@ def c_expand(lam: Partition, rank: int) -> HallElt:
 
 def psi(x: HallElt, n_vars: int | None = None) -> VarPoly:
     """Realisation on symmetric polynomials: a shape goes to its
-    deformed basis element scaled by v**(-2 n(shape))."""
+    deformed basis element scaled by v**(-2 n(shape)).  Built on the
+    antisymmetrizer (`hall_littlewood_in_vars`), so only `verify` and
+    the tests call it."""
     if n_vars is None:
         n_vars = x.rank
     out = VarPoly.zero(n_vars)

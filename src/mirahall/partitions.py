@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator
 
-from .errors import Ambiguous, NotInImage, RankTooSmall
+from .errors import NotInImage, RankTooSmall
 
 Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
@@ -186,6 +186,21 @@ def bipartitions_of(n: int) -> list[Bipartition]:
     return out
 
 
+def bipartition_count(n: int) -> int:
+    """len(bipartitions_of(n)), without listing them.
+
+    >>> bipartition_count(2)
+    5
+    """
+    if n < 0:
+        return 0
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            ways[k] += ways[k - part]
+    return sum(ways[k] * ways[n - k] for k in range(n + 1))
+
+
 def ah_leq(a: Bipartition, b: Bipartition) -> bool:
     """Alternating-sum order on bipartitions of equal size.
 
@@ -248,38 +263,46 @@ def upsilon(bp: Bipartition) -> tuple[Partition, Partition]:
 
 
 def xi(nu: Partition, theta: Partition) -> Bipartition:
-    """Inverse of upsilon.  Raises NotInImage / Ambiguous.
+    """Inverse of upsilon.  Raises NotInImage.
+
+    Read directly off the mark set, the columns k with
+    nu'_k - theta'_k = 1; a pair with any other column difference than
+    0 or 1 is no image.  The a-th mark is m(a) of `upsilon`, so
+    g(a) = m(a) - a is the least mu_i over the rows with lam_i > a.
+    Those rows form a prefix and mu decreases, so g(a) is mu at the
+    last row of the prefix, and g is weakly increasing.  That fixes the
+    first row (lam_1 is the number of marks) and then each next row
+    from the one above: lam_{i+1} is the number of a with g(a) < mu_i,
+    unless mu_{i+1} = mu_i, which takes lam_{i+1} = nu_{i+1} - mu_i;
+    the larger of the two is the one that holds.  upsilon is injective
+    (the tests check it against an exhaustive search), so there is
+    never more than one candidate and `Ambiguous` cannot arise here; the
+    candidate is sent back through upsilon before it is returned.
 
     >>> xi((2,), (1,))
     ((1,), (1,))
     """
-    found: set[Bipartition] = set()
     nu = trim(nu)
     theta = trim(theta)
-
-    def descend(i: int, lam: list[int], mu: list[int]) -> None:
-        if i == len(nu):
-            bp = (trim(tuple(lam)), trim(tuple(mu)))
-            if upsilon(bp) == (nu, theta):
-                found.add(bp)
-            return
-        hi = min(nu[i], lam[i - 1] if i else nu[i])
-        for li in range(hi, -1, -1):
-            mi = nu[i] - li
-            if i and mi > mu[i - 1]:
-                continue
-            lam.append(li)
-            mu.append(mi)
-            descend(i + 1, lam, mu)
-            lam.pop()
-            mu.pop()
-
-    descend(0, [], [])
-    if not found:
-        raise NotInImage(f"no bipartition maps to ({nu}, {theta})")
-    if len(found) > 1:
-        raise Ambiguous(f"{sorted(found)} all map to ({nu}, {theta})")
-    return found.pop()
+    missing = NotInImage(f"no bipartition maps to ({nu}, {theta})")
+    nut, tht = conjugate(nu), conjugate(theta)
+    if len(tht) > len(nut):
+        raise missing
+    diff = [nut[k] - (tht[k] if k < len(tht) else 0) for k in range(len(nut))]
+    if any(d not in (0, 1) for d in diff):
+        raise missing
+    g = [k - a for a, k in enumerate(k for k, d in enumerate(diff) if d)]
+    lam, mu = [], []
+    for i, part in enumerate(nu):
+        li = len(g) if i == 0 else max(sum(1 for x in g if x < mu[-1]), part - mu[-1])
+        if part < li or (lam and (li > lam[-1] or part - li > mu[-1])):
+            raise missing
+        lam.append(li)
+        mu.append(part - li)
+    bp = (trim(lam), trim(mu))
+    if upsilon(bp) != (nu, theta):
+        raise missing
+    return bp
 
 
 # --- signatures (weakly decreasing integer vectors) -----------------------

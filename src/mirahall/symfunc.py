@@ -4,8 +4,15 @@ Two independent routes are kept deliberately separate: Schur
 polynomials come from the dual Jacobi-Trudi determinant in elementary
 generators, while the one-parameter deformed basis comes from the
 antisymmetrizer sum (divided by its multiplicity weight).  The Kostka
-transition table inverts the second route and is tested against the
-first.
+transition table `_kostka_table` inverts the second route and is tested
+against the first.
+
+The served deformed Kostka polynomials (`kostka_foulkes`) come from the
+charge formula instead, a sum over semistandard tableaux.  The
+antisymmetrizer sum takes 2^(n(n-1)/2) masks per shape, so it and
+everything built on it (`hl_schur_coefficients`, `_kostka_table`,
+`hall_littlewood_in_vars`, `hall.psi`) are the oracle: only `verify`
+and the tests reach them.
 
 Coefficients live in Z[v, v^-1] with the deformation parameter stored
 as t = v^-2; the table-level functions hand back honest polynomials
@@ -197,7 +204,8 @@ def hl_schur_coefficients(
     lam: Partition, n_vars: int
 ) -> Mapping[Partition, QPoly]:
     """Coefficients, as polynomials in t, of the deformed basis element
-    on the Schur basis.  Unitriangular: the lead coefficient is 1."""
+    on the Schur basis.  Unitriangular: the lead coefficient is 1.
+    Oracle: an antisymmetrizer sum over 2^(n_vars(n_vars-1)/2) masks."""
     if len(lam) > n_vars:
         return {}
     prs = _pairs(n_vars)
@@ -244,6 +252,9 @@ def hall_littlewood_in_vars(lam: Partition, n_vars: int) -> VarPoly:
 
 @lru_cache(maxsize=None)
 def _kostka_table(n: int, n_vars: int) -> Mapping[tuple[Partition, Partition], QPoly]:
+    """Deformed Kostka polynomials at size n, keyed by (lam, mu), from
+    inverting `hl_schur_coefficients` in n_vars variables.  The oracle
+    for `kostka_foulkes`."""
     order = list(partitions_of(n))
     size = len(order)
     c = [
@@ -272,8 +283,77 @@ def _kostka_table(n: int, n_vars: int) -> Mapping[tuple[Partition, Partition], Q
     return table
 
 
-def kostka_foulkes(lam: Partition, mu: Partition, n_vars: int | None = None) -> QPoly:
-    """Deformed Kostka polynomial in t.
+def _tableaux(lam: Partition, mu: Partition):
+    """Row lists of the semistandard tableaux of shape lam and weight mu,
+    letter k + 1 placed as a horizontal strip of mu[k] boxes."""
+
+    def strips(shape: list[int], k: int, rows: list[list[int]]):
+        if k == len(mu):
+            if shape == list(lam):
+                yield rows
+            return
+        new: list[int] = []
+
+        def place(i: int, left: int):
+            if i == len(lam):
+                if left == 0:
+                    yield list(new)
+                return
+            top = lam[i] if i == 0 else min(lam[i], shape[i - 1])
+            for grow in range(min(top - shape[i], left), -1, -1):
+                new.append(shape[i] + grow)
+                yield from place(i + 1, left - grow)
+                new.pop()
+
+        for nxt in place(0, mu[k]):
+            filled = [
+                row + [k + 1] * (nxt[i] - shape[i]) for i, row in enumerate(rows)
+            ]
+            yield from strips(nxt, k + 1, filled)
+
+    yield from strips([0] * len(lam), 0, [[] for _ in lam])
+
+
+def _charge(word: list[int]) -> int:
+    """Lascoux-Schutzenberger charge of a word whose weight is a partition.
+
+    Standard subwords are taken out one at a time: the rightmost 1, then
+    reading leftwards and round the end the next 2, and so on while the
+    letters last.  Within a subword the index starts at 0 on the 1 and
+    goes up by one each time the next letter lies to the right of the
+    last one (the search went round the end); the charge is the sum of
+    the indices over every subword."""
+    word = list(word)
+    total = 0
+    left = len(word)
+    while left:
+        pos, index, letter = len(word), 0, 1
+        while True:
+            hit = next((p for p in range(pos - 1, -1, -1) if word[p] == letter), None)
+            if hit is None:
+                hit = next(
+                    (p for p in range(len(word) - 1, pos - 1, -1) if word[p] == letter),
+                    None,
+                )
+                if hit is None:
+                    break
+                index += 1
+            total += index
+            word[hit] = 0
+            left -= 1
+            pos, letter = hit, letter + 1
+    return total
+
+
+@lru_cache(maxsize=None)
+def kostka_foulkes(lam: Partition, mu: Partition) -> QPoly:
+    """Deformed Kostka polynomial in t, by the Lascoux-Schutzenberger
+    charge formula (Macdonald, Symmetric Functions and Hall Polynomials,
+    ch. III §6): K_{lam mu}(t) is the sum of t^charge(T) over the
+    semistandard tableaux T of shape lam and weight mu, each read row by
+    row from the bottom row up.  It does not depend on a number of
+    variables.  The antisymmetriser route (`_kostka_table`) is the
+    oracle that `verify` and the tests compare it with.
 
     >>> kostka_foulkes((2,), (1, 1)).pretty('t')
     't'
@@ -281,10 +361,11 @@ def kostka_foulkes(lam: Partition, mu: Partition, n_vars: int | None = None) -> 
     lam, mu = trim(lam), trim(mu)
     if sum(lam) != sum(mu):
         return QPoly.zero()
-    n = sum(lam)
-    return _kostka_table(n, n_vars if n_vars is not None else max(n, 1)).get(
-        (lam, mu), QPoly.zero()
-    )
+    powers: dict[int, int] = {}
+    for rows in _tableaux(lam, mu):
+        c = _charge([x for row in reversed(rows) for x in row])
+        powers[c] = powers.get(c, 0) + 1
+    return QPoly(powers)
 
 
 def schur_decompose(poly: VarPoly) -> Mapping[Partition, LaurentPoly]:

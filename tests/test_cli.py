@@ -1,14 +1,16 @@
 import json
 import os
 import re
+import time
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from mirahall import cache, cli
+from mirahall import bimodule, cache, cli, closedform, hall, partitions, symfunc, traces
+from mirahall.bimodule import check_cost
 from mirahall.config import RunConfig, read_config_file, resolve
-from mirahall.errors import UsageError
+from mirahall.errors import CostGuard, UsageError
 from mirahall.laurent import LaurentPoly, QPoly
 
 GOLDEN_PI_CSV = """\
@@ -309,3 +311,63 @@ def test_cache_round_trip_api(tmp_path):
     cache.store("thing", {"a": 1}, {"rows": [1, 2]}, directory)
     assert cache.load("thing", {"a": 1}, directory) == {"rows": [1, 2]}
     assert cache.load("thing", {"a": 2}, directory) is None
+
+
+@pytest.mark.parametrize("argv", [
+    ("pi", "--n", "0"),
+    ("mhl", "--n", "0"),
+    ("trace", "--n", "0", "--q", "3"),
+], ids=lambda a: a[0])
+def test_size_zero_serves_at_rank_one(capsys, argv):
+    code, cold = run(capsys, *argv)
+    assert code == 0
+    code, warm = run(capsys, *argv)
+    assert code == 0
+    assert cold == warm
+    assert json.loads(cold)["kind"] == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("pi", "--n", "12"),
+    ("mhl", "--n", "12"),
+    ("trace", "--n", "12", "--q", "3"),
+], ids=lambda a: a[0])
+def test_cost_guard_refuses_large_tables_fast(capsys, argv):
+    start = time.perf_counter()
+    code = cli.main(list(argv))
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "CostGuard" in captured.err and captured.out == ""
+    assert elapsed < 1.0
+
+
+def test_cost_guard_accepts_size_eight():
+    check_cost(8)
+    with pytest.raises(CostGuard):
+        check_cost(12)
+
+
+def _clear_caches():
+    for module in (bimodule, closedform, hall, partitions, symfunc, traces):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def test_serving_path_never_runs_the_antisymmetriser(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the serving path reached the antisymmetriser")
+
+    _clear_caches()
+    for module in (bimodule, hall, symfunc, traces, cli):
+        for name in ("hl_schur_coefficients", "_kostka_table"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    cfg = RunConfig(cache_dir=str(tmp_path / "cache"))
+    try:
+        assert len(cli.pi_payload(5, 5, cfg)["order"]) == 36
+        assert len(cli.mhl_payload(3, 3, cfg)["entries"]) == 10
+        assert len(cli.trace_payload(3, 3, cfg)["order"]) == 10
+    finally:
+        _clear_caches()

@@ -124,6 +124,19 @@ def test_closed_right_table_boundaries():
     assert closed_right_table(((2,), ()), 3) == {}
 
 
+def test_closed_right_table_reads_one_lift_per_target():
+    # the table's one shared lift agrees with each source's own mirror
+    for n in range(1, 6):
+        for tgt in bipartitions_of(n):
+            if tgt == ((), (1,) * n):
+                continue
+            for r in range(1, n):
+                table = closed_right_table(tgt, r)
+                for src in bipartitions_of(n - r):
+                    got = table.get(src, QPoly.zero())
+                    assert got == right_via_star(tgt, src, r, n), (tgt, r, src)
+
+
 def test_closed_right_matches_counted_exhaustive_small():
     # every target up to size 4 and every rank, read as a table and
     # through the module action at rank n and n + 1

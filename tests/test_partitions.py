@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mirahall.errors import Ambiguous, NotInImage, RankTooSmall
+from mirahall.errors import Ambiguous, MiraError, NotInImage, RankTooSmall
 from mirahall.partitions import (
     add_parts,
     ah_leq,
+    bipartition_count,
     bipartitions_of,
     conjugate,
     dominance_leq,
@@ -33,6 +34,38 @@ parts = st.lists(st.integers(1, 6), max_size=6).map(
 def all_bipartitions_upto(n):
     for m in range(n + 1):
         yield from bipartitions_of(m)
+
+
+def xi_search(nu, theta):
+    """Inverse of upsilon by exhaustive search over the splittings of nu
+    into two partitions; the oracle for the direct `xi`."""
+    found = set()
+    nu = trim(nu)
+    theta = trim(theta)
+
+    def descend(i, lam, mu):
+        if i == len(nu):
+            bp = (trim(tuple(lam)), trim(tuple(mu)))
+            if upsilon(bp) == (nu, theta):
+                found.add(bp)
+            return
+        hi = min(nu[i], lam[i - 1] if i else nu[i])
+        for li in range(hi, -1, -1):
+            mi = nu[i] - li
+            if i and mi > mu[i - 1]:
+                continue
+            lam.append(li)
+            mu.append(mi)
+            descend(i + 1, lam, mu)
+            lam.pop()
+            mu.pop()
+
+    descend(0, [], [])
+    if not found:
+        raise NotInImage(f"no bipartition maps to ({nu}, {theta})")
+    if len(found) > 1:
+        raise Ambiguous(f"{sorted(found)} all map to ({nu}, {theta})")
+    return found.pop()
 
 
 def test_trim():
@@ -227,6 +260,40 @@ def test_upsilon_injective():
 def test_xi_inverts_upsilon():
     for bp in all_bipartitions_upto(5):
         assert xi(*upsilon(bp)) == bp
+
+
+def test_xi_matches_search_on_images():
+    for bp in all_bipartitions_upto(9):
+        img = upsilon(bp)
+        assert xi(*img) == xi_search(*img) == bp
+
+
+def test_xi_matches_search_off_the_image():
+    def outcome(fn, nu, theta):
+        try:
+            return fn(nu, theta)
+        except MiraError as exc:
+            return type(exc)
+
+    images = {upsilon(bp) for bp in all_bipartitions_upto(6)}
+    misses = 0
+    for n in range(7):
+        for nu in partitions_of(n):
+            for m in range(n + 1):
+                for theta in partitions_of(m):
+                    if (nu, theta) in images:
+                        continue
+                    misses += 1
+                    want = outcome(xi_search, nu, theta)
+                    assert want is NotInImage, (nu, theta)
+                    assert outcome(xi, nu, theta) is want, (nu, theta)
+    assert misses > 0
+
+
+def test_bipartition_count():
+    for n in range(10):
+        assert bipartition_count(n) == len(bipartitions_of(n))
+    assert bipartition_count(-1) == 0
 
 
 def test_xi_examples_and_guards():

@@ -10,6 +10,8 @@ from mirahall.partitions import (
 )
 from mirahall.symfunc import (
     VarPoly,
+    _charge,
+    _kostka_table,
     elementary_in_vars,
     hall_littlewood_in_vars,
     hl_schur_coefficients,
@@ -225,12 +227,34 @@ def test_kostka_at_one_counts_tableaux():
 
 
 def test_kostka_stable_in_variable_count():
+    # the antisymmetriser oracle is built in n variables; the charge
+    # formula has no variable count to vary
     for n in range(1, 5):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
-                assert kostka_foulkes(lam, mu, n_vars=n) == kostka_foulkes(
-                    lam, mu, n_vars=n + 1
-                )
+                assert _kostka_table(n, n).get((lam, mu)) == _kostka_table(
+                    n, n + 1
+                ).get((lam, mu))
+
+
+def test_charge_matches_antisymmetriser():
+    pairs = 0
+    for n in range(1, 7):
+        oracle = _kostka_table(n, n)
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                want = oracle.get((lam, mu), QPoly.zero())
+                assert kostka_foulkes(lam, mu) == want, (lam, mu)
+                pairs += 1
+    assert pairs == 209
+
+
+def test_charge_of_words():
+    assert _charge([1, 2, 3]) == 3
+    assert _charge([3, 2, 1]) == 0
+    assert _charge([3, 1, 2]) == 2
+    # two standard subwords, 231 and 1, of charge 1 and 0
+    assert _charge([2, 3, 1, 1]) == 1
 
 
 def test_schur_equals_kostka_sum_of_hl():
