@@ -134,8 +134,8 @@ class MirElt:
             scalar = LaurentPoly.from_int(scalar)
         if not isinstance(scalar, LaurentPoly):
             return NotImplemented
-        out = {k: a * scalar for k, a in self._c.items()}
-        return MirElt._trusted(self.rank, {k: a for k, a in out.items() if a})
+        out = {k: p for k, a in self._c.items() if (p := a * scalar)}
+        return MirElt._trusted(self.rank, out)
 
     __rmul__ = __mul__
 

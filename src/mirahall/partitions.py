@@ -274,10 +274,10 @@ def xi(nu: Partition, theta: Partition) -> Bipartition:
     first row (lam_1 is the number of marks) and then each next row
     from the one above: lam_{i+1} is the number of a with g(a) < mu_i,
     unless mu_{i+1} = mu_i, which takes lam_{i+1} = nu_{i+1} - mu_i;
-    the larger of the two is the one that holds.  upsilon is injective
-    (the tests check it against an exhaustive search), so there is
-    never more than one candidate and `Ambiguous` cannot arise here; the
-    candidate is sent back through upsilon before it is returned.
+    the larger of the two is the one that holds.  Every step is forced,
+    so a pair has at most one preimage and `Ambiguous` cannot arise
+    here.  The candidate goes back through upsilon before it is
+    returned, which rejects every pair outside the image.
 
     >>> xi((2,), (1,))
     ((1,), (1,))
