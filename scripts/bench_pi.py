@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """Time cold `mirahall pi --n N` and append the record to BENCH_pi.json.
 
-    python3 scripts/bench_pi.py [--ns 4 5 6 7 8] [--src CHECKOUT] [--out FILE]
+    python3 scripts/bench_pi.py [--ns 4 5 6 7 8] [--src CHECKOUT]
 
 Each N runs once, as one fresh `python3 -m mirahall.cli` process with its
-own empty cache directory (MIRAHALL_CACHE_DIR and XDG_CACHE_HOME point
-there too), so every table is built from scratch.  For each N the record
-keeps the wall time, the process's peak RSS, its exit code and the
-sha256 of its stdout.  The record also keeps the git sha of the timed
-checkout (and whether its `src/` differs from that commit), nproc and
-the Python version.  `--src` times another checkout, such as a parent
-commit, with the same harness.  Runs past `--timeout` seconds are killed
-and recorded with exit "timeout".
+own empty `--cache-dir`, so every table is built from scratch.  For each
+N the record keeps the wall time, the process's peak RSS, its exit code
+and the sha256 of its stdout.  The record also keeps the git sha of the
+timed checkout (and whether its `src/` differs from that commit), nproc
+and the Python version.  `--src` times another checkout, such as a
+parent commit, with the same harness; the record goes to BENCH_pi.json
+beside this script either way.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import hashlib
 import json
 import os
 import platform
-import signal
 import subprocess
 import sys
 import tempfile
@@ -39,40 +37,27 @@ def _git(checkout: Path, *args: str) -> str:
     return done.stdout.strip() if done.returncode == 0 else ""
 
 
-def time_pi(checkout: Path, n: int, timeout: float) -> dict:
+def time_pi(checkout: Path, n: int) -> dict:
     """One cold `pi --n n` in a fresh process and cache directory."""
     with tempfile.TemporaryDirectory(prefix="bench_pi_") as tmp:
-        cache = os.path.join(tmp, "cache")
-        env = dict(os.environ, MIRAHALL_CACHE_DIR=cache, XDG_CACHE_HOME=tmp)
-        env["PYTHONPATH"] = str(checkout / "src")
+        env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
         out_path = os.path.join(tmp, "stdout")
         argv = [sys.executable, "-m", "mirahall.cli", "pi", "--n", str(n),
-                "--cache-dir", cache]
+                "--cache-dir", os.path.join(tmp, "cache")]
         with open(out_path, "wb") as out:
             start = time.perf_counter()
             proc = subprocess.Popen(argv, env=env, stdout=out,
                                     stderr=subprocess.DEVNULL)
-            deadline = start + timeout
-            timed_out = False
-            while True:
-                pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
-                if pid:
-                    break
-                if time.perf_counter() > deadline:
-                    proc.send_signal(signal.SIGKILL)
-                    _, status, usage = os.wait4(proc.pid, 0)
-                    timed_out = True
-                    break
-                time.sleep(0.01)
+            # reaps the child and gives its own rusage
+            _, status, usage = os.wait4(proc.pid, 0)
             wall = time.perf_counter() - start
-            # reaped by wait4, which also gives this child's own rusage
-            proc.returncode = os.waitstatus_to_exitcode(status)
+        proc.returncode = os.waitstatus_to_exitcode(status)
         digest = hashlib.sha256(Path(out_path).read_bytes()).hexdigest()
     return {
         "n": n,
         "wall_s": round(wall, 3),
         "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
-        "exit": "timeout" if timed_out else proc.returncode,
+        "exit": proc.returncode,
         "sha256": digest,
     }
 
@@ -82,13 +67,11 @@ def main() -> int:
     parser.add_argument("--ns", type=int, nargs="+", default=[4, 5, 6, 7, 8])
     parser.add_argument("--src", type=Path, default=ROOT,
                         help="checkout to time (default: this one)")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_pi.json")
-    parser.add_argument("--timeout", type=float, default=900.0)
     args = parser.parse_args()
     checkout = args.src.resolve()
     runs = []
     for n in args.ns:
-        run = time_pi(checkout, n, args.timeout)
+        run = time_pi(checkout, n)
         print(json.dumps(run), flush=True)
         runs.append(run)
     record = {
@@ -100,9 +83,10 @@ def main() -> int:
         "python": platform.python_version(),
         "runs": runs,
     }
-    records = json.loads(args.out.read_text())["records"] if args.out.exists() else []
+    out = ROOT / "BENCH_pi.json"
+    records = json.loads(out.read_text())["records"] if out.exists() else []
     records.append(record)
-    args.out.write_text(json.dumps({"records": records}, indent=1) + "\n")
+    out.write_text(json.dumps({"records": records}, indent=1) + "\n")
     return 0
 
 

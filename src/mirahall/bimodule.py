@@ -19,7 +19,7 @@ import json
 from functools import lru_cache
 from typing import Mapping
 
-from .closedform import closed_form_G
+from .closedform import _fits, closed_form_G
 from .errors import (
     CostGuard,
     DiagonalNotUnit,
@@ -32,7 +32,6 @@ from .laurent import LaurentPoly
 from .partitions import (
     Bipartition,
     Partition,
-    add_parts,
     ah_leq,
     bipartition_count,
     bipartitions_of,
@@ -43,22 +42,41 @@ from .partitions import (
 )
 
 
-# Largest label count (`bipartition_count(n)`) whose tables `pi`, `mhl`
-# and `trace` build.  Cold on a 2-vCPU box, n = 8 (185 labels) took 22 s
-# for `pi` and 45 s for `mhl`, n = 9 (300 labels) 71 s and 269 MB for
-# `pi` and 161 s for `mhl`; each size costs three to four times the one
-# below, so n = 10 (481 labels) would take about ten minutes.
+# Budgets for the tables that `pi`, `mhl` and `trace` build, checked
+# before any table work.  MAX_LABELS bounds the labels of the table
+# itself, those with at most `rank` rows per component.  Cold on a
+# 2-vCPU box, n = 8 at full rank (185 labels) took 22 s for `pi` and
+# 45 s for `mhl`, n = 9 (300 labels) 71 s and 269 MB for `pi` and 161 s
+# for `mhl`; each size costs three to four times the one below, so
+# n = 10 at full rank (481 labels) would take about ten minutes.
 MAX_LABELS = 300
 
+# MAX_SIZE_LABELS bounds all labels of size n, whatever the rank: every
+# generator step reads a closed column over all labels of its size, so a
+# low rank does not make a large n cheap.  `pi --n 12 --N 1` (13 labels)
+# took 40 s, `--n 12 --N 2` (140 labels) 77 s and `--n 13 --N 2` (168
+# labels) 180 s and 107 MB; at 2.3 times that per size, `--n 14 --N 2`
+# would come near the ten minutes.  1770 labels is n = 13.
+MAX_SIZE_LABELS = 1770
 
-def check_cost(n: int) -> None:
+
+def check_cost(n: int, rank: int | None = None) -> None:
     """Refuse a size whose tables would take too long to build, judged
-    by its label count before any table work."""
-    count = bipartition_count(n)
+    by label counts before any table work: the labels of the table (at
+    most `rank` rows per component; every label of size n without
+    `rank`) and every label of size n."""
+    count = bipartition_count(n, rank)
     if count > MAX_LABELS:
+        at = f"n={n}" if rank is None or rank >= n else f"n={n}, N={rank}"
         raise CostGuard(
-            f"tables at n={n} have {count} labels, above the budget of "
+            f"tables at {at} have {count} labels, above the budget of "
             f"{MAX_LABELS}"
+        )
+    total = bipartition_count(n)
+    if total > MAX_SIZE_LABELS:
+        raise CostGuard(
+            f"size n={n} has {total} labels, above the budget of "
+            f"{MAX_SIZE_LABELS} at any rank"
         )
 
 
@@ -75,19 +93,13 @@ class MirElt:
         if rank < 1:
             raise ValueError("rank must be positive")
         self.rank = rank
-        c: dict[Bipartition, LaurentPoly] = {}
-        for bp, val in (coeffs or {}).items():
-            bp = _norm_label(bp)
-            if len(add_parts(*bp)) > rank:
-                continue
-            if isinstance(val, int):
-                val = LaurentPoly.from_int(val)
-            val = c.get(bp, LaurentPoly.zero()) + val
-            if val.is_zero():
-                c.pop(bp, None)
-            else:
-                c[bp] = val
-        self._c = c
+        self._c: dict[Bipartition, LaurentPoly] = {}
+        labelled = ((_norm_label(bp), val) for bp, val in (coeffs or {}).items())
+        _accumulate(self._c, (
+            (bp, LaurentPoly.from_int(val) if isinstance(val, int) else val)
+            for bp, val in labelled
+            if _fits(bp, rank)
+        ))
 
     @classmethod
     def zero(cls, rank: int) -> "MirElt":
@@ -188,7 +200,7 @@ def gen_act(side: str, r: int, m: MirElt) -> MirElt:
         _accumulate(out, (
             (tgt, cs * g.to_laurent())
             for tgt, g in column.items()
-            if max(len(tgt[0]), len(tgt[1])) <= m.rank
+            if _fits(tgt, m.rank)
         ))
     return MirElt._trusted(m.rank, out)
 
@@ -225,7 +237,7 @@ def act_direct(side: str, a: HallElt, m: MirElt) -> MirElt:
             n = label_size(src) + sum(w)
             terms: dict[Bipartition, LaurentPoly] = {}
             for tgt in bipartitions_of(n):
-                if len(add_parts(*tgt)) > m.rank:
+                if not _fits(tgt, m.rank):
                     continue
                 if side == "left":
                     g = pairs.left_constants(tgt, sum(w)).get((w, src))
@@ -252,7 +264,7 @@ def c_bipartition(lam: Partition, mu: Partition, rank: int) -> MirElt:
 
 def _labels(n: int, rank: int) -> tuple[Bipartition, ...]:
     return tuple(
-        bp for bp in bipartitions_of(n) if len(add_parts(*bp)) <= rank
+        bp for bp in bipartitions_of(n) if _fits(bp, rank)
     )
 
 

@@ -108,7 +108,7 @@ def _ilabel(x) -> dict:
 
 
 def pi_payload(n: int, rank: int, cfg: RunConfig) -> dict:
-    check_cost(n)
+    check_cost(n, rank)
     params = {"n": n, "N": rank}
     hit = cache.load("pi", params, cfg.cache_dir)
     if hit is not None:
@@ -143,7 +143,7 @@ def pi_payload(n: int, rank: int, cfg: RunConfig) -> dict:
 
 
 def mhl_payload(n: int, rank: int, cfg: RunConfig) -> dict:
-    check_cost(n)
+    check_cost(n, rank)
     params = {"n": n, "N": rank}
     hit = cache.load("mhl", params, cfg.cache_dir)
     if hit is not None:

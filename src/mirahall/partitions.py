@@ -186,16 +186,19 @@ def bipartitions_of(n: int) -> list[Bipartition]:
     return out
 
 
-def bipartition_count(n: int) -> int:
-    """len(bipartitions_of(n)), without listing them.
+def bipartition_count(n: int, rows: int | None = None) -> int:
+    """len(bipartitions_of(n)), without listing them; with `rows`, only
+    the labels whose two partitions have at most `rows` rows each.  By
+    conjugation those are counted as partitions with parts <= rows.
 
-    >>> bipartition_count(2)
-    5
+    >>> bipartition_count(2), bipartition_count(2, 1)
+    (5, 3)
     """
     if n < 0:
         return 0
+    largest = n if rows is None else min(n, rows)
     ways = [1] + [0] * n
-    for part in range(1, n + 1):
+    for part in range(1, largest + 1):
         for k in range(part, n + 1):
             ways[k] += ways[k - part]
     return sum(ways[k] * ways[n - k] for k in range(n + 1))

@@ -342,10 +342,26 @@ def test_cost_guard_refuses_large_tables_fast(capsys, argv):
     assert elapsed < 1.0
 
 
-def test_cost_guard_accepts_size_eight():
-    check_cost(8)
-    with pytest.raises(CostGuard):
-        check_cost(12)
+def test_cost_guard_counts_the_labels_of_the_rank_and_the_size():
+    # n = 10 has 481 labels, 91 of them with at most 2 rows per side
+    for n, rank in ((8, None), (10, 2), (10, 3), (13, 1), (13, 2), (9, 20)):
+        check_cost(n, rank)
+    for n, rank in ((12, None), (10, 4), (10, 10), (14, 1), (20, 1)):
+        with pytest.raises(CostGuard):
+            check_cost(n, rank)
+
+
+def test_cost_guard_serves_a_low_rank_above_the_full_budget(capsys, monkeypatch):
+    built = []
+
+    def small_table(n, rank):
+        built.append((n, rank))
+        return bimodule.pi_table(1, rank)
+
+    monkeypatch.setattr(cli, "pi_table", small_table)
+    code, out = run(capsys, "pi", "--n", "10", "--N", "2")
+    assert code == 0 and built == [(10, 2)]
+    assert json.loads(out)["N"] == 2
 
 
 def _clear_caches():

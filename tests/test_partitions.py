@@ -292,7 +292,11 @@ def test_xi_matches_search_off_the_image():
 
 def test_bipartition_count():
     for n in range(10):
-        assert bipartition_count(n) == len(bipartitions_of(n))
+        labels = bipartitions_of(n)
+        assert bipartition_count(n) == len(labels)
+        for rows in range(n + 2):
+            fit = [bp for bp in labels if max(len(bp[0]), len(bp[1])) <= rows]
+            assert bipartition_count(n, rows) == len(fit), (n, rows)
     assert bipartition_count(-1) == 0
 
 
