@@ -1,16 +1,25 @@
 #!/usr/bin/env python3
-"""Time cold `mirahall pi --n N` and append the record to BENCH_pi.json.
+"""Time cold `mirahall pi --n N` and the warm path, and append the
+record to BENCH_pi.json.
 
     python3 scripts/bench_pi.py [--ns 4 5 6 7 8] [--src CHECKOUT]
 
 Each N runs once, as one fresh `python3 -m mirahall.cli` process with its
 own empty `--cache-dir`, so every table is built from scratch.  For each
 N the record keeps the wall time, the process's peak RSS, its exit code
-and the sha256 of its stdout.  The record also keeps the git sha of the
-timed checkout (and whether its `src/` differs from that commit), nproc
-and the Python version.  `--src` times another checkout, such as a
-parent commit, with the same harness; the record goes to BENCH_pi.json
-beside this script either way.
+and the sha256 of its stdout.  `--ns` with no sizes skips the cold runs.
+
+The warm path is what a repeat request costs: the median wall time of
+WARM_LAUNCHES import-only launches (`mirahall --help`) and of as many
+cached `pi --n 4` requests, each a fresh process with bytecode caching
+off (nothing read from or written to `__pycache__`), so every process
+compiles the package from source.
+
+The record also keeps the git sha of the timed checkout (and whether
+its `src/` differs from that commit), nproc and the Python version.
+`--src` times another checkout, such as a parent commit, with the same
+harness; the record goes to BENCH_pi.json beside this script either
+way.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -28,6 +38,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+WARM_LAUNCHES = 9
 
 
 def _git(checkout: Path, *args: str) -> str:
@@ -62,9 +74,36 @@ def time_pi(checkout: Path, n: int) -> dict:
     }
 
 
+def time_warm(checkout: Path) -> dict:
+    """Median wall times of import-only launches and cached `pi --n 4`
+    requests, bytecode caching off."""
+    with tempfile.TemporaryDirectory(prefix="bench_warm_") as tmp:
+        env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+                   PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPYCACHEPREFIX=os.path.join(tmp, "pycache"))
+        cli = [sys.executable, "-m", "mirahall.cli"]
+        cached = cli + ["pi", "--n", "4", "--cache-dir", os.path.join(tmp, "cache")]
+
+        def wall(argv: list[str]) -> float:
+            start = time.perf_counter()
+            subprocess.run(argv, env=env, stdout=subprocess.DEVNULL,
+                           stderr=subprocess.DEVNULL, check=True)
+            return time.perf_counter() - start
+
+        wall(cached)  # fills the cache
+        help_s = [wall(cli + ["--help"]) for _ in range(WARM_LAUNCHES)]
+        pi_s = [wall(cached) for _ in range(WARM_LAUNCHES)]
+    return {
+        "launches": WARM_LAUNCHES,
+        "bytecode_cache": "off",
+        "help_p50_s": round(statistics.median(help_s), 4),
+        "cached_pi4_p50_s": round(statistics.median(pi_s), 4),
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--ns", type=int, nargs="+", default=[4, 5, 6, 7, 8])
+    parser.add_argument("--ns", type=int, nargs="*", default=[4, 5, 6, 7, 8])
     parser.add_argument("--src", type=Path, default=ROOT,
                         help="checkout to time (default: this one)")
     args = parser.parse_args()
@@ -74,6 +113,8 @@ def main() -> int:
         run = time_pi(checkout, n)
         print(json.dumps(run), flush=True)
         runs.append(run)
+    warm = time_warm(checkout)
+    print(json.dumps({"warm": warm}), flush=True)
     record = {
         "command": "mirahall pi --n N (cold: fresh process, empty cache)",
         "git_sha": _git(checkout, "rev-parse", "HEAD"),
@@ -82,6 +123,7 @@ def main() -> int:
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "runs": runs,
+        "warm": warm,
     }
     out = ROOT / "BENCH_pi.json"
     records = json.loads(out.read_text())["records"] if out.exists() else []

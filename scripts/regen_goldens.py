@@ -6,11 +6,12 @@ against the values hard-coded in tests/.  Nothing here writes files;
 the point is an eyeball check with provenance in one place.
 """
 
-from mirahall.affine import counted_ts_action, pattern_check, ts_action, universe
+from mirahall.affine import pattern_check, ts_action, universe
 from mirahall.bimodule import pi_table
 from mirahall.closedform import closed_form_G
 from mirahall.hall import hall_mul, u_elt
-from mirahall.traces import fiber_oracle_check, green_freeness_check, trace_value
+from mirahall.oracle import counted_ts_action, fiber_oracle_check
+from mirahall.traces import green_freeness_check, trace_value
 
 
 def size_two_table():

@@ -8,13 +8,13 @@ closed form: the q lines of the P^1 at the wall fall into three classes
 marked-vector jump profile, and a coefficient is the summed weight of the
 classes that come back.  No finite field is built on that route.
 
-The counting oracle, reached only from `verify` and the tests, builds
-representative triples over F_q in a truncated lattice model (`_Model`),
-classifies every line back to a label through rank invariants
-(`_classify`), and interpolates the point counts to polynomials in q
-(`counted_ts_action`, `mass_check`, `rep_roundtrip`).  Its numpy helpers
-(`_Model.unit`, `_rep_vector`, `_classify_core`) import numpy when they
-run, so serving a wall product never loads it.
+The counting oracle (`oracle.counted_ts_action`) builds representative
+triples over F_q in a truncated lattice model, classifies every line
+back to a label through the same invariants (`_label_from_jumps`) and
+interpolates the point counts; it shares the window and retry helpers
+(`_window`, `_retry`) with the closed form.  The Hecke relations and
+the closure order (`checks.hecke_quadratic_check`, `h_basis_check`,
+`bruhat_leq`) are checks on the served products.
 
 Conventions, fixed by the orbit bijection and checked by the template and
 quadratic-relation tests:
@@ -32,20 +32,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product as cartesian
-from typing import TYPE_CHECKING
 
-from .config import check_prime
 from .errors import (
-    ComponentMismatch,
     Incompatible,
     NoTemplateMatch,
     TruncationTooSmall,
     UsageError,
 )
-from .laurent import LaurentPoly, QPoly, interpolate
-
-if TYPE_CHECKING:
-    import numpy as np
+from .laurent import QPoly
 
 DEFAULT_PRIMES = (2, 3)
 
@@ -285,154 +279,7 @@ def validate(window, beta_lo: int, beta_extra=()) -> RBAffElt:
 
 
 # ---------------------------------------------------------------------------
-# truncated model
-
-
-class _Model:
-    """Quotient of the t^{-M} lattice by the t^M one, over F_q.
-
-    Coordinates are e-indices floor..ceil with floor = 1 - M*N; a lattice
-    between the two extremes becomes a subspace."""
-
-    __slots__ = ("N", "M", "q", "floor", "ceil", "dim")
-
-    def __init__(self, N: int, M: int, q: int) -> None:
-        self.N = N
-        self.M = M
-        self.q = q
-        self.floor = 1 - M * N
-        self.ceil = M * N
-        self.dim = 2 * M * N
-
-    def col(self, k: int) -> int:
-        return k - self.floor
-
-    def idx(self, col: int) -> int:
-        return col + self.floor
-
-    def unit(self, k: int) -> np.ndarray:
-        import numpy as np
-
-        if not self.floor <= k <= self.ceil:
-            raise TruncationTooSmall(f"index {k} outside the window")
-        vec = np.zeros(self.dim, dtype=np.int64)
-        vec[self.col(k)] = 1
-        return vec
-
-
-def _rep_base(w: AffinePerm, jlo: int, model: _Model) -> frozenset:
-    """Coordinate support of the second flag's step jlo - 1."""
-    disp = w.spread() + w.N
-    cols = set()
-    for m in range(model.floor - disp, jlo):
-        k = w(m)
-        if k >= model.floor:
-            if k > model.ceil:
-                raise TruncationTooSmall("flag base leaks above the window")
-            cols.add(model.col(k))
-    # the step must swallow everything below the window floor
-    u = w.inverse()
-    for k in range(model.floor - w.N, model.floor):
-        if u(k) > jlo - 1:
-            raise TruncationTooSmall("flag base misses part of the window floor")
-    return frozenset(cols)
-
-
-def _rep_vector(beta: BetaSet, model: _Model) -> np.ndarray:
-    import numpy as np
-
-    if beta.top() > model.ceil:
-        raise TruncationTooSmall("marked set leaks above the window")
-    vec = np.zeros(model.dim, dtype=np.int64)
-    for k in beta.members_in(model.floor, model.ceil):
-        vec[model.col(k)] = 1
-    return vec
-
-
-def _line_gens(x: RBAffElt, i: int, c, jlo: int, jhi: int, model: _Model):
-    """Step generators of the flag obtained from the representative of x
-    by replacing the line at positions congruent to i.
-
-    c is None for the untouched flag, an element of F_q for the line
-    through e_{w(i)} + c e_{w(i+1)}, or the string "inf" for e_{w(i+1)}.
-    """
-    w = x.w
-    n = w.N
-    gens = {}
-    for j in range(jlo, jhi + 1):
-        shift = (j - i) % n
-        cycles = (j - i - shift) // n
-        if c is None or shift not in (0, 1):
-            gens[j] = [w(j)]
-        elif shift == 0:
-            a, b = w(i) + n * cycles, w(i + 1) + n * cycles
-            if c == "inf":
-                gens[j] = [b]
-            else:
-                if not (model.floor <= a <= model.ceil and model.floor <= b <= model.ceil):
-                    raise TruncationTooSmall("perturbed step leaks out of the window")
-                vec = model.unit(a)
-                vec[model.col(b)] = int(c) % model.q
-                gens[j] = [vec]
-        else:
-            cycles = (j - (i + 1)) // n
-            gens[j] = [w(i) + n * cycles, w(i + 1) + n * cycles]
-    return gens
-
-
-def _classify_core(base_cols, gens, v_vec, jlo: int, jhi: int, model: _Model):
-    """Echelon sweep: returns (tops, jumps) with tops[j] the new e-index
-    entering at step j and jumps[j] the top e-index of the marked vector
-    reduced modulo step j (None once it is absorbed)."""
-    import numpy as np
-
-    q = model.q
-    rows: dict[int, np.ndarray] = {}
-    base = np.array(sorted(base_cols), dtype=np.int64)
-
-    def reduce(vec: np.ndarray) -> np.ndarray:
-        r = vec.copy() % q
-        if base.size:
-            r[base] = 0
-        while True:
-            nz = np.flatnonzero(r)
-            if nz.size == 0:
-                return r
-            t = int(nz[-1])
-            row = rows.get(t)
-            if row is None:
-                return r
-            r = (r - r[t] * row) % q
-
-    v_res = reduce(v_vec)
-    tops = {}
-    jumps = {}
-    for j in range(jlo, jhi + 1):
-        new_top = None
-        for g in gens[j]:
-            vec = g if isinstance(g, np.ndarray) else model.unit(g)
-            r = reduce(vec)
-            nz = np.flatnonzero(r)
-            if nz.size == 0:
-                continue
-            t = int(nz[-1])
-            r = (r * pow(int(r[t]), q - 2, q)) % q
-            rows[t] = r
-            new_top = t
-            if v_res[t] % q:
-                v_res = (v_res - v_res[t] * r) % q
-                nzv = np.flatnonzero(v_res)
-                while nzv.size and rows.get(int(nzv[-1])) is not None:
-                    tt = int(nzv[-1])
-                    v_res = (v_res - v_res[tt] * rows[tt]) % q
-                    nzv = np.flatnonzero(v_res)
-            break
-        if new_top is None:
-            raise TruncationTooSmall(f"no growth at step {j}")
-        tops[j] = model.idx(new_top)
-        nzv = np.flatnonzero(v_res)
-        jumps[j] = model.idx(int(nzv[-1])) if nzv.size else None
-    return tops, jumps
+# labels from jump profiles
 
 
 def _beta_from_jumps(w: AffinePerm, jumps, jlo: int, jhi: int, floor: int) -> BetaSet:
@@ -485,20 +332,6 @@ def _predicted_jumps(x: RBAffElt, jlo: int, jhi: int):
                 best = m
         out[j] = best
     return out
-
-
-def _classify(base_cols, gens, v_vec, jlo, jhi, model: _Model) -> RBAffElt:
-    """Classify a truncated triple: the first flag is the coordinate one,
-    the second is given by base support plus step generators, the marked
-    vector by its coordinates.  Returns the unique label whose invariants
-    match; raises TruncationTooSmall when the window cannot decide."""
-    tops, jumps = _classify_core(base_cols, gens, v_vec, jlo, jhi, model)
-    n = model.N
-    for j in range(jlo, jhi + 1 - n):
-        if tops[j + n] != tops[j] + n:
-            raise TruncationTooSmall(f"period broken at step {j}")
-    w = AffinePerm(tuple(tops[j] for j in range(1, n + 1)))
-    return _label_from_jumps(w, jumps, jlo, jhi, model.floor)
 
 
 def _label_from_jumps(w: AffinePerm, jumps, jlo: int, jhi: int, floor: int) -> RBAffElt:
@@ -599,7 +432,7 @@ def _line_classes(x: RBAffElt, i: int):
     the marked vector is v, the sum of e_k over k in beta.  Moving the line
     at every step j = i mod N (a = w(j), b = w(j+1)) to a line l of
     span(e_a, e_b) changes only the steps L_j, to L_{j-1} + l.
-    `_classify` reads a label off two invariants of the flag, and both
+    `oracle._classify` reads a label off two invariants of the flag, and both
     are intrinsic to the subspaces, so they are unchanged at the other
     steps:
 
@@ -624,68 +457,9 @@ def _line_classes(x: RBAffElt, i: int):
     return _retry(_line_classes_at, x, i)
 
 
-def _sweep_lines(x: RBAffElt, i: int, model: _Model, jlo: int, jhi: int):
-    cs = [None] + list(range(1, model.q)) + ["inf"]
-    base = _rep_base(x.w, jlo, model)
-    v = _rep_vector(x.beta, model)
-    out = []
-    for c in cs:
-        out.append((c, base, _line_gens(x, i, c, jlo, jhi, model), v))
-    return out
-
-
-def _ts_counts_at(x: RBAffElt, i: int, q: int, grow: int):
-    M, jlo, jhi = _window(x, i, grow)
-    model = _Model(x.w.N, M, q)
-
-    tally: dict[RBAffElt, int] = {}
-    for _, base, gens, v in _sweep_lines(x, i, model, jlo, jhi):
-        lab = _classify(base, gens, v, jlo, jhi, model)
-        tally[lab] = tally.get(lab, 0) + 1
-
-    counts = {}
-    for tgt in tally:
-        hit = 0
-        for c, base, gens, v in _sweep_lines(tgt, i, model, jlo, jhi):
-            if c is None:
-                continue
-            if _classify(base, gens, v, jlo, jhi, model) == x:
-                hit += 1
-        if hit:
-            counts[tgt] = hit
-    if not counts:
-        raise TruncationTooSmall("empty wall-crossing product")
-    return counts, tally
-
-
-@lru_cache(maxsize=8192)
-def _ts_counts(x: RBAffElt, i: int, q: int):
-    return _retry(_ts_counts_at, x, i, q)
-
-
-def rep_roundtrip(x: RBAffElt, q: int = 2) -> RBAffElt:
-    """Build the representative triple of x over F_q and classify it back."""
-    n = x.w.N
-    b = _bounds(x, n)
-    jw = b + 3 * n + 1
-    M = (jw + b + n + 2) // n + 1
-    model = _Model(n, M, q)
-    base = _rep_base(x.w, -jw, model)
-    gens = {j: [x.w(j)] for j in range(-jw, jw + 1)}
-    v = _rep_vector(x.beta, model)
-    return _classify(base, gens, v, -jw, jw, model)
-
-
 def _check_wall(x: RBAffElt, i: int) -> None:
     if not 1 <= i <= x.w.N:
         raise UsageError(f"wall position {i} out of range 1..{x.w.N}")
-
-
-def _check_primes(primes) -> None:
-    if len(primes) < 2:
-        raise UsageError("need at least two primes to pin a linear coefficient")
-    for p in primes:
-        check_prime(p)
 
 
 @lru_cache(maxsize=4096)
@@ -708,56 +482,8 @@ def ts_action(x: RBAffElt, i: int) -> dict:
     return out
 
 
-def counted_ts_action(x: RBAffElt, i: int, primes=DEFAULT_PRIMES) -> dict:
-    """The counting oracle for `ts_action`: the lines are counted over
-    each finite field and the counts interpolated; every coefficient has
-    degree at most one in q."""
-    _check_wall(x, i)
-    _check_primes(primes)
-    per_q = {}
-    for q in primes:
-        counts, _ = _ts_counts(x, i, q)
-        per_q[q] = counts
-    labels = set()
-    for counts in per_q.values():
-        labels.update(counts)
-    out = {}
-    for lab in sorted(labels, key=_sort_key):
-        pts = [(q, per_q[q].get(lab, 0)) for q in primes]
-        poly = interpolate(pts, 1)
-        if poly:
-            out[lab] = poly
-    return out
-
-
-def mass_check(x: RBAffElt, i: int, primes=DEFAULT_PRIMES) -> bool:
-    """Every line in the sweep lands on a label and the landing set is the
-    product support together with the source itself."""
-    _check_primes(primes)
-    product = ts_action(x, i)
-    for q in primes:
-        counts, tally = _ts_counts(x, i, q)
-        if sum(tally.values()) != q + 1:
-            return False
-        seen = set(tally)
-        wanted = set(product) | {x}
-        if seen != wanted:
-            return False
-    return True
-
-
 def _sort_key(x: RBAffElt):
     return (x.length(), x.w.window, x.beta.lo, x.beta.extra)
-
-
-def apply_ts(comb: dict, i: int) -> dict:
-    """Extend ts_action linearly over combinations with QPoly weights."""
-    out = {}
-    for lab, coeff in comb.items():
-        for lab2, c2 in ts_action(lab, i).items():
-            cur = out.get(lab2, QPoly.zero()) + coeff * c2
-            out[lab2] = cur
-    return {lab: c for lab, c in out.items() if c}
 
 
 def _match_template(x: RBAffElt, i: int, product):
@@ -832,114 +558,6 @@ def pattern_check(x: RBAffElt, i: int, product=None) -> int:
     if product is None:
         product = ts_action(x, i)
     return _match_template(x, i, product)[0]
-
-
-def hecke_quadratic_check(x: RBAffElt, i: int) -> bool:
-    """T_s T_s = (q - 1) T_s + q, applied on the right of x."""
-    first = ts_action(x, i)
-    twice = apply_ts(first, i)
-    qq = QPoly.q_power(1)
-    want = {lab: (qq - 1) * c for lab, c in first.items()}
-    want[x] = want.get(x, QPoly.zero()) + qq
-    want = {lab: c for lab, c in want.items() if c}
-    return twice == want
-
-
-def h_basis_check(x: RBAffElt, i: int) -> bool:
-    """Rescale the product by signed powers of v and compare against the
-    five shapes written in the normalized basis.
-
-    The normalized basis element of y is (-v)^{-length(y)} times the plain
-    one, and the wall generator is shifted by -v^{-1}; the equality encodes
-    both the case shapes and the length bookkeeping."""
-    product = ts_action(x, i)
-    case, roles = _match_template(x, i, product)
-
-    def mv(e: int) -> LaurentPoly:
-        return LaurentPoly.v_power(e, -1 if e % 2 else 1)
-
-    lhs: dict[RBAffElt, LaurentPoly] = {}
-    pre = mv(-x.length() - 1)
-    for y, c in product.items():
-        lhs[y] = pre * c.to_laurent()
-    extra = LaurentPoly.v_power(-1, -1) * mv(-x.length())
-    lhs[x] = lhs.get(x, LaurentPoly.zero()) + extra
-    lhs = {y: c * mv(y.length()) for y, c in lhs.items()}
-    lhs = {y: c for y, c in lhs.items() if c}
-
-    one = LaurentPoly.one()
-    mvinv = LaurentPoly.v_power(-1, -1)
-    if case == 1:
-        want = {roles["xs"]: one, x: mvinv}
-    elif case == 2:
-        want = {roles["xs"]: one, roles["xsp"]: mvinv, x: mvinv}
-    elif case == 3:
-        want = {roles["xf"]: one, roles["xfs"]: mvinv, x: mvinv}
-    elif case == 4:
-        want = {roles["xs"]: one, x: LaurentPoly.v_power(1, -1)}
-    else:
-        diff = LaurentPoly.v_power(-1, 1) + LaurentPoly.v_power(1, -1)
-        moved = LaurentPoly.one() + LaurentPoly.v_power(-2, -1)
-        want = {x: diff, roles["xp"]: moved, roles["xs"]: moved}
-    want = {y: c for y, c in want.items() if c}
-    return lhs == want
-
-
-# ---------------------------------------------------------------------------
-# closure order
-
-
-def _rank_rows(w: AffinePerm, floor: int, lo: int, hi: int):
-    """For k = lo..hi in turn, the row #{m in [floor, k] : w(m) <= j}
-    over j = lo..hi; each k extends the previous prefix by one index.
-    The same list is yielded each time, updated in place."""
-    width = hi - lo + 1
-    row = [0] * width
-    for m in range(floor, hi + 1):
-        for t in range(max(w(m) - lo, 0), width):
-            row[t] += 1
-        if m >= lo:
-            yield row
-
-
-def bruhat_leq(a: RBAffElt, b: RBAffElt) -> bool:
-    """Closure order: a below b iff both rank families of a dominate, the
-    plain intersection dimensions and the same dimensions augmented by the
-    marked-vector membership bit.
-
-    Where the plain ranks are equal the membership of a must cover that of
-    b; a positive rank gap absorbs a lost membership.  Dimensions are taken
-    relative to a shared floor deep enough that the difference stabilizes."""
-    if a.w.N != b.w.N:
-        raise ComponentMismatch("different periods")
-    if a.degree() != b.degree():
-        raise ComponentMismatch(
-            f"components {a.degree()} and {b.degree()} are not comparable"
-        )
-    n = a.w.N
-    lo = min(a.beta.lo, b.beta.lo, -a.w.spread(), -b.w.spread()) - 3 * n
-    hi = max(a.beta.top(), b.beta.top(), a.w.spread(), b.w.spread(), n) + 3 * n
-    floor1 = lo - max(a.w.spread(), b.w.spread()) - n
-    ja = _predicted_jumps(a, lo, hi)
-    jb = _predicted_jumps(b, lo, hi)
-    rows = zip(
-        _rank_rows(a.w, floor1, lo, hi),
-        _rank_rows(b.w, floor1, lo, hi),
-        _rank_rows(a.w, floor1 - n, lo, hi),
-        _rank_rows(b.w, floor1 - n, lo, hi),
-    )
-    for k, (ra, rb, ra2, rb2) in zip(range(lo, hi + 1), rows):
-        for t, j in enumerate(range(lo, hi + 1)):
-            diff = ra[t] - rb[t]
-            if diff != ra2[t] - rb2[t]:
-                raise TruncationTooSmall("rank difference did not stabilize")
-            if diff < 0:
-                return False
-            da = 1 if ja[k] is None or ja[k] <= j else 0
-            db = 1 if jb[k] is None or jb[k] <= j else 0
-            if diff + da - db < 0:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

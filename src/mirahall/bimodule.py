@@ -5,8 +5,8 @@ The left action of a shape inserts an invariant subspace below the
 marked vector's line of sight (the vector survives on the quotient);
 the right action inserts one containing the vector.  Both are computed
 through the square-zero generator decomposition, one generator at a
-time from the closed tables of `closedform`.  `act_direct` reads the
-directly counted tables instead; it is the oracle the tests replay.
+time from the closed tables of `closedform`.  `oracle.act_direct` reads
+the directly counted tables instead; it is the oracle the tests replay.
 
 `pi_table` normalises the cyclic basis into the transition table whose
 entries are the polynomials the rest of the package consumes; the
@@ -224,33 +224,6 @@ def act(side: str, a: HallElt, m: MirElt) -> MirElt:
     return MirElt._trusted(m.rank, out)
 
 
-def act_direct(side: str, a: HallElt, m: MirElt) -> MirElt:
-    """Action by the directly counted tables, one pair of basis
-    elements at a time.  Test oracle."""
-    from . import pairs
-
-    if a.rank != m.rank:
-        raise ValueError("rank mismatch")
-    out = MirElt.zero(m.rank)
-    for w, cw in a._c.items():
-        for src, cs in m._c.items():
-            n = label_size(src) + sum(w)
-            terms: dict[Bipartition, LaurentPoly] = {}
-            for tgt in bipartitions_of(n):
-                if not _fits(tgt, m.rank):
-                    continue
-                if side == "left":
-                    g = pairs.left_constants(tgt, sum(w)).get((w, src))
-                else:
-                    g = pairs.right_constants(tgt, label_size(src)).get(
-                        (src, w)
-                    )
-                if g is not None:
-                    terms[tgt] = cw * cs * g.to_laurent()
-            out = out + MirElt(m.rank, terms)
-    return out
-
-
 @lru_cache(maxsize=None)
 def c_bipartition(lam: Partition, mu: Partition, rank: int) -> MirElt:
     """Cyclic basis: signed-Kostka operators applied to the vacuum on
@@ -375,6 +348,14 @@ class TensorSym:
                 c[bp] = val
         self._c = c
 
+    @classmethod
+    def _trusted(cls, c: dict) -> "TensorSym":
+        """Wrap labels that are already trimmed and carry nonzero
+        coefficients, without validating them again."""
+        out = cls.__new__(cls)
+        out._c = c
+        return out
+
     def coeff(self, bp: Bipartition) -> LaurentPoly:
         return self._c.get(_norm_label(bp), LaurentPoly.zero())
 
@@ -391,9 +372,8 @@ class TensorSym:
 
     def __add__(self, other: "TensorSym") -> "TensorSym":
         out = dict(self._c)
-        for k, a in other._c.items():
-            out[k] = out.get(k, LaurentPoly.zero()) + a
-        return TensorSym(out)
+        _accumulate(out, other._c.items())
+        return TensorSym._trusted(out)
 
     def __sub__(self, other: "TensorSym") -> "TensorSym":
         return self + (-1) * other
@@ -403,7 +383,7 @@ class TensorSym:
             scalar = LaurentPoly.from_int(scalar)
         if not isinstance(scalar, LaurentPoly):
             return NotImplemented
-        return TensorSym({k: a * scalar for k, a in self._c.items()})
+        return TensorSym._trusted({k: p for k, a in self._c.items() if (p := a * scalar)})
 
     __rmul__ = __mul__
 
@@ -415,7 +395,8 @@ class TensorSym:
 @lru_cache(maxsize=None)
 def _basis_in_tensor(n: int, rank: int) -> Mapping[Bipartition, TensorSym]:
     """Each pair label of size n written in the two-sided Schur basis,
-    by inverting the triangular cyclic system."""
+    by inverting the triangular cyclic system.  Each column sums into
+    one dict of labels that are already normal."""
     order = _labels(n, rank)
     columns = {
         col: c_bipartition(col[0], col[1], rank) for col in order
@@ -429,12 +410,12 @@ def _basis_in_tensor(n: int, rank: int) -> Mapping[Bipartition, TensorSym]:
         diag = vec.coeff(col)
         if not diag.is_unit_monomial():
             raise DiagonalNotUnit(f"cyclic diagonal at {col}")
-        total = TensorSym({col: c_image})
+        total = {col: c_image}
         for row, coeff in vec._c.items():
-            if row == col:
-                continue
-            total = total - coeff * out[row]
-        out[col] = diag**-1 * total
+            if row != col:
+                _accumulate(total, ((k, -coeff * a) for k, a in out[row]._c.items()))
+        inv = diag**-1
+        out[col] = TensorSym._trusted({k: inv * a for k, a in total.items()})
     return out
 
 

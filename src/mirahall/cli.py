@@ -4,6 +4,10 @@ Every subcommand renders one deterministic artifact: the same invocation
 produces the same bytes, whether the table came out of the cache or was
 rebuilt.  Exit codes: 0 computed or verified, 1 a verification failed,
 2 bad usage.
+
+The suites behind `verify` live in `checks`, which this module imports
+only when `verify_payload` runs, so a serving request never loads them
+or the counting oracles.
 """
 
 from __future__ import annotations
@@ -12,31 +16,13 @@ import argparse
 import csv
 import io
 import json
-import random
 import sys
-from collections import Counter
 from typing import Mapping, Sequence
 
 from . import cache
-from .affine import (
-    DEFAULT_PRIMES,
-    bruhat_leq,
-    counted_ts_action,
-    h_basis_check,
-    hecke_quadratic_check,
-    mass_check,
-    pattern_check,
-    ts_action,
-    universe,
-    validate,
-)
+from .affine import DEFAULT_PRIMES, pattern_check, ts_action, universe
 from .bimodule import check_cost, mhl_poly, pi_table
-from .closedform import (
-    closed_left_column,
-    rho_check,
-    stable_right_column,
-    verify_closed_form,
-)
+from .closedform import closed_left_column, stable_right_column
 from .config import (
     FORMATS,
     RunConfig,
@@ -45,12 +31,11 @@ from .config import (
     read_config_file,
     resolve,
 )
-from .errors import IOFailure, MiraError, OracleMismatch, UsageError
-from .hall import hall_mul, hall_mul_direct, psi, u_elt
+from .errors import IOFailure, MiraError, UsageError
+from .hall import check_hall_cost, hall_mul, u_elt
 from .laurent import LaurentPoly, QPoly
-from .partitions import ah_leq, bipartitions_of, partitions_of, size, trim
-from .symfunc import _kostka_table
-from .traces import green_freeness_check, green_labels, trace_value, fiber_oracle_check
+from .partitions import bipartitions_of, size, trim
+from .traces import check_green_cost, green_freeness_check, green_labels, trace_value
 
 SUITES = (
     "census",
@@ -200,6 +185,7 @@ def trace_payload(n: int, q: int, cfg: RunConfig) -> dict:
 def hall_payload(x, y, rank: int) -> dict:
     if len(x) > rank or len(y) > rank:
         raise UsageError(f"shapes {x} and {y} need rank above {rank}")
+    check_hall_cost(x, y, rank)
     prod = hall_mul(u_elt(x, rank), u_elt(y, rank))
     return {
         "kind": "hall",
@@ -229,6 +215,7 @@ def mirabolic_payload(src, r: int, side: str, rank: int) -> dict:
 
 
 def green_payload(n: int, q: int) -> dict:
+    check_green_cost(n, q)
     return {
         "kind": "green",
         "n": n,
@@ -277,284 +264,11 @@ def iwahori_payload(N: int, window: int, cfg: RunConfig) -> dict:
     return payload
 
 
-# --- verification suites ------------------------------------------------------
-
-
-def _check(suite: str, name: str, fn) -> dict:
-    try:
-        detail = fn()
-        return {"suite": suite, "name": name, "passed": True, "detail": str(detail)}
-    except MiraError as exc:
-        return {
-            "suite": suite,
-            "name": name,
-            "passed": False,
-            "detail": f"{type(exc).__name__}: {exc}",
-        }
-
-
-def _suite_census(cfg: RunConfig) -> list[dict]:
-    from .pairs import orbit_census
-
-    out = []
-    for n in range(1, cfg.max_n + 1):
-        for q in cfg.primes:
-            def run(n=n, q=q):
-                sizes = orbit_census(n, q, seed=cfg.seed)
-                want = len(bipartitions_of(n))
-                if len(sizes) != want:
-                    raise OracleMismatch(f"{len(sizes)} classes, expected {want}")
-                return f"{len(sizes)} classes over {sum(sizes.values())} vectors"
-            out.append(_check("census", f"n={n},q={q}", run))
-    return out
-
-
-def _suite_constants(cfg: RunConfig) -> list[dict]:
-    out = []
-    for n in range(1, min(cfg.max_n, 3) + 1):
-        def run(n=n):
-            tables = 0
-            for r in (1, 2):
-                if r > n:
-                    continue
-                for tgt in bipartitions_of(n):
-                    for side in ("left", "right"):
-                        verify_closed_form(tgt, r, side)
-                        tables += 1
-            return f"{tables} closed left and right tables against counts"
-        out.append(_check("constants", f"n={n}", run))
-    return out
-
-
-def _suite_hall(cfg: RunConfig) -> list[dict]:
-    def square(rank=1):
-        one_row = u_elt((1,), rank)
-        prod = hall_mul(one_row, one_row)
-        want = {(2,): LaurentPoly.one()}
-        if rank >= 2:
-            want[(1, 1)] = LaurentPoly.v_power(2) + 1
-        if dict(prod.items()) != want:
-            raise OracleMismatch(f"u_(1)^2 at rank {rank}: {prod!r}")
-        return "square of the one-box class"
-
-    def direct(rank=4):
-        pairs_checked = 0
-        for n in range(2, 5):
-            for ka in range(1, n):
-                for a in partitions_of(ka):
-                    for b in partitions_of(n - ka):
-                        x, y = u_elt(a, rank), u_elt(b, rank)
-                        if hall_mul(x, y) != hall_mul_direct(x, y):
-                            raise OracleMismatch(f"products disagree at {a} * {b}")
-                        pairs_checked += 1
-        return f"{pairs_checked} generator-route vs direct-count products"
-
-    def multiplicative(rank=4):
-        rng = random.Random(cfg.seed + 1)
-        shapes = [lam for k in range(1, 3) for lam in partitions_of(k)]
-        for _ in range(4):
-            a, b = rng.choice(shapes), rng.choice(shapes)
-            x, y = u_elt(a, rank), u_elt(b, rank)
-            lhs = psi(hall_mul(x, y))
-            rhs = psi(x) * psi(y)
-            if lhs != rhs:
-                raise OracleMismatch(f"character map not multiplicative at {a} * {b}")
-        return "character map multiplicative on sampled products"
-
-    return [
-        _check("hall", "square-rank1", lambda: square(1)),
-        _check("hall", "square-rank2", lambda: square(2)),
-        _check("hall", "vs-direct", direct),
-        _check("hall", "multiplicative", multiplicative),
-    ]
-
-
-def _suite_pi(cfg: RunConfig) -> list[dict]:
-    out = []
-    for n in range(0, cfg.max_n + 1):
-        def run(n=n):
-            table = pi_table(n, max(n, 1))
-            for col in table.order:
-                if table.raw_value(col, col) != LaurentPoly.one():
-                    raise OracleMismatch(f"diagonal at {col} is not one")
-                for row in table.order:
-                    val = table.value(row, col)
-                    if val.is_zero():
-                        continue
-                    if not ah_leq(row, col):
-                        raise OracleMismatch(f"support at ({row}, {col}) breaks the order")
-                    if row != col and any(e > -1 for e, _ in val.items()):
-                        raise OracleMismatch(f"off-diagonal ({row}, {col}) too shallow")
-                    if any(c <= 0 for _, c in val.items()):
-                        raise OracleMismatch(f"negative entry at ({row}, {col})")
-            return f"{len(table.order)} columns triangular and nonnegative"
-        out.append(_check("pi", f"n={n}", run))
-
-    def stability():
-        for n in range(0, min(cfg.max_n, 3) + 1):
-            rank = max(n, 1)
-            lo, hi = pi_table(n, rank), pi_table(n, rank + 1)
-            for col in lo.order:
-                for row in lo.order:
-                    if lo.value(row, col) != hi.value(row, col):
-                        raise OracleMismatch(f"entry ({row}, {col}) moved with the rank")
-        return "tables stable under a rank bump"
-
-    out.append(_check("pi", "rank-stability", stability))
-    return out
-
-
-def _suite_classical(cfg: RunConfig) -> list[dict]:
-    out = []
-    for n in range(2, cfg.max_n + 1):
-        def run(n=n):
-            table = pi_table(n, n)
-            oracle = _kostka_table(n, n)
-            for col in partitions_of(n):
-                for row in partitions_of(n):
-                    want = LaurentPoly.from_t_poly(oracle.get((col, row), QPoly.zero()))
-                    if table.value(((), row), ((), col)) != want:
-                        raise OracleMismatch(f"second-slot block at ({row}, {col})")
-                    if table.value((row, ()), (col, ())) != want:
-                        raise OracleMismatch(f"first-slot block at ({row}, {col})")
-            return "both one-sided blocks match the classical matrix"
-        out.append(_check("classical", f"n={n}", run))
-    return out
-
-
-def _suite_trace(cfg: RunConfig) -> list[dict]:
-    out = []
-    for n in range(1, min(cfg.max_n, 3) + 1):
-        for q in cfg.primes:
-            if n > 3 and q > 2:
-                continue
-            def run(n=n, q=q):
-                report = fiber_oracle_check(n, q)
-                return f"{len(report['cells'])} strata-step cells"
-            out.append(_check("trace", f"n={n},q={q}", run))
-
-    def golden():
-        table = pi_table(2, 2)
-        cell = trace_value(((1,), (1,)), ((), (1, 1)), table, 2)
-        if cell.a != QPoly.q_power(1) + 1 or not cell.b.is_zero():
-            raise OracleMismatch(f"marked cell reads {cell.pretty()}")
-        if cell.as_integer() != 3:
-            raise OracleMismatch(f"marked cell evaluates to {cell.as_integer()}")
-        return "marked cell is q + 1, evaluating to 3"
-
-    out.append(_check("trace", "golden-cell", golden))
-    return out
-
-
-def _suite_rho(cfg: RunConfig) -> list[dict]:
-    def run():
-        checked = 0
-        for n in range(0, min(cfg.max_n, 2) + 1):
-            for src in bipartitions_of(n):
-                for r in (1, 2):
-                    if not rho_check(src, r, 3):
-                        raise OracleMismatch(f"mirror identity fails at {src}, r={r}")
-                    checked += 1
-        return f"{checked} mirror identities at rank 3"
-    return [_check("rho", "mirror", run)]
-
-
-def _suite_green(cfg: RunConfig) -> list[dict]:
-    out = []
-    for n in (1, 2):
-        for q in cfg.primes:
-            def run(n=n, q=q):
-                report = green_freeness_check(n, q)
-                return f"free of rank one through {report['dimension']} labels"
-            out.append(_check("green", f"n={n},q={q}", run))
-    return out
-
-
-def _suite_iwahori(cfg: RunConfig) -> list[dict]:
-    labs = universe(2, 1, cfg.window)
-
-    def templates():
-        hist: Counter = Counter()
-        for x in labs:
-            for i in (1, 2):
-                prod = ts_action(x, i)
-                if prod != counted_ts_action(x, i, cfg.primes):
-                    raise OracleMismatch(f"served product differs from the count at {x}, {i}")
-                hist[pattern_check(x, i, prod)] += 1
-                if any(c.degree() > 1 for c in prod.values()):
-                    raise OracleMismatch(f"coefficient degree above one at {x}, {i}")
-                if not h_basis_check(x, i):
-                    raise OracleMismatch(f"normalized shape fails at {x}, {i}")
-        counts = json.dumps({str(k): hist[k] for k in sorted(hist)})
-        return f"cases {counts} over {len(labs)} sources"
-
-    def quadratic():
-        rng = random.Random(cfg.seed)
-        for x in rng.sample(list(labs), min(30, len(labs))):
-            for i in (1, 2):
-                if not hecke_quadratic_check(x, i):
-                    raise OracleMismatch(f"quadratic relation fails at {x}, {i}")
-                if not mass_check(x, i, cfg.primes):
-                    raise OracleMismatch(f"fiber mass off at {x}, {i}")
-        return "quadratic relation and fiber mass on a seeded sample"
-
-    def support():
-        for x in labs:
-            for i in (1, 2):
-                prod = ts_action(x, i)
-                top = max(prod, key=lambda y: y.length())
-                for y in prod:
-                    if not bruhat_leq(y, top):
-                        raise OracleMismatch(f"support at {x}, {i} escapes below {top}")
-        return "product supports sit under their top label"
-
-    def spots():
-        for args, i in ((((2, 1, 3), 0, ()), 2), (((-2, -1, 3), 0, (3,)), 3)):
-            x = validate(*args)
-            pattern_check(x, i)
-            if not mass_check(x, i, cfg.primes):
-                raise OracleMismatch(f"fiber mass off at {x}, {i}")
-        return "period-3 spot labels classified"
-
-    return [
-        _check("iwahori", "templates", templates),
-        _check("iwahori", "quadratic", quadratic),
-        _check("iwahori", "support", support),
-        _check("iwahori", "period3", spots),
-    ]
-
-
-_SUITE_RUNNERS = {
-    "census": _suite_census,
-    "constants": _suite_constants,
-    "hall": _suite_hall,
-    "pi": _suite_pi,
-    "classical": _suite_classical,
-    "trace": _suite_trace,
-    "rho": _suite_rho,
-    "green": _suite_green,
-    "iwahori": _suite_iwahori,
-}
-
-
 def verify_payload(suites: Sequence[str], cfg: RunConfig) -> dict:
-    checks: list[dict] = []
-    for name in suites:
-        if cfg.verbosity:
-            print(f"verify: running {name}", file=sys.stderr)
-        checks.extend(_SUITE_RUNNERS[name](cfg))
-    passed = sum(1 for c in checks if c["passed"])
-    return {
-        "kind": "verify",
-        "suites": list(suites),
-        "max_n": cfg.max_n,
-        "primes": list(cfg.primes),
-        "window": cfg.window,
-        "seed": cfg.seed,
-        "checks": checks,
-        "counts": {"total": len(checks), "passed": passed},
-        "passed": passed == len(checks),
-    }
+    """Run the named suites of `checks`; see `checks.verify_payload`."""
+    from . import checks
+
+    return checks.verify_payload(suites, cfg)
 
 
 # --- rendering ----------------------------------------------------------------

@@ -25,8 +25,8 @@ classical one-flag count.
 These closed tables serve every structure constant in the package: the
 Hall product, both sides of the bimodule, the class ring and the
 `mirabolic` command.  The counted tables of `pairs`, and the checks
-`verify_closed_form`, `stable_right_constant` and `rho_check` here, are
-oracles that only `verify` and the tests reach.
+`verify_closed_form`, `stable_right_constant` and `rho_check` of
+`oracle`, are oracles that only `verify` and the tests reach.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .partitions import (
     add_parts,
     bipartitions_of,
     conjugate,
-    pad,
     star,
     trim,
     upsilon,
@@ -262,7 +261,7 @@ def closed_left_column(
 def stable_right_column(
     r: int, src: Bipartition, rank: int
 ) -> Mapping[Bipartition, QPoly]:
-    """Stabilised right constants (`stable_right_constant`) on one
+    """Stabilised right constants (`oracle.stable_right_constant`) on one
     source, keyed by target label, read from the mirror at `rank`.
 
     Labels have at most `rank` rows per component: a longer source, or
@@ -283,38 +282,6 @@ def stable_right_column(
         if _fits(tgt, rank)
     }
     return {tgt: poly for tgt, poly in cells.items() if poly}
-
-
-def verify_closed_form(
-    tgt: Bipartition, r: int, side: str = "left"
-) -> Mapping[Bipartition, QPoly]:
-    """Closed table of one side checked entrywise against the counted one."""
-    from . import pairs
-
-    if side == "left":
-        closed = dict(closed_left_table(tgt, r))
-        counted = dict(pairs.left_elementary_constants(tgt, r))
-    else:
-        closed = dict(closed_right_table(tgt, r))
-        counted = dict(pairs.right_elementary_constants(tgt, r))
-    if closed != counted:
-        keys = sorted(set(closed) | set(counted), reverse=True)
-        diffs = [
-            f"{k}: closed={closed.get(k, QPoly.zero()).pretty()} "
-            f"counted={counted.get(k, QPoly.zero()).pretty()}"
-            for k in keys
-            if closed.get(k, QPoly.zero()) != counted.get(k, QPoly.zero())
-        ]
-        raise EdgeConventionMismatch(
-            f"{side} target {tgt}, rank {r}: " + "; ".join(diffs)
-        )
-    return closed
-
-
-def shift_labels(bp: Bipartition, boxes: int, rows: int) -> Bipartition:
-    """Add `boxes` full columns of height `rows` to the first component."""
-    lam = pad(bp[0], rows)
-    return (trim(tuple(x + boxes for x in lam)), trim(bp[1]))
 
 
 def _mirror(
@@ -348,54 +315,14 @@ def right_via_star(tgt: Bipartition, src: Bipartition, r: int, rank: int) -> QPo
     nonnegative row, which is what lets `closed_right_table` read all
     its sources from one lifted table.
 
-    The result is the stabilised constant that `stable_right_constant`
-    counts (`rho_check` pins the two together), and the only route by
-    which right-side constants are served: `stable_right_column` reads
-    it as is, `closed_right_table` adds the module's boundary rules."""
+    The result is the stabilised constant that
+    `oracle.stable_right_constant` counts (`oracle.rho_check` pins the
+    two together), and the only route by which right-side constants are
+    served: `stable_right_column` reads it as is, `closed_right_table`
+    adds the module's boundary rules."""
     if not 1 <= r <= rank - 1:
         raise UsageError(f"rank-{r} generator outside 1..{rank - 1}")
     big_tgt, (big_src,) = _mirror(tgt, [src], rank)
     return closed_left_table(big_tgt, rank - r).get(big_src, QPoly.zero())
 
 
-def _pad_add(p: Partition, c: int, rows: int) -> Partition:
-    return trim(tuple((p[k] if k < len(p) else 0) + c for k in range(rows)))
-
-
-def stable_right_constant(
-    tgt: Bipartition, src: Bipartition, r: int, rank: int
-) -> QPoly:
-    """Right-action constant with both first slots deepened by a full
-    column until the count stops moving.
-
-    The raw count at a shallow first slot absorbs mass that belongs to
-    labels whose first component has a negative row; those labels exist
-    in the lattice picture but have no partition shape.  One extra
-    column clears the boundary, a second confirms the plateau."""
-    from . import pairs
-
-    def at(i: int) -> QPoly:
-        T = (_pad_add(tgt[0], i, rank), tgt[1])
-        S = (_pad_add(src[0], i, rank), src[1])
-        return pairs.right_elementary_constants(T, r).get(S, QPoly.zero())
-
-    first, second = at(1), at(2)
-    if first != second:
-        raise EdgeConventionMismatch(
-            f"right constant at {tgt} from {src} drifts between lifts"
-        )
-    return first
-
-
-def rho_check(src: Bipartition, r: int, rank: int) -> bool:
-    """Mirror identity between stabilized right constants and the
-    served column `stable_right_column`, checked over every target one
-    step up that fits in `rank` rows."""
-    mirrored = stable_right_column(r, src, rank)
-    src = (trim(src[0]), trim(src[1]))
-    n = sum(src[0]) + sum(src[1]) + r
-    return all(
-        stable_right_constant(tgt, src, r, rank) == mirrored.get(tgt, QPoly.zero())
-        for tgt in bipartitions_of(n)
-        if len(tgt[0]) <= rank and len(tgt[1]) <= rank
-    )

@@ -7,8 +7,7 @@ cache-directory environment variable, command-line flags.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import IOFailure, UsageError
 from .laurent import _is_prime
@@ -18,9 +17,9 @@ FORMATS = ("json", "csv", "latex")
 DEFAULT_SEED = 2024
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared by every subcommand.
+class RunConfig(NamedTuple):
+    """Knobs shared by every subcommand; immutable, changed by
+    `_replace`.
 
     The defaults reproduce the acceptance suite: sizes up to 3, primes
     2 and 3, truncation window 2.  rank=0 means "same as n"."""
@@ -68,7 +67,6 @@ def check_prime(p: int) -> int:
     return p
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _ALIASES = {"format": "fmt"}
 
 
@@ -108,7 +106,7 @@ def read_config_file(path: str) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = _ALIASES.get(key, key)
-        if key not in _FIELD_TYPES:
+        if key not in RunConfig._fields:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = value
     return out
@@ -121,14 +119,14 @@ def resolve(file_values: Mapping[str, object] | None = None,
     flag_values entries that are None count as "flag not given"."""
     cfg = RunConfig()
     for key, value in (file_values or {}).items():
-        cfg = replace(cfg, **{key: _coerce(key, value)})
+        cfg = cfg._replace(**{key: _coerce(key, value)})
     env = os.environ.get(CACHE_ENV)
     if env:
-        cfg = replace(cfg, cache_dir=env)
+        cfg = cfg._replace(cache_dir=env)
     for key, value in (flag_values or {}).items():
         if value is None:
             continue
-        if key not in _FIELD_TYPES:
+        if key not in RunConfig._fields:
             raise UsageError(f"unknown config field {key!r}")
-        cfg = replace(cfg, **{key: _coerce(key, value)})
+        cfg = cfg._replace(**{key: _coerce(key, value)})
     return cfg.validate()

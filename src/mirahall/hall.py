@@ -5,12 +5,13 @@ Shapes with more rows than `rank` span an ideal (a submodule or
 quotient of a module with at most `rank` generators again has at most
 `rank` generators), so dropping them leaves an honest algebra.
 
-Products are computed two ways.  `hall_mul` expresses each basis
-element through monomials in the square-zero elements and multiplies
-one generator at a time, reading each generator's constants from the
-closed left table at vectorless targets (Macdonald's Hall polynomials
-G^c_{b (1^r)}).  `hall_mul_direct` counts invariant subspaces for each
-pair of factors; it is the oracle that `verify` and the tests replay.
+`hall_mul` expresses each basis element through monomials in the
+square-zero elements and multiplies one generator at a time, reading
+each generator's constants from the closed left table at vectorless
+targets (Macdonald's Hall polynomials G^c_{b (1^r)}).  The oracle,
+`oracle.hall_mul_direct`, counts invariant subspaces for each pair of
+factors, and `oracle.psi` realises the algebra on symmetric
+polynomials; only `verify` and the tests reach them.
 """
 
 from __future__ import annotations
@@ -19,17 +20,18 @@ from functools import lru_cache
 from typing import Mapping
 
 from .closedform import closed_form_G
-from .errors import DiagonalNotUnit, OracleMismatch
+from .errors import CostGuard, DiagonalNotUnit, OracleMismatch
 from .laurent import LaurentPoly
 from .partitions import (
     Partition,
+    bipartition_count,
     conjugate,
     dominance_leq,
     n_stat,
     partitions_of,
     trim,
 )
-from .symfunc import VarPoly, hall_littlewood_in_vars, kostka_foulkes
+from .symfunc import kostka_foulkes
 
 
 class HallElt:
@@ -178,24 +180,62 @@ def hall_mul(x: HallElt, y: HallElt) -> HallElt:
     return out
 
 
-def hall_mul_direct(x: HallElt, y: HallElt) -> HallElt:
-    """Product by counting invariant subspaces pair by pair.  Slower;
-    kept as the independent route."""
-    from . import pairs
+# Budget for one product `hall_mul(u_x, u_y)`, in units of work: a
+# generator step of rank r landing on size m builds the closed left
+# table of every label of size m at r, once per (m, r), and a table
+# costs about in proportion to m, so the work is the sum over those
+# steps of m times the labels of size m (`hall_work`).  Cold on a
+# 2-vCPU box one unit took 78 to 135 us: (10) * (1^4) 309,448 units
+# in 24 s, (4,3,3) * (5,2) 608,044 in 68 s, (5,4) * (4,4) 696,458 in
+# 86 to 94 s, (16) * (1) 779,010 in 96 s.  The budget is a minute at
+# the fastest rate and under two at the slowest.
+MAX_HALL_WORK = 770_000
 
-    x._check(y)
-    out = HallElt.zero(x.rank)
-    for a, ca in x._c.items():
-        for b, cb in y._c.items():
-            terms: dict[Partition, LaurentPoly] = {}
-            for c in partitions_of(sum(a) + sum(b)):
-                if len(c) > x.rank:
-                    continue
-                g = pairs.hall_constant(c, a, b)
-                if not g.is_zero():
-                    terms[c] = ca * cb * g.to_laurent()
-            out = out + HallElt(x.rank, terms)
-    return out
+
+def _hall_steps(x: Partition, y: Partition, rank: int) -> set[tuple[int, int]]:
+    """(size landed on, rank) of every generator step that
+    `hall_mul(u_elt(x, rank), u_elt(y, rank))` takes: those of
+    `_gen_decomposition` over the shapes it reaches from x (dominated by
+    x, at most `rank` rows), from the empty shape, and of each of their
+    monomials applied to y."""
+    steps = set()
+    for mu in partitions_of(sum(x)):
+        if len(mu) > rank or not dominance_leq(mu, x):
+            continue
+        cols = conjugate(mu)
+        for start in (0, sum(y)):
+            size = start
+            for r in reversed(cols):
+                size += r
+                steps.add((size, r))
+    return steps
+
+
+def hall_work(x: Partition, y: Partition, rank: int) -> int:
+    """The work of `hall_mul(u_elt(x, rank), u_elt(y, rank))` from cold
+    caches (see MAX_HALL_WORK), counted without building any table."""
+    x, y = trim(x), trim(y)
+    return sum(m * bipartition_count(m) for m, _ in _hall_steps(x, y, rank))
+
+
+def check_hall_cost(x: Partition, y: Partition, rank: int) -> None:
+    """Refuse a product u_x * u_y at `rank` whose work passes
+    MAX_HALL_WORK, before any table work.  The last step of x's own
+    monomial lands on size n = |x| + |y|, so a size with n times its
+    labels past the budget is refused without listing any shape."""
+    x, y = trim(x), trim(y)
+    n = sum(x) + sum(y)
+    if x and any(k * bipartition_count(k) > MAX_HALL_WORK for k in range(n + 1)):
+        raise CostGuard(
+            f"product {x} * {y} at size {n} is past the budget of "
+            f"{MAX_HALL_WORK} units of work in its last step alone"
+        )
+    work = hall_work(x, y, rank)
+    if work > MAX_HALL_WORK:
+        raise CostGuard(
+            f"product {x} * {y} at rank {rank} takes {work} units of work, "
+            f"above the budget of {MAX_HALL_WORK}"
+        )
 
 
 def c_expand(lam: Partition, rank: int) -> HallElt:
@@ -221,15 +261,3 @@ def c_expand(lam: Partition, rank: int) -> HallElt:
     return HallElt(rank, terms)
 
 
-def psi(x: HallElt, n_vars: int | None = None) -> VarPoly:
-    """Realisation on symmetric polynomials: a shape goes to its
-    deformed basis element scaled by v**(-2 n(shape)).  Built on the
-    antisymmetrizer (`hall_littlewood_in_vars`), so only `verify` and
-    the tests call it."""
-    if n_vars is None:
-        n_vars = x.rank
-    out = VarPoly.zero(n_vars)
-    for lam, c in x._c.items():
-        scale = LaurentPoly.v_power(-2 * n_stat(lam))
-        out = out + (c * scale) * hall_littlewood_in_vars(lam, n_vars)
-    return out

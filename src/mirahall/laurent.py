@@ -14,11 +14,13 @@ True
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .errors import InsufficientSamples, NonIntegral, OracleMismatch
+from .errors import NonIntegral
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class LaurentPoly:
@@ -199,6 +201,8 @@ class LaurentPoly:
 
     def evaluate(self, x: "Fraction | int") -> Fraction:
         """Value at v = x, exact rational arithmetic."""
+        from fractions import Fraction
+
         x = Fraction(x)
         if x == 0 and self._c and min(self._c) < 0:
             raise ZeroDivisionError("negative exponent at v=0")
@@ -414,67 +418,6 @@ class QPoly:
         return f"QPoly({self.pretty()})"
 
 
-def interpolate(points: Iterable[tuple[int, int]], degree: int) -> QPoly:
-    """Recover an integer polynomial in q from exact point values.
-
-    `degree` is a certified upper bound.  The first degree+1 points fix
-    the polynomial (Lagrange over Fractions); any further points are
-    cross-checks.  Raises InsufficientSamples when too few points are
-    given, NonIntegral when the fit is not an integer polynomial, and
-    OracleMismatch when a surplus point disagrees with the fit.
-
-    >>> interpolate([(2, 3), (3, 4), (5, 6)], 1).pretty()
-    '1 + q'
-    """
-    pts = list(points)
-    if degree < 0:
-        # predicted identically zero; every sample must agree
-        for x, y in pts:
-            if y != 0:
-                raise OracleMismatch(f"expected 0 at q={x}, counted {y}")
-        return QPoly.zero()
-    if len(pts) < degree + 1:
-        raise InsufficientSamples(f"need {degree + 1} points, got {len(pts)}")
-    base, extra = pts[: degree + 1], pts[degree + 1 :]
-    xs = [x for x, _ in base]
-    if len(set(xs)) != len(xs):
-        raise ValueError("repeated sample points")
-    coeffs = _lagrange(base)
-    out: dict[int, int] = {}
-    for e, c in enumerate(coeffs):
-        if c.denominator != 1:
-            raise NonIntegral(f"coefficient of q^{e} is {c}")
-        if c:
-            out[e] = int(c)
-    fit = QPoly(out)
-    for x, y in extra:
-        got = fit.evaluate(x)
-        if got != y:
-            raise OracleMismatch(f"fit gives {got} at q={x}, counted {y}")
-    return fit
-
-
-def _lagrange(base: list[tuple[int, int]]) -> list[Fraction]:
-    """Coefficients (ascending) of the interpolating polynomial."""
-    n = len(base)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(base):
-        num = [Fraction(1)]  # running product, ascending coefficients
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(base):
-            if j == i:
-                continue
-            # multiply num by (q - xj)
-            num = [Fraction(0)] + num
-            for k in range(len(num) - 1):
-                num[k] -= Fraction(xj) * num[k + 1]
-            den *= Fraction(xi - xj)
-        scale = Fraction(yi) / den
-        for k, c in enumerate(num):
-            coeffs[k] += scale * c
-    return coeffs
-
-
 @lru_cache(maxsize=None)
 def gauss_binomial(n: int, k: int) -> QPoly:
     """q-binomial coefficient as a polynomial in q.
@@ -490,21 +433,6 @@ def gauss_binomial(n: int, k: int) -> QPoly:
     if k == 0 or k == n:
         return QPoly.one()
     return gauss_binomial(n - 1, k - 1) + QPoly.q_power(k) * gauss_binomial(n - 1, k)
-
-
-def primes(count: int, start: int = 2) -> list[int]:
-    """First `count` primes that are >= start.
-
-    >>> primes(5)
-    [2, 3, 5, 7, 11]
-    """
-    out: list[int] = []
-    n = max(2, start)
-    while len(out) < count:
-        if _is_prime(n):
-            out.append(n)
-        n += 1
-    return out
 
 
 def _is_prime(n: int) -> bool:

@@ -29,7 +29,8 @@ import numpy as np
 from . import gf
 from .config import check_prime
 from .errors import CostGuard, NotNilpotent, OracleMismatch
-from .laurent import QPoly, gauss_binomial, interpolate, primes
+from .laurent import QPoly, gauss_binomial
+from .oracle import interpolate, primes
 from .partitions import (
     Bipartition,
     Partition,

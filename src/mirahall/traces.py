@@ -1,6 +1,7 @@
-"""Square-root-of-q specializations of the normalized table, the
-complete-flag counting oracle that certifies them, and the class ring
-over a fixed finite field with labels split by irreducible polynomial.
+"""Square-root-of-q specializations of the normalized table, and the
+class ring over a fixed finite field with labels split by irreducible
+polynomial.  The complete-flag counting oracle that certifies the
+traces is `oracle.fiber_oracle_check`.
 
 >>> from .bimodule import pi_table
 >>> trace_value(((1,), (1,)), ((), (1, 1)), pi_table(2, 2), 2).as_integer()
@@ -9,29 +10,26 @@ over a fixed finite field with labels split by irreducible polynomial.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as cartesian
 from typing import Iterable, Mapping
 
-from .bimodule import PiTable, act, pi_table, u_bip
+from .bimodule import PiTable, act, u_bip
 from .config import check_prime
 from .errors import (
     CostGuard,
     FieldMismatch,
     NonIntegral,
     NotFree,
-    OracleMismatch,
     UsageError,
 )
 from .hall import u_elt
 from .laurent import LaurentPoly, QPoly
 from .partitions import (
     Bipartition,
+    bipartition_count,
     bipartitions_of,
     label_size,
-    n_standard_tableaux,
-    n_stat,
     pair_codim,
     partitions_of,
     trim,
@@ -156,63 +154,13 @@ def trace_value(
     return TraceCell.from_laurent(entry, pair_codim(row) - pair_codim(col), q)
 
 
-def _json_label(bp: Bipartition) -> list[list[int]]:
-    return [list(bp[0]), list(bp[1])]
-
-
-def fiber_oracle_check(n: int, q: int, table: PiTable | None = None) -> dict:
-    """Count complete flags compatible with each stratum and match the
-    dimension-weighted column sums of the trace table.
-
-    Each column of marked-step weight m contributes its two tableau
-    counts times q^(n(lam)+n(mu)); the overall scale constant is one,
-    anchored at the open stratum where exactly one flag survives.
-    Raises OracleMismatch naming the first offending stratum and step.
-    """
-    from . import pairs
-
-    if n > 4 or (q > 2 and n > 3):
-        raise CostGuard(f"flag sweep at n={n}, q={q} exceeds the budget")
-    if table is None:
-        table = pi_table(n, n)
-    if table.n != n:
-        raise UsageError(f"table holds size {table.n}, not {n}")
-    cells = []
-    for m in range(n + 1):
-        cols = [
-            (lam, mu)
-            for lam in partitions_of(n - m)
-            for mu in partitions_of(m)
-            if (lam, mu) in table.order
-        ]
-        for sig in table.order:
-            predicted = TraceCell.zero(q)
-            for colbp in cols:
-                weight = (
-                    n_standard_tableaux(colbp[0])
-                    * n_standard_tableaux(colbp[1])
-                    * QPoly.q_power(n_stat(colbp[0]) + n_stat(colbp[1]))
-                )
-                predicted = predicted + weight * trace_value(colbp, sig, table, q)
-            want = predicted.as_integer()
-            got = pairs.flag_fiber_count(sig, m, q)
-            cells.append(
-                {
-                    "stratum": _json_label(sig),
-                    "m": m,
-                    "count": got,
-                    "predicted": want,
-                    "ok": got == want,
-                }
-            )
-            if got != want:
-                raise OracleMismatch(
-                    f"stratum {sig}, step {m}, q={q}: counted {got}, predicted {want}"
-                )
-    return {"n": n, "q": q, "epsilon": 1, "cells": cells, "passed": True}
-
-
 # --- class ring over F_q, labels split by irreducible polynomial ------------
+
+
+# Budget for the class ring that `green` lists and checks, in labels:
+# `green_freeness_check` takes one product of plain classes per label
+# and eliminates over the square matrix of them.  PLACEHOLDER
+MAX_GREEN_LABELS = 3000
 
 
 def _poly_mul(f: tuple[int, ...], g: tuple[int, ...], q: int) -> tuple[int, ...]:
@@ -329,6 +277,82 @@ class GreenLabel:
         return f"GreenLabel(q={self.q}, {self.pretty()})"
 
 
+def _irreducible_count(q: int, d: int) -> int:
+    """Monic irreducibles of degree d over F_q, the coordinate
+    polynomial t left out: Gauss's count (1/d) sum_(e | d) mu(d/e) q^e."""
+    total = sum(_mobius(d // e) * q**e for e in range(1, d + 1) if d % e == 0)
+    return total // d - (d == 1)
+
+
+def _mobius(n: int) -> int:
+    sign, f = 1, 2
+    while f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            sign = -sign
+        f += 1
+    return -sign if n > 1 else sign
+
+
+def green_label_count(n: int, q: int) -> int:
+    """len(green_labels(n, q)), without listing them.
+
+    A label assigns a pair label of size k_f to each irreducible f with
+    sum k_f deg f = n, so the count is the coefficient of x^n in the
+    product over degrees d of (sum_k c(k) x^(dk))^(irreducibles of
+    degree d), c(k) = `bipartition_count(k)`; each power is taken by
+    squaring, so a large field costs no more than a small one."""
+    if n < 0:
+        return 0
+    ways = [1] + [0] * n
+    for d in range(1, n + 1):
+        top = n // d
+        factor = _series_power(
+            [bipartition_count(k) for k in range(top + 1)], _irreducible_count(q, d)
+        )
+        ways = [
+            sum(ways[m - d * k] * factor[k] for k in range(m // d + 1))
+            for m in range(n + 1)
+        ]
+    return ways[n]
+
+
+def _series_power(base: list[int], e: int) -> list[int]:
+    """base**e as a power series, truncated to len(base) terms."""
+    size = len(base)
+
+    def mul(a: list[int], b: list[int]) -> list[int]:
+        return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(size)]
+
+    out = [1] + [0] * (size - 1)
+    while e:
+        if e & 1:
+            out = mul(out, base)
+        base = mul(base, base)
+        e >>= 1
+    return out
+
+
+def check_green_cost(n: int, q: int) -> None:
+    """Refuse a class ring whose freeness check would run too long,
+    judged by its label count before any label is listed.  Labels on
+    t + 1 alone already number `bipartition_count(n)`, which bounds the
+    sizes whose full count is worth taking."""
+    if all(bipartition_count(k) <= MAX_GREEN_LABELS for k in range(n + 1)):
+        count = green_label_count(n, q)
+        if count <= MAX_GREEN_LABELS:
+            return
+        many = f"{count} labels"
+    else:
+        many = f"more than {MAX_GREEN_LABELS} labels"
+    raise CostGuard(
+        f"class ring at n={n}, q={q} has {many}; the budget is "
+        f"{MAX_GREEN_LABELS} labels"
+    )
+
+
 def green_labels(n: int, q: int, pure: bool = False) -> list["GreenLabel"]:
     """All labels of weighted size n over F_q, plain shapes only when
     pure is set, in a deterministic order."""
@@ -338,23 +362,24 @@ def green_labels(n: int, q: int, pure: bool = False) -> list["GreenLabel"]:
     polys = irreducible_polys(q, max(n, 1))
     out: list[GreenLabel] = []
 
-    def rec(idx: int, remaining: int, acc: list) -> None:
+    # one level per polynomial in the support, so the depth is at most n
+    def rec(start: int, remaining: int, acc: list) -> None:
         if remaining == 0:
             out.append(GreenLabel(q, tuple(acc)))
             return
-        if idx == len(polys):
-            return
-        f = polys[idx]
-        d = len(f) - 1
-        rec(idx + 1, remaining, acc)
-        for w in range(d, remaining + 1, d):
-            shapes = (
-                [((), mu) for mu in partitions_of(w // d)]
-                if pure
-                else bipartitions_of(w // d)
-            )
-            for bp in shapes:
-                rec(idx + 1, remaining - w, acc + [(f, bp)])
+        for idx in range(start, len(polys)):
+            f = polys[idx]
+            d = len(f) - 1
+            if d > remaining:
+                break
+            for w in range(d, remaining + 1, d):
+                shapes = (
+                    [((), mu) for mu in partitions_of(w // d)]
+                    if pure
+                    else bipartitions_of(w // d)
+                )
+                for bp in shapes:
+                    rec(idx + 1, remaining - w, acc + [(f, bp)])
 
     rec(0, n, [])
     out.sort(key=GreenLabel.sort_key)
@@ -411,20 +436,49 @@ def green_mul(
     return out
 
 
-def _invertible_over_rationals(rows: list[list[int]]) -> bool:
-    m = [[Fraction(x) for x in row] for row in rows]
-    size = len(m)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if m[r][col]), None)
+def _invertible_over_rationals(rows: list[dict[int, int]]) -> bool:
+    """Whether a square integer matrix, given by sparse rows (column ->
+    nonzero entry, columns 0 .. len(rows) - 1), is invertible over Q, by
+    fraction-free (Bareiss) elimination with row pivoting.
+
+    Step k replaces each later row by
+    (p_k * row - row[k] * pivot row) / p_(k-1), p_k the k-th pivot and
+    p_(-1) = 1; the division is exact, as every entry is then a minor of
+    the input.  A row with a zero in the pivot column is only scaled by
+    p_k / p_(k-1), so it is left alone and scaled once, by the
+    telescoped p_(j-1) / p_(s-1), when it next meets a pivot."""
+    size = len(rows)
+    # each row: its nonzero entries and the step it is up to date with
+    live = [(dict(row), 0) for row in rows]
+    pivots = [1]  # pivots[k] divides at step k
+
+    def current(k: int) -> dict:
+        entries, level = live[k]
+        if level == len(pivots) - 1:
+            return entries
+        num, den = pivots[-1], pivots[level]
+        return {j: x * num // den for j, x in entries.items()}
+
+    for k in range(size):
+        piv = next((r for r in range(k, size) if k in live[r][0]), None)
         if piv is None:
             return False
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(size):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+        live[k], live[piv] = live[piv], live[k]
+        top = current(k)
+        p, prev = top[k], pivots[-1]
+        for r in range(k + 1, size):
+            if k not in live[r][0]:
+                continue
+            row = current(r)
+            a = row[k]
+            new = {}
+            for j in row.keys() | top.keys():
+                if j > k:
+                    x = (p * row.get(j, 0) - a * top.get(j, 0)) // prev
+                    if x:
+                        new[j] = x
+            live[r] = (new, k + 1)
+        pivots.append(p)
     return True
 
 
@@ -432,14 +486,16 @@ def green_freeness_check(n: int, q: int) -> dict:
     """Two-sided products of plain classes against the empty label must
     hit the size-n labels through a square invertible matrix over Q."""
     check_prime(q)
+    check_green_cost(n, q)
     labels = green_labels(n, q)
+    column = {lab: j for j, lab in enumerate(labels)}
     unit = GreenLabel(q)
     rows = []
     for k in range(n + 1):
         for a in green_labels(k, q, pure=True):
             for b in green_labels(n - k, q, pure=True):
                 vec = green_mul("left", a, green_mul("right", b, {unit: 1}))
-                rows.append([vec.get(lab, 0) for lab in labels])
+                rows.append({column[lab]: c for lab, c in vec.items() if lab in column})
     if len(rows) != len(labels):
         raise NotFree(
             f"{len(rows)} products against {len(labels)} labels at size {n}, q={q}"

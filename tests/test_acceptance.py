@@ -7,26 +7,24 @@ a full run reads as a checklist.
 """
 
 import mirahall.cli as cli
-from mirahall.affine import (
-    bruhat_leq,
-    h_basis_check,
-    hecke_quadratic_check,
-    mass_check,
-    pattern_check,
-    ts_action,
-    universe,
-    validate,
-)
+from mirahall.affine import pattern_check, ts_action, universe, validate
 from mirahall.bimodule import act, pi_table, u_bip
-from mirahall.closedform import closed_form_G, rho_check, verify_closed_form
-from mirahall.hall import HallElt, hall_mul, psi, u_elt
+from mirahall.checks import bruhat_leq, h_basis_check, hecke_quadratic_check
+from mirahall.closedform import closed_form_G
+from mirahall.hall import HallElt, hall_mul, u_elt
 from mirahall.laurent import LaurentPoly, QPoly
+from mirahall.oracle import (
+    _kostka_table,
+    fiber_oracle_check,
+    mass_check,
+    psi,
+    rho_check,
+    verify_closed_form,
+)
 from mirahall.pairs import left_elementary_constants, orbit_census
 from mirahall.partitions import ah_leq, bipartitions_of, partitions_of
-from mirahall.symfunc import _kostka_table
 from mirahall.traces import (
     GreenLabel,
-    fiber_oracle_check,
     green_freeness_check,
     green_labels,
     green_mul,

@@ -6,22 +6,17 @@ from hypothesis import strategies as st
 
 import mirahall.affine as affine
 import mirahall.cli as cli
+import mirahall.oracle as oracle
 from mirahall.affine import (
     AffinePerm,
     BetaSet,
     RBAffElt,
-    apply_ts,
-    bruhat_leq,
-    counted_ts_action,
-    h_basis_check,
-    hecke_quadratic_check,
-    mass_check,
     pattern_check,
-    rep_roundtrip,
     ts_action,
     universe,
     validate,
 )
+from mirahall.checks import apply_ts, bruhat_leq, h_basis_check, hecke_quadratic_check
 from mirahall.config import RunConfig
 from mirahall.errors import (
     ComponentMismatch,
@@ -29,6 +24,7 @@ from mirahall.errors import (
     UsageError,
 )
 from mirahall.laurent import QPoly
+from mirahall.oracle import counted_ts_action, mass_check, rep_roundtrip
 
 ONE = QPoly.one()
 Q = QPoly.q_power(1)
@@ -217,9 +213,9 @@ def test_served_products_make_no_count(monkeypatch, tmp_path):
 
     ts_action.cache_clear()
     affine._line_classes.cache_clear()
-    monkeypatch.setattr(affine, "_classify_core", forbidden)
-    monkeypatch.setattr(affine, "_ts_counts", forbidden)
-    monkeypatch.setattr(affine, "interpolate", forbidden)
+    monkeypatch.setattr(oracle, "_classify_core", forbidden)
+    monkeypatch.setattr(oracle, "_ts_counts", forbidden)
+    monkeypatch.setattr(oracle, "interpolate", forbidden)
     cfg = RunConfig(cache_dir=str(tmp_path / "cache"))
     payload = cli.iwahori_payload(2, 2, cfg)
     assert len(payload["products"]) == 2 * len(universe(2))

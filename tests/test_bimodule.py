@@ -5,7 +5,6 @@ from mirahall.bimodule import (
     PiTable,
     TensorSym,
     act,
-    act_direct,
     basis_in_tensor,
     c_bipartition,
     gen_act,
@@ -18,7 +17,7 @@ from mirahall.errors import NotInTable, RankTooSmall
 from mirahall.hall import u_elt
 from mirahall.laurent import LaurentPoly
 from mirahall.partitions import ah_leq, bipartitions_of, pair_codim
-from mirahall.symfunc import hl_schur_coefficients
+from mirahall.oracle import act_direct, hl_schur_coefficients
 
 q = LaurentPoly({2: 1})
 one = LaurentPoly.one()

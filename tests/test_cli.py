@@ -2,13 +2,13 @@ import json
 import os
 import re
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from mirahall import bimodule, cache, cli, closedform, hall, partitions, symfunc, traces
+from mirahall import bimodule, cache, checks, cli, closedform, hall, oracle, partitions, symfunc, traces
 from mirahall.bimodule import check_cost
+from mirahall.hall import check_hall_cost
 from mirahall.config import RunConfig, read_config_file, resolve
 from mirahall.errors import CostGuard, UsageError
 from mirahall.laurent import LaurentPoly, QPoly
@@ -84,7 +84,7 @@ def test_module_error_maps_to_exit_one(capsys):
 
 def test_failed_check_maps_to_exit_one(capsys, monkeypatch):
     broken = [{"suite": "rho", "name": "mirror", "passed": False, "detail": "x"}]
-    monkeypatch.setitem(cli._SUITE_RUNNERS, "rho", lambda cfg: broken)
+    monkeypatch.setitem(checks._SUITE_RUNNERS, "rho", lambda cfg: broken)
     code, out = run(capsys, "verify", "--suite", "rho")
     assert code == 1
     assert json.loads(out)["passed"] is False
@@ -207,7 +207,7 @@ def test_readme_config_keys_resolve(tmp_path):
     cfgfile.write_text("".join(f"{k} = {values.get(k, 1)}\n" for k in keys))
     read = read_config_file(str(cfgfile))
     # the list names every key the reader accepts, and each one resolves
-    assert set(read) == {f.name for f in fields(RunConfig)}
+    assert set(read) == set(RunConfig._fields)
     cfg = resolve(read, {})
     assert cfg.primes == (2, 5) and cfg.fmt == "latex" and cfg.verbosity == 1
 
@@ -342,6 +342,35 @@ def test_cost_guard_refuses_large_tables_fast(capsys, argv):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ("hall", "--x", "16", "--y", "1"),
+    ("hall", "--x", "6,5", "--y", "5,4"),
+    ("hall", "--x", "200", "--y", "1"),
+    ("green", "--n", "9", "--q", "2"),
+    ("green", "--n", "4", "--q", "7"),
+    ("green", "--n", "3", "--q", "1000003"),
+], ids=" ".join)
+def test_hall_and_green_cost_guards_refuse_fast(capsys, argv):
+    start = time.perf_counter()
+    code = cli.main(list(argv))
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "CostGuard" in captured.err and captured.out == ""
+    assert elapsed < 1.0
+
+
+def test_hall_cost_guard_passes_the_products_within_budget():
+    # the products the budget was measured on: (5,4) * (4,4) took 86 to
+    # 94 s cold and passes, (16) * (1) took 96 s and is refused
+    for x, y, rank in (((5, 4), (4, 4), 4), ((1,), (8, 8), 3), ((2,), (1, 1), 3)):
+        check_hall_cost(x, y, rank)
+    assert hall.hall_work((5, 4), (4, 4), 4) == 696458
+    assert hall.hall_work((16,), (1,), 2) == 779010
+    with pytest.raises(CostGuard):
+        check_hall_cost((16,), (1,), 2)
+
+
 def test_cost_guard_counts_the_labels_of_the_rank_and_the_size():
     # n = 10 has 481 labels, 91 of them with at most 2 rows per side
     for n, rank in ((8, None), (10, 2), (10, 3), (13, 1), (13, 2), (9, 20)):
@@ -376,7 +405,7 @@ def test_serving_path_never_runs_the_antisymmetriser(tmp_path, monkeypatch):
         raise AssertionError("the serving path reached the antisymmetriser")
 
     _clear_caches()
-    for module in (bimodule, hall, symfunc, traces, cli):
+    for module in (bimodule, hall, symfunc, traces, cli, oracle):
         for name in ("hl_schur_coefficients", "_kostka_table"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)

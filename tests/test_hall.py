@@ -1,17 +1,18 @@
 import pytest
 
+from mirahall.closedform import closed_form_G, closed_left_table
 from mirahall.hall import (
     HallElt,
+    _gen_decomposition,
+    _hall_steps,
     c_expand,
     gen_mul,
     hall_mul,
-    hall_mul_direct,
-    psi,
     u_elt,
 )
 from mirahall.laurent import LaurentPoly
-from mirahall.partitions import partitions_of
-from mirahall.symfunc import elementary_in_vars
+from mirahall.oracle import elementary_in_vars, hall_mul_direct, psi
+from mirahall.partitions import bipartition_count, partitions_of
 
 
 def lp(**kw):
@@ -124,3 +125,21 @@ def test_c_expand_frozen():
 
 def test_c_expand_rank_one():
     assert c_expand((3,), 1) == u_elt((3,), 1)
+
+
+def test_hall_steps_are_the_tables_built():
+    # every product of size <= 5 at three ranks, from cold caches: the
+    # generator steps the cost guard reads build exactly the closed
+    # tables that hall_mul builds
+    for n in range(1, 6):
+        for nx in range(0, n + 1):
+            for x in partitions_of(nx):
+                for y in partitions_of(n - nx):
+                    low = max(len(x), len(y), 1)
+                    for rank in (low, low + 1, max(len(x) + len(y), 1)):
+                        for cached in (closed_left_table, closed_form_G, _gen_decomposition):
+                            cached.cache_clear()
+                        hall_mul(u_elt(x, rank), u_elt(y, rank))
+                        built = closed_left_table.cache_info().currsize
+                        steps = _hall_steps(x, y, rank)
+                        assert sum(bipartition_count(m) for m, _ in steps) == built, (x, y, rank)

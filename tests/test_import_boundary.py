@@ -1,9 +1,12 @@
 """Serving requests never load the counting engine.
 
-The counting oracles (`pairs`, `gf`, the lattice-model half of `affine`)
-and numpy are for `verify` and the tests.  Each serving request of the
-benchmark's workloads runs in a fresh interpreter here, which checks
-that neither `import mirahall.cli` nor the request itself loads them.
+The counting oracles (`oracle`, `pairs`, `gf`), the verify suites
+(`checks`) and numpy are for `verify` and the tests, and the standard
+modules that only they need (`fractions`, and `dataclasses`, which
+pulls in `inspect`) would cost every request their import.  Each
+serving request of the benchmark's workloads runs in a fresh
+interpreter here, which checks that neither `import mirahall.cli` nor
+the request itself loads them.
 """
 
 from __future__ import annotations
@@ -21,7 +24,15 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
 
-COUNTING = ("numpy", "mirahall.pairs", "mirahall.gf")
+COUNTING = (
+    "numpy",
+    "mirahall.pairs",
+    "mirahall.gf",
+    "mirahall.oracle",
+    "mirahall.checks",
+    "dataclasses",
+    "fractions",
+)
 
 CHILD = """
 import json, sys

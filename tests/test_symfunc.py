@@ -8,18 +8,17 @@ from mirahall.partitions import (
     partitions_of,
     trim,
 )
-from mirahall.symfunc import (
+from mirahall.oracle import (
     VarPoly,
-    _charge,
     _kostka_table,
     elementary_in_vars,
     hall_littlewood_in_vars,
     hl_schur_coefficients,
-    kostka_foulkes,
     multiplicity_weight,
     schur_decompose,
     schur_in_vars,
 )
+from mirahall.symfunc import _charge, kostka_foulkes
 
 
 def horizontal_strip_predecessors(lam, k):

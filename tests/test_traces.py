@@ -1,3 +1,7 @@
+import random
+import time
+from fractions import Fraction
+
 import pytest
 
 from mirahall.bimodule import act, pi_table, u_bip
@@ -10,13 +14,17 @@ from mirahall.errors import (
 )
 from mirahall.hall import u_elt
 from mirahall.laurent import LaurentPoly, QPoly
+from mirahall.oracle import fiber_oracle_check
 from mirahall.pairs import orbit_census
 from mirahall.partitions import bipartitions_of, partitions_of
 from mirahall.traces import (
+    MAX_GREEN_LABELS,
     GreenLabel,
     TraceCell,
-    fiber_oracle_check,
+    _invertible_over_rationals,
+    check_green_cost,
     green_freeness_check,
+    green_label_count,
     green_labels,
     green_mul,
     irreducible_polys,
@@ -240,3 +248,66 @@ def test_green_degree_one_matches_finite_action():
                             if val:
                                 want[GreenLabel(q, {f: bp})] = val
                         assert got == want, (side, w, src)
+
+
+def _invertible_by_fractions(rows):
+    """The elimination `green_freeness_check` used before Bareiss:
+    Gauss-Jordan over Fractions on the dense matrix."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    size = len(m)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if m[r][col]), None)
+        if piv is None:
+            return False
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(size):
+            if r != col and m[r][col]:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return True
+
+
+def test_bareiss_matches_fraction_elimination():
+    rng = random.Random(11)
+    verdicts = []
+    for trial in range(300):
+        size = rng.randint(1, 9)
+        density = rng.choice((0.2, 0.5, 1.0))
+        rows = [
+            [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(size)]
+            for _ in range(size)
+        ]
+        if trial % 3 == 0 and size > 1:
+            # a row that is a combination of two others makes it singular
+            a, b, c = (rng.randrange(size) for _ in range(3))
+            rows[c] = [2 * x - 3 * y for x, y in zip(rows[a], rows[b])]
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        want = _invertible_by_fractions(rows)
+        assert _invertible_over_rationals(sparse) == want, rows
+        verdicts.append(want)
+    assert 50 < sum(verdicts) < 250
+
+
+def test_green_label_count_matches_listing():
+    for q in (2, 3, 5, 7):
+        for n in range(0, 5 if q < 5 else 3):
+            assert green_label_count(n, q) == len(green_labels(n, q)), (n, q)
+    # the counts the budget was set on
+    assert green_label_count(5, 3) == 1160
+    assert green_label_count(4, 7) == 11124
+    assert green_label_count(8, 2) == 1606
+
+
+def test_green_cost_guard():
+    check_green_cost(8, 2)
+    check_green_cost(1, 1499)
+    for n, q in ((9, 2), (4, 7), (2, 37), (1, 1511), (200, 2), (3, 1000003)):
+        start = time.perf_counter()
+        with pytest.raises(CostGuard):
+            check_green_cost(n, q)
+        with pytest.raises(CostGuard):
+            green_freeness_check(n, q)
+        assert time.perf_counter() - start < 1.0
+    assert MAX_GREEN_LABELS >= green_label_count(5, 3)
