@@ -35,7 +35,7 @@ from .errors import IOFailure, MiraError, UsageError
 from .hall import check_hall_cost, hall_mul, u_elt
 from .laurent import LaurentPoly, QPoly
 from .partitions import bipartitions_of, size, trim
-from .traces import check_green_cost, green_freeness_check, green_labels, trace_value
+from .traces import green_freeness_check, green_labels, trace_value
 
 SUITES = (
     "census",
@@ -215,13 +215,14 @@ def mirabolic_payload(src, r: int, side: str, rank: int) -> dict:
 
 
 def green_payload(n: int, q: int) -> dict:
-    check_green_cost(n, q)
+    # the freeness check runs the cost guard before any label is listed
+    freeness = green_freeness_check(n, q)
     return {
         "kind": "green",
         "n": n,
         "q": q,
         "labels": [lab.pretty() for lab in green_labels(n, q)],
-        "freeness": green_freeness_check(n, q),
+        "freeness": freeness,
     }
 
 
