@@ -11,9 +11,10 @@ and the sha256 of its stdout.  `--ns` with no sizes skips the cold runs.
 
 The warm path is what a repeat request costs: the median wall time of
 WARM_LAUNCHES import-only launches (`mirahall --help`) and of as many
-cached `pi --n 4` requests, each a fresh process with bytecode caching
-off (nothing read from or written to `__pycache__`), so every process
-compiles the package from source.
+cached `pi --n 4` requests, taken in turn so that a slow spell of the
+host hits both, each a fresh process with bytecode caching off (nothing
+read from or written to `__pycache__`), so every process compiles the
+package from source.
 
 The record also keeps the git sha of the timed checkout (and whether
 its `src/` differs from that commit), nproc and the Python version.
@@ -91,8 +92,10 @@ def time_warm(checkout: Path) -> dict:
             return time.perf_counter() - start
 
         wall(cached)  # fills the cache
-        help_s = [wall(cli + ["--help"]) for _ in range(WARM_LAUNCHES)]
-        pi_s = [wall(cached) for _ in range(WARM_LAUNCHES)]
+        help_s, pi_s = [], []
+        for _ in range(WARM_LAUNCHES):
+            help_s.append(wall(cli + ["--help"]))
+            pi_s.append(wall(cached))
     return {
         "launches": WARM_LAUNCHES,
         "bytecode_cache": "off",

@@ -6,7 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from mirahall import bimodule, cache, checks, cli, closedform, hall, oracle, partitions, symfunc, traces
+from mirahall import (
+    bimodule,
+    cache,
+    checks,
+    cli,
+    closedform,
+    hall,
+    oracle,
+    partitions,
+    symfunc,
+    traces,
+)
 from mirahall.bimodule import check_cost
 from mirahall.hall import check_hall_cost
 from mirahall.config import RunConfig, read_config_file, resolve

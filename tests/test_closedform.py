@@ -9,9 +9,24 @@ from mirahall.closedform import (
 )
 from mirahall.errors import UsageError
 from mirahall.laurent import QPoly, gauss_binomial
-from mirahall.oracle import rho_check, shift_labels, stable_right_constant, verify_closed_form
+from mirahall.oracle import (
+    rho_check,
+    shift_labels,
+    stable_right_constant,
+    verify_closed_form,
+)
 from mirahall.partitions import add_parts, bipartitions_of, trim
-from mirahall import bimodule, closedform, gf, hall, oracle, pairs, partitions, symfunc, traces
+from mirahall import (
+    bimodule,
+    closedform,
+    gf,
+    hall,
+    oracle,
+    pairs,
+    partitions,
+    symfunc,
+    traces,
+)
 from mirahall.bimodule import gen_act, mhl_poly, pi_table, u_bip
 from mirahall.cli import mirabolic_payload
 from mirahall.hall import hall_mul, u_elt

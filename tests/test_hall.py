@@ -131,15 +131,19 @@ def test_hall_steps_are_the_tables_built():
     # every product of size <= 5 at three ranks, from cold caches: the
     # generator steps the cost guard reads build exactly the closed
     # tables that hall_mul builds
-    for n in range(1, 6):
-        for nx in range(0, n + 1):
-            for x in partitions_of(nx):
-                for y in partitions_of(n - nx):
-                    low = max(len(x), len(y), 1)
-                    for rank in (low, low + 1, max(len(x) + len(y), 1)):
-                        for cached in (closed_left_table, closed_form_G, _gen_decomposition):
-                            cached.cache_clear()
-                        hall_mul(u_elt(x, rank), u_elt(y, rank))
-                        built = closed_left_table.cache_info().currsize
-                        steps = _hall_steps(x, y, rank)
-                        assert sum(bipartition_count(m) for m, _ in steps) == built, (x, y, rank)
+    products = [
+        (x, y)
+        for n in range(1, 6)
+        for nx in range(0, n + 1)
+        for x in partitions_of(nx)
+        for y in partitions_of(n - nx)
+    ]
+    for x, y in products:
+        low = max(len(x), len(y), 1)
+        for rank in (low, low + 1, max(len(x) + len(y), 1)):
+            for table in (closed_left_table, closed_form_G, _gen_decomposition):
+                table.cache_clear()
+            hall_mul(u_elt(x, rank), u_elt(y, rank))
+            built = closed_left_table.cache_info().currsize
+            steps = _hall_steps(x, y, rank)
+            assert sum(bipartition_count(m) for m, _ in steps) == built, (x, y, rank)
