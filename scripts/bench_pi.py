@@ -7,7 +7,7 @@ record to BENCH_pi.json.
 Each N runs once, as one fresh `python3 -m mirahall.cli` process with its
 own empty `--cache-dir`, so every table is built from scratch.  For each
 N the record keeps the wall time, the process's peak RSS, its exit code
-and the sha256 of its stdout.  `--ns` with no sizes skips the cold runs.
+and the sha256 of its stdout.
 
 The warm path is what a repeat request costs: the median wall time of
 WARM_LAUNCHES import-only launches (`mirahall --help`) and of as many
@@ -106,7 +106,7 @@ def time_warm(checkout: Path) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--ns", type=int, nargs="*", default=[4, 5, 6, 7, 8])
+    parser.add_argument("--ns", type=int, nargs="+", default=[4, 5, 6, 7, 8])
     parser.add_argument("--src", type=Path, default=ROOT,
                         help="checkout to time (default: this one)")
     args = parser.parse_args()

@@ -182,14 +182,49 @@ def hall_mul(x: HallElt, y: HallElt) -> HallElt:
 
 # Budget for one product `hall_mul(u_x, u_y)`, in units of work: a
 # generator step of rank r landing on size m builds the closed left
-# table of every label of size m at r, once per (m, r), and a table
-# costs about in proportion to m, so the work is the sum over those
-# steps of m times the labels of size m (`hall_work`).  Cold on a
-# 2-vCPU box one unit took 78 to 135 us: (10) * (1^4) 309,448 units
-# in 24 s, (4,3,3) * (5,2) 608,044 in 68 s, (5,4) * (4,4) 696,458 in
-# 86 to 94 s, (16) * (1) 779,010 in 96 s.  The budget is a minute at
-# the fastest rate and under two at the slowest.
-MAX_HALL_WORK = 770_000
+# table of every label of size m at r, and costs the classes those
+# tables run through (`_table_classes`) plus a sixteenth per label.
+# Cold on a 2-vCPU box a unit took 0.34 to 0.59 ms over 23 products:
+# (10) * (1^4) 67,415 units in 24 s and (16) * (1) 195,967 in 96 s are
+# accepted; (10,3) * (3,1) 200,413 in 101 s, (5) * (13) 203,328 in
+# 89 s and (6,1) * (9,1) 205,402 in 103 s are refused.  A refused
+# product takes at least 68 s at the fastest rate seen.
+MAX_HALL_WORK = 200_000
+LABELS_PER_UNIT = 16
+
+
+@lru_cache(maxsize=None)
+def _table_classes(n: int, top: int) -> tuple[tuple[int, ...], ...]:
+    """out[m][r], for m <= n and r <= top: the classes that
+    `closed_left_table` runs through at rank r over all labels of size
+    m, one per way of taking r rows of nu = lam + mu (rows of equal
+    length alike), counted without listing any label.
+
+    The labels with lam + mu = nu number the product over rows of
+    nu_i - nu_(i+1) + 1, and the ways to take r rows are the t^r
+    coefficient of the product over lengths k of 1 + ... + t^(d_k), d_k
+    the rows of length k; both factor over the distinct parts of nu."""
+    # grown[s][k]: summed over the partitions of s with largest part k
+    grown: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
+    grown[0][0] = [1] + [0] * top
+    for k in range(n + 1):
+        for s in range(n + 1 - k):
+            poly = grown[s].get(k)
+            if poly is None:
+                continue
+            for k2 in range(k + 1, n - s + 1):
+                weight = k2 - k + 1
+                runs = list(poly)
+                for d in range(1, (n - s) // k2 + 1):
+                    # runs = poly * (1 + t + ... + t^d)
+                    for j in range(top, d - 1, -1):
+                        runs[j] += poly[j - d]
+                    cell = grown[s + k2 * d].setdefault(k2, [0] * (top + 1))
+                    for j in range(top + 1):
+                        cell[j] += weight * runs[j]
+    return tuple(
+        tuple(sum(col) for col in zip(*grown[m].values())) for m in range(n + 1)
+    )
 
 
 def _hall_steps(x: Partition, y: Partition, rank: int) -> set[tuple[int, int]]:
@@ -215,17 +250,24 @@ def hall_work(x: Partition, y: Partition, rank: int) -> int:
     """The work of `hall_mul(u_elt(x, rank), u_elt(y, rank))` from cold
     caches (see MAX_HALL_WORK), counted without building any table."""
     x, y = trim(x), trim(y)
-    return sum(m * bipartition_count(m) for m, _ in _hall_steps(x, y, rank))
+    steps = _hall_steps(x, y, rank)
+    if not steps:
+        return 0
+    classes = _table_classes(max(m for m, _ in steps), max(r for _, r in steps))
+    return sum(
+        classes[m][r] + bipartition_count(m) // LABELS_PER_UNIT for m, r in steps
+    )
 
 
 def check_hall_cost(x: Partition, y: Partition, rank: int) -> None:
     """Refuse a product u_x * u_y at `rank` whose work passes
     MAX_HALL_WORK, before any table work.  The last step of x's own
-    monomial lands on size n = |x| + |y|, so a size with n times its
-    labels past the budget is refused without listing any shape."""
+    monomial lands on size n = |x| + |y| and lists its labels, so a size
+    with more labels than that part of the budget allows is refused
+    without listing any shape."""
     x, y = trim(x), trim(y)
     n = sum(x) + sum(y)
-    if x and any(k * bipartition_count(k) > MAX_HALL_WORK for k in range(n + 1)):
+    if x and bipartition_count(n) // LABELS_PER_UNIT > MAX_HALL_WORK:
         raise CostGuard(
             f"product {x} * {y} at size {n} is past the budget of "
             f"{MAX_HALL_WORK} units of work in its last step alone"

@@ -4,7 +4,7 @@ These two dict-backed classes are the arithmetic substrate for every
 table in the package.  Coefficients are Python ints, exponents plain
 ints, and every operation is exact; division helpers raise instead of
 rounding.  Recovering a polynomial from point counts
-(`oracle.interpolate`) belongs to the counting oracles.
+(`pairs.interpolate`) belongs to the counting oracles.
 
 >>> p = LaurentPoly({1: 1, -1: 1})
 >>> (p * p).pretty()

@@ -5,8 +5,6 @@ independent computation here.  Only `verify` (through `checks`), the
 tests and `scripts/` import this module; no serving command loads it,
 so a request never compiles it.
 
-* `interpolate` recovers a polynomial in q from point counts over
-  several prime fields (`primes`), exactly, over Fractions.
 * The antisymmetriser: the deformed basis in finitely many variables
   (`hl_schur_coefficients`, `hall_littlewood_in_vars`), the Kostka
   table it inverts to (`_kostka_table`, the oracle for
@@ -22,19 +20,20 @@ so a request never compiles it.
   label by rank invariants (`_classify`), the counts interpolated
   (`counted_ts_action`, `mass_check`, `rep_roundtrip`).
 
-`pairs` is imported where a function runs, since `pairs` itself
-imports `interpolate` and `primes` from here.
+Point counts become polynomials in q through `pairs.interpolate`, over
+the prime fields of `pairs.primes`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping
+from math import factorial
+from typing import Mapping
 
 import numpy as np
 
+from . import pairs
 from .affine import (
     DEFAULT_PRIMES,
     AffinePerm,
@@ -59,106 +58,25 @@ from .config import check_prime
 from .errors import (
     CostGuard,
     EdgeConventionMismatch,
-    InsufficientSamples,
-    NonIntegral,
     OracleMismatch,
     TruncationTooSmall,
     UsageError,
 )
 from .hall import HallElt
-from .laurent import LaurentPoly, QPoly, _is_prime
+from .laurent import LaurentPoly, QPoly
+from .pairs import interpolate
 from .partitions import (
     Bipartition,
     Partition,
     bipartitions_of,
     conjugate,
     label_size,
-    n_standard_tableaux,
     n_stat,
     pad,
     partitions_of,
     trim,
 )
 from .traces import TraceCell, trace_value
-
-# --- interpolation through point counts ----------------------------------------
-
-
-def interpolate(points: Iterable[tuple[int, int]], degree: int) -> QPoly:
-    """Recover an integer polynomial in q from exact point values.
-
-    `degree` is a certified upper bound.  The first degree+1 points fix
-    the polynomial (Lagrange over Fractions); any further points are
-    cross-checks.  Raises InsufficientSamples when too few points are
-    given, NonIntegral when the fit is not an integer polynomial, and
-    OracleMismatch when a surplus point disagrees with the fit.
-
-    >>> interpolate([(2, 3), (3, 4), (5, 6)], 1).pretty()
-    '1 + q'
-    """
-    pts = list(points)
-    if degree < 0:
-        # predicted identically zero; every sample must agree
-        for x, y in pts:
-            if y != 0:
-                raise OracleMismatch(f"expected 0 at q={x}, counted {y}")
-        return QPoly.zero()
-    if len(pts) < degree + 1:
-        raise InsufficientSamples(f"need {degree + 1} points, got {len(pts)}")
-    base, extra = pts[: degree + 1], pts[degree + 1 :]
-    xs = [x for x, _ in base]
-    if len(set(xs)) != len(xs):
-        raise ValueError("repeated sample points")
-    coeffs = _lagrange(base)
-    out: dict[int, int] = {}
-    for e, c in enumerate(coeffs):
-        if c.denominator != 1:
-            raise NonIntegral(f"coefficient of q^{e} is {c}")
-        if c:
-            out[e] = int(c)
-    fit = QPoly(out)
-    for x, y in extra:
-        got = fit.evaluate(x)
-        if got != y:
-            raise OracleMismatch(f"fit gives {got} at q={x}, counted {y}")
-    return fit
-
-
-def _lagrange(base: list[tuple[int, int]]) -> list[Fraction]:
-    """Coefficients (ascending) of the interpolating polynomial."""
-    n = len(base)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(base):
-        num = [Fraction(1)]  # running product, ascending coefficients
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(base):
-            if j == i:
-                continue
-            # multiply num by (q - xj)
-            num = [Fraction(0)] + num
-            for k in range(len(num) - 1):
-                num[k] -= Fraction(xj) * num[k + 1]
-            den *= Fraction(xi - xj)
-        scale = Fraction(yi) / den
-        for k, c in enumerate(num):
-            coeffs[k] += scale * c
-    return coeffs
-
-
-def primes(count: int, start: int = 2) -> list[int]:
-    """First `count` primes that are >= start.
-
-    >>> primes(5)
-    [2, 3, 5, 7, 11]
-    """
-    out: list[int] = []
-    n = max(2, start)
-    while len(out) < count:
-        if _is_prime(n):
-            out.append(n)
-        n += 1
-    return out
-
 
 # --- symmetric polynomials in finitely many variables (the antisymmetriser) ----
 
@@ -448,8 +366,6 @@ def psi(x: HallElt, n_vars: int | None = None) -> VarPoly:
 def hall_mul_direct(x: HallElt, y: HallElt) -> HallElt:
     """Product by counting invariant subspaces pair by pair.  Slower;
     kept as the independent route."""
-    from . import pairs
-
     x._check(y)
     out = HallElt.zero(x.rank)
     for a, ca in x._c.items():
@@ -468,8 +384,6 @@ def hall_mul_direct(x: HallElt, y: HallElt) -> HallElt:
 def act_direct(side: str, a: HallElt, m: MirElt) -> MirElt:
     """Action by the directly counted tables, one pair of basis
     elements at a time.  Test oracle."""
-    from . import pairs
-
     if a.rank != m.rank:
         raise ValueError("rank mismatch")
     out = MirElt.zero(m.rank)
@@ -496,8 +410,6 @@ def verify_closed_form(
     tgt: Bipartition, r: int, side: str = "left"
 ) -> Mapping[Bipartition, QPoly]:
     """Closed table of one side checked entrywise against the counted one."""
-    from . import pairs
-
     if side == "left":
         closed = dict(closed_left_table(tgt, r))
         counted = dict(pairs.left_elementary_constants(tgt, r))
@@ -538,8 +450,6 @@ def stable_right_constant(
     labels whose first component has a negative row; those labels exist
     in the lattice picture but have no partition shape.  One extra
     column clears the boundary, a second confirms the plateau."""
-    from . import pairs
-
     def at(i: int) -> QPoly:
         T = (_pad_add(tgt[0], i, rank), tgt[1])
         S = (_pad_add(src[0], i, rank), src[1])
@@ -570,6 +480,21 @@ def rho_check(src: Bipartition, r: int, rank: int) -> bool:
 # --- complete-flag counts ------------------------------------------------------
 
 
+def n_standard_tableaux(lam: Partition) -> int:
+    """Number of standard Young tableaux of shape lam (hook lengths)."""
+    n = sum(lam)
+    if n == 0:
+        return 1
+    conj = conjugate(lam)
+    hooks = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            hooks *= row - j + conj[j] - i - 1
+    d, r = divmod(factorial(n), hooks)
+    assert r == 0
+    return d
+
+
 def _json_label(bp: Bipartition) -> list[list[int]]:
     return [list(bp[0]), list(bp[1])]
 
@@ -583,8 +508,6 @@ def fiber_oracle_check(n: int, q: int, table: PiTable | None = None) -> dict:
     anchored at the open stratum where exactly one flag survives.
     Raises OracleMismatch naming the first offending stratum and step.
     """
-    from . import pairs
-
     if n > 4 or (q > 2 and n > 3):
         raise CostGuard(f"flag sweep at n={n}, q={q} exceeds the budget")
     if table is None:

@@ -7,7 +7,8 @@ prime field, classify the induced structures on sub and quotient.
 Left actions keep the marked vector on the quotient; right actions
 require the subspace to contain it.  Counting polynomials in q come
 out of exact interpolation with a certified degree bound, and every
-surplus sample doubles as a cross-check.
+surplus sample doubles as a cross-check (`interpolate`, over the
+prime fields of `primes`).
 
 Conventions.  A label is a bipartition (lam, mu).  Its normal form
 puts the operator in Jordan blocks of sizes nu = lam + mu and marks
@@ -21,23 +22,28 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import gf
 from .config import check_prime
-from .errors import CostGuard, NotNilpotent, OracleMismatch
-from .laurent import QPoly, gauss_binomial
-from .oracle import interpolate, primes
+from .errors import (
+    CostGuard,
+    InsufficientSamples,
+    NonIntegral,
+    NotNilpotent,
+    OracleMismatch,
+)
+from .laurent import QPoly, _is_prime, gauss_binomial
 from .partitions import (
     Bipartition,
     Partition,
     add_parts,
     bipartitions_of,
     conjugate,
-    contains_diagram,
     label_size,
     n_stat,
     partitions_of,
@@ -382,6 +388,85 @@ def _restricted_pair_type(u, v, wrows, piv, pattern, comp, p):
     return pair_type(cap.T, coords(v % p), p)
 
 
+# --- interpolation through point counts ----------------------------------------
+
+
+def interpolate(points: Iterable[tuple[int, int]], degree: int) -> QPoly:
+    """Recover an integer polynomial in q from exact point values.
+
+    `degree` is a certified upper bound.  The first degree+1 points fix
+    the polynomial (Lagrange over Fractions); any further points are
+    cross-checks.  Raises InsufficientSamples when too few points are
+    given, NonIntegral when the fit is not an integer polynomial, and
+    OracleMismatch when a surplus point disagrees with the fit.
+
+    >>> interpolate([(2, 3), (3, 4), (5, 6)], 1).pretty()
+    '1 + q'
+    """
+    pts = list(points)
+    if degree < 0:
+        # predicted identically zero; every sample must agree
+        for x, y in pts:
+            if y != 0:
+                raise OracleMismatch(f"expected 0 at q={x}, counted {y}")
+        return QPoly.zero()
+    if len(pts) < degree + 1:
+        raise InsufficientSamples(f"need {degree + 1} points, got {len(pts)}")
+    base, extra = pts[: degree + 1], pts[degree + 1 :]
+    xs = [x for x, _ in base]
+    if len(set(xs)) != len(xs):
+        raise ValueError("repeated sample points")
+    coeffs = _lagrange(base)
+    out: dict[int, int] = {}
+    for e, c in enumerate(coeffs):
+        if c.denominator != 1:
+            raise NonIntegral(f"coefficient of q^{e} is {c}")
+        if c:
+            out[e] = int(c)
+    fit = QPoly(out)
+    for x, y in extra:
+        got = fit.evaluate(x)
+        if got != y:
+            raise OracleMismatch(f"fit gives {got} at q={x}, counted {y}")
+    return fit
+
+
+def _lagrange(base: list[tuple[int, int]]) -> list[Fraction]:
+    """Coefficients (ascending) of the interpolating polynomial."""
+    n = len(base)
+    coeffs = [Fraction(0)] * n
+    for i, (xi, yi) in enumerate(base):
+        num = [Fraction(1)]  # running product, ascending coefficients
+        den = Fraction(1)
+        for j, (xj, _) in enumerate(base):
+            if j == i:
+                continue
+            # multiply num by (q - xj)
+            num = [Fraction(0)] + num
+            for k in range(len(num) - 1):
+                num[k] -= Fraction(xj) * num[k + 1]
+            den *= Fraction(xi - xj)
+        scale = Fraction(yi) / den
+        for k, c in enumerate(num):
+            coeffs[k] += scale * c
+    return coeffs
+
+
+def primes(count: int, start: int = 2) -> list[int]:
+    """First `count` primes that are >= start.
+
+    >>> primes(5)
+    [2, 3, 5, 7, 11]
+    """
+    out: list[int] = []
+    n = max(2, start)
+    while len(out) < count:
+        if _is_prime(n):
+            out.append(n)
+        n += 1
+    return out
+
+
 # --- interpolated structure constants --------------------------------------
 
 
@@ -397,6 +482,13 @@ def _assemble(cands, profiles, ps):
         if poly:
             out[key] = poly
     return out
+
+
+def contains_diagram(inner: Partition, outer: Partition) -> bool:
+    """Row containment of Young diagrams: inner_i <= outer_i for all i."""
+    return len(inner) <= len(outer) and all(
+        inner[i] <= outer[i] for i in range(len(inner))
+    )
 
 
 @lru_cache(maxsize=None)

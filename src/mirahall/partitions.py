@@ -9,7 +9,6 @@ here, so this module has no dependencies beyond the error types.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
 from typing import Iterator
 
 from .errors import NotInImage, RankTooSmall
@@ -75,13 +74,6 @@ def add_parts(lam: Partition, mu: Partition) -> Partition:
     return trim(tuple(pad(lam, k)[i] + pad(mu, k)[i] for i in range(k)))
 
 
-def contains_diagram(inner: Partition, outer: Partition) -> bool:
-    """Row containment of Young diagrams: inner_i <= outer_i for all i."""
-    return len(inner) <= len(outer) and all(
-        inner[i] <= outer[i] for i in range(len(inner))
-    )
-
-
 def dominance_leq(a: Partition, b: Partition) -> bool:
     """Dominance: every prefix sum of a is <= the one of b (same size)."""
     if sum(a) != sum(b):
@@ -110,21 +102,6 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     for first in range(top, 0, -1):
         for rest in partitions_of(n - first, first):
             yield (first,) + rest
-
-
-def n_standard_tableaux(lam: Partition) -> int:
-    """Number of standard Young tableaux of shape lam (hook lengths)."""
-    n = sum(lam)
-    if n == 0:
-        return 1
-    conj = conjugate(lam)
-    hooks = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            hooks *= row - j + conj[j] - i - 1
-    d, r = divmod(factorial(n), hooks)
-    assert r == 0
-    return d
 
 
 # --- statistics on bipartitions -----------------------------------------

@@ -354,7 +354,7 @@ def test_cost_guard_refuses_large_tables_fast(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("hall", "--x", "16", "--y", "1"),
+    ("hall", "--x", "6,1", "--y", "9,1"),
     ("hall", "--x", "6,5", "--y", "5,4"),
     ("hall", "--x", "200", "--y", "1"),
     ("green", "--n", "9", "--q", "2"),
@@ -372,14 +372,21 @@ def test_hall_and_green_cost_guards_refuse_fast(capsys, argv):
 
 
 def test_hall_cost_guard_passes_the_products_within_budget():
-    # the products the budget was measured on: (5,4) * (4,4) took 86 to
-    # 94 s cold and passes, (16) * (1) took 96 s and is refused
-    for x, y, rank in (((5, 4), (4, 4), 4), ((1,), (8, 8), 3), ((2,), (1, 1), 3)):
+    # the products the budget was measured on: (16) * (1) took 96 s cold
+    # and passes, (6,1) * (9,1) took 103 s and is refused; a product
+    # that mostly lists labels (2 s) passes far past size 17
+    for x, y, rank in (
+        ((16,), (1,), 2),
+        ((5, 4), (4, 4), 4),
+        ((1,), (8, 8), 3),
+        ((2,), (1, 1), 3),
+        ((1,) * 21, (1,), 22),
+    ):
         check_hall_cost(x, y, rank)
-    assert hall.hall_work((5, 4), (4, 4), 4) == 696458
-    assert hall.hall_work((16,), (1,), 2) == 779010
+    assert hall.hall_work((16,), (1,), 2) == 195967
+    assert hall.hall_work((6, 1), (9, 1), 4) == 205402
     with pytest.raises(CostGuard):
-        check_hall_cost((16,), (1,), 2)
+        check_hall_cost((6, 1), (9, 1), 4)
 
 
 def test_cost_guard_counts_the_labels_of_the_rank_and_the_size():

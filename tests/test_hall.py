@@ -1,10 +1,11 @@
 import pytest
 
-from mirahall.closedform import closed_form_G, closed_left_table
+from mirahall.closedform import _compositions, closed_form_G, closed_left_table
 from mirahall.hall import (
     HallElt,
     _gen_decomposition,
     _hall_steps,
+    _table_classes,
     c_expand,
     gen_mul,
     hall_mul,
@@ -12,7 +13,12 @@ from mirahall.hall import (
 )
 from mirahall.laurent import LaurentPoly
 from mirahall.oracle import elementary_in_vars, hall_mul_direct, psi
-from mirahall.partitions import bipartition_count, partitions_of
+from mirahall.partitions import (
+    add_parts,
+    bipartition_count,
+    bipartitions_of,
+    partitions_of,
+)
 
 
 def lp(**kw):
@@ -147,3 +153,20 @@ def test_hall_steps_are_the_tables_built():
             built = closed_left_table.cache_info().currsize
             steps = _hall_steps(x, y, rank)
             assert sum(bipartition_count(m) for m, _ in steps) == built, (x, y, rank)
+
+
+def test_table_classes_count_the_classes_of_every_table():
+    # the generating function against listing every label: the table at
+    # (lam, mu) and rank r runs through the compositions of r under the
+    # multiplicities of the parts of lam + mu
+    top = 8
+    classes = _table_classes(top, top)
+    for m in range(1, top + 1):
+        labels = bipartitions_of(m)
+        for r in range(1, top + 1):
+            count = 0
+            for lam, mu in labels:
+                nu = add_parts(lam, mu)
+                d = [nu.count(k) for k in range(1, nu[0] + 1)]
+                count += sum(1 for _ in _compositions(d, r))
+            assert classes[m][r] == count, (m, r)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from mirahall.errors import InsufficientSamples, NonIntegral, OracleMismatch
 from mirahall.laurent import DEFAULT_PRIMES, LaurentPoly, QPoly
-from mirahall.oracle import interpolate, primes
+from mirahall.pairs import interpolate, primes
 
 lpolys = st.dictionaries(
     st.integers(-6, 6), st.integers(-9, 9), max_size=6

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mirahall.errors import Ambiguous, MiraError, NotInImage, RankTooSmall
+from mirahall.oracle import n_standard_tableaux
 from mirahall.partitions import (
     add_parts,
     ah_leq,
@@ -12,7 +13,6 @@ from mirahall.partitions import (
     dominance_leq,
     interleaved_key,
     n_stat,
-    n_standard_tableaux,
     orbit_dim,
     pad,
     pair_codim,
