@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Time cold `mirahall pi --n N` and the warm path, and append the
-record to BENCH_pi.json.
+"""Time cold `mirahall pi --n N`, cold `iwahori mult --N 2, 3, 4` and
+the warm path, and append the record to BENCH_pi.json.
 
     python3 scripts/bench_pi.py [--ns 4 5 6 7 8] [--src CHECKOUT]
 
-Each N runs once, as one fresh `python3 -m mirahall.cli` process with its
-own empty `--cache-dir`, so every table is built from scratch.  For each
-N the record keeps the wall time, the process's peak RSS, its exit code
-and the sha256 of its stdout.
+Each cold request runs once, as one fresh `python3 -m mirahall.cli`
+process with its own empty `--cache-dir`, so every table is built from
+scratch.  For each the record keeps the wall time, the process's peak
+RSS, its exit code and the sha256 of its stdout.
 
 The warm path is what a repeat request costs: the median wall time of
 WARM_LAUNCHES import-only launches (`mirahall --help`) and of as many
@@ -42,6 +42,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 WARM_LAUNCHES = 9
 
+# cold `iwahori mult --N N` at window 2, timed in every record
+IWAHORI_NS = (2, 3, 4)
+
 
 def _git(checkout: Path, *args: str) -> str:
     done = subprocess.run(
@@ -50,12 +53,12 @@ def _git(checkout: Path, *args: str) -> str:
     return done.stdout.strip() if done.returncode == 0 else ""
 
 
-def time_pi(checkout: Path, n: int) -> dict:
-    """One cold `pi --n n` in a fresh process and cache directory."""
+def time_cold(checkout: Path, args: list[str]) -> dict:
+    """One cold `mirahall ARGS` in a fresh process and cache directory."""
     with tempfile.TemporaryDirectory(prefix="bench_pi_") as tmp:
         env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
         out_path = os.path.join(tmp, "stdout")
-        argv = [sys.executable, "-m", "mirahall.cli", "pi", "--n", str(n),
+        argv = [sys.executable, "-m", "mirahall.cli", *args,
                 "--cache-dir", os.path.join(tmp, "cache")]
         with open(out_path, "wb") as out:
             start = time.perf_counter()
@@ -67,7 +70,6 @@ def time_pi(checkout: Path, n: int) -> dict:
         proc.returncode = os.waitstatus_to_exitcode(status)
         digest = hashlib.sha256(Path(out_path).read_bytes()).hexdigest()
     return {
-        "n": n,
         "wall_s": round(wall, 3),
         "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
         "exit": proc.returncode,
@@ -113,19 +115,26 @@ def main() -> int:
     checkout = args.src.resolve()
     runs = []
     for n in args.ns:
-        run = time_pi(checkout, n)
+        run = {"n": n, **time_cold(checkout, ["pi", "--n", str(n)])}
         print(json.dumps(run), flush=True)
         runs.append(run)
+    iwahori = []
+    for N in IWAHORI_NS:
+        run = {"N": N, **time_cold(checkout, ["iwahori", "mult", "--N", str(N)])}
+        print(json.dumps(run), flush=True)
+        iwahori.append(run)
     warm = time_warm(checkout)
     print(json.dumps({"warm": warm}), flush=True)
     record = {
-        "command": "mirahall pi --n N (cold: fresh process, empty cache)",
+        "command": "mirahall pi --n N and iwahori mult --N N"
+                   " (cold: fresh process, empty cache)",
         "git_sha": _git(checkout, "rev-parse", "HEAD"),
         "src_modified": bool(_git(checkout, "status", "--porcelain", "--", "src")),
         "when": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "runs": runs,
+        "iwahori": iwahori,
         "warm": warm,
     }
     out = ROOT / "BENCH_pi.json"

@@ -3,18 +3,26 @@
 Labels are pairs (w, beta): a permutation of Z commuting with the step-N
 shift, and a subset of Z containing every small integer and missing every
 large one.  The wall-crossing right action `ts_action` is served in
-closed form: the q lines of the P^1 at the wall fall into three classes
-(`_line_classes`), each landing on a label read off its permutation and
-marked-vector jump profile, and a coefficient is the summed weight of the
-classes that come back.  No finite field is built on that route.
+closed form.  The q lines of the P^1 at the wall, other than the
+label's own, fall into three classes (`_line_classes`), and each class's
+label is built directly from (w, beta, i): its permutation is w s or w,
+and its marked set is beta with one slot per wall step added or
+dropped, closed downward in the order of the new permutation.  A
+coefficient is the summed weight of the classes that come back.  Which
+of the five shapes the product takes, and which slot it toggles, is
+predicted from the ascent or descent at the wall and from which classes
+move beta (`predicted_case`); `pattern_check` holds the product to that
+shape.  No finite field is built, and no label is read back from a flag
+invariant, on that route.
 
 The counting oracle (`oracle.counted_ts_action`) builds representative
 triples over F_q in a truncated lattice model, classifies every line
-back to a label through the same invariants (`_label_from_jumps`) and
-interpolates the point counts; it shares the window and retry helpers
-(`_window`, `_retry`) with the closed form.  The Hecke relations and
-the closure order (`checks.hecke_quadratic_check`, `h_basis_check`,
-`bruhat_leq`) are checks on the served products.
+back to a label through its pivots and marked-vector jump profile
+(`oracle._label_from_jumps`) and interpolates the point counts;
+`oracle.jump_line_classes` rebuilds each line class the same way, as the
+oracle for the direct rule.  The Hecke relations and the closure order
+(`checks.hecke_quadratic_check`, `h_basis_check`, `bruhat_leq`) are
+checks on the served products.
 
 Conventions, fixed by the orbit bijection and checked by the template and
 quadratic-relation tests:
@@ -33,17 +41,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations, product as cartesian
 
-from .errors import (
-    Incompatible,
-    NoTemplateMatch,
-    TruncationTooSmall,
-    UsageError,
-)
+from .errors import CostGuard, Incompatible, NoTemplateMatch, UsageError
 from .laurent import QPoly
 
 DEFAULT_PRIMES = (2, 3)
-
-_GROW_STEPS = 3
 
 
 class AffinePerm:
@@ -63,6 +64,13 @@ class AffinePerm:
         if sorted(x % n for x in window) != list(range(n)):
             raise UsageError(f"window {window} is not a complete residue system")
         self.window = window
+
+    @classmethod
+    def _trusted(cls, window: tuple) -> "AffinePerm":
+        """Wrap a window known to be a complete residue system."""
+        out = cls.__new__(cls)
+        out.window = window
+        return out
 
     @property
     def N(self) -> int:
@@ -107,17 +115,18 @@ class AffinePerm:
         return cls(tuple(s(k) for k in range(1, n + 1)))
 
     def inverse(self) -> "AffinePerm":
-        inv = [0] * self.N
+        n = len(self.window)
+        inv = [0] * n
         for r, w in enumerate(self.window):
-            c, rr = divmod(w - 1, self.N)
-            inv[rr] = (r + 1) - self.N * c
-        return AffinePerm(tuple(inv))
+            c, rr = divmod(w - 1, n)
+            inv[rr] = (r + 1) - n * c
+        return AffinePerm._trusted(tuple(inv))
 
     def after(self, other: "AffinePerm") -> "AffinePerm":
         """self composed after other: k -> self(other(k))."""
         if other.N != self.N:
             raise UsageError("period mismatch")
-        return AffinePerm(tuple(self(other(k)) for k in range(1, self.N + 1)))
+        return AffinePerm._trusted(tuple(self(other(k)) for k in range(1, self.N + 1)))
 
     def degree(self) -> int:
         """Net lattice rotation per period; indexes the component."""
@@ -238,6 +247,14 @@ class RBAffElt:
         self.w = w
         self.beta = beta
 
+    @classmethod
+    def _trusted(cls, w: AffinePerm, beta: BetaSet) -> "RBAffElt":
+        """Wrap a pair known to be a label, without validating it again."""
+        out = cls.__new__(cls)
+        out.w = w
+        out.beta = beta
+        return out
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RBAffElt)
@@ -272,156 +289,46 @@ class RBAffElt:
         return RBAffElt(self.w.after(s), self.beta)
 
 
-
 def validate(window, beta_lo: int, beta_extra=()) -> RBAffElt:
     """Build a label from raw pieces, raising Incompatible on bad input."""
     return RBAffElt(AffinePerm(window), BetaSet(beta_lo, beta_extra))
 
 
 # ---------------------------------------------------------------------------
-# labels from jump profiles
-
-
-def _beta_from_jumps(w: AffinePerm, jumps, jlo: int, jhi: int, floor: int) -> BetaSet:
-    """Records of the jump profile, completed downward.
-
-    The profile max{m in beta : u(m) > j} changes exactly at steps whose
-    new index is a fresh maximum; every member of beta sits below some
-    record in both the identity and the u order, so the downward closure
-    of the records in that product order restores beta.  floor is the
-    lowest e-index the window sees."""
-    records = []
-    prev = jumps[jhi]
-    for j in range(jhi - 1, jlo - 1, -1):
-        cur = jumps[j]
-        if cur is not None and (prev is None or cur > prev):
-            records.append(cur)
-        prev = cur
-    if jumps[jlo] is not None:
-        records.append(jumps[jlo])
-    if not records:
-        raise TruncationTooSmall("marked vector invisible in the window")
-    u = w.inverse()
-    margin = w.spread() + w.N + 1
-    low = min(records) - 2 * margin
-    if low <= floor:
-        raise TruncationTooSmall("marked set reaches the window floor")
-    ranked = [(r, u(r)) for r in records]
-    members = [
-        m
-        for m in range(low, max(records) + 1)
-        if any(m <= r and u(m) <= ur for r, ur in ranked)
-    ]
-    return BetaSet(low - 1, members)
-
-
-def _predicted_jumps(x: RBAffElt, jlo: int, jhi: int):
-    """Jump profile of the representative of x, computed combinatorially:
-    J(j) = max{m in beta : u(m) > j}, a running maximum over the members
-    taken in decreasing u order while j walks down."""
-    u = x.w.inverse()
-    margin = x.w.spread() + x.w.N + 1
-    members = x.beta.members_in(x.beta.lo - 2 * margin, x.beta.top())
-    ranked = sorted((u(m), m) for m in members)
-    out = {}
-    best = None
-    for j in range(jhi, jlo - 1, -1):
-        while ranked and ranked[-1][0] > j:
-            m = ranked.pop()[1]
-            if best is None or m > best:
-                best = m
-        out[j] = best
-    return out
-
-
-def _label_from_jumps(w: AffinePerm, jumps, jlo: int, jhi: int, floor: int) -> RBAffElt:
-    """The label with permutation w and jump profile `jumps` on jlo..jhi;
-    raises TruncationTooSmall when the window cannot decide."""
-    label = RBAffElt(w, _beta_from_jumps(w, jumps, jlo, jhi, floor))
-    if _predicted_jumps(label, jlo, jhi) != jumps:
-        raise TruncationTooSmall(
-            f"label {label} does not reproduce the observed invariants"
-        )
-    return label
-
-
-# ---------------------------------------------------------------------------
 # wall-crossing action
 
 
-def _bounds(x: RBAffElt, i: int):
-    b = max(x.w.spread(), abs(x.beta.lo), abs(x.beta.top()), i, x.w.N)
-    return b
-
-
-def _window(x: RBAffElt, i: int, grow: int):
-    """(M, jlo, jhi): lattice depth and step range of the wall-crossing
-    window, widened by `grow` retries."""
-    n = x.w.N
-    b = _bounds(x, i) + 2 * grow
-    jw = b + 3 * n + 1
-    M = (jw + b + n + 2) // n + 1
-    jlo, jhi = -jw, jw
-    if (jlo - 1 - i) % n == 0:
-        # the base step must not sit at a perturbed position
-        jlo -= 1
-    return M, jlo, jhi
-
-
-def _retry(fn, x: RBAffElt, i: int, *args):
-    """fn(x, i, *args, grow) on a window widened until it decides."""
-    last = None
-    for grow in range(_GROW_STEPS):
-        try:
-            return fn(x, i, *args, grow)
-        except TruncationTooSmall as exc:
-            last = exc
-    raise TruncationTooSmall(f"wall crossing at {x}, position {i}: {last}")
-
-
 _ONE = QPoly.one()
-_GENERIC = QPoly.q_power(1) - 2
+_Q = QPoly.q_power(1)
+_GENERIC = _Q - 2
 
 
-def _marked_top(a: int, b: int, beta: BetaSet, line: str, ascent: bool):
-    """The e-index among a, b that the marked vector keeps modulo the step
-    through `line`, or None: line is "inf" for e_b, "one" for e_a + e_b
-    and "generic" for e_a + c e_b with c outside {0, 1}.
+def _closed(u: tuple, members, floor: int, ceil: int) -> BetaSet:
+    """Every index below floor, with the downward closure of `members`
+    (a set inside [floor, ceil]) in the order (m, u(m)); u is given by
+    its window.
 
-    The marked vector's part in span(e_a, e_b) is p = [a in beta] e_a +
-    [b in beta] e_b.  Modulo the line it leaves the index that is not the
-    line's pivot (a for e_b, the smaller of a, b otherwise) unless p lies
-    on the line: p = 0, or p = e_a + e_b on the line c = 1."""
-    if line == "inf":
-        return a if a in beta else None
-    top, low = (b, a) if ascent else (a, b)
-    if top in beta:
-        return None if line == "one" and low in beta else low
-    return low if low in beta else None
-
-
-def _line_classes_at(x: RBAffElt, i: int, grow: int):
-    n = x.w.N
-    M, jlo, jhi = _window(x, i, grow)
-    w = x.w
-    ws = w.after(AffinePerm.simple(n, i))
-    ascent = w(i) < w(i + 1)
-    J = _predicted_jumps(x, jlo, jhi + 1)
-    out = []
-    for line, weight in (("inf", _ONE), ("one", _ONE), ("generic", _GENERIC)):
-        jumps = {j: J[j] for j in range(jlo, jhi + 1)}
-        for j in range(jlo + (i - jlo) % n, jhi + 1, n):
-            kept = J[j + 1]
-            top = _marked_top(w(j), w(j + 1), x.beta, line, ascent)
-            if top is not None and (kept is None or top > kept):
-                kept = top
-            jumps[j] = kept
-        perm = ws if line == "inf" or ascent else w
-        out.append((_label_from_jumps(perm, jumps, jlo, jhi, 1 - M * n), weight))
-    return tuple(out)
+    m joins when some member r >= m has u(r) >= u(m): one scan down from
+    ceil, keeping the maximum of u over the members seen."""
+    n = len(u)
+    kept = []
+    best = None
+    for m in range(ceil, floor - 1, -1):
+        c, r = divmod(m - 1, n)
+        um = u[r] + n * c  # u(m), inlined: this loop is the hot one
+        if m in members:
+            if best is None or um > best:
+                best = um
+            kept.append(m)
+        elif best is not None and um <= best:
+            kept.append(m)
+    lo = floor - 1
+    while kept and kept[-1] == lo + 1:
+        lo = kept.pop()
+    return BetaSet(lo, kept)
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=None)
 def _line_classes(x: RBAffElt, i: int):
     """The lines of the P^1 at wall i other than x's own, in three classes:
     (label, weight) for e_b (weight 1), e_a + e_b (weight 1) and
@@ -429,32 +336,76 @@ def _line_classes(x: RBAffElt, i: int):
 
     Why this is the counting oracle's classification in closed form.  In
     x's representative the step L_j is spanned by e_{w(k)}, k <= j, and
-    the marked vector is v, the sum of e_k over k in beta.  Moving the line
-    at every step j = i mod N (a = w(j), b = w(j+1)) to a line l of
+    the marked vector is v, the sum of e_k over k in beta.  Moving the
+    line at every step j = i mod N (a = w(j), b = w(j+1)) to a line l of
     span(e_a, e_b) changes only the steps L_j, to L_{j-1} + l.
-    `oracle._classify` reads a label off two invariants of the flag, and both
-    are intrinsic to the subspaces, so they are unchanged at the other
-    steps:
+    `oracle._classify` reads a label off two invariants of the flag, both
+    intrinsic to the subspaces:
 
-    * the pivots, the index each step adds.  At step j it is the top
-      index of l: b for e_b, and max(a, b) for e_a + c e_b with c != 0.
-      So the permutation becomes w s for e_b and on an ascent (a < b),
-      and stays w for the c != 0 lines on a descent;
-    * the jump profile, the top index of v modulo each step.  Modulo
-      L_{j-1}, v is its part modulo L_{j+1} (top J(j+1), on indices
-      no step up to j+1 has as pivot) plus p = [a in beta] e_a +
-      [b in beta] e_b.  Modulo l, p leaves the non-pivot index of l
-      unless p lies on l, so J'(j) = max({J(j+1)} | T) with T that
-      index or empty (`_marked_top`).
+    * the pivots, the index each step adds: b for e_b and max(a, b) for
+      e_a + c e_b, c != 0.  So the permutation is w s for e_b and on an
+      ascent (a < b), and stays w for the c != 0 lines on a descent;
+    * the jump profile J(j), the top index of v modulo L_j.  For a label
+      (perm, S) it is max{m in S : u(m) > j}, u = perm^{-1}.  Moving the line
+      changes it only at the wall steps, where modulo L_{j-1} + l the
+      part p = [a in beta] e_a + [b in beta] e_b of v leaves the
+      non-pivot index of l unless p lies on l.
 
-    p lies on e_a + c e_b, c != 0, only if p = 0 or c = 1 with a and b
-    both in beta.  So every c outside {0, 1} has the same pivots and
-    jumps and lands on one label; the q - 2 of them give the weight.
-    By `_label_from_jumps` the pair (pivots, jumps) fixes the label, as
-    it does in the oracle.  The rule has been checked against the count
-    on all of universe(2), universe(2, 1, 1) and seeded samples of
-    universe(3) and universe(4) (tests/test_affine.py)."""
-    return _retry(_line_classes_at, x, i)
+    Write (top, low) = (b, a) on an ascent and (a, b) on a descent: the
+    c != 0 lines' permutation puts the larger index top at step j and
+    low at step j + 1.  Then the moved flag has the jump profile of
+    (perm, S), S being beta changed at each wall step as follows:
+
+    * if top and low are both in beta, p = e_a + e_b lies on the line
+      c = 1, so the "one" class loses low; the other lines keep it;
+    * if top is in beta and low is not, p leaves low on the c != 0
+      lines, so both those classes gain low;
+    * for e_b, p leaves a, which beta already had.
+
+    Removing or adding low never moves the profile at another step:
+    before step j the member top > low counts too, and from step j + 1
+    on low does not count.  A label is fixed by its permutation and
+    profile, and closing S downward in the order (m, u(m)) keeps the
+    profile (a member added below r in both orders is never a new
+    maximum), so the class's label is (perm, S) closed downward
+    (`_closed`).  For e_b that is (w s, beta) closed.
+
+    Only steps whose pair lies in [beta.lo - 2 margin, beta.top()]
+    matter, margin = spread + N + 1: low < top, and a top outside beta
+    changes nothing; deeper down both are in beta, and a dropped low
+    comes back with the closure, as some index of the tail above it is
+    later in the u order too.  `oracle._label_from_jumps` rebuilds each
+    class from its jump profile; tests/test_affine.py checks that it
+    agrees on all of universe(2) and universe(3) and a seeded sample of
+    universe(4), and the count agrees with the products."""
+    w, beta = x.w, x.beta
+    n = w.N
+    ws = w.after(AffinePerm.simple(n, i))
+    ascent = w(i) < w(i + 1)
+    floor = beta.lo - 2 * (w.spread() + n + 1)
+    ceil = beta.top()
+    members = {*range(floor, beta.lo + 1), *beta.extra}
+    one, generic = set(members), set(members)
+    # the wall steps' pairs are (top0 + d, low0 + d) for d = 0 mod N
+    top0, low0 = (w(i + 1), w(i)) if ascent else (w(i), w(i + 1))
+    for d in range(floor - low0 + (low0 - floor) % n, ceil - top0 + 1, n):
+        top, low = top0 + d, low0 + d
+        if top not in members:
+            continue
+        if low in members:
+            one.discard(low)
+        else:
+            one.add(low)
+            generic.add(low)
+    u_ws = ws.inverse().window
+    inf = RBAffElt._trusted(ws, _closed(u_ws, members, floor, ceil))
+    # beta closes to itself in the w order, and to inf's in the w s order
+    perm, u, same = (ws, u_ws, inf) if ascent else (w, w.inverse().window, x)
+    one, generic = (
+        same if s == members else RBAffElt._trusted(perm, _closed(u, s, floor, ceil))
+        for s in (one, generic)
+    )
+    return ((inf, _ONE), (one, _ONE), (generic, _GENERIC))
 
 
 def _check_wall(x: RBAffElt, i: int) -> None:
@@ -482,67 +433,50 @@ def ts_action(x: RBAffElt, i: int) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
 def _sort_key(x: RBAffElt):
     return (x.length(), x.w.window, x.beta.lo, x.beta.extra)
 
 
-def _match_template(x: RBAffElt, i: int, product):
-    """Identify the unique case shape fitting the computed product.
+def predicted_case(x: RBAffElt, i: int):
+    """(case, roles): the case of the product at wall i and its labels,
+    predicted from the ascent or descent at i and from which line
+    classes move beta (`_line_classes`), before any product is formed.
 
-    Returns (case, roles) where roles names the participating labels and
-    records the inferred marked-set toggle slot.  The shapes constrain the
-    coefficient pattern, the permutation parts, and the toggle arithmetic;
-    which slot toggles is read off the product, never predicted.
-    """
-    one = QPoly.one()
-    qq = QPoly.q_power(1)
-    s = AffinePerm.simple(x.w.N, i)
-    ws = x.w.after(s)
-    ascent = ws.length() > x.w.length()
-    labs = sorted(product, key=_sort_key)
-    hits = []
-    if ascent and len(labs) == 1:
-        y = labs[0]
-        if y.w == ws and y.beta == x.beta and product[y] == one:
-            hits.append((1, {"xs": y}))
-    if ascent and len(labs) == 2 and all(product[y] == one for y in labs):
-        mains = [y for y in labs if y.beta == x.beta]
-        if len(mains) == 1 and all(y.w == ws for y in labs):
-            other = next(y for y in labs if y is not mains[0])
-            gone, came = x.beta.diff(other.beta)
-            if len(gone) == 1 and not came:
-                hits.append((2, {"xs": mains[0], "xsp": other, "toggle": gone[0]}))
-    if not ascent and len(labs) == 2 and all(product[y] == one for y in labs):
-        kept = [y for y in labs if y.w == x.w]
-        moved = [y for y in labs if y.w == ws]
-        if len(kept) == 1 and len(moved) == 1 and kept[0].beta == moved[0].beta:
-            gone, came = x.beta.diff(kept[0].beta)
-            if not gone and len(came) == 1:
-                hits.append((3, {"xf": kept[0], "xfs": moved[0], "toggle": came[0]}))
-    if not ascent and len(labs) == 2 and product.get(x) == qq - 1:
-        other = [y for y in labs if y != x]
-        if other and other[0].w == ws and other[0].beta == x.beta and product[other[0]] == qq:
-            hits.append((4, {"xs": other[0]}))
-    if not ascent and len(labs) == 3 and product.get(x) == qq - 2:
-        side = [y for y in labs if y != x]
-        xs_c = [y for y in side if y.w == ws and y.beta == x.beta]
-        xp_c = [y for y in side if y.w == x.w]
-        if (len(xs_c) == 1 and len(xp_c) == 1
-                and product[xs_c[0]] == qq - 1 and product[xp_c[0]] == qq - 1):
-            gone, came = x.beta.diff(xp_c[0].beta)
-            if len(gone) == 1 and not came:
-                hits.append((5, {"xs": xs_c[0], "xp": xp_c[0], "toggle": gone[0]}))
-    if len(hits) != 1:
-        cases = [cid for cid, _ in hits]
+    On an ascent beta is closed in the w order and w(i) < w(i+1), so
+    only the "one" class can move beta, dropping a slot: case 2 if it
+    does, case 1 if not.  On a descent the c != 0 classes gain a slot
+    together (case 3), or the "one" class alone drops one (case 5), or
+    neither moves (case 4).  roles names the labels of the shape (see
+    `pattern_check`) and the toggled slot; a move of more than one slot
+    raises NoTemplateMatch."""
+    _, (one, _), (generic, _) = _line_classes(x, i)
+    w = x.w
+    ws = w.after(AffinePerm.simple(w.N, i))
+    xs = RBAffElt._trusted(ws, x.beta)
+    if w(i) < w(i + 1):
+        if one.beta == x.beta:
+            return 1, {"xs": xs}
+        case, roles, moved = 2, {"xs": xs, "xsp": one}, one
+    elif generic.beta != x.beta:
+        case, moved = 3, generic
+        roles = {"xf": generic, "xfs": RBAffElt._trusted(ws, generic.beta)}
+    elif one.beta != x.beta:
+        case, roles, moved = 5, {"xs": xs, "xp": one}, one
+    else:
+        return 4, {"xs": xs}
+    gone, came = x.beta.diff(moved.beta)
+    toggled = came if case == 3 else gone
+    if len(toggled) != 1 or len(gone) + len(came) != 1:
         raise NoTemplateMatch(
-            f"product at {x}, position {i} matched cases {cases}: {product}"
+            f"case {case} at {x}, position {i} moves beta by {gone} and {came}"
         )
-    return hits[0]
+    roles["toggle"] = toggled[0]
+    return case, roles
 
 
 def pattern_check(x: RBAffElt, i: int, product=None) -> int:
-    """Match the wall-crossing product against the five closed shapes and
-    return the unique case number.
+    """The case of the wall-crossing product, checked against its shape.
 
     Shapes, with xs = (w s, beta) the wall label, xp a one-element drop
     from the marked set, and xf a one-element fill:
@@ -552,12 +486,28 @@ def pattern_check(x: RBAffElt, i: int, product=None) -> int:
       4: (q-1) x + q xs              (plain descent)
       5: (q-2) x + (q-1)(xp + xs)    (descent, drop)
 
-    Which element drops or fills is inferred from the product; the shape
-    demands it be a single toggle and the case assignment be unique.
+    The case and the toggled slot are predicted (`predicted_case`); the
+    product must equal the predicted shape term for term, or
+    NoTemplateMatch is raised.
     """
     if product is None:
         product = ts_action(x, i)
-    return _match_template(x, i, product)[0]
+    case, roles = predicted_case(x, i)
+    if case == 1:
+        shape = {roles["xs"]: _ONE}
+    elif case == 2:
+        shape = {roles["xs"]: _ONE, roles["xsp"]: _ONE}
+    elif case == 3:
+        shape = {roles["xf"]: _ONE, roles["xfs"]: _ONE}
+    elif case == 4:
+        shape = {x: _Q - 1, roles["xs"]: _Q}
+    else:
+        shape = {x: _GENERIC, roles["xp"]: _Q - 1, roles["xs"]: _Q - 1}
+    if product != shape:
+        raise NoTemplateMatch(
+            f"product at {x}, position {i} is not the case {case} shape: {product}"
+        )
+    return case
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +532,31 @@ def universe(N: int, shift_bound: int = 1, beta_bound: int = 2) -> tuple:
                     except Incompatible:
                         continue
     return tuple(sorted(out, key=_sort_key))
+
+
+# Budget for `iwahori mult --N N --window W`, in the candidate labels
+# that universe(N, 1, W) tries: N! 3^N 4^W.  Cold on a 2-vCPU box the
+# slowest accepted input is N = 4 at window 2 (31,104 candidates, 14 to
+# 19 s, 189 MB); N = 3 at window 4 (41,472) took 3.7 s and N = 2 at
+# window 6 (73,728) 2.0 s.  Refused: N = 5 at window 1 (116,640) ran
+# past 120 s and 970 MB, N = 4 at window 3 (124,416) took 31 s and
+# 273 MB, N = 3 at window 5 (165,888) 8.5 s, N = 2 at window 7
+# (294,912) 9.9 s.
+MAX_CANDIDATES = 100_000
+
+
+def check_universe_cost(N: int, window: int) -> None:
+    """Refuse the products over universe(N, 1, window) when it would try
+    more than MAX_CANDIDATES candidates, counted without listing any."""
+    count, k = 1, 0
+    while count <= MAX_CANDIDATES and k < N + window:
+        k += 1
+        count *= 3 * k if k <= N else 4
+    if count > MAX_CANDIDATES:
+        raise CostGuard(
+            f"iwahori mult --N {N} --window {window} tries N! 3^N 4^window"
+            f" > {MAX_CANDIDATES} candidate labels"
+        )
 
 
 def _subsets(rng):

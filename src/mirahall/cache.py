@@ -82,7 +82,8 @@ def store(module: str, params: Mapping, payload, directory: str = "") -> str:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, sort_keys=True)
+            # one write: json.dump streams through the pure-Python encoder
+            fh.write(json.dumps(entry, sort_keys=True))
         os.replace(tmp, path)
     except OSError as exc:
         raise IOFailure(f"cannot write cache entry {path}: {exc}") from exc

@@ -23,9 +23,8 @@ from typing import Sequence
 from .affine import (
     AffinePerm,
     RBAffElt,
-    _match_template,
-    _predicted_jumps,
     pattern_check,
+    predicted_case,
     ts_action,
     universe,
     validate,
@@ -37,6 +36,7 @@ from .hall import hall_mul, u_elt
 from .laurent import LaurentPoly, QPoly
 from .oracle import (
     _kostka_table,
+    _predicted_jumps,
     counted_ts_action,
     fiber_oracle_check,
     hall_mul_direct,
@@ -75,13 +75,14 @@ def hecke_quadratic_check(x: RBAffElt, i: int) -> bool:
 
 def h_basis_check(x: RBAffElt, i: int) -> bool:
     """Rescale the product by signed powers of v and compare against the
-    five shapes written in the normalized basis.
+    five shapes written in the normalized basis, with the case and its
+    labels predicted from (x, i) (`affine.predicted_case`).
 
     The normalized basis element of y is (-v)^{-length(y)} times the plain
     one, and the wall generator is shifted by -v^{-1}; the equality encodes
     both the case shapes and the length bookkeeping."""
     product = ts_action(x, i)
-    case, roles = _match_template(x, i, product)
+    case, roles = predicted_case(x, i)
 
     def mv(e: int) -> LaurentPoly:
         return LaurentPoly.v_power(e, -1 if e % 2 else 1)

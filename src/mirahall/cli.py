@@ -17,10 +17,18 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
+from itertools import islice
 from typing import Mapping, Sequence
 
 from . import cache
-from .affine import DEFAULT_PRIMES, pattern_check, ts_action, universe
+from .affine import (
+    DEFAULT_PRIMES,
+    check_universe_cost,
+    pattern_check,
+    ts_action,
+    universe,
+)
 from .bimodule import check_cost, mhl_poly, pi_table
 from .closedform import closed_left_column, stable_right_column
 from .config import (
@@ -227,28 +235,28 @@ def green_payload(n: int, q: int) -> dict:
 
 
 def iwahori_payload(N: int, window: int, cfg: RunConfig) -> dict:
+    check_universe_cost(N, window)
     params = {"N": N, "window": window}
     hit = cache.load("iwahori", params, cfg.cache_dir)
     if hit is not None:
         return hit
+    # one JSON tree per label and coefficient, shared by every product
+    # that names it
+    label_tree = lru_cache(maxsize=None)(_ilabel)
+    coeff_tree = lru_cache(maxsize=None)(QPoly.to_json)
     products = []
     for x in universe(N, 1, window):
         for i in range(1, N + 1):
             prod = ts_action(x, i)
-            case = pattern_check(x, i, prod)
-            ordered = sorted(
-                prod.items(),
-                key=lambda kv: (kv[0].length(), kv[0].w.window, kv[0].beta.lo,
-                                kv[0].beta.extra),
-            )
             products.append(
                 {
-                    "source": _ilabel(x),
+                    "source": label_tree(x),
                     "i": i,
-                    "case": case,
+                    "case": pattern_check(x, i, prod),
+                    # ts_action lists its terms in label order
                     "terms": [
-                        {"target": _ilabel(y), "coeff": c.to_json()}
-                        for y, c in ordered
+                        {"target": label_tree(y), "coeff": coeff_tree(c)}
+                        for y, c in prod.items()
                     ],
                 }
             )
@@ -381,7 +389,11 @@ def _grid(payload: dict) -> tuple[list[str], list[list[tuple[str, str]]]]:
 
 def render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        # json.dumps(payload, sort_keys=True, indent=1), joined in batches:
+        # with an indent the encoder yields one string per token, and
+        # one join would hold every token of a large table at once
+        chunks = json.JSONEncoder(sort_keys=True, indent=1).iterencode(payload)
+        return "".join(iter(lambda: "".join(islice(chunks, 1 << 16)), "")) + "\n"
     header, rows = _grid(payload)
     if fmt == "csv":
         buf = io.StringIO()

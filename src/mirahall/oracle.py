@@ -39,12 +39,8 @@ from .affine import (
     AffinePerm,
     BetaSet,
     RBAffElt,
-    _bounds,
     _check_wall,
-    _label_from_jumps,
-    _retry,
     _sort_key,
-    _window,
     ts_action,
 )
 from .bimodule import MirElt, PiTable, pi_table
@@ -550,6 +546,148 @@ def fiber_oracle_check(n: int, q: int, table: PiTable | None = None) -> dict:
 
 
 # --- wall crossing by counting lines in a truncated lattice model --------------
+
+_GROW_STEPS = 3
+
+
+def _beta_from_jumps(w: AffinePerm, jumps, jlo: int, jhi: int, floor: int) -> BetaSet:
+    """Records of the jump profile, completed downward.
+
+    The profile max{m in beta : u(m) > j} changes exactly at steps whose
+    new index is a fresh maximum; every member of beta sits below some
+    record in both the identity and the u order, so the downward closure
+    of the records in that product order restores beta.  floor is the
+    lowest e-index the window sees."""
+    records = []
+    prev = jumps[jhi]
+    for j in range(jhi - 1, jlo - 1, -1):
+        cur = jumps[j]
+        if cur is not None and (prev is None or cur > prev):
+            records.append(cur)
+        prev = cur
+    if jumps[jlo] is not None:
+        records.append(jumps[jlo])
+    if not records:
+        raise TruncationTooSmall("marked vector invisible in the window")
+    u = w.inverse()
+    margin = w.spread() + w.N + 1
+    low = min(records) - 2 * margin
+    if low <= floor:
+        raise TruncationTooSmall("marked set reaches the window floor")
+    ranked = [(r, u(r)) for r in records]
+    members = [
+        m
+        for m in range(low, max(records) + 1)
+        if any(m <= r and u(m) <= ur for r, ur in ranked)
+    ]
+    return BetaSet(low - 1, members)
+
+
+def _predicted_jumps(x: RBAffElt, jlo: int, jhi: int):
+    """Jump profile of the representative of x, computed combinatorially:
+    J(j) = max{m in beta : u(m) > j}, a running maximum over the members
+    taken in decreasing u order while j walks down."""
+    u = x.w.inverse()
+    margin = x.w.spread() + x.w.N + 1
+    members = x.beta.members_in(x.beta.lo - 2 * margin, x.beta.top())
+    ranked = sorted((u(m), m) for m in members)
+    out = {}
+    best = None
+    for j in range(jhi, jlo - 1, -1):
+        while ranked and ranked[-1][0] > j:
+            m = ranked.pop()[1]
+            if best is None or m > best:
+                best = m
+        out[j] = best
+    return out
+
+
+def _label_from_jumps(w: AffinePerm, jumps, jlo: int, jhi: int, floor: int) -> RBAffElt:
+    """The label with permutation w and jump profile `jumps` on jlo..jhi;
+    raises TruncationTooSmall when the window cannot decide."""
+    label = RBAffElt(w, _beta_from_jumps(w, jumps, jlo, jhi, floor))
+    if _predicted_jumps(label, jlo, jhi) != jumps:
+        raise TruncationTooSmall(
+            f"label {label} does not reproduce the observed invariants"
+        )
+    return label
+
+
+def _bounds(x: RBAffElt, i: int):
+    b = max(x.w.spread(), abs(x.beta.lo), abs(x.beta.top()), i, x.w.N)
+    return b
+
+
+def _window(x: RBAffElt, i: int, grow: int):
+    """(M, jlo, jhi): lattice depth and step range of the wall-crossing
+    window, widened by `grow` retries."""
+    n = x.w.N
+    b = _bounds(x, i) + 2 * grow
+    jw = b + 3 * n + 1
+    M = (jw + b + n + 2) // n + 1
+    jlo, jhi = -jw, jw
+    if (jlo - 1 - i) % n == 0:
+        # the base step must not sit at a perturbed position
+        jlo -= 1
+    return M, jlo, jhi
+
+
+def _retry(fn, x: RBAffElt, i: int, *args):
+    """fn(x, i, *args, grow) on a window widened until it decides."""
+    last = None
+    for grow in range(_GROW_STEPS):
+        try:
+            return fn(x, i, *args, grow)
+        except TruncationTooSmall as exc:
+            last = exc
+    raise TruncationTooSmall(f"wall crossing at {x}, position {i}: {last}")
+
+
+def _marked_top(a: int, b: int, beta: BetaSet, line: str, ascent: bool):
+    """The e-index among a, b that the marked vector keeps modulo the step
+    through `line`, or None: line is "inf" for e_b, "one" for e_a + e_b
+    and "generic" for e_a + c e_b with c outside {0, 1}.
+
+    The marked vector's part in span(e_a, e_b) is p = [a in beta] e_a +
+    [b in beta] e_b.  Modulo the line it leaves the index that is not the
+    line's pivot (a for e_b, the smaller of a, b otherwise) unless p lies
+    on the line: p = 0, or p = e_a + e_b on the line c = 1."""
+    if line == "inf":
+        return a if a in beta else None
+    top, low = (b, a) if ascent else (a, b)
+    if top in beta:
+        return None if line == "one" and low in beta else low
+    return low if low in beta else None
+
+
+def _jump_line_classes_at(x: RBAffElt, i: int, grow: int):
+    n = x.w.N
+    M, jlo, jhi = _window(x, i, grow)
+    w = x.w
+    ws = w.after(AffinePerm.simple(n, i))
+    ascent = w(i) < w(i + 1)
+    J = _predicted_jumps(x, jlo, jhi + 1)
+    out = []
+    for line in ("inf", "one", "generic"):
+        jumps = {j: J[j] for j in range(jlo, jhi + 1)}
+        for j in range(jlo + (i - jlo) % n, jhi + 1, n):
+            kept = J[j + 1]
+            top = _marked_top(w(j), w(j + 1), x.beta, line, ascent)
+            if top is not None and (kept is None or top > kept):
+                kept = top
+            jumps[j] = kept
+        perm = ws if line == "inf" or ascent else w
+        out.append(_label_from_jumps(perm, jumps, jlo, jhi, 1 - M * n))
+    return tuple(out)
+
+
+def jump_line_classes(x: RBAffElt, i: int) -> tuple:
+    """The labels of the three line classes of `affine._line_classes`
+    (e_b, e_a + e_b, e_a + c e_b), each rebuilt from its jump profile:
+    the moved flag's profile changes only at the wall steps, where the
+    marked vector keeps `_marked_top`, and `_label_from_jumps` reads the
+    validated label back from it."""
+    return _retry(_jump_line_classes_at, x, i)
 
 
 class _Model:

@@ -393,6 +393,18 @@ def green_labels(n: int, q: int, pure: bool = False) -> list["GreenLabel"]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _image(side: str, nu, src: Bipartition, qd: int) -> tuple:
+    """(target, coefficient) pairs of u_nu acting on u_src at the rank
+    they fill; the coefficients are polynomials in q = v**2, read at
+    q = qd (q**deg(f) for a polynomial f).  `green_mul` asks for it for
+    every label and polynomial of every row, but it depends only on
+    these four arguments."""
+    rank = label_size(src) + sum(nu)
+    image = act(side, u_elt(nu, rank), u_bip(src, rank))
+    return tuple((tgt, g.bar().to_t_poly().evaluate(qd)) for tgt, g in image.items())
+
+
 def green_mul(
     side: str, cls: GreenLabel, x: Mapping[GreenLabel, int]
 ) -> dict[GreenLabel, int]:
@@ -412,17 +424,10 @@ def green_mul(
             raise FieldMismatch("labels live over different fields")
         if c0 == 0:
             continue
-        choices: list[list[tuple[tuple[int, ...], Bipartition, int]]] = []
+        choices = []
         for f, nu_pair in cls._s:
-            nu = nu_pair[1]
-            src = glab.get(f)
-            qd = cls.q ** (len(f) - 1)
-            rank = label_size(src) + sum(nu)
-            image = act(side, u_elt(nu, rank), u_bip(src, rank))
-            # coefficients are polynomials in q = v**2: read them at q**deg(f)
-            choices.append(
-                [(f, tgt, g.bar().to_t_poly().evaluate(qd)) for tgt, g in image.items()]
-            )
+            image = _image(side, nu_pair[1], glab.get(f), cls.q ** (len(f) - 1))
+            choices.append([(f, tgt, c) for tgt, c in image])
         for combo in cartesian(*choices):
             support = glab.support()
             coeff = c0

@@ -11,7 +11,10 @@ from mirahall.affine import (
     AffinePerm,
     BetaSet,
     RBAffElt,
+    _sort_key,
+    _violation,
     pattern_check,
+    predicted_case,
     ts_action,
     universe,
     validate,
@@ -21,6 +24,7 @@ from mirahall.config import RunConfig
 from mirahall.errors import (
     ComponentMismatch,
     Incompatible,
+    NoTemplateMatch,
     UsageError,
 )
 from mirahall.laurent import QPoly
@@ -238,6 +242,111 @@ def test_served_product_ignores_primes():
             counted_ts_action(x, 2, primes)
         with pytest.raises(UsageError):
             mass_check(x, 2, primes)
+
+
+def match_template(x, i, product):
+    """Identify the unique case shape fitting the computed product, with
+    the toggle slot read off the product; the oracle for the predicted
+    case (`predicted_case`)."""
+    one = QPoly.one()
+    qq = QPoly.q_power(1)
+    s = AffinePerm.simple(x.w.N, i)
+    ws = x.w.after(s)
+    ascent = ws.length() > x.w.length()
+    labs = sorted(product, key=_sort_key)
+    hits = []
+    if ascent and len(labs) == 1:
+        y = labs[0]
+        if y.w == ws and y.beta == x.beta and product[y] == one:
+            hits.append((1, {"xs": y}))
+    if ascent and len(labs) == 2 and all(product[y] == one for y in labs):
+        mains = [y for y in labs if y.beta == x.beta]
+        if len(mains) == 1 and all(y.w == ws for y in labs):
+            other = next(y for y in labs if y is not mains[0])
+            gone, came = x.beta.diff(other.beta)
+            if len(gone) == 1 and not came:
+                hits.append((2, {"xs": mains[0], "xsp": other, "toggle": gone[0]}))
+    if not ascent and len(labs) == 2 and all(product[y] == one for y in labs):
+        kept = [y for y in labs if y.w == x.w]
+        moved = [y for y in labs if y.w == ws]
+        if len(kept) == 1 and len(moved) == 1 and kept[0].beta == moved[0].beta:
+            gone, came = x.beta.diff(kept[0].beta)
+            if not gone and len(came) == 1:
+                hits.append((3, {"xf": kept[0], "xfs": moved[0], "toggle": came[0]}))
+    if not ascent and len(labs) == 2 and product.get(x) == qq - 1:
+        other = [y for y in labs if y != x]
+        if other and other[0].w == ws and other[0].beta == x.beta and product[other[0]] == qq:
+            hits.append((4, {"xs": other[0]}))
+    if not ascent and len(labs) == 3 and product.get(x) == qq - 2:
+        side = [y for y in labs if y != x]
+        xs_c = [y for y in side if y.w == ws and y.beta == x.beta]
+        xp_c = [y for y in side if y.w == x.w]
+        if (len(xs_c) == 1 and len(xp_c) == 1
+                and product[xs_c[0]] == qq - 1 and product[xp_c[0]] == qq - 1):
+            gone, came = x.beta.diff(xp_c[0].beta)
+            if len(gone) == 1 and not came:
+                hits.append((5, {"xs": xs_c[0], "xp": xp_c[0], "toggle": gone[0]}))
+    if len(hits) != 1:
+        raise NoTemplateMatch(f"product at {x}, position {i} matched {hits}")
+    return hits[0]
+
+
+def wall_pairs():
+    """Every (label, wall) of universe(2) and universe(3), a seeded
+    sample of 400 labels of universe(4), and the period-3 spot labels."""
+    pool = list(universe(2)) + list(universe(3))
+    pool += random.Random(8).sample(list(universe(4)), 400)
+    pool += [validate(*args) for args, _ in PERIOD3_SPOTS]
+    return [(x, i) for x in pool for i in range(1, x.w.N + 1)]
+
+
+def test_direct_line_classes_match_jump_round_trip():
+    for x, i in wall_pairs():
+        direct = affine._line_classes(x, i)
+        assert tuple(lab for lab, _ in direct) == oracle.jump_line_classes(x, i), (x, i)
+        assert [w for _, w in direct] == [ONE, ONE, Q - 2]
+        for lab, _ in direct:
+            assert _violation(lab.w, lab.beta) is None, (x, i, lab)
+
+
+def test_predicted_case_matches_template():
+    for x, i in wall_pairs():
+        product = ts_action(x, i)
+        case, roles = match_template(x, i, product)
+        assert predicted_case(x, i) == (case, roles), (x, i)
+        assert pattern_check(x, i, product) == case
+
+
+def test_pattern_check_refuses_a_product_off_its_shape():
+    x = validate((-1, 2), -2)
+    product = dict(ts_action(x, 2))
+    product[x] = Q - 1
+    with pytest.raises(NoTemplateMatch):
+        pattern_check(x, 2, product)
+    with pytest.raises(NoTemplateMatch):
+        pattern_check(x, 1, ts_action(x, 2))
+
+
+ROUND_TRIP = ("_beta_from_jumps", "_label_from_jumps", "_predicted_jumps",
+              "_window", "_retry", "_bounds", "jump_line_classes")
+
+
+def test_serving_never_rebuilds_labels(monkeypatch, tmp_path):
+    for name in ROUND_TRIP + ("_match_template", "_marked_top", "_GROW_STEPS"):
+        assert not hasattr(affine, name), name
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the serving path rebuilt a label from its jumps")
+
+    ts_action.cache_clear()
+    affine._line_classes.cache_clear()
+    for name in ROUND_TRIP:
+        monkeypatch.setattr(oracle, name, forbidden)
+    cfg = RunConfig(cache_dir=str(tmp_path / "cache"))
+    payload = cli.iwahori_payload(3, 2, cfg)
+    assert len(payload["products"]) == 3 * len(universe(3))
+    with pytest.raises(AssertionError):
+        oracle.rep_roundtrip(validate((1, 2), 0))
 
 
 def test_pattern_exhaustive_window2():

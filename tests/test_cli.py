@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import time
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from mirahall import (
+    affine,
     bimodule,
     cache,
     checks,
@@ -369,6 +371,46 @@ def test_hall_and_green_cost_guards_refuse_fast(capsys, argv):
     assert code == 1
     assert "CostGuard" in captured.err and captured.out == ""
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("iwahori", "mult", "--N", "5"),
+    ("iwahori", "mult", "--N", "4", "--window", "3"),
+    ("iwahori", "mult", "--N", "2", "--window", "1000000000"),
+    ("iwahori", "mult", "--N", "1000000"),
+], ids=" ".join)
+def test_iwahori_cost_guard_refuses_fast(capsys, argv):
+    start = time.perf_counter()
+    code = cli.main(list(argv))
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "CostGuard" in captured.err and captured.out == ""
+    assert elapsed < 1.0
+
+
+def test_iwahori_cost_guard_counts_the_candidates():
+    # universe(N, 1, window) tries N! 3^N 4^window candidate labels
+    for N in range(2, 7):
+        for window in range(1, 9):
+            count = math.factorial(N) * 3 ** N * 4 ** window
+            if count <= affine.MAX_CANDIDATES:
+                affine.check_universe_cost(N, window)
+            else:
+                with pytest.raises(CostGuard):
+                    affine.check_universe_cost(N, window)
+    # the default window serves N = 4 and refuses N = 5
+    affine.check_universe_cost(4, 2)
+    with pytest.raises(CostGuard):
+        affine.check_universe_cost(5, 1)
+
+
+def test_cache_entry_is_one_sorted_json_document(tmp_path):
+    payload = {"rows": [1, 2], "b": {"z": [3], "a": "x"}}
+    path = cache.store("thing", {"a": 1}, payload, str(tmp_path))
+    entry = {"tag": cache.code_tag(), "module": "thing", "params": {"a": 1},
+             "payload": payload}
+    assert Path(path).read_text(encoding="utf-8") == json.dumps(entry, sort_keys=True)
 
 
 def test_hall_cost_guard_passes_the_products_within_budget():
