@@ -82,7 +82,8 @@ def store(module: str, params: Mapping, payload, directory: str = "") -> str:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            # one write: json.dump streams through the pure-Python encoder
+            # json.dumps encodes in C; json.dump would stream the entry
+            # through the pure-Python encoder
             fh.write(json.dumps(entry, sort_keys=True))
         os.replace(tmp, path)
     except OSError as exc:
