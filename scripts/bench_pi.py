@@ -14,7 +14,11 @@ WARM_LAUNCHES import-only launches (`mirahall --help`) and of as many
 cached `pi --n 4` requests, taken in turn so that a slow spell of the
 host hits both, each a fresh process with bytecode caching off (nothing
 read from or written to `__pycache__`), so every process compiles the
-package from source.
+package from source.  A host speed gauge, a `python3 -c "import numpy"`
+process that runs no mirahall code, is timed in turn with them, as
+`perfbench/run.py` does; the record keeps the raw medians, the gauge's
+median, and each warm median scaled by GAUGE_REF_S over it, which reads
+as at the host speed at which the gauge takes GAUGE_REF_S.
 
 The record also keeps the git sha of the timed checkout (and whether
 its `src/` differs from that commit), nproc and the Python version.
@@ -44,6 +48,12 @@ WARM_LAUNCHES = 9
 
 # cold `iwahori mult --N N` at window 2, timed in every record
 IWAHORI_NS = (2, 3, 4)
+
+# the host speed gauge of perfbench/run.py, with its thread pins
+GAUGE_ARGV = ("-c", "import numpy")
+GAUGE_REF_S = 0.16
+GAUGE_PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
 
 
 def _git(checkout: Path, *args: str) -> str:
@@ -79,7 +89,7 @@ def time_cold(checkout: Path, args: list[str]) -> dict:
 
 def time_warm(checkout: Path) -> dict:
     """Median wall times of import-only launches and cached `pi --n 4`
-    requests, bytecode caching off."""
+    requests, bytecode caching off, raw and scaled by the host gauge."""
     with tempfile.TemporaryDirectory(prefix="bench_warm_") as tmp:
         env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                    PYTHONDONTWRITEBYTECODE="1",
@@ -87,22 +97,31 @@ def time_warm(checkout: Path) -> dict:
         cli = [sys.executable, "-m", "mirahall.cli"]
         cached = cli + ["pi", "--n", "4", "--cache-dir", os.path.join(tmp, "cache")]
 
-        def wall(argv: list[str]) -> float:
+        gauge_env = dict(os.environ, **GAUGE_PINS)
+
+        def wall(argv: list[str], env: dict = env) -> float:
             start = time.perf_counter()
             subprocess.run(argv, env=env, stdout=subprocess.DEVNULL,
                            stderr=subprocess.DEVNULL, check=True)
             return time.perf_counter() - start
 
         wall(cached)  # fills the cache
-        help_s, pi_s = [], []
+        help_s, pi_s, gauge_s = [], [], []
         for _ in range(WARM_LAUNCHES):
             help_s.append(wall(cli + ["--help"]))
             pi_s.append(wall(cached))
+            gauge_s.append(wall([sys.executable, *GAUGE_ARGV], gauge_env))
+    gauge = statistics.median(gauge_s)
+    speed = GAUGE_REF_S / gauge
     return {
         "launches": WARM_LAUNCHES,
         "bytecode_cache": "off",
         "help_p50_s": round(statistics.median(help_s), 4),
         "cached_pi4_p50_s": round(statistics.median(pi_s), 4),
+        "gauge_p50_s": round(gauge, 4),
+        "gauge_ref_s": GAUGE_REF_S,
+        "help_p50_scaled_s": round(statistics.median(help_s) * speed, 4),
+        "cached_pi4_p50_scaled_s": round(statistics.median(pi_s) * speed, 4),
     }
 
 

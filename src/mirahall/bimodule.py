@@ -196,31 +196,42 @@ def gen_act(side: str, r: int, m: MirElt) -> MirElt:
         return MirElt.zero(m.rank)
     out: dict[Bipartition, LaurentPoly] = {}
     for src, cs in m._c.items():
-        column = closed_form_G(r, src, side)
-        _accumulate(out, (
-            (tgt, cs * g.to_laurent())
-            for tgt, g in column.items()
-            if _fits(tgt, m.rank)
-        ))
+        _accumulate(out, ((tgt, cs * g) for tgt, g in _v_column(r, src, side, m.rank)))
     return MirElt._trusted(m.rank, out)
 
 
+@lru_cache(maxsize=None)
+def _v_column(
+    r: int, src: Bipartition, side: str, rank: int
+) -> tuple[tuple[Bipartition, LaurentPoly], ...]:
+    """`closed_form_G(r, src, side)` in v (q = v**2), over the targets
+    with at most `rank` rows per component."""
+    return tuple(
+        (tgt, g.to_laurent())
+        for tgt, g in closed_form_G(r, src, side).items()
+        if _fits(tgt, rank)
+    )
+
+
 def act(side: str, a: HallElt, m: MirElt) -> MirElt:
-    """Module action via the generator decomposition of the operator."""
+    """Module action via the generator decomposition of the operator.
+
+    The shapes of `a` share most of their generator monomials, so the
+    coefficients are summed per monomial first and each monomial's
+    chain of generator steps runs once."""
     if a.rank != m.rank:
         raise ValueError("rank mismatch")
-    out: dict[Bipartition, LaurentPoly] = {}
+    monomials: dict[tuple[int, ...], LaurentPoly] = {}
     for w, cw in a._c.items():
-        for cols, cf in _gen_decomposition(w, a.rank).items():
-            term = m
-            if side == "left":
-                for r in reversed(cols):
-                    term = gen_act("left", r, term)
-            else:
-                for r in cols:
-                    term = gen_act("right", r, term)
-            scale = cw * cf
-            _accumulate(out, ((k, scale * c) for k, c in term._c.items()))
+        _accumulate(monomials, (
+            (cols, cw * cf) for cols, cf in _gen_decomposition(w, a.rank).items()
+        ))
+    out: dict[Bipartition, LaurentPoly] = {}
+    for cols, scale in monomials.items():
+        term = m
+        for r in reversed(cols) if side == "left" else cols:
+            term = gen_act(side, r, term)
+        _accumulate(out, ((k, scale * c) for k, c in term._c.items()))
     return MirElt._trusted(m.rank, out)
 
 

@@ -18,7 +18,7 @@ import io
 import json
 import sys
 from functools import lru_cache
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
 from . import cache
@@ -387,13 +387,63 @@ def _grid(payload: dict) -> tuple[list[str], list[list[tuple[str, str]]]]:
     raise UsageError(f"no tabular view for payload kind {kind!r}")
 
 
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def json_text(value, pad: str = "\n") -> str:
+    """`json.dumps(value, sort_keys=True, indent=1)` for a payload tree,
+    `pad` being the newline and indent that `value` sits at.
+
+    The standard library encodes with an indent in pure Python, one
+    generator step per token; this writes each dict, list or tuple with
+    one join of its members' texts, so a large table is held as one
+    string per product rather than one per token.  Dict keys must be
+    strings; a value other than a str, int, bool, None, list, tuple or
+    dict raises TypeError."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    # one join per container, brackets and separators included, so the
+    # text of a container is copied once, into its parent's join
+    inner = pad + " "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        chunks = ["{"]
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"payload key {key!r} is not a string")
+            v = value[key]
+            scalar = _SCALARS.get(type(v))
+            chunks += (inner, encode_basestring_ascii(key), ": ",
+                       scalar(v) if scalar else json_text(v, inner), ",")
+        chunks[-1] = pad + "}"
+        return "".join(chunks)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        chunks = ["["]
+        for v in value:
+            scalar = _SCALARS.get(type(v))
+            chunks += (inner, scalar(v) if scalar else json_text(v, inner), ",")
+        chunks[-1] = pad + "]"
+        return "".join(chunks)
+    # subclasses of int and str, written as the standard library does
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    raise TypeError(f"{type(value).__name__} is not a payload value")
+
+
 def render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        # json.dumps(payload, sort_keys=True, indent=1), joined in batches:
-        # with an indent the encoder yields one string per token, and
-        # one join would hold every token of a large table at once
-        chunks = json.JSONEncoder(sort_keys=True, indent=1).iterencode(payload)
-        return "".join(iter(lambda: "".join(islice(chunks, 1 << 16)), "")) + "\n"
+        return json_text(payload) + "\n"
     header, rows = _grid(payload)
     if fmt == "csv":
         buf = io.StringIO()

@@ -50,17 +50,25 @@ from .partitions import (
 )
 
 
-def _compositions(bounds: list[int], total: int):
+def _compositions(bounds, total: int) -> tuple[tuple[int, ...], ...]:
+    """Every tuple x with 0 <= x[i] <= bounds[i] summing to `total`,
+    first entries largest first."""
+    return _bounded_compositions(tuple(bounds), total)
+
+
+@lru_cache(maxsize=None)
+def _bounded_compositions(
+    bounds: tuple[int, ...], total: int
+) -> tuple[tuple[int, ...], ...]:
     if total < 0:
-        return
+        return ()
     if not bounds:
-        if total == 0:
-            yield ()
-        return
-    head = bounds[0]
-    for x in range(min(head, total), -1, -1):
-        for rest in _compositions(bounds[1:], total - x):
-            yield (x,) + rest
+        return ((),) if total == 0 else ()
+    return tuple(
+        (x,) + rest
+        for x in range(min(bounds[0], total), -1, -1)
+        for rest in _bounded_compositions(bounds[1:], total - x)
+    )
 
 
 def _dual_from_profile(profile: list[int]) -> Partition:

@@ -6,6 +6,15 @@ ints, and every operation is exact; division helpers raise instead of
 rounding.  Recovering a polynomial from point counts
 (`pairs.interpolate`) belongs to the counting oracles.
 
+A polynomial holds one normal dict: int exponents, nonzero int
+coefficients.  The public constructors validate what they are given:
+they sum repeated exponents, drop zeros and raise NonIntegral on any
+exponent or coefficient that is not an integer (`int()` would truncate
+0.5 to 0 without a word).  Every arithmetic result (`+`, `-`, `*`,
+`**`, `shift`, `bar`, `exact_div`, `to_laurent`, `q_power`, ...) is
+already normal by construction and goes through the trusted
+constructors `_laurent` and `_qpoly`, which wrap the dict as is.
+
 >>> p = LaurentPoly({1: 1, -1: 1})
 >>> (p * p).pretty()
 'v^-2 + 2 + v^2'
@@ -24,26 +33,109 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
+def _exact(x) -> int:
+    """x as an int; NonIntegral if int() would change its value."""
+    n = int(x)
+    if n != x:
+        raise NonIntegral(f"{x!r} is not an integer")
+    return n
+
+
+def _normal(coeffs: Mapping[int, int] | None) -> dict[int, int]:
+    """Validated normal dict of `coeffs`: int exponents, repeated ones
+    summed, zero coefficients dropped."""
+    c: dict[int, int] = {}
+    if coeffs:
+        for e, a in coeffs.items():
+            e = _exact(e)
+            c[e] = c.get(e, 0) + _exact(a)
+    return {e: a for e, a in c.items() if a}
+
+
+def _exact_quotient(num: dict[int, int], den: dict[int, int]) -> dict[int, int]:
+    """Exact quotient of two normal dicts read as Laurent polynomials in
+    one variable; NonIntegral if it does not divide."""
+    if not den:
+        raise ZeroDivisionError("division by zero polynomial")
+    if not num:
+        return {}
+    if len(den) == 1:
+        [(e, a)] = den.items()
+        out = {}
+        for k, c in num.items():
+            if c % a:
+                raise NonIntegral(f"{c} not divisible by {a}")
+            out[k - e] = c // a
+        return out
+    # long division after shifting both to honest polynomials
+    sa, sb = min(num), min(den)
+    num = {e - sa: a for e, a in num.items()}
+    den = {e - sb: a for e, a in den.items()}
+    dd = max(den)
+    lead = den[dd]
+    quot: dict[int, int] = {}
+    while num:
+        dn = max(num)
+        if dn < dd:
+            raise NonIntegral("division leaves a remainder")
+        c = num[dn]
+        if c % lead:
+            raise NonIntegral(f"leading coefficient {c} not divisible by {lead}")
+        qc, qe = c // lead, dn - dd
+        quot[qe] = qc
+        for e, a in den.items():
+            k = e + qe
+            r = num.get(k, 0) - qc * a
+            if r:
+                num[k] = r
+            elif k in num:
+                del num[k]
+    return {e + sa - sb: a for e, a in quot.items()}
+
+
+def _sum(c: dict[int, int], other: dict[int, int], sign: int = 1) -> dict[int, int]:
+    """c + sign * other on normal dicts, as a new normal dict."""
+    out = dict(c)
+    for e, a in other.items():
+        s = out.get(e, 0) + sign * a
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def _product(c1: dict[int, int], c2: dict[int, int]) -> dict[int, int]:
+    """Product of two normal dicts, as a normal dict."""
+    if len(c2) == 1:
+        [(e2, a2)] = c2.items()
+        return {e1 + e2: a1 * a2 for e1, a1 in c1.items()}
+    if len(c1) == 1:
+        [(e1, a1)] = c1.items()
+        return {e1 + e2: a1 * a2 for e2, a2 in c2.items()}
+    out: dict[int, int] = {}
+    for e1, a1 in c1.items():
+        for e2, a2 in c2.items():
+            k = e1 + e2
+            out[k] = out.get(k, 0) + a1 * a2
+    return {k: a for k, a in out.items() if a}
+
+
 class LaurentPoly:
     """Element of Z[v, v^-1].  Immutable once built."""
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        c: dict[int, int] = {}
-        if coeffs:
-            for e, a in coeffs.items():
-                if a:
-                    c[int(e)] = c.get(int(e), 0) + int(a)
-        self._c = {e: a for e, a in c.items() if a}
+        self._c = _normal(coeffs)
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _laurent({})
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return _laurent({0: 1})
 
     @classmethod
     def from_int(cls, n: int) -> "LaurentPoly":
@@ -82,7 +174,7 @@ class LaurentPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = LaurentPoly({0: other})
+            return self._c == ({0: other} if other else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._c == other._c
@@ -92,36 +184,34 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        out = dict(self._c)
-        for e, a in other._c.items():
-            out[e] = out.get(e, 0) + a
-        return LaurentPoly(out)
+            return _laurent(_sum(self._c, {0: other})) if other else self
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return _laurent(_sum(self._c, other._c))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -a for e, a in self._c.items()})
+        return _laurent({e: -a for e, a in self._c.items()})
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        return self + (-other if isinstance(other, LaurentPoly) else -LaurentPoly({0: other}))
+        if isinstance(other, int):
+            return _laurent(_sum(self._c, {0: other}, -1)) if other else self
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return _laurent(_sum(self._c, other._c, -1))
 
     def __rsub__(self, other: int) -> "LaurentPoly":
-        return LaurentPoly({0: other}) - self
+        return -self + other
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            if other == 0:
-                return LaurentPoly()
-            return LaurentPoly({e: a * other for e, a in self._c.items()})
+            if not other:
+                return _laurent({})
+            return _laurent({e: a * other for e, a in self._c.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out: dict[int, int] = {}
-        for e1, a1 in self._c.items():
-            for e2, a2 in other._c.items():
-                k = e1 + e2
-                out[k] = out.get(k, 0) + a1 * a2
-        return LaurentPoly(out)
+        return _laurent(_product(self._c, other._c))
 
     __rmul__ = __mul__
 
@@ -131,7 +221,7 @@ class LaurentPoly:
             if mono is None or mono[1] not in (1, -1):
                 raise ValueError("negative power of a non-unit")
             e, a = mono
-            return LaurentPoly({e * n: 1 if (a == 1 or n % 2 == 0) else -1})
+            return _laurent({e * n: 1 if (a == 1 or n % 2 == 0) else -1})
         out = LaurentPoly.one()
         base = self
         while n:
@@ -143,11 +233,11 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """Involution v -> v**-1."""
-        return LaurentPoly({-e: a for e, a in self._c.items()})
+        return _laurent({-e: a for e, a in self._c.items()})
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by v**k."""
-        return LaurentPoly({e + k: a for e, a in self._c.items()})
+        return _laurent({e + k: a for e, a in self._c.items()})
 
     def as_monomial(self) -> tuple[int, int] | None:
         """(exponent, coefficient) if a single term, else None."""
@@ -162,43 +252,7 @@ class LaurentPoly:
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient in Z[v, v^-1]; NonIntegral if it does not divide."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return LaurentPoly()
-        mono = other.as_monomial()
-        if mono is not None:
-            e, a = mono
-            out = {}
-            for k, c in self._c.items():
-                if c % a:
-                    raise NonIntegral(f"{c} not divisible by {a}")
-                out[k - e] = c // a
-            return LaurentPoly(out)
-        # long division after shifting both to honest polynomials
-        sa, sb = self.min_exp(), other.min_exp()
-        num = {e - sa: a for e, a in self._c.items()}
-        den = {e - sb: a for e, a in other._c.items()}
-        dd = max(den)
-        lead = den[dd]
-        quot: dict[int, int] = {}
-        while num:
-            dn = max(num)
-            if dn < dd:
-                raise NonIntegral("division leaves a remainder")
-            c = num[dn]
-            if c % lead:
-                raise NonIntegral(f"leading coefficient {c} not divisible by {lead}")
-            qc, qe = c // lead, dn - dd
-            quot[qe] = qc
-            for e, a in den.items():
-                k = e + qe
-                r = num.get(k, 0) - qc * a
-                if r:
-                    num[k] = r
-                elif k in num:
-                    del num[k]
-        return LaurentPoly({e + sa - sb: a for e, a in quot.items()})
+        return _laurent(_exact_quotient(self._c, other._c))
 
     def evaluate(self, x: "Fraction | int") -> Fraction:
         """Value at v = x, exact rational arithmetic."""
@@ -222,12 +276,12 @@ class LaurentPoly:
             if e > 0 or e % 2:
                 raise NonIntegral(f"exponent {e} is not of the form -2k")
             out[-e // 2] = a
-        return QPoly(out)
+        return _qpoly(out)
 
     @classmethod
     def from_t_poly(cls, p: "QPoly") -> "LaurentPoly":
         """Substitute t = v**-2 into a polynomial in t."""
-        return cls({-2 * e: a for e, a in p.items()})
+        return _laurent({-2 * e: a for e, a in p._c.items()})
 
     def to_json(self) -> dict[str, int]:
         return {str(e): a for e, a in sorted(self._c.items())}
@@ -278,23 +332,18 @@ class QPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        c: dict[int, int] = {}
-        if coeffs:
-            for e, a in coeffs.items():
-                e = int(e)
-                if e < 0:
-                    raise ValueError(f"negative exponent {e} in QPoly")
-                if a:
-                    c[e] = c.get(e, 0) + int(a)
-        self._c = {e: a for e, a in c.items() if a}
+        for e in coeffs or ():
+            if _exact(e) < 0:
+                raise ValueError(f"negative exponent {e} in QPoly")
+        self._c = _normal(coeffs)
 
     @classmethod
     def zero(cls) -> "QPoly":
-        return cls()
+        return _qpoly({})
 
     @classmethod
     def one(cls) -> "QPoly":
-        return cls({0: 1})
+        return _qpoly({0: 1})
 
     @classmethod
     def from_int(cls, n: int) -> "QPoly":
@@ -302,7 +351,10 @@ class QPoly:
 
     @classmethod
     def q_power(cls, k: int, coeff: int = 1) -> "QPoly":
-        return cls({k: coeff})
+        """coeff * q**k, for int k >= 0 and int coeff."""
+        if k < 0:
+            raise ValueError(f"negative exponent {k} in QPoly")
+        return _qpoly({k: coeff} if coeff else {})
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[int]) -> "QPoly":
@@ -327,7 +379,7 @@ class QPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = QPoly({0: other})
+            return self._c == ({0: other} if other else {})
         if not isinstance(other, QPoly):
             return NotImplemented
         return self._c == other._c
@@ -337,35 +389,34 @@ class QPoly:
 
     def __add__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
-            other = QPoly({0: other})
-        out = dict(self._c)
-        for e, a in other._c.items():
-            out[e] = out.get(e, 0) + a
-        return QPoly(out)
+            return _qpoly(_sum(self._c, {0: other})) if other else self
+        if not isinstance(other, QPoly):
+            return NotImplemented
+        return _qpoly(_sum(self._c, other._c))
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly({e: -a for e, a in self._c.items()})
+        return _qpoly({e: -a for e, a in self._c.items()})
 
     def __sub__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
-            other = QPoly({0: other})
-        return self + (-other)
+            return _qpoly(_sum(self._c, {0: other}, -1)) if other else self
+        if not isinstance(other, QPoly):
+            return NotImplemented
+        return _qpoly(_sum(self._c, other._c, -1))
 
     def __rsub__(self, other: int) -> "QPoly":
-        return QPoly({0: other}) - self
+        return -self + other
 
     def __mul__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
-            return QPoly({e: a * other for e, a in self._c.items()}) if other else QPoly()
+            if not other:
+                return _qpoly({})
+            return _qpoly({e: a * other for e, a in self._c.items()})
         if not isinstance(other, QPoly):
             return NotImplemented
-        out: dict[int, int] = {}
-        for e1, a1 in self._c.items():
-            for e2, a2 in other._c.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + a1 * a2
-        return QPoly(out)
+        return _qpoly(_product(self._c, other._c))
 
     __rmul__ = __mul__
 
@@ -382,14 +433,12 @@ class QPoly:
         return out
 
     def exact_div(self, other: "QPoly") -> "QPoly":
-        """Exact quotient in Z[q]; NonIntegral if it does not divide."""
-        lp = self.to_laurent().exact_div(other.to_laurent())
-        out: dict[int, int] = {}
-        for e, a in lp.items():
-            if e % 2:
-                raise NonIntegral("quotient has odd v-exponent")
-            out[e // 2] = a
-        return QPoly(out)
+        """Exact quotient in Z[q]; NonIntegral if it does not divide even
+        in Z[q, q^-1], ValueError if the quotient needs a negative power."""
+        out = _exact_quotient(self._c, other._c)
+        if out and min(out) < 0:
+            raise ValueError(f"negative exponent {min(out)} in QPoly")
+        return _qpoly(out)
 
     def evaluate(self, x: int) -> int:
         """Value at q = x (Horner)."""
@@ -400,7 +449,7 @@ class QPoly:
 
     def to_laurent(self) -> LaurentPoly:
         """Substitute q = v**2."""
-        return LaurentPoly({2 * e: a for e, a in self._c.items()})
+        return _laurent({2 * e: a for e, a in self._c.items()})
 
     def to_json(self) -> dict[str, int]:
         return {str(e): a for e, a in sorted(self._c.items())}
@@ -410,13 +459,29 @@ class QPoly:
         return cls({int(e): int(a) for e, a in d.items()})
 
     def pretty(self, var: str = "q") -> str:
-        return LaurentPoly({e: a for e, a in self._c.items()}).pretty(var)
+        return _laurent(self._c).pretty(var)
 
     def latex(self, var: str = "q") -> str:
-        return LaurentPoly({e: a for e, a in self._c.items()}).latex(var)
+        return _laurent(self._c).latex(var)
 
     def __repr__(self) -> str:
         return f"QPoly({self.pretty()})"
+
+
+def _laurent(c: dict[int, int]) -> LaurentPoly:
+    """Trusted constructor: wrap a normal dict (int exponents, nonzero
+    int coefficients) without checking or copying it."""
+    p = object.__new__(LaurentPoly)
+    p._c = c
+    return p
+
+
+def _qpoly(c: dict[int, int]) -> QPoly:
+    """Trusted constructor: wrap a normal dict (int exponents >= 0,
+    nonzero int coefficients) without checking or copying it."""
+    p = object.__new__(QPoly)
+    p._c = c
+    return p
 
 
 @lru_cache(maxsize=None)

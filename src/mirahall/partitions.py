@@ -29,10 +29,13 @@ def trim(seq) -> Partition:
     >>> trim((3, 1, 0, 0))
     (3, 1)
     """
-    out = tuple(int(x) for x in seq)
-    while out and out[-1] == 0:
-        out = out[:-1]
-    if not is_partition(out):
+    out = tuple(map(int, seq))
+    end = len(out)
+    while end and out[end - 1] == 0:
+        end -= 1
+    out = out[:end]
+    # positive and weakly decreasing: is_partition on the ints
+    if out and (out[-1] < 0 or out != tuple(sorted(out, reverse=True))):
         raise ValueError(f"not weakly decreasing positive: {seq}")
     return out
 
@@ -46,6 +49,7 @@ def label_size(bp: Bipartition) -> int:
     return sum(bp[0]) + sum(bp[1])
 
 
+@lru_cache(maxsize=None)
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram.
 
@@ -71,7 +75,7 @@ def pad(lam: Partition, length: int) -> tuple[int, ...]:
 def add_parts(lam: Partition, mu: Partition) -> Partition:
     """Componentwise sum, e.g. the type of a direct sum refinement."""
     k = max(len(lam), len(mu))
-    return trim(tuple(pad(lam, k)[i] + pad(mu, k)[i] for i in range(k)))
+    return trim(tuple(a + b for a, b in zip(pad(lam, k), pad(mu, k))))
 
 
 def dominance_leq(a: Partition, b: Partition) -> bool:
@@ -144,7 +148,8 @@ def interleaved_key(bp: Bipartition, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def bipartitions_of(n: int) -> list[Bipartition]:
+@lru_cache(maxsize=None)
+def bipartitions_of(n: int) -> tuple[Bipartition, ...]:
     """All bipartitions of n in descending interleaved-lex order.
 
     The order is a linear extension of the alternating-sum order
@@ -152,15 +157,16 @@ def bipartitions_of(n: int) -> list[Bipartition]:
     solved by forward substitution.
 
     >>> bipartitions_of(2)
-    [((2,), ()), ((1,), (1,)), ((1, 1), ()), ((), (2,)), ((), (1, 1))]
+    (((2,), ()), ((1,), (1,)), ((1, 1), ()), ((), (2,)), ((), (1, 1)))
     """
-    out: list[Bipartition] = []
-    for k in range(n, -1, -1):
-        for lam in partitions_of(k):
-            for mu in partitions_of(n - k):
-                out.append((lam, mu))
+    out = [
+        (lam, mu)
+        for k in range(n, -1, -1)
+        for lam in partitions_of(k)
+        for mu in partitions_of(n - k)
+    ]
     out.sort(key=lambda bp: interleaved_key(bp, n), reverse=True)
-    return out
+    return tuple(out)
 
 
 def bipartition_count(n: int, rows: int | None = None) -> int:

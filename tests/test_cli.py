@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -6,6 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mirahall import (
     affine,
@@ -476,3 +479,59 @@ def test_serving_path_never_runs_the_antisymmetriser(tmp_path, monkeypatch):
         assert len(cli.trace_payload(3, 3, cfg)["order"]) == 10
     finally:
         _clear_caches()
+
+
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**20), 10**20) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_trees)
+def test_json_text_matches_the_standard_library(tree):
+    assert cli.json_text(tree) == json.dumps(tree, sort_keys=True, indent=1)
+
+
+def test_json_text_on_every_payload_kind(tmp_path):
+    cfg = RunConfig(cache_dir=str(tmp_path / "cache"), max_n=2)
+    payloads = [
+        cli.pi_payload(3, 3, cfg),
+        cli.mhl_payload(2, 2, cfg),
+        cli.trace_payload(2, 3, cfg),
+        cli.hall_payload((2,), (1,), 2),
+        cli.mirabolic_payload(((1,), (1,)), 1, "left", 3),
+        cli.mirabolic_payload(((1,), ()), 1, "right", 3),
+        cli.green_payload(2, 3),
+        cli.iwahori_payload(2, 1, cfg),
+        cli.verify_payload(["census"], cfg),
+        {"empty_list": [], "empty_dict": {}, "nested": [[], {}, [{}]], "none": None},
+    ]
+    for payload in payloads:
+        for tree in (payload, json.loads(json.dumps(payload))):
+            want = json.dumps(tree, sort_keys=True, indent=1) + "\n"
+            assert cli.render(tree, "json") == want, payload.get("kind")
+
+
+def test_json_text_refuses_what_is_not_a_payload():
+    for bad in (1.5, {1: 2}, {"a": [b"x"]}, {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            cli.json_text(bad)
+
+
+# sha256 of stdout: pi --n 5 and --n 6 as in every record of
+# BENCH_pi.json, mhl --n 5 as served before the trusted Laurent kernel
+SERVED_DIGESTS = {
+    ("pi", "--n", "5"): "492fe5f72799489cdbac0bceac414ce033103304e445a263834da2f4705dbe4f",
+    ("pi", "--n", "6"): "202ef7a04112617aa7de6a2bf3e3ad088fd9ff9b9a0b4e6a1012dd5cc6ee9465",
+    ("mhl", "--n", "5"): "adc58f797631bf6dadf6ca53390e609a3e49701d1f728085933fcd245a45ef7a",
+}
+
+
+@pytest.mark.parametrize("argv", SERVED_DIGESTS, ids=" ".join)
+def test_served_json_keeps_its_digest(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SERVED_DIGESTS[argv]

@@ -108,6 +108,85 @@ def test_qpoly_guards():
         QPoly.one() ** -1
 
 
+def test_constructors_refuse_non_integers():
+    # int() would truncate each of these without a word
+    with pytest.raises(NonIntegral):
+        LaurentPoly({0: 0.5})
+    with pytest.raises(NonIntegral):
+        LaurentPoly({0: 1.5})
+    with pytest.raises(NonIntegral):
+        QPoly({1.5: 1})
+    # integral values of other types still convert
+    assert LaurentPoly({2.0: 3.0}) == LaurentPoly.v_power(2, 3)
+    assert QPoly({True: 2}) == QPoly.q_power(1, 2)
+
+
+def _is_normal(p) -> bool:
+    """p holds int exponents and nonzero int coefficients, and equals
+    itself rebuilt through the validating constructor."""
+    c = p._c
+    return (
+        all(type(e) is int and type(a) is int and a for e, a in c.items())
+        and type(p)(dict(c))._c == c
+    )
+
+
+@given(lpolys, lpolys, qpolys, st.integers(-3, 3), st.integers(0, 3))
+def test_laurent_results_are_normal(p, q, t, k, n):
+    results = [
+        p + q, p - q, -p, p * q, p * k, k * p, p + k, k - p, p - k,
+        p ** n, p.shift(k), p.bar(), p - p, p * 0, p + (-p), p * LaurentPoly(),
+        LaurentPoly.from_t_poly(t), LaurentPoly.from_t_poly(t).to_t_poly(),
+    ]
+    if not q.is_zero():
+        results.append((p * q).exact_div(q))
+    if q.is_unit_monomial():
+        results.append(q ** -n)
+    assert all(_is_normal(r) for r in results)
+    assert (p - p).is_zero() and (p * 0).is_zero() and (p + (-p)).is_zero()
+
+
+@given(qpolys, qpolys, st.integers(-3, 3), st.integers(0, 3), st.integers(0, 4))
+def test_qpoly_results_are_normal(p, q, k, n, e):
+    results = [
+        p + q, p - q, -p, p * q, p * k, k * p, p + k, k - p, p - k,
+        p ** n, p - p, p * 0, p + (-p), p * QPoly(), p.to_laurent(),
+        QPoly.q_power(e, k), QPoly.zero(), QPoly.one(),
+    ]
+    if not q.is_zero():
+        results.append((p * q).exact_div(q))
+    assert all(_is_normal(r) for r in results)
+    assert (p - p).is_zero() and (p * 0).is_zero() and (p + (-p)).is_zero()
+
+
+def _laurent_route(p: QPoly, q: QPoly) -> QPoly:
+    """QPoly.exact_div as it was once computed: through Z[v, v^-1]."""
+    lp = p.to_laurent().exact_div(q.to_laurent())
+    out = {}
+    for e, a in lp.items():
+        if e % 2:
+            raise NonIntegral("quotient has odd v-exponent")
+        out[e // 2] = a
+    return QPoly(out)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (NonIntegral, ValueError) as exc:
+        return type(exc)
+
+
+@given(qpolys, qpolys, qpolys, st.integers(0, 3))
+def test_qpoly_exact_div_fails_where_the_laurent_route_did(p, q, r, s):
+    if q.is_zero():
+        return
+    # exact quotients, near misses and quotients with a pole at q = 0
+    for num in (p, p * q, p * q + r, p * q * QPoly.q_power(s)):
+        for den in (q, q * QPoly.q_power(s)):
+            assert _outcome(QPoly.exact_div, num, den) == _outcome(_laurent_route, num, den)
+
+
 @given(qpolys, st.integers(-5, 5))
 def test_qpoly_evaluate_matches_naive(p, x):
     naive = sum(a * x ** e for e, a in p.items())

@@ -137,13 +137,13 @@ def test_n_stat_additive_on_componentwise_sum(lam, mu):
 
 
 def test_bipartition_golden_order():
-    assert bipartitions_of(2) == [
+    assert bipartitions_of(2) == (
         ((2,), ()),
         ((1,), (1,)),
         ((1, 1), ()),
         ((), (2,)),
         ((), (1, 1)),
-    ]
+    )
 
 
 def test_bipartition_counts():
