@@ -45,18 +45,18 @@ from .partitions import (
 # Budgets for the tables that `pi`, `mhl` and `trace` build, checked
 # before any table work.  MAX_LABELS bounds the labels of the table
 # itself, those with at most `rank` rows per component.  Cold on a
-# 2-vCPU box, n = 8 at full rank (185 labels) took 22 s for `pi` and
-# 45 s for `mhl`, n = 9 (300 labels) 71 s and 269 MB for `pi` and 161 s
-# for `mhl`; each size costs three to four times the one below, so
-# n = 10 at full rank (481 labels) would take about ten minutes.
+# 2-vCPU box, n = 8 at full rank (185 labels) took 5.9 s for `pi` and
+# 6.9 s for `mhl`, n = 9 (300 labels) 15.5 s and 184 MB for `pi` and
+# 25 s for `mhl`.  At n = 10 (481 labels) the table alone took 44 s and
+# 238 MB in one process, before any rendering or caching.
 MAX_LABELS = 300
 
 # MAX_SIZE_LABELS bounds all labels of size n, whatever the rank: every
 # generator step reads a closed column over all labels of its size, so a
 # low rank does not make a large n cheap.  `pi --n 12 --N 1` (13 labels)
-# took 40 s, `--n 12 --N 2` (140 labels) 77 s and `--n 13 --N 2` (168
-# labels) 180 s and 107 MB; at 2.3 times that per size, `--n 14 --N 2`
-# would come near the ten minutes.  1770 labels is n = 13.
+# took 22 s, `--n 12 --N 2` (140 labels) 35 s and `--n 13 --N 2` (168
+# labels) 61 s and 134 MB; at 1.75 times that per size, `--n 14 --N 2`
+# would take about two minutes.  1770 labels is n = 13.
 MAX_SIZE_LABELS = 1770
 
 

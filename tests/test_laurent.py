@@ -160,7 +160,8 @@ def test_qpoly_results_are_normal(p, q, k, n, e):
 
 
 def _laurent_route(p: QPoly, q: QPoly) -> QPoly:
-    """QPoly.exact_div as it was once computed: through Z[v, v^-1]."""
+    """Quotient in Z[q] by way of Z[v, v^-1], the reference for
+    QPoly.exact_div."""
     lp = p.to_laurent().exact_div(q.to_laurent())
     out = {}
     for e, a in lp.items():
