@@ -33,22 +33,17 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def _exact(x) -> int:
-    """x as an int; NonIntegral if int() would change its value."""
-    n = int(x)
-    if n != x:
-        raise NonIntegral(f"{x!r} is not an integer")
-    return n
-
-
 def _normal(coeffs: Mapping[int, int] | None) -> dict[int, int]:
     """Validated normal dict of `coeffs`: int exponents, repeated ones
-    summed, zero coefficients dropped."""
+    summed, zero coefficients dropped; NonIntegral on an exponent or
+    coefficient that int() would change."""
     c: dict[int, int] = {}
     if coeffs:
         for e, a in coeffs.items():
-            e = _exact(e)
-            c[e] = c.get(e, 0) + _exact(a)
+            ie, ia = int(e), int(a)
+            if ie != e or ia != a:
+                raise NonIntegral(f"term {a!r} * x^{e!r} is not integral")
+            c[ie] = c.get(ie, 0) + ia
     return {e: a for e, a in c.items() if a}
 
 
@@ -332,10 +327,10 @@ class QPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        for e in coeffs or ():
-            if _exact(e) < 0:
-                raise ValueError(f"negative exponent {e} in QPoly")
         self._c = _normal(coeffs)
+        # every key is integral by now, zero coefficients' keys included
+        if coeffs and min(coeffs) < 0:
+            raise ValueError(f"negative exponent {int(min(coeffs))} in QPoly")
 
     @classmethod
     def zero(cls) -> "QPoly":
