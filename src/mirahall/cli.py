@@ -396,20 +396,16 @@ _SCALARS = {
 
 
 def json_text(value, pad: str = "\n") -> str:
-    """`json.dumps(value, sort_keys=True, indent=1)` for a payload tree,
-    `pad` being the newline and indent that `value` sits at.
-
-    The standard library encodes with an indent in pure Python, one
-    generator step per token; this writes each dict, list or tuple with
-    one join of its members' texts, so a large table is held as one
-    string per product rather than one per token.  Dict keys must be
-    strings; a value other than a str, int, bool, None, list, tuple or
-    dict raises TypeError."""
+    """`json.dumps(value, sort_keys=True, indent=1)` for a payload tree
+    of dicts with str keys, lists, tuples, str, int, bool and None; any
+    other value raises TypeError.  `pad` is the newline and indent that
+    `value` sits at.  The standard library's indenting encoder is pure
+    Python, one generator step per token; this joins each container's
+    text once, brackets and separators included, so a large table is
+    held as one string per product."""
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         return scalar(value)
-    # one join per container, brackets and separators included, so the
-    # text of a container is copied once, into its parent's join
     inner = pad + " "
     if isinstance(value, dict):
         if not value:
@@ -433,11 +429,6 @@ def json_text(value, pad: str = "\n") -> str:
             chunks += (inner, scalar(v) if scalar else json_text(v, inner), ",")
         chunks[-1] = pad + "]"
         return "".join(chunks)
-    # subclasses of int and str, written as the standard library does
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
     raise TypeError(f"{type(value).__name__} is not a payload value")
 
 

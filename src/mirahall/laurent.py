@@ -12,8 +12,9 @@ they sum repeated exponents, drop zeros and raise NonIntegral on any
 exponent or coefficient that is not an integer (`int()` would truncate
 0.5 to 0 without a word).  Every arithmetic result (`+`, `-`, `*`,
 `**`, `shift`, `bar`, `exact_div`, `to_laurent`, `q_power`, ...) is
-already normal by construction and goes through the trusted
-constructors `_laurent` and `_qpoly`, which wrap the dict as is.
+already normal by construction and goes through the one trusted
+constructor, `_wrap`, which takes the dict as is.  Both classes share
+their arithmetic, formatting and JSON code through `_Poly`.
 
 >>> p = LaurentPoly({1: 1, -1: 1})
 >>> (p * p).pretty()
@@ -116,8 +117,18 @@ def _product(c1: dict[int, int], c2: dict[int, int]) -> dict[int, int]:
     return {k: a for k, a in out.items() if a}
 
 
-class LaurentPoly:
-    """Element of Z[v, v^-1].  Immutable once built."""
+def _wrap(cls, c: dict[int, int]):
+    """The trusted constructor: a `cls` holding the normal dict `c`
+    (int exponents, nonzero int coefficients), neither checked nor
+    copied."""
+    p = object.__new__(cls)
+    p._c = c
+    return p
+
+
+class _Poly:
+    """Integer polynomial in one variable, exponent -> coefficient.
+    Immutable once built; the arithmetic shared by both classes."""
 
     __slots__ = ("_c",)
 
@@ -125,21 +136,23 @@ class LaurentPoly:
         self._c = _normal(coeffs)
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return _laurent({})
+    def zero(cls):
+        return _wrap(cls, {})
 
     @classmethod
-    def one(cls) -> "LaurentPoly":
-        return _laurent({0: 1})
+    def one(cls):
+        return _wrap(cls, {0: 1})
 
     @classmethod
-    def from_int(cls, n: int) -> "LaurentPoly":
+    def from_int(cls, n: int):
         return cls({0: n})
 
     @classmethod
-    def v_power(cls, k: int, coeff: int = 1) -> "LaurentPoly":
-        """coeff * v**k."""
-        return cls({k: coeff})
+    def from_json(cls, d: Mapping[str, int]):
+        return cls({int(e): int(a) for e, a in d.items()})
+
+    def to_json(self) -> dict[str, int]:
+        return {str(e): a for e, a in sorted(self._c.items())}
 
     def is_zero(self) -> bool:
         return not self._c
@@ -154,6 +167,102 @@ class LaurentPoly:
         """(exponent, coefficient) pairs, ascending exponent."""
         return sorted(self._c.items())
 
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, int):
+            return self._c == ({0: other} if other else {})
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._c == other._c
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._c.items()))
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return _wrap(type(self), _sum(self._c, {0: other})) if other else self
+        if type(other) is not type(self):
+            return NotImplemented
+        return _wrap(type(self), _sum(self._c, other._c))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _wrap(type(self), {e: -a for e, a in self._c.items()})
+
+    def __sub__(self, other):
+        if isinstance(other, int):
+            return _wrap(type(self), _sum(self._c, {0: other}, -1)) if other else self
+        if type(other) is not type(self):
+            return NotImplemented
+        return _wrap(type(self), _sum(self._c, other._c, -1))
+
+    def __rsub__(self, other: int):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            if not other:
+                return _wrap(type(self), {})
+            return _wrap(type(self), {e: a * other for e, a in self._c.items()})
+        if type(other) is not type(self):
+            return NotImplemented
+        return _wrap(type(self), _product(self._c, other._c))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self._negative_power(n)
+        out = self.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def exact_div(self, other):
+        """Exact quotient; NonIntegral if it does not divide."""
+        return _wrap(type(self), _exact_quotient(self._c, other._c))
+
+    def pretty(self, var: str | None = None) -> str:
+        return self._format(var or self.VAR, "^{}", "*", " ", "+ ", "- ")
+
+    def latex(self, var: str | None = None) -> str:
+        return self._format(var or self.VAR, "^{{{}}}", "", "", "+", "-")
+
+    def _format(self, var, power, times, sep, plus, minus) -> str:
+        if not self._c:
+            return "0"
+        bits = []
+        for e, a in sorted(self._c.items()):
+            if e == 0:
+                term = str(abs(a))
+            else:
+                p = var if e == 1 else var + power.format(e)
+                term = p if abs(a) == 1 else f"{abs(a)}{times}{p}"
+            if not bits:
+                bits.append(term if a > 0 else f"-{term}")
+            else:
+                bits.append((plus if a > 0 else minus) + term)
+        return sep.join(bits)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.pretty()})"
+
+
+class LaurentPoly(_Poly):
+    """Element of Z[v, v^-1].  Immutable once built."""
+
+    __slots__ = ()
+    VAR = "v"
+
+    @classmethod
+    def v_power(cls, k: int, coeff: int = 1) -> "LaurentPoly":
+        """coeff * v**k."""
+        return cls({k: coeff})
+
     def support(self) -> list[int]:
         return sorted(self._c)
 
@@ -167,72 +276,20 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return max(self._c)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self._c == ({0: other} if other else {})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
-
-    def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            return _laurent(_sum(self._c, {0: other})) if other else self
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return _laurent(_sum(self._c, other._c))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return _laurent({e: -a for e, a in self._c.items()})
-
-    def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            return _laurent(_sum(self._c, {0: other}, -1)) if other else self
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return _laurent(_sum(self._c, other._c, -1))
-
-    def __rsub__(self, other: int) -> "LaurentPoly":
-        return -self + other
-
-    def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            if not other:
-                return _laurent({})
-            return _laurent({e: a * other for e, a in self._c.items()})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return _laurent(_product(self._c, other._c))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            mono = self.as_monomial()
-            if mono is None or mono[1] not in (1, -1):
-                raise ValueError("negative power of a non-unit")
-            e, a = mono
-            return _laurent({e * n: 1 if (a == 1 or n % 2 == 0) else -1})
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    def _negative_power(self, n: int) -> "LaurentPoly":
+        mono = self.as_monomial()
+        if mono is None or mono[1] not in (1, -1):
+            raise ValueError("negative power of a non-unit")
+        e, a = mono
+        return _wrap(LaurentPoly, {e * n: 1 if (a == 1 or n % 2 == 0) else -1})
 
     def bar(self) -> "LaurentPoly":
         """Involution v -> v**-1."""
-        return _laurent({-e: a for e, a in self._c.items()})
+        return _wrap(LaurentPoly, {-e: a for e, a in self._c.items()})
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by v**k."""
-        return _laurent({e + k: a for e, a in self._c.items()})
+        return _wrap(LaurentPoly, {e + k: a for e, a in self._c.items()})
 
     def as_monomial(self) -> tuple[int, int] | None:
         """(exponent, coefficient) if a single term, else None."""
@@ -244,10 +301,6 @@ class LaurentPoly:
     def is_unit_monomial(self) -> bool:
         mono = self.as_monomial()
         return mono is not None and mono[1] in (1, -1)
-
-    def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient in Z[v, v^-1]; NonIntegral if it does not divide."""
-        return _laurent(_exact_quotient(self._c, other._c))
 
     def evaluate(self, x: "Fraction | int") -> Fraction:
         """Value at v = x, exact rational arithmetic."""
@@ -271,60 +324,19 @@ class LaurentPoly:
             if e > 0 or e % 2:
                 raise NonIntegral(f"exponent {e} is not of the form -2k")
             out[-e // 2] = a
-        return _qpoly(out)
+        return _wrap(QPoly, out)
 
     @classmethod
     def from_t_poly(cls, p: "QPoly") -> "LaurentPoly":
         """Substitute t = v**-2 into a polynomial in t."""
-        return _laurent({-2 * e: a for e, a in p._c.items()})
-
-    def to_json(self) -> dict[str, int]:
-        return {str(e): a for e, a in sorted(self._c.items())}
-
-    @classmethod
-    def from_json(cls, d: Mapping[str, int]) -> "LaurentPoly":
-        return cls({int(e): int(a) for e, a in d.items()})
-
-    def pretty(self, var: str = "v") -> str:
-        if not self._c:
-            return "0"
-        bits = []
-        for e, a in sorted(self._c.items()):
-            if e == 0:
-                term = str(abs(a))
-            else:
-                p = var if e == 1 else f"{var}^{e}"
-                term = p if abs(a) == 1 else f"{abs(a)}*{p}"
-            if not bits:
-                bits.append(term if a > 0 else f"-{term}")
-            else:
-                bits.append(f"+ {term}" if a > 0 else f"- {term}")
-        return " ".join(bits)
-
-    def latex(self, var: str = "v") -> str:
-        if not self._c:
-            return "0"
-        bits = []
-        for e, a in sorted(self._c.items()):
-            if e == 0:
-                term = str(abs(a))
-            else:
-                p = var if e == 1 else f"{var}^{{{e}}}"
-                term = p if abs(a) == 1 else f"{abs(a)}{p}"
-            if not bits:
-                bits.append(term if a > 0 else f"-{term}")
-            else:
-                bits.append(f"+{term}" if a > 0 else f"-{term}")
-        return "".join(bits)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.pretty()})"
+        return _wrap(cls, {-2 * e: a for e, a in p._c.items()})
 
 
-class QPoly:
+class QPoly(_Poly):
     """Element of Z[q], exponents >= 0."""
 
-    __slots__ = ("_c",)
+    __slots__ = ()
+    VAR = "q"
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         self._c = _normal(coeffs)
@@ -333,107 +345,31 @@ class QPoly:
             raise ValueError(f"negative exponent {int(min(coeffs))} in QPoly")
 
     @classmethod
-    def zero(cls) -> "QPoly":
-        return _qpoly({})
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return _qpoly({0: 1})
-
-    @classmethod
-    def from_int(cls, n: int) -> "QPoly":
-        return cls({0: n})
-
-    @classmethod
     def q_power(cls, k: int, coeff: int = 1) -> "QPoly":
         """coeff * q**k, for int k >= 0 and int coeff."""
         if k < 0:
             raise ValueError(f"negative exponent {k} in QPoly")
-        return _qpoly({k: coeff} if coeff else {})
+        return _wrap(cls, {k: coeff} if coeff else {})
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[int]) -> "QPoly":
         """Ascending coefficient list: [c0, c1, ...] -> c0 + c1 q + ..."""
         return cls({e: a for e, a in enumerate(coeffs)})
 
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def coeff(self, k: int) -> int:
-        return self._c.get(k, 0)
-
-    def items(self) -> list[tuple[int, int]]:
-        return sorted(self._c.items())
-
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
         return max(self._c) if self._c else -1
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self._c == ({0: other} if other else {})
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
-
-    def __add__(self, other: "QPoly | int") -> "QPoly":
-        if isinstance(other, int):
-            return _qpoly(_sum(self._c, {0: other})) if other else self
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return _qpoly(_sum(self._c, other._c))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QPoly":
-        return _qpoly({e: -a for e, a in self._c.items()})
-
-    def __sub__(self, other: "QPoly | int") -> "QPoly":
-        if isinstance(other, int):
-            return _qpoly(_sum(self._c, {0: other}, -1)) if other else self
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return _qpoly(_sum(self._c, other._c, -1))
-
-    def __rsub__(self, other: int) -> "QPoly":
-        return -self + other
-
-    def __mul__(self, other: "QPoly | int") -> "QPoly":
-        if isinstance(other, int):
-            if not other:
-                return _qpoly({})
-            return _qpoly({e: a * other for e, a in self._c.items()})
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return _qpoly(_product(self._c, other._c))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QPoly":
-        if n < 0:
-            raise ValueError("negative power in Z[q]")
-        out = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    def _negative_power(self, n: int) -> "QPoly":
+        raise ValueError("negative power in Z[q]")
 
     def exact_div(self, other: "QPoly") -> "QPoly":
         """Exact quotient in Z[q]; NonIntegral if it does not divide even
         in Z[q, q^-1], ValueError if the quotient needs a negative power."""
-        out = _exact_quotient(self._c, other._c)
-        if out and min(out) < 0:
-            raise ValueError(f"negative exponent {min(out)} in QPoly")
-        return _qpoly(out)
+        out = super().exact_div(other)
+        if out._c and min(out._c) < 0:
+            raise ValueError(f"negative exponent {min(out._c)} in QPoly")
+        return out
 
     def evaluate(self, x: int) -> int:
         """Value at q = x (Horner)."""
@@ -444,39 +380,7 @@ class QPoly:
 
     def to_laurent(self) -> LaurentPoly:
         """Substitute q = v**2."""
-        return _laurent({2 * e: a for e, a in self._c.items()})
-
-    def to_json(self) -> dict[str, int]:
-        return {str(e): a for e, a in sorted(self._c.items())}
-
-    @classmethod
-    def from_json(cls, d: Mapping[str, int]) -> "QPoly":
-        return cls({int(e): int(a) for e, a in d.items()})
-
-    def pretty(self, var: str = "q") -> str:
-        return _laurent(self._c).pretty(var)
-
-    def latex(self, var: str = "q") -> str:
-        return _laurent(self._c).latex(var)
-
-    def __repr__(self) -> str:
-        return f"QPoly({self.pretty()})"
-
-
-def _laurent(c: dict[int, int]) -> LaurentPoly:
-    """Trusted constructor: wrap a normal dict (int exponents, nonzero
-    int coefficients) without checking or copying it."""
-    p = object.__new__(LaurentPoly)
-    p._c = c
-    return p
-
-
-def _qpoly(c: dict[int, int]) -> QPoly:
-    """Trusted constructor: wrap a normal dict (int exponents >= 0,
-    nonzero int coefficients) without checking or copying it."""
-    p = object.__new__(QPoly)
-    p._c = c
-    return p
+        return _wrap(LaurentPoly, {2 * e: a for e, a in self._c.items()})
 
 
 @lru_cache(maxsize=None)
