@@ -149,7 +149,8 @@ class _Poly:
 
     @classmethod
     def from_json(cls, d: Mapping[str, int]):
-        return cls({int(e): int(a) for e, a in d.items()})
+        # the constructor checks the coefficients; int() would truncate
+        return cls({int(e): a for e, a in d.items()})
 
     def to_json(self) -> dict[str, int]:
         return {str(e): a for e, a in sorted(self._c.items())}

@@ -116,6 +116,8 @@ def test_constructors_refuse_non_integers():
         LaurentPoly({0: 1.5})
     with pytest.raises(NonIntegral):
         QPoly({1.5: 1})
+    with pytest.raises(NonIntegral):
+        QPoly.from_json({"0": 1.5})
     # integral values of other types still convert
     assert LaurentPoly({2.0: 3.0}) == LaurentPoly.v_power(2, 3)
     assert QPoly({True: 2}) == QPoly.q_power(1, 2)
