@@ -1,5 +1,7 @@
 """Two-sided module over the rank-bounded Hall algebra, spanned by
-pair labels, with the transition table of its cyclic basis.
+pair labels, with the transition table of its cyclic basis.  Module
+elements (`MirElt`) and two-sided Schur expansions (`TensorSym`) are
+`laurent.Combination`s of pair labels.
 
 The left action of a shape inserts an invariant subspace below the
 marked vector's line of sight (the vector survives on the quotient);
@@ -28,7 +30,7 @@ from .errors import (
     RankTooSmall,
 )
 from .hall import HallElt, _gen_decomposition, c_expand
-from .laurent import LaurentPoly
+from .laurent import Combination, LaurentPoly
 from .partitions import (
     Bipartition,
     Partition,
@@ -39,6 +41,7 @@ from .partitions import (
     pair_codim,
     pair_orbit_dim,
     trim,
+    trim_pair,
 )
 
 
@@ -80,82 +83,15 @@ def check_cost(n: int, rank: int | None = None) -> None:
         )
 
 
-def _norm_label(bp: Bipartition) -> Bipartition:
-    return (trim(bp[0]), trim(bp[1]))
-
-
-class MirElt:
+class MirElt(Combination):
     """Formal combination of pair labels with Laurent coefficients."""
 
-    __slots__ = ("rank", "_c")
+    __slots__ = ()
 
-    def __init__(self, rank: int, coeffs=None):
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        self.rank = rank
-        self._c: dict[Bipartition, LaurentPoly] = {}
-        labelled = ((_norm_label(bp), val) for bp, val in (coeffs or {}).items())
-        _accumulate(self._c, (
-            (bp, LaurentPoly.from_int(val) if isinstance(val, int) else val)
-            for bp, val in labelled
-            if _fits(bp, rank)
-        ))
-
-    @classmethod
-    def zero(cls, rank: int) -> "MirElt":
-        return cls(rank)
-
-    @classmethod
-    def _trusted(cls, rank: int, c: dict) -> "MirElt":
-        """Wrap labels that are already trimmed, fit the rank and carry
-        nonzero coefficients, without validating them again."""
-        out = cls.__new__(cls)
-        out.rank = rank
-        out._c = c
-        return out
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def coeff(self, bp: Bipartition) -> LaurentPoly:
-        return self._c.get(_norm_label(bp), LaurentPoly.zero())
-
-    def items(self) -> list[tuple[Bipartition, LaurentPoly]]:
-        return sorted(self._c.items(), reverse=True)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MirElt):
-            return NotImplemented
-        return self.rank == other.rank and self._c == other._c
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self._c.items())))
-
-    def __add__(self, other: "MirElt") -> "MirElt":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        out = dict(self._c)
-        _accumulate(out, other._c.items())
-        return MirElt._trusted(self.rank, out)
-
-    def __sub__(self, other: "MirElt") -> "MirElt":
-        return self + (-1) * other
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, int):
-            scalar = LaurentPoly.from_int(scalar)
-        if not isinstance(scalar, LaurentPoly):
-            return NotImplemented
-        out = {k: p for k, a in self._c.items() if (p := a * scalar)}
-        return MirElt._trusted(self.rank, out)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        if self.is_zero():
-            return "MirElt(0)"
-        bits = [f"{k}:{a.pretty()}" for k, a in self.items()]
-        return "MirElt(" + " + ".join(bits) + ")"
+    @staticmethod
+    def _label(bp, rank: int) -> Bipartition | None:
+        bp = trim_pair(bp)
+        return bp if _fits(bp, rank) else None
 
     def to_json(self) -> str:
         terms = [
@@ -165,19 +101,8 @@ class MirElt:
         return json.dumps({"rank": self.rank, "terms": terms})
 
 
-def _accumulate(acc: dict, terms) -> None:
-    """Add (label, coefficient) terms into `acc`, dropping zero sums."""
-    for k, a in terms:
-        prev = acc.get(k)
-        total = a if prev is None else prev + a
-        if total.is_zero():
-            acc.pop(k, None)
-        else:
-            acc[k] = total
-
-
 def u_bip(bp: Bipartition, rank: int) -> MirElt:
-    return MirElt(rank, {_norm_label(bp): 1})
+    return MirElt(rank, {bp: 1})
 
 
 def vacuum(rank: int) -> MirElt:
@@ -196,7 +121,8 @@ def gen_act(side: str, r: int, m: MirElt) -> MirElt:
         return MirElt.zero(m.rank)
     out: dict[Bipartition, LaurentPoly] = {}
     for src, cs in m._c.items():
-        _accumulate(out, ((tgt, cs * g) for tgt, g in _v_column(r, src, side, m.rank)))
+        column = _v_column(r, src, side, m.rank)
+        MirElt._accumulate(out, ((tgt, cs * g) for tgt, g in column))
     return MirElt._trusted(m.rank, out)
 
 
@@ -219,11 +145,10 @@ def act(side: str, a: HallElt, m: MirElt) -> MirElt:
     The shapes of `a` share most of their generator monomials, so the
     coefficients are summed per monomial first and each monomial's
     chain of generator steps runs once."""
-    if a.rank != m.rank:
-        raise ValueError("rank mismatch")
+    a._check(m)
     monomials: dict[tuple[int, ...], LaurentPoly] = {}
     for w, cw in a._c.items():
-        _accumulate(monomials, (
+        MirElt._accumulate(monomials, (
             (cols, cw * cf) for cols, cf in _gen_decomposition(w, a.rank).items()
         ))
     out: dict[Bipartition, LaurentPoly] = {}
@@ -231,7 +156,7 @@ def act(side: str, a: HallElt, m: MirElt) -> MirElt:
         term = m
         for r in reversed(cols) if side == "left" else cols:
             term = gen_act(side, r, term)
-        _accumulate(out, ((k, scale * c) for k, c in term._c.items()))
+        MirElt._accumulate(out, ((k, scale * c) for k, c in term._c.items()))
     return MirElt._trusted(m.rank, out)
 
 
@@ -271,13 +196,13 @@ class PiTable:
         return self.N
 
     def value(self, row: Bipartition, col: Bipartition) -> LaurentPoly:
-        row, col = _norm_label(row), _norm_label(col)
+        row, col = trim_pair(row), trim_pair(col)
         if row not in self.order or col not in self.order:
             raise NotInTable(f"{row} or {col} not at size {self.n}, rank {self.N}")
         return self.calibrated.get((row, col), LaurentPoly.zero())
 
     def raw_value(self, row: Bipartition, col: Bipartition) -> LaurentPoly:
-        row, col = _norm_label(row), _norm_label(col)
+        row, col = trim_pair(row), trim_pair(col)
         if row not in self.order or col not in self.order:
             raise NotInTable(f"{row} or {col} not at size {self.n}, rank {self.N}")
         return self.raw.get((row, col), LaurentPoly.zero())
@@ -340,67 +265,18 @@ def pi_table(n: int, rank: int) -> PiTable:
     return PiTable(n, rank, order, raw, cal, units)
 
 
-class TensorSym:
+class TensorSym(Combination):
     """Combination of pairs of shapes, read as a two-sided Schur
-    expansion."""
+    expansion; it has no rank (`rank` is None)."""
 
-    __slots__ = ("_c",)
+    __slots__ = ()
 
     def __init__(self, coeffs=None):
-        c: dict[Bipartition, LaurentPoly] = {}
-        for bp, val in (coeffs or {}).items():
-            bp = _norm_label(bp)
-            if isinstance(val, int):
-                val = LaurentPoly.from_int(val)
-            val = c.get(bp, LaurentPoly.zero()) + val
-            if val.is_zero():
-                c.pop(bp, None)
-            else:
-                c[bp] = val
-        self._c = c
+        super().__init__(None, coeffs)
 
-    @classmethod
-    def _trusted(cls, c: dict) -> "TensorSym":
-        """Wrap labels that are already trimmed and carry nonzero
-        coefficients, without validating them again."""
-        out = cls.__new__(cls)
-        out._c = c
-        return out
-
-    def coeff(self, bp: Bipartition) -> LaurentPoly:
-        return self._c.get(_norm_label(bp), LaurentPoly.zero())
-
-    def items(self):
-        return sorted(self._c.items(), reverse=True)
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorSym):
-            return NotImplemented
-        return self._c == other._c
-
-    def __add__(self, other: "TensorSym") -> "TensorSym":
-        out = dict(self._c)
-        _accumulate(out, other._c.items())
-        return TensorSym._trusted(out)
-
-    def __sub__(self, other: "TensorSym") -> "TensorSym":
-        return self + (-1) * other
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, int):
-            scalar = LaurentPoly.from_int(scalar)
-        if not isinstance(scalar, LaurentPoly):
-            return NotImplemented
-        return TensorSym._trusted({k: p for k, a in self._c.items() if (p := a * scalar)})
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        bits = [f"{k}:{a.pretty()}" for k, a in self.items()] or ["0"]
-        return "TensorSym(" + " + ".join(bits) + ")"
+    @staticmethod
+    def _label(bp, rank: None) -> Bipartition:
+        return trim_pair(bp)
 
 
 @lru_cache(maxsize=None)
@@ -424,14 +300,16 @@ def _basis_in_tensor(n: int, rank: int) -> Mapping[Bipartition, TensorSym]:
         total = {col: c_image}
         for row, coeff in vec._c.items():
             if row != col:
-                _accumulate(total, ((k, -coeff * a) for k, a in out[row]._c.items()))
+                TensorSym._accumulate(
+                    total, ((k, -coeff * a) for k, a in out[row]._c.items())
+                )
         inv = diag**-1
-        out[col] = TensorSym._trusted({k: inv * a for k, a in total.items()})
+        out[col] = TensorSym._trusted(None, {k: inv * a for k, a in total.items()})
     return out
 
 
 def basis_in_tensor(bp: Bipartition, rank: int) -> TensorSym:
-    bp = _norm_label(bp)
+    bp = trim_pair(bp)
     n = label_size(bp)
     table = _basis_in_tensor(n, rank)
     if bp not in table:
@@ -445,7 +323,7 @@ def mhl_poly(bp: Bipartition, rank: int) -> tuple[TensorSym, LaurentPoly]:
     Returns the tensor image of the basis element together with the signed
     codimension power as a separate prefactor, left unmultiplied so callers
     can specialize either part on its own."""
-    bp = _norm_label(bp)
+    bp = trim_pair(bp)
     if rank < label_size(bp):
         raise RankTooSmall(f"label {bp} needs rank >= {label_size(bp)}")
     b = pair_codim(bp)

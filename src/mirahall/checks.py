@@ -33,7 +33,7 @@ from .bimodule import pi_table
 from .config import RunConfig
 from .errors import ComponentMismatch, MiraError, OracleMismatch, TruncationTooSmall
 from .hall import hall_mul, u_elt
-from .laurent import LaurentPoly, QPoly
+from .laurent import Combination, LaurentPoly, QPoly
 from .oracle import (
     _kostka_table,
     _predicted_jumps,
@@ -54,12 +54,12 @@ from .traces import green_freeness_check, trace_value
 
 def apply_ts(comb: dict, i: int) -> dict:
     """Extend ts_action linearly over combinations with QPoly weights."""
-    out = {}
+    out: dict = {}
     for lab, coeff in comb.items():
-        for lab2, c2 in ts_action(lab, i).items():
-            cur = out.get(lab2, QPoly.zero()) + coeff * c2
-            out[lab2] = cur
-    return {lab: c for lab, c in out.items() if c}
+        Combination._accumulate(out, (
+            (lab2, coeff * c2) for lab2, c2 in ts_action(lab, i).items()
+        ))
+    return out
 
 
 def hecke_quadratic_check(x: RBAffElt, i: int) -> bool:
@@ -68,8 +68,7 @@ def hecke_quadratic_check(x: RBAffElt, i: int) -> bool:
     twice = apply_ts(first, i)
     qq = QPoly.q_power(1)
     want = {lab: (qq - 1) * c for lab, c in first.items()}
-    want[x] = want.get(x, QPoly.zero()) + qq
-    want = {lab: c for lab, c in want.items() if c}
+    Combination._accumulate(want, [(x, qq)])
     return twice == want
 
 

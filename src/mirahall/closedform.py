@@ -43,8 +43,9 @@ from .partitions import (
     add_parts,
     bipartitions_of,
     conjugate,
+    shifted,
     star,
-    trim,
+    trim_pair,
     upsilon,
     xi,
 )
@@ -87,8 +88,8 @@ def _dual_from_profile(profile: list[int]) -> Partition:
 def closed_left_table(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
     """Constants of the rank-r square-zero left action at one target,
     keyed by source label."""
-    lam, mu = trim(tgt[0]), trim(tgt[1])
-    tgt = (lam, mu)
+    tgt = trim_pair(tgt)
+    lam, mu = tgt
     if r < 0:
         raise UsageError("negative rank")
     if r == 0:
@@ -213,7 +214,7 @@ def closed_right_table(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
     largest that any one of them needs (`_mirror`), so the whole table
     is read from a single lifted left table; the left table does not
     move under such lifts."""
-    tgt = (trim(tgt[0]), trim(tgt[1]))
+    tgt = trim_pair(tgt)
     n = sum(tgt[0]) + sum(tgt[1])
     if r < 1:
         raise UsageError(f"rank-{r} generator outside 1..{n}")
@@ -237,7 +238,7 @@ def closed_form_G(
     """Constants of the square-zero action on one side and one source,
     keyed by target label."""
     table = {"left": closed_left_table, "right": closed_right_table}[side]
-    src = (trim(src[0]), trim(src[1]))
+    src = trim_pair(src)
     n = sum(src[0]) + sum(src[1]) + r
     cells = {tgt: table(tgt, r).get(src) for tgt in bipartitions_of(n)}
     return {tgt: poly for tgt, poly in cells.items() if poly}
@@ -250,7 +251,7 @@ def _fits(label: Bipartition, rank: int) -> bool:
 def _rank_source(src: Bipartition, rank: int) -> Bipartition:
     """The trimmed source, which must have at most `rank` rows per
     component."""
-    src = (trim(src[0]), trim(src[1]))
+    src = trim_pair(src)
     if not _fits(src, rank):
         raise UsageError(f"source {src} needs more than {rank} rows")
     return src
@@ -301,14 +302,16 @@ def _mirror(
     target's first slot then takes one extra box per row.  The two
     slots take independent lifts (one for first components, one for
     second), shared between the target and every source: each is the
-    least that leaves every row of every label positive."""
+    least that leaves every row of every label positive.  A star is
+    weakly decreasing, so the lifted rows are already a partition."""
     a = tuple(x + 1 for x in star(tgt[1], rank))
     b = star(tgt[0], rank)
     starred = [(star(src[1], rank), star(src[0], rank)) for src in sources]
     i = max(0, -min(a), *(-min(a2) for a2, _ in starred)) + 1
     j = max(0, -min(b), *(-min(b2) for _, b2 in starred)) + 1
-    lift = lambda vec, s: trim(tuple(x + s for x in vec))
-    return (lift(a, i), lift(b, j)), [(lift(a2, i), lift(b2, j)) for a2, b2 in starred]
+    return (shifted(a, i), shifted(b, j)), [
+        (shifted(a2, i), shifted(b2, j)) for a2, b2 in starred
+    ]
 
 
 def right_via_star(tgt: Bipartition, src: Bipartition, r: int, rank: int) -> QPoly:

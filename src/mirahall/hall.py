@@ -1,9 +1,10 @@
 """Hall algebra of nilpotent module types, truncated at a fixed number
 of rows.
 
-Shapes with more rows than `rank` span an ideal (a submodule or
-quotient of a module with at most `rank` generators again has at most
-`rank` generators), so dropping them leaves an honest algebra.
+An element (`HallElt`) is a `laurent.Combination` of shapes.  Shapes
+with more rows than `rank` span an ideal (a submodule or quotient of a
+module with at most `rank` generators again has at most `rank`
+generators), so its label rule drops them and leaves an honest algebra.
 
 `hall_mul` expresses each basis element through monomials in the
 square-zero elements and multiplies one generator at a time, reading
@@ -21,7 +22,7 @@ from typing import Mapping
 
 from .closedform import closed_form_G
 from .errors import CostGuard, DiagonalNotUnit, OracleMismatch
-from .laurent import LaurentPoly
+from .laurent import Combination, LaurentPoly
 from .partitions import (
     Partition,
     bipartition_count,
@@ -34,89 +35,26 @@ from .partitions import (
 from .symfunc import kostka_foulkes
 
 
-class HallElt:
+class HallElt(Combination):
     """Finite formal combination of shapes with Laurent coefficients."""
 
-    __slots__ = ("rank", "_c")
+    __slots__ = ()
 
-    def __init__(self, rank: int, coeffs=None):
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        self.rank = rank
-        c: dict[Partition, LaurentPoly] = {}
-        for lam, val in (coeffs or {}).items():
-            lam = trim(lam)
-            if len(lam) > rank:
-                continue
-            if isinstance(val, int):
-                val = LaurentPoly.from_int(val)
-            val = c.get(lam, LaurentPoly.zero()) + val
-            if val.is_zero():
-                c.pop(lam, None)
-            else:
-                c[lam] = val
-        self._c = c
-
-    @classmethod
-    def zero(cls, rank: int) -> "HallElt":
-        return cls(rank)
+    @staticmethod
+    def _label(lam, rank: int) -> Partition | None:
+        lam = trim(lam)
+        return lam if len(lam) <= rank else None
 
     @classmethod
     def unit(cls, rank: int) -> "HallElt":
         return cls(rank, {(): 1})
 
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def coeff(self, lam: Partition) -> LaurentPoly:
-        return self._c.get(trim(lam), LaurentPoly.zero())
-
-    def items(self) -> list[tuple[Partition, LaurentPoly]]:
-        return sorted(self._c.items(), reverse=True)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HallElt):
-            return NotImplemented
-        return self.rank == other.rank and self._c == other._c
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self._c.items())))
-
-    def __add__(self, other: "HallElt") -> "HallElt":
-        self._check(other)
-        out = dict(self._c)
-        for k, a in other._c.items():
-            out[k] = out.get(k, LaurentPoly.zero()) + a
-        return HallElt(self.rank, out)
-
-    def __sub__(self, other: "HallElt") -> "HallElt":
-        return self + (-1) * other
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, int):
-            scalar = LaurentPoly.from_int(scalar)
-        if not isinstance(scalar, LaurentPoly):
-            return NotImplemented
-        return HallElt(self.rank, {k: a * scalar for k, a in self._c.items()})
-
-    __rmul__ = __mul__
-
     def truncate(self, rank: int) -> "HallElt":
         return HallElt(rank, self._c)
 
-    def _check(self, other: "HallElt") -> None:
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-
-    def __repr__(self):
-        if self.is_zero():
-            return "HallElt(0)"
-        bits = [f"[{','.join(map(str, k))}]:{a.pretty()}" for k, a in self.items()]
-        return "HallElt(" + " + ".join(bits) + ")"
-
 
 def u_elt(lam: Partition, rank: int) -> HallElt:
-    return HallElt(rank, {trim(lam): 1})
+    return HallElt(rank, {lam: 1})
 
 
 def gen_mul(r: int, x: HallElt) -> HallElt:
@@ -127,12 +65,14 @@ def gen_mul(r: int, x: HallElt) -> HallElt:
         return x
     if r > x.rank:
         return HallElt.zero(x.rank)
-    out = HallElt.zero(x.rank)
+    out: dict[Partition, LaurentPoly] = {}
     for b, cb in x._c.items():
-        column = closed_form_G(r, ((), b))
-        terms = {c: cb * g.to_laurent() for (a, c), g in column.items() if not a}
-        out = out + HallElt(x.rank, terms)
-    return out
+        HallElt._accumulate(out, (
+            (c, cb * g.to_laurent())
+            for (a, c), g in closed_form_G(r, ((), b)).items()
+            if not a and len(c) <= x.rank
+        ))
+    return HallElt._trusted(x.rank, out)
 
 
 @lru_cache(maxsize=None)
@@ -158,26 +98,25 @@ def _gen_decomposition(
             continue
         if not dominance_leq(mu, lam):
             raise OracleMismatch(f"monomial for {lam} reached {mu}")
-        for cols2, c2 in _gen_decomposition(mu, rank).items():
-            val = out.get(cols2, LaurentPoly.zero()) - inv * c * c2
-            if val.is_zero():
-                out.pop(cols2, None)
-            else:
-                out[cols2] = val
+        scale = -inv * c
+        HallElt._accumulate(out, (
+            (cols2, scale * c2) for cols2, c2 in _gen_decomposition(mu, rank).items()
+        ))
     return out
 
 
 def hall_mul(x: HallElt, y: HallElt) -> HallElt:
     """Product via the generator decomposition of the left factor."""
     x._check(y)
-    out = HallElt.zero(x.rank)
+    out: dict[Partition, LaurentPoly] = {}
     for a, ca in x._c.items():
         for cols, cf in _gen_decomposition(a, x.rank).items():
             term = y
             for r in reversed(cols):
                 term = gen_mul(r, term)
-            out = out + (ca * cf) * term
-    return out
+            scale = ca * cf
+            HallElt._accumulate(out, ((k, scale * c) for k, c in term._c.items()))
+    return HallElt._trusted(x.rank, out)
 
 
 # Budget for one product `hall_mul(u_x, u_y)`, in units of work: a
@@ -285,21 +224,12 @@ def c_expand(lam: Partition, rank: int) -> HallElt:
     shape under the involution-adapted change of basis."""
     lam = trim(lam)
     n = sum(lam)
-    pref = LaurentPoly.v_power(
-        -(rank - 1) * n, -1 if ((rank - 1) * n) % 2 else 1
-    )
-    terms: dict[Partition, LaurentPoly] = {}
-    for mu in partitions_of(n):
-        if len(mu) > rank:
-            continue
-        kf = kostka_foulkes(lam, mu)
-        if kf.is_zero():
-            continue
-        terms[mu] = (
-            pref
-            * LaurentPoly.from_t_poly(kf)
-            * LaurentPoly.v_power(2 * n_stat(mu))
-        )
-    return HallElt(rank, terms)
+    e = (rank - 1) * n
+    # the constructor drops the zero Kostka polynomials
+    return (-1) ** e * HallElt(rank, {
+        mu: LaurentPoly.from_t_poly(kostka_foulkes(lam, mu)).shift(2 * n_stat(mu) - e)
+        for mu in partitions_of(n)
+        if len(mu) <= rank
+    })
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
+from operator import add
 from typing import Mapping
 
 import numpy as np
@@ -59,7 +60,7 @@ from .errors import (
     UsageError,
 )
 from .hall import HallElt
-from .laurent import LaurentPoly, QPoly
+from .laurent import Combination, LaurentPoly, QPoly
 from .pairs import interpolate
 from .partitions import (
     Bipartition,
@@ -71,114 +72,59 @@ from .partitions import (
     pad,
     partitions_of,
     trim,
+    trim_pair,
 )
 from .traces import TraceCell, trace_value
 
 # --- symmetric polynomials in finitely many variables (the antisymmetriser) ----
 
 
-class VarPoly:
-    """Polynomial in x_1..x_n with LaurentPoly coefficients."""
+class VarPoly(Combination):
+    """Polynomial in x_1..x_n with LaurentPoly coefficients, keyed by
+    exponent tuples; its rank is the number of variables."""
 
-    __slots__ = ("n_vars", "_c")
+    __slots__ = ()
 
-    def __init__(self, n_vars: int, coeffs=None):
-        self.n_vars = n_vars
-        c: dict[tuple[int, ...], LaurentPoly] = {}
-        if coeffs:
-            for key, val in coeffs.items():
-                if isinstance(val, int):
-                    val = LaurentPoly.from_int(val)
-                if len(key) != n_vars:
-                    raise ValueError(f"key {key} has wrong arity")
-                if not val.is_zero():
-                    prev = c.get(key)
-                    c[key] = val if prev is None else prev + val
-        self._c = {k: a for k, a in c.items() if not a.is_zero()}
+    @staticmethod
+    def _label(key, n_vars: int) -> tuple[int, ...]:
+        key = tuple(key)
+        if len(key) != n_vars:
+            raise ValueError(f"key {key} has wrong arity")
+        return key
 
-    @classmethod
-    def zero(cls, n_vars: int) -> "VarPoly":
-        return cls(n_vars)
+    @property
+    def n_vars(self) -> int:
+        return self.rank
 
     @classmethod
     def one(cls, n_vars: int) -> "VarPoly":
         return cls(n_vars, {(0,) * n_vars: 1})
 
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def coeff(self, key: tuple[int, ...]) -> LaurentPoly:
-        return self._c.get(tuple(key), LaurentPoly.zero())
-
-    def items(self):
-        return sorted(self._c.items(), reverse=True)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VarPoly):
-            return NotImplemented
-        return self.n_vars == other.n_vars and self._c == other._c
-
-    def __hash__(self):
-        return hash((self.n_vars, frozenset(self._c.items())))
-
-    def __add__(self, other: "VarPoly") -> "VarPoly":
-        self._check(other)
-        out = dict(self._c)
-        for k, a in other._c.items():
-            out[k] = out.get(k, LaurentPoly.zero()) + a
-        return VarPoly(self.n_vars, out)
-
-    def __sub__(self, other: "VarPoly") -> "VarPoly":
-        return self + (-1) * other
-
     def __mul__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            if isinstance(other, int):
-                other = LaurentPoly.from_int(other)
-            return VarPoly(
-                self.n_vars, {k: a * other for k, a in self._c.items()}
-            )
+        if type(other) is not VarPoly:
+            return super().__mul__(other)
         self._check(other)
         out: dict[tuple[int, ...], LaurentPoly] = {}
         for k1, a1 in self._c.items():
-            for k2, a2 in other._c.items():
-                key = tuple(x + y for x, y in zip(k1, k2))
-                prod = a1 * a2
-                prev = out.get(key)
-                out[key] = prod if prev is None else prev + prod
-        return VarPoly(self.n_vars, out)
-
-    __rmul__ = __mul__
+            VarPoly._accumulate(out, (
+                (tuple(map(add, k1, k2)), a1 * a2) for k2, a2 in other._c.items()
+            ))
+        return VarPoly._trusted(self.rank, out)
 
     def restrict(self, m: int) -> "VarPoly":
         """Set x_{m+1} = ... = 0 and forget those slots."""
-        out = {}
-        for k, a in self._c.items():
-            if any(k[m:]):
-                continue
-            out[k[:m]] = a
-        return VarPoly(m, out)
-
-    def _check(self, other: "VarPoly") -> None:
-        if self.n_vars != other.n_vars:
-            raise ValueError("variable counts differ")
-
-    def __repr__(self):
-        return f"VarPoly({self.n_vars} vars, {len(self._c)} terms)"
+        return VarPoly(m, {k[:m]: a for k, a in self._c.items() if not any(k[m:])})
 
 
 @lru_cache(maxsize=None)
 def elementary_in_vars(r: int, n_vars: int) -> VarPoly:
     """e_r(x_1..x_n)."""
-    if r < 0 or r > n_vars:
+    if r < 0:
         return VarPoly.zero(n_vars)
-    if r == 0:
-        return VarPoly.one(n_vars)
-    out = {}
-    for sub in combinations(range(n_vars), r):
-        key = tuple(1 if i in sub else 0 for i in range(n_vars))
-        out[key] = 1
-    return VarPoly(n_vars, out)
+    return VarPoly(n_vars, {
+        tuple(1 if i in sub else 0 for i in range(n_vars)): 1
+        for sub in combinations(range(n_vars), r)
+    })
 
 
 @lru_cache(maxsize=None)
@@ -330,16 +276,14 @@ def schur_decompose(poly: VarPoly) -> Mapping[Partition, LaurentPoly]:
     resolve."""
     out: dict[Partition, LaurentPoly] = {}
     rest = poly
-    guard = 0
-    while not rest.is_zero():
-        guard += 1
-        if guard > 10000:
-            raise AssertionError("schur peel did not terminate")
+    for _ in range(10000):
+        if rest.is_zero():
+            return out
         key, coeff = rest.items()[0]
         shape = trim(key)
         rest = rest - coeff * schur_in_vars(shape, poly.n_vars)
-        out[shape] = out.get(shape, LaurentPoly.zero()) + coeff
-    return {k: a for k, a in out.items() if not a.is_zero()}
+        VarPoly._accumulate(out, [(shape, coeff)])
+    raise AssertionError("schur peel did not terminate")
 
 
 def psi(x: HallElt, n_vars: int | None = None) -> VarPoly:
@@ -363,30 +307,25 @@ def hall_mul_direct(x: HallElt, y: HallElt) -> HallElt:
     """Product by counting invariant subspaces pair by pair.  Slower;
     kept as the independent route."""
     x._check(y)
-    out = HallElt.zero(x.rank)
+    out: dict[Partition, LaurentPoly] = {}
     for a, ca in x._c.items():
         for b, cb in y._c.items():
-            terms: dict[Partition, LaurentPoly] = {}
-            for c in partitions_of(sum(a) + sum(b)):
-                if len(c) > x.rank:
-                    continue
-                g = pairs.hall_constant(c, a, b)
-                if not g.is_zero():
-                    terms[c] = ca * cb * g.to_laurent()
-            out = out + HallElt(x.rank, terms)
-    return out
+            HallElt._accumulate(out, (
+                (c, ca * cb * pairs.hall_constant(c, a, b).to_laurent())
+                for c in partitions_of(sum(a) + sum(b))
+                if len(c) <= x.rank
+            ))
+    return HallElt._trusted(x.rank, out)
 
 
 def act_direct(side: str, a: HallElt, m: MirElt) -> MirElt:
     """Action by the directly counted tables, one pair of basis
     elements at a time.  Test oracle."""
-    if a.rank != m.rank:
-        raise ValueError("rank mismatch")
-    out = MirElt.zero(m.rank)
+    a._check(m)
+    out: dict[Bipartition, LaurentPoly] = {}
     for w, cw in a._c.items():
         for src, cs in m._c.items():
             n = label_size(src) + sum(w)
-            terms: dict[Bipartition, LaurentPoly] = {}
             for tgt in bipartitions_of(n):
                 if not _fits(tgt, m.rank):
                     continue
@@ -397,9 +336,8 @@ def act_direct(side: str, a: HallElt, m: MirElt) -> MirElt:
                         (src, w)
                     )
                 if g is not None:
-                    terms[tgt] = cw * cs * g.to_laurent()
-            out = out + MirElt(m.rank, terms)
-    return out
+                    MirElt._accumulate(out, [(tgt, cw * cs * g.to_laurent())])
+    return MirElt._trusted(m.rank, out)
 
 
 def verify_closed_form(
@@ -464,7 +402,7 @@ def rho_check(src: Bipartition, r: int, rank: int) -> bool:
     served column `stable_right_column`, checked over every target one
     step up that fits in `rank` rows."""
     mirrored = stable_right_column(r, src, rank)
-    src = (trim(src[0]), trim(src[1]))
+    src = trim_pair(src)
     n = sum(src[0]) + sum(src[1]) + r
     return all(
         stable_right_constant(tgt, src, r, rank) == mirrored.get(tgt, QPoly.zero())

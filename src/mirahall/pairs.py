@@ -226,22 +226,25 @@ def left_profile(
     return _left_profile_sweep(tgt, k, p)
 
 
-def _left_profile_sweep(tgt, k, p):
-    u, v = normal_form(tgt)
-    u, v = u % p, v % p
-    n = u.shape[0]
-    _guard_sweep(n, k, p)
-    K = _krylov(u, v, p)
-    out: Counter = Counter()
-    for pattern, batch in gf.subspace_batches(n, k, p):
+def _invariant_subspaces(u, k: int, p: int):
+    """Every k-dim u-invariant subspace of F_p^n, swept in batches: the
+    basis rows W and the matrix C of u on the subspace, W u^T = C W."""
+    for pattern, batch in gf.subspace_batches(u.shape[0], k, p):
         X = (batch @ u.T) % p
         C = X[:, :, list(pattern)]
         resid = (X - C @ batch) % p
-        good = np.nonzero(~resid.any(axis=(1, 2)))[0]
-        for b in good:
-            w_type = jordan_type(C[b], p)
-            src = _quotient_pair_type(u, K, batch[b], p)
-            out[(w_type, src)] += 1
+        for b in np.nonzero(~resid.any(axis=(1, 2)))[0]:
+            yield batch[b], C[b]
+
+
+def _left_profile_sweep(tgt, k, p):
+    u, v = normal_form(tgt)
+    u, v = u % p, v % p
+    _guard_sweep(u.shape[0], k, p)
+    K = _krylov(u, v, p)
+    out: Counter = Counter()
+    for W, C in _invariant_subspaces(u, k, p):
+        out[(jordan_type(C, p), _quotient_pair_type(u, K, W, p))] += 1
     return dict(out)
 
 
@@ -265,15 +268,8 @@ def right_profile(
     out: Counter = Counter()
     if not v.any():
         _guard_sweep(n, k, p)
-        for pattern, batch in gf.subspace_batches(n, k, p):
-            X = (batch @ u.T) % p
-            C = X[:, :, list(pattern)]
-            resid = (X - C @ batch) % p
-            good = np.nonzero(~resid.any(axis=(1, 2)))[0]
-            for b in good:
-                sub = ((), jordan_type(C[b], p))
-                quot = _quotient_plain_type(u, batch[b], p)
-                out[(sub, quot)] += 1
+        for W, C in _invariant_subspaces(u, k, p):
+            out[(((), jordan_type(C, p)), _quotient_plain_type(u, W, p))] += 1
         return dict(out)
     if k == 0:
         return {}

@@ -40,6 +40,11 @@ def trim(seq) -> Partition:
     return out
 
 
+def trim_pair(bp) -> Bipartition:
+    """A pair label with both components trimmed (`trim`)."""
+    return (trim(bp[0]), trim(bp[1]))
+
+
 def size(lam: Partition) -> int:
     return sum(lam)
 

@@ -32,7 +32,7 @@ from .partitions import (
     label_size,
     pair_codim,
     partitions_of,
-    trim,
+    trim_pair,
 )
 
 
@@ -146,8 +146,7 @@ def trace_value(
     The gap between the two labels' codimensions is nonnegative whenever
     the calibrated entry is nonzero, and the entry's lowest power is no
     deeper than the gap, so the result lives in Z[s]."""
-    row = (trim(row[0]), trim(row[1]))
-    col = (trim(col[0]), trim(col[1]))
+    row, col = trim_pair(row), trim_pair(col)
     entry = table.value(row, col)
     if entry.is_zero():
         return TraceCell.zero(q)
@@ -232,7 +231,7 @@ class GreenLabel:
         clean = []
         for f, bp in items:
             f = tuple(int(c) % q for c in f)
-            bp = (trim(bp[0]), trim(bp[1]))
+            bp = trim_pair(bp)
             if bp == ((), ()):
                 continue
             if len(f) < 2 or f[-1] != 1:

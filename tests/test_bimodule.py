@@ -15,7 +15,7 @@ from mirahall.bimodule import (
 )
 from mirahall.errors import NotInTable, RankTooSmall
 from mirahall.hall import u_elt
-from mirahall.laurent import LaurentPoly
+from mirahall.laurent import LaurentPoly, QPoly
 from mirahall.partitions import ah_leq, bipartitions_of, pair_codim
 from mirahall.oracle import act_direct, hl_schur_coefficients
 
@@ -36,6 +36,10 @@ def test_mirelt_basics():
     assert (m - m).is_zero()
     with pytest.raises(ValueError):
         m + MirElt(3)
+    with pytest.raises(TypeError):
+        MirElt(2, {((1,), ()): QPoly.q_power(1)})
+    with pytest.raises(TypeError):
+        TensorSym({((1,), ()): QPoly.q_power(1)})
 
 
 def test_vacuum_seeds():

@@ -11,7 +11,7 @@ from mirahall.hall import (
     hall_mul,
     u_elt,
 )
-from mirahall.laurent import LaurentPoly
+from mirahall.laurent import LaurentPoly, QPoly
 from mirahall.oracle import elementary_in_vars, hall_mul_direct, psi
 from mirahall.partitions import (
     add_parts,
@@ -38,6 +38,8 @@ def test_hallelt_basics():
         x + HallElt(2)
     with pytest.raises(ValueError):
         HallElt(0)
+    with pytest.raises(TypeError):
+        HallElt(3, {(2, 1): QPoly.q_power(1)})
 
 
 def test_square_of_line():

@@ -86,6 +86,8 @@ def test_varpoly_arithmetic():
         x + VarPoly(3)
     with pytest.raises(ValueError):
         VarPoly(2, {(1, 0, 0): 1})
+    with pytest.raises(TypeError):
+        VarPoly(2, {(1, 0): QPoly.q_power(1)})
 
 
 def test_schur_small():
