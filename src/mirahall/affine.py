@@ -41,7 +41,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations, product as cartesian
 
-from .errors import CostGuard, Incompatible, NoTemplateMatch, UsageError
+from .errors import Incompatible, NoTemplateMatch, UsageError
 from .laurent import QPoly
 
 DEFAULT_PRIMES = (2, 3)
@@ -532,31 +532,6 @@ def universe(N: int, shift_bound: int = 1, beta_bound: int = 2) -> tuple:
                     except Incompatible:
                         continue
     return tuple(sorted(out, key=_sort_key))
-
-
-# Budget for `iwahori mult --N N --window W`, in the candidate labels
-# that universe(N, 1, W) tries: N! 3^N 4^W.  Cold on a 2-vCPU box the
-# slowest accepted input is N = 4 at window 2 (31,104 candidates, 14 to
-# 19 s, 189 MB); N = 3 at window 4 (41,472) took 3.7 s and N = 2 at
-# window 6 (73,728) 2.0 s.  Refused: N = 5 at window 1 (116,640) ran
-# past 120 s and 970 MB, N = 4 at window 3 (124,416) took 31 s and
-# 273 MB, N = 3 at window 5 (165,888) 8.5 s, N = 2 at window 7
-# (294,912) 9.9 s.
-MAX_CANDIDATES = 100_000
-
-
-def check_universe_cost(N: int, window: int) -> None:
-    """Refuse the products over universe(N, 1, window) when it would try
-    more than MAX_CANDIDATES candidates, counted without listing any."""
-    count, k = 1, 0
-    while count <= MAX_CANDIDATES and k < N + window:
-        k += 1
-        count *= 3 * k if k <= N else 4
-    if count > MAX_CANDIDATES:
-        raise CostGuard(
-            f"iwahori mult --N {N} --window {window} tries N! 3^N 4^window"
-            f" > {MAX_CANDIDATES} candidate labels"
-        )
 
 
 def _subsets(rng):

@@ -23,7 +23,6 @@ from typing import Mapping
 
 from .closedform import _fits, closed_form_G
 from .errors import (
-    CostGuard,
     DiagonalNotUnit,
     NotInTable,
     OracleMismatch,
@@ -35,7 +34,6 @@ from .partitions import (
     Bipartition,
     Partition,
     ah_leq,
-    bipartition_count,
     bipartitions_of,
     label_size,
     pair_codim,
@@ -43,44 +41,6 @@ from .partitions import (
     trim,
     trim_pair,
 )
-
-
-# Budgets for the tables that `pi`, `mhl` and `trace` build, checked
-# before any table work.  MAX_LABELS bounds the labels of the table
-# itself, those with at most `rank` rows per component.  Cold on a
-# 2-vCPU box, n = 8 at full rank (185 labels) took 5.9 s for `pi` and
-# 6.9 s for `mhl`, n = 9 (300 labels) 15.5 s and 184 MB for `pi` and
-# 25 s for `mhl`.  At n = 10 (481 labels) the table alone took 44 s and
-# 238 MB in one process, before any rendering or caching.
-MAX_LABELS = 300
-
-# MAX_SIZE_LABELS bounds all labels of size n, whatever the rank: every
-# generator step reads a closed column over all labels of its size, so a
-# low rank does not make a large n cheap.  `pi --n 12 --N 1` (13 labels)
-# took 22 s, `--n 12 --N 2` (140 labels) 35 s and `--n 13 --N 2` (168
-# labels) 61 s and 134 MB; at 1.75 times that per size, `--n 14 --N 2`
-# would take about two minutes.  1770 labels is n = 13.
-MAX_SIZE_LABELS = 1770
-
-
-def check_cost(n: int, rank: int | None = None) -> None:
-    """Refuse a size whose tables would take too long to build, judged
-    by label counts before any table work: the labels of the table (at
-    most `rank` rows per component; every label of size n without
-    `rank`) and every label of size n."""
-    count = bipartition_count(n, rank)
-    if count > MAX_LABELS:
-        at = f"n={n}" if rank is None or rank >= n else f"n={n}, N={rank}"
-        raise CostGuard(
-            f"tables at {at} have {count} labels, above the budget of "
-            f"{MAX_LABELS}"
-        )
-    total = bipartition_count(n)
-    if total > MAX_SIZE_LABELS:
-        raise CostGuard(
-            f"size n={n} has {total} labels, above the budget of "
-            f"{MAX_SIZE_LABELS} at any rank"
-        )
 
 
 class MirElt(Combination):
@@ -167,8 +127,14 @@ def c_bipartition(lam: Partition, mu: Partition, rank: int) -> MirElt:
     lam, mu = trim(lam), trim(mu)
     if len(lam) > rank or len(mu) > rank:
         raise RankTooSmall(f"label ({lam}, {mu}) needs more than {rank} rows")
-    right = act("right", c_expand(mu, rank), vacuum(rank))
-    return act("left", c_expand(lam, rank), right)
+    return act("left", c_expand(lam, rank), _right_vacuum(mu, rank))
+
+
+@lru_cache(maxsize=None)
+def _right_vacuum(mu: Partition, rank: int) -> MirElt:
+    """The right half of `c_bipartition`, shared by every label with
+    second component `mu`."""
+    return act("right", c_expand(mu, rank), vacuum(rank))
 
 
 def _labels(n: int, rank: int) -> tuple[Bipartition, ...]:

@@ -5,15 +5,21 @@ produces the same bytes, whether the table came out of the cache or was
 rebuilt.  Exit codes: 0 computed or verified, 1 a verification failed,
 2 bad usage.
 
-The suites behind `verify` live in `checks`, which this module imports
-only when `verify_payload` runs, so a serving request never loads them
-or the counting oracles.
+A request runs only the table code it reaches.  The table modules
+(`affine`, `bimodule`, `closedform`, `hall`, `symfunc`, `traces`) are
+registered lazily (`_lazy`): each is in `sys.modules` from import on,
+and its body runs at its first attribute access.  The cost guards live
+here, so a cached or refused request runs none of them.  The suites
+behind `verify` live in `checks`, which this module imports only when
+`verify_payload` runs, so a serving request never loads them or the
+counting oracles.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import sys
@@ -22,15 +28,6 @@ from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
 from . import cache
-from .affine import (
-    DEFAULT_PRIMES,
-    check_universe_cost,
-    pattern_check,
-    ts_action,
-    universe,
-)
-from .bimodule import check_cost, mhl_poly, pi_table
-from .closedform import closed_left_column, stable_right_column
 from .config import (
     FORMATS,
     RunConfig,
@@ -39,11 +36,37 @@ from .config import (
     read_config_file,
     resolve,
 )
-from .errors import IOFailure, MiraError, UsageError
-from .hall import check_hall_cost, hall_mul, u_elt
+from .errors import CostGuard, IOFailure, MiraError, UsageError
 from .laurent import LaurentPoly, QPoly
-from .partitions import bipartitions_of, size, trim
-from .traces import green_freeness_check, green_labels, trace_value
+from .partitions import bipartition_count, bipartitions_of, size, trim
+
+
+def _lazy(name: str):
+    """The module `mirahall.<name>`, registered in `sys.modules` (and on
+    the package) without running its body, which runs at the first
+    attribute access; a module already imported is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        loader = importlib.util.LazyLoader(spec.loader)
+        spec.loader = loader
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+affine = _lazy("affine")
+bimodule = _lazy("bimodule")
+closedform = _lazy("closedform")
+hall = _lazy("hall")
+traces = _lazy("traces")
+# no payload calls into symfunc; it is registered with the other table
+# modules so that every module a request can reach is in sys.modules
+# from import on (perfbench/traced.py wraps the modules it finds there)
+_lazy("symfunc")
 
 SUITES = (
     "census",
@@ -97,6 +120,79 @@ def _ilabel(x) -> dict:
     }
 
 
+# --- cost guards ----------------------------------------------------------------
+
+
+# Budgets for the tables that `pi`, `mhl` and `trace` build, checked
+# before any table work.  MAX_LABELS bounds the labels of the table
+# itself, those with at most `rank` rows per component.  Cold on a
+# 2-vCPU box, n = 8 at full rank (185 labels) took 5.9 s for `pi` and
+# 6.9 s for `mhl`, n = 9 (300 labels) 15.5 s and 184 MB for `pi` and
+# 25 s for `mhl`.  At n = 10 (481 labels) the table alone took 44 s and
+# 238 MB in one process, before any rendering or caching.
+MAX_LABELS = 300
+
+# MAX_SIZE_LABELS bounds all labels of size n, whatever the rank: every
+# generator step reads a closed column over all labels of its size, so a
+# low rank does not make a large n cheap.  `pi --n 12 --N 1` (13 labels)
+# took 22 s, `--n 12 --N 2` (140 labels) 35 s and `--n 13 --N 2` (168
+# labels) 61 s and 134 MB; at 1.75 times that per size, `--n 14 --N 2`
+# would take about two minutes.  1770 labels is n = 13.
+MAX_SIZE_LABELS = 1770
+
+
+def check_cost(n: int, rank: int | None = None) -> None:
+    """Refuse a size whose tables would take too long to build, judged
+    by label counts before any table work: the labels of the table (at
+    most `rank` rows per component; every label of size n without
+    `rank`) and every label of size n."""
+    count = bipartition_count(n, rank)
+    if count > MAX_LABELS:
+        at = f"n={n}" if rank is None or rank >= n else f"n={n}, N={rank}"
+        raise CostGuard(
+            f"tables at {at} have {count} labels, above the budget of "
+            f"{MAX_LABELS}"
+        )
+    check_size_cost(n)
+
+
+def check_size_cost(n: int) -> None:
+    """Refuse a size with more than MAX_SIZE_LABELS labels in all; a
+    `mirabolic` column at target size n reads the closed table of every
+    one of them."""
+    total = bipartition_count(n)
+    if total > MAX_SIZE_LABELS:
+        raise CostGuard(
+            f"size n={n} has {total} labels, above the budget of "
+            f"{MAX_SIZE_LABELS} at any rank"
+        )
+
+
+# Budget for `iwahori mult --N N --window W`, in the candidate labels
+# that universe(N, 1, W) tries: N! 3^N 4^W.  Cold on a 2-vCPU box the
+# slowest accepted input is N = 4 at window 2 (31,104 candidates, 14 to
+# 19 s, 189 MB); N = 3 at window 4 (41,472) took 3.7 s and N = 2 at
+# window 6 (73,728) 2.0 s.  Refused: N = 5 at window 1 (116,640) ran
+# past 120 s and 970 MB, N = 4 at window 3 (124,416) took 31 s and
+# 273 MB, N = 3 at window 5 (165,888) 8.5 s, N = 2 at window 7
+# (294,912) 9.9 s.
+MAX_CANDIDATES = 100_000
+
+
+def check_universe_cost(N: int, window: int) -> None:
+    """Refuse the products over universe(N, 1, window) when it would try
+    more than MAX_CANDIDATES candidates, counted without listing any."""
+    count, k = 1, 0
+    while count <= MAX_CANDIDATES and k < N + window:
+        k += 1
+        count *= 3 * k if k <= N else 4
+    if count > MAX_CANDIDATES:
+        raise CostGuard(
+            f"iwahori mult --N {N} --window {window} tries N! 3^N 4^window"
+            f" > {MAX_CANDIDATES} candidate labels"
+        )
+
+
 # --- payload builders ---------------------------------------------------------
 
 
@@ -106,7 +202,7 @@ def pi_payload(n: int, rank: int, cfg: RunConfig) -> dict:
     hit = cache.load("pi", params, cfg.cache_dir)
     if hit is not None:
         return hit
-    table = pi_table(n, rank)
+    table = bimodule.pi_table(n, rank)
 
     def cells(tbl) -> list:
         out = []
@@ -143,7 +239,7 @@ def mhl_payload(n: int, rank: int, cfg: RunConfig) -> dict:
         return hit
     entries = []
     for bp in bipartitions_of(n):
-        tensor, prefactor = mhl_poly(bp, rank)
+        tensor, prefactor = bimodule.mhl_poly(bp, rank)
         entries.append(
             {
                 "label": bplabel(bp),
@@ -165,11 +261,11 @@ def trace_payload(n: int, q: int, cfg: RunConfig) -> dict:
     hit = cache.load("trace", params, cfg.cache_dir)
     if hit is not None:
         return hit
-    table = pi_table(n, max(n, 1))
+    table = bimodule.pi_table(n, max(n, 1))
     cells = []
     for row in table.order:
         for col in table.order:
-            cell = trace_value(col, row, table, q)
+            cell = traces.trace_value(col, row, table, q)
             if not cell.is_zero():
                 cells.append(
                     {
@@ -193,8 +289,8 @@ def trace_payload(n: int, q: int, cfg: RunConfig) -> dict:
 def hall_payload(x, y, rank: int) -> dict:
     if len(x) > rank or len(y) > rank:
         raise UsageError(f"shapes {x} and {y} need rank above {rank}")
-    check_hall_cost(x, y, rank)
-    prod = hall_mul(u_elt(x, rank), u_elt(y, rank))
+    hall.check_hall_cost(x, y, rank)
+    prod = hall.hall_mul(hall.u_elt(x, rank), hall.u_elt(y, rank))
     return {
         "kind": "hall",
         "N": rank,
@@ -209,7 +305,11 @@ def hall_payload(x, y, rank: int) -> dict:
 def mirabolic_payload(src, r: int, side: str, rank: int) -> dict:
     if r < 1:
         raise UsageError(f"generator degree must be positive, got {r}")
-    column = closed_left_column if side == "left" else stable_right_column
+    check_size_cost(size(src[0]) + size(src[1]) + r)
+    if side == "left":
+        column = closedform.closed_left_column
+    else:
+        column = closedform.stable_right_column
     table = column(r, src, rank)
     terms = [{"label": bplabel(tgt), "coeff": c.to_json()} for tgt, c in table.items()]
     return {
@@ -224,12 +324,12 @@ def mirabolic_payload(src, r: int, side: str, rank: int) -> dict:
 
 def green_payload(n: int, q: int) -> dict:
     # the freeness check runs the cost guard before any label is listed
-    freeness = green_freeness_check(n, q)
+    freeness = traces.green_freeness_check(n, q)
     return {
         "kind": "green",
         "n": n,
         "q": q,
-        "labels": [lab.pretty() for lab in green_labels(n, q)],
+        "labels": [lab.pretty() for lab in traces.green_labels(n, q)],
         "freeness": freeness,
     }
 
@@ -245,14 +345,14 @@ def iwahori_payload(N: int, window: int, cfg: RunConfig) -> dict:
     label_tree = lru_cache(maxsize=None)(_ilabel)
     coeff_tree = lru_cache(maxsize=None)(QPoly.to_json)
     products = []
-    for x in universe(N, 1, window):
+    for x in affine.universe(N, 1, window):
         for i in range(1, N + 1):
-            prod = ts_action(x, i)
+            prod = affine.ts_action(x, i)
             products.append(
                 {
                     "source": label_tree(x),
                     "i": i,
-                    "case": pattern_check(x, i, prod),
+                    "case": affine.pattern_check(x, i, prod),
                     # ts_action lists its terms in label order
                     "terms": [
                         {"target": label_tree(y), "coeff": coeff_tree(c)}
@@ -266,7 +366,7 @@ def iwahori_payload(N: int, window: int, cfg: RunConfig) -> dict:
         "window": window,
         # kept for a stable output format: the closed products take no
         # field size, and this reads the counting oracle's default primes
-        "qs": list(DEFAULT_PRIMES),
+        "qs": list(affine.DEFAULT_PRIMES),
         "products": products,
     }
     cache.store("iwahori", params, payload, cfg.cache_dir)

@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mirahall import (
-    affine,
     bimodule,
     cache,
     checks,
@@ -23,7 +22,7 @@ from mirahall import (
     symfunc,
     traces,
 )
-from mirahall.bimodule import check_cost
+from mirahall.cli import check_cost, check_universe_cost
 from mirahall.hall import check_hall_cost
 from mirahall.config import RunConfig, read_config_file, resolve
 from mirahall.errors import CostGuard, UsageError
@@ -397,15 +396,15 @@ def test_iwahori_cost_guard_counts_the_candidates():
     for N in range(2, 7):
         for window in range(1, 9):
             count = math.factorial(N) * 3 ** N * 4 ** window
-            if count <= affine.MAX_CANDIDATES:
-                affine.check_universe_cost(N, window)
+            if count <= cli.MAX_CANDIDATES:
+                check_universe_cost(N, window)
             else:
                 with pytest.raises(CostGuard):
-                    affine.check_universe_cost(N, window)
+                    check_universe_cost(N, window)
     # the default window serves N = 4 and refuses N = 5
-    affine.check_universe_cost(4, 2)
+    check_universe_cost(4, 2)
     with pytest.raises(CostGuard):
-        affine.check_universe_cost(5, 1)
+        check_universe_cost(5, 1)
 
 
 def test_cache_entry_is_one_sorted_json_document(tmp_path):
@@ -445,15 +444,44 @@ def test_cost_guard_counts_the_labels_of_the_rank_and_the_size():
 
 def test_cost_guard_serves_a_low_rank_above_the_full_budget(capsys, monkeypatch):
     built = []
+    pi_table = bimodule.pi_table
 
     def small_table(n, rank):
         built.append((n, rank))
-        return bimodule.pi_table(1, rank)
+        return pi_table(1, rank)
 
-    monkeypatch.setattr(cli, "pi_table", small_table)
+    monkeypatch.setattr(bimodule, "pi_table", small_table)
     code, out = run(capsys, "pi", "--n", "10", "--N", "2")
     assert code == 0 and built == [(10, 2)]
     assert json.loads(out)["N"] == 2
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_mirabolic_cost_guard_at_the_size_edge(capsys, monkeypatch, side):
+    # target size 13 has MAX_SIZE_LABELS labels and is served; size 14
+    # is refused before any column is built
+    assert partitions.bipartition_count(13) == cli.MAX_SIZE_LABELS
+    assert partitions.bipartition_count(14) > cli.MAX_SIZE_LABELS
+    built = []
+
+    def column(r, src, rank):
+        built.append((r, src, rank))
+        return {}
+
+    name = "closed_left_column" if side == "left" else "stable_right_column"
+    monkeypatch.setattr(closedform, name, column)
+    code, out = run(capsys, "mirabolic", "--src", "6|6", "--r", "1", "--side", side)
+    assert code == 0 and built == [(1, ((6,), (6,)), 13)]
+    assert json.loads(out)["terms"] == []
+    for src, r in (("7|6", "1"), ("6|6", "2"), ("6|", "8")):
+        start = time.perf_counter()
+        code = cli.main(["mirabolic", "--src", src, "--r", r, "--side", side])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "CostGuard" in captured.err and captured.out == ""
+        assert elapsed < 1.0
+    assert len(built) == 1
 
 
 def _clear_caches():

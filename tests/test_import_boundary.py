@@ -1,4 +1,5 @@
-"""Serving requests never load the counting engine.
+"""Serving requests never load the counting engine, and run only the
+table code they reach.
 
 The counting oracles (`oracle`, `pairs`, `gf`), the verify suites
 (`checks`) and numpy are for `verify` and the tests, and the standard
@@ -7,6 +8,12 @@ pulls in `inspect`) would cost every request their import.  Each
 serving request of the benchmark's workloads runs in a fresh
 interpreter here, which checks that neither `import mirahall.cli` nor
 the request itself loads them.
+
+The table modules (TABLE_MODULES) are registered lazily by
+`mirahall.cli`: each is in `sys.modules` from import on, and its body
+runs at its first attribute access.  A cached request, a request
+refused by a cost guard, and a cold `iwahori mult` (which needs only
+`affine`) are checked to leave the others unrun.
 """
 
 from __future__ import annotations
@@ -48,16 +55,81 @@ with open(sys.argv[1], "w") as fh:
 SERVING = workloads.COLD_TABLES + (workloads.WARM_RIGHT, ("--help",))
 
 
-@pytest.mark.parametrize("argv", SERVING, ids=lambda a: " ".join(a[:3]))
-def test_serving_request_loads_no_counting_module(argv, tmp_path):
-    report = tmp_path / "report.json"
-    env = dict(os.environ, MIRAHALL_CACHE_DIR=str(tmp_path / "cache"))
+def _run(child: str, argv, cache_dir: Path) -> dict:
+    """Run `child` in a fresh interpreter with REPORT and `argv`, and
+    return the JSON it wrote to REPORT."""
+    report = cache_dir.parent / "report.json"
+    env = dict(os.environ, MIRAHALL_CACHE_DIR=str(cache_dir))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     subprocess.run(
-        [sys.executable, "-c", CHILD, str(report), *argv],
-        env=env, stdout=subprocess.DEVNULL, check=True, timeout=120,
+        [sys.executable, "-c", child, str(report), *argv],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        check=True, timeout=120,
     )
-    got = json.loads(report.read_text())
+    return json.loads(report.read_text())
+
+
+@pytest.mark.parametrize("argv", SERVING, ids=lambda a: " ".join(a[:3]))
+def test_serving_request_loads_no_counting_module(argv, tmp_path):
+    got = _run(CHILD, argv, tmp_path / "cache")
     assert got == {"code": 0, "import": [], "request": []}
+
+
+TABLE_MODULES = ("affine", "bimodule", "closedform", "hall", "symfunc", "traces")
+
+# Each table module's state after one request: "lazy" (registered, body
+# not run), "ran" or "absent".  type() reads no attribute of the module,
+# so it does not run a lazy one.
+STATES = """
+import json, sys, types
+import mirahall.cli
+code = mirahall.cli.main(sys.argv[2:])
+states = {}
+for name in %r:
+    module = sys.modules.get("mirahall." + name)
+    if module is None:
+        states[name] = "absent"
+    else:
+        states[name] = "ran" if type(module) is types.ModuleType else "lazy"
+with open(sys.argv[1], "w") as fh:
+    json.dump({"code": code, "states": states}, fh)
+""" % (TABLE_MODULES,)
+
+ALL_LAZY = {name: "lazy" for name in TABLE_MODULES}
+
+
+@pytest.fixture(scope="module")
+def filled_cache(tmp_path_factory):
+    cache_dir = tmp_path_factory.mktemp("filled") / "cache"
+    for argv in workloads.CACHED_TABLES:
+        assert _run(STATES, argv, cache_dir)["code"] == 0
+    return cache_dir
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [workloads.with_format(a, f) for a in workloads.CACHED_TABLES for f in workloads.FORMATS],
+    ids=" ".join,
+)
+def test_cached_request_runs_no_table_module(argv, filled_cache):
+    assert _run(STATES, argv, filled_cache) == {"code": 0, "states": ALL_LAZY}
+
+
+REFUSED = (
+    ("pi", "--n", "10"),
+    ("iwahori", "mult", "--N", "5", "--window", "1"),
+    ("mirabolic", "--src", "8|8", "--r", "8"),
+    ("mirabolic", "--src", "5,4|4,3", "--r", "6", "--side", "right"),
+)
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+def test_refused_request_runs_no_table_module(argv, tmp_path):
+    assert _run(STATES, argv, tmp_path / "cache") == {"code": 1, "states": ALL_LAZY}
+
+
+def test_cold_iwahori_runs_only_affine(tmp_path):
+    got = _run(STATES, ("iwahori", "mult", "--N", "2"), tmp_path / "cache")
+    assert got == {"code": 0, "states": dict(ALL_LAZY, affine="ran")}

@@ -1,10 +1,13 @@
 """The traced run of the benchmark reads the serving modules as layers.
 
 `perfbench/traced.py REPORT -- <argv>` imports `mirahall.cli`, wraps every
-public function of the mirahall modules loaded by then, runs one request
-and writes the calls it counted per layer.  A serving module that stops
-being loaded at import, or a layer whose calls move into a module that
-is not, would read as a layer with no calls; these requests pin that.
+public function of the mirahall modules in `sys.modules` by then, runs one
+request and writes the calls it counted per layer.  `mirahall.cli`
+registers the table modules lazily: each is in `sys.modules` from import
+on, with its body not yet run, and the tracer's first read of the
+module's namespace runs it.  A table module that stopped being registered
+at import, or a layer whose calls move into a module that is not, would
+read as a layer with no calls; these requests pin that.
 """
 
 from __future__ import annotations
