@@ -9,6 +9,10 @@ the right action inserts one containing the vector.  Both are computed
 through the square-zero generator decomposition, one generator at a
 time from the closed tables of `closedform`.  `oracle.act_direct` reads
 the directly counted tables instead; it is the oracle the tests replay.
+The right action on the vacuum, the only right action that the cyclic
+basis and the class ring's products against the empty label take, is
+read in closed form (`right_on_vacuum`), so no serving request reads a
+right table (`closedform.closed_right_table`).
 
 `pi_table` normalises the cyclic basis into the transition table whose
 entries are the polynomials the rest of the package consumes; the
@@ -120,6 +124,16 @@ def act(side: str, a: HallElt, m: MirElt) -> MirElt:
     return MirElt._trusted(m.rank, out)
 
 
+def right_on_vacuum(a: HallElt) -> MirElt:
+    """`act("right", a, vacuum(a.rank))` in closed form: u_b . () = ((), b).
+
+    On the vacuum the invariant subspace W is 0, so the marked vector,
+    which lies in W, is 0 and the quotient V/W = V has type b: each shape
+    b of `a` becomes the label ((), b) with its coefficient, in the same
+    order.  The generator route `act` is the oracle the tests replay."""
+    return MirElt._trusted(a.rank, {((), b): c for b, c in a._c.items()})
+
+
 @lru_cache(maxsize=None)
 def c_bipartition(lam: Partition, mu: Partition, rank: int) -> MirElt:
     """Cyclic basis: signed-Kostka operators applied to the vacuum on
@@ -133,8 +147,12 @@ def c_bipartition(lam: Partition, mu: Partition, rank: int) -> MirElt:
 @lru_cache(maxsize=None)
 def _right_vacuum(mu: Partition, rank: int) -> MirElt:
     """The right half of `c_bipartition`, shared by every label with
-    second component `mu`."""
-    return act("right", c_expand(mu, rank), vacuum(rank))
+    second component `mu`.  It is read in closed form
+    (`right_on_vacuum`), so building the cyclic basis reads no right
+    table (`closedform.closed_right_table`); right tables serve only
+    `act("right")` on elements other than the vacuum, which no serving
+    request reaches."""
+    return right_on_vacuum(c_expand(mu, rank))
 
 
 def _labels(n: int, rank: int) -> tuple[Bipartition, ...]:

@@ -9,7 +9,9 @@ A request runs only the table code it reaches.  The table modules
 (`affine`, `bimodule`, `closedform`, `hall`, `symfunc`, `traces`) are
 registered lazily (`_lazy`): each is in `sys.modules` from import on,
 and its body runs at its first attribute access.  The cost guards live
-here, so a cached or refused request runs none of them.  The suites
+here, and those of `green` and `hall` in `costs`, which this module
+imports only for those two requests; so a cached or refused request
+runs no table module.  The suites
 behind `verify` live in `checks`, which this module imports only when
 `verify_payload` runs, so a serving request never loads them or the
 counting oracles.
@@ -126,18 +128,22 @@ def _ilabel(x) -> dict:
 # Budgets for the tables that `pi`, `mhl` and `trace` build, checked
 # before any table work.  MAX_LABELS bounds the labels of the table
 # itself, those with at most `rank` rows per component.  Cold on a
-# 2-vCPU box, n = 8 at full rank (185 labels) took 5.9 s for `pi` and
-# 6.9 s for `mhl`, n = 9 (300 labels) 15.5 s and 184 MB for `pi` and
-# 25 s for `mhl`.  At n = 10 (481 labels) the table alone took 44 s and
-# 238 MB in one process, before any rendering or caching.
+# 2-vCPU box, n = 8 at full rank (185 labels) took 3.4 s for `pi` and
+# 5.1 s for `mhl`, n = 9 (300 labels) 10.9 s and 154 MB for `pi` and
+# 18.7 s for `mhl`.  At n = 10 (481 labels), with the budget raised,
+# `pi` took 37.5 s and 379 MB and `mhl` 61.6 s; in one process the
+# table alone took 27 s and 171 MB, and the inversion that `mhl` adds
+# another 40 s.
 MAX_LABELS = 300
 
 # MAX_SIZE_LABELS bounds all labels of size n, whatever the rank: every
 # generator step reads a closed column over all labels of its size, so a
 # low rank does not make a large n cheap.  `pi --n 12 --N 1` (13 labels)
 # took 22 s, `--n 12 --N 2` (140 labels) 35 s and `--n 13 --N 2` (168
-# labels) 61 s and 134 MB; at 1.75 times that per size, `--n 14 --N 2`
-# would take about two minutes.  1770 labels is n = 13.
+# labels) 61 s and 134 MB while the cyclic basis read right tables;
+# since it reads the right action on the vacuum in closed form they
+# take 2.1 s, 4.0 s and 8.9 s, and `--n 14 --N 2`, with the budget
+# raised, 15.9 s.  1770 labels is n = 13.
 MAX_SIZE_LABELS = 1770
 
 
@@ -289,7 +295,9 @@ def trace_payload(n: int, q: int, cfg: RunConfig) -> dict:
 def hall_payload(x, y, rank: int) -> dict:
     if len(x) > rank or len(y) > rank:
         raise UsageError(f"shapes {x} and {y} need rank above {rank}")
-    hall.check_hall_cost(x, y, rank)
+    from .costs import check_hall_cost
+
+    check_hall_cost(x, y, rank)
     prod = hall.hall_mul(hall.u_elt(x, rank), hall.u_elt(y, rank))
     return {
         "kind": "hall",
@@ -323,7 +331,11 @@ def mirabolic_payload(src, r: int, side: str, rank: int) -> dict:
 
 
 def green_payload(n: int, q: int) -> dict:
-    # the freeness check runs the cost guard before any label is listed
+    from .costs import check_green_cost
+
+    # refused here, before `traces` runs; the freeness check guards its
+    # library callers with the same count
+    check_green_cost(n, q)
     freeness = traces.green_freeness_check(n, q)
     return {
         "kind": "green",

@@ -24,7 +24,12 @@ classical one-flag count.
 
 These closed tables serve every structure constant in the package: the
 Hall product, both sides of the bimodule, the class ring and the
-`mirabolic` command.  The counted tables of `pairs`, and the checks
+`mirabolic` command.  The right table (`closed_right_table`) serves
+only `bimodule.act("right")` on elements other than the vacuum, which
+no serving request reaches: the cyclic basis and the class ring take
+the right action on the vacuum in closed form
+(`bimodule.right_on_vacuum`), and a right `mirabolic` column reads
+`right_via_star`.  The counted tables of `pairs`, and the checks
 `verify_closed_form`, `stable_right_constant` and `rho_check` of
 `oracle`, are oracles that only `verify` and the tests reach.
 """
@@ -213,7 +218,11 @@ def closed_right_table(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
     r = n leaves no other cell.  All sources share one lift, the
     largest that any one of them needs (`_mirror`), so the whole table
     is read from a single lifted left table; the left table does not
-    move under such lifts."""
+    move under such lifts.
+
+    It serves only `bimodule.act("right")` on elements other than the
+    vacuum (`bimodule.right_on_vacuum` reads the vacuum in closed form),
+    which no serving request reaches; the tests replay it."""
     tgt = trim_pair(tgt)
     n = sum(tgt[0]) + sum(tgt[1])
     if r < 1:

@@ -10,13 +10,14 @@ from mirahall.bimodule import (
     gen_act,
     mhl_poly,
     pi_table,
+    right_on_vacuum,
     u_bip,
     vacuum,
 )
 from mirahall.errors import NotInTable, RankTooSmall
-from mirahall.hall import u_elt
+from mirahall.hall import c_expand, u_elt
 from mirahall.laurent import LaurentPoly, QPoly
-from mirahall.partitions import ah_leq, bipartitions_of, pair_codim
+from mirahall.partitions import ah_leq, bipartitions_of, pair_codim, partitions_of
 from mirahall.oracle import act_direct, hl_schur_coefficients
 
 q = LaurentPoly({2: 1})
@@ -48,6 +49,21 @@ def test_vacuum_seeds():
     assert right == u_bip(((), (1,)), rank)
     left = act("left", u_elt((1,), rank), vacuum(rank))
     assert left == u_bip(((1,), ()), rank) + u_bip(((), (1,)), rank)
+
+
+def test_right_on_vacuum_matches_the_generator_route():
+    # u_b . () = ((), b) with coefficient 1, against the generator route
+    # for every shape of size <= 7 at every rank from its row count to
+    # |b| + 1, and for the signed Kostka combination the cyclic basis
+    # applies there; the terms keep the order of the shapes
+    for k in range(8):
+        for b in partitions_of(k):
+            for rank in range(max(len(b), 1), k + 2):
+                assert right_on_vacuum(u_elt(b, rank)) == u_bip(((), b), rank)
+                for a in (u_elt(b, rank), c_expand(b, rank)):
+                    got = right_on_vacuum(a)
+                    assert got == act("right", a, vacuum(rank)), (b, rank)
+                    assert list(got._c) == [((), c) for c in a._c], (b, rank)
 
 
 def test_frozen_left_action():

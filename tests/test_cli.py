@@ -23,8 +23,8 @@ from mirahall import (
     traces,
 )
 from mirahall.cli import check_cost, check_universe_cost
-from mirahall.hall import check_hall_cost
 from mirahall.config import RunConfig, read_config_file, resolve
+from mirahall.costs import check_hall_cost, hall_work
 from mirahall.errors import CostGuard, UsageError
 from mirahall.laurent import LaurentPoly, QPoly
 
@@ -427,8 +427,8 @@ def test_hall_cost_guard_passes_the_products_within_budget():
         ((1,) * 21, (1,), 22),
     ):
         check_hall_cost(x, y, rank)
-    assert hall.hall_work((16,), (1,), 2) == 195967
-    assert hall.hall_work((6, 1), (9, 1), 4) == 205402
+    assert hall_work((16,), (1,), 2) == 195967
+    assert hall_work((6, 1), (9, 1), 4) == 205402
     with pytest.raises(CostGuard):
         check_hall_cost((6, 1), (9, 1), 4)
 

@@ -196,6 +196,19 @@ def test_serving_path_never_counts(monkeypatch):
         _clear_caches()
 
 
+def test_tables_and_class_ring_read_no_right_table():
+    # the cyclic basis and the class ring's products against the empty
+    # label take the right action on the vacuum in closed form
+    _clear_caches()
+    try:
+        pi_table(6, 6)
+        bimodule._basis_in_tensor(5, 5)
+        traces.green_freeness_check(4, 2)
+        assert closed_right_table.cache_info().misses == 0
+    finally:
+        _clear_caches()
+
+
 def test_left_column_bounded_by_rank():
     full = closed_form_G(1, ((1, 1), ()))
     # the same row rule as stable_right_column: longer targets are left out

@@ -1,11 +1,10 @@
 import pytest
 
 from mirahall.closedform import _compositions, closed_form_G, closed_left_table
+from mirahall.costs import _hall_steps, _table_classes
 from mirahall.hall import (
     HallElt,
     _gen_decomposition,
-    _hall_steps,
-    _table_classes,
     c_expand,
     gen_mul,
     hall_mul,

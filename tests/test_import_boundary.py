@@ -119,6 +119,8 @@ def test_cached_request_runs_no_table_module(argv, filled_cache):
 
 REFUSED = (
     ("pi", "--n", "10"),
+    ("green", "--n", "9", "--q", "2"),
+    ("hall", "--x", "6,1", "--y", "9,1", "--N", "4"),
     ("iwahori", "mult", "--N", "5", "--window", "1"),
     ("mirabolic", "--src", "8|8", "--r", "8"),
     ("mirabolic", "--src", "5,4|4,3", "--r", "6", "--side", "right"),

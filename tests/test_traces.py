@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mirahall.bimodule import act, pi_table, u_bip
+from mirahall.costs import MAX_GREEN_LABELS, check_green_cost, green_label_count
 from mirahall.errors import (
     CostGuard,
     FieldMismatch,
@@ -18,13 +19,11 @@ from mirahall.oracle import fiber_oracle_check
 from mirahall.pairs import orbit_census
 from mirahall.partitions import bipartitions_of, partitions_of
 from mirahall.traces import (
-    MAX_GREEN_LABELS,
     GreenLabel,
     TraceCell,
+    _image,
     _invertible_over_rationals,
-    check_green_cost,
     green_freeness_check,
-    green_label_count,
     green_labels,
     green_mul,
     irreducible_polys,
@@ -288,6 +287,19 @@ def test_bareiss_matches_fraction_elimination():
         assert _invertible_over_rationals(sparse) == want, rows
         verdicts.append(want)
     assert 50 < sum(verdicts) < 250
+
+
+def test_image_on_the_empty_label_matches_act():
+    # the right products against the empty label, read in closed form,
+    # against the generator route at several field sizes
+    for n in range(1, 6):
+        for nu in partitions_of(n):
+            image = act("right", u_elt(nu, n), u_bip(((), ()), n))
+            for qd in (2, 3, 4, 9):
+                want = tuple(
+                    (tgt, g.bar().to_t_poly().evaluate(qd)) for tgt, g in image.items()
+                )
+                assert _image("right", nu, ((), ()), qd) == want, (nu, qd)
 
 
 def test_green_label_count_matches_listing():
