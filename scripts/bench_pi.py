@@ -10,9 +10,12 @@ scratch.  For each the record keeps the wall time, the process's peak
 RSS, its exit code and the sha256 of its stdout.
 
 The warm path is what a repeat request costs: the median wall time of
-WARM_LAUNCHES import-only launches (`mirahall --help`) and of as many
-cached `pi --n 4` requests, taken in turn so that a slow spell of the
-host hits both, each a fresh process that writes no bytecode
+WARM_LAUNCHES import-only launches (`mirahall --help`), of as many
+cached `pi --n 4` requests and of as many cached `iwahori mult --N 2
+--format latex` requests (the heaviest render among the cached tables;
+its cache is filled once in json, so the first of them renders from the
+stored payload), taken in turn so that a slow spell of the
+host hits all three, each a fresh process that writes no bytecode
 (PYTHONDONTWRITEBYTECODE=1).  The standard library's bytecode is read
 as installed, so in a checkout with no `__pycache__` under `src/` each
 process compiles only the package from source.  Records made before
@@ -91,13 +94,16 @@ def time_cold(checkout: Path, args: list[str]) -> dict:
 
 
 def time_warm(checkout: Path) -> dict:
-    """Median wall times of import-only launches and cached `pi --n 4`
-    requests, writing no bytecode, raw and scaled by the host gauge."""
+    """Median wall times of import-only launches, cached `pi --n 4` and
+    cached `iwahori mult --N 2 --format latex` requests, writing no
+    bytecode, raw and scaled by the host gauge."""
     with tempfile.TemporaryDirectory(prefix="bench_warm_") as tmp:
         env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                    PYTHONDONTWRITEBYTECODE="1")
         cli = [sys.executable, "-m", "mirahall.cli"]
         cached = cli + ["pi", "--n", "4", "--cache-dir", os.path.join(tmp, "cache")]
+        iwahori = cli + ["iwahori", "mult", "--N", "2",
+                         "--cache-dir", os.path.join(tmp, "cache")]
 
         gauge_env = dict(os.environ, **GAUGE_PINS)
 
@@ -108,13 +114,16 @@ def time_warm(checkout: Path) -> dict:
             return time.perf_counter() - start
 
         wall(cached)  # fills the cache
-        help_s, pi_s, gauge_s = [], [], []
+        wall(iwahori + ["--format", "json"])
+        help_s, pi_s, iwahori_s, gauge_s = [], [], [], []
         for _ in range(WARM_LAUNCHES):
             help_s.append(wall(cli + ["--help"]))
             pi_s.append(wall(cached))
+            iwahori_s.append(wall(iwahori + ["--format", "latex"]))
             gauge_s.append(wall([sys.executable, *GAUGE_ARGV], gauge_env))
     gauge = statistics.median(gauge_s)
     speed = GAUGE_REF_S / gauge
+    iwahori_p50 = statistics.median(iwahori_s)
     return {
         "launches": WARM_LAUNCHES,
         "bytecode_cache": "not-written",
@@ -124,6 +133,8 @@ def time_warm(checkout: Path) -> dict:
         "gauge_ref_s": GAUGE_REF_S,
         "help_p50_scaled_s": round(statistics.median(help_s) * speed, 4),
         "cached_pi4_p50_scaled_s": round(statistics.median(pi_s) * speed, 4),
+        "cached_iwahori2_latex_p50_s": round(iwahori_p50, 4),
+        "cached_iwahori2_latex_p50_scaled_s": round(iwahori_p50 * speed, 4),
     }
 
 

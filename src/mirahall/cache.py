@@ -1,10 +1,13 @@
-"""Keyed store for computed tables.
+"""Keyed store for computed tables and their rendered artifacts.
 
 An entry is addressed by (module, parameters, code tag); the tag is a
 digest of the package's source files, so tables written by other code
 never satisfy a lookup, whatever its version number says.  Payloads
 are JSON trees built from strings, ints and lists, which keeps a cache
-hit byte-identical to a cold rebuild downstream.
+hit byte-identical to a cold rebuild downstream.  The CLI keeps two
+kinds of entry under one module name: the table's payload tree, keyed
+by the table's parameters, and each rendered artifact, a string keyed
+by the same parameters plus its `format`.
 """
 
 from __future__ import annotations
@@ -71,6 +74,9 @@ def load(module: str, params: Mapping, directory: str = ""):
 
 
 def store(module: str, params: Mapping, payload, directory: str = "") -> str:
+    """Write the entry through a temporary file in the cache directory,
+    renamed into place, and return its path; the temporary file is
+    removed on every failure."""
     path = _entry_path(directory, module, params)
     entry = {
         "tag": code_tag(),
@@ -78,16 +84,26 @@ def store(module: str, params: Mapping, payload, directory: str = "") -> str:
         "params": _plain(params),
         "payload": payload,
     }
+    # json.dumps encodes in C; json.dump would stream the entry through
+    # the pure-Python encoder.  A payload it cannot encode raises here,
+    # before any file exists.
+    text = json.dumps(entry, sort_keys=True)
+    tmp = None
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            # json.dumps encodes in C; json.dump would stream the entry
-            # through the pure-Python encoder
-            fh.write(json.dumps(entry, sort_keys=True))
+            fh.write(text)
         os.replace(tmp, path)
+        tmp = None
     except OSError as exc:
         raise IOFailure(f"cannot write cache entry {path}: {exc}") from exc
+    finally:
+        if tmp is not None:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
     return path
 
 

@@ -5,24 +5,33 @@ produces the same bytes, whether the table came out of the cache or was
 rebuilt.  Exit codes: 0 computed or verified, 1 a verification failed,
 2 bad usage.
 
-A request runs only the table code it reaches.  The table modules
-(`affine`, `bimodule`, `closedform`, `hall`, `symfunc`, `traces`) are
-registered lazily (`_lazy`): each is in `sys.modules` from import on,
-and its body runs at its first attribute access.  The cost guards live
-here, and those of `green` and `hall` in `costs`, which this module
-imports only for those two requests; so a cached or refused request
-runs no table module.  The suites
-behind `verify` live in `checks`, which this module imports only when
-`verify_payload` runs, so a serving request never loads them or the
-counting oracles.
+`pi`, `mhl`, `trace` and `iwahori mult` serve from the cache in two
+steps.  The rendered artifact is stored per format, keyed by the
+table's parameters plus `format`, and a hit is written out as stored.
+On a miss the payload route runs: the cost guard, the payload entry
+(the table's JSON tree, keyed by its parameters, so a new format of a
+cached table is rendered without a rebuild), and the build; then the
+text is rendered once and stored.  The guard runs only on a miss,
+which changes no verdict: an entry under this code tag exists only for
+input this same code accepted.
+
+A request runs only the code it reaches.  The exact kernel (`laurent`,
+`partitions`) and the table modules (`affine`, `bimodule`,
+`closedform`, `hall`, `symfunc`, `traces`) are registered lazily
+(`_lazy`): each is in `sys.modules` from import on, and its body runs
+at its first attribute access.  The cost guards live here, and those
+of `green` and `hall` in `costs`, which this module imports only for
+those two requests.  So an artifact hit runs only `mirahall`,
+`errors`, `config`, `cache` and this module, and a payload hit or a
+refused request runs no table module.  The suites behind `verify` live
+in `checks`, which this module imports only when `verify_payload`
+runs, so a serving request never loads them or the counting oracles.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.util
-import io
 import json
 import sys
 from functools import lru_cache
@@ -39,8 +48,6 @@ from .config import (
     resolve,
 )
 from .errors import CostGuard, IOFailure, MiraError, UsageError
-from .laurent import LaurentPoly, QPoly
-from .partitions import bipartition_count, bipartitions_of, size, trim
 
 
 def _lazy(name: str):
@@ -60,6 +67,8 @@ def _lazy(name: str):
     return module
 
 
+laurent = _lazy("laurent")
+partitions = _lazy("partitions")
 affine = _lazy("affine")
 bimodule = _lazy("bimodule")
 closedform = _lazy("closedform")
@@ -104,7 +113,7 @@ def parse_partition(text: str):
         raise UsageError(f"bad partition {text!r}") from None
     if any(a < b for a, b in zip(parts, parts[1:])) or any(p < 0 for p in parts):
         raise UsageError(f"parts must be weakly decreasing and nonnegative: {text!r}")
-    return trim(parts)
+    return partitions.trim(parts)
 
 
 def parse_bipartition(text: str):
@@ -152,7 +161,7 @@ def check_cost(n: int, rank: int | None = None) -> None:
     by label counts before any table work: the labels of the table (at
     most `rank` rows per component; every label of size n without
     `rank`) and every label of size n."""
-    count = bipartition_count(n, rank)
+    count = partitions.bipartition_count(n, rank)
     if count > MAX_LABELS:
         at = f"n={n}" if rank is None or rank >= n else f"n={n}, N={rank}"
         raise CostGuard(
@@ -166,7 +175,7 @@ def check_size_cost(n: int) -> None:
     """Refuse a size with more than MAX_SIZE_LABELS labels in all; a
     `mirabolic` column at target size n reads the closed table of every
     one of them."""
-    total = bipartition_count(n)
+    total = partitions.bipartition_count(n)
     if total > MAX_SIZE_LABELS:
         raise CostGuard(
             f"size n={n} has {total} labels, above the budget of "
@@ -244,7 +253,7 @@ def mhl_payload(n: int, rank: int, cfg: RunConfig) -> dict:
     if hit is not None:
         return hit
     entries = []
-    for bp in bipartitions_of(n):
+    for bp in partitions.bipartitions_of(n):
         tensor, prefactor = bimodule.mhl_poly(bp, rank)
         entries.append(
             {
@@ -313,7 +322,7 @@ def hall_payload(x, y, rank: int) -> dict:
 def mirabolic_payload(src, r: int, side: str, rank: int) -> dict:
     if r < 1:
         raise UsageError(f"generator degree must be positive, got {r}")
-    check_size_cost(size(src[0]) + size(src[1]) + r)
+    check_size_cost(partitions.size(src[0]) + partitions.size(src[1]) + r)
     if side == "left":
         column = closedform.closed_left_column
     else:
@@ -355,7 +364,7 @@ def iwahori_payload(N: int, window: int, cfg: RunConfig) -> dict:
     # one JSON tree per label and coefficient, shared by every product
     # that names it
     label_tree = lru_cache(maxsize=None)(_ilabel)
-    coeff_tree = lru_cache(maxsize=None)(QPoly.to_json)
+    coeff_tree = lru_cache(maxsize=None)(laurent.QPoly.to_json)
     products = []
     for x in affine.universe(N, 1, window):
         for i in range(1, N + 1):
@@ -395,8 +404,8 @@ def verify_payload(suites: Sequence[str], cfg: RunConfig) -> dict:
 # --- rendering ----------------------------------------------------------------
 
 
-def _poly_cell(d: Mapping[str, int], cls=LaurentPoly) -> tuple[str, str]:
-    poly = cls.from_json(d)
+def _poly_cell(d: Mapping[str, int], cls=None) -> tuple[str, str]:
+    poly = (cls or laurent.LaurentPoly).from_json(d)
     return poly.pretty(), f"${poly.latex()}$"
 
 
@@ -434,7 +443,8 @@ def _grid(payload: dict) -> tuple[list[str], list[list[tuple[str, str]]]]:
                 if cell is None:
                     line.append(_plain_cell(0))
                     continue
-                a, b = QPoly.from_json(cell["plain"]), QPoly.from_json(cell["radical"])
+                a = laurent.QPoly.from_json(cell["plain"])
+                b = laurent.QPoly.from_json(cell["radical"])
                 pretty = a.pretty() if b.is_zero() else f"{a.pretty()} + ({b.pretty()})*sqrt(q)"
                 tex = a.latex() if b.is_zero() else rf"{a.latex()} + ({b.latex()})\sqrt{{q}}"
                 line.append((pretty, f"${tex}$"))
@@ -455,7 +465,7 @@ def _grid(payload: dict) -> tuple[list[str], list[list[tuple[str, str]]]]:
                 )
         return header, rows
     if kind in ("hall", "mirabolic"):
-        cls = LaurentPoly if kind == "hall" else QPoly
+        cls = laurent.LaurentPoly if kind == "hall" else laurent.QPoly
         header = ["label", "coeff"]
         rows = [
             [_text_cell(term["label"]), _poly_cell(term["coeff"], cls)]
@@ -480,7 +490,7 @@ def _grid(payload: dict) -> tuple[list[str], list[list[tuple[str, str]]]]:
                         _plain_cell(prod["i"]),
                         _plain_cell(prod["case"]),
                         _plain_cell(json.dumps(term["target"], sort_keys=True)),
-                        _poly_cell(term["coeff"], QPoly),
+                        _poly_cell(term["coeff"], laurent.QPoly),
                     ]
                 )
         return header, rows
@@ -549,6 +559,9 @@ def render(payload: dict, fmt: str) -> str:
         return json_text(payload) + "\n"
     header, rows = _grid(payload)
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -676,22 +689,37 @@ def _field_size(args: argparse.Namespace, cfg: RunConfig) -> int:
     return cfg.primes[0] if args.q is None else check_prime(args.q)
 
 
-def _cmd_pi(args: argparse.Namespace, cfg: RunConfig) -> int:
-    payload = pi_payload(cfg.n, cfg.resolved_rank(), cfg)
-    _emit(render(payload, cfg.fmt), args.out)
+def _serve_cached(kind: str, params: dict, build, args: argparse.Namespace,
+                  cfg: RunConfig) -> int:
+    """Emit the stored artifact of `kind` at `params` in the requested
+    format.  On a miss, `build()` runs the payload route (cost guard,
+    payload entry, table build), and its rendering is stored as the
+    artifact entry, keyed by the payload's params plus the format."""
+    key = {**params, "format": cfg.fmt}
+    text = cache.load(kind, key, cfg.cache_dir)
+    if not isinstance(text, str):
+        text = render(build(), cfg.fmt)
+        cache.store(kind, key, text, cfg.cache_dir)
+    _emit(text, args.out)
     return 0
+
+
+def _cmd_pi(args: argparse.Namespace, cfg: RunConfig) -> int:
+    n, rank = cfg.n, cfg.resolved_rank()
+    return _serve_cached("pi", {"n": n, "N": rank},
+                         lambda: pi_payload(n, rank, cfg), args, cfg)
 
 
 def _cmd_mhl(args: argparse.Namespace, cfg: RunConfig) -> int:
-    payload = mhl_payload(cfg.n, cfg.resolved_rank(), cfg)
-    _emit(render(payload, cfg.fmt), args.out)
-    return 0
+    n, rank = cfg.n, cfg.resolved_rank()
+    return _serve_cached("mhl", {"n": n, "N": rank},
+                         lambda: mhl_payload(n, rank, cfg), args, cfg)
 
 
 def _cmd_trace(args: argparse.Namespace, cfg: RunConfig) -> int:
-    payload = trace_payload(cfg.n, _field_size(args, cfg), cfg)
-    _emit(render(payload, cfg.fmt), args.out)
-    return 0
+    n, q = cfg.n, _field_size(args, cfg)
+    return _serve_cached("trace", {"n": n, "q": q},
+                         lambda: trace_payload(n, q, cfg), args, cfg)
 
 
 def _cmd_hall(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -704,7 +732,7 @@ def _cmd_hall(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _cmd_mirabolic(args: argparse.Namespace, cfg: RunConfig) -> int:
     src = parse_bipartition(args.src)
-    n = size(src[0]) + size(src[1]) + args.r
+    n = partitions.size(src[0]) + partitions.size(src[1]) + args.r
     rank = cfg.rank if cfg.rank else n
     payload = mirabolic_payload(src, args.r, args.side, rank)
     _emit(render(payload, cfg.fmt), args.out)
@@ -722,9 +750,9 @@ def _cmd_iwahori(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise UsageError(f"unknown iwahori action {args.icmd!r}")
     if args.N < 2:
         raise UsageError(f"period must be at least 2, got {args.N}")
-    payload = iwahori_payload(args.N, cfg.window, cfg)
-    _emit(render(payload, cfg.fmt), args.out)
-    return 0
+    N, window = args.N, cfg.window
+    return _serve_cached("iwahori", {"N": N, "window": window},
+                         lambda: iwahori_payload(N, window, cfg), args, cfg)
 
 
 def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:

@@ -10,7 +10,6 @@ import os
 from typing import Mapping, NamedTuple
 
 from .errors import IOFailure, UsageError
-from .laurent import _is_prime
 
 CACHE_ENV = "MIRAHALL_CACHE_DIR"
 FORMATS = ("json", "csv", "latex")
@@ -58,6 +57,21 @@ class RunConfig(NamedTuple):
         if self.verbosity < 0:
             raise UsageError("verbosity must be nonnegative")
         return self
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
 
 
 def check_prime(p: int) -> int:

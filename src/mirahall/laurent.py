@@ -501,20 +501,4 @@ def gauss_binomial(n: int, k: int) -> QPoly:
     return gauss_binomial(n - 1, k - 1) + QPoly.q_power(k) * gauss_binomial(n - 1, k)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-
 DEFAULT_PRIMES = (2, 3, 5, 7, 11)

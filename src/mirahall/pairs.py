@@ -29,7 +29,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import gf
-from .config import check_prime
+from .config import _is_prime, check_prime
 from .errors import (
     CostGuard,
     InsufficientSamples,
@@ -37,7 +37,7 @@ from .errors import (
     NotNilpotent,
     OracleMismatch,
 )
-from .laurent import QPoly, _is_prime, gauss_binomial
+from .laurent import QPoly, gauss_binomial
 from .partitions import (
     Bipartition,
     Partition,

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from mirahall import (
 from mirahall.cli import check_cost, check_universe_cost
 from mirahall.config import RunConfig, read_config_file, resolve
 from mirahall.costs import check_hall_cost, hall_work
-from mirahall.errors import CostGuard, UsageError
+from mirahall.errors import CostGuard, IOFailure, UsageError
 from mirahall.laurent import LaurentPoly, QPoly
 
 GOLDEN_PI_CSV = """\
@@ -117,7 +118,9 @@ def test_cold_and_cached_runs_identical(capsys):
 def test_cache_entries_land_in_env_dir(tmp_path, capsys):
     run(capsys, "pi", "--n", "1", "--N", "1")
     entries = list((tmp_path / "cache").glob("pi-*.json"))
-    assert len(entries) == 1
+    # one payload entry and one artifact entry, told apart by their params
+    params = sorted((json.loads(p.read_text())["params"] for p in entries), key=len)
+    assert params == [{"n": 1, "N": 1}, {"n": 1, "N": 1, "format": "json"}]
     # flag beats the environment
     other = tmp_path / "elsewhere"
     run(capsys, "pi", "--n", "1", "--N", "1", "--cache-dir", str(other))
@@ -126,12 +129,32 @@ def test_cache_entries_land_in_env_dir(tmp_path, capsys):
 
 def test_stale_cache_entry_is_ignored(tmp_path, capsys):
     _, first = run(capsys, "pi", "--n", "1", "--N", "1")
-    (entry,) = (tmp_path / "cache").glob("pi-*.json")
-    data = json.loads(entry.read_text())
+    _, csv_cold = run(capsys, "pi", "--n", "1", "--N", "1", "--format", "csv",
+                      "--cache-dir", str(tmp_path / "other"))
+    directory = tmp_path / "cache"
+    entries = list(directory.glob("pi-*.json"))
+    assert len(entries) == 2
+    # stale every entry, and alter what each would serve
+    for entry in entries:
+        data = json.loads(entry.read_text())
+        data["tag"] = "0.0.0-stale"
+        if isinstance(data["payload"], str):
+            data["payload"] = "altered artifact\n"
+        else:
+            data["payload"]["calibrated"] = []
+        entry.write_text(json.dumps(data))
+    # and plant a stale csv artifact with altered text where this code
+    # looks for it
+    planted = cache.store("pi", {"n": 1, "N": 1, "format": "csv"}, "altered\n",
+                          str(directory))
+    data = json.loads(Path(planted).read_text())
     data["tag"] = "0.0.0-stale"
-    entry.write_text(json.dumps(data))
-    _, second = run(capsys, "pi", "--n", "1", "--N", "1")
-    assert first == second
+    Path(planted).write_text(json.dumps(data))
+    for _ in range(2):
+        assert run(capsys, "pi", "--n", "1", "--N", "1") == (0, first)
+        assert run(capsys, "pi", "--n", "1", "--N", "1", "--format", "csv") == (0, csv_cold)
+    # each stale entry was replaced by this code's
+    assert {json.loads(p.read_text())["tag"] for p in directory.iterdir()} == {cache.code_tag()}
     # the tag is a digest of the package source: one changed byte in one
     # module changes it, with the version string untouched
     assert data["tag"] != cache.code_tag() == cache.source_digest()
@@ -318,6 +341,92 @@ def test_partition_parsing():
         cli.parse_partition("1,2")
     with pytest.raises(UsageError):
         cli.parse_bipartition("2,1")
+
+
+# the cached kinds at small sizes
+CACHED_ARGV = (
+    ("pi", "--n", "2"),
+    ("mhl", "--n", "2"),
+    ("trace", "--n", "2", "--q", "3"),
+    ("iwahori", "mult", "--N", "2", "--window", "1"),
+)
+
+
+@pytest.mark.parametrize("argv", CACHED_ARGV, ids=lambda a: a[0])
+def test_every_order_of_formats_serves_the_cold_bytes(tmp_path, capsys, monkeypatch, argv):
+    formats = ("json", "csv", "latex")
+    cold = {}
+    for fmt in formats:
+        code, cold[fmt] = run(capsys, *argv, "--format", fmt,
+                              "--cache-dir", str(tmp_path / f"cold-{fmt}"))
+        assert code == 0
+    rendered = []
+    render = cli.render
+    monkeypatch.setattr(cli, "render", lambda payload, fmt: rendered.append(fmt) or render(payload, fmt))
+    for i, order in enumerate(itertools.permutations(formats)):
+        directory = str(tmp_path / f"order-{i}")
+        for fmt in order:
+            # cold or from the payload, then from the artifact
+            for _ in range(2):
+                assert run(capsys, *argv, "--format", fmt, "--cache-dir", directory) == (0, cold[fmt])
+        # one payload entry and one artifact per format
+        assert len(os.listdir(directory)) == 1 + len(formats)
+    assert rendered == [fmt for order in itertools.permutations(formats) for fmt in order]
+
+
+@pytest.mark.parametrize("params", [
+    {"n": 2, "N": 2, "format": "csv"},
+    {"n": 3, "N": 2, "format": "json"},
+    {"n": 2, "N": 2},
+], ids=["format", "n", "no-format"])
+def test_artifact_with_other_params_is_a_miss(tmp_path, capsys, params):
+    _, first = run(capsys, "pi", "--n", "2", "--format", "json")
+    path = cache._entry_path(str(tmp_path / "cache"), "pi",
+                             {"n": 2, "N": 2, "format": "json"})
+    data = json.loads(Path(path).read_text())
+    assert data["payload"] == first
+    data["params"] = params
+    data["payload"] = "altered\n"
+    Path(path).write_text(json.dumps(data))
+    assert run(capsys, "pi", "--n", "2", "--format", "json") == (0, first)
+
+
+class _FullDisk:
+    """A file whose every write fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("fails", ["replace", "write"])
+def test_failed_store_leaves_no_temp_file(tmp_path, monkeypatch, fails):
+    if fails == "replace":
+        def replace(src, dst):
+            raise OSError(13, "Permission denied")
+
+        monkeypatch.setattr(cache.os, "replace", replace)
+    else:
+        fdopen = os.fdopen
+        monkeypatch.setattr(cache.os, "fdopen", lambda *a, **k: _FullDisk(fdopen(*a, **k)))
+    with pytest.raises(IOFailure):
+        cache.store("thing", {"a": 1}, {"rows": [1, 2]}, str(tmp_path))
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unencodable_payload_leaves_no_temp_file(tmp_path):
+    with pytest.raises(TypeError):
+        cache.store("thing", {"a": 1}, {"rows": {1, 2}}, str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_round_trip_api(tmp_path):

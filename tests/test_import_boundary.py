@@ -9,11 +9,14 @@ serving request of the benchmark's workloads runs in a fresh
 interpreter here, which checks that neither `import mirahall.cli` nor
 the request itself loads them.
 
-The table modules (TABLE_MODULES) are registered lazily by
-`mirahall.cli`: each is in `sys.modules` from import on, and its body
-runs at its first attribute access.  A cached request, a request
-refused by a cost guard, and a cold `iwahori mult` (which needs only
-`affine`) are checked to leave the others unrun.
+The exact kernel (`laurent`, `partitions`) and the table modules
+(TABLE_MODULES) are registered lazily by `mirahall.cli`: each is in
+`sys.modules` from import on, and its body runs at its first attribute
+access.  A request served from a stored artifact and `--help` are
+checked to run none of them; a request served from a stored payload,
+a request refused by a cost guard, and a cold `iwahori mult` (which
+needs only `affine` and `laurent`) to leave the table modules they do
+not need unrun.
 """
 
 from __future__ import annotations
@@ -78,8 +81,9 @@ def test_serving_request_loads_no_counting_module(argv, tmp_path):
 
 
 TABLE_MODULES = ("affine", "bimodule", "closedform", "hall", "symfunc", "traces")
+LAZY_MODULES = TABLE_MODULES + ("laurent", "partitions")
 
-# Each table module's state after one request: "lazy" (registered, body
+# Each lazily registered module's state after one request: "lazy" (registered, body
 # not run), "ran" or "absent".  type() reads no attribute of the module,
 # so it does not run a lazy one.
 STATES = """
@@ -95,26 +99,57 @@ for name in %r:
         states[name] = "ran" if type(module) is types.ModuleType else "lazy"
 with open(sys.argv[1], "w") as fh:
     json.dump({"code": code, "states": states}, fh)
-""" % (TABLE_MODULES,)
+""" % (LAZY_MODULES,)
 
-ALL_LAZY = {name: "lazy" for name in TABLE_MODULES}
+ALL_LAZY = {name: "lazy" for name in LAZY_MODULES}
+
+
+CACHED = [workloads.with_format(a, f) for a in workloads.CACHED_TABLES for f in workloads.FORMATS]
 
 
 @pytest.fixture(scope="module")
 def filled_cache(tmp_path_factory):
+    """A cache holding every cached table's payload and its artifact in
+    every format."""
     cache_dir = tmp_path_factory.mktemp("filled") / "cache"
-    for argv in workloads.CACHED_TABLES:
+    for argv in CACHED:
         assert _run(STATES, argv, cache_dir)["code"] == 0
+    return cache_dir
+
+
+@pytest.mark.parametrize("argv", CACHED, ids=" ".join)
+def test_cached_request_runs_no_table_module(argv, filled_cache):
+    assert _run(STATES, argv, filled_cache) == {"code": 0, "states": ALL_LAZY}
+
+
+@pytest.fixture(scope="module")
+def payload_cache(tmp_path_factory):
+    """A cache holding every cached table's payload and its json artifact."""
+    cache_dir = tmp_path_factory.mktemp("payload") / "cache"
+    for argv in workloads.CACHED_TABLES:
+        assert _run(STATES, workloads.with_format(argv, "json"), cache_dir)["code"] == 0
     return cache_dir
 
 
 @pytest.mark.parametrize(
     "argv",
-    [workloads.with_format(a, f) for a in workloads.CACHED_TABLES for f in workloads.FORMATS],
+    [workloads.with_format(a, f) for a in workloads.CACHED_TABLES for f in ("csv", "latex")],
     ids=" ".join,
 )
-def test_cached_request_runs_no_table_module(argv, filled_cache):
-    assert _run(STATES, argv, filled_cache) == {"code": 0, "states": ALL_LAZY}
+def test_payload_hit_runs_no_table_module(argv, payload_cache):
+    before = set(payload_cache.iterdir())
+    got = _run(STATES, argv, payload_cache)
+    # the render reads laurent; the cost guard of pi, mhl and trace
+    # counts labels in partitions
+    partitions = "lazy" if argv[0] == "iwahori" else "ran"
+    assert got == {"code": 0,
+                   "states": dict(ALL_LAZY, laurent="ran", partitions=partitions)}
+    # an artifact miss: this request stored its artifact
+    assert len(set(payload_cache.iterdir()) - before) == 1
+
+
+def test_help_runs_no_lazy_module(tmp_path):
+    assert _run(STATES, ("--help",), tmp_path / "cache") == {"code": 0, "states": ALL_LAZY}
 
 
 REFUSED = (
@@ -129,9 +164,12 @@ REFUSED = (
 
 @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
 def test_refused_request_runs_no_table_module(argv, tmp_path):
-    assert _run(STATES, argv, tmp_path / "cache") == {"code": 1, "states": ALL_LAZY}
+    # every guard but iwahori's counts labels in partitions
+    partitions = "lazy" if argv[0] == "iwahori" else "ran"
+    assert _run(STATES, argv, tmp_path / "cache") == {
+        "code": 1, "states": dict(ALL_LAZY, partitions=partitions)}
 
 
 def test_cold_iwahori_runs_only_affine(tmp_path):
     got = _run(STATES, ("iwahori", "mult", "--N", "2"), tmp_path / "cache")
-    assert got == {"code": 0, "states": dict(ALL_LAZY, affine="ran")}
+    assert got == {"code": 0, "states": dict(ALL_LAZY, affine="ran", laurent="ran")}
