@@ -83,9 +83,9 @@ def test_serving_request_loads_no_counting_module(argv, tmp_path):
 TABLE_MODULES = ("affine", "bimodule", "closedform", "hall", "symfunc", "traces")
 LAZY_MODULES = TABLE_MODULES + ("laurent", "partitions")
 
-# Each lazily registered module's state after one request: "lazy" (registered, body
-# not run), "ran" or "absent".  type() reads no attribute of the module,
-# so it does not run a lazy one.
+# Each lazily registered module's state after one request: "lazy"
+# (registered, body not run), "ran" or "absent".  type() reads no
+# attribute of the module, so it does not run a lazy one.
 STATES = """
 import json, sys, types
 import mirahall.cli
