@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time cold `mirahall pi --n N`, cold `iwahori mult --N 2, 3, 4` and
-the warm path, and append the record to BENCH_pi.json.
+"""Time cold `mirahall pi --n N`, cold `iwahori mult --N 2, 3, 4`, the
+cold requests of COLD_EXTRA and the warm path, and append the record to
+BENCH_pi.json.
 
     python3 scripts/bench_pi.py [--ns 4 5 6 7 8] [--src CHECKOUT]
 
@@ -54,6 +55,13 @@ WARM_LAUNCHES = 9
 
 # cold `iwahori mult --N N` at window 2, timed in every record
 IWAHORI_NS = (2, 3, 4)
+
+# further cold requests timed in every record: a Hall product that once
+# built every pair table of its sizes, and a low-rank `pi` at large n
+COLD_EXTRA = (
+    ("hall", "--x", "5,4", "--y", "4,4"),
+    ("pi", "--n", "12", "--N", "1"),
+)
 
 # the host speed gauge of perfbench/run.py, with its thread pins
 GAUGE_ARGV = ("-c", "import numpy")
@@ -155,10 +163,15 @@ def main() -> int:
         run = {"N": N, **time_cold(checkout, ["iwahori", "mult", "--N", str(N)])}
         print(json.dumps(run), flush=True)
         iwahori.append(run)
+    extra = []
+    for argv in COLD_EXTRA:
+        run = {"argv": " ".join(argv), **time_cold(checkout, list(argv))}
+        print(json.dumps(run), flush=True)
+        extra.append(run)
     warm = time_warm(checkout)
     print(json.dumps({"warm": warm}), flush=True)
     record = {
-        "command": "mirahall pi --n N and iwahori mult --N N"
+        "command": "mirahall pi --n N, iwahori mult --N N and COLD_EXTRA"
                    " (cold: fresh process, empty cache)",
         "git_sha": _git(checkout, "rev-parse", "HEAD"),
         "src_modified": bool(_git(checkout, "status", "--porcelain", "--", "src")),
@@ -167,6 +180,7 @@ def main() -> int:
         "python": platform.python_version(),
         "runs": runs,
         "iwahori": iwahori,
+        "extra": extra,
         "warm": warm,
     }
     out = ROOT / "BENCH_pi.json"

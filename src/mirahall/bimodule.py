@@ -7,12 +7,11 @@ The left action of a shape inserts an invariant subspace below the
 marked vector's line of sight (the vector survives on the quotient);
 the right action inserts one containing the vector.  Both are computed
 through the square-zero generator decomposition, one generator at a
-time from the closed tables of `closedform`.  `oracle.act_direct` reads
+time from the closed columns of `closedform`.  `oracle.act_direct` reads
 the directly counted tables instead; it is the oracle the tests replay.
 The right action on the vacuum, the only right action that the cyclic
-basis and the class ring's products against the empty label take, is
-read in closed form (`right_on_vacuum`), so no serving request reads a
-right table (`closedform.closed_right_table`).
+basis and the class ring take, is read in closed form
+(`right_on_vacuum`), so no serving request reads a right table.
 
 `pi_table` normalises the cyclic basis into the transition table whose
 entries are the polynomials the rest of the package consumes; the
@@ -81,8 +80,6 @@ def gen_act(side: str, r: int, m: MirElt) -> MirElt:
         raise ValueError("negative rank")
     if r == 0:
         return m
-    if r > m.rank:
-        return MirElt.zero(m.rank)
     out: dict[Bipartition, LaurentPoly] = {}
     for src, cs in m._c.items():
         column = _v_column(r, src, side, m.rank)
@@ -94,12 +91,10 @@ def gen_act(side: str, r: int, m: MirElt) -> MirElt:
 def _v_column(
     r: int, src: Bipartition, side: str, rank: int
 ) -> tuple[tuple[Bipartition, LaurentPoly], ...]:
-    """`closed_form_G(r, src, side)` in v (q = v**2), over the targets
-    with at most `rank` rows per component."""
+    """`closed_form_G(r, src, side, rank)` in v (q = v**2): the targets
+    that fit the rank are the only ones it lists."""
     return tuple(
-        (tgt, g.to_laurent())
-        for tgt, g in closed_form_G(r, src, side).items()
-        if _fits(tgt, rank)
+        (tgt, g.to_laurent()) for tgt, g in closed_form_G(r, src, side, rank).items()
     )
 
 
@@ -147,11 +142,7 @@ def c_bipartition(lam: Partition, mu: Partition, rank: int) -> MirElt:
 @lru_cache(maxsize=None)
 def _right_vacuum(mu: Partition, rank: int) -> MirElt:
     """The right half of `c_bipartition`, shared by every label with
-    second component `mu`.  It is read in closed form
-    (`right_on_vacuum`), so building the cyclic basis reads no right
-    table (`closedform.closed_right_table`); right tables serve only
-    `act("right")` on elements other than the vacuum, which no serving
-    request reaches."""
+    second component `mu`, read in closed form (`right_on_vacuum`)."""
     return right_on_vacuum(c_expand(mu, rank))
 
 

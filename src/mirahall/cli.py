@@ -145,14 +145,13 @@ def _ilabel(x) -> dict:
 # another 40 s.
 MAX_LABELS = 300
 
-# MAX_SIZE_LABELS bounds all labels of size n, whatever the rank: every
-# generator step reads a closed column over all labels of its size, so a
-# low rank does not make a large n cheap.  `pi --n 12 --N 1` (13 labels)
-# took 22 s, `--n 12 --N 2` (140 labels) 35 s and `--n 13 --N 2` (168
-# labels) 61 s and 134 MB while the cyclic basis read right tables;
-# since it reads the right action on the vacuum in closed form they
-# take 2.1 s, 4.0 s and 8.9 s, and `--n 14 --N 2`, with the budget
-# raised, 15.9 s.  1770 labels is n = 13.
+# MAX_SIZE_LABELS bounds the size n, whatever the rank; a column lists
+# only the targets its step reaches, so it models no column any more.
+# Cold, with it raised: `pi --n 12 --N 1` took 0.24 s, `--n 16 --N 2`
+# 6.2 s, and a left `mirabolic --src 4,3,2,1|3,2,1 --r 10` (size 26)
+# 2.5 s.  It still holds back the right column, which reads a mirrored
+# left table far above its size: `--src 6,5|5,4 --r 8` (size 28) took
+# 16.9 s and the size-26 source above ran past 150 s.  1770 is n = 13.
 MAX_SIZE_LABELS = 1770
 
 
@@ -172,9 +171,8 @@ def check_cost(n: int, rank: int | None = None) -> None:
 
 
 def check_size_cost(n: int) -> None:
-    """Refuse a size with more than MAX_SIZE_LABELS labels in all; a
-    `mirabolic` column at target size n reads the closed table of every
-    one of them."""
+    """Refuse a size with more than MAX_SIZE_LABELS labels in all, the
+    ceiling of every `pi`, `mhl`, `trace` and `mirabolic` request."""
     total = partitions.bipartition_count(n)
     if total > MAX_SIZE_LABELS:
         raise CostGuard(

@@ -24,14 +24,14 @@ classical one-flag count.
 
 These closed tables serve every structure constant in the package: the
 Hall product, both sides of the bimodule, the class ring and the
-`mirabolic` command.  The right table (`closed_right_table`) serves
-only `bimodule.act("right")` on elements other than the vacuum, which
-no serving request reaches: the cyclic basis and the class ring take
-the right action on the vacuum in closed form
-(`bimodule.right_on_vacuum`), and a right `mirabolic` column reads
-`right_via_star`.  The counted tables of `pairs`, and the checks
-`verify_closed_form`, `stable_right_constant` and `rho_check` of
-`oracle`, are oracles that only `verify` and the tests reach.
+`mirabolic` command.  A column (`closed_form_G`) reads them only at
+the targets its step can reach (`reachable_targets`), built from the
+source within the rank.  The right table serves only
+`bimodule.act("right")` on elements other than the vacuum, which no
+serving request reaches (`bimodule.right_on_vacuum`); a right
+`mirabolic` column reads `right_via_star`.  The counted tables of
+`pairs` and the checks of `oracle` are oracles that only `verify` and
+the tests reach.
 """
 
 from __future__ import annotations
@@ -48,32 +48,26 @@ from .partitions import (
     add_parts,
     bipartitions_of,
     conjugate,
+    interleaved_key,
     shifted,
+    splits,
     star,
     trim_pair,
     upsilon,
+    vertical_strips,
     xi,
 )
 
 
-def _compositions(bounds, total: int) -> tuple[tuple[int, ...], ...]:
-    """Every tuple x with 0 <= x[i] <= bounds[i] summing to `total`,
-    first entries largest first."""
-    return _bounded_compositions(tuple(bounds), total)
-
-
 @lru_cache(maxsize=None)
-def _bounded_compositions(
-    bounds: tuple[int, ...], total: int
-) -> tuple[tuple[int, ...], ...]:
-    if total < 0:
-        return ()
-    if not bounds:
-        return ((),) if total == 0 else ()
+def _compositions(bounds: tuple[int, ...], total: int) -> tuple[tuple[int, ...], ...]:
+    """Every tuple x with 0 <= x[i] <= bounds[i] summing to `total`,
+    first entries largest first; only the positive bounds vary."""
+    support = [i for i, b in enumerate(bounds) if b]
     return tuple(
-        (x,) + rest
-        for x in range(min(bounds[0], total), -1, -1)
-        for rest in _bounded_compositions(bounds[1:], total - x)
+        tuple(dict(zip(support, xs)).get(i, 0) for i in range(len(bounds)))
+        for xs in product(*(range(bounds[i], -1, -1) for i in support))
+        if sum(xs) == total
     )
 
 
@@ -135,7 +129,7 @@ def closed_left_table(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
         denom = denom * (QPoly.q_power(nut[fl + 1]) - QPoly.q_power(nut[fl + 2]))
 
     out: dict[Bipartition, QPoly] = {}
-    for rho in _compositions(d, r):
+    for rho in _compositions(tuple(d), r):
         rsum = [0] * (nu1 + 2)
         for t in range(nu1 - 1, -1, -1):
             rsum[t] = rsum[t + 1] + rho[t]
@@ -148,11 +142,11 @@ def closed_left_table(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
         p_rho = QPoly.one()
         for k in range(nu1):
             p_rho = p_rho * gauss_binomial(d[k], rho[k])
-        cell = sum(
-            rho[k] * (d[l] - rho[l])
-            for k in range(nu1)
-            for l in range(k + 1, nu1)
-        )
+        # sum over k < l of rho[k] (d[l] - rho[l]), by suffix sums
+        cell = free = 0
+        for k in range(nu1 - 1, -1, -1):
+            cell += rho[k] * free
+            free += d[k] - rho[k]
         p_rho = p_rho * QPoly.q_power(cell)
         if p_rho.is_zero():
             continue
@@ -218,11 +212,7 @@ def closed_right_table(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
     r = n leaves no other cell.  All sources share one lift, the
     largest that any one of them needs (`_mirror`), so the whole table
     is read from a single lifted left table; the left table does not
-    move under such lifts.
-
-    It serves only `bimodule.act("right")` on elements other than the
-    vacuum (`bimodule.right_on_vacuum` reads the vacuum in closed form),
-    which no serving request reaches; the tests replay it."""
+    move under such lifts."""
     tgt = trim_pair(tgt)
     n = sum(tgt[0]) + sum(tgt[1])
     if r < 1:
@@ -240,16 +230,28 @@ def closed_right_table(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
     return {src: poly for src, poly in cells.items() if poly}
 
 
+def reachable_targets(src: Bipartition, r: int, rank: int | None = None) -> tuple[Bipartition, ...]:
+    """Every label that a rank-r square-zero step can reach from `src`,
+    at most `rank` rows per component, in `bipartitions_of` order: the
+    splits of nu(src) plus a vertical r-strip (nu = lam + mu), since the
+    classical Hall polynomial g^nu_(nu', (1^r)) is nonzero only then
+    (Macdonald, ch. II §4).  A label fits `rank` exactly when its nu does."""
+    nu = add_parts(*src)
+    targets = [tgt for big in vertical_strips(nu, r, rank) for tgt in splits(big)]
+    rows = len(nu) + r  # no target has more
+    return tuple(sorted(targets, key=lambda bp: interleaved_key(bp, rows), reverse=True))
+
+
 @lru_cache(maxsize=None)
 def closed_form_G(
-    r: int, src: Bipartition, side: str = "left"
+    r: int, src: Bipartition, side: str = "left", rank: int | None = None
 ) -> Mapping[Bipartition, QPoly]:
     """Constants of the square-zero action on one side and one source,
-    keyed by target label."""
+    keyed by target label, over the `reachable_targets` (at most `rank`
+    rows per component, if given)."""
     table = {"left": closed_left_table, "right": closed_right_table}[side]
     src = trim_pair(src)
-    n = sum(src[0]) + sum(src[1]) + r
-    cells = {tgt: table(tgt, r).get(src) for tgt in bipartitions_of(n)}
+    cells = {tgt: table(tgt, r).get(src) for tgt in reachable_targets(src, r, rank)}
     return {tgt: poly for tgt, poly in cells.items() if poly}
 
 
@@ -270,10 +272,9 @@ def closed_left_column(
     r: int, src: Bipartition, rank: int
 ) -> Mapping[Bipartition, QPoly]:
     """`closed_form_G` on the left, with labels of at most `rank` rows
-    per component: a longer source is a usage error and longer targets
-    are skipped, as in `stable_right_column`."""
-    src = _rank_source(src, rank)
-    return {tgt: c for tgt, c in closed_form_G(r, src).items() if _fits(tgt, rank)}
+    per component: a longer source is a usage error, as in
+    `stable_right_column`."""
+    return closed_form_G(r, _rank_source(src, rank), "left", rank)
 
 
 def stable_right_column(
@@ -283,21 +284,18 @@ def stable_right_column(
     source, keyed by target label, read from the mirror at `rank`.
 
     Labels have at most `rank` rows per component: a longer source, or
-    r >= rank on a nonempty source, is a usage error, and longer targets
-    are skipped.  Only at the vectorless square-zero target do these
-    differ from the module's right table, which keeps the mass that the
-    stabilised count sheds."""
+    r >= rank on a nonempty source, is a usage error.  Only at the
+    vectorless square-zero target do these differ from the module's
+    right table, which keeps the mass that the stabilised count sheds."""
     src = _rank_source(src, rank)
     if src == ((), ()):
         return {((), (1,) * r): QPoly.one()} if r <= rank else {}
     if r >= rank:
         raise UsageError(f"rank-{r} generator on {src} needs rank above {r}, "
                          f"got {rank}")
-    n = sum(src[0]) + sum(src[1]) + r
     cells = {
         tgt: right_via_star(tgt, src, r, rank)
-        for tgt in bipartitions_of(n)
-        if _fits(tgt, rank)
+        for tgt in reachable_targets(src, r, rank)
     }
     return {tgt: poly for tgt, poly in cells.items() if poly}
 

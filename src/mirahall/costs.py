@@ -2,8 +2,8 @@
 refuse a request past its budget before any table work.
 
 Both models count without building anything: `green_label_count` the
-class-ring labels, `hall_work` the classes that the closed tables of a
-Hall product run through.  They need only `partitions`, so a refused
+class-ring labels, `hall_units` the shapes that a Hall product's
+generator steps run over.  They need only `partitions`, so a refused
 request runs no table module.  `mirahall.cli` imports this module only
 for those two requests, and `traces.green_freeness_check` runs the same
 guard for its library callers.
@@ -11,15 +11,12 @@ guard for its library callers.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import CostGuard
 from .partitions import (
     Partition,
     bipartition_count,
-    conjugate,
-    dominance_leq,
-    partitions_of,
+    dominated_count,
+    partition_counts,
     trim,
 )
 
@@ -113,101 +110,41 @@ def check_green_cost(n: int, q: int) -> None:
     )
 
 
-# Budget for one product `hall_mul(u_x, u_y)`, in units of work: a
-# generator step of rank r landing on size m builds the closed left
-# table of every label of size m at r, and costs the classes those
-# tables run through (`_table_classes`) plus a sixteenth per label.
-# Cold on a 2-vCPU box a unit took 0.34 to 0.59 ms over 23 products:
-# (10) * (1^4) 67,415 units in 24 s and (16) * (1) 195,967 in 96 s are
-# accepted; (10,3) * (3,1) 200,413 in 101 s, (5) * (13) 203,328 in
-# 89 s and (6,1) * (9,1) 205,402 in 103 s are refused.  A refused
-# product takes at least 68 s at the fastest rate seen.
-MAX_HALL_WORK = 200_000
-LABELS_PER_UNIT = 16
+# Budget for one product `hall_mul(u_x, u_y)`, in `hall_units`.  Cold
+# in-process on a 2-vCPU box a unit took 6 to 63 us over the products
+# that ran a second or more, slowest for a long first row at high rank.
+# Accepted: (14) * (1) at rank 14 (330,960 units) in 15.4 s, (22) * (1)
+# at rank 4 (449,306) in 11.1 s.  Refused: (13,1,1) * (1) at rank 16
+# (504,712) in 28.3 s, (100) * (100) at rank 2 (535,100) in 20.8 s,
+# (15,1) * () at rank 16 (797,190) in 46.0 s.  At 63 us a unit the
+# budget is 32 s.
+MAX_HALL_UNITS = 500_000
 
 
-@lru_cache(maxsize=None)
-def _table_classes(n: int, top: int) -> tuple[tuple[int, ...], ...]:
-    """out[m][r], for m <= n and r <= top: the classes that
-    `closed_left_table` runs through at rank r over all labels of size
-    m, one per way of taking r rows of nu = lam + mu (rows of equal
-    length alike), counted without listing any label.
-
-    The labels with lam + mu = nu number the product over rows of
-    nu_i - nu_(i+1) + 1, and the ways to take r rows are the t^r
-    coefficient of the product over lengths k of 1 + ... + t^(d_k), d_k
-    the rows of length k; both factor over the distinct parts of nu."""
-    # grown[s][k]: summed over the partitions of s with largest part k
-    grown: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
-    grown[0][0] = [1] + [0] * top
-    for k in range(n + 1):
-        for s in range(n + 1 - k):
-            poly = grown[s].get(k)
-            if poly is None:
-                continue
-            for k2 in range(k + 1, n - s + 1):
-                weight = k2 - k + 1
-                runs = list(poly)
-                for d in range(1, (n - s) // k2 + 1):
-                    # runs = poly * (1 + t + ... + t^d)
-                    for j in range(top, d - 1, -1):
-                        runs[j] += poly[j - d]
-                    cell = grown[s + k2 * d].setdefault(k2, [0] * (top + 1))
-                    for j in range(top + 1):
-                        cell[j] += weight * runs[j]
-    return tuple(
-        tuple(sum(col) for col in zip(*grown[m].values())) for m in range(n + 1)
-    )
-
-
-def _hall_steps(x: Partition, y: Partition, rank: int) -> set[tuple[int, int]]:
-    """(size landed on, rank) of every generator step that
-    `hall_mul(u_elt(x, rank), u_elt(y, rank))` takes: those of
-    `_gen_decomposition` over the shapes it reaches from x (dominated by
-    x, at most `rank` rows), from the empty shape, and of each of their
-    monomials applied to y."""
-    steps = set()
-    for mu in partitions_of(sum(x)):
-        if len(mu) > rank or not dominance_leq(mu, x):
-            continue
-        cols = conjugate(mu)
-        for start in (0, sum(y)):
-            size = start
-            for r in reversed(cols):
-                size += r
-                steps.add((size, r))
-    return steps
-
-
-def hall_work(x: Partition, y: Partition, rank: int) -> int:
+def hall_units(x: Partition, y: Partition, rank: int) -> int:
     """The work of `hall_mul(u_elt(x, rank), u_elt(y, rank))` from cold
-    caches (see MAX_HALL_WORK), counted without building any table."""
+    caches, counted without building any table (or some count past the
+    budget, once it must pass it).  There is one generator monomial per
+    shape dominated by x, each at most x_1 steps; a step runs over at
+    most the shapes of n = |x| + |y| and builds tables that cost about
+    their longest row, at most n: x_1 (dominated * shapes + n) units."""
     x, y = trim(x), trim(y)
-    steps = _hall_steps(x, y, rank)
-    if not steps:
+    if not x:
         return 0
-    classes = _table_classes(max(m for m, _ in steps), max(r for _, r in steps))
-    return sum(
-        classes[m][r] + bipartition_count(m) // LABELS_PER_UNIT for m, r in steps
-    )
+    n, top = sum(x) + sum(y), x[0]
+    if top * (n + 1) > MAX_HALL_UNITS:
+        return top * (n + 1)
+    shapes = partition_counts(n, rank, MAX_HALL_UNITS // top)[n]
+    if top * (shapes + n) > MAX_HALL_UNITS:
+        return top * (shapes + n)
+    return top * (dominated_count(x, rank) * shapes + n)
 
 
 def check_hall_cost(x: Partition, y: Partition, rank: int) -> None:
     """Refuse a product u_x * u_y at `rank` whose work passes
-    MAX_HALL_WORK, before any table work.  The last step of x's own
-    monomial lands on size n = |x| + |y| and lists its labels, so a size
-    with more labels than that part of the budget allows is refused
-    without listing any shape."""
-    x, y = trim(x), trim(y)
-    n = sum(x) + sum(y)
-    if x and bipartition_count(n) // LABELS_PER_UNIT > MAX_HALL_WORK:
+    MAX_HALL_UNITS, before any table work."""
+    if hall_units(x, y, rank) > MAX_HALL_UNITS:
         raise CostGuard(
-            f"product {x} * {y} at size {n} is past the budget of "
-            f"{MAX_HALL_WORK} units of work in its last step alone"
-        )
-    work = hall_work(x, y, rank)
-    if work > MAX_HALL_WORK:
-        raise CostGuard(
-            f"product {x} * {y} at rank {rank} takes {work} units of work, "
-            f"above the budget of {MAX_HALL_WORK}"
+            f"product {trim(x)} * {trim(y)} at rank {rank} is past the budget "
+            f"of {MAX_HALL_UNITS} units of work"
         )

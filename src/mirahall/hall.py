@@ -9,7 +9,9 @@ generators), so its label rule drops them and leaves an honest algebra.
 `hall_mul` expresses each basis element through monomials in the
 square-zero elements and multiplies one generator at a time, reading
 each generator's constants from the closed left table at vectorless
-targets (Macdonald's Hall polynomials G^c_{b (1^r)}).  The oracle,
+targets (Macdonald's Hall polynomials G^c_{b (1^r)}).  Those are
+nonzero only when c is b plus a vertical r-strip, so a step reads the
+tables at ((), c) for those c alone and lists no pair label.  The oracle,
 `oracle.hall_mul_direct`, counts invariant subspaces for each pair of
 factors, and `oracle.psi` realises the algebra on symmetric
 polynomials; only `verify` and the tests reach them.
@@ -20,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping
 
-from .closedform import closed_form_G
+from .closedform import closed_left_table
 from .errors import DiagonalNotUnit, OracleMismatch
 from .laurent import Combination, LaurentPoly
 from .partitions import (
@@ -30,6 +32,7 @@ from .partitions import (
     n_stat,
     partitions_of,
     trim,
+    vertical_strips,
 )
 from .symfunc import kostka_foulkes
 
@@ -62,14 +65,12 @@ def gen_mul(r: int, x: HallElt) -> HallElt:
         raise ValueError("negative rank")
     if r == 0:
         return x
-    if r > x.rank:
-        return HallElt.zero(x.rank)
     out: dict[Partition, LaurentPoly] = {}
     for b, cb in x._c.items():
         HallElt._accumulate(out, (
             (c, cb * g.to_laurent())
-            for (a, c), g in closed_form_G(r, ((), b)).items()
-            if not a and len(c) <= x.rank
+            for c in vertical_strips(b, r, x.rank)
+            if (g := closed_left_table(((), c), r).get(((), b)))
         ))
     return HallElt._trusted(x.rank, out)
 

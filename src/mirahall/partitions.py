@@ -9,18 +9,13 @@ here, so this module has no dependencies beyond the error types.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate, product
 from typing import Iterator
 
 from .errors import NotInImage, RankTooSmall
 
 Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
-
-
-def is_partition(seq) -> bool:
-    return all(isinstance(x, int) and x > 0 for x in seq) and all(
-        seq[i] >= seq[i + 1] for i in range(len(seq) - 1)
-    )
 
 
 def trim(seq) -> Partition:
@@ -34,7 +29,7 @@ def trim(seq) -> Partition:
     while end and out[end - 1] == 0:
         end -= 1
     out = out[:end]
-    # positive and weakly decreasing: is_partition on the ints
+    # positive and weakly decreasing
     if out and (out[-1] < 0 or out != tuple(sorted(out, reverse=True))):
         raise ValueError(f"not weakly decreasing positive: {seq}")
     return out
@@ -174,22 +169,98 @@ def bipartitions_of(n: int) -> tuple[Bipartition, ...]:
     return tuple(out)
 
 
+def partition_counts(n: int, rows: int | None = None, cap: int | None = None) -> list[int]:
+    """out[k]: the partitions of k <= n with at most `rows` rows, by
+    conjugation those with parts <= rows, without listing them.  out[n]
+    only grows as parts are let in, so with `cap` the count stops once
+    out[n] passes it.
+
+    >>> partition_counts(4), partition_counts(4, 2)
+    ([1, 1, 2, 3, 5], [1, 1, 2, 2, 3])
+    """
+    ways = [1] + [0] * n
+    for part in range(1, (n if rows is None else min(n, rows)) + 1):
+        for k in range(part, n + 1):
+            ways[k] += ways[k - part]
+        if cap is not None and ways[n] > cap:
+            break
+    return ways
+
+
 def bipartition_count(n: int, rows: int | None = None) -> int:
     """len(bipartitions_of(n)), without listing them; with `rows`, only
-    the labels whose two partitions have at most `rows` rows each.  By
-    conjugation those are counted as partitions with parts <= rows.
+    the labels whose two partitions have at most `rows` rows each.
 
     >>> bipartition_count(2), bipartition_count(2, 1)
     (5, 3)
     """
     if n < 0:
         return 0
-    largest = n if rows is None else min(n, rows)
-    ways = [1] + [0] * n
-    for part in range(1, largest + 1):
-        for k in range(part, n + 1):
-            ways[k] += ways[k - part]
+    ways = partition_counts(n, rows)
     return sum(ways[k] * ways[n - k] for k in range(n + 1))
+
+
+def dominated_count(x: Partition, rows: int) -> int:
+    """The partitions mu of |x| with mu <= x in dominance and at most
+    `rows` rows, without listing them.  Row i of mu brings its first i
+    rows to at most x_1 + ... + x_i boxes, and no row passes x_1;
+    ways[s][p] counts the tops of mu with s boxes and last row p."""
+    m, top = sum(x), (x[0] if x else 0)
+    caps = list(accumulate(x)) + [m] * min(rows, m)
+    ways, total = {0: [0] * top + [1]}, int(not m)
+    for i in range(min(rows, m)):
+        # above[s][q]: the tops with s boxes whose last row is >= q
+        above = {s: list(accumulate(row[::-1]))[::-1] for s, row in ways.items()}
+        if i == min(rows, m) - 1:  # the last row need only finish mu
+            return total + (m <= caps[i]) * sum(
+                above[m - q][q] for q in range(1, top + 1) if m - q in above
+            )
+        ways = {}
+        for s, row in above.items():
+            for q in range(1, min(top, caps[i] - s) + 1):
+                ways.setdefault(s + q, [0] * (top + 1))[q] = row[q]
+        total += sum(ways.pop(m, ()))
+    return total
+
+
+def vertical_strips(nu: Partition, r: int, rows: int | None = None) -> tuple[Partition, ...]:
+    """Every partition nu + (vertical r-strip) with at most `rows` rows,
+    largest first.  Within a run of equal parts the new boxes go to the
+    top rows, so a strip is the number of boxes each run takes, the run
+    of zeros below nu included.
+
+    >>> vertical_strips((2, 1), 2)
+    ((3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1))
+    """
+    runs = [(k, nu.count(k)) for k in sorted(set(nu), reverse=True)]
+    runs.append((0, r if rows is None else rows - len(nu)))
+    out = [
+        sum(((k + 1,) * j + (k,) * (m - j if k else 0)
+             for (k, m), j in zip(runs, take)), ())
+        for take in product(*(range(min(m, r) + 1) for _, m in runs))
+        if sum(take) == r
+    ]
+    return tuple(sorted(out, reverse=True))
+
+
+def splits(nu: Partition) -> tuple[Bipartition, ...]:
+    """Every pair label (lam, mu) with lam + mu = nu (`add_parts`): row
+    by row lam_i runs from max(nu_i - mu_(i-1), 0) to min(nu_i, lam_(i-1)).
+
+    >>> splits((2,))
+    (((), (2,)), ((1,), (1,)), ((2,), ()))
+    """
+    labels: list[Bipartition] = [((), ())]
+    for part in nu:
+        labels = [
+            (lam + (a,), mu + (part - a,))
+            for lam, mu in labels
+            for a in range(
+                max(part - (mu[-1] if mu else part), 0),
+                min(part, lam[-1] if lam else part) + 1,
+            )
+        ]
+    return tuple((trim(lam), trim(mu)) for lam, mu in labels)
 
 
 def ah_leq(a: Bipartition, b: Bipartition) -> bool:

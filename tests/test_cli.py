@@ -25,7 +25,7 @@ from mirahall import (
 )
 from mirahall.cli import check_cost, check_universe_cost
 from mirahall.config import RunConfig, read_config_file, resolve
-from mirahall.costs import check_hall_cost, hall_work
+from mirahall.costs import check_hall_cost, hall_units
 from mirahall.errors import CostGuard, IOFailure, UsageError
 from mirahall.laurent import LaurentPoly, QPoly
 
@@ -467,8 +467,8 @@ def test_cost_guard_refuses_large_tables_fast(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("hall", "--x", "6,1", "--y", "9,1"),
-    ("hall", "--x", "6,5", "--y", "5,4"),
+    ("hall", "--x", "13,1,1", "--y", "1", "--N", "16"),
+    ("hall", "--x", "100", "--y", "100"),
     ("hall", "--x", "200", "--y", "1"),
     ("green", "--n", "9", "--q", "2"),
     ("green", "--n", "4", "--q", "7"),
@@ -525,21 +525,32 @@ def test_cache_entry_is_one_sorted_json_document(tmp_path):
 
 
 def test_hall_cost_guard_passes_the_products_within_budget():
-    # the products the budget was measured on: (16) * (1) took 96 s cold
-    # and passes, (6,1) * (9,1) took 103 s and is refused; a product
-    # that mostly lists labels (2 s) passes far past size 17
+    # the products the budget was measured on, at its edge: (14) * (1)
+    # at rank 14 took 15 s and passes, (13,1,1) * (1) at rank 16 took
+    # 28 s and is refused; products that the all-labels model refused
+    # in their last step alone now pass
     for x, y, rank in (
-        ((16,), (1,), 2),
+        ((14,), (1,), 14),
+        ((22,), (1,), 4),
         ((5, 4), (4, 4), 4),
+        ((6, 1), (9, 1), 4),
         ((1,), (8, 8), 3),
-        ((2,), (1, 1), 3),
-        ((1,) * 21, (1,), 22),
+        ((1,), (2000,), 2),
+        ((1,) * 26, (1, 1), 28),
+        ((), (10**9,), 1),
     ):
         check_hall_cost(x, y, rank)
-    assert hall_work((16,), (1,), 2) == 195967
-    assert hall_work((6, 1), (9, 1), 4) == 205402
-    with pytest.raises(CostGuard):
-        check_hall_cost((6, 1), (9, 1), 4)
+    assert hall_units((14,), (1,), 14) == 330960
+    assert hall_units((13, 1, 1), (1,), 16) == 504712
+    for x, y, rank in (
+        ((13, 1, 1), (1,), 16),
+        ((100,), (100,), 2),
+        ((15,), (1,), 15),
+        ((10**9,), (1,), 2),
+        ((1,), (10**9,), 1),
+    ):
+        with pytest.raises(CostGuard):
+            check_hall_cost(x, y, rank)
 
 
 def test_cost_guard_counts_the_labels_of_the_rank_and_the_size():

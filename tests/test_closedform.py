@@ -5,7 +5,9 @@ from mirahall.closedform import (
     closed_left_column,
     closed_left_table,
     closed_right_table,
+    reachable_targets,
     right_via_star,
+    stable_right_column,
 )
 from mirahall.errors import UsageError
 from mirahall.laurent import QPoly, gauss_binomial
@@ -15,7 +17,7 @@ from mirahall.oracle import (
     stable_right_constant,
     verify_closed_form,
 )
-from mirahall.partitions import add_parts, bipartitions_of, trim
+from mirahall.partitions import add_parts, bipartitions_of, label_size, trim
 from mirahall import (
     bimodule,
     closedform,
@@ -219,3 +221,86 @@ def test_left_column_bounded_by_rank():
     # and a longer source is a usage error
     with pytest.raises(UsageError):
         closed_left_column(1, ((1, 1, 1), ()), 2)
+
+
+def _is_vertical_strip(small, big, r):
+    # big / small: r boxes, at most one in each row
+    rows = len(big)
+    if len(small) > rows:
+        return False
+    small = small + (0,) * (rows - len(small))
+    return sum(big) - sum(small) == r and all(
+        0 <= b - s <= 1 for b, s in zip(big, small)
+    )
+
+
+def test_every_cell_adds_a_vertical_strip_to_the_jordan_type():
+    # g^lam_(mu, (1^r)) != 0 only if lam / mu is a vertical r-strip, so
+    # nu(tgt) is nu(src) plus one (Macdonald ch. II section 4)
+    cells = 0
+    for n in range(1, 7):
+        for tgt in bipartitions_of(n):
+            nu = add_parts(*tgt)
+            for r in range(1, n + 1):
+                for table in (closed_left_table, closed_right_table):
+                    for src in table(tgt, r):
+                        assert _is_vertical_strip(add_parts(*src), nu, r), (tgt, src, r)
+                        cells += 1
+    for m in range(0, 6):
+        for src in bipartitions_of(m):
+            for r in range(1, 7 - m):
+                rank = max(len(src[0]), len(src[1]), r + (m > 0))
+                for tgt in stable_right_column(r, src, rank):
+                    assert _is_vertical_strip(add_parts(*src), add_parts(*tgt), r)
+                    cells += 1
+    assert cells > 1000
+
+
+def _all_labels_column(r, src, side, rank):
+    """The column read over every label of its size: the oracle of the
+    reachable targets."""
+    table = {"left": closed_left_table, "right": closed_right_table}[side]
+    cells = {
+        tgt: table(tgt, r).get(src)
+        for tgt in bipartitions_of(label_size(src) + r)
+        if rank is None or max(len(tgt[0]), len(tgt[1])) <= rank
+    }
+    return {tgt: poly for tgt, poly in cells.items() if poly}
+
+
+def test_reachable_column_is_the_all_labels_column():
+    # values and order, on both sides and at every rank
+    for m in range(0, 7):
+        for src in bipartitions_of(m):
+            for r in range(1, 8 - m):
+                for side in ("left", "right"):
+                    for rank in (None, *range(1, m + r + 1)):
+                        want = _all_labels_column(r, src, side, rank)
+                        got = closed_form_G(r, src, side, rank)
+                        assert list(got.items()) == list(want.items()), (src, r, side, rank)
+
+
+def test_stable_right_column_is_the_all_labels_column():
+    for m in range(1, 5):
+        for src in bipartitions_of(m):
+            for r in range(1, 6 - m):
+                for rank in range(max(len(src[0]), len(src[1]), r + 1), m + r + 2):
+                    want = {
+                        tgt: right_via_star(tgt, src, r, rank)
+                        for tgt in bipartitions_of(m + r)
+                        if max(len(tgt[0]), len(tgt[1])) <= rank
+                    }
+                    want = {tgt: poly for tgt, poly in want.items() if poly}
+                    got = stable_right_column(r, src, rank)
+                    assert list(got.items()) == list(want.items()), (src, r, rank)
+
+
+def test_reachable_targets_fit_the_rank_exactly():
+    for m in range(0, 6):
+        for src in bipartitions_of(m):
+            for r in range(1, 4):
+                every = reachable_targets(src, r)
+                for rank in range(1, m + r + 1):
+                    assert reachable_targets(src, r, rank) == tuple(
+                        tgt for tgt in every if max(len(tgt[0]), len(tgt[1])) <= rank
+                    )

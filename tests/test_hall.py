@@ -1,7 +1,7 @@
 import pytest
 
-from mirahall.closedform import _compositions, closed_form_G, closed_left_table
-from mirahall.costs import _hall_steps, _table_classes
+from mirahall.closedform import closed_form_G, closed_left_table
+from mirahall.costs import hall_units
 from mirahall.hall import (
     HallElt,
     _gen_decomposition,
@@ -12,12 +12,7 @@ from mirahall.hall import (
 )
 from mirahall.laurent import LaurentPoly, QPoly
 from mirahall.oracle import elementary_in_vars, hall_mul_direct, psi
-from mirahall.partitions import (
-    add_parts,
-    bipartition_count,
-    bipartitions_of,
-    partitions_of,
-)
+from mirahall.partitions import bipartitions_of, dominance_leq, partitions_of
 
 
 def lp(**kw):
@@ -134,40 +129,28 @@ def test_c_expand_rank_one():
     assert c_expand((3,), 1) == u_elt((3,), 1)
 
 
-def test_hall_steps_are_the_tables_built():
-    # every product of size <= 5 at three ranks, from cold caches: the
-    # generator steps the cost guard reads build exactly the closed
-    # tables that hall_mul builds
-    products = [
-        (x, y)
-        for n in range(1, 6)
-        for nx in range(0, n + 1)
-        for x in partitions_of(nx)
-        for y in partitions_of(n - nx)
-    ]
-    for x, y in products:
-        low = max(len(x), len(y), 1)
-        for rank in (low, low + 1, max(len(x) + len(y), 1)):
-            for table in (closed_left_table, closed_form_G, _gen_decomposition):
-                table.cache_clear()
-            hall_mul(u_elt(x, rank), u_elt(y, rank))
-            built = closed_left_table.cache_info().currsize
-            steps = _hall_steps(x, y, rank)
-            assert sum(bipartition_count(m) for m, _ in steps) == built, (x, y, rank)
+def test_hall_product_lists_no_pair_label():
+    # gen_mul reads the vectorless targets ((), b + strip) directly, so
+    # a product from cold caches adds no bipartitions_of cache miss
+    for table in (closed_left_table, closed_form_G, _gen_decomposition, bipartitions_of):
+        table.cache_clear()
+    for x, y, rank in (((2, 1), (2, 1), 4), ((3,), (1, 1), 2), ((1,), (4, 4), 3)):
+        hall_mul(u_elt(x, rank), u_elt(y, rank))
+    assert bipartitions_of.cache_info().misses == 0
 
 
-def test_table_classes_count_the_classes_of_every_table():
-    # the generating function against listing every label: the table at
-    # (lam, mu) and rank r runs through the compositions of r under the
-    # multiplicities of the parts of lam + mu
-    top = 8
-    classes = _table_classes(top, top)
-    for m in range(1, top + 1):
-        labels = bipartitions_of(m)
-        for r in range(1, top + 1):
-            count = 0
-            for lam, mu in labels:
-                nu = add_parts(lam, mu)
-                d = [nu.count(k) for k in range(1, nu[0] + 1)]
-                count += sum(1 for _ in _compositions(d, r))
-            assert classes[m][r] == count, (m, r)
+def test_hall_units_count_the_shapes():
+    # the guard's count against listing the shapes it counts
+    for n in range(0, 9):
+        for nx in range(0, n + 1):
+            for x in partitions_of(nx):
+                for y in partitions_of(n - nx):
+                    for rank in range(max(len(x), len(y), 1), n + 2):
+                        fit = lambda m: [
+                            mu for mu in partitions_of(m) if len(mu) <= rank
+                        ]
+                        dominated = [mu for mu in fit(nx) if dominance_leq(mu, x)]
+                        want = (
+                            x[0] * (len(dominated) * len(fit(n)) + n) if x else 0
+                        )
+                        assert hall_units(x, y, rank) == want, (x, y, rank)

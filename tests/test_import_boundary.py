@@ -155,7 +155,7 @@ def test_help_runs_no_lazy_module(tmp_path):
 REFUSED = (
     ("pi", "--n", "10"),
     ("green", "--n", "9", "--q", "2"),
-    ("hall", "--x", "6,1", "--y", "9,1", "--N", "4"),
+    ("hall", "--x", "13,1,1", "--y", "1", "--N", "16"),
     ("iwahori", "mult", "--N", "5", "--window", "1"),
     ("mirabolic", "--src", "8|8", "--r", "8"),
     ("mirabolic", "--src", "5,4|4,3", "--r", "6", "--side", "right"),
