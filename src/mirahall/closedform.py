@@ -230,13 +230,14 @@ def closed_right_table(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
     return {src: poly for src, poly in cells.items() if poly}
 
 
-def reachable_targets(src: Bipartition, r: int, rank: int | None = None) -> tuple[Bipartition, ...]:
-    """Every label that a rank-r square-zero step can reach from `src`,
-    at most `rank` rows per component, in `bipartitions_of` order: the
-    splits of nu(src) plus a vertical r-strip (nu = lam + mu), since the
-    classical Hall polynomial g^nu_(nu', (1^r)) is nonzero only then
-    (Macdonald, ch. II §4).  A label fits `rank` exactly when its nu does."""
-    nu = add_parts(*src)
+@lru_cache(maxsize=None)
+def reachable_targets(nu: Partition, r: int, rank: int | None = None) -> tuple[Bipartition, ...]:
+    """Every label that a rank-r square-zero step can reach from a source
+    of Jordan type nu = lam + mu (`add_parts`), at most `rank` rows per
+    component, in `bipartitions_of` order: the splits of nu plus a
+    vertical r-strip, since the classical Hall polynomial
+    g^nu'_(nu, (1^r)) is nonzero only then (Macdonald, ch. II §4).  A
+    label fits `rank` exactly when its Jordan type does."""
     targets = [tgt for big in vertical_strips(nu, r, rank) for tgt in splits(big)]
     rows = len(nu) + r  # no target has more
     return tuple(sorted(targets, key=lambda bp: interleaved_key(bp, rows), reverse=True))
@@ -251,7 +252,8 @@ def closed_form_G(
     rows per component, if given)."""
     table = {"left": closed_left_table, "right": closed_right_table}[side]
     src = trim_pair(src)
-    cells = {tgt: table(tgt, r).get(src) for tgt in reachable_targets(src, r, rank)}
+    targets = reachable_targets(add_parts(*src), r, rank)
+    cells = {tgt: table(tgt, r).get(src) for tgt in targets}
     return {tgt: poly for tgt, poly in cells.items() if poly}
 
 
@@ -295,7 +297,7 @@ def stable_right_column(
                          f"got {rank}")
     cells = {
         tgt: right_via_star(tgt, src, r, rank)
-        for tgt in reachable_targets(src, r, rank)
+        for tgt in reachable_targets(add_parts(*src), r, rank)
     }
     return {tgt: poly for tgt, poly in cells.items() if poly}
 

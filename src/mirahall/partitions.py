@@ -260,7 +260,7 @@ def splits(nu: Partition) -> tuple[Bipartition, ...]:
                 min(part, lam[-1] if lam else part) + 1,
             )
         ]
-    return tuple((trim(lam), trim(mu)) for lam, mu in labels)
+    return tuple((tuple(filter(None, lam)), tuple(filter(None, mu))) for lam, mu in labels)
 
 
 def ah_leq(a: Bipartition, b: Bipartition) -> bool:

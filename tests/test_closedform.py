@@ -297,10 +297,10 @@ def test_stable_right_column_is_the_all_labels_column():
 
 def test_reachable_targets_fit_the_rank_exactly():
     for m in range(0, 6):
-        for src in bipartitions_of(m):
+        for nu in partitions.partitions_of(m):
             for r in range(1, 4):
-                every = reachable_targets(src, r)
+                every = reachable_targets(nu, r)
                 for rank in range(1, m + r + 1):
-                    assert reachable_targets(src, r, rank) == tuple(
+                    assert reachable_targets(nu, r, rank) == tuple(
                         tgt for tgt in every if max(len(tgt[0]), len(tgt[1])) <= rank
                     )
