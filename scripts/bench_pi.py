@@ -5,10 +5,15 @@ BENCH_pi.json.
 
     python3 scripts/bench_pi.py [--ns 4 5 6 7 8] [--src CHECKOUT]
 
-Each cold request runs once, as one fresh `python3 -m mirahall.cli`
-process with its own empty `--cache-dir`, so every table is built from
-scratch.  For each the record keeps the wall time, the process's peak
-RSS, its exit code and the sha256 of its stdout.
+Each cold request runs once, as one fresh process that runs
+`mirahall.cli` as `python3 -m mirahall.cli` does (CHILD), with its own
+empty `--cache-dir`, so every table is built from scratch.  For each
+the record keeps the wall time, the process's own peak resident size
+(`VmHWM` from `/proc/self/status`, read by the process as it exits),
+its exit code and the sha256 of its stdout.  Records without
+`"peak_rss": "VmHWM"` took the `ru_maxrss` that `os.wait4` returns,
+which for a forked child starts from the harness's own size, so their
+small requests read as the harness (about 45 MB) and not as themselves.
 
 The warm path is what a repeat request costs: the median wall time of
 WARM_LAUNCHES import-only launches (`mirahall --help`), of as many
@@ -77,26 +82,41 @@ def _git(checkout: Path, *args: str) -> str:
     return done.stdout.strip() if done.returncode == 0 else ""
 
 
+# `python3 -c CHILD HWM_FILE ARGS...` runs `mirahall ARGS` as `-m
+# mirahall.cli` would, then writes its own VmHWM line, in kB, to HWM_FILE,
+# whatever the exit.
+CHILD = """
+import runpy, sys
+hwm_file = sys.argv.pop(1)
+try:
+    runpy.run_module("mirahall.cli", run_name="__main__", alter_sys=True)
+finally:
+    with open("/proc/self/status") as fh:
+        hwm = next(line for line in fh if line.startswith("VmHWM:"))
+    with open(hwm_file, "w") as fh:
+        fh.write(hwm.split()[1])
+"""
+
+
 def time_cold(checkout: Path, args: list[str]) -> dict:
     """One cold `mirahall ARGS` in a fresh process and cache directory."""
     with tempfile.TemporaryDirectory(prefix="bench_pi_") as tmp:
         env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
         out_path = os.path.join(tmp, "stdout")
-        argv = [sys.executable, "-m", "mirahall.cli", *args,
+        hwm_path = os.path.join(tmp, "vmhwm")
+        argv = [sys.executable, "-c", CHILD, hwm_path, *args,
                 "--cache-dir", os.path.join(tmp, "cache")]
         with open(out_path, "wb") as out:
             start = time.perf_counter()
-            proc = subprocess.Popen(argv, env=env, stdout=out,
-                                    stderr=subprocess.DEVNULL)
-            # reaps the child and gives its own rusage
-            _, status, usage = os.wait4(proc.pid, 0)
+            code = subprocess.run(argv, env=env, stdout=out,
+                                  stderr=subprocess.DEVNULL).returncode
             wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
         digest = hashlib.sha256(Path(out_path).read_bytes()).hexdigest()
+        peak_kb = int(Path(hwm_path).read_text())
     return {
         "wall_s": round(wall, 3),
-        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
-        "exit": proc.returncode,
+        "peak_rss_mb": round(peak_kb / 1024, 1),
+        "exit": code,
         "sha256": digest,
     }
 
@@ -178,6 +198,7 @@ def main() -> int:
         "when": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
+        "peak_rss": "VmHWM",
         "runs": runs,
         "iwahori": iwahori,
         "extra": extra,

@@ -20,7 +20,6 @@ calibration sign is the parity of codimension differences.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from typing import Mapping
 
@@ -55,13 +54,6 @@ class MirElt(Combination):
     def _label(bp, rank: int) -> Bipartition | None:
         bp = trim_pair(bp)
         return bp if _fits(bp, rank) else None
-
-    def to_json(self) -> str:
-        terms = [
-            {"label": [list(bp[0]), list(bp[1])], "coeff": coeff.items()}
-            for bp, coeff in self.items()
-        ]
-        return json.dumps({"rank": self.rank, "terms": terms})
 
 
 def u_bip(bp: Bipartition, rank: int) -> MirElt:
@@ -181,26 +173,6 @@ class PiTable:
         if row not in self.order or col not in self.order:
             raise NotInTable(f"{row} or {col} not at size {self.n}, rank {self.N}")
         return self.raw.get((row, col), LaurentPoly.zero())
-
-    def to_json(self) -> str:
-        label = lambda bp: [list(bp[0]), list(bp[1])]
-        cells = lambda table: [
-            {"row": label(r), "col": label(c), "coeff": val.items()}
-            for (r, c), val in sorted(table.items(), reverse=True)
-        ]
-        return json.dumps(
-            {
-                "n": self.n,
-                "N": self.N,
-                "order": [label(bp) for bp in self.order],
-                "raw": cells(self.raw),
-                "calibrated": cells(self.calibrated),
-                "diag_units": [
-                    {"col": label(c), "unit": u.items()}
-                    for c, u in sorted(self.diag_units.items(), reverse=True)
-                ],
-            }
-        )
 
 
 @lru_cache(maxsize=None)

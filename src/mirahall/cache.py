@@ -4,10 +4,12 @@ An entry is addressed by (module, parameters, code tag); the tag is a
 digest of the package's source files, so tables written by other code
 never satisfy a lookup, whatever its version number says.  Payloads
 are JSON trees built from strings, ints and lists, which keeps a cache
-hit byte-identical to a cold rebuild downstream.  The CLI keeps two
-kinds of entry under one module name: the table's payload tree, keyed
-by the table's parameters, and each rendered artifact, a string keyed
-by the same parameters plus its `format`.
+hit byte-identical to a cold rebuild downstream.  Only
+`cli._serve_cached` reads and writes entries, for every data
+subcommand but `verify`, and keeps two kinds under one module name
+(the subcommand): the table's payload tree, keyed by the table's
+parameters, and each rendered artifact, a string keyed by the same
+parameters plus its `format`.
 """
 
 from __future__ import annotations

@@ -5,15 +5,18 @@ produces the same bytes, whether the table came out of the cache or was
 rebuilt.  Exit codes: 0 computed or verified, 1 a verification failed,
 2 bad usage.
 
-`pi`, `mhl`, `trace` and `iwahori mult` serve from the cache in two
-steps.  The rendered artifact is stored per format, keyed by the
-table's parameters plus `format`, and a hit is written out as stored.
-On a miss the payload route runs: the cost guard, the payload entry
-(the table's JSON tree, keyed by its parameters, so a new format of a
-cached table is rendered without a rebuild), and the build; then the
-text is rendered once and stored.  The guard runs only on a miss,
-which changes no verdict: an entry under this code tag exists only for
-input this same code accepted.
+Every subcommand but `verify` serves through `_serve_cached`, from the
+cache in two tiers.  The rendered artifact is stored per format, keyed
+by the table's parameters plus `format`, and a hit is written out as
+stored.  On a miss the payload entry (the table's JSON tree, keyed by
+its parameters, so a new format of a cached table is rendered without
+a rebuild) is read, or the payload builder runs and its tree is
+stored; then the text is rendered once and stored.  The payload
+builders (`pi_payload` ... `iwahori_payload`) are pure: cost guard,
+then table build, then JSON tree.  So a guard runs only when both
+tiers miss, which changes no verdict: an entry under this code tag
+exists only for input this same code accepted.  `verify` is the check
+itself and always runs.
 
 A request runs only the code it reaches.  The exact kernel (`laurent`,
 `partitions`) and the table modules (`affine`, `bimodule`,
@@ -22,10 +25,11 @@ A request runs only the code it reaches.  The exact kernel (`laurent`,
 at its first attribute access.  The cost guards live here, and those
 of `green` and `hall` in `costs`, which this module imports only for
 those two requests.  So an artifact hit runs only `mirahall`,
-`errors`, `config`, `cache` and this module, and a payload hit or a
-refused request runs no table module.  The suites behind `verify` live
-in `checks`, which this module imports only when `verify_payload`
-runs, so a serving request never loads them or the counting oracles.
+`errors`, `config`, `cache` and this module, a payload hit at most
+`laurent` besides (for the render), and a refused request no table
+module.  The suites behind `verify` live in `checks`, which this
+module imports only when `verify_payload` runs, so a serving request
+never loads them or the counting oracles.
 """
 
 from __future__ import annotations
@@ -113,7 +117,9 @@ def parse_partition(text: str):
         raise UsageError(f"bad partition {text!r}") from None
     if any(a < b for a, b in zip(parts, parts[1:])) or any(p < 0 for p in parts):
         raise UsageError(f"parts must be weakly decreasing and nonnegative: {text!r}")
-    return partitions.trim(parts)
+    # the parts decrease weakly, so the zeros trail; dropping them here
+    # leaves `partitions` unrun on an artifact hit
+    return tuple(p for p in parts if p)
 
 
 def parse_bipartition(text: str):
@@ -209,12 +215,8 @@ def check_universe_cost(N: int, window: int) -> None:
 # --- payload builders ---------------------------------------------------------
 
 
-def pi_payload(n: int, rank: int, cfg: RunConfig) -> dict:
+def pi_payload(n: int, rank: int) -> dict:
     check_cost(n, rank)
-    params = {"n": n, "N": rank}
-    hit = cache.load("pi", params, cfg.cache_dir)
-    if hit is not None:
-        return hit
     table = bimodule.pi_table(n, rank)
 
     def cells(tbl) -> list:
@@ -228,7 +230,7 @@ def pi_payload(n: int, rank: int, cfg: RunConfig) -> dict:
                     )
         return out
 
-    payload = {
+    return {
         "kind": "pi",
         "n": n,
         "N": rank,
@@ -240,16 +242,13 @@ def pi_payload(n: int, rank: int, cfg: RunConfig) -> dict:
             for col in table.order
         ],
     }
-    cache.store("pi", params, payload, cfg.cache_dir)
-    return payload
 
 
-def mhl_payload(n: int, rank: int, cfg: RunConfig) -> dict:
+def mhl_payload(n: int, rank: int) -> dict:
+    # every label of size n has a two-sided polynomial only at rank >= n
+    if rank < n:
+        raise UsageError(f"mhl needs --N >= n, got n={n}, N={rank}")
     check_cost(n, rank)
-    params = {"n": n, "N": rank}
-    hit = cache.load("mhl", params, cfg.cache_dir)
-    if hit is not None:
-        return hit
     entries = []
     for bp in partitions.bipartitions_of(n):
         tensor, prefactor = bimodule.mhl_poly(bp, rank)
@@ -263,17 +262,11 @@ def mhl_payload(n: int, rank: int, cfg: RunConfig) -> dict:
                 ],
             }
         )
-    payload = {"kind": "mhl", "n": n, "N": rank, "entries": entries}
-    cache.store("mhl", params, payload, cfg.cache_dir)
-    return payload
+    return {"kind": "mhl", "n": n, "N": rank, "entries": entries}
 
 
-def trace_payload(n: int, q: int, cfg: RunConfig) -> dict:
+def trace_payload(n: int, q: int) -> dict:
     check_cost(n)
-    params = {"n": n, "q": q}
-    hit = cache.load("trace", params, cfg.cache_dir)
-    if hit is not None:
-        return hit
     table = bimodule.pi_table(n, max(n, 1))
     cells = []
     for row in table.order:
@@ -288,15 +281,13 @@ def trace_payload(n: int, q: int, cfg: RunConfig) -> dict:
                         "radical": cell.b.to_json(),
                     }
                 )
-    payload = {
+    return {
         "kind": "trace",
         "n": n,
         "q": q,
         "order": [bplabel(bp) for bp in table.order],
         "cells": cells,
     }
-    cache.store("trace", params, payload, cfg.cache_dir)
-    return payload
 
 
 def hall_payload(x, y, rank: int) -> dict:
@@ -353,12 +344,8 @@ def green_payload(n: int, q: int) -> dict:
     }
 
 
-def iwahori_payload(N: int, window: int, cfg: RunConfig) -> dict:
+def iwahori_payload(N: int, window: int) -> dict:
     check_universe_cost(N, window)
-    params = {"N": N, "window": window}
-    hit = cache.load("iwahori", params, cfg.cache_dir)
-    if hit is not None:
-        return hit
     # one JSON tree per label and coefficient, shared by every product
     # that names it
     label_tree = lru_cache(maxsize=None)(_ilabel)
@@ -379,7 +366,7 @@ def iwahori_payload(N: int, window: int, cfg: RunConfig) -> dict:
                     ],
                 }
             )
-    payload = {
+    return {
         "kind": "iwahori",
         "N": N,
         "window": window,
@@ -388,8 +375,6 @@ def iwahori_payload(N: int, window: int, cfg: RunConfig) -> dict:
         "qs": list(affine.DEFAULT_PRIMES),
         "products": products,
     }
-    cache.store("iwahori", params, payload, cfg.cache_dir)
-    return payload
 
 
 def verify_payload(suites: Sequence[str], cfg: RunConfig) -> dict:
@@ -690,13 +675,18 @@ def _field_size(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _serve_cached(kind: str, params: dict, build, args: argparse.Namespace,
                   cfg: RunConfig) -> int:
     """Emit the stored artifact of `kind` at `params` in the requested
-    format.  On a miss, `build()` runs the payload route (cost guard,
-    payload entry, table build), and its rendering is stored as the
-    artifact entry, keyed by the payload's params plus the format."""
+    format.  On a miss, read the payload entry at `params`, or run
+    `build()` (cost guard, table build) and store its payload; then
+    render once and store the text as the artifact entry, keyed by
+    `params` plus the format."""
     key = {**params, "format": cfg.fmt}
     text = cache.load(kind, key, cfg.cache_dir)
     if not isinstance(text, str):
-        text = render(build(), cfg.fmt)
+        payload = cache.load(kind, params, cfg.cache_dir)
+        if not isinstance(payload, dict):
+            payload = build()
+            cache.store(kind, params, payload, cfg.cache_dir)
+        text = render(payload, cfg.fmt)
         cache.store(kind, key, text, cfg.cache_dir)
     _emit(text, args.out)
     return 0
@@ -705,42 +695,39 @@ def _serve_cached(kind: str, params: dict, build, args: argparse.Namespace,
 def _cmd_pi(args: argparse.Namespace, cfg: RunConfig) -> int:
     n, rank = cfg.n, cfg.resolved_rank()
     return _serve_cached("pi", {"n": n, "N": rank},
-                         lambda: pi_payload(n, rank, cfg), args, cfg)
+                         lambda: pi_payload(n, rank), args, cfg)
 
 
 def _cmd_mhl(args: argparse.Namespace, cfg: RunConfig) -> int:
     n, rank = cfg.n, cfg.resolved_rank()
     return _serve_cached("mhl", {"n": n, "N": rank},
-                         lambda: mhl_payload(n, rank, cfg), args, cfg)
+                         lambda: mhl_payload(n, rank), args, cfg)
 
 
 def _cmd_trace(args: argparse.Namespace, cfg: RunConfig) -> int:
     n, q = cfg.n, _field_size(args, cfg)
     return _serve_cached("trace", {"n": n, "q": q},
-                         lambda: trace_payload(n, q, cfg), args, cfg)
+                         lambda: trace_payload(n, q), args, cfg)
 
 
 def _cmd_hall(args: argparse.Namespace, cfg: RunConfig) -> int:
     x, y = parse_partition(args.x), parse_partition(args.y)
     rank = cfg.rank if cfg.rank else max(len(x) + len(y), 1)
-    payload = hall_payload(x, y, rank)
-    _emit(render(payload, cfg.fmt), args.out)
-    return 0
+    return _serve_cached("hall", {"x": plabel(x), "y": plabel(y), "N": rank},
+                         lambda: hall_payload(x, y, rank), args, cfg)
 
 
 def _cmd_mirabolic(args: argparse.Namespace, cfg: RunConfig) -> int:
-    src = parse_bipartition(args.src)
-    n = partitions.size(src[0]) + partitions.size(src[1]) + args.r
-    rank = cfg.rank if cfg.rank else n
-    payload = mirabolic_payload(src, args.r, args.side, rank)
-    _emit(render(payload, cfg.fmt), args.out)
-    return 0
+    src, r, side = parse_bipartition(args.src), args.r, args.side
+    rank = cfg.rank if cfg.rank else sum(src[0]) + sum(src[1]) + r
+    return _serve_cached("mirabolic", {"src": bplabel(src), "r": r, "side": side, "N": rank},
+                         lambda: mirabolic_payload(src, r, side, rank), args, cfg)
 
 
 def _cmd_green(args: argparse.Namespace, cfg: RunConfig) -> int:
-    payload = green_payload(cfg.n, _field_size(args, cfg))
-    _emit(render(payload, cfg.fmt), args.out)
-    return 0
+    n, q = cfg.n, _field_size(args, cfg)
+    return _serve_cached("green", {"n": n, "q": q},
+                         lambda: green_payload(n, q), args, cfg)
 
 
 def _cmd_iwahori(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -750,7 +737,7 @@ def _cmd_iwahori(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise UsageError(f"period must be at least 2, got {args.N}")
     N, window = args.N, cfg.window
     return _serve_cached("iwahori", {"N": N, "window": window},
-                         lambda: iwahori_payload(N, window, cfg), args, cfg)
+                         lambda: iwahori_payload(N, window), args, cfg)
 
 
 def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:

@@ -271,16 +271,6 @@ class LaurentPoly(_Poly):
     def support(self) -> list[int]:
         return sorted(self._c)
 
-    def min_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self._c)
-
-    def max_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._c)
-
     def _negative_power(self, n: int) -> "LaurentPoly":
         mono = self.as_monomial()
         if mono is None or mono[1] not in (1, -1):
@@ -499,6 +489,3 @@ def gauss_binomial(n: int, k: int) -> QPoly:
     if k == 0 or k == n:
         return QPoly.one()
     return gauss_binomial(n - 1, k - 1) + QPoly.q_power(k) * gauss_binomial(n - 1, k)
-
-
-DEFAULT_PRIMES = (2, 3, 5, 7, 11)

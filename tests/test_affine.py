@@ -20,7 +20,6 @@ from mirahall.affine import (
     validate,
 )
 from mirahall.checks import apply_ts, bruhat_leq, h_basis_check, hecke_quadratic_check
-from mirahall.config import RunConfig
 from mirahall.errors import (
     ComponentMismatch,
     Incompatible,
@@ -211,7 +210,7 @@ def test_closed_ts_action_matches_count_period4():
             _assert_served_is_counted(x, i)
 
 
-def test_served_products_make_no_count(monkeypatch, tmp_path):
+def test_served_products_make_no_count(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the serving path reached the counting oracle")
 
@@ -220,8 +219,7 @@ def test_served_products_make_no_count(monkeypatch, tmp_path):
     monkeypatch.setattr(oracle, "_classify_core", forbidden)
     monkeypatch.setattr(oracle, "_ts_counts", forbidden)
     monkeypatch.setattr(oracle, "interpolate", forbidden)
-    cfg = RunConfig(cache_dir=str(tmp_path / "cache"))
-    payload = cli.iwahori_payload(2, 2, cfg)
+    payload = cli.iwahori_payload(2, 2)
     assert len(payload["products"]) == 2 * len(universe(2))
     for args, i in PERIOD3_SPOTS:
         assert pattern_check(validate(*args), i) in range(1, 6)
@@ -331,7 +329,7 @@ ROUND_TRIP = ("_beta_from_jumps", "_label_from_jumps", "_predicted_jumps",
               "_window", "_retry", "_bounds", "jump_line_classes")
 
 
-def test_serving_never_rebuilds_labels(monkeypatch, tmp_path):
+def test_serving_never_rebuilds_labels(monkeypatch):
     for name in ROUND_TRIP + ("_match_template", "_marked_top", "_GROW_STEPS"):
         assert not hasattr(affine, name), name
 
@@ -342,8 +340,7 @@ def test_serving_never_rebuilds_labels(monkeypatch, tmp_path):
     affine._line_classes.cache_clear()
     for name in ROUND_TRIP:
         monkeypatch.setattr(oracle, name, forbidden)
-    cfg = RunConfig(cache_dir=str(tmp_path / "cache"))
-    payload = cli.iwahori_payload(3, 2, cfg)
+    payload = cli.iwahori_payload(3, 2)
     assert len(payload["products"]) == 3 * len(universe(3))
     with pytest.raises(AssertionError):
         oracle.rep_roundtrip(validate((1, 2), 0))

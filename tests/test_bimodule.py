@@ -306,31 +306,3 @@ def test_c_bipartition_rank_guard():
         c_bipartition((1, 1, 1), (), 2)
     with pytest.raises(RankTooSmall):
         c_bipartition((), (1, 1, 1), 2)
-
-
-def test_mirelt_json_round_shape():
-    import json
-
-    m = u_bip(((1,), ()), 2) + q * u_bip(((), (1,)), 2)
-    doc = json.loads(m.to_json())
-    assert doc["rank"] == 2
-    labels = {tuple(map(tuple, t["label"])) for t in doc["terms"]}
-    assert labels == {((1,), ()), ((), (1,))}
-    by_label = {tuple(map(tuple, t["label"])): t["coeff"] for t in doc["terms"]}
-    assert by_label[((), (1,))] == [[2, 1]]
-
-
-def test_pi_table_json_shape():
-    import json
-
-    doc = json.loads(pi_table(2, 2).to_json())
-    assert doc["n"] == 2 and doc["N"] == 2
-    assert [tuple(map(tuple, bp)) for bp in doc["order"]] == list(
-        (X1, X2, X3, X4, X5)
-    )
-    assert len(doc["diag_units"]) == 5
-    cells = {
-        (tuple(map(tuple, c["row"])), tuple(map(tuple, c["col"]))): c["coeff"]
-        for c in doc["calibrated"]
-    }
-    assert cells[(X5, X1)] == [[-4, 1]]

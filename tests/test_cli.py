@@ -127,22 +127,28 @@ def test_cache_entries_land_in_env_dir(tmp_path, capsys):
     assert list(other.glob("pi-*.json"))
 
 
-def test_stale_cache_entry_is_ignored(tmp_path, capsys):
-    _, first = run(capsys, "pi", "--n", "1", "--N", "1")
-    _, csv_cold = run(capsys, "pi", "--n", "1", "--N", "1", "--format", "csv",
-                      "--cache-dir", str(tmp_path / "other"))
-    directory = tmp_path / "cache"
-    entries = list(directory.glob("pi-*.json"))
+def _stale_every_entry(directory: Path, kind: str) -> None:
+    """Give each of the payload and the artifact entry of `kind` a stale
+    tag, and alter what each would serve."""
+    entries = list(directory.glob(f"{kind}-*.json"))
     assert len(entries) == 2
-    # stale every entry, and alter what each would serve
     for entry in entries:
         data = json.loads(entry.read_text())
         data["tag"] = "0.0.0-stale"
         if isinstance(data["payload"], str):
             data["payload"] = "altered artifact\n"
         else:
-            data["payload"]["calibrated"] = []
+            data["payload"] = {k: [] if isinstance(v, list) else v
+                               for k, v in data["payload"].items()}
         entry.write_text(json.dumps(data))
+
+
+def test_stale_cache_entry_is_ignored(tmp_path, capsys):
+    _, first = run(capsys, "pi", "--n", "1", "--N", "1")
+    _, csv_cold = run(capsys, "pi", "--n", "1", "--N", "1", "--format", "csv",
+                      "--cache-dir", str(tmp_path / "other"))
+    directory = tmp_path / "cache"
+    _stale_every_entry(directory, "pi")
     # and plant a stale csv artifact with altered text where this code
     # looks for it
     planted = cache.store("pi", {"n": 1, "N": 1, "format": "csv"}, "altered\n",
@@ -153,6 +159,12 @@ def test_stale_cache_entry_is_ignored(tmp_path, capsys):
     for _ in range(2):
         assert run(capsys, "pi", "--n", "1", "--N", "1") == (0, first)
         assert run(capsys, "pi", "--n", "1", "--N", "1", "--format", "csv") == (0, csv_cold)
+    # the same of a right mirabolic column
+    right = ("mirabolic", "--src", "2|1", "--r", "1", "--side", "right")
+    _, right_cold = run(capsys, *right)
+    _stale_every_entry(directory, "mirabolic")
+    for _ in range(2):
+        assert run(capsys, *right) == (0, right_cold)
     # each stale entry was replaced by this code's
     assert {json.loads(p.read_text())["tag"] for p in directory.iterdir()} == {cache.code_tag()}
     # the tag is a digest of the package source: one changed byte in one
@@ -304,12 +316,14 @@ def test_iwahori_mult_cases(capsys):
     assert out == again
 
 
-def test_verify_single_suite_deterministic(capsys):
+def test_verify_single_suite_deterministic(tmp_path, capsys):
     code, first = run(capsys, "verify", "--suite", "rho")
     assert code == 0
     code2, second = run(capsys, "verify", "--suite", "rho")
     assert code2 == 0
     assert first == second
+    # the check always runs: it neither reads nor writes the cache
+    assert not (tmp_path / "cache").exists()
     payload = json.loads(first)
     assert payload["passed"] is True
     assert all(c["passed"] for c in payload["checks"])
@@ -343,16 +357,20 @@ def test_partition_parsing():
         cli.parse_bipartition("2,1")
 
 
-# the cached kinds at small sizes
-CACHED_ARGV = (
-    ("pi", "--n", "2"),
-    ("mhl", "--n", "2"),
-    ("trace", "--n", "2", "--q", "3"),
-    ("iwahori", "mult", "--N", "2", "--window", "1"),
-)
+# every cached kind at small sizes
+CACHED_ARGV = {
+    "pi": ("pi", "--n", "2"),
+    "mhl": ("mhl", "--n", "2"),
+    "trace": ("trace", "--n", "2", "--q", "3"),
+    "hall": ("hall", "--x", "2,1", "--y", "1"),
+    "mirabolic-left": ("mirabolic", "--src", "1|1", "--r", "1"),
+    "mirabolic-right": ("mirabolic", "--src", "2|1", "--r", "1", "--side", "right"),
+    "green": ("green", "--n", "2", "--q", "3"),
+    "iwahori": ("iwahori", "mult", "--N", "2", "--window", "1"),
+}
 
 
-@pytest.mark.parametrize("argv", CACHED_ARGV, ids=lambda a: a[0])
+@pytest.mark.parametrize("argv", CACHED_ARGV.values(), ids=CACHED_ARGV)
 def test_every_order_of_formats_serves_the_cold_bytes(tmp_path, capsys, monkeypatch, argv):
     formats = ("json", "csv", "latex")
     cold = {}
@@ -464,6 +482,27 @@ def test_cost_guard_refuses_large_tables_fast(capsys, argv):
     assert code == 1
     assert "CostGuard" in captured.err and captured.out == ""
     assert elapsed < 1.0
+
+
+def test_mhl_rank_below_the_size_is_a_usage_error(capsys, monkeypatch):
+    # pi serves the same size and rank
+    code, out = run(capsys, "pi", "--n", "5", "--N", "2")
+    assert code == 0 and json.loads(out)["N"] == 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mhl below its size reached a table or a guard")
+
+    for name in ("pi_table", "mhl_poly", "_basis_in_tensor"):
+        monkeypatch.setattr(bimodule, name, refuse)
+    monkeypatch.setattr(cli, "check_cost", refuse)
+    for n, rank in (("5", "2"), ("12", "2"), ("2", "1")):
+        start = time.perf_counter()
+        code = cli.main(["mhl", "--n", n, "--N", rank])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "mhl needs --N >= n" in captured.err
+        assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("argv", [
@@ -611,7 +650,7 @@ def _clear_caches():
                 obj.cache_clear()
 
 
-def test_serving_path_never_runs_the_antisymmetriser(tmp_path, monkeypatch):
+def test_serving_path_never_runs_the_antisymmetriser(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the serving path reached the antisymmetriser")
 
@@ -620,11 +659,10 @@ def test_serving_path_never_runs_the_antisymmetriser(tmp_path, monkeypatch):
         for name in ("hl_schur_coefficients", "_kostka_table"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    cfg = RunConfig(cache_dir=str(tmp_path / "cache"))
     try:
-        assert len(cli.pi_payload(5, 5, cfg)["order"]) == 36
-        assert len(cli.mhl_payload(3, 3, cfg)["entries"]) == 10
-        assert len(cli.trace_payload(3, 3, cfg)["order"]) == 10
+        assert len(cli.pi_payload(5, 5)["order"]) == 36
+        assert len(cli.mhl_payload(3, 3)["entries"]) == 10
+        assert len(cli.trace_payload(3, 3)["order"]) == 10
     finally:
         _clear_caches()
 
@@ -646,14 +684,14 @@ def test_json_text_matches_the_standard_library(tree):
 def test_json_text_on_every_payload_kind(tmp_path):
     cfg = RunConfig(cache_dir=str(tmp_path / "cache"), max_n=2)
     payloads = [
-        cli.pi_payload(3, 3, cfg),
-        cli.mhl_payload(2, 2, cfg),
-        cli.trace_payload(2, 3, cfg),
+        cli.pi_payload(3, 3),
+        cli.mhl_payload(2, 2),
+        cli.trace_payload(2, 3),
         cli.hall_payload((2,), (1,), 2),
         cli.mirabolic_payload(((1,), (1,)), 1, "left", 3),
         cli.mirabolic_payload(((1,), ()), 1, "right", 3),
         cli.green_payload(2, 3),
-        cli.iwahori_payload(2, 1, cfg),
+        cli.iwahori_payload(2, 1),
         cli.verify_payload(["census"], cfg),
         {"empty_list": [], "empty_dict": {}, "nested": [[], {}, [{}]], "none": None},
     ]

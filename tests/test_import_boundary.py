@@ -12,11 +12,12 @@ the request itself loads them.
 The exact kernel (`laurent`, `partitions`) and the table modules
 (TABLE_MODULES) are registered lazily by `mirahall.cli`: each is in
 `sys.modules` from import on, and its body runs at its first attribute
-access.  A request served from a stored artifact and `--help` are
-checked to run none of them; a request served from a stored payload,
-a request refused by a cost guard, and a cold `iwahori mult` (which
-needs only `affine` and `laurent`) to leave the table modules they do
-not need unrun.
+access.  A request served from a stored artifact, `--help` and an
+`mhl` below its size (a usage error) are checked to run none of them;
+a request served from a stored payload (which skips the cost guard and
+so runs no `partitions`), a request refused by a cost guard, and a cold
+`iwahori mult` (which needs only `affine` and `laurent`) to leave the
+table modules they do not need unrun.
 """
 
 from __future__ import annotations
@@ -104,13 +105,14 @@ with open(sys.argv[1], "w") as fh:
 ALL_LAZY = {name: "lazy" for name in LAZY_MODULES}
 
 
-CACHED = [workloads.with_format(a, f) for a in workloads.CACHED_TABLES for f in workloads.FORMATS]
+# every table request is cached
+CACHED = [workloads.with_format(a, f) for a in workloads.COLD_TABLES for f in workloads.FORMATS]
 
 
 @pytest.fixture(scope="module")
 def filled_cache(tmp_path_factory):
-    """A cache holding every cached table's payload and its artifact in
-    every format."""
+    """A cache holding every table's payload and its artifact in every
+    format."""
     cache_dir = tmp_path_factory.mktemp("filled") / "cache"
     for argv in CACHED:
         assert _run(STATES, argv, cache_dir)["code"] == 0
@@ -124,32 +126,37 @@ def test_cached_request_runs_no_table_module(argv, filled_cache):
 
 @pytest.fixture(scope="module")
 def payload_cache(tmp_path_factory):
-    """A cache holding every cached table's payload and its json artifact."""
+    """A cache holding every table's payload and its json artifact."""
     cache_dir = tmp_path_factory.mktemp("payload") / "cache"
-    for argv in workloads.CACHED_TABLES:
+    for argv in workloads.COLD_TABLES:
         assert _run(STATES, workloads.with_format(argv, "json"), cache_dir)["code"] == 0
     return cache_dir
 
 
 @pytest.mark.parametrize(
     "argv",
-    [workloads.with_format(a, f) for a in workloads.CACHED_TABLES for f in ("csv", "latex")],
+    [workloads.with_format(a, f) for a in workloads.COLD_TABLES for f in ("csv", "latex")],
     ids=" ".join,
 )
 def test_payload_hit_runs_no_table_module(argv, payload_cache):
     before = set(payload_cache.iterdir())
     got = _run(STATES, argv, payload_cache)
-    # the render reads laurent; the cost guard of pi, mhl and trace
-    # counts labels in partitions
-    partitions = "lazy" if argv[0] == "iwahori" else "ran"
-    assert got == {"code": 0,
-                   "states": dict(ALL_LAZY, laurent="ran", partitions=partitions)}
+    # the render reads laurent, but not for green's text cells; the cost
+    # guard runs only when the payload misses too, so partitions is unrun
+    laurent = "lazy" if argv[0] == "green" else "ran"
+    assert got == {"code": 0, "states": dict(ALL_LAZY, laurent=laurent)}
     # an artifact miss: this request stored its artifact
     assert len(set(payload_cache.iterdir()) - before) == 1
 
 
 def test_help_runs_no_lazy_module(tmp_path):
     assert _run(STATES, ("--help",), tmp_path / "cache") == {"code": 0, "states": ALL_LAZY}
+
+
+def test_mhl_below_its_size_runs_no_lazy_module(tmp_path):
+    # a usage error, raised before the cost guard
+    got = _run(STATES, ("mhl", "--n", "5", "--N", "2"), tmp_path / "cache")
+    assert got == {"code": 2, "states": ALL_LAZY}
 
 
 REFUSED = (
