@@ -687,6 +687,9 @@ def _serve_cached(kind: str, params: dict, build, args: argparse.Namespace,
             payload = build()
             cache.store(kind, params, payload, cfg.cache_dir)
         text = render(payload, cfg.fmt)
+        # the tree goes before the artifact's store makes its escaped copy
+        # of the text, so the peak holds no more than one of the two
+        del payload
         cache.store(kind, key, text, cfg.cache_dir)
     _emit(text, args.out)
     return 0
