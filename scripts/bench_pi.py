@@ -10,7 +10,8 @@ Each cold request runs once, as one fresh process that runs
 empty `--cache-dir`, so every table is built from scratch.  For each
 the record keeps the wall time, the process's own peak resident size
 (`VmHWM` from `/proc/self/status`, read by the process as it exits),
-its exit code and the sha256 of its stdout.  Records without
+its exit code, the sha256 of its stdout, and the number and total bytes
+of the files it left in its cache directory.  Records without
 `"peak_rss": "VmHWM"` took the `ru_maxrss` that `os.wait4` returns,
 which for a forked child starts from the harness's own size, so their
 small requests read as the harness (about 45 MB) and not as themselves.
@@ -20,7 +21,7 @@ WARM_LAUNCHES import-only launches (`mirahall --help`), of as many
 cached `pi --n 4` requests and of as many cached `iwahori mult --N 2
 --format latex` requests (the heaviest render among the cached tables;
 its cache is filled once in json, so the first of them renders from the
-stored payload), taken in turn so that a slow spell of the
+stored json artifact), taken in turn so that a slow spell of the
 host hits all three, each a fresh process that writes no bytecode
 (PYTHONDONTWRITEBYTECODE=1).  The standard library's bytecode is read
 as installed, so in a checkout with no `__pycache__` under `src/` each
@@ -113,11 +114,14 @@ def time_cold(checkout: Path, args: list[str]) -> dict:
             wall = time.perf_counter() - start
         digest = hashlib.sha256(Path(out_path).read_bytes()).hexdigest()
         peak_kb = int(Path(hwm_path).read_text())
+        stored = [p.stat().st_size for p in Path(tmp, "cache").glob("*")]
     return {
         "wall_s": round(wall, 3),
         "peak_rss_mb": round(peak_kb / 1024, 1),
         "exit": code,
         "sha256": digest,
+        "cache_files": len(stored),
+        "cache_bytes": sum(stored),
     }
 
 

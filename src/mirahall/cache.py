@@ -1,15 +1,13 @@
-"""Keyed store for computed tables and their rendered artifacts.
+"""Keyed store for rendered artifacts.
 
 An entry is addressed by (module, parameters, code tag); the tag is a
-digest of the package's source files, so tables written by other code
-never satisfy a lookup, whatever its version number says.  Payloads
-are JSON trees built from strings, ints and lists, which keeps a cache
-hit byte-identical to a cold rebuild downstream.  Only
-`cli._serve_cached` reads and writes entries, for every data
-subcommand but `verify`, and keeps two kinds under one module name
-(the subcommand): the table's payload tree, keyed by the table's
-parameters, and each rendered artifact, a string keyed by the same
-parameters plus its `format`.
+digest of the package's source files, so artifacts written by other
+code never satisfy a lookup, whatever its version number says.  Each
+entry is one header line, a JSON object holding the tag, the module,
+the parameters and the body's length, followed by the artifact's exact
+text.  Only `cli._serve_cached` reads and writes entries, for every
+data subcommand but `verify`, keyed by the subcommand and the table's
+parameters plus `format`.
 """
 
 from __future__ import annotations
@@ -54,47 +52,42 @@ def default_dir() -> str:
 def _entry_path(directory: str, module: str, params: Mapping) -> str:
     blob = json.dumps([code_tag(), module, params], sort_keys=True)
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
-    return os.path.join(directory or default_dir(), f"{module}-{digest}.json")
+    return os.path.join(directory or default_dir(), f"{module}-{digest}.entry")
+
+
+def _header(module: str, params: Mapping, length: int) -> str:
+    entry = {"tag": code_tag(), "module": module, "params": params, "length": length}
+    return json.dumps(entry, sort_keys=True) + "\n"
 
 
 def load(module: str, params: Mapping, directory: str = ""):
-    """Stored payload, or None on a miss.
+    """Stored text, or None on a miss.
 
-    Mismatched tag or parameters and unreadable files all count as
-    misses; a stale or corrupt entry is never an error."""
+    A header other than this code's for `module`, `params` and the
+    body's length, and an unreadable or non-UTF-8 file, are misses; a
+    stale, cut or corrupt entry is never an error."""
     path = _entry_path(directory, module, params)
     try:
-        with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
+        with open(path, encoding="utf-8", newline="") as fh:
+            header = fh.readline()
+            text = fh.read()
     except (OSError, ValueError):
         return None
-    if not isinstance(entry, dict) or entry.get("tag") != code_tag():
-        return None
-    if entry.get("module") != module or entry.get("params") != _plain(params):
-        return None
-    return entry.get("payload")
+    return text if header == _header(module, params, len(text)) else None
 
 
-def store(module: str, params: Mapping, payload, directory: str = "") -> str:
+def store(module: str, params: Mapping, text: str, directory: str = "") -> str:
     """Write the entry through a temporary file in the cache directory,
     renamed into place, and return its path; the temporary file is
     removed on every failure."""
     path = _entry_path(directory, module, params)
-    entry = {
-        "tag": code_tag(),
-        "module": module,
-        "params": _plain(params),
-        "payload": payload,
-    }
-    # json.dumps encodes in C; json.dump would stream the entry through
-    # the pure-Python encoder.  A payload it cannot encode raises here,
-    # before any file exists.
-    text = json.dumps(entry, sort_keys=True)
+    header = _header(module, params, len(text))
     tmp = None
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(header)
             fh.write(text)
         os.replace(tmp, path)
         tmp = None
@@ -107,8 +100,3 @@ def store(module: str, params: Mapping, payload, directory: str = "") -> str:
             except OSError:
                 pass
     return path
-
-
-def _plain(value):
-    """Round-trip through JSON so tuples compare equal to stored lists."""
-    return json.loads(json.dumps(value))

@@ -5,18 +5,16 @@ produces the same bytes, whether the table came out of the cache or was
 rebuilt.  Exit codes: 0 computed or verified, 1 a verification failed,
 2 bad usage.
 
-Every subcommand but `verify` serves through `_serve_cached`, from the
-cache in two tiers.  The rendered artifact is stored per format, keyed
-by the table's parameters plus `format`, and a hit is written out as
-stored.  On a miss the payload entry (the table's JSON tree, keyed by
-its parameters, so a new format of a cached table is rendered without
-a rebuild) is read, or the payload builder runs and its tree is
-stored; then the text is rendered once and stored.  The payload
-builders (`pi_payload` ... `iwahori_payload`) are pure: cost guard,
-then table build, then JSON tree.  So a guard runs only when both
-tiers miss, which changes no verdict: an entry under this code tag
-exists only for input this same code accepted.  `verify` is the check
-itself and always runs.
+Every subcommand but `verify` serves through `_serve_cached`, from one
+cache of rendered artifacts, each keyed by the table's parameters plus
+`format`; a hit is written out as stored.  On a miss the requested
+format is rendered from the parsed json artifact or, when that misses
+too, from the payload builder's tree, which is then also stored as the
+json artifact.  The payload builders (`pi_payload` ...
+`iwahori_payload`) are pure: cost guard, then table build, then JSON
+tree.  So a guard runs only when the json artifact misses, which
+changes no verdict: an entry under this code tag exists only for input
+this same code accepted.  `verify` is the check itself and always runs.
 
 A request runs only the code it reaches.  The exact kernel (`laurent`,
 `partitions`) and the table modules (`affine`, `bimodule`,
@@ -25,11 +23,11 @@ A request runs only the code it reaches.  The exact kernel (`laurent`,
 at its first attribute access.  The cost guards live here, and those
 of `green` and `hall` in `costs`, which this module imports only for
 those two requests.  So an artifact hit runs only `mirahall`,
-`errors`, `config`, `cache` and this module, a payload hit at most
-`laurent` besides (for the render), and a refused request no table
-module.  The suites behind `verify` live in `checks`, which this
-module imports only when `verify_payload` runs, so a serving request
-never loads them or the counting oracles.
+`errors`, `config`, `cache` and this module, a request served from the
+json artifact at most `laurent` besides (for the render), and a
+refused request no table module.  The suites behind `verify` live in
+`checks`, which this module imports only when `verify_payload` runs,
+so a serving request never loads them or the counting oracles.
 """
 
 from __future__ import annotations
@@ -165,13 +163,13 @@ def check_cost(n: int, rank: int | None = None) -> None:
     """Refuse a size whose tables would take too long to build, judged
     by label counts before any table work: the labels of the table (at
     most `rank` rows per component; every label of size n without
-    `rank`) and every label of size n."""
-    count = partitions.bipartition_count(n, rank)
+    `rank`) and every label of size n, each count stopped past its budget."""
+    count = partitions.bipartition_count(n, rank, MAX_LABELS)
     if count > MAX_LABELS:
         at = f"n={n}" if rank is None or rank >= n else f"n={n}, N={rank}"
         raise CostGuard(
-            f"tables at {at} have {count} labels, above the budget of "
-            f"{MAX_LABELS}"
+            f"tables at {at} have at least {count} labels, above the budget "
+            f"of {MAX_LABELS}"
         )
     check_size_cost(n)
 
@@ -179,10 +177,10 @@ def check_cost(n: int, rank: int | None = None) -> None:
 def check_size_cost(n: int) -> None:
     """Refuse a size with more than MAX_SIZE_LABELS labels in all, the
     ceiling of every `pi`, `mhl`, `trace` and `mirabolic` request."""
-    total = partitions.bipartition_count(n)
+    total = partitions.bipartition_count(n, cap=MAX_SIZE_LABELS)
     if total > MAX_SIZE_LABELS:
         raise CostGuard(
-            f"size n={n} has {total} labels, above the budget of "
+            f"size n={n} has at least {total} labels, above the budget of "
             f"{MAX_SIZE_LABELS} at any rank"
         )
 
@@ -674,22 +672,26 @@ def _field_size(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _serve_cached(kind: str, params: dict, build, args: argparse.Namespace,
                   cfg: RunConfig) -> int:
-    """Emit the stored artifact of `kind` at `params` in the requested
-    format.  On a miss, read the payload entry at `params`, or run
-    `build()` (cost guard, table build) and store its payload; then
-    render once and store the text as the artifact entry, keyed by
-    `params` plus the format."""
+    """Emit the stored artifact of `kind` at `params` plus the requested
+    format.  On a miss, render it from the parsed json artifact, or from
+    `build()` (cost guard, table build), whose json artifact is then
+    rendered and stored too; then store it."""
     key = {**params, "format": cfg.fmt}
     text = cache.load(kind, key, cfg.cache_dir)
-    if not isinstance(text, str):
-        payload = cache.load(kind, params, cfg.cache_dir)
-        if not isinstance(payload, dict):
-            payload = build()
-            cache.store(kind, params, payload, cfg.cache_dir)
-        text = render(payload, cfg.fmt)
-        # the tree goes before the artifact's store makes its escaped copy
-        # of the text, so the peak holds no more than one of the two
-        del payload
+    if text is None:
+        json_key = {**params, "format": "json"}
+        stored = None if key == json_key else cache.load(kind, json_key, cfg.cache_dir)
+        if stored is None:
+            tree = build()
+            text = render(tree, cfg.fmt)
+            if key != json_key:
+                # rendered second: the pieces this render frees would
+                # leave gaps that the requested render grows past
+                cache.store(kind, json_key, render(tree, "json"), cfg.cache_dir)
+        else:
+            tree = json.loads(stored)
+            del stored  # not held through the render
+            text = render(tree, cfg.fmt)
         cache.store(kind, key, text, cfg.cache_dir)
     _emit(text, args.out)
     return 0

@@ -187,16 +187,20 @@ def partition_counts(n: int, rows: int | None = None, cap: int | None = None) ->
     return ways
 
 
-def bipartition_count(n: int, rows: int | None = None) -> int:
+def bipartition_count(n: int, rows: int | None = None, cap: int | None = None) -> int:
     """len(bipartitions_of(n)), without listing them; with `rows`, only
-    the labels whose two partitions have at most `rows` rows each.
+    the labels whose two partitions have at most `rows` rows each.  With
+    `cap` the count may stop once it passes `cap`, so a result above
+    `cap` is only a lower bound.
 
     >>> bipartition_count(2), bipartition_count(2, 1)
     (5, 3)
     """
     if n < 0:
         return 0
-    ways = partition_counts(n, rows)
+    if cap is not None and n >= cap and rows != 0:
+        return n + 1  # the labels (k)|(n - k) alone, which fit any rows
+    ways = partition_counts(n, rows, cap)
     return sum(ways[k] * ways[n - k] for k in range(n + 1))
 
 

@@ -115,32 +115,42 @@ def test_cold_and_cached_runs_identical(capsys):
     assert cells[("()|(1,1)", "(1)|(1)")] == QPoly.q_power(1) + 1
 
 
+def _read_entry(path) -> tuple[dict, str]:
+    """The parsed header line and the exact body of a cache entry."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return json.loads(fh.readline()), fh.read()
+
+
+def _write_entry(path, header: dict, body: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n" + body)
+
+
 def test_cache_entries_land_in_env_dir(tmp_path, capsys):
-    run(capsys, "pi", "--n", "1", "--N", "1")
-    entries = list((tmp_path / "cache").glob("pi-*.json"))
-    # one payload entry and one artifact entry, told apart by their params
-    params = sorted((json.loads(p.read_text())["params"] for p in entries), key=len)
-    assert params == [{"n": 1, "N": 1}, {"n": 1, "N": 1, "format": "json"}]
-    # flag beats the environment
+    _, out = run(capsys, "pi", "--n", "1", "--N", "1", "--format", "csv")
+    entries = [_read_entry(p) for p in (tmp_path / "cache").iterdir()]
+    # a cold csv request stores the json artifact and its own, nothing else
+    params = sorted((header["params"] for header, _ in entries), key=lambda p: p["format"])
+    assert params == [{"n": 1, "N": 1, "format": "csv"}, {"n": 1, "N": 1, "format": "json"}]
+    bodies = {header["params"]["format"]: body for header, body in entries}
+    assert bodies["csv"] == out
+    assert json.loads(bodies["json"])["kind"] == "pi"
+    # flag beats the environment; a cold json request stores one entry
     other = tmp_path / "elsewhere"
     run(capsys, "pi", "--n", "1", "--N", "1", "--cache-dir", str(other))
-    assert list(other.glob("pi-*.json"))
+    assert len(list(other.iterdir())) == 1
 
 
-def _stale_every_entry(directory: Path, kind: str) -> None:
-    """Give each of the payload and the artifact entry of `kind` a stale
-    tag, and alter what each would serve."""
-    entries = list(directory.glob(f"{kind}-*.json"))
-    assert len(entries) == 2
+def _stale_every_entry(directory: Path, kind: str, count: int) -> None:
+    """Give each of the `count` entries of `kind` a stale tag, and alter
+    what each would serve, its length kept true."""
+    entries = list(directory.glob(f"{kind}-*"))
+    assert len(entries) == count
     for entry in entries:
-        data = json.loads(entry.read_text())
-        data["tag"] = "0.0.0-stale"
-        if isinstance(data["payload"], str):
-            data["payload"] = "altered artifact\n"
-        else:
-            data["payload"] = {k: [] if isinstance(v, list) else v
-                               for k, v in data["payload"].items()}
-        entry.write_text(json.dumps(data))
+        header, _ = _read_entry(entry)
+        body = "altered artifact\n"
+        header.update(tag="0.0.0-stale", length=len(body))
+        _write_entry(entry, header, body)
 
 
 def test_stale_cache_entry_is_ignored(tmp_path, capsys):
@@ -148,28 +158,27 @@ def test_stale_cache_entry_is_ignored(tmp_path, capsys):
     _, csv_cold = run(capsys, "pi", "--n", "1", "--N", "1", "--format", "csv",
                       "--cache-dir", str(tmp_path / "other"))
     directory = tmp_path / "cache"
-    _stale_every_entry(directory, "pi")
-    # and plant a stale csv artifact with altered text where this code
-    # looks for it
-    planted = cache.store("pi", {"n": 1, "N": 1, "format": "csv"}, "altered\n",
-                          str(directory))
-    data = json.loads(Path(planted).read_text())
-    data["tag"] = "0.0.0-stale"
-    Path(planted).write_text(json.dumps(data))
+    # and plant a csv artifact with altered text where this code looks
+    # for it, then stale both
+    cache.store("pi", {"n": 1, "N": 1, "format": "csv"}, "altered\n", str(directory))
+    _stale_every_entry(directory, "pi", 2)
     for _ in range(2):
         assert run(capsys, "pi", "--n", "1", "--N", "1") == (0, first)
         assert run(capsys, "pi", "--n", "1", "--N", "1", "--format", "csv") == (0, csv_cold)
     # the same of a right mirabolic column
     right = ("mirabolic", "--src", "2|1", "--r", "1", "--side", "right")
     _, right_cold = run(capsys, *right)
-    _stale_every_entry(directory, "mirabolic")
+    _stale_every_entry(directory, "mirabolic", 1)
     for _ in range(2):
         assert run(capsys, *right) == (0, right_cold)
     # each stale entry was replaced by this code's
-    assert {json.loads(p.read_text())["tag"] for p in directory.iterdir()} == {cache.code_tag()}
+    entries = [_read_entry(p) for p in directory.iterdir()]
+    assert len(entries) == 3
+    assert {header["tag"] for header, _ in entries} == {cache.code_tag()}
+    assert "altered artifact\n" not in {body for _, body in entries}
     # the tag is a digest of the package source: one changed byte in one
     # module changes it, with the version string untouched
-    assert data["tag"] != cache.code_tag() == cache.source_digest()
+    assert cache.code_tag() == cache.source_digest()
     copy = tmp_path / "pkg"
     copy.mkdir()
     for src in Path(cache.PACKAGE_DIR).glob("*.py"):
@@ -378,18 +387,24 @@ def test_every_order_of_formats_serves_the_cold_bytes(tmp_path, capsys, monkeypa
         code, cold[fmt] = run(capsys, *argv, "--format", fmt,
                               "--cache-dir", str(tmp_path / f"cold-{fmt}"))
         assert code == 0
-    rendered = []
-    render = cli.render
+    rendered, built = [], []
+    render, serve = cli.render, cli._serve_cached
     monkeypatch.setattr(cli, "render", lambda payload, fmt: rendered.append(fmt) or render(payload, fmt))
+    monkeypatch.setattr(cli, "_serve_cached", lambda kind, params, build, *rest: serve(
+        kind, params, lambda: built.append(kind) or build(), *rest))
     for i, order in enumerate(itertools.permutations(formats)):
         directory = str(tmp_path / f"order-{i}")
         for fmt in order:
-            # cold or from the payload, then from the artifact
+            # cold or from the json artifact, then from its own
             for _ in range(2):
                 assert run(capsys, *argv, "--format", fmt, "--cache-dir", directory) == (0, cold[fmt])
-        # one payload entry and one artifact per format
-        assert len(os.listdir(directory)) == 1 + len(formats)
-    assert rendered == [fmt for order in itertools.permutations(formats) for fmt in order]
+        # one artifact per format, and one build
+        assert len(os.listdir(directory)) == len(formats)
+        assert len(built) == i + 1
+    # each format rendered once per order; a cold csv or latex request
+    # renders its own format, then the json artifact
+    assert rendered == [fmt for first, *rest in itertools.permutations(formats)
+                        for fmt in (first, *sorted(rest, key=lambda f: f != "json"))]
 
 
 @pytest.mark.parametrize("params", [
@@ -401,12 +416,30 @@ def test_artifact_with_other_params_is_a_miss(tmp_path, capsys, params):
     _, first = run(capsys, "pi", "--n", "2", "--format", "json")
     path = cache._entry_path(str(tmp_path / "cache"), "pi",
                              {"n": 2, "N": 2, "format": "json"})
-    data = json.loads(Path(path).read_text())
-    assert data["payload"] == first
-    data["params"] = params
-    data["payload"] = "altered\n"
-    Path(path).write_text(json.dumps(data))
+    header, body = _read_entry(path)
+    assert body == first
+    header.update(params=params, length=len("altered\n"))
+    _write_entry(path, header, "altered\n")
     assert run(capsys, "pi", "--n", "2", "--format", "json") == (0, first)
+    assert _read_entry(path)[1] == first
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("damage", ["cut", "appended", "not-utf8"])
+def test_damaged_entry_is_a_miss(tmp_path, capsys, damage, fmt):
+    argv = ("pi", "--n", "2", "--format", fmt)
+    _, cold = run(capsys, *argv)
+    path = Path(cache._entry_path(str(tmp_path / "cache"), "pi",
+                                  {"n": 2, "N": 2, "format": fmt}))
+    good = path.read_bytes()
+    if damage == "cut":  # the body one character short
+        path.write_bytes(good[:-1])
+    elif damage == "appended":
+        path.write_bytes(good + b"x")
+    else:  # one byte of the body no longer UTF-8, the length kept
+        path.write_bytes(good[:-2] + b"\xff" + good[-1:])
+    assert run(capsys, *argv) == (0, cold)
+    assert path.read_bytes() == good
 
 
 class _FullDisk:
@@ -436,22 +469,29 @@ def test_failed_store_leaves_no_temp_file(tmp_path, monkeypatch, fails):
         fdopen = os.fdopen
         monkeypatch.setattr(cache.os, "fdopen", lambda *a, **k: _FullDisk(fdopen(*a, **k)))
     with pytest.raises(IOFailure):
-        cache.store("thing", {"a": 1}, {"rows": [1, 2]}, str(tmp_path))
+        cache.store("thing", {"a": 1}, "rows\n", str(tmp_path))
     monkeypatch.undo()
     assert list(tmp_path.iterdir()) == []
 
 
 def test_unencodable_payload_leaves_no_temp_file(tmp_path):
+    # a lone surrogate has no UTF-8 form; params JSON cannot encode
+    with pytest.raises(UnicodeEncodeError):
+        cache.store("thing", {"a": 1}, "rows \ud800\n", str(tmp_path))
     with pytest.raises(TypeError):
-        cache.store("thing", {"a": 1}, {"rows": {1, 2}}, str(tmp_path))
+        cache.store("thing", {"a": {1, 2}}, "rows\n", str(tmp_path))
     assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_round_trip_api(tmp_path):
     directory = str(tmp_path)
+    text = 'a,"b"\r\n\\sqrt{q} \u00e4\n\r'
     assert cache.load("thing", {"a": 1}, directory) is None
-    cache.store("thing", {"a": 1}, {"rows": [1, 2]}, directory)
-    assert cache.load("thing", {"a": 1}, directory) == {"rows": [1, 2]}
+    cache.store("thing", {"a": 1}, text, directory)
+    assert cache.load("thing", {"a": 1}, directory) == text
+    # params compare as JSON: a tuple finds what a list stored
+    cache.store("thing", {"a": [1, 2]}, "", directory)
+    assert cache.load("thing", {"a": (1, 2)}, directory) == ""
     assert cache.load("thing", {"a": 2}, directory) is None
 
 
@@ -473,6 +513,12 @@ def test_size_zero_serves_at_rank_one(capsys, argv):
     ("pi", "--n", "12"),
     ("mhl", "--n", "12"),
     ("trace", "--n", "12", "--q", "3"),
+    # sizes far past every budget, refused without counting their labels
+    *(pytest.param(argv, id=" ".join(argv)) for argv in (
+        ("trace", "--n", "100000", "--q", "3"),
+        ("mirabolic", "--src", "1|1", "--r", "100000"),
+        ("pi", "--n", "10000000", "--N", "1"),
+    )),
 ], ids=lambda a: a[0])
 def test_cost_guard_refuses_large_tables_fast(capsys, argv):
     start = time.perf_counter()
@@ -482,6 +528,25 @@ def test_cost_guard_refuses_large_tables_fast(capsys, argv):
     assert code == 1
     assert "CostGuard" in captured.err and captured.out == ""
     assert elapsed < 1.0
+
+
+def test_cost_guard_verdicts_match_the_full_count():
+    for n in range(41):
+        total = partitions.bipartition_count(n)
+        for rank in (None, *range(1, n + 2)):
+            over = (partitions.bipartition_count(n, rank) > cli.MAX_LABELS
+                    or total > cli.MAX_SIZE_LABELS)
+            if over:
+                with pytest.raises(CostGuard):
+                    check_cost(n, rank)
+            else:
+                check_cost(n, rank)
+    # at rank 1 a size has exactly its n + 1 labels (k)|(n - k), the
+    # fewest of any rank, so the uncounted verdict at n >= budget is exact
+    for n in (298, 299, 300, 301, 1769, 1770, 1771):
+        assert partitions.bipartition_count(n, 1) == n + 1
+        for budget in (cli.MAX_LABELS, cli.MAX_SIZE_LABELS):
+            assert (partitions.bipartition_count(n, 1, budget) > budget) == (n + 1 > budget)
 
 
 def test_mhl_rank_below_the_size_is_a_usage_error(capsys, monkeypatch):
@@ -555,12 +620,14 @@ def test_iwahori_cost_guard_counts_the_candidates():
         check_universe_cost(5, 1)
 
 
-def test_cache_entry_is_one_sorted_json_document(tmp_path):
-    payload = {"rows": [1, 2], "b": {"z": [3], "a": "x"}}
-    path = cache.store("thing", {"a": 1}, payload, str(tmp_path))
-    entry = {"tag": cache.code_tag(), "module": "thing", "params": {"a": 1},
-             "payload": payload}
-    assert Path(path).read_text(encoding="utf-8") == json.dumps(entry, sort_keys=True)
+def test_cache_entry_is_a_header_line_and_the_exact_text(tmp_path):
+    text = 'x,"y"\r\n\\sqrt{q} \u00e4\n'
+    params = {"b": [2], "a": 1, "format": "csv"}
+    path = cache.store("thing", params, text, str(tmp_path))
+    header = {"tag": cache.code_tag(), "module": "thing", "params": params,
+              "length": len(text)}
+    assert Path(path).read_bytes() == (
+        json.dumps(header, sort_keys=True) + "\n" + text).encode("utf-8")
 
 
 def test_hall_cost_guard_passes_the_products_within_budget():

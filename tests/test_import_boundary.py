@@ -14,8 +14,9 @@ The exact kernel (`laurent`, `partitions`) and the table modules
 `sys.modules` from import on, and its body runs at its first attribute
 access.  A request served from a stored artifact, `--help` and an
 `mhl` below its size (a usage error) are checked to run none of them;
-a request served from a stored payload (which skips the cost guard and
-so runs no `partitions`), a request refused by a cost guard, and a cold
+a csv or latex request rendered from the stored json artifact (which
+skips the cost guard and so runs no `partitions`), a request refused
+by a cost guard, and a cold
 `iwahori mult` (which needs only `affine` and `laurent`) to leave the
 table modules they do not need unrun.
 """
@@ -111,11 +112,11 @@ CACHED = [workloads.with_format(a, f) for a in workloads.COLD_TABLES for f in wo
 
 @pytest.fixture(scope="module")
 def filled_cache(tmp_path_factory):
-    """A cache holding every table's payload and its artifact in every
-    format."""
+    """A cache holding every table's artifact in every format."""
     cache_dir = tmp_path_factory.mktemp("filled") / "cache"
     for argv in CACHED:
         assert _run(STATES, argv, cache_dir)["code"] == 0
+    assert len(list(cache_dir.iterdir())) == len(CACHED)
     return cache_dir
 
 
@@ -125,11 +126,12 @@ def test_cached_request_runs_no_table_module(argv, filled_cache):
 
 
 @pytest.fixture(scope="module")
-def payload_cache(tmp_path_factory):
-    """A cache holding every table's payload and its json artifact."""
-    cache_dir = tmp_path_factory.mktemp("payload") / "cache"
+def json_artifact_cache(tmp_path_factory):
+    """A cache holding every table's json artifact and nothing else."""
+    cache_dir = tmp_path_factory.mktemp("json-artifact") / "cache"
     for argv in workloads.COLD_TABLES:
         assert _run(STATES, workloads.with_format(argv, "json"), cache_dir)["code"] == 0
+    assert len(list(cache_dir.iterdir())) == len(workloads.COLD_TABLES)
     return cache_dir
 
 
@@ -138,15 +140,16 @@ def payload_cache(tmp_path_factory):
     [workloads.with_format(a, f) for a in workloads.COLD_TABLES for f in ("csv", "latex")],
     ids=" ".join,
 )
-def test_payload_hit_runs_no_table_module(argv, payload_cache):
-    before = set(payload_cache.iterdir())
-    got = _run(STATES, argv, payload_cache)
-    # the render reads laurent, but not for green's text cells; the cost
-    # guard runs only when the payload misses too, so partitions is unrun
+def test_payload_hit_runs_no_table_module(argv, json_artifact_cache):
+    before = set(json_artifact_cache.iterdir())
+    got = _run(STATES, argv, json_artifact_cache)
+    # rendered from the parsed json artifact: the render reads laurent,
+    # but not for green's text cells; the cost guard runs only when the
+    # json artifact misses too, so partitions is unrun
     laurent = "lazy" if argv[0] == "green" else "ran"
     assert got == {"code": 0, "states": dict(ALL_LAZY, laurent=laurent)}
-    # an artifact miss: this request stored its artifact
-    assert len(set(payload_cache.iterdir()) - before) == 1
+    # an artifact miss: this request stored its own artifact
+    assert len(set(json_artifact_cache.iterdir()) - before) == 1
 
 
 def test_help_runs_no_lazy_module(tmp_path):

@@ -300,6 +300,19 @@ def test_bipartition_count():
     assert bipartition_count(-1) == 0
 
 
+def test_bipartition_count_stops_past_its_cap():
+    # exact up to the cap, and above it exactly when the full count is
+    for n in range(41):
+        for rows in (None, *range(n + 2)):
+            full = bipartition_count(n, rows)
+            for cap in (0, 1, 5, 40, 300, 1770):
+                capped = bipartition_count(n, rows, cap)
+                assert capped == full if full <= cap else capped > cap, (n, rows, cap)
+    # n >= cap is settled by the n + 1 labels (k)|(n - k), uncounted
+    assert bipartition_count(10**7, 1, 300) == 10**7 + 1
+    assert bipartition_count(300, 0, 300) == 0
+
+
 def test_xi_examples_and_guards():
     assert xi((2,), (1,)) == ((1,), (1,))
     assert xi((1,), (1,)) == ((), (1,))
