@@ -313,8 +313,6 @@ def _suite_trace(cfg: RunConfig) -> list[dict]:
     out = []
     for n in range(1, min(cfg.max_n, 3) + 1):
         for q in cfg.primes:
-            if n > 3 and q > 2:
-                continue
             def run(n=n, q=q):
                 report = fiber_oracle_check(n, q)
                 return f"{len(report['cells'])} strata-step cells"

@@ -11,21 +11,20 @@ cache of rendered artifacts, each keyed by the table's parameters plus
 format is rendered from the parsed json artifact or, when that misses
 too, from the payload builder's tree, which is then also stored as the
 json artifact.  The payload builders (`pi_payload` ...
-`iwahori_payload`) are pure: cost guard, then table build, then JSON
-tree.  So a guard runs only when the json artifact misses, which
-changes no verdict: an entry under this code tag exists only for input
-this same code accepted.  `verify` is the check itself and always runs.
+`iwahori_payload`) are pure: cost guard (in `costs`), then table
+build, then JSON tree.  So a guard runs only when the json artifact
+misses, which changes no verdict: an entry under this code tag exists
+only for input this same code accepted.  `verify` is the check itself and always runs.
 
 A request runs only the code it reaches.  The exact kernel (`laurent`,
-`partitions`) and the table modules (`affine`, `bimodule`,
-`closedform`, `hall`, `symfunc`, `traces`) are registered lazily
-(`_lazy`): each is in `sys.modules` from import on, and its body runs
-at its first attribute access.  The cost guards live here, and those
-of `green` and `hall` in `costs`, which this module imports only for
-those two requests.  So an artifact hit runs only `mirahall`,
-`errors`, `config`, `cache` and this module, a request served from the
-json artifact at most `laurent` besides (for the render), and a
-refused request no table module.  The suites behind `verify` live in
+`partitions`), the cost guards (`costs`) and the table modules
+(`affine`, `bimodule`, `closedform`, `hall`, `symfunc`, `traces`) are
+registered lazily (`_lazy`): each is in `sys.modules` from import on,
+and its body runs at its first attribute access.  So an artifact hit
+runs only `mirahall`, `errors`, `config`, `cache` and this module, a
+request served from the json artifact at most `laurent` besides (for
+the render), and a refused request `costs` (with `partitions`, for a
+label count) but no table module.  The suites behind `verify` live in
 `checks`, which this module imports only when `verify_payload` runs,
 so a serving request never loads them or the counting oracles.
 """
@@ -49,7 +48,7 @@ from .config import (
     read_config_file,
     resolve,
 )
-from .errors import CostGuard, IOFailure, MiraError, UsageError
+from .errors import IOFailure, MiraError, UsageError
 
 
 def _lazy(name: str):
@@ -71,6 +70,7 @@ def _lazy(name: str):
 
 laurent = _lazy("laurent")
 partitions = _lazy("partitions")
+costs = _lazy("costs")
 affine = _lazy("affine")
 bimodule = _lazy("bimodule")
 closedform = _lazy("closedform")
@@ -135,86 +135,11 @@ def _ilabel(x) -> dict:
     }
 
 
-# --- cost guards ----------------------------------------------------------------
-
-
-# Budgets for the tables that `pi`, `mhl` and `trace` build, checked
-# before any table work.  MAX_LABELS bounds the labels of the table
-# itself, those with at most `rank` rows per component.  Cold on a
-# 2-vCPU box, n = 8 at full rank (185 labels) took 3.4 s for `pi` and
-# 5.1 s for `mhl`, n = 9 (300 labels) 10.9 s and 154 MB for `pi` and
-# 18.7 s for `mhl`.  At n = 10 (481 labels), with the budget raised,
-# `pi` took 37.5 s and 379 MB and `mhl` 61.6 s; in one process the
-# table alone took 27 s and 171 MB, and the inversion that `mhl` adds
-# another 40 s.
-MAX_LABELS = 300
-
-# MAX_SIZE_LABELS bounds the size n, whatever the rank; a column lists
-# only the targets its step reaches, so it models no column any more.
-# Cold, with it raised: `pi --n 12 --N 1` took 0.24 s, `--n 16 --N 2`
-# 6.2 s, and a left `mirabolic --src 4,3,2,1|3,2,1 --r 10` (size 26)
-# 2.5 s.  It still holds back the right column, which reads a mirrored
-# left table far above its size: `--src 6,5|5,4 --r 8` (size 28) took
-# 16.9 s and the size-26 source above ran past 150 s.  1770 is n = 13.
-MAX_SIZE_LABELS = 1770
-
-
-def check_cost(n: int, rank: int | None = None) -> None:
-    """Refuse a size whose tables would take too long to build, judged
-    by label counts before any table work: the labels of the table (at
-    most `rank` rows per component; every label of size n without
-    `rank`) and every label of size n, each count stopped past its budget."""
-    count = partitions.bipartition_count(n, rank, MAX_LABELS)
-    if count > MAX_LABELS:
-        at = f"n={n}" if rank is None or rank >= n else f"n={n}, N={rank}"
-        raise CostGuard(
-            f"tables at {at} have at least {count} labels, above the budget "
-            f"of {MAX_LABELS}"
-        )
-    check_size_cost(n)
-
-
-def check_size_cost(n: int) -> None:
-    """Refuse a size with more than MAX_SIZE_LABELS labels in all, the
-    ceiling of every `pi`, `mhl`, `trace` and `mirabolic` request."""
-    total = partitions.bipartition_count(n, cap=MAX_SIZE_LABELS)
-    if total > MAX_SIZE_LABELS:
-        raise CostGuard(
-            f"size n={n} has at least {total} labels, above the budget of "
-            f"{MAX_SIZE_LABELS} at any rank"
-        )
-
-
-# Budget for `iwahori mult --N N --window W`, in the candidate labels
-# that universe(N, 1, W) tries: N! 3^N 4^W.  Cold on a 2-vCPU box the
-# slowest accepted input is N = 4 at window 2 (31,104 candidates, 14 to
-# 19 s, 189 MB); N = 3 at window 4 (41,472) took 3.7 s and N = 2 at
-# window 6 (73,728) 2.0 s.  Refused: N = 5 at window 1 (116,640) ran
-# past 120 s and 970 MB, N = 4 at window 3 (124,416) took 31 s and
-# 273 MB, N = 3 at window 5 (165,888) 8.5 s, N = 2 at window 7
-# (294,912) 9.9 s.
-MAX_CANDIDATES = 100_000
-
-
-def check_universe_cost(N: int, window: int) -> None:
-    """Refuse the products over universe(N, 1, window) when it would try
-    more than MAX_CANDIDATES candidates, counted without listing any."""
-    count, k = 1, 0
-    while count <= MAX_CANDIDATES and k < N + window:
-        k += 1
-        count *= 3 * k if k <= N else 4
-    if count > MAX_CANDIDATES:
-        raise CostGuard(
-            f"iwahori mult --N {N} --window {window} tries N! 3^N 4^window"
-            f" > {MAX_CANDIDATES} candidate labels"
-        )
-
-
 # --- payload builders ---------------------------------------------------------
 
 
 def pi_payload(n: int, rank: int) -> dict:
-    check_cost(n, rank)
+    costs.check_cost(n, rank)
     table = bimodule.pi_table(n, rank)
 
     def cells(tbl) -> list:
@@ -246,7 +171,7 @@ def mhl_payload(n: int, rank: int) -> dict:
     # every label of size n has a two-sided polynomial only at rank >= n
     if rank < n:
         raise UsageError(f"mhl needs --N >= n, got n={n}, N={rank}")
-    check_cost(n, rank)
+    costs.check_cost(n, rank)
     entries = []
     for bp in partitions.bipartitions_of(n):
         tensor, prefactor = bimodule.mhl_poly(bp, rank)
@@ -264,7 +189,7 @@ def mhl_payload(n: int, rank: int) -> dict:
 
 
 def trace_payload(n: int, q: int) -> dict:
-    check_cost(n)
+    costs.check_cost(n)
     table = bimodule.pi_table(n, max(n, 1))
     cells = []
     for row in table.order:
@@ -291,9 +216,7 @@ def trace_payload(n: int, q: int) -> dict:
 def hall_payload(x, y, rank: int) -> dict:
     if len(x) > rank or len(y) > rank:
         raise UsageError(f"shapes {x} and {y} need rank above {rank}")
-    from .costs import check_hall_cost
-
-    check_hall_cost(x, y, rank)
+    costs.check_hall_cost(x, y, rank)
     prod = hall.hall_mul(hall.u_elt(x, rank), hall.u_elt(y, rank))
     return {
         "kind": "hall",
@@ -309,7 +232,7 @@ def hall_payload(x, y, rank: int) -> dict:
 def mirabolic_payload(src, r: int, side: str, rank: int) -> dict:
     if r < 1:
         raise UsageError(f"generator degree must be positive, got {r}")
-    check_size_cost(partitions.size(src[0]) + partitions.size(src[1]) + r)
+    costs.check_size_cost(partitions.size(src[0]) + partitions.size(src[1]) + r)
     if side == "left":
         column = closedform.closed_left_column
     else:
@@ -327,11 +250,9 @@ def mirabolic_payload(src, r: int, side: str, rank: int) -> dict:
 
 
 def green_payload(n: int, q: int) -> dict:
-    from .costs import check_green_cost
-
     # refused here, before `traces` runs; the freeness check guards its
     # library callers with the same count
-    check_green_cost(n, q)
+    costs.check_green_cost(n, q)
     freeness = traces.green_freeness_check(n, q)
     return {
         "kind": "green",
@@ -343,7 +264,7 @@ def green_payload(n: int, q: int) -> dict:
 
 
 def iwahori_payload(N: int, window: int) -> dict:
-    check_universe_cost(N, window)
+    costs.check_universe_cost(N, window)
     # one JSON tree per label and coefficient, shared by every product
     # that names it
     label_tree = lru_cache(maxsize=None)(_ilabel)

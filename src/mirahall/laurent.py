@@ -30,7 +30,7 @@ True
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import NonIntegral
 
@@ -345,11 +345,6 @@ class QPoly(_Poly):
         if k < 0:
             raise ValueError(f"negative exponent {k} in QPoly")
         return _wrap(cls, {k: coeff} if coeff else {})
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "QPoly":
-        """Ascending coefficient list: [c0, c1, ...] -> c0 + c1 q + ..."""
-        return cls({e: a for e, a in enumerate(coeffs)})
 
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""

@@ -383,10 +383,3 @@ def star(lam: Partition, rank: int) -> tuple[int, ...]:
 def shifted(sig: tuple[int, ...], c: int) -> tuple[int, ...]:
     """Add c to every entry."""
     return tuple(x + c for x in sig)
-
-
-def signature_to_partition(sig: tuple[int, ...]) -> Partition:
-    """Strip trailing zeros; entries must be weakly decreasing and >= 0."""
-    if any(x < 0 for x in sig):
-        raise ValueError(f"negative entry in {sig}")
-    return trim(sig)

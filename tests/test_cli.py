@@ -17,15 +17,20 @@ from mirahall import (
     checks,
     cli,
     closedform,
+    costs,
     hall,
     oracle,
     partitions,
     symfunc,
     traces,
 )
-from mirahall.cli import check_cost, check_universe_cost
 from mirahall.config import RunConfig, read_config_file, resolve
-from mirahall.costs import check_hall_cost, hall_units
+from mirahall.costs import (
+    check_cost,
+    check_hall_cost,
+    check_universe_cost,
+    hall_units,
+)
 from mirahall.errors import CostGuard, IOFailure, UsageError
 from mirahall.laurent import LaurentPoly, QPoly
 
@@ -534,8 +539,8 @@ def test_cost_guard_verdicts_match_the_full_count():
     for n in range(41):
         total = partitions.bipartition_count(n)
         for rank in (None, *range(1, n + 2)):
-            over = (partitions.bipartition_count(n, rank) > cli.MAX_LABELS
-                    or total > cli.MAX_SIZE_LABELS)
+            over = (partitions.bipartition_count(n, rank) > costs.MAX_LABELS
+                    or total > costs.MAX_SIZE_LABELS)
             if over:
                 with pytest.raises(CostGuard):
                     check_cost(n, rank)
@@ -545,7 +550,7 @@ def test_cost_guard_verdicts_match_the_full_count():
     # fewest of any rank, so the uncounted verdict at n >= budget is exact
     for n in (298, 299, 300, 301, 1769, 1770, 1771):
         assert partitions.bipartition_count(n, 1) == n + 1
-        for budget in (cli.MAX_LABELS, cli.MAX_SIZE_LABELS):
+        for budget in (costs.MAX_LABELS, costs.MAX_SIZE_LABELS):
             assert (partitions.bipartition_count(n, 1, budget) > budget) == (n + 1 > budget)
 
 
@@ -559,7 +564,7 @@ def test_mhl_rank_below_the_size_is_a_usage_error(capsys, monkeypatch):
 
     for name in ("pi_table", "mhl_poly", "_basis_in_tensor"):
         monkeypatch.setattr(bimodule, name, refuse)
-    monkeypatch.setattr(cli, "check_cost", refuse)
+    monkeypatch.setattr(costs, "check_cost", refuse)
     for n, rank in (("5", "2"), ("12", "2"), ("2", "1")):
         start = time.perf_counter()
         code = cli.main(["mhl", "--n", n, "--N", rank])
@@ -609,7 +614,7 @@ def test_iwahori_cost_guard_counts_the_candidates():
     for N in range(2, 7):
         for window in range(1, 9):
             count = math.factorial(N) * 3 ** N * 4 ** window
-            if count <= cli.MAX_CANDIDATES:
+            if count <= costs.MAX_CANDIDATES:
                 check_universe_cost(N, window)
             else:
                 with pytest.raises(CostGuard):
@@ -686,8 +691,8 @@ def test_cost_guard_serves_a_low_rank_above_the_full_budget(capsys, monkeypatch)
 def test_mirabolic_cost_guard_at_the_size_edge(capsys, monkeypatch, side):
     # target size 13 has MAX_SIZE_LABELS labels and is served; size 14
     # is refused before any column is built
-    assert partitions.bipartition_count(13) == cli.MAX_SIZE_LABELS
-    assert partitions.bipartition_count(14) > cli.MAX_SIZE_LABELS
+    assert partitions.bipartition_count(13) == costs.MAX_SIZE_LABELS
+    assert partitions.bipartition_count(14) > costs.MAX_SIZE_LABELS
     built = []
 
     def column(r, src, rank):

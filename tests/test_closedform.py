@@ -151,6 +151,21 @@ def test_closed_right_table_reads_one_lift_per_target():
                     assert got == right_via_star(tgt, src, r, n), (tgt, r, src)
 
 
+def test_closed_right_table_boundary_rules_are_the_mirror_one_rank_up():
+    # read at rank n + 1 the mirror needs neither boundary rule: it
+    # gives the vectorless square-zero target's Gauss binomial, and
+    # nothing at r = n
+    for n in range(1, 6):
+        for tgt in bipartitions_of(n):
+            for r in range(1, n + 1):
+                cells = {
+                    src: right_via_star(tgt, src, r, n + 1)
+                    for src in bipartitions_of(n - r)
+                }
+                want = {src: poly for src, poly in cells.items() if poly}
+                assert closed_right_table(tgt, r) == want, (tgt, r)
+
+
 def test_closed_right_matches_counted_exhaustive_small():
     # every target up to size 4 and every rank, read as a table and
     # through the module action at rank n and n + 1

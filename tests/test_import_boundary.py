@@ -9,16 +9,17 @@ serving request of the benchmark's workloads runs in a fresh
 interpreter here, which checks that neither `import mirahall.cli` nor
 the request itself loads them.
 
-The exact kernel (`laurent`, `partitions`) and the table modules
-(TABLE_MODULES) are registered lazily by `mirahall.cli`: each is in
-`sys.modules` from import on, and its body runs at its first attribute
-access.  A request served from a stored artifact, `--help` and an
-`mhl` below its size (a usage error) are checked to run none of them;
-a csv or latex request rendered from the stored json artifact (which
-skips the cost guard and so runs no `partitions`), a request refused
-by a cost guard, and a cold
-`iwahori mult` (which needs only `affine` and `laurent`) to leave the
-table modules they do not need unrun.
+The exact kernel (`laurent`, `partitions`), the cost guards (`costs`)
+and the table modules (TABLE_MODULES) are registered lazily by
+`mirahall.cli`: each is in `sys.modules` from import on, and its body
+runs at its first attribute access.  A request served from a stored
+artifact, `--help` and an `mhl` below its size (a usage error) are
+checked to run none of them; a csv or latex request rendered from the
+stored json artifact (which skips the cost guard and so runs neither
+`costs` nor `partitions`), a request refused by a cost guard, and a
+cold `iwahori mult` (whose guard counts no labels, and whose table
+needs only `affine` and `laurent`) to leave the modules they do not
+need unrun.  Every cold request runs its guard in `costs`.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def test_serving_request_loads_no_counting_module(argv, tmp_path):
 
 
 TABLE_MODULES = ("affine", "bimodule", "closedform", "hall", "symfunc", "traces")
-LAZY_MODULES = TABLE_MODULES + ("laurent", "partitions")
+LAZY_MODULES = TABLE_MODULES + ("laurent", "partitions", "costs")
 
 # Each lazily registered module's state after one request: "lazy"
 # (registered, body not run), "ran" or "absent".  type() reads no
@@ -130,7 +131,9 @@ def json_artifact_cache(tmp_path_factory):
     """A cache holding every table's json artifact and nothing else."""
     cache_dir = tmp_path_factory.mktemp("json-artifact") / "cache"
     for argv in workloads.COLD_TABLES:
-        assert _run(STATES, workloads.with_format(argv, "json"), cache_dir)["code"] == 0
+        got = _run(STATES, workloads.with_format(argv, "json"), cache_dir)
+        # a cold request passes its cost guard before any table work
+        assert got["code"] == 0 and got["states"]["costs"] == "ran"
     assert len(list(cache_dir.iterdir())) == len(workloads.COLD_TABLES)
     return cache_dir
 
@@ -145,7 +148,7 @@ def test_payload_hit_runs_no_table_module(argv, json_artifact_cache):
     got = _run(STATES, argv, json_artifact_cache)
     # rendered from the parsed json artifact: the render reads laurent,
     # but not for green's text cells; the cost guard runs only when the
-    # json artifact misses too, so partitions is unrun
+    # json artifact misses too, so costs and partitions are unrun
     laurent = "lazy" if argv[0] == "green" else "ran"
     assert got == {"code": 0, "states": dict(ALL_LAZY, laurent=laurent)}
     # an artifact miss: this request stored its own artifact
@@ -177,9 +180,10 @@ def test_refused_request_runs_no_table_module(argv, tmp_path):
     # every guard but iwahori's counts labels in partitions
     partitions = "lazy" if argv[0] == "iwahori" else "ran"
     assert _run(STATES, argv, tmp_path / "cache") == {
-        "code": 1, "states": dict(ALL_LAZY, partitions=partitions)}
+        "code": 1, "states": dict(ALL_LAZY, costs="ran", partitions=partitions)}
 
 
 def test_cold_iwahori_runs_only_affine(tmp_path):
     got = _run(STATES, ("iwahori", "mult", "--N", "2"), tmp_path / "cache")
-    assert got == {"code": 0, "states": dict(ALL_LAZY, affine="ran", laurent="ran")}
+    assert got == {"code": 0, "states": dict(
+        ALL_LAZY, affine="ran", laurent="ran", costs="ran")}

@@ -237,7 +237,7 @@ def test_interpolate_zero_degree_bound():
 
 @given(st.lists(st.integers(-20, 20), min_size=1, max_size=5))
 def test_interpolate_recovers_poly(coeffs):
-    p = QPoly.from_coeffs(coeffs)
+    p = QPoly(dict(enumerate(coeffs)))
     deg = len(coeffs) - 1
     pts = [(x, p.evaluate(x)) for x in primes(deg + 3)]
     assert interpolate(pts, deg) == p

@@ -19,7 +19,6 @@ from mirahall.partitions import (
     pair_orbit_dim,
     partitions_of,
     shifted,
-    signature_to_partition,
     star,
     trim,
     upsilon,
@@ -326,9 +325,6 @@ def test_signature_helpers():
     assert star((2, 1), 3) == (0, -1, -2)
     assert star((), 2) == (0, 0)
     assert shifted((0, -1, -2), 2) == (2, 1, 0)
-    assert signature_to_partition((2, 1, 0)) == (2, 1)
-    with pytest.raises(ValueError):
-        signature_to_partition((1, -1))
     with pytest.raises(ValueError):
         pad((1, 1, 1), 2)
 
