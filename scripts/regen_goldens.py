@@ -57,8 +57,9 @@ def wall_histogram():
 
 def trace_goldens():
     print("# trace cell (col one-box/one-box, row empty/column-pair) at q=2")
-    cell = trace_value(((1,), (1,)), ((), (1, 1)), pi_table(2, 2), 2)
-    print(f"  symbolic {cell.pretty()}, integer {cell.as_integer()}")
+    plain, radical = trace_value(((1,), (1,)), ((), (1, 1)), pi_table(2, 2))
+    print(f"  plain {plain.pretty()}, radical {radical.pretty()}")
+    print(f"  integer {plain.evaluate(2)}")
     counted = {
         (tuple(map(tuple, c["stratum"])), c["m"]): c["count"]
         for c in fiber_oracle_check(2, 2)["cells"]

@@ -146,7 +146,8 @@ def _labels(n: int, rank: int) -> tuple[Bipartition, ...]:
 
 class PiTable:
     """Calibrated transition table at one size, rows and columns in the
-    interleaved descending order."""
+    interleaved descending order; `diag_units` is keyed by exactly the
+    labels of `order`, so it is the table's membership test."""
 
     __slots__ = ("n", "N", "order", "raw", "calibrated", "diag_units")
 
@@ -158,19 +159,15 @@ class PiTable:
         self.calibrated = calibrated
         self.diag_units = diag_units
 
-    @property
-    def rank(self) -> int:
-        return self.N
-
     def value(self, row: Bipartition, col: Bipartition) -> LaurentPoly:
         row, col = trim_pair(row), trim_pair(col)
-        if row not in self.order or col not in self.order:
+        if row not in self.diag_units or col not in self.diag_units:
             raise NotInTable(f"{row} or {col} not at size {self.n}, rank {self.N}")
         return self.calibrated.get((row, col), LaurentPoly.zero())
 
     def raw_value(self, row: Bipartition, col: Bipartition) -> LaurentPoly:
         row, col = trim_pair(row), trim_pair(col)
-        if row not in self.order or col not in self.order:
+        if row not in self.diag_units or col not in self.diag_units:
             raise NotInTable(f"{row} or {col} not at size {self.n}, rank {self.N}")
         return self.raw.get((row, col), LaurentPoly.zero())
 

@@ -320,11 +320,13 @@ def _suite_trace(cfg: RunConfig) -> list[dict]:
 
     def golden():
         table = pi_table(2, 2)
-        cell = trace_value(((1,), (1,)), ((), (1, 1)), table, 2)
-        if cell.a != QPoly.q_power(1) + 1 or not cell.b.is_zero():
-            raise OracleMismatch(f"marked cell reads {cell.pretty()}")
-        if cell.as_integer() != 3:
-            raise OracleMismatch(f"marked cell evaluates to {cell.as_integer()}")
+        plain, radical = trace_value(((1,), (1,)), ((), (1, 1)), table)
+        if plain != QPoly.q_power(1) + 1 or not radical.is_zero():
+            raise OracleMismatch(
+                f"marked cell reads {plain.pretty()} + ({radical.pretty()})*√q"
+            )
+        if plain.evaluate(2) != 3:
+            raise OracleMismatch(f"marked cell evaluates to {plain.evaluate(2)}")
         return "marked cell is q + 1, evaluating to 3"
 
     out.append(_check("trace", "golden-cell", golden))

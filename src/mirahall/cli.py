@@ -138,20 +138,24 @@ def _ilabel(x) -> dict:
 # --- payload builders ---------------------------------------------------------
 
 
+def _nonzero_cells(table, entries: dict):
+    """(row, col, value) of each nonzero entry, row-major in `table.order`."""
+    for row in table.order:
+        for col in table.order:
+            val = entries.get((row, col))
+            if val is not None and not val.is_zero():
+                yield row, col, val
+
+
 def pi_payload(n: int, rank: int) -> dict:
     costs.check_cost(n, rank)
     table = bimodule.pi_table(n, rank)
 
     def cells(tbl) -> list:
-        out = []
-        for row in table.order:
-            for col in table.order:
-                val = tbl.get((row, col))
-                if val is not None and not val.is_zero():
-                    out.append(
-                        {"row": bplabel(row), "col": bplabel(col), "coeff": val.to_json()}
-                    )
-        return out
+        return [
+            {"row": bplabel(row), "col": bplabel(col), "coeff": val.to_json()}
+            for row, col, val in _nonzero_cells(table, tbl)
+        ]
 
     return {
         "kind": "pi",
@@ -192,18 +196,16 @@ def trace_payload(n: int, q: int) -> dict:
     costs.check_cost(n)
     table = bimodule.pi_table(n, max(n, 1))
     cells = []
-    for row in table.order:
-        for col in table.order:
-            cell = traces.trace_value(col, row, table, q)
-            if not cell.is_zero():
-                cells.append(
-                    {
-                        "row": bplabel(row),
-                        "col": bplabel(col),
-                        "plain": cell.a.to_json(),
-                        "radical": cell.b.to_json(),
-                    }
-                )
+    for row, col, _ in _nonzero_cells(table, table.calibrated):
+        plain, radical = traces.trace_value(col, row, table)
+        cells.append(
+            {
+                "row": bplabel(row),
+                "col": bplabel(col),
+                "plain": plain.to_json(),
+                "radical": radical.to_json(),
+            }
+        )
     return {
         "kind": "trace",
         "n": n,

@@ -55,6 +55,7 @@ from .config import check_prime
 from .errors import (
     CostGuard,
     EdgeConventionMismatch,
+    NonIntegral,
     OracleMismatch,
     TruncationTooSmall,
     UsageError,
@@ -74,7 +75,7 @@ from .partitions import (
     trim,
     trim_pair,
 )
-from .traces import TraceCell, trace_value
+from .traces import trace_value
 
 # --- symmetric polynomials in finitely many variables (the antisymmetriser) ----
 
@@ -457,15 +458,18 @@ def fiber_oracle_check(n: int, q: int, table: PiTable | None = None) -> dict:
             if (lam, mu) in table.order
         ]
         for sig in table.order:
-            predicted = TraceCell.zero(q)
+            want = radical = 0
             for colbp in cols:
                 weight = (
                     n_standard_tableaux(colbp[0])
                     * n_standard_tableaux(colbp[1])
-                    * QPoly.q_power(n_stat(colbp[0]) + n_stat(colbp[1]))
+                    * q ** (n_stat(colbp[0]) + n_stat(colbp[1]))
                 )
-                predicted = predicted + weight * trace_value(colbp, sig, table, q)
-            want = predicted.as_integer()
+                plain, rad = trace_value(colbp, sig, table)
+                want += weight * plain.evaluate(q)
+                radical += weight * rad.evaluate(q)
+            if radical:
+                raise NonIntegral(f"radical part {radical} remains at q={q}")
             got = pairs.flag_fiber_count(sig, m, q)
             cells.append(
                 {

@@ -1,11 +1,15 @@
-"""Square-root-of-q specializations of the normalized table, and the
-class ring over a fixed finite field with labels split by irreducible
-polynomial.  The complete-flag counting oracle that certifies the
-traces is `oracle.fiber_oracle_check`.
+"""Trace cells, the calibrated table read at v = √q, and the class ring
+over a fixed finite field with labels split by irreducible polynomial.
+
+A trace cell is a pair of polynomials in q, (plain, radical), for the
+value plain(q) + radical(q)·√q; it does not depend on the prime.  The
+complete-flag counting oracle that certifies the traces is
+`oracle.fiber_oracle_check`.
 
 >>> from .bimodule import pi_table
->>> trace_value(((1,), (1,)), ((), (1, 1)), pi_table(2, 2), 2).as_integer()
-3
+>>> plain, radical = trace_value(((1,), (1,)), ((), (1, 1)), pi_table(2, 2))
+>>> plain.pretty(), radical.is_zero(), plain.evaluate(2)
+('1 + q', True, 3)
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .errors import (
     UsageError,
 )
 from .hall import u_elt
-from .laurent import LaurentPoly, QPoly
+from .laurent import QPoly
 from .partitions import (
     Bipartition,
     bipartitions_of,
@@ -35,121 +39,26 @@ from .partitions import (
 )
 
 
-class TraceCell:
-    """Value a(q) + b(q)*s where s*s = q.  Exact in both slots."""
-
-    __slots__ = ("a", "b", "q_value")
-
-    def __init__(self, a: QPoly, b: QPoly, q_value: int | None = None):
-        self.a = a
-        self.b = b
-        self.q_value = q_value
-
-    @classmethod
-    def zero(cls, q_value: int | None = None) -> "TraceCell":
-        return cls(QPoly.zero(), QPoly.zero(), q_value)
-
-    @classmethod
-    def from_laurent(
-        cls, poly: LaurentPoly, shift: int = 0, q_value: int | None = None
-    ) -> "TraceCell":
-        """Substitute v = s into poly * v**shift.
-
-        Exponents must stay nonnegative so both slots are honest
-        polynomials in q; a deeper pole raises NonIntegral."""
-        a: dict[int, int] = {}
-        b: dict[int, int] = {}
-        for e, c in poly.items():
-            k = e + shift
-            if k < 0:
-                raise NonIntegral(f"power s^{k} survives the shift by {shift}")
-            slot = a if k % 2 == 0 else b
-            slot[k // 2] = slot.get(k // 2, 0) + c
-        return cls(QPoly(a), QPoly(b), q_value)
-
-    def _merge_q(self, other: "TraceCell") -> int | None:
-        if (
-            self.q_value is not None
-            and other.q_value is not None
-            and self.q_value != other.q_value
-        ):
-            raise FieldMismatch(f"q={self.q_value} against q={other.q_value}")
-        return self.q_value if self.q_value is not None else other.q_value
-
-    def __add__(self, other: "TraceCell | int") -> "TraceCell":
-        if isinstance(other, int):
-            other = TraceCell(QPoly.from_int(other), QPoly.zero(), self.q_value)
-        if not isinstance(other, TraceCell):
-            return NotImplemented
-        return TraceCell(self.a + other.a, self.b + other.b, self._merge_q(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other: "TraceCell | QPoly | int") -> "TraceCell":
-        if isinstance(other, (int, QPoly)):
-            return TraceCell(self.a * other, self.b * other, self.q_value)
-        if not isinstance(other, TraceCell):
-            return NotImplemented
-        # the cross term s*s folds back into the plain slot as one q
-        return TraceCell(
-            self.a * other.a + QPoly.q_power(1) * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self._merge_q(other),
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.b.is_zero() and self.a == QPoly.from_int(other)
-        if not isinstance(other, TraceCell):
-            return NotImplemented
-        return (self.a, self.b, self.q_value) == (other.a, other.b, other.q_value)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.q_value))
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
-
-    def evaluate(self, q: int | None = None) -> tuple[int, int]:
-        """(plain, radical) integer parts at the stored or given prime."""
-        q = q if q is not None else self.q_value
-        if q is None:
-            raise UsageError("no prime to evaluate at")
-        return self.a.evaluate(q), self.b.evaluate(q)
-
-    def as_integer(self, q: int | None = None) -> int:
-        plain, rad = self.evaluate(q)
-        if rad:
-            raise NonIntegral(f"radical part {rad} remains at q={q or self.q_value}")
-        return plain
-
-    def pretty(self) -> str:
-        if self.b.is_zero():
-            return self.a.pretty()
-        tail = f"({self.b.pretty()})*√q"
-        if self.a.is_zero():
-            return tail
-        return f"{self.a.pretty()} + {tail}"
-
-    def __repr__(self) -> str:
-        return f"TraceCell({self.pretty()})"
-
-
 def trace_value(
-    col: Bipartition, row: Bipartition, table: PiTable, q: int
-) -> TraceCell:
-    """Table entry at v = s, carried up by s to the codimension gap.
+    col: Bipartition, row: Bipartition, table: PiTable
+) -> tuple[QPoly, QPoly]:
+    """Table entry at v = √q, carried up by √q to the codimension gap,
+    as (plain, radical): the cell reads plain(q) + radical(q)·√q.
 
     The gap between the two labels' codimensions is nonnegative whenever
     the calibrated entry is nonzero, and the entry's lowest power is no
-    deeper than the gap, so the result lives in Z[s]."""
-    row, col = trim_pair(row), trim_pair(col)
+    deeper than the gap, so both parts are polynomials in q; a deeper
+    pole raises NonIntegral."""
     entry = table.value(row, col)
-    if entry.is_zero():
-        return TraceCell.zero(q)
-    return TraceCell.from_laurent(entry, pair_codim(row) - pair_codim(col), q)
+    # trailing zeros, which `value` trims, add nothing to a codimension
+    shift = pair_codim(row) - pair_codim(col)
+    parts: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for e, c in entry.items():
+        k = e + shift
+        if k < 0:
+            raise NonIntegral(f"power √q^{k} survives the shift by {shift}")
+        parts[k % 2][k // 2] = c
+    return QPoly(parts[0]), QPoly(parts[1])
 
 
 # --- class ring over F_q, labels split by irreducible polynomial ------------

@@ -167,9 +167,10 @@ def test_gate_07_trace_fiber():
             assert fiber_oracle_check(n, qv)["passed"], (n, qv)
     rep = fiber_oracle_check(4, 2)
     assert rep["passed"] and rep["epsilon"] == 1
-    cell = trace_value(((1,), (1,)), ((), (1, 1)), pi_table(2, 2), 2)
-    assert cell.a == QPoly({0: 1, 1: 1})
-    assert cell.as_integer() == 3
+    plain, radical = trace_value(((1,), (1,)), ((), (1, 1)), pi_table(2, 2))
+    assert plain == QPoly({0: 1, 1: 1})
+    assert radical.is_zero()
+    assert plain.evaluate(2) == 3
     counted = {
         (tuple(map(tuple, c["stratum"])), c["m"]): c["count"]
         for c in fiber_oracle_check(2, 2)["cells"]

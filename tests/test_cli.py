@@ -79,6 +79,15 @@ def test_pi_json_round_trip(capsys):
     assert seen == 14
 
 
+def test_trace_cells_are_the_nonzero_calibrated_cells_in_order():
+    for n in range(6):
+        pi_cells = cli.pi_payload(n, max(n, 1))["calibrated"]
+        trace_cells = cli.trace_payload(n, 3)["cells"]
+        assert [(c["row"], c["col"]) for c in trace_cells] == [
+            (c["row"], c["col"]) for c in pi_cells
+        ], n
+
+
 def test_pi_latex_standalone(capsys):
     code, out = run(capsys, "pi", "--n", "2", "--N", "2", "--format", "latex")
     assert code == 0

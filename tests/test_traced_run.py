@@ -27,6 +27,10 @@ LAYERS = {
         "cli", "cache", "config", "bimodule", "hall", "closedform",
         "partitions", "symfunc", "laurent",
     },
+    ("trace", "--n", "2", "--q", "3"): {
+        "cli", "cache", "config", "bimodule", "hall", "closedform",
+        "partitions", "symfunc", "laurent", "traces",
+    },
     ("iwahori", "mult", "--N", "2"): {"cli", "cache", "config", "affine"},
 }
 

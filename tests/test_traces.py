@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mirahall.bimodule import act, pi_table, u_bip
+from mirahall.bimodule import PiTable, act, pi_table, u_bip
 from mirahall.costs import MAX_GREEN_LABELS, check_green_cost, green_label_count
 from mirahall.errors import (
     CostGuard,
@@ -17,10 +17,9 @@ from mirahall.hall import u_elt
 from mirahall.laurent import LaurentPoly, QPoly
 from mirahall.oracle import fiber_oracle_check
 from mirahall.pairs import orbit_census
-from mirahall.partitions import bipartitions_of, partitions_of
+from mirahall.partitions import bipartitions_of, pair_codim, partitions_of
 from mirahall.traces import (
     GreenLabel,
-    TraceCell,
     _image,
     _invertible_over_rationals,
     green_freeness_check,
@@ -31,49 +30,59 @@ from mirahall.traces import (
 )
 
 
-def test_trace_cell_arithmetic():
-    s = TraceCell(QPoly.zero(), QPoly.one(), 2)
-    one_c = TraceCell(QPoly.one(), QPoly.zero(), 2)
-    assert (s * s).a == QPoly({1: 1})
-    both = (one_c + s) * (one_c + s)
-    assert both.a == QPoly({0: 1, 1: 1})
-    assert both.b == QPoly.from_int(2)
-    assert both.evaluate() == (3, 2)
-    with pytest.raises(NonIntegral):
-        both.as_integer()
-    with pytest.raises(FieldMismatch):
-        s + TraceCell(QPoly.one(), QPoly.zero(), 3)
+def _gap_three_table(entry: LaurentPoly):
+    """A table whose one off-diagonal cell sits at a codimension gap of 3."""
+    row, col = ((), (3,)), ((3,), ())
+    assert pair_codim(row) - pair_codim(col) == 3
+    one = LaurentPoly.one()
+    cells = {(row, col): entry}
+    return PiTable(3, 3, (col, row), {}, cells, {col: one, row: one}), row, col
 
 
 def test_trace_cell_from_laurent():
-    cell = TraceCell.from_laurent(LaurentPoly({-1: 1, -3: 1}), 3, 2)
-    assert cell.a == QPoly({0: 1, 1: 1})
-    assert cell.b.is_zero()
+    tab, row, col = _gap_three_table(LaurentPoly({-1: 1, -3: 1}))
+    plain, radical = trace_value(col, row, tab)
+    assert plain == QPoly({0: 1, 1: 1})
+    assert radical.is_zero()
+    tab, row, col = _gap_three_table(LaurentPoly({-4: 1}))
     with pytest.raises(NonIntegral):
-        TraceCell.from_laurent(LaurentPoly({-4: 1}), 3)
+        trace_value(col, row, tab)
 
 
 def test_trace_value_golden_cells():
     tab = pi_table(2, 2)
-    cell = trace_value(((1,), (1,)), ((), (1, 1)), tab, 2)
-    assert cell.a == QPoly({0: 1, 1: 1})
-    assert cell.b.is_zero()
-    assert cell.as_integer() == 3
-    assert trace_value(((2,), ()), ((), (2,)), tab, 3) == TraceCell(
-        QPoly.one(), QPoly.zero(), 3
-    )
-    assert trace_value(((1, 1), ()), ((2,), ()), tab, 2).is_zero()
+    plain, radical = trace_value(((1,), (1,)), ((), (1, 1)), tab)
+    assert plain == QPoly({0: 1, 1: 1})
+    assert radical.is_zero()
+    assert plain.evaluate(2) == 3
+    untrimmed = trace_value(((1, 0), (1,)), ((0,), (1, 1, 0)), tab)
+    assert untrimmed == (plain, radical)
+    assert trace_value(((2,), ()), ((), (2,)), tab) == (QPoly.one(), QPoly.zero())
+    plain, radical = trace_value(((1, 1), ()), ((2,), ()), tab)
+    assert plain.is_zero() and radical.is_zero()
     with pytest.raises(NotInTable):
-        trace_value(((3,), ()), ((2,), ()), tab, 2)
+        trace_value(((3,), ()), ((2,), ()), tab)
 
 
 def test_trace_diagonal_is_one():
     for n in (1, 2, 3):
         tab = pi_table(n, n)
         for col in tab.order:
-            assert trace_value(col, col, tab, 2) == TraceCell(
-                QPoly.one(), QPoly.zero(), 2
-            ), col
+            assert trace_value(col, col, tab) == (QPoly.one(), QPoly.zero()), col
+
+
+def test_trace_cells_recombine_to_the_calibrated_entry():
+    # plain(q) + radical(q)*√q at q = v**2 is the entry carried up by the gap
+    for n in range(1, 7):
+        tab = pi_table(n, n)
+        for (row, col), entry in tab.calibrated.items():
+            if entry.is_zero():
+                continue
+            plain, radical = trace_value(col, row, tab)
+            gap = pair_codim(row) - pair_codim(col)
+            assert plain.to_laurent() + radical.to_laurent().shift(1) == entry.shift(
+                gap
+            ), (n, row, col)
 
 
 def test_fiber_oracle_small():
