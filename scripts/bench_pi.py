@@ -24,14 +24,22 @@ its cache is filled once in json, so the first of them renders from the
 stored json artifact), taken in turn so that a slow spell of the
 host hits all three, each a fresh process that writes no bytecode
 (PYTHONDONTWRITEBYTECODE=1).  The standard library's bytecode is read
-as installed, so in a checkout with no `__pycache__` under `src/` each
-process compiles only the package from source.  Records made before
-this rule also compiled the standard library in every process and are
-not comparable with later ones.  A host speed gauge, a `python3 -c "import numpy"`
-process that runs no mirahall code, is timed in turn with them, as
-`perfbench/run.py` does; the record keeps the raw medians, the gauge's
-median, and each warm median scaled by GAUGE_REF_S over it, which reads
-as at the host speed at which the gauge takes GAUGE_REF_S.
+as installed, so each process compiles only the package from source.
+Records made before this rule also compiled the standard library in
+every process and are not comparable with later ones.  A host speed
+gauge, a `python3 -c "import numpy"` process that runs no mirahall
+code, is timed in turn with them, as `perfbench/run.py` does; the
+record keeps the raw medians, the gauge's median, and each warm median
+scaled by GAUGE_REF_S over it, which reads as at the host speed at
+which the gauge takes GAUGE_REF_S.
+
+Every timed child, cold or warm, runs against a fresh copy of the
+checkout's `src/` made without its `__pycache__` directories
+(`clean_src`), so a checkout that holds bytecode from an earlier run is
+timed as a fresh checkout is: each cold request compiles the package
+from source, and so does each warm launch.  Records without
+`"src": "copy without __pycache__"` read whatever bytecode the timed
+checkout held.
 
 The record also keeps the git sha of the timed checkout (and whether
 its `src/` differs from that commit), nproc and the Python version.
@@ -47,6 +55,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -99,10 +108,19 @@ finally:
 """
 
 
+def clean_src(checkout: Path, tmp: str) -> str:
+    """A copy of the checkout's `src/` in `tmp`, without `__pycache__`."""
+    dest = os.path.join(tmp, "src")
+    shutil.copytree(checkout / "src", dest,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
 def time_cold(checkout: Path, args: list[str]) -> dict:
-    """One cold `mirahall ARGS` in a fresh process and cache directory."""
+    """One cold `mirahall ARGS` in a fresh process, cache directory and
+    copy of `src/`."""
     with tempfile.TemporaryDirectory(prefix="bench_pi_") as tmp:
-        env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+        env = dict(os.environ, PYTHONPATH=clean_src(checkout, tmp))
         out_path = os.path.join(tmp, "stdout")
         hwm_path = os.path.join(tmp, "vmhwm")
         argv = [sys.executable, "-c", CHILD, hwm_path, *args,
@@ -130,7 +148,7 @@ def time_warm(checkout: Path) -> dict:
     cached `iwahori mult --N 2 --format latex` requests, writing no
     bytecode, raw and scaled by the host gauge."""
     with tempfile.TemporaryDirectory(prefix="bench_warm_") as tmp:
-        env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+        env = dict(os.environ, PYTHONPATH=clean_src(checkout, tmp),
                    PYTHONDONTWRITEBYTECODE="1")
         cli = [sys.executable, "-m", "mirahall.cli"]
         cached = cli + ["pi", "--n", "4", "--cache-dir", os.path.join(tmp, "cache")]
@@ -203,6 +221,7 @@ def main() -> int:
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "peak_rss": "VmHWM",
+        "src": "copy without __pycache__",
         "runs": runs,
         "iwahori": iwahori,
         "extra": extra,

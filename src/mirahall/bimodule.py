@@ -6,8 +6,9 @@ elements (`MirElt`) and two-sided Schur expansions (`TensorSym`) are
 The left action of a shape inserts an invariant subspace below the
 marked vector's line of sight (the vector survives on the quotient);
 the right action inserts one containing the vector.  Both are computed
-through the square-zero generator decomposition, one generator at a
-time from the closed columns of `closedform`.  `oracle.act_direct` reads
+by the one driver of the algebra's actions, `hall.monomial_action`,
+whose step `gen_act` is the linear extension of one generator's closed
+column from `closedform`.  `oracle.act_direct` reads
 the directly counted tables instead; it is the oracle the tests replay.
 The right action on the vacuum, the only right action that the cyclic
 basis and the class ring take, is read in closed form
@@ -20,7 +21,7 @@ calibration sign is the parity of codimension differences.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Mapping
 
 from .closedform import _fits, closed_form_G
@@ -30,7 +31,7 @@ from .errors import (
     OracleMismatch,
     RankTooSmall,
 )
-from .hall import HallElt, _gen_decomposition, c_expand
+from .hall import HallElt, c_expand, monomial_action
 from .laurent import Combination, LaurentPoly
 from .partitions import (
     Bipartition,
@@ -72,11 +73,7 @@ def gen_act(side: str, r: int, m: MirElt) -> MirElt:
         raise ValueError("negative rank")
     if r == 0:
         return m
-    out: dict[Bipartition, LaurentPoly] = {}
-    for src, cs in m._c.items():
-        column = _v_column(r, src, side, m.rank)
-        MirElt._accumulate(out, ((tgt, cs * g) for tgt, g in column))
-    return MirElt._trusted(m.rank, out)
+    return m.apply(lambda src: _v_column(r, src, side, m.rank))
 
 
 @lru_cache(maxsize=None)
@@ -91,24 +88,8 @@ def _v_column(
 
 
 def act(side: str, a: HallElt, m: MirElt) -> MirElt:
-    """Module action via the generator decomposition of the operator.
-
-    The shapes of `a` share most of their generator monomials, so the
-    coefficients are summed per monomial first and each monomial's
-    chain of generator steps runs once."""
-    a._check(m)
-    monomials: dict[tuple[int, ...], LaurentPoly] = {}
-    for w, cw in a._c.items():
-        MirElt._accumulate(monomials, (
-            (cols, cw * cf) for cols, cf in _gen_decomposition(w, a.rank).items()
-        ))
-    out: dict[Bipartition, LaurentPoly] = {}
-    for cols, scale in monomials.items():
-        term = m
-        for r in reversed(cols) if side == "left" else cols:
-            term = gen_act(side, r, term)
-        MirElt._accumulate(out, ((k, scale * c) for k, c in term._c.items()))
-    return MirElt._trusted(m.rank, out)
+    """Module action of `a` on one side, by `hall.monomial_action`."""
+    return monomial_action(a, m, partial(gen_act, side), side == "left")
 
 
 def right_on_vacuum(a: HallElt) -> MirElt:

@@ -101,7 +101,9 @@ def plabel(lam) -> str:
     return "(" + ",".join(str(part) for part in lam) + ")"
 
 
+@lru_cache(maxsize=None)
 def bplabel(bp) -> str:
+    # memoised: a square table names each of its labels once per cell
     return f"{plabel(bp[0])}|{plabel(bp[1])}"
 
 
@@ -321,53 +323,36 @@ def _plain_cell(text) -> tuple[str, str]:
     return str(text), str(text)
 
 
+def _trace_cell(cell: dict) -> tuple[str, str]:
+    """plain(q) + radical(q)*sqrt(q), the radical left out when zero."""
+    a = laurent.QPoly.from_json(cell["plain"])
+    b = laurent.QPoly.from_json(cell["radical"])
+    if b.is_zero():
+        return a.pretty(), f"${a.latex()}$"
+    return (f"{a.pretty()} + ({b.pretty()})*sqrt(q)",
+            rf"${a.latex()} + ({b.latex()})\sqrt{{q}}$")
+
+
 def _grid(payload: dict) -> tuple[list[str], list[list[tuple[str, str]]]]:
     kind = payload["kind"]
-    if kind == "pi":
-        header = [""] + payload["order"]
-        entries = {
-            (cell["row"], cell["col"]): cell["coeff"] for cell in payload["calibrated"]
-        }
-        rows = []
-        for row in payload["order"]:
-            line = [_text_cell(row)]
-            for col in payload["order"]:
-                coeff = entries.get((row, col))
-                line.append(_poly_cell(coeff) if coeff else _plain_cell(0))
-            rows.append(line)
-        return header, rows
-    if kind == "trace":
-        header = [""] + payload["order"]
-        cells = {(c["row"], c["col"]): c for c in payload["cells"]}
-        rows = []
-        for row in payload["order"]:
-            line = [_text_cell(row)]
-            for col in payload["order"]:
-                cell = cells.get((row, col))
-                if cell is None:
-                    line.append(_plain_cell(0))
-                    continue
-                a = laurent.QPoly.from_json(cell["plain"])
-                b = laurent.QPoly.from_json(cell["radical"])
-                pretty = a.pretty() if b.is_zero() else f"{a.pretty()} + ({b.pretty()})*sqrt(q)"
-                tex = a.latex() if b.is_zero() else rf"{a.latex()} + ({b.latex()})\sqrt{{q}}"
-                line.append((pretty, f"${tex}$"))
-            rows.append(line)
-        return header, rows
+    if kind in ("pi", "trace"):
+        listed = payload["calibrated"] if kind == "pi" else payload["cells"]
+        text = (lambda c: _poly_cell(c["coeff"])) if kind == "pi" else _trace_cell
+        cells = {(c["row"], c["col"]): text(c) for c in listed}
+        order, zero = payload["order"], _plain_cell(0)
+        rows = [
+            [_text_cell(row)] + [cells.get((row, col), zero) for col in order]
+            for row in order
+        ]
+        return [""] + order, rows
     if kind == "mhl":
-        header = ["label", "prefactor", "pair", "coeff"]
-        rows = []
-        for entry in payload["entries"]:
-            for term in entry["tensor"]:
-                rows.append(
-                    [
-                        _text_cell(entry["label"]),
-                        _poly_cell(entry["prefactor"]),
-                        _text_cell(term["pair"]),
-                        _poly_cell(term["coeff"]),
-                    ]
-                )
-        return header, rows
+        rows = [
+            [_text_cell(entry["label"]), _poly_cell(entry["prefactor"]),
+             _text_cell(term["pair"]), _poly_cell(term["coeff"])]
+            for entry in payload["entries"]
+            for term in entry["tensor"]
+        ]
+        return ["label", "prefactor", "pair", "coeff"], rows
     if kind in ("hall", "mirabolic"):
         cls = laurent.LaurentPoly if kind == "hall" else laurent.QPoly
         header = ["label", "coeff"]
@@ -659,8 +644,6 @@ def _cmd_green(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_iwahori(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if args.icmd != "mult":
-        raise UsageError(f"unknown iwahori action {args.icmd!r}")
     if args.N < 2:
         raise UsageError(f"period must be at least 2, got {args.N}")
     N, window = args.N, cfg.window

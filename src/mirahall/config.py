@@ -33,9 +33,9 @@ class RunConfig(NamedTuple):
     verbosity: int = 0
     seed: int = DEFAULT_SEED
 
-    def resolved_rank(self, n: int | None = None) -> int:
+    def resolved_rank(self) -> int:
         """The rank, or when it is 0 the size, but never below 1."""
-        return self.rank if self.rank else max(self.n if n is None else n, 1)
+        return self.rank if self.rank else max(self.n, 1)
 
     def validate(self) -> "RunConfig":
         if self.n < 0:

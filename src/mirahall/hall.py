@@ -6,12 +6,12 @@ with more rows than `rank` span an ideal (a submodule or quotient of a
 module with at most `rank` generators again has at most `rank`
 generators), so its label rule drops them and leaves an honest algebra.
 
-`hall_mul` expresses each basis element through monomials in the
-square-zero elements and multiplies one generator at a time, reading
-each generator's constants from the closed left table at vectorless
-targets (Macdonald's Hall polynomials G^c_{b (1^r)}).  Those are
-nonzero only when c is b plus a vertical r-strip, so a step reads the
-tables at ((), c) for those c alone and lists no pair label.  The oracle,
+One driver, `monomial_action`, runs every action of the algebra one
+square-zero generator at a time: `hall_mul` with the step `gen_mul`,
+`bimodule.act` with `bimodule.gen_act`.  `gen_mul` applies one
+generator's column from the closed left table at vectorless targets
+(Macdonald's Hall polynomials G^c_{b (1^r)}), nonzero only when c is b
+plus a vertical r-strip, so a step lists no pair label.  The oracle,
 `oracle.hall_mul_direct`, counts invariant subspaces for each pair of
 factors, and `oracle.psi` realises the algebra on symmetric
 polynomials; only `verify` and the tests reach them.
@@ -20,7 +20,7 @@ polynomials; only `verify` and the tests reach them.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .closedform import closed_left_table
 from .errors import DiagonalNotUnit, OracleMismatch
@@ -65,14 +65,11 @@ def gen_mul(r: int, x: HallElt) -> HallElt:
         raise ValueError("negative rank")
     if r == 0:
         return x
-    out: dict[Partition, LaurentPoly] = {}
-    for b, cb in x._c.items():
-        HallElt._accumulate(out, (
-            (c, cb * g.to_laurent())
-            for c in vertical_strips(b, r, x.rank)
-            if (g := closed_left_table(((), c), r).get(((), b)))
-        ))
-    return HallElt._trusted(x.rank, out)
+    return x.apply(lambda b: (
+        (c, g.to_laurent())
+        for c in vertical_strips(b, r, x.rank)
+        if (g := closed_left_table(((), c), r).get(((), b)))
+    ))
 
 
 @lru_cache(maxsize=None)
@@ -105,18 +102,31 @@ def _gen_decomposition(
     return out
 
 
+def monomial_action(
+    a: HallElt, m: Combination, step: Callable, left: bool = True
+) -> Combination:
+    """`a` acting on `m`, in `m`'s type: `a`'s coefficients are summed
+    per generator monomial (its shapes share most of them), then each
+    monomial's chain of `step(r, term)` runs once, the last generator
+    first on the left."""
+    a._check(m)
+    monomials: dict[tuple[int, ...], LaurentPoly] = {}
+    for w, cw in a._c.items():
+        HallElt._accumulate(monomials, (
+            (cols, cw * cf) for cols, cf in _gen_decomposition(w, a.rank).items()
+        ))
+    out: dict = {}
+    for cols, scale in monomials.items():
+        term = m
+        for r in reversed(cols) if left else cols:
+            term = step(r, term)
+        m._accumulate(out, ((k, scale * c) for k, c in term._c.items()))
+    return m._trusted(m.rank, out)
+
+
 def hall_mul(x: HallElt, y: HallElt) -> HallElt:
     """Product via the generator decomposition of the left factor."""
-    x._check(y)
-    out: dict[Partition, LaurentPoly] = {}
-    for a, ca in x._c.items():
-        for cols, cf in _gen_decomposition(a, x.rank).items():
-            term = y
-            for r in reversed(cols):
-                term = gen_mul(r, term)
-            scale = ca * cf
-            HallElt._accumulate(out, ((k, scale * c) for k, c in term._c.items()))
-    return HallElt._trusted(x.rank, out)
+    return monomial_action(x, y, gen_mul)
 
 
 def c_expand(lam: Partition, rank: int) -> HallElt:

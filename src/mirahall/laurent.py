@@ -418,6 +418,15 @@ class Combination:
             else:
                 acc.pop(k, None)
 
+    def apply(self, column):
+        """The linear extension of `column`: `column(label)` yields
+        (label, LaurentPoly) terms already normal for this type, each
+        scaled here by the label's coefficient and summed."""
+        out: dict = {}
+        for k, a in self._c.items():
+            self._accumulate(out, ((t, a * g) for t, g in column(k)))
+        return self._trusted(self.rank, out)
+
     @classmethod
     def zero(cls, rank):
         return cls(rank)

@@ -28,7 +28,7 @@ from .errors import (
     UsageError,
 )
 from .hall import u_elt
-from .laurent import QPoly
+from .laurent import Combination, QPoly
 from .partitions import (
     Bipartition,
     bipartitions_of,
@@ -261,12 +261,7 @@ def green_mul(
                     support[f] = tgt
             if coeff == 0:
                 continue
-            lab = GreenLabel(cls.q, support)
-            total = out.get(lab, 0) + coeff
-            if total:
-                out[lab] = total
-            else:
-                out.pop(lab, None)
+            Combination._accumulate(out, [(GreenLabel(cls.q, support), coeff)])
     return out
 
 

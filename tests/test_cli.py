@@ -219,6 +219,28 @@ def test_config_file_flags_win(tmp_path, capsys):
     assert cli.main(["--config", str(bad), "pi"]) == 2
 
 
+def test_cache_dir_precedence_flag_env_file_default(tmp_path, monkeypatch, capsys):
+    # flag > MIRAHALL_CACHE_DIR > config file > $XDG_CACHE_HOME/mirahall
+    dirs = {name: tmp_path / name for name in ("flag", "env", "file", "xdg")}
+    cfgfile = tmp_path / "dir.cfg"
+    cfgfile.write_text(f"cache_dir = {dirs['file']}\n")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(dirs["xdg"]))
+    monkeypatch.setenv("MIRAHALL_CACHE_DIR", str(dirs["env"]))
+
+    def served_into(config=(), flag=()):
+        assert run(capsys, *config, "pi", "--n", "1", *flag)[0] == 0
+        return [name for name, d in dirs.items() if d.exists()]
+
+    config = ("--config", str(cfgfile))
+    assert resolve(read_config_file(str(cfgfile)), {}).cache_dir == str(dirs["env"])
+    assert served_into(config, ("--cache-dir", str(dirs["flag"]))) == ["flag"]
+    assert served_into(config) == ["flag", "env"]
+    monkeypatch.delenv("MIRAHALL_CACHE_DIR")
+    assert served_into(config) == ["flag", "env", "file"]
+    assert served_into() == ["flag", "env", "file", "xdg"]
+    assert (dirs["xdg"] / "mirahall").is_dir()
+
+
 def test_non_prime_field_is_usage_error(tmp_path, capsys):
     # Z/4 is not a field: Fermat inversion and the irreducibility
     # listing are wrong there, so every way of naming q rejects it

@@ -1,5 +1,6 @@
 import pytest
 
+from mirahall.bimodule import act, u_bip
 from mirahall.closedform import closed_form_G, closed_left_table
 from mirahall.costs import hall_units
 from mirahall.hall import (
@@ -59,6 +60,43 @@ def test_products_match_direct_route():
                 for b in partitions_of(n - ka):
                     x, y = u_elt(a, rank), u_elt(b, rank)
                     assert hall_mul(x, y) == hall_mul_direct(x, y), (a, b)
+
+
+def test_hall_product_is_the_vectorless_left_action():
+    # hall_mul runs gen_mul and bimodule.act runs gen_act through the
+    # same driver: on a vectorless label the left action's vectorless
+    # part is the Hall product
+    cases = 0
+    for rank in range(1, 5):
+        shapes = [lam for n in range(4) for lam in partitions_of(n) if len(lam) <= rank]
+        for a in shapes:
+            if not a:
+                continue
+            for b in shapes:
+                x = u_elt(a, rank)
+                image = act("left", x, u_bip(((), b), rank))
+                vectorless = {c: g for (v, c), g in image._c.items() if not v}
+                assert hall_mul(x, u_elt(b, rank)) == HallElt(rank, vectorless), (a, b)
+                cases += 1
+    assert cases == 126
+
+
+def test_products_of_several_shapes_match_direct_route():
+    # a left factor with several shapes is summed per generator monomial
+    cases = 0
+    for rank in (2, 4):
+        for n in range(1, 5):
+            for lam in partitions_of(n):
+                if len(lam) > rank:
+                    continue
+                x = c_expand(lam, rank)
+                for m in range(5 - n):
+                    for b in partitions_of(m):
+                        if len(b) <= rank:
+                            y = u_elt(b, rank)
+                            assert hall_mul(x, y) == hall_mul_direct(x, y), (lam, b)
+                            cases += 1
+    assert cases == 47
 
 
 def test_generators_commute():
