@@ -3,17 +3,19 @@
 An entry is addressed by (module, parameters, code tag); the tag is a
 digest of the package's source files, so artifacts written by other
 code never satisfy a lookup, whatever its version number says.  Each
-entry is one header line, a JSON object holding the tag, the module,
-the parameters and the body's length, followed by the artifact's exact
-text.  Only `cli._serve_cached` reads and writes entries, for every
-data subcommand but `verify`, keyed by the subcommand and the table's
-parameters plus `format`.
+entry is one header line, the `repr` of the tag, the module, the
+parameters as sorted (name, value) pairs (`_canonical`) and the body's length,
+followed by the artifact's exact text; the file name is a digest of
+the same key without the length.  Keys and headers are built without
+`json`, which an artifact hit then never imports.  Only
+`cli._serve_cached` reads and writes entries, for every data subcommand
+but `verify`, keyed by the subcommand and the table's parameters plus
+`format`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import tempfile
 from functools import lru_cache
@@ -49,15 +51,31 @@ def default_dir() -> str:
     return os.path.join(base, "mirahall")
 
 
+def _canonical(value):
+    """`value` with each tuple read as a list, as JSON would read it; a
+    value whose repr is not fixed by its value alone (anything but a
+    str, int, bool, float, None, or a list or tuple of such) raises
+    TypeError."""
+    if type(value) in (list, tuple):
+        return [_canonical(v) for v in value]
+    if type(value) in (str, int, bool, float, type(None)):
+        return value
+    raise TypeError(f"cache parameter {value!r} has no fixed text")
+
+
+def _key(module: str, params: Mapping) -> tuple:
+    return code_tag(), module, [(name, _canonical(params[name])) for name in sorted(params)]
+
+
 def _entry_path(directory: str, module: str, params: Mapping) -> str:
-    blob = json.dumps([code_tag(), module, params], sort_keys=True)
+    blob = repr(_key(module, params))
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
     return os.path.join(directory or default_dir(), f"{module}-{digest}.entry")
 
 
 def _header(module: str, params: Mapping, length: int) -> str:
-    entry = {"tag": code_tag(), "module": module, "params": params, "length": length}
-    return json.dumps(entry, sort_keys=True) + "\n"
+    # one line: repr escapes every newline within the strings
+    return repr((*_key(module, params), length)) + "\n"
 
 
 def load(module: str, params: Mapping, directory: str = ""):

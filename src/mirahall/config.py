@@ -1,4 +1,6 @@
-"""Run configuration: defaults, key=value files, precedence.
+"""Run configuration: defaults, key=value files, precedence; and the
+text form of partition and bipartition labels, read from flags and
+written into cache keys and artifacts.
 
 Precedence, lowest to highest: built-in defaults, config file, the
 cache-directory environment variable, command-line flags.
@@ -7,6 +9,7 @@ cache-directory environment variable, command-line flags.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 from .errors import IOFailure, UsageError
@@ -144,3 +147,40 @@ def resolve(file_values: Mapping[str, object] | None = None,
             raise UsageError(f"unknown config field {key!r}")
         cfg = cfg._replace(**{key: _coerce(key, value)})
     return cfg.validate()
+
+
+# --- labels -----------------------------------------------------------------
+# Here rather than with the payload builders: an artifact hit keys
+# `hall` and `mirabolic` entries by their parsed labels.
+
+
+def plabel(lam) -> str:
+    return "(" + ",".join(str(part) for part in lam) + ")"
+
+
+@lru_cache(maxsize=None)
+def bplabel(bp) -> str:
+    # memoised: a square table names each of its labels once per cell
+    return f"{plabel(bp[0])}|{plabel(bp[1])}"
+
+
+def parse_partition(text: str):
+    body = text.strip().strip("()")
+    if not body:
+        return ()
+    try:
+        parts = tuple(int(tok) for tok in body.split(","))
+    except ValueError:
+        raise UsageError(f"bad partition {text!r}") from None
+    if any(a < b for a, b in zip(parts, parts[1:])) or any(p < 0 for p in parts):
+        raise UsageError(f"parts must be weakly decreasing and nonnegative: {text!r}")
+    # the parts decrease weakly, so the zeros trail; dropping them here
+    # leaves `partitions` unrun on an artifact hit
+    return tuple(p for p in parts if p)
+
+
+def parse_bipartition(text: str):
+    if text.count("|") != 1:
+        raise UsageError(f"bipartition must look like '2,1|1', got {text!r}")
+    left, right = text.split("|")
+    return parse_partition(left), parse_partition(right)

@@ -8,9 +8,10 @@ of `green` and `check_hall_cost` the generator steps of a `hall`
 product.  Each counts without building anything, from `partitions` at
 most, which this module reaches as a module so that a guard that needs
 no label count (`iwahori`) leaves it unrun; a refused request runs no
-table module.  `mirahall.cli` runs this module only when a payload
-builder reaches its guard, and `traces.green_freeness_check` runs the
-`green` guard for its library callers.
+table module.  A request runs this module only when a payload builder
+(in `mirahall.artifacts`) reaches its guard, and
+`traces.green_freeness_check` runs the `green` guard for its library
+callers.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mirahall.affine as affine
-import mirahall.cli as cli
+import mirahall.artifacts as artifacts
 import mirahall.oracle as oracle
 from mirahall.affine import (
     AffinePerm,
@@ -219,7 +219,7 @@ def test_served_products_make_no_count(monkeypatch):
     monkeypatch.setattr(oracle, "_classify_core", forbidden)
     monkeypatch.setattr(oracle, "_ts_counts", forbidden)
     monkeypatch.setattr(oracle, "interpolate", forbidden)
-    payload = cli.iwahori_payload(2, 2)
+    payload = artifacts.iwahori_payload(2, 2)
     assert len(payload["products"]) == 2 * len(universe(2))
     for args, i in PERIOD3_SPOTS:
         assert pattern_check(validate(*args), i) in range(1, 6)
@@ -340,7 +340,7 @@ def test_serving_never_rebuilds_labels(monkeypatch):
     affine._line_classes.cache_clear()
     for name in ROUND_TRIP:
         monkeypatch.setattr(oracle, name, forbidden)
-    payload = cli.iwahori_payload(3, 2)
+    payload = artifacts.iwahori_payload(3, 2)
     assert len(payload["products"]) == 3 * len(universe(3))
     with pytest.raises(AssertionError):
         oracle.rep_roundtrip(validate((1, 2), 0))

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import json
@@ -12,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mirahall import (
+    artifacts,
     bimodule,
     cache,
     checks,
@@ -24,7 +26,13 @@ from mirahall import (
     symfunc,
     traces,
 )
-from mirahall.config import RunConfig, read_config_file, resolve
+from mirahall.config import (
+    RunConfig,
+    parse_bipartition,
+    parse_partition,
+    read_config_file,
+    resolve,
+)
 from mirahall.costs import (
     check_cost,
     check_hall_cost,
@@ -72,8 +80,8 @@ def test_pi_json_round_trip(capsys):
     seen = 0
     for cell in payload["calibrated"]:
         poly = LaurentPoly.from_json(cell["coeff"])
-        row = cli.parse_bipartition(cell["row"])
-        col = cli.parse_bipartition(cell["col"])
+        row = parse_bipartition(cell["row"])
+        col = parse_bipartition(cell["col"])
         assert table.value(row, col) == poly
         seen += 1
     assert seen == 14
@@ -81,8 +89,8 @@ def test_pi_json_round_trip(capsys):
 
 def test_trace_cells_are_the_nonzero_calibrated_cells_in_order():
     for n in range(6):
-        pi_cells = cli.pi_payload(n, max(n, 1))["calibrated"]
-        trace_cells = cli.trace_payload(n, 3)["cells"]
+        pi_cells = artifacts.pi_payload(n, max(n, 1))["calibrated"]
+        trace_cells = artifacts.trace_payload(n, 3)["cells"]
         assert [(c["row"], c["col"]) for c in trace_cells] == [
             (c["row"], c["col"]) for c in pi_cells
         ], n
@@ -132,12 +140,20 @@ def test_cold_and_cached_runs_identical(capsys):
 def _read_entry(path) -> tuple[dict, str]:
     """The parsed header line and the exact body of a cache entry."""
     with open(path, encoding="utf-8", newline="") as fh:
-        return json.loads(fh.readline()), fh.read()
+        tag, module, params, length = ast.literal_eval(fh.readline())
+        header = {"tag": tag, "module": module, "params": dict(params), "length": length}
+        return header, fh.read()
+
+
+def _header_line(header: dict) -> str:
+    """The header line of `header`, as `cache` writes it."""
+    params = sorted(header["params"].items())
+    return repr((header["tag"], header["module"], params, header["length"])) + "\n"
 
 
 def _write_entry(path, header: dict, body: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n" + body)
+        fh.write(_header_line(header) + body)
 
 
 def test_cache_entries_land_in_env_dir(tmp_path, capsys):
@@ -392,14 +408,14 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_partition_parsing():
-    assert cli.parse_partition("2,1") == (2, 1)
-    assert cli.parse_partition("()") == ()
-    assert cli.parse_partition("") == ()
-    assert cli.parse_bipartition("2,1|1") == ((2, 1), (1,))
+    assert parse_partition("2,1") == (2, 1)
+    assert parse_partition("()") == ()
+    assert parse_partition("") == ()
+    assert parse_bipartition("2,1|1") == ((2, 1), (1,))
     with pytest.raises(UsageError):
-        cli.parse_partition("1,2")
+        parse_partition("1,2")
     with pytest.raises(UsageError):
-        cli.parse_bipartition("2,1")
+        parse_bipartition("2,1")
 
 
 # every cached kind at small sizes
@@ -424,8 +440,8 @@ def test_every_order_of_formats_serves_the_cold_bytes(tmp_path, capsys, monkeypa
                               "--cache-dir", str(tmp_path / f"cold-{fmt}"))
         assert code == 0
     rendered, built = [], []
-    render, serve = cli.render, cli._serve_cached
-    monkeypatch.setattr(cli, "render", lambda payload, fmt: rendered.append(fmt) or render(payload, fmt))
+    render, serve = artifacts.render, cli._serve_cached
+    monkeypatch.setattr(artifacts, "render", lambda payload, fmt: rendered.append(fmt) or render(payload, fmt))
     monkeypatch.setattr(cli, "_serve_cached", lambda kind, params, build, *rest: serve(
         kind, params, lambda: built.append(kind) or build(), *rest))
     for i, order in enumerate(itertools.permutations(formats)):
@@ -511,7 +527,7 @@ def test_failed_store_leaves_no_temp_file(tmp_path, monkeypatch, fails):
 
 
 def test_unencodable_payload_leaves_no_temp_file(tmp_path):
-    # a lone surrogate has no UTF-8 form; params JSON cannot encode
+    # a lone surrogate has no UTF-8 form; a set parameter has no fixed text
     with pytest.raises(UnicodeEncodeError):
         cache.store("thing", {"a": 1}, "rows \ud800\n", str(tmp_path))
     with pytest.raises(TypeError):
@@ -660,10 +676,10 @@ def test_cache_entry_is_a_header_line_and_the_exact_text(tmp_path):
     text = 'x,"y"\r\n\\sqrt{q} \u00e4\n'
     params = {"b": [2], "a": 1, "format": "csv"}
     path = cache.store("thing", params, text, str(tmp_path))
-    header = {"tag": cache.code_tag(), "module": "thing", "params": params,
-              "length": len(text)}
-    assert Path(path).read_bytes() == (
-        json.dumps(header, sort_keys=True) + "\n" + text).encode("utf-8")
+    # the repr of the tag, the module, the sorted parameters and the length
+    header = (f"('{cache.code_tag()}', 'thing', [('a', 1), ('b', [2]), ('format', 'csv')],"
+              f" {len(text)})\n")
+    assert Path(path).read_bytes() == (header + text).encode("utf-8")
 
 
 def test_hall_cost_guard_passes_the_products_within_budget():
@@ -763,9 +779,9 @@ def test_serving_path_never_runs_the_antisymmetriser(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     try:
-        assert len(cli.pi_payload(5, 5)["order"]) == 36
-        assert len(cli.mhl_payload(3, 3)["entries"]) == 10
-        assert len(cli.trace_payload(3, 3)["order"]) == 10
+        assert len(artifacts.pi_payload(5, 5)["order"]) == 36
+        assert len(artifacts.mhl_payload(3, 3)["entries"]) == 10
+        assert len(artifacts.trace_payload(3, 3)["order"]) == 10
     finally:
         _clear_caches()
 
@@ -781,33 +797,33 @@ json_trees = st.recursive(
 
 @given(json_trees)
 def test_json_text_matches_the_standard_library(tree):
-    assert cli.json_text(tree) == json.dumps(tree, sort_keys=True, indent=1)
+    assert artifacts.json_text(tree) == json.dumps(tree, sort_keys=True, indent=1)
 
 
 def test_json_text_on_every_payload_kind(tmp_path):
     cfg = RunConfig(cache_dir=str(tmp_path / "cache"), max_n=2)
     payloads = [
-        cli.pi_payload(3, 3),
-        cli.mhl_payload(2, 2),
-        cli.trace_payload(2, 3),
-        cli.hall_payload((2,), (1,), 2),
-        cli.mirabolic_payload(((1,), (1,)), 1, "left", 3),
-        cli.mirabolic_payload(((1,), ()), 1, "right", 3),
-        cli.green_payload(2, 3),
-        cli.iwahori_payload(2, 1),
+        artifacts.pi_payload(3, 3),
+        artifacts.mhl_payload(2, 2),
+        artifacts.trace_payload(2, 3),
+        artifacts.hall_payload((2,), (1,), 2),
+        artifacts.mirabolic_payload(((1,), (1,)), 1, "left", 3),
+        artifacts.mirabolic_payload(((1,), ()), 1, "right", 3),
+        artifacts.green_payload(2, 3),
+        artifacts.iwahori_payload(2, 1),
         cli.verify_payload(["census"], cfg),
         {"empty_list": [], "empty_dict": {}, "nested": [[], {}, [{}]], "none": None},
     ]
     for payload in payloads:
         for tree in (payload, json.loads(json.dumps(payload))):
             want = json.dumps(tree, sort_keys=True, indent=1) + "\n"
-            assert cli.render(tree, "json") == want, payload.get("kind")
+            assert artifacts.render(tree, "json") == want, payload.get("kind")
 
 
 def test_json_text_refuses_what_is_not_a_payload():
     for bad in (1.5, {1: 2}, {"a": [b"x"]}, {"a": {1, 2}}):
         with pytest.raises(TypeError):
-            cli.json_text(bad)
+            artifacts.json_text(bad)
 
 
 # sha256 of stdout: pi --n 5 and --n 6 as in every record of

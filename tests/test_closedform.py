@@ -30,7 +30,7 @@ from mirahall import (
     traces,
 )
 from mirahall.bimodule import gen_act, mhl_poly, pi_table, u_bip
-from mirahall.cli import mirabolic_payload
+from mirahall.artifacts import mirabolic_payload
 from mirahall.hall import hall_mul, u_elt
 from mirahall.traces import GreenLabel, green_mul
 

@@ -9,17 +9,19 @@ serving request of the benchmark's workloads runs in a fresh
 interpreter here, which checks that neither `import mirahall.cli` nor
 the request itself loads them.
 
-The exact kernel (`laurent`, `partitions`), the cost guards (`costs`)
-and the table modules (TABLE_MODULES) are registered lazily by
-`mirahall.cli`: each is in `sys.modules` from import on, and its body
-runs at its first attribute access.  A request served from a stored
-artifact, `--help` and an `mhl` below its size (a usage error) are
-checked to run none of them; a csv or latex request rendered from the
-stored json artifact (which skips the cost guard and so runs neither
-`costs` nor `partitions`), a request refused by a cost guard, and a
-cold `iwahori mult` (whose guard counts no labels, and whose table
-needs only `affine` and `laurent`) to leave the modules they do not
-need unrun.  Every cold request runs its guard in `costs`.
+The payload builders and renderers (`artifacts`), the exact kernel
+(`laurent`, `partitions`), the cost guards (`costs`) and the table
+modules (TABLE_MODULES) are registered lazily by `mirahall.cli`: each
+is in `sys.modules` from import on, and its body runs at its first
+attribute access.  A request served from a stored artifact, in any
+format and of any kind, `--help` and an `mhl` below its size (a usage
+error) are checked to run none of them and to leave `json` unimported;
+a csv or latex request rendered from the stored json artifact (which
+runs `artifacts` and skips the cost guard, so runs neither `costs` nor
+`partitions`), a request refused by a cost guard, and a cold `iwahori
+mult` (whose guard counts no labels, and whose table needs only
+`affine` and `laurent`) to leave the modules they do not need unrun.
+Every cold request runs `artifacts` and its guard in `costs`.
 """
 
 from __future__ import annotations
@@ -84,13 +86,14 @@ def test_serving_request_loads_no_counting_module(argv, tmp_path):
 
 
 TABLE_MODULES = ("affine", "bimodule", "closedform", "hall", "symfunc", "traces")
-LAZY_MODULES = TABLE_MODULES + ("laurent", "partitions", "costs")
+LAZY_MODULES = TABLE_MODULES + ("laurent", "partitions", "costs", "artifacts")
 
 # Each lazily registered module's state after one request: "lazy"
 # (registered, body not run), "ran" or "absent".  type() reads no
-# attribute of the module, so it does not run a lazy one.
+# attribute of the module, so it does not run a lazy one.  Whether the
+# request loaded `json` is read before this child imports it.
 STATES = """
-import json, sys, types
+import sys, types
 import mirahall.cli
 code = mirahall.cli.main(sys.argv[2:])
 states = {}
@@ -100,15 +103,17 @@ for name in %r:
         states[name] = "absent"
     else:
         states[name] = "ran" if type(module) is types.ModuleType else "lazy"
+loaded_json = "json" in sys.modules
+import json
 with open(sys.argv[1], "w") as fh:
-    json.dump({"code": code, "states": states}, fh)
+    json.dump({"code": code, "states": states, "json": loaded_json}, fh)
 """ % (LAZY_MODULES,)
 
 ALL_LAZY = {name: "lazy" for name in LAZY_MODULES}
 
 
-# every table request is cached
-CACHED = [workloads.with_format(a, f) for a in workloads.COLD_TABLES for f in workloads.FORMATS]
+# every table request is cached, the warm right mirabolic column too
+CACHED = workloads.all_reference_argv()
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +128,7 @@ def filled_cache(tmp_path_factory):
 
 @pytest.mark.parametrize("argv", CACHED, ids=" ".join)
 def test_cached_request_runs_no_table_module(argv, filled_cache):
-    assert _run(STATES, argv, filled_cache) == {"code": 0, "states": ALL_LAZY}
+    assert _run(STATES, argv, filled_cache) == {"code": 0, "states": ALL_LAZY, "json": False}
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +139,7 @@ def json_artifact_cache(tmp_path_factory):
         got = _run(STATES, workloads.with_format(argv, "json"), cache_dir)
         # a cold request passes its cost guard before any table work
         assert got["code"] == 0 and got["states"]["costs"] == "ran"
+        assert got["states"]["artifacts"] == "ran"
     assert len(list(cache_dir.iterdir())) == len(workloads.COLD_TABLES)
     return cache_dir
 
@@ -150,19 +156,21 @@ def test_payload_hit_runs_no_table_module(argv, json_artifact_cache):
     # but not for green's text cells; the cost guard runs only when the
     # json artifact misses too, so costs and partitions are unrun
     laurent = "lazy" if argv[0] == "green" else "ran"
-    assert got == {"code": 0, "states": dict(ALL_LAZY, laurent=laurent)}
+    assert got == {"code": 0, "states": dict(ALL_LAZY, laurent=laurent, artifacts="ran"),
+                   "json": True}
     # an artifact miss: this request stored its own artifact
     assert len(set(json_artifact_cache.iterdir()) - before) == 1
 
 
 def test_help_runs_no_lazy_module(tmp_path):
-    assert _run(STATES, ("--help",), tmp_path / "cache") == {"code": 0, "states": ALL_LAZY}
+    got = _run(STATES, ("--help",), tmp_path / "cache")
+    assert got == {"code": 0, "states": ALL_LAZY, "json": False}
 
 
 def test_mhl_below_its_size_runs_no_lazy_module(tmp_path):
-    # a usage error, raised before the cost guard
+    # a usage error, raised on the front before the cache lookup
     got = _run(STATES, ("mhl", "--n", "5", "--N", "2"), tmp_path / "cache")
-    assert got == {"code": 2, "states": ALL_LAZY}
+    assert got == {"code": 2, "states": ALL_LAZY, "json": False}
 
 
 REFUSED = (
@@ -180,10 +188,11 @@ def test_refused_request_runs_no_table_module(argv, tmp_path):
     # every guard but iwahori's counts labels in partitions
     partitions = "lazy" if argv[0] == "iwahori" else "ran"
     assert _run(STATES, argv, tmp_path / "cache") == {
-        "code": 1, "states": dict(ALL_LAZY, costs="ran", partitions=partitions)}
+        "code": 1, "states": dict(ALL_LAZY, costs="ran", partitions=partitions, artifacts="ran"),
+        "json": True}
 
 
 def test_cold_iwahori_runs_only_affine(tmp_path):
     got = _run(STATES, ("iwahori", "mult", "--N", "2"), tmp_path / "cache")
     assert got == {"code": 0, "states": dict(
-        ALL_LAZY, affine="ran", laurent="ran", costs="ran")}
+        ALL_LAZY, affine="ran", laurent="ran", costs="ran", artifacts="ran"), "json": True}

@@ -3,9 +3,10 @@
 `perfbench/traced.py REPORT -- <argv>` imports `mirahall.cli`, wraps every
 public function of the mirahall modules in `sys.modules` by then, runs one
 request and writes the calls it counted per layer.  `mirahall.cli`
-registers the table modules lazily: each is in `sys.modules` from import
-on, with its body not yet run, and the tracer's first read of the
-module's namespace runs it.  A table module that stopped being registered
+registers the payload builders and renderers (`artifacts`) and the table
+modules lazily: each is in `sys.modules` from import on, with its body
+not yet run, and the tracer's first read of the module's namespace runs
+it.  A table module that stopped being registered
 at import, or a layer whose calls move into a module that is not, would
 read as a layer with no calls; these requests pin that.
 """
@@ -24,14 +25,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 LAYERS = {
     ("pi", "--n", "2"): {
-        "cli", "cache", "config", "bimodule", "hall", "closedform",
+        "cli", "artifacts", "cache", "config", "bimodule", "hall", "closedform",
         "partitions", "symfunc", "laurent",
     },
     ("trace", "--n", "2", "--q", "3"): {
-        "cli", "cache", "config", "bimodule", "hall", "closedform",
+        "cli", "artifacts", "cache", "config", "bimodule", "hall", "closedform",
         "partitions", "symfunc", "laurent", "traces",
     },
-    ("iwahori", "mult", "--N", "2"): {"cli", "cache", "config", "affine"},
+    ("iwahori", "mult", "--N", "2"): {"cli", "artifacts", "cache", "config", "affine"},
 }
 
 
