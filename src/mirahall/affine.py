@@ -7,13 +7,15 @@ closed form.  The q lines of the P^1 at the wall, other than the
 label's own, fall into three classes (`_line_classes`), and each class's
 label is built directly from (w, beta, i): its permutation is w s or w,
 and its marked set is beta with one slot per wall step added or
-dropped, closed downward in the order of the new permutation.  A
-coefficient is the summed weight of the classes that come back.  Which
-of the five shapes the product takes, and which slot it toggles, is
-predicted from the ascent or descent at the wall and from which classes
-move beta (`predicted_case`); `pattern_check` holds the product to that
-shape.  No finite field is built, and no label is read back from a flag
-invariant, on that route.
+dropped, closed downward in the order of the new permutation.  What
+the wall needs of w alone (w s, both inverses, the ascent, the pair
+(top, low)) is made once per window and wall (`_wall`), for every label
+with that permutation.  A coefficient is the summed weight of the
+classes that come back.  Which of the five shapes the product takes,
+and which slot it toggles, is predicted from the ascent or descent at
+the wall and from which classes move beta (`predicted_case`);
+`pattern_check` holds the product to that shape.  No finite field is
+built, and no label is read back from a flag invariant, on that route.
 
 The counting oracle (`oracle.counted_ts_action`) builds representative
 triples over F_q in a truncated lattice model, classifies every line
@@ -30,16 +32,17 @@ quadratic-relation tests:
 * the second flag of the representative of (w, beta) is spanned step by
   step by basis vectors in w-order, the marked vector is the sum of e_k
   over k in beta;
-* (w, beta) is a valid label iff beta is closed downward under the product
-  order (m, w^{-1}(m)); the violating pair is reported the other way round,
-  as (i, j) with i outside and j inside;
+* (w, beta) is a valid label iff beta equals its own downward closure
+  (`_closed`) under the product order (m, w^{-1}(m)), one scan over
+  (lo, top] (`_is_closed`); the error names the first violating pair the
+  other way round, as (i, j) with i outside and j inside;
 * composing with the rotation on the right leaves beta unchanged.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product as cartesian
+from itertools import combinations, permutations, product as cartesian
 
 from .errors import Incompatible, NoTemplateMatch, UsageError
 from .laurent import QPoly
@@ -148,6 +151,12 @@ class AffinePerm:
         return total
 
 
+@lru_cache(maxsize=None)
+def _length(window: tuple) -> int:
+    """The length of the permutation with this window, once per window."""
+    return AffinePerm._trusted(window).length()
+
+
 class BetaSet:
     """Subset of Z of the form (-inf, lo] plus finitely many extras.
 
@@ -218,19 +227,50 @@ class BetaSet:
         return tuple(sorted(mine - theirs)), tuple(sorted(theirs - mine))
 
 
+def _closed(u: tuple, members, floor: int, ceil: int) -> BetaSet:
+    """Every index below floor, with the downward closure of `members`
+    (a collection inside [floor, ceil]) in the order (m, u(m)); u is
+    given by its window.
+
+    m joins when some member r >= m has u(r) >= u(m): one scan down from
+    ceil, keeping the maximum of u over the members seen, that stops at
+    the lowest index outside `members`, as every index below it is in."""
+    n = len(u)
+    stop = floor
+    while stop in members:
+        stop += 1
+    kept = []
+    best = None
+    for m in range(ceil, stop - 1, -1):
+        c, r = divmod(m - 1, n)
+        um = u[r] + n * c  # u(m), inlined: this loop is the hot one
+        if m in members:
+            if best is None or um > best:
+                best = um
+            kept.append(m)
+        elif best is not None and um <= best:
+            kept.append(m)
+    lo = stop - 1
+    while kept and kept[-1] == lo + 1:
+        lo = kept.pop()
+    return BetaSet(lo, kept)
+
+
+def _is_closed(u: tuple, beta: BetaSet) -> bool:
+    """Whether (w, beta) is a label, u = w^{-1} by its window: beta equals
+    its own downward closure.  A violating pair has lo < i < j <= top,
+    so one `_closed` scan over (lo, top] decides it."""
+    return _closed(u, beta.extra, beta.lo + 1, beta.top()) == beta
+
+
 def _violation(w: AffinePerm, beta: BetaSet):
     """First pair (i, j), i not in beta, j in beta, with i < j and
-    u(i) < u(j) for u the inverse permutation; None if the label is valid."""
+    u(i) < u(j) for u the inverse permutation; None if the label is
+    valid.  Such a pair has lo < i < j <= top."""
     u = w.inverse()
-    margin = w.spread() + w.N + 1
-    floor = beta.lo - margin
-    ceil = beta.top() + margin
-    inside = [j for j in range(floor, ceil + 1) if j in beta]
-    for i in range(floor, ceil + 1):
-        if i in beta:
-            continue
-        for j in inside:
-            if i < j and u(i) < u(j):
+    for i in range(beta.lo + 1, beta.top()):
+        for j in beta.extra:
+            if i < j and i not in beta and u(i) < u(j):
                 return (i, j)
     return None
 
@@ -241,8 +281,8 @@ class RBAffElt:
     __slots__ = ("w", "beta")
 
     def __init__(self, w: AffinePerm, beta: BetaSet) -> None:
-        bad = _violation(w, beta)
-        if bad is not None:
+        if not _is_closed(w.inverse().window, beta):
+            bad = _violation(w, beta)
             raise Incompatible(f"pair (w={w.window}, beta={beta!r}) fails at (i, j)={bad}")
         self.w = w
         self.beta = beta
@@ -258,8 +298,9 @@ class RBAffElt:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RBAffElt)
-            and self.w == other.w
-            and self.beta == other.beta
+            and self.w.window == other.w.window
+            and self.beta.lo == other.beta.lo
+            and self.beta.extra == other.beta.extra
         )
 
     def __hash__(self) -> int:
@@ -269,7 +310,7 @@ class RBAffElt:
         return f"RBAffElt(w={self.w.window}, beta={self.beta!r})"
 
     def length(self) -> int:
-        return self.w.length() + self.beta.ell()
+        return _length(self.w.window) + self.beta.ell()
 
     def degree(self) -> int:
         return self.w.degree()
@@ -303,29 +344,17 @@ _Q = QPoly.q_power(1)
 _GENERIC = _Q - 2
 
 
-def _closed(u: tuple, members, floor: int, ceil: int) -> BetaSet:
-    """Every index below floor, with the downward closure of `members`
-    (a set inside [floor, ceil]) in the order (m, u(m)); u is given by
-    its window.
-
-    m joins when some member r >= m has u(r) >= u(m): one scan down from
-    ceil, keeping the maximum of u over the members seen."""
-    n = len(u)
-    kept = []
-    best = None
-    for m in range(ceil, floor - 1, -1):
-        c, r = divmod(m - 1, n)
-        um = u[r] + n * c  # u(m), inlined: this loop is the hot one
-        if m in members:
-            if best is None or um > best:
-                best = um
-            kept.append(m)
-        elif best is not None and um <= best:
-            kept.append(m)
-    lo = floor - 1
-    while kept and kept[-1] == lo + 1:
-        lo = kept.pop()
-    return BetaSet(lo, kept)
+@lru_cache(maxsize=None)
+def _wall(window: tuple, i: int):
+    """What the wall at i needs of the permutation w alone, shared by
+    every label with that window: (w s, w^{-1} and (w s)^{-1} by their
+    windows, ascent, (top, low), margin).  (top, low) is (w(i+1), w(i))
+    on an ascent and (w(i), w(i+1)) on a descent; margin = spread + N + 1."""
+    w = AffinePerm._trusted(window)
+    ws = w.after(AffinePerm.simple(len(window), i))
+    a, b = w(i), w(i + 1)
+    return (ws, w.inverse().window, ws.inverse().window, a < b,
+            (b, a) if a < b else (a, b), w.spread() + len(window) + 1)
 
 
 @lru_cache(maxsize=None)
@@ -380,14 +409,12 @@ def _line_classes(x: RBAffElt, i: int):
     universe(4), and the count agrees with the products."""
     w, beta = x.w, x.beta
     n = w.N
-    ws = w.after(AffinePerm.simple(n, i))
-    ascent = w(i) < w(i + 1)
-    floor = beta.lo - 2 * (w.spread() + n + 1)
+    ws, u_w, u_ws, ascent, (top0, low0), margin = _wall(w.window, i)
+    floor = beta.lo - 2 * margin
     ceil = beta.top()
     members = {*range(floor, beta.lo + 1), *beta.extra}
     one, generic = set(members), set(members)
     # the wall steps' pairs are (top0 + d, low0 + d) for d = 0 mod N
-    top0, low0 = (w(i + 1), w(i)) if ascent else (w(i), w(i + 1))
     for d in range(floor - low0 + (low0 - floor) % n, ceil - top0 + 1, n):
         top, low = top0 + d, low0 + d
         if top not in members:
@@ -397,10 +424,9 @@ def _line_classes(x: RBAffElt, i: int):
         else:
             one.add(low)
             generic.add(low)
-    u_ws = ws.inverse().window
     inf = RBAffElt._trusted(ws, _closed(u_ws, members, floor, ceil))
     # beta closes to itself in the w order, and to inf's in the w s order
-    perm, u, same = (ws, u_ws, inf) if ascent else (w, w.inverse().window, x)
+    perm, u, same = (ws, u_ws, inf) if ascent else (w, u_w, x)
     one, generic = (
         same if s == members else RBAffElt._trusted(perm, _closed(u, s, floor, ceil))
         for s in (one, generic)
@@ -451,10 +477,9 @@ def predicted_case(x: RBAffElt, i: int):
     `pattern_check`) and the toggled slot; a move of more than one slot
     raises NoTemplateMatch."""
     _, (one, _), (generic, _) = _line_classes(x, i)
-    w = x.w
-    ws = w.after(AffinePerm.simple(w.N, i))
+    ws, _, _, ascent, _, _ = _wall(x.w.window, i)
     xs = RBAffElt._trusted(ws, x.beta)
-    if w(i) < w(i + 1):
+    if ascent:
         if one.beta == x.beta:
             return 1, {"xs": xs}
         case, roles, moved = 2, {"xs": xs, "xsp": one}, one
@@ -517,24 +542,20 @@ def pattern_check(x: RBAffElt, i: int, product=None) -> int:
 @lru_cache(maxsize=None)
 def universe(N: int, shift_bound: int = 1, beta_bound: int = 2) -> tuple:
     """All valid labels with window displacements and sporadic members
-    inside the stated bounds, in a stable order."""
-    out = set()
+    inside the stated bounds, in a stable order.  Each candidate marked
+    set is built once and tested against each permutation's inverse
+    (`_is_closed`)."""
     shifts = range(-shift_bound, shift_bound + 1)
+    slots = range(1 - beta_bound, beta_bound + 1)
+    betas = [
+        BetaSet(-beta_bound, members)
+        for k in range(len(slots) + 1)
+        for members in combinations(slots, k)
+    ]
+    out = []
     for pi in permutations(range(1, N + 1)):
         for cs in cartesian(shifts, repeat=N):
-            w = AffinePerm(tuple(pi[r] + N * cs[r] for r in range(N)))
-            for add in _subsets(range(1, beta_bound + 1)):
-                for rem in _subsets(range(1 - beta_bound, 1)):
-                    members = [m for m in range(1 - beta_bound, 1) if m not in rem]
-                    members.extend(add)
-                    try:
-                        out.add(RBAffElt(w, BetaSet(-beta_bound, members)))
-                    except Incompatible:
-                        continue
+            w = AffinePerm._trusted(tuple(pi[r] + N * cs[r] for r in range(N)))
+            u = w.inverse().window
+            out += [RBAffElt._trusted(w, beta) for beta in betas if _is_closed(u, beta)]
     return tuple(sorted(out, key=_sort_key))
-
-
-def _subsets(rng):
-    items = list(rng)
-    for mask in range(1 << len(items)):
-        yield tuple(items[t] for t in range(len(items)) if mask >> t & 1)

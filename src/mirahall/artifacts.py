@@ -219,9 +219,20 @@ def _trace_cell(cell: dict) -> tuple[str, str]:
 
 def _grid(payload: dict) -> tuple[list[str], list[list[tuple[str, str]]]]:
     kind = payload["kind"]
+    # one text per distinct coefficient (and iwahori label) per render;
+    # kept local, as a module-level memo would grow with every table
+    texts = {}
+
+    def poly(d: Mapping[str, int], cls=None) -> tuple[str, str]:
+        key = (cls, *d.items())
+        cell = texts.get(key)
+        if cell is None:
+            cell = texts[key] = _poly_cell(d, cls)
+        return cell
+
     if kind in ("pi", "trace"):
         listed = payload["calibrated"] if kind == "pi" else payload["cells"]
-        text = (lambda c: _poly_cell(c["coeff"])) if kind == "pi" else _trace_cell
+        text = (lambda c: poly(c["coeff"])) if kind == "pi" else _trace_cell
         cells = {(c["row"], c["col"]): text(c) for c in listed}
         order, zero = payload["order"], _plain_cell(0)
         rows = [
@@ -231,8 +242,8 @@ def _grid(payload: dict) -> tuple[list[str], list[list[tuple[str, str]]]]:
         return [""] + order, rows
     if kind == "mhl":
         rows = [
-            [_text_cell(entry["label"]), _poly_cell(entry["prefactor"]),
-             _text_cell(term["pair"]), _poly_cell(term["coeff"])]
+            [_text_cell(entry["label"]), poly(entry["prefactor"]),
+             _text_cell(term["pair"]), poly(term["coeff"])]
             for entry in payload["entries"]
             for term in entry["tensor"]
         ]
@@ -241,7 +252,7 @@ def _grid(payload: dict) -> tuple[list[str], list[list[tuple[str, str]]]]:
         cls = laurent.LaurentPoly if kind == "hall" else laurent.QPoly
         header = ["label", "coeff"]
         rows = [
-            [_text_cell(term["label"]), _poly_cell(term["coeff"], cls)]
+            [_text_cell(term["label"]), poly(term["coeff"], cls)]
             for term in payload["terms"]
         ]
         return header, rows
@@ -253,17 +264,26 @@ def _grid(payload: dict) -> tuple[list[str], list[list[tuple[str, str]]]]:
         return header, rows
     if kind == "iwahori":
         header = ["source", "i", "case", "target", "coeff"]
+        labels = {}
+
+        def label(d: dict) -> tuple[str, str]:
+            key = (tuple(d["window"]), d["lo"], tuple(d["extra"]))
+            cell = labels.get(key)
+            if cell is None:
+                cell = labels[key] = _plain_cell(json.dumps(d, sort_keys=True))
+            return cell
+
         rows = []
         for prod in payload["products"]:
-            src = json.dumps(prod["source"], sort_keys=True)
+            src = label(prod["source"])
             for term in prod["terms"]:
                 rows.append(
                     [
-                        _plain_cell(src),
+                        src,
                         _plain_cell(prod["i"]),
                         _plain_cell(prod["case"]),
-                        _plain_cell(json.dumps(term["target"], sort_keys=True)),
-                        _poly_cell(term["coeff"], laurent.QPoly),
+                        label(term["target"]),
+                        poly(term["coeff"], laurent.QPoly),
                     ]
                 )
         return header, rows

@@ -13,8 +13,6 @@ but `verify`, keyed by the subcommand and the table's parameters plus
 `format`.
 """
 
-from __future__ import annotations
-
 import hashlib
 import os
 import tempfile

@@ -33,8 +33,6 @@ when `verify_payload` runs, so a serving request never loads them or
 the counting oracles.
 """
 
-from __future__ import annotations
-
 import argparse
 import importlib.util
 import sys

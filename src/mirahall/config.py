@@ -6,8 +6,6 @@ Precedence, lowest to highest: built-in defaults, config file, the
 cache-directory environment variable, command-line flags.
 """
 
-from __future__ import annotations
-
 import os
 from functools import lru_cache
 from typing import Mapping, NamedTuple

@@ -74,12 +74,12 @@ def check_size_cost(n: int) -> None:
 
 # Budget for `iwahori mult --N N --window W`, in the candidate labels
 # that universe(N, 1, W) tries: N! 3^N 4^W.  Cold on a 2-vCPU box the
-# slowest accepted input is N = 4 at window 2 (31,104 candidates, 14 to
-# 19 s, 189 MB); N = 3 at window 4 (41,472) took 3.7 s and N = 2 at
-# window 6 (73,728) 2.0 s.  Refused: N = 5 at window 1 (116,640) ran
-# past 120 s and 970 MB, N = 4 at window 3 (124,416) took 31 s and
-# 273 MB, N = 3 at window 5 (165,888) 8.5 s, N = 2 at window 7
-# (294,912) 9.9 s.
+# slowest accepted input is N = 4 at window 2 (31,104 candidates, 6.7 s,
+# 176 MB); N = 3 at window 4 (41,472) took 1.1 s and N = 2 at window 6
+# (73,728) 0.55 s.  Refused, timed with the budget raised: N = 4 at
+# window 3 (124,416) took 12.4 s and 295 MB, N = 3 at window 5
+# (165,888) 2.5 s, N = 2 at window 7 (294,912) 2.0 s; N = 5 at window 1
+# (116,640) ran past 120 s and 970 MB on an earlier, slower kernel.
 MAX_CANDIDATES = 100_000
 
 

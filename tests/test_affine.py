@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -89,11 +90,50 @@ def test_beta_set_ell():
 def test_validate_examples():
     assert validate((1, 2), 0).length() == 0
     assert validate((2, 1), 1).length() == 2
-    with pytest.raises(Incompatible) as exc:
-        validate((1, 2), 0, (2,))
-    assert "(1, 2)" in str(exc.value)
+    # the message names the first failing pair
+    for args, message in [
+        (((1, 2), 0, (2,)), "pair (w=(1, 2), beta=BetaSet(0, (2,))) fails at (i, j)=(1, 2)"),
+        (((2, 1), -2, (-1, 2)), "pair (w=(2, 1), beta=BetaSet(-1, (2,))) fails at (i, j)=(0, 2)"),
+    ]:
+        with pytest.raises(Incompatible) as exc:
+            validate(*args)
+        assert str(exc.value) == message
     # same beta is fine once the permutation moves the hole out of the way
     assert validate((2, 1), 0, (2,)).length() == 2
+
+
+def universe_candidates(N, beta_bound=2):
+    """Every (w, beta) that universe(N, 1, beta_bound) tries: window
+    shifts in {-1, 0, 1}, beta the tail below -beta_bound plus any
+    subset of the slots -beta_bound + 1 .. beta_bound."""
+    slots = range(1 - beta_bound, beta_bound + 1)
+    for pi in itertools.permutations(range(1, N + 1)):
+        for cs in itertools.product((-1, 0, 1), repeat=N):
+            w = AffinePerm(tuple(p + N * c for p, c in zip(pi, cs)))
+            for k in range(len(slots) + 1):
+                for members in itertools.combinations(slots, k):
+                    yield w, BetaSet(-beta_bound, members)
+
+
+@pytest.mark.parametrize("N, sample", [(2, None), (3, None), (4, 3000)])
+def test_closure_rule_accepts_what_the_pairwise_scan_accepts(N, sample):
+    candidates = list(universe_candidates(N))
+    if sample is not None:
+        candidates = random.Random(N).sample(candidates, sample)
+    accepted = set()
+    for w, beta in candidates:
+        bad = _violation(w, beta)
+        assert affine._is_closed(w.inverse().window, beta) == (bad is None), (w, beta)
+        if bad is None:
+            accepted.add(RBAffElt(w, beta))
+            continue
+        with pytest.raises(Incompatible) as exc:
+            RBAffElt(w, beta)
+        assert str(exc.value) == f"pair (w={w.window}, beta={beta!r}) fails at (i, j)={bad}"
+    if sample is None:
+        assert accepted == set(universe(N))
+    else:
+        assert accepted <= set(universe(N))
 
 
 def test_shift():

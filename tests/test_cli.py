@@ -459,6 +459,20 @@ def test_every_order_of_formats_serves_the_cold_bytes(tmp_path, capsys, monkeypa
                         for fmt in (first, *sorted(rest, key=lambda f: f != "json"))]
 
 
+@pytest.mark.parametrize("build", [
+    lambda: artifacts.iwahori_payload(3, 2),
+    lambda: artifacts.pi_payload(5, 5),
+], ids=["iwahori mult --N 3", "pi --n 5"])
+def test_parsed_json_artifact_renders_as_the_fresh_tree(build):
+    # the render makes each coefficient's and label's text once, keyed
+    # by content: the fresh tree shares its subtrees, the parsed one
+    # holds a dict per occurrence
+    tree = build()
+    parsed = json.loads(artifacts.render(tree, "json"))
+    for fmt in ("csv", "latex"):
+        assert artifacts.render(parsed, fmt) == artifacts.render(tree, fmt)
+
+
 @pytest.mark.parametrize("params", [
     {"n": 2, "N": 2, "format": "csv"},
     {"n": 3, "N": 2, "format": "json"},

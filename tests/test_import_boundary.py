@@ -15,7 +15,8 @@ modules (TABLE_MODULES) are registered lazily by `mirahall.cli`: each
 is in `sys.modules` from import on, and its body runs at its first
 attribute access.  A request served from a stored artifact, in any
 format and of any kind, `--help` and an `mhl` below its size (a usage
-error) are checked to run none of them and to leave `json` unimported;
+error) are checked to run none of them and to leave `json` (and, for a
+hit, `__future__`) unimported;
 a csv or latex request rendered from the stored json artifact (which
 runs `artifacts` and skips the cost guard, so runs neither `costs` nor
 `partitions`), a request refused by a cost guard, and a cold `iwahori
@@ -129,6 +130,25 @@ def filled_cache(tmp_path_factory):
 @pytest.mark.parametrize("argv", CACHED, ids=" ".join)
 def test_cached_request_runs_no_table_module(argv, filled_cache):
     assert _run(STATES, argv, filled_cache) == {"code": 0, "states": ALL_LAZY, "json": False}
+
+
+# Whether a request loaded `__future__`, when the interpreter had not
+# loaded it before `import mirahall.cli`.
+FUTURE = """
+import sys
+before = "__future__" in sys.modules
+import mirahall.cli
+code = mirahall.cli.main(sys.argv[2:])
+loaded = not before and "__future__" in sys.modules
+import json
+with open(sys.argv[1], "w") as fh:
+    json.dump({"code": code, "future": loaded}, fh)
+"""
+
+
+@pytest.mark.parametrize("argv", CACHED, ids=" ".join)
+def test_cached_request_imports_no_future(argv, filled_cache):
+    assert _run(FUTURE, argv, filled_cache) == {"code": 0, "future": False}
 
 
 @pytest.fixture(scope="module")
