@@ -72,10 +72,13 @@ WARM_LAUNCHES = 9
 IWAHORI_NS = (2, 3, 4)
 
 # further cold requests timed in every record: a Hall product that once
-# built every pair table of its sizes, and a low-rank `pi` at large n
+# built every pair table of its sizes, a low-rank `pi` at large n, and
+# the two other views of the transition table, `trace` and `mhl`
 COLD_EXTRA = (
     ("hall", "--x", "5,4", "--y", "4,4"),
     ("pi", "--n", "12", "--N", "1"),
+    ("trace", "--n", "8", "--q", "3"),
+    ("mhl", "--n", "8"),
 )
 
 # the host speed gauge of perfbench/run.py, with its thread pins

@@ -32,12 +32,12 @@ def _ilabel(x) -> dict:
     }
 
 
-def _nonzero_cells(table, entries: dict):
-    """(row, col, value) of each nonzero entry, row-major in `table.order`."""
+def _nonzero_cells(table):
+    """(row, col, value) of each stored cell, row-major in `table.order`."""
     for row in table.order:
         for col in table.order:
-            val = entries.get((row, col))
-            if val is not None and not val.is_zero():
+            val = table.cells.get((row, col))
+            if val is not None:
                 yield row, col, val
 
 
@@ -45,10 +45,11 @@ def pi_payload(n: int, rank: int) -> dict:
     costs.check_cost(n, rank)
     table = bimodule.pi_table(n, rank)
 
-    def cells(tbl) -> list:
+    def cells(sign) -> list:
         return [
-            {"row": bplabel(row), "col": bplabel(col), "coeff": val.to_json()}
-            for row, col, val in _nonzero_cells(table, tbl)
+            {"row": bplabel(row), "col": bplabel(col),
+             "coeff": (val * sign(row, col)).to_json()}
+            for row, col, val in _nonzero_cells(table)
         ]
 
     return {
@@ -56,10 +57,10 @@ def pi_payload(n: int, rank: int) -> dict:
         "n": n,
         "N": rank,
         "order": [bplabel(bp) for bp in table.order],
-        "calibrated": cells(table.calibrated),
-        "raw": cells(table.raw),
+        "calibrated": cells(lambda row, col: 1),
+        "raw": cells(bimodule.calibration_sign),
         "diag_units": [
-            {"col": bplabel(col), "unit": table.diag_units[col].to_json()}
+            {"col": bplabel(col), "unit": bimodule.diag_unit(col).to_json()}
             for col in table.order
         ],
     }
@@ -89,7 +90,7 @@ def trace_payload(n: int, q: int) -> dict:
     costs.check_cost(n)
     table = bimodule.pi_table(n, max(n, 1))
     cells = []
-    for row, col, _ in _nonzero_cells(table, table.calibrated):
+    for row, col, _ in _nonzero_cells(table):
         plain, radical = traces.trace_value(col, row, table)
         cells.append(
             {

@@ -15,8 +15,12 @@ basis and the class ring take, is read in closed form
 (`right_on_vacuum`), so no serving request reads a right table.
 
 `pi_table` normalises the cyclic basis into the transition table whose
-entries are the polynomials the rest of the package consumes; the
-calibration sign is the parity of codimension differences.
+entries are the polynomials the rest of the package consumes.  The
+table is one store, its nonzero calibrated cells: a raw cell is the
+calibrated one times `calibration_sign`, the parity of the codimension
+gap, and a column's diagonal unit is `diag_unit`, a function of the
+label alone.  No cyclic vector (`c_bipartition`) outlives the column
+that reads it.
 """
 
 from __future__ import annotations
@@ -102,7 +106,6 @@ def right_on_vacuum(a: HallElt) -> MirElt:
     return MirElt._trusted(a.rank, {((), b): c for b, c in a._c.items()})
 
 
-@lru_cache(maxsize=None)
 def c_bipartition(lam: Partition, mu: Partition, rank: int) -> MirElt:
     """Cyclic basis: signed-Kostka operators applied to the vacuum on
     both sides."""
@@ -125,69 +128,74 @@ def _labels(n: int, rank: int) -> tuple[Bipartition, ...]:
     )
 
 
+def calibration_sign(row: Bipartition, col: Bipartition) -> int:
+    """The sign that carries a raw cell to its calibrated one: the
+    parity of the codimension gap between row and column."""
+    return -1 if (pair_codim(row) - pair_codim(col)) % 2 else 1
+
+
+def _minus_v(k: int) -> LaurentPoly:
+    """(-v)**k."""
+    return LaurentPoly.v_power(k, -1 if k % 2 else 1)
+
+
+def diag_unit(col: Bipartition) -> LaurentPoly:
+    """(-v)^|lam| for col = (lam, mu): the diagonal of the cyclic vector
+    of col, once its orbit dimension is scaled out."""
+    return _minus_v(sum(col[0]))
+
+
 class PiTable:
     """Calibrated transition table at one size, rows and columns in the
-    interleaved descending order; `diag_units` is keyed by exactly the
-    labels of `order`, so it is the table's membership test."""
+    interleaved descending order.  `cells` holds its nonzero entries
+    only; each diagonal entry is one, so `(bp, bp) in cells` is the
+    table's membership test.  The raw cells (`raw_value`) and the
+    diagonal units (`diag_unit`) are read off the label, not stored."""
 
-    __slots__ = ("n", "N", "order", "raw", "calibrated", "diag_units")
+    __slots__ = ("n", "N", "order", "cells")
 
-    def __init__(self, n, N, order, raw, calibrated, diag_units):
+    def __init__(self, n, N, order, cells):
         self.n = n
         self.N = N
         self.order = order
-        self.raw = raw
-        self.calibrated = calibrated
-        self.diag_units = diag_units
+        self.cells = cells
 
     def value(self, row: Bipartition, col: Bipartition) -> LaurentPoly:
         row, col = trim_pair(row), trim_pair(col)
-        if row not in self.diag_units or col not in self.diag_units:
+        if (row, row) not in self.cells or (col, col) not in self.cells:
             raise NotInTable(f"{row} or {col} not at size {self.n}, rank {self.N}")
-        return self.calibrated.get((row, col), LaurentPoly.zero())
+        return self.cells.get((row, col), LaurentPoly.zero())
 
     def raw_value(self, row: Bipartition, col: Bipartition) -> LaurentPoly:
-        row, col = trim_pair(row), trim_pair(col)
-        if row not in self.diag_units or col not in self.diag_units:
-            raise NotInTable(f"{row} or {col} not at size {self.n}, rank {self.N}")
-        return self.raw.get((row, col), LaurentPoly.zero())
+        # trailing zeros, which `value` trims, add nothing to a codimension
+        return self.value(row, col) * calibration_sign(row, col)
 
 
 @lru_cache(maxsize=None)
 def pi_table(n: int, rank: int) -> PiTable:
     """Normalise the cyclic basis: scale row coefficients by signed
     powers of v matching orbit dimensions, divide out the diagonal,
-    and apply the codimension parity calibration."""
+    and apply the codimension parity calibration.  Each cyclic vector
+    is built for its own column and dropped after it."""
     order = _labels(n, rank)
-    raw: dict[tuple[Bipartition, Bipartition], LaurentPoly] = {}
-    cal: dict[tuple[Bipartition, Bipartition], LaurentPoly] = {}
-    units: dict[Bipartition, LaurentPoly] = {}
+    cells: dict[tuple[Bipartition, Bipartition], LaurentPoly] = {}
     for col in order:
         vec = c_bipartition(col[0], col[1], rank)
-        for row in vec._c:
-            if not ah_leq(row, col):
-                raise OracleMismatch(
-            f"cyclic vector of {col} has weight at {row} outside the cone"
-                )
-        e = sum(col[0])
-        diag_want = LaurentPoly.v_power(e, -1 if e % 2 else 1)
-        ell = pair_orbit_dim(col, rank)
-        diag_got = vec.coeff(col) * LaurentPoly.v_power(
-            ell, -1 if ell % 2 else 1
-        )
+        diag_want = diag_unit(col)
+        diag_got = vec.coeff(col) * _minus_v(pair_orbit_dim(col, rank))
         if diag_got != diag_want:
             raise DiagonalNotUnit(
                 f"diagonal at {col}: {diag_got.pretty()} != {diag_want.pretty()}"
             )
-        units[col] = diag_want
         inv = diag_want**-1
         for row, coeff in vec._c.items():
-            ell_r = pair_orbit_dim(row, rank)
-            r = coeff * LaurentPoly.v_power(ell_r, -1 if ell_r % 2 else 1) * inv
-            raw[(row, col)] = r
-            sign = (pair_codim(row) - pair_codim(col)) % 2
-            cal[(row, col)] = r * (-1 if sign else 1)
-    return PiTable(n, rank, order, raw, cal, units)
+            if not ah_leq(row, col):
+                raise OracleMismatch(
+            f"cyclic vector of {col} has weight at {row} outside the cone"
+                )
+            r = coeff * _minus_v(pair_orbit_dim(row, rank)) * inv
+            cells[(row, col)] = r * calibration_sign(row, col)
+    return PiTable(n, rank, order, cells)
 
 
 class TensorSym(Combination):
@@ -207,18 +215,15 @@ class TensorSym(Combination):
 @lru_cache(maxsize=None)
 def _basis_in_tensor(n: int, rank: int) -> Mapping[Bipartition, TensorSym]:
     """Each pair label of size n written in the two-sided Schur basis,
-    by inverting the triangular cyclic system.  Each column sums into
-    one dict of labels that are already normal."""
+    by inverting the triangular cyclic system.  Each column builds its
+    own cyclic vector and sums into one dict of labels that are already
+    normal."""
     order = _labels(n, rank)
-    columns = {
-        col: c_bipartition(col[0], col[1], rank) for col in order
-    }
-    e = (rank - 1) * n
-    c_image = LaurentPoly.v_power(-e, -1 if e % 2 else 1)
+    c_image = _minus_v(-(rank - 1) * n)
     out: dict[Bipartition, TensorSym] = {}
     for i in range(len(order) - 1, -1, -1):
         col = order[i]
-        vec = columns[col]
+        vec = c_bipartition(col[0], col[1], rank)
         diag = vec.coeff(col)
         if not diag.is_unit_monomial():
             raise DiagonalNotUnit(f"cyclic diagonal at {col}")
@@ -251,5 +256,4 @@ def mhl_poly(bp: Bipartition, rank: int) -> tuple[TensorSym, LaurentPoly]:
     bp = trim_pair(bp)
     if rank < label_size(bp):
         raise RankTooSmall(f"label {bp} needs rank >= {label_size(bp)}")
-    b = pair_codim(bp)
-    return basis_in_tensor(bp, rank), LaurentPoly.v_power(b, -1 if b % 2 else 1)
+    return basis_in_tensor(bp, rank), _minus_v(pair_codim(bp))

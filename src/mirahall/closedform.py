@@ -26,12 +26,12 @@ These closed tables serve every structure constant in the package: the
 Hall product, both sides of the bimodule, the class ring and the
 `mirabolic` command.  A column (`closed_form_G`) reads them only at
 the targets its step can reach (`reachable_targets`), built from the
-source within the rank.  The right table serves only
-`bimodule.act("right")` on elements other than the vacuum, which no
-serving request reaches (`bimodule.right_on_vacuum`); a right
-`mirabolic` column reads `right_via_star`.  The counted tables of
-`pairs` and the checks of `oracle` are oracles that only `verify` and
-the tests reach.
+source within the rank.  The right table, the mirror of the left one
+rank above its target's size, serves only `bimodule.act("right")` on
+elements other than the vacuum, which no serving request reaches
+(`bimodule.right_on_vacuum`); a right `mirabolic` column reads
+`right_via_star`.  The counted tables of `pairs` and the checks of
+`oracle` are oracles that only `verify` and the tests reach.
 """
 
 from __future__ import annotations
@@ -205,27 +205,21 @@ def closed_right_table(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
     """Constants of the rank-r square-zero right action at one target,
     keyed by source label.
 
-    Each cell is the mirror of the closed left table at rank |tgt|
-    (`right_via_star`), with two boundary rules: the vectorless
-    square-zero target ((), (1^n)) takes the Gauss binomial
-    [n choose r] on the source ((), (1^(n-r))) and nothing else, and
-    r = n leaves no other cell.  All sources share one lift, the
-    largest that any one of them needs (`_mirror`), so the whole table
-    is read from a single lifted left table; the left table does not
-    move under such lifts."""
+    Each cell is the mirror of the closed left table one rank up, at
+    |tgt| + 1 (`right_via_star`), where the stabilised constant is the
+    module's own at every target and every r <= |tgt|.  All sources
+    share one lift, the largest that any one of them needs (`_mirror`),
+    so the whole table is read from a single lifted left table; the
+    left table does not move under such lifts."""
     tgt = trim_pair(tgt)
     n = sum(tgt[0]) + sum(tgt[1])
     if r < 1:
         raise UsageError(f"rank-{r} generator outside 1..{n}")
     if r > n:
         return {}
-    if tgt == ((), (1,) * n):
-        return {((), (1,) * (n - r)): gauss_binomial(n, r)}
-    if r == n:
-        return {}
     sources = bipartitions_of(n - r)
-    big_tgt, big_srcs = _mirror(tgt, sources, n)
-    left = closed_left_table(big_tgt, n - r)
+    big_tgt, big_srcs = _mirror(tgt, sources, n + 1)
+    left = closed_left_table(big_tgt, n + 1 - r)
     cells = {src: left.get(big) for src, big in zip(sources, big_srcs)}
     return {src: poly for src, poly in cells.items() if poly}
 
@@ -338,8 +332,8 @@ def right_via_star(tgt: Bipartition, src: Bipartition, r: int, rank: int) -> QPo
     The result is the stabilised constant that
     `oracle.stable_right_constant` counts (`oracle.rho_check` pins the
     two together), and the only route by which right-side constants are
-    served: `stable_right_column` reads it as is, `closed_right_table`
-    adds the module's boundary rules."""
+    served: `stable_right_column` reads it at its own rank,
+    `closed_right_table` one rank above the target's size."""
     if not 1 <= r <= rank - 1:
         raise UsageError(f"rank-{r} generator outside 1..{rank - 1}")
     big_tgt, (big_src,) = _mirror(tgt, [src], rank)

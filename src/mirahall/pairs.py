@@ -466,7 +466,12 @@ def primes(count: int, start: int = 2) -> list[int]:
 # --- interpolated structure constants --------------------------------------
 
 
-def _assemble(cands, profiles, ps):
+def _interpolated(cands, profile, tgt, k):
+    """Interpolate each candidate's counts over enough primes for the
+    largest degree in `cands` (key to degree bound), the counts swept by
+    `profile(tgt, k, p)`; a swept key outside `cands` is a mismatch."""
+    ps = primes(max(max(cands.values(), default=-1) + 2, 1))
+    profiles = {p: profile(tgt, k, p) for p in ps}
     for p in ps:
         for key in profiles[p]:
             if key not in cands:
@@ -508,10 +513,7 @@ def left_constants(
                 cands[(w, src)] = (
                     n_stat(nu_t) - n_stat(w) - n_stat(add_parts(*src))
                 )
-    d_max = max(cands.values(), default=-1)
-    ps = primes(max(d_max + 2, 1))
-    profiles = {p: left_profile(tgt, k, p) for p in ps}
-    return _assemble(cands, profiles, ps)
+    return _interpolated(cands, left_profile, tgt, k)
 
 
 @lru_cache(maxsize=None)
@@ -531,42 +533,30 @@ def right_constants(
                 cands[(src, w)] = (
                     n_stat(nu_t) - n_stat(add_parts(*src)) - n_stat(w)
                 )
-    d_max = max(cands.values(), default=-1)
-    ps = primes(max(d_max + 2, 1))
-    profiles = {p: right_profile(tgt, k, p) for p in ps}
-    return _assemble(cands, profiles, ps)
+    return _interpolated(cands, right_profile, tgt, k)
+
+
+def _elementary_candidates(tgt: Bipartition, r: int) -> dict[Bipartition, int]:
+    """Sources of a rank-r square-zero step into `tgt`, keyed to the
+    degree bound of their counting polynomial."""
+    nu_t = add_parts(*tgt)
+    return {
+        src: n_stat(nu_t) - r * (r - 1) // 2 - n_stat(add_parts(*src))
+        for src in bipartitions_of(label_size(tgt) - r)
+        if contains_diagram(add_parts(*src), nu_t)
+    }
 
 
 @lru_cache(maxsize=None)
 def left_elementary_constants(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
     """Left counting polynomials for the square-zero sub of rank r."""
-    n = label_size(tgt)
-    nu_t = add_parts(*tgt)
-    cands = {
-        src: n_stat(nu_t) - r * (r - 1) // 2 - n_stat(add_parts(*src))
-        for src in bipartitions_of(n - r)
-        if contains_diagram(add_parts(*src), nu_t)
-    }
-    d_max = max(cands.values(), default=-1)
-    ps = primes(max(d_max + 2, 1))
-    profiles = {p: left_elementary_profile(tgt, r, p) for p in ps}
-    return _assemble(cands, profiles, ps)
+    return _interpolated(_elementary_candidates(tgt, r), left_elementary_profile, tgt, r)
 
 
 @lru_cache(maxsize=None)
 def right_elementary_constants(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
     """Right counting polynomials for square-zero quotient of rank r."""
-    n = label_size(tgt)
-    nu_t = add_parts(*tgt)
-    cands = {
-        src: n_stat(nu_t) - r * (r - 1) // 2 - n_stat(add_parts(*src))
-        for src in bipartitions_of(n - r)
-        if contains_diagram(add_parts(*src), nu_t)
-    }
-    d_max = max(cands.values(), default=-1)
-    ps = primes(max(d_max + 2, 1))
-    profiles = {p: right_elementary_profile(tgt, r, p) for p in ps}
-    return _assemble(cands, profiles, ps)
+    return _interpolated(_elementary_candidates(tgt, r), right_elementary_profile, tgt, r)
 
 
 def hall_constant(c: Partition, a: Partition, b: Partition) -> QPoly:

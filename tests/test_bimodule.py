@@ -7,6 +7,7 @@ from mirahall.bimodule import (
     act,
     basis_in_tensor,
     c_bipartition,
+    diag_unit,
     gen_act,
     mhl_poly,
     pi_table,
@@ -17,7 +18,13 @@ from mirahall.bimodule import (
 from mirahall.errors import NotInTable, RankTooSmall
 from mirahall.hall import c_expand, u_elt
 from mirahall.laurent import LaurentPoly, QPoly
-from mirahall.partitions import ah_leq, bipartitions_of, pair_codim, partitions_of
+from mirahall.partitions import (
+    ah_leq,
+    bipartitions_of,
+    pair_codim,
+    pair_orbit_dim,
+    partitions_of,
+)
 from mirahall.oracle import act_direct, hl_schur_coefficients
 
 q = LaurentPoly({2: 1})
@@ -237,16 +244,45 @@ def test_basis_in_tensor_rank_guard():
 
 def test_pi_table_raw_off_diagonal_in_v_inverse():
     tab = pi_table(4, 4)
-    for (row, col), val in tab.raw.items():
+    for row, col in tab.cells:
+        val = tab.raw_value(row, col)
         if row == col:
             assert val == one
         else:
             assert all(e < 0 for e, _ in val.items()), (row, col)
 
 
+def test_pi_table_matches_the_per_cell_normalisation():
+    # the table stores only its nonzero calibrated cells; rebuild every
+    # raw and calibrated cell and every diagonal unit from the cyclic
+    # vectors, one cell at a time, and compare all three views
+    def signed_v(k):
+        return LaurentPoly.v_power(k, -1 if k % 2 else 1)
+
+    for n in range(7):
+        for rank in sorted({max(n, 1), 2}):
+            tab = pi_table(n, rank)
+            nonzero = 0
+            for col in tab.order:
+                vec = c_bipartition(col[0], col[1], rank)
+                assert set(vec._c) <= set(tab.order), (n, rank, col)
+                unit = signed_v(sum(col[0]))
+                assert vec.coeff(col) * signed_v(pair_orbit_dim(col, rank)) == unit
+                assert diag_unit(col) == unit, (n, rank, col)
+                inv = unit**-1
+                for row in tab.order:
+                    raw = vec.coeff(row) * signed_v(pair_orbit_dim(row, rank)) * inv
+                    gap = pair_codim(row) - pair_codim(col)
+                    cal = raw * (-1 if gap % 2 else 1)
+                    assert tab.raw_value(row, col) == raw, (n, rank, row, col)
+                    assert tab.value(row, col) == cal, (n, rank, row, col)
+                    nonzero += not cal.is_zero()
+            assert len(tab.cells) == nonzero, (n, rank)
+
+
 def test_pi_table_calibrated_coefficients_nonnegative():
     tab = pi_table(4, 4)
-    for key, val in tab.calibrated.items():
+    for key, val in tab.cells.items():
         assert all(c > 0 for _, c in val.items()), key
 
 
