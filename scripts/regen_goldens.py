@@ -57,7 +57,8 @@ def wall_histogram():
 
 def trace_goldens():
     print("# trace cell (col one-box/one-box, row empty/column-pair) at q=2")
-    plain, radical = trace_value(((1,), (1,)), ((), (1, 1)), pi_table(2, 2))
+    col, row = ((1,), (1,)), ((), (1, 1))
+    plain, radical = trace_value(col, row, pi_table(2, 2).value(row, col))
     print(f"  plain {plain.pretty()}, radical {radical.pretty()}")
     print(f"  integer {plain.evaluate(2)}")
     counted = {

@@ -44,21 +44,20 @@ def _nonzero_cells(table):
 def pi_payload(n: int, rank: int) -> dict:
     costs.check_cost(n, rank)
     table = bimodule.pi_table(n, rank)
-
-    def cells(sign) -> list:
-        return [
-            {"row": bplabel(row), "col": bplabel(col),
-             "coeff": (val * sign(row, col)).to_json()}
-            for row, col, val in _nonzero_cells(table)
-        ]
-
+    calibrated, raw = [], []
+    for row, col, val in _nonzero_cells(table):
+        cell = {"row": bplabel(row), "col": bplabel(col), "coeff": val.to_json()}
+        calibrated.append(cell)
+        if bimodule.calibration_sign(row, col) < 0:
+            cell = {**cell, "coeff": {e: -c for e, c in cell["coeff"].items()}}
+        raw.append(cell)
     return {
         "kind": "pi",
         "n": n,
         "N": rank,
         "order": [bplabel(bp) for bp in table.order],
-        "calibrated": cells(lambda row, col: 1),
-        "raw": cells(bimodule.calibration_sign),
+        "calibrated": calibrated,
+        "raw": raw,
         "diag_units": [
             {"col": bplabel(col), "unit": bimodule.diag_unit(col).to_json()}
             for col in table.order
@@ -90,8 +89,8 @@ def trace_payload(n: int, q: int) -> dict:
     costs.check_cost(n)
     table = bimodule.pi_table(n, max(n, 1))
     cells = []
-    for row, col, _ in _nonzero_cells(table):
-        plain, radical = traces.trace_value(col, row, table)
+    for row, col, val in _nonzero_cells(table):
+        plain, radical = traces.trace_value(col, row, val)
         cells.append(
             {
                 "row": bplabel(row),

@@ -29,7 +29,7 @@ from .affine import (
     universe,
     validate,
 )
-from .bimodule import pi_table
+from .bimodule import _minus_v, pi_table
 from .config import RunConfig
 from .errors import ComponentMismatch, MiraError, OracleMismatch, TruncationTooSmall
 from .hall import hall_mul, u_elt
@@ -83,16 +83,13 @@ def h_basis_check(x: RBAffElt, i: int) -> bool:
     product = ts_action(x, i)
     case, roles = predicted_case(x, i)
 
-    def mv(e: int) -> LaurentPoly:
-        return LaurentPoly.v_power(e, -1 if e % 2 else 1)
-
     lhs: dict[RBAffElt, LaurentPoly] = {}
-    pre = mv(-x.length() - 1)
+    pre = _minus_v(-x.length() - 1)
     for y, c in product.items():
         lhs[y] = pre * c.to_laurent()
-    extra = LaurentPoly.v_power(-1, -1) * mv(-x.length())
+    extra = LaurentPoly.v_power(-1, -1) * _minus_v(-x.length())
     lhs[x] = lhs.get(x, LaurentPoly.zero()) + extra
-    lhs = {y: c * mv(y.length()) for y, c in lhs.items()}
+    lhs = {y: c * _minus_v(y.length()) for y, c in lhs.items()}
     lhs = {y: c for y, c in lhs.items() if c}
 
     one = LaurentPoly.one()
@@ -319,8 +316,8 @@ def _suite_trace(cfg: RunConfig) -> list[dict]:
             out.append(_check("trace", f"n={n},q={q}", run))
 
     def golden():
-        table = pi_table(2, 2)
-        plain, radical = trace_value(((1,), (1,)), ((), (1, 1)), table)
+        col, row = ((1,), (1,)), ((), (1, 1))
+        plain, radical = trace_value(col, row, pi_table(2, 2).value(row, col))
         if plain != QPoly.q_power(1) + 1 or not radical.is_zero():
             raise OracleMismatch(
                 f"marked cell reads {plain.pretty()} + ({radical.pretty()})*√q"

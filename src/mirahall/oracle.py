@@ -465,7 +465,7 @@ def fiber_oracle_check(n: int, q: int, table: PiTable | None = None) -> dict:
                     * n_standard_tableaux(colbp[1])
                     * q ** (n_stat(colbp[0]) + n_stat(colbp[1]))
                 )
-                plain, rad = trace_value(colbp, sig, table)
+                plain, rad = trace_value(colbp, sig, table.value(sig, colbp))
                 want += weight * plain.evaluate(q)
                 radical += weight * rad.evaluate(q)
             if radical:

@@ -7,7 +7,8 @@ complete-flag counting oracle that certifies the traces is
 `oracle.fiber_oracle_check`.
 
 >>> from .bimodule import pi_table
->>> plain, radical = trace_value(((1,), (1,)), ((), (1, 1)), pi_table(2, 2))
+>>> col, row = ((1,), (1,)), ((), (1, 1))
+>>> plain, radical = trace_value(col, row, pi_table(2, 2).value(row, col))
 >>> plain.pretty(), radical.is_zero(), plain.evaluate(2)
 ('1 + q', True, 3)
 """
@@ -18,7 +19,7 @@ from functools import lru_cache
 from itertools import product as cartesian
 from typing import Iterable, Mapping
 
-from .bimodule import PiTable, act, right_on_vacuum, u_bip
+from .bimodule import act, right_on_vacuum, u_bip
 from .config import check_prime
 from .costs import check_green_cost
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     UsageError,
 )
 from .hall import u_elt
-from .laurent import Combination, QPoly
+from .laurent import Combination, LaurentPoly, QPoly
 from .partitions import (
     Bipartition,
     bipartitions_of,
@@ -40,17 +41,17 @@ from .partitions import (
 
 
 def trace_value(
-    col: Bipartition, row: Bipartition, table: PiTable
+    col: Bipartition, row: Bipartition, entry: LaurentPoly
 ) -> tuple[QPoly, QPoly]:
-    """Table entry at v = √q, carried up by √q to the codimension gap,
-    as (plain, radical): the cell reads plain(q) + radical(q)·√q.
+    """The calibrated entry at (row, col) read at v = √q, carried up by
+    √q to the codimension gap, as (plain, radical): the cell reads
+    plain(q) + radical(q)·√q.
 
     The gap between the two labels' codimensions is nonnegative whenever
     the calibrated entry is nonzero, and the entry's lowest power is no
     deeper than the gap, so both parts are polynomials in q; a deeper
     pole raises NonIntegral."""
-    entry = table.value(row, col)
-    # trailing zeros, which `value` trims, add nothing to a codimension
+    # trailing zeros in a label add nothing to its codimension
     shift = pair_codim(row) - pair_codim(col)
     parts: tuple[dict[int, int], dict[int, int]] = ({}, {})
     for e, c in entry.items():

@@ -6,6 +6,8 @@ table.  Each test ends by printing a single verdict line so the log of
 a full run reads as a checklist.
 """
 
+import hashlib
+
 import mirahall.cli as cli
 from mirahall.affine import pattern_check, ts_action, universe, validate
 from mirahall.bimodule import act, pi_table, u_bip
@@ -32,6 +34,9 @@ from mirahall.traces import (
 )
 
 one = LaurentPoly.one()
+
+# sha256 of the default `verify --suite all` report
+VERIFY_ALL_SHA256 = "ce6ff297a813e2bae853bd36fe6fd6dd62382a389ea0d64a1fd9f0871c9d4ac6"
 
 
 def _verdict(k: int, text: str) -> None:
@@ -167,7 +172,8 @@ def test_gate_07_trace_fiber():
             assert fiber_oracle_check(n, qv)["passed"], (n, qv)
     rep = fiber_oracle_check(4, 2)
     assert rep["passed"] and rep["epsilon"] == 1
-    plain, radical = trace_value(((1,), (1,)), ((), (1, 1)), pi_table(2, 2))
+    col, row = ((1,), (1,)), ((), (1, 1))
+    plain, radical = trace_value(col, row, pi_table(2, 2).value(row, col))
     assert plain == QPoly({0: 1, 1: 1})
     assert radical.is_zero()
     assert plain.evaluate(2) == 3
@@ -266,6 +272,7 @@ def test_gate_11_determinism(tmp_path, monkeypatch, capsys):
     second = run(["verify", "--suite", "all"])
     assert first[0] == 0 and second[0] == 0
     assert first[1] == second[1]
+    assert hashlib.sha256(first[1].encode()).hexdigest() == VERIFY_ALL_SHA256
     cold = run(["pi", "--n", "3"])
     cached = run(["pi", "--n", "3"])
     assert cold[0] == 0

@@ -28,6 +28,7 @@ from mirahall import (
 )
 from mirahall.config import (
     RunConfig,
+    bplabel,
     parse_bipartition,
     parse_partition,
     read_config_file,
@@ -94,6 +95,22 @@ def test_trace_cells_are_the_nonzero_calibrated_cells_in_order():
         assert [(c["row"], c["col"]) for c in trace_cells] == [
             (c["row"], c["col"]) for c in pi_cells
         ], n
+
+
+def test_pi_raw_cells_are_the_stored_cells_times_their_sign():
+    # no served digest covers `raw` below full rank
+    for n in range(7):
+        for rank in {max(n, 1), 2}:
+            table = bimodule.pi_table(n, rank)
+            want = [
+                {"row": bplabel(row), "col": bplabel(col),
+                 "coeff": (table.cells[row, col]
+                           * bimodule.calibration_sign(row, col)).to_json()}
+                for row in table.order
+                for col in table.order
+                if (row, col) in table.cells
+            ]
+            assert artifacts.pi_payload(n, rank)["raw"] == want, (n, rank)
 
 
 def test_pi_latex_standalone(capsys):
@@ -841,11 +858,16 @@ def test_json_text_refuses_what_is_not_a_payload():
 
 
 # sha256 of stdout: pi --n 5 and --n 6 as in every record of
-# BENCH_pi.json, mhl --n 5 as served before the trusted Laurent kernel
+# BENCH_pi.json, mhl --n 5 as served before the trusted Laurent kernel,
+# trace --n 5 and --n 6 as served before the one-walk payload builders
 SERVED_DIGESTS = {
     ("pi", "--n", "5"): "492fe5f72799489cdbac0bceac414ce033103304e445a263834da2f4705dbe4f",
     ("pi", "--n", "6"): "202ef7a04112617aa7de6a2bf3e3ad088fd9ff9b9a0b4e6a1012dd5cc6ee9465",
     ("mhl", "--n", "5"): "adc58f797631bf6dadf6ca53390e609a3e49701d1f728085933fcd245a45ef7a",
+    ("trace", "--n", "5", "--q", "3"):
+        "95a4d7afdcf008d36979bb7a325b95c985ed453d4c7fe71f2b621ff8c2123a9d",
+    ("trace", "--n", "6", "--q", "3"):
+        "3e890ea6076623d813aefc55d3fba10f6cc11b7a05fbf6cbfb11cc79be2c51dd",
 }
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mirahall.bimodule import PiTable, act, pi_table, u_bip
+from mirahall.bimodule import act, pi_table, u_bip
 from mirahall.costs import MAX_GREEN_LABELS, check_green_cost, green_label_count
 from mirahall.errors import (
     CostGuard,
@@ -30,45 +30,41 @@ from mirahall.traces import (
 )
 
 
-def _gap_three_table(entry: LaurentPoly):
-    """A table whose one off-diagonal cell sits at a codimension gap of 3."""
-    row, col = ((), (3,)), ((3,), ())
-    assert pair_codim(row) - pair_codim(col) == 3
-    one = LaurentPoly.one()
-    cells = {(col, col): one, (row, col): entry, (row, row): one}
-    return PiTable(3, 3, (col, row), cells), row, col
+def _cell(tab, col, row):
+    """The trace cell at (row, col) of `tab`, read through `PiTable.value`."""
+    return trace_value(col, row, tab.value(row, col))
 
 
 def test_trace_cell_from_laurent():
-    tab, row, col = _gap_three_table(LaurentPoly({-1: 1, -3: 1}))
-    plain, radical = trace_value(col, row, tab)
+    row, col = ((), (3,)), ((3,), ())
+    assert pair_codim(row) - pair_codim(col) == 3
+    plain, radical = trace_value(col, row, LaurentPoly({-1: 1, -3: 1}))
     assert plain == QPoly({0: 1, 1: 1})
     assert radical.is_zero()
-    tab, row, col = _gap_three_table(LaurentPoly({-4: 1}))
     with pytest.raises(NonIntegral):
-        trace_value(col, row, tab)
+        trace_value(col, row, LaurentPoly({-4: 1}))
 
 
 def test_trace_value_golden_cells():
     tab = pi_table(2, 2)
-    plain, radical = trace_value(((1,), (1,)), ((), (1, 1)), tab)
+    plain, radical = _cell(tab, ((1,), (1,)), ((), (1, 1)))
     assert plain == QPoly({0: 1, 1: 1})
     assert radical.is_zero()
     assert plain.evaluate(2) == 3
-    untrimmed = trace_value(((1, 0), (1,)), ((0,), (1, 1, 0)), tab)
+    untrimmed = _cell(tab, ((1, 0), (1,)), ((0,), (1, 1, 0)))
     assert untrimmed == (plain, radical)
-    assert trace_value(((2,), ()), ((), (2,)), tab) == (QPoly.one(), QPoly.zero())
-    plain, radical = trace_value(((1, 1), ()), ((2,), ()), tab)
+    assert _cell(tab, ((2,), ()), ((), (2,))) == (QPoly.one(), QPoly.zero())
+    plain, radical = _cell(tab, ((1, 1), ()), ((2,), ()))
     assert plain.is_zero() and radical.is_zero()
     with pytest.raises(NotInTable):
-        trace_value(((3,), ()), ((2,), ()), tab)
+        _cell(tab, ((3,), ()), ((2,), ()))
 
 
 def test_trace_diagonal_is_one():
     for n in (1, 2, 3):
         tab = pi_table(n, n)
         for col in tab.order:
-            assert trace_value(col, col, tab) == (QPoly.one(), QPoly.zero()), col
+            assert _cell(tab, col, col) == (QPoly.one(), QPoly.zero()), col
 
 
 def test_trace_cells_recombine_to_the_calibrated_entry():
@@ -77,7 +73,7 @@ def test_trace_cells_recombine_to_the_calibrated_entry():
         tab = pi_table(n, n)
         for (row, col), entry in tab.cells.items():
             assert not entry.is_zero(), (n, row, col)
-            plain, radical = trace_value(col, row, tab)
+            plain, radical = trace_value(col, row, entry)
             gap = pair_codim(row) - pair_codim(col)
             assert plain.to_laurent() + radical.to_laurent().shift(1) == entry.shift(
                 gap
