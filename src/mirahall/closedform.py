@@ -26,11 +26,11 @@ These closed tables serve every structure constant in the package: the
 Hall product, both sides of the bimodule, the class ring and the
 `mirabolic` command.  A column (`closed_form_G`) reads them only at
 the targets its step can reach (`reachable_targets`), built from the
-source within the rank.  The right table, the mirror of the left one
-rank above its target's size, serves only `bimodule.act("right")` on
-elements other than the vacuum, which no serving request reaches
-(`bimodule.right_on_vacuum`); a right `mirabolic` column reads
-`right_via_star`.  The counted tables of `pairs` and the checks of
+source within the rank.  A right constant is a mirrored left one, read
+cell by cell (`right_via_star`): one rank above the target's size for
+`bimodule.act("right")` away from the vacuum, which no serving request
+reaches (`bimodule.right_on_vacuum`), and at its own rank for a right
+`mirabolic` column.  The counted tables of `pairs` and the checks of
 `oracle` are oracles that only `verify` and the tests reach.
 """
 
@@ -46,9 +46,9 @@ from .partitions import (
     Bipartition,
     Partition,
     add_parts,
-    bipartitions_of,
     conjugate,
     interleaved_key,
+    label_size,
     shifted,
     splits,
     star,
@@ -201,30 +201,6 @@ def closed_left_table(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
 
 
 @lru_cache(maxsize=None)
-def closed_right_table(tgt: Bipartition, r: int) -> Mapping[Bipartition, QPoly]:
-    """Constants of the rank-r square-zero right action at one target,
-    keyed by source label.
-
-    Each cell is the mirror of the closed left table one rank up, at
-    |tgt| + 1 (`right_via_star`), where the stabilised constant is the
-    module's own at every target and every r <= |tgt|.  All sources
-    share one lift, the largest that any one of them needs (`_mirror`),
-    so the whole table is read from a single lifted left table; the
-    left table does not move under such lifts."""
-    tgt = trim_pair(tgt)
-    n = sum(tgt[0]) + sum(tgt[1])
-    if r < 1:
-        raise UsageError(f"rank-{r} generator outside 1..{n}")
-    if r > n:
-        return {}
-    sources = bipartitions_of(n - r)
-    big_tgt, big_srcs = _mirror(tgt, sources, n + 1)
-    left = closed_left_table(big_tgt, n + 1 - r)
-    cells = {src: left.get(big) for src, big in zip(sources, big_srcs)}
-    return {src: poly for src, poly in cells.items() if poly}
-
-
-@lru_cache(maxsize=None)
 def reachable_targets(nu: Partition, r: int, rank: int | None = None) -> tuple[Bipartition, ...]:
     """Every label that a rank-r square-zero step can reach from a source
     of Jordan type nu = lam + mu (`add_parts`), at most `rank` rows per
@@ -243,11 +219,16 @@ def closed_form_G(
 ) -> Mapping[Bipartition, QPoly]:
     """Constants of the square-zero action on one side and one source,
     keyed by target label, over the `reachable_targets` (at most `rank`
-    rows per component, if given)."""
-    table = {"left": closed_left_table, "right": closed_right_table}[side]
+    rows per component, if given); a right constant is the mirror one
+    rank above the target's size (`right_via_star`)."""
     src = trim_pair(src)
+    top = label_size(src) + r + 1
+    cell = {
+        "left": lambda tgt: closed_left_table(tgt, r).get(src),
+        "right": lambda tgt: right_via_star(tgt, src, r, top),
+    }[side]
     targets = reachable_targets(add_parts(*src), r, rank)
-    cells = {tgt: table(tgt, r).get(src) for tgt in targets}
+    cells = {tgt: cell(tgt) for tgt in targets}
     return {tgt: poly for tgt, poly in cells.items() if poly}
 
 
@@ -281,8 +262,8 @@ def stable_right_column(
 
     Labels have at most `rank` rows per component: a longer source, or
     r >= rank on a nonempty source, is a usage error.  Only at the
-    vectorless square-zero target do these differ from the module's
-    right table, which keeps the mass that the stabilised count sheds."""
+    vectorless square-zero target do these differ from `closed_form_G`,
+    which keeps the mass that the stabilised count sheds."""
     src = _rank_source(src, rank)
     if src == ((), ()):
         return {((), (1,) * r): QPoly.one()} if r <= rank else {}
@@ -297,24 +278,22 @@ def stable_right_column(
 
 
 def _mirror(
-    tgt: Bipartition, sources, rank: int
-) -> tuple[Bipartition, list[Bipartition]]:
-    """Target and sources of a right constant carried to the left side.
+    tgt: Bipartition, src: Bipartition, rank: int
+) -> tuple[Bipartition, Bipartition]:
+    """Target and source of a right constant carried to the left side.
 
     Mirroring swaps the two components and negates their rows; the
     target's first slot then takes one extra box per row.  The two
     slots take independent lifts (one for first components, one for
-    second), shared between the target and every source: each is the
-    least that leaves every row of every label positive.  A star is
+    second), shared between the target and the source: each is the
+    least that leaves every row of both labels positive.  A star is
     weakly decreasing, so the lifted rows are already a partition."""
     a = tuple(x + 1 for x in star(tgt[1], rank))
     b = star(tgt[0], rank)
-    starred = [(star(src[1], rank), star(src[0], rank)) for src in sources]
-    i = max(0, -min(a), *(-min(a2) for a2, _ in starred)) + 1
-    j = max(0, -min(b), *(-min(b2) for _, b2 in starred)) + 1
-    return (shifted(a, i), shifted(b, j)), [
-        (shifted(a2, i), shifted(b2, j)) for a2, b2 in starred
-    ]
+    a2, b2 = star(src[1], rank), star(src[0], rank)
+    i = max(0, -min(a), -min(a2)) + 1
+    j = max(0, -min(b), -min(b2)) + 1
+    return (shifted(a, i), shifted(b, j)), (shifted(a2, i), shifted(b2, j))
 
 
 def right_via_star(tgt: Bipartition, src: Bipartition, r: int, rank: int) -> QPoly:
@@ -324,19 +303,16 @@ def right_via_star(tgt: Bipartition, src: Bipartition, r: int, rank: int) -> QPo
     the components, negate the rows, give the target's first slot one
     extra box per row, and lift both slots until every row is positive.
     The extra boxes are forced by box count: a right generator adding r
-    boxes must match a left generator adding rank - r.  The left table
-    does not move under larger shared lifts once every entry is a
-    nonnegative row, which is what lets `closed_right_table` read all
-    its sources from one lifted table.
+    boxes must match a left generator adding rank - r.
 
     The result is the stabilised constant that
     `oracle.stable_right_constant` counts (`oracle.rho_check` pins the
-    two together), and the only route by which right-side constants are
-    served: `stable_right_column` reads it at its own rank,
-    `closed_right_table` one rank above the target's size."""
+    two together), and the only route to right-side constants:
+    `stable_right_column` reads it at its own rank, `closed_form_G`
+    one rank above the target's size."""
     if not 1 <= r <= rank - 1:
         raise UsageError(f"rank-{r} generator outside 1..{rank - 1}")
-    big_tgt, (big_src,) = _mirror(tgt, [src], rank)
+    big_tgt, big_src = _mirror(tgt, src, rank)
     return closed_left_table(big_tgt, rank - r).get(big_src, QPoly.zero())
 
 

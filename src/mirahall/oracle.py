@@ -47,8 +47,8 @@ from .affine import (
 from .bimodule import MirElt, PiTable, pi_table
 from .closedform import (
     _fits,
+    closed_form_G,
     closed_left_table,
-    closed_right_table,
     stable_right_column,
 )
 from .config import check_prime
@@ -344,12 +344,16 @@ def act_direct(side: str, a: HallElt, m: MirElt) -> MirElt:
 def verify_closed_form(
     tgt: Bipartition, r: int, side: str = "left"
 ) -> Mapping[Bipartition, QPoly]:
-    """Closed table of one side checked entrywise against the counted one."""
+    """Closed table of one side checked entrywise against the counted one;
+    the right one is read column by column (`closed_form_G`)."""
     if side == "left":
         closed = dict(closed_left_table(tgt, r))
         counted = dict(pairs.left_elementary_constants(tgt, r))
     else:
-        closed = dict(closed_right_table(tgt, r))
+        closed = {
+            src: poly for src in bipartitions_of(label_size(tgt) - r)
+            if (poly := closed_form_G(r, src, "right").get(tgt))
+        }
         counted = dict(pairs.right_elementary_constants(tgt, r))
     if closed != counted:
         keys = sorted(set(closed) | set(counted), reverse=True)

@@ -128,6 +128,7 @@ def pair_orbit_dim(bp: Bipartition, rank: int) -> int:
     return orbit_dim(add_parts(lam, mu), rank) + sum(lam)
 
 
+@lru_cache(maxsize=None)
 def pair_codim(bp: Bipartition) -> int:
     """2 n(lam) + 2 n(mu) + |mu|; satisfies pair_orbit_dim + pair_codim = n*rank."""
     lam, mu = bp

@@ -11,8 +11,14 @@ import hashlib
 import mirahall.cli as cli
 from mirahall.affine import pattern_check, ts_action, universe, validate
 from mirahall.bimodule import act, pi_table, u_bip
-from mirahall.checks import bruhat_leq, h_basis_check, hecke_quadratic_check
+from mirahall.checks import (
+    bruhat_leq,
+    h_basis_check,
+    hecke_quadratic_check,
+    verify_payload,
+)
 from mirahall.closedform import closed_form_G
+from mirahall.config import RunConfig
 from mirahall.hall import HallElt, hall_mul, u_elt
 from mirahall.laurent import LaurentPoly, QPoly
 from mirahall.oracle import (
@@ -23,8 +29,8 @@ from mirahall.oracle import (
     rho_check,
     verify_closed_form,
 )
-from mirahall.pairs import left_elementary_constants, orbit_census
-from mirahall.partitions import ah_leq, bipartitions_of, partitions_of
+from mirahall.pairs import left_elementary_constants
+from mirahall.partitions import bipartitions_of, partitions_of
 from mirahall.traces import (
     GreenLabel,
     green_freeness_check,
@@ -43,11 +49,18 @@ def _verdict(k: int, text: str) -> None:
     print(f"[gate {k:02d}] PASS  {text}")
 
 
+def _failed(report: dict) -> list[str]:
+    """The failing checks of a `verify_payload` report, named."""
+    return [
+        f"{c['suite']} {c['name']}: {c['detail']}"
+        for c in report["checks"]
+        if not c["passed"]
+    ]
+
+
 def test_gate_01_orbit_census():
-    for n in range(1, 5):
-        want = len(bipartitions_of(n))
-        for qv in (2, 3):
-            assert len(orbit_census(n, qv)) == want, (n, qv)
+    report = verify_payload(["census"], RunConfig(max_n=4))
+    assert report["passed"], _failed(report)
     assert len(bipartitions_of(4)) == 20
     _verdict(1, "orbit counts match bipartition counts, n <= 4, q in {2,3}")
 
@@ -132,25 +145,10 @@ def test_gate_04_size_two_table():
 
 
 def test_gate_05_table_shape():
-    for n in range(1, 5):
-        tab = pi_table(n, n)
-        for colbp in tab.order:
-            assert tab.raw_value(colbp, colbp) == one, (n, colbp)
-            assert tab.value(colbp, colbp) == one, (n, colbp)
-            for row in tab.order:
-                val = tab.value(row, colbp)
-                if val.is_zero():
-                    continue
-                assert ah_leq(row, colbp), (n, row, colbp)
-                assert all(c > 0 for _, c in val.items()), (n, row, colbp)
-                if row != colbp:
-                    assert all(e <= -1 for e, _ in val.items()), (n, row, colbp)
+    report = verify_payload(["pi"], RunConfig(max_n=4))
+    assert report["passed"], _failed(report)
     for n in range(1, 4):
-        lo, hi = pi_table(n, n), pi_table(n, n + 1)
-        assert lo.order == hi.order
-        for colbp in lo.order:
-            for row in lo.order:
-                assert lo.value(row, colbp) == hi.value(row, colbp), (n, row, colbp)
+        assert pi_table(n, n).order == pi_table(n, n + 1).order, n
     _verdict(5, "triangularity, positivity, negative degrees, rank stability")
 
 

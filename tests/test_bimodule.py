@@ -237,6 +237,21 @@ def test_mhl_prefactor():
         mhl_poly(((1, 1), (1,)), 2)
 
 
+def test_mhl_round_trip_returns_each_cyclic_column():
+    # a guard on the inversion, not an oracle: expanding each cyclic
+    # vector in the inverted basis gives back (-v)^(-(n-1)n) times its
+    # own column
+    for n in range(1, 7):
+        k = -(n - 1) * n
+        scale = LaurentPoly.v_power(k, -1 if k % 2 else 1)
+        for col in bipartitions_of(n):
+            vec = c_bipartition(col[0], col[1], n)
+            total = TensorSym()
+            for row, coeff in vec.items():
+                total = total + coeff * basis_in_tensor(row, n)
+            assert total == TensorSym({col: scale}), (n, col)
+
+
 def test_basis_in_tensor_rank_guard():
     with pytest.raises(NotInTable):
         basis_in_tensor(((1, 1), ()), 1)

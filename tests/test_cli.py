@@ -859,7 +859,8 @@ def test_json_text_refuses_what_is_not_a_payload():
 
 # sha256 of stdout: pi --n 5 and --n 6 as in every record of
 # BENCH_pi.json, mhl --n 5 as served before the trusted Laurent kernel,
-# trace --n 5 and --n 6 as served before the one-walk payload builders
+# trace --n 5 and --n 6 as served before the one-walk payload builders,
+# and three right mirabolic columns as served before the one-source mirror
 SERVED_DIGESTS = {
     ("pi", "--n", "5"): "492fe5f72799489cdbac0bceac414ce033103304e445a263834da2f4705dbe4f",
     ("pi", "--n", "6"): "202ef7a04112617aa7de6a2bf3e3ad088fd9ff9b9a0b4e6a1012dd5cc6ee9465",
@@ -868,6 +869,12 @@ SERVED_DIGESTS = {
         "95a4d7afdcf008d36979bb7a325b95c985ed453d4c7fe71f2b621ff8c2123a9d",
     ("trace", "--n", "6", "--q", "3"):
         "3e890ea6076623d813aefc55d3fba10f6cc11b7a05fbf6cbfb11cc79be2c51dd",
+    ("mirabolic", "--src", "5,4|3", "--r", "1", "--side", "right"):
+        "afac0ce053d9ccad7400a4413bd3204ff2f18d9c2102de6cee08659e3eb5afe5",
+    ("mirabolic", "--src", "|1,1,1,1,1,1", "--r", "7", "--side", "right"):
+        "0d5576eccef09956f24c3afe31d2fca3d50486fa59916e5274781dfe99a9b749",
+    ("mirabolic", "--src", "6|6", "--r", "1", "--side", "right"):
+        "8673dcfc459cc87d2c3b238c8ca2d51a83d81bda0effdd021aad34f5ef232ad1",
 }
 
 

@@ -4,7 +4,6 @@ from mirahall.closedform import (
     closed_form_G,
     closed_left_column,
     closed_left_table,
-    closed_right_table,
     reachable_targets,
     right_via_star,
     stable_right_column,
@@ -131,39 +130,30 @@ def test_guards():
         rho_check(((1, 1, 1), ()), 1, 2)
 
 
-def test_closed_right_table_boundaries():
-    assert closed_right_table(((), (1, 1, 1)), 1) == {((), (1, 1)): gauss_binomial(3, 1)}
-    assert closed_right_table(((), (1, 1)), 2) == {((), ()): one}
-    assert closed_right_table(((1,), (1,)), 2) == {}
-    assert closed_right_table(((2,), ()), 3) == {}
+def test_right_column_boundaries():
+    # the right rows, read from the module's columns (`closed_form_G`)
+    right = {
+        (((), (1, 1, 1)), 1): {((), (1, 1)): gauss_binomial(3, 1)},
+        (((), (1, 1)), 2): {((), ()): one},
+        (((1,), (1,)), 2): {},
+        (((2,), ()), 3): {},
+    }
+    for (tgt, r), want in right.items():
+        assert verify_closed_form(tgt, r, "right") == want, (tgt, r)
 
 
-def test_closed_right_table_reads_one_lift_per_target():
-    # the table's one shared lift agrees with each source's own mirror
-    for n in range(1, 6):
-        for tgt in bipartitions_of(n):
-            if tgt == ((), (1,) * n):
-                continue
-            for r in range(1, n):
-                table = closed_right_table(tgt, r)
-                for src in bipartitions_of(n - r):
-                    got = table.get(src, QPoly.zero())
-                    assert got == right_via_star(tgt, src, r, n), (tgt, r, src)
-
-
-def test_closed_right_table_boundary_rules_are_the_mirror_one_rank_up():
-    # read at rank n + 1 the mirror needs neither boundary rule: it
-    # gives the vectorless square-zero target's Gauss binomial, and
-    # nothing at r = n
-    for n in range(1, 6):
-        for tgt in bipartitions_of(n):
-            for r in range(1, n + 1):
-                cells = {
-                    src: right_via_star(tgt, src, r, n + 1)
-                    for src in bipartitions_of(n - r)
-                }
-                want = {src: poly for src, poly in cells.items() if poly}
-                assert closed_right_table(tgt, r) == want, (tgt, r)
+def test_served_right_column_is_the_module_column_off_the_vectorless_target():
+    # at its own rank n the served mirror agrees with the module's,
+    # which reads it one rank up, everywhere but at ((), (1^n))
+    for n in range(2, 6):
+        vectorless = ((), (1,) * n)
+        for r in range(1, n):
+            for src in bipartitions_of(n - r):
+                served = dict(stable_right_column(r, src, n))
+                module = dict(closed_form_G(r, src, "right"))
+                served.pop(vectorless, None)
+                module.pop(vectorless, None)
+                assert served == module, (src, r)
 
 
 def test_closed_right_matches_counted_exhaustive_small():
@@ -213,15 +203,18 @@ def test_serving_path_never_counts(monkeypatch):
         _clear_caches()
 
 
-def test_tables_and_class_ring_read_no_right_table():
+def test_tables_and_class_ring_read_no_right_table(monkeypatch):
     # the cyclic basis and the class ring's products against the empty
     # label take the right action on the vacuum in closed form
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table read a right constant")
+
     _clear_caches()
+    monkeypatch.setattr(closedform, "right_via_star", refuse)
     try:
         pi_table(6, 6)
         bimodule._basis_in_tensor(5, 5)
         traces.green_freeness_check(4, 2)
-        assert closed_right_table.cache_info().misses == 0
     finally:
         _clear_caches()
 
@@ -257,10 +250,13 @@ def test_every_cell_adds_a_vertical_strip_to_the_jordan_type():
         for tgt in bipartitions_of(n):
             nu = add_parts(*tgt)
             for r in range(1, n + 1):
-                for table in (closed_left_table, closed_right_table):
-                    for src in table(tgt, r):
-                        assert _is_vertical_strip(add_parts(*src), nu, r), (tgt, src, r)
-                        cells += 1
+                right = [
+                    src for src in bipartitions_of(n - r)
+                    if right_via_star(tgt, src, r, n + 1)
+                ]
+                for src in [*closed_left_table(tgt, r), *right]:
+                    assert _is_vertical_strip(add_parts(*src), nu, r), (tgt, src, r)
+                    cells += 1
     for m in range(0, 6):
         for src in bipartitions_of(m):
             for r in range(1, 7 - m):
@@ -273,22 +269,30 @@ def test_every_cell_adds_a_vertical_strip_to_the_jordan_type():
 
 def _all_labels_column(r, src, side, rank):
     """The column read over every label of its size: the oracle of the
-    reachable targets."""
-    table = {"left": closed_left_table, "right": closed_right_table}[side]
+    reachable targets.  A right cell is the mirror one rank above the
+    target's size, which needs neither boundary rule: it gives the
+    vectorless square-zero target's Gauss binomial, and nothing at
+    r = n."""
+    n = label_size(src) + r
+    cell = {
+        "left": lambda tgt: closed_left_table(tgt, r).get(src),
+        "right": lambda tgt: right_via_star(tgt, src, r, n + 1),
+    }[side]
     cells = {
-        tgt: table(tgt, r).get(src)
-        for tgt in bipartitions_of(label_size(src) + r)
+        tgt: cell(tgt)
+        for tgt in bipartitions_of(n)
         if rank is None or max(len(tgt[0]), len(tgt[1])) <= rank
     }
     return {tgt: poly for tgt, poly in cells.items() if poly}
 
 
 def test_reachable_column_is_the_all_labels_column():
-    # values and order, on both sides and at every rank
-    for m in range(0, 7):
-        for src in bipartitions_of(m):
-            for r in range(1, 8 - m):
-                for side in ("left", "right"):
+    # values and order, on both sides and at every rank; the right
+    # oracle reads one lifted left table per cell, so it stops at 6
+    for side, top in (("left", 7), ("right", 6)):
+        for m in range(0, top):
+            for src in bipartitions_of(m):
+                for r in range(1, top + 1 - m):
                     for rank in (None, *range(1, m + r + 1)):
                         want = _all_labels_column(r, src, side, rank)
                         got = closed_form_G(r, src, side, rank)
