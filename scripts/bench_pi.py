@@ -73,14 +73,15 @@ IWAHORI_NS = (2, 3, 4)
 
 # further cold requests timed in every record: a Hall product that once
 # built every pair table of its sizes, a low-rank `pi` at large n, and
-# the two other views of the transition table, `trace` (at the largest
-# `pi` size too) and `mhl`
+# the two other views of the transition table, `trace` and `mhl` (each
+# at the largest `pi` size too)
 COLD_EXTRA = (
     ("hall", "--x", "5,4", "--y", "4,4"),
     ("pi", "--n", "12", "--N", "1"),
     ("trace", "--n", "8", "--q", "3"),
     ("trace", "--n", "9", "--q", "3"),
     ("mhl", "--n", "8"),
+    ("mhl", "--n", "9"),
 )
 
 # the host speed gauge of perfbench/run.py, with its thread pins

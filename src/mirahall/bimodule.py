@@ -14,13 +14,13 @@ The right action on the vacuum, the only right action that the cyclic
 basis and the class ring take, is read in closed form
 (`right_on_vacuum`), so no serving request reads a right table.
 
-`pi_table` normalises the cyclic basis into the transition table whose
-entries are the polynomials the rest of the package consumes.  The
-table is one store, its nonzero calibrated cells: a raw cell is the
-calibrated one times `calibration_sign`, the parity of the codimension
-gap, and a column's diagonal unit is `diag_unit`, a function of the
-label alone.  No cyclic vector (`c_bipartition`) outlives the column
-that reads it.
+`pi_table` normalises the cyclic basis into the transition table of
+polynomials the rest of the package consumes; `_basis_in_tensor`
+inverts it for `mhl`.  Both read each cyclic vector from
+`c_bipartition`, the one place that checks one, and drop it after its
+column.  The table is one store, its nonzero calibrated cells: a raw
+cell is the calibrated one times `calibration_sign`, the parity of the
+codimension gap, and a column's diagonal unit is `diag_unit(col)`.
 """
 
 from __future__ import annotations
@@ -108,11 +108,24 @@ def right_on_vacuum(a: HallElt) -> MirElt:
 
 def c_bipartition(lam: Partition, mu: Partition, rank: int) -> MirElt:
     """Cyclic basis: signed-Kostka operators applied to the vacuum on
-    both sides."""
-    lam, mu = trim(lam), trim(mu)
-    if len(lam) > rank or len(mu) > rank:
-        raise RankTooSmall(f"label ({lam}, {mu}) needs more than {rank} rows")
-    return act("left", c_expand(lam, rank), _right_vacuum(mu, rank))
+    both sides.  The one check of a cyclic vector: no weight outside the
+    cone below its column, and once the orbit dimension is scaled out,
+    the diagonal `diag_unit(col)`."""
+    col = trim(lam), trim(mu)
+    if not _fits(col, rank):
+        raise RankTooSmall(f"label {col} needs more than {rank} rows")
+    vec = act("left", c_expand(col[0], rank), _right_vacuum(col[1], rank))
+    for row in vec._c:
+        if not ah_leq(row, col):
+            raise OracleMismatch(
+                f"cyclic vector of {col} has weight at {row} outside the cone"
+            )
+    diag = vec.coeff(col) * _minus_v(pair_orbit_dim(col, rank))
+    if diag != diag_unit(col):
+        raise DiagonalNotUnit(
+            f"diagonal at {col}: {diag.pretty()} != {diag_unit(col).pretty()}"
+        )
+    return vec
 
 
 @lru_cache(maxsize=None)
@@ -173,26 +186,15 @@ class PiTable:
 
 @lru_cache(maxsize=None)
 def pi_table(n: int, rank: int) -> PiTable:
-    """Normalise the cyclic basis: scale row coefficients by signed
-    powers of v matching orbit dimensions, divide out the diagonal,
-    and apply the codimension parity calibration.  Each cyclic vector
-    is built for its own column and dropped after it."""
+    """Normalise the cyclic basis (each vector checked by `c_bipartition`
+    and dropped after its column): scale row coefficients by signed
+    powers of v matching orbit dimensions, divide out the diagonal unit,
+    and apply the codimension parity calibration."""
     order = _labels(n, rank)
     cells: dict[tuple[Bipartition, Bipartition], LaurentPoly] = {}
     for col in order:
-        vec = c_bipartition(col[0], col[1], rank)
-        diag_want = diag_unit(col)
-        diag_got = vec.coeff(col) * _minus_v(pair_orbit_dim(col, rank))
-        if diag_got != diag_want:
-            raise DiagonalNotUnit(
-                f"diagonal at {col}: {diag_got.pretty()} != {diag_want.pretty()}"
-            )
-        inv = diag_want**-1
-        for row, coeff in vec._c.items():
-            if not ah_leq(row, col):
-                raise OracleMismatch(
-            f"cyclic vector of {col} has weight at {row} outside the cone"
-                )
+        inv = diag_unit(col) ** -1
+        for row, coeff in c_bipartition(col[0], col[1], rank)._c.items():
             r = coeff * _minus_v(pair_orbit_dim(row, rank)) * inv
             cells[(row, col)] = r * calibration_sign(row, col)
     return PiTable(n, rank, order, cells)
@@ -215,25 +217,20 @@ class TensorSym(Combination):
 @lru_cache(maxsize=None)
 def _basis_in_tensor(n: int, rank: int) -> Mapping[Bipartition, TensorSym]:
     """Each pair label of size n written in the two-sided Schur basis,
-    by inverting the triangular cyclic system.  Each column builds its
-    own cyclic vector and sums into one dict of labels that are already
-    normal."""
+    by inverting the triangular system of `c_bipartition`'s checked
+    cyclic vectors, one column at a time, into labels already normal."""
     order = _labels(n, rank)
     c_image = _minus_v(-(rank - 1) * n)
     out: dict[Bipartition, TensorSym] = {}
-    for i in range(len(order) - 1, -1, -1):
-        col = order[i]
+    for col in reversed(order):
         vec = c_bipartition(col[0], col[1], rank)
-        diag = vec.coeff(col)
-        if not diag.is_unit_monomial():
-            raise DiagonalNotUnit(f"cyclic diagonal at {col}")
         total = {col: c_image}
         for row, coeff in vec._c.items():
             if row != col:
                 TensorSym._accumulate(
                     total, ((k, -coeff * a) for k, a in out[row]._c.items())
                 )
-        inv = diag**-1
+        inv = vec.coeff(col) ** -1
         out[col] = TensorSym._trusted(None, {k: inv * a for k, a in total.items()})
     return out
 

@@ -77,7 +77,7 @@ def _gen_decomposition(
     lam: Partition, rank: int
 ) -> Mapping[tuple[int, ...], LaurentPoly]:
     """Basis element as a combination of generator monomials, found by
-    peeling the dominance-leading term of each monomial."""
+    peeling each monomial's dominance-leading term, checked here to be 1."""
     lam = trim(lam)
     if len(lam) > rank:
         return {}
@@ -86,18 +86,16 @@ def _gen_decomposition(
     for r in reversed(cols):
         mono = gen_mul(r, mono)
     lead = mono.coeff(lam)
-    if not lead.is_unit_monomial():
+    if lead != 1:
         raise DiagonalNotUnit(f"generator monomial lead at {lam}: {lead.pretty()}")
-    inv = lead**-1
-    out: dict[tuple[int, ...], LaurentPoly] = {cols: inv}
+    out: dict[tuple[int, ...], LaurentPoly] = {cols: lead}
     for mu, c in mono._c.items():
         if mu == lam:
             continue
         if not dominance_leq(mu, lam):
             raise OracleMismatch(f"monomial for {lam} reached {mu}")
-        scale = -inv * c
         HallElt._accumulate(out, (
-            (cols2, scale * c2) for cols2, c2 in _gen_decomposition(mu, rank).items()
+            (cols2, -c * c2) for cols2, c2 in _gen_decomposition(mu, rank).items()
         ))
     return out
 

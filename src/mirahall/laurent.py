@@ -293,10 +293,6 @@ class LaurentPoly(_Poly):
         [(e, a)] = self._c.items()
         return e, a
 
-    def is_unit_monomial(self) -> bool:
-        mono = self.as_monomial()
-        return mono is not None and mono[1] in (1, -1)
-
     def evaluate(self, x: "Fraction | int") -> Fraction:
         """Value at v = x, exact rational arithmetic."""
         from fractions import Fraction

@@ -12,7 +12,6 @@ import mirahall.cli as cli
 from mirahall.affine import pattern_check, ts_action, universe, validate
 from mirahall.bimodule import act, pi_table, u_bip
 from mirahall.checks import (
-    bruhat_leq,
     h_basis_check,
     hecke_quadratic_check,
     verify_payload,
@@ -36,7 +35,6 @@ from mirahall.traces import (
     green_freeness_check,
     green_labels,
     green_mul,
-    trace_value,
 )
 
 one = LaurentPoly.one()
@@ -165,16 +163,12 @@ def test_gate_06_classical_reduction():
 
 
 def test_gate_07_trace_fiber():
-    for n in range(1, 4):
-        for qv in (2, 3):
-            assert fiber_oracle_check(n, qv)["passed"], (n, qv)
+    # the suite runs the fiber oracle for n <= 3 at q = 2, 3 and the
+    # golden cell q + 1
+    report = verify_payload(["trace"], RunConfig(max_n=3, primes=(2, 3)))
+    assert report["passed"], _failed(report)
     rep = fiber_oracle_check(4, 2)
     assert rep["passed"] and rep["epsilon"] == 1
-    col, row = ((1,), (1,)), ((), (1, 1))
-    plain, radical = trace_value(col, row, pi_table(2, 2).value(row, col))
-    assert plain == QPoly({0: 1, 1: 1})
-    assert radical.is_zero()
-    assert plain.evaluate(2) == 3
     counted = {
         (tuple(map(tuple, c["stratum"])), c["m"]): c["count"]
         for c in fiber_oracle_check(2, 2)["cells"]
@@ -230,20 +224,21 @@ def test_gate_09_green_bimodule():
 
 
 def test_gate_10_wall_products():
-    hist: dict[int, int] = {}
+    # the suite checks each product against the count, its template,
+    # degrees, normalized shape and support under the top label
+    report = verify_payload(["iwahori"], RunConfig(window=2))
+    assert report["passed"], _failed(report)
+    [templates] = [c["detail"] for c in report["checks"] if c["name"] == "templates"]
+    assert templates == (
+        'cases {"1": 100, "2": 41, "3": 16, "4": 46, "5": 29} over 116 sources'
+    )
     for x in universe(2):
         for i in (1, 2):
             prod = ts_action(x, i)
-            case = pattern_check(x, i, prod)
-            hist[case] = hist.get(case, 0) + 1
-            assert all(c.degree() <= 1 for c in prod.values()), (x, i)
             assert hecke_quadratic_check(x, i), (x, i)
             assert mass_check(x, i), (x, i)
-            assert h_basis_check(x, i), (x, i)
             tops = [y for y in prod if all(y.length() >= z.length() for z in prod)]
             assert len(tops) == 1, (x, i)
-            assert all(bruhat_leq(y, tops[0]) for y in prod), (x, i)
-    assert hist == {1: 100, 2: 41, 3: 16, 4: 46, 5: 29}
     spots = [
         (((2, 1, 3), 0, ()), 2, 2),
         (((-2, -1, 3), -2, (0,)), 3, 5),

@@ -1,5 +1,6 @@
 import pytest
 
+from mirahall import bimodule, hall
 from mirahall.bimodule import (
     MirElt,
     PiTable,
@@ -15,12 +16,13 @@ from mirahall.bimodule import (
     u_bip,
     vacuum,
 )
-from mirahall.errors import NotInTable, RankTooSmall
+from mirahall.errors import DiagonalNotUnit, NotInTable, OracleMismatch, RankTooSmall
 from mirahall.hall import c_expand, u_elt
 from mirahall.laurent import LaurentPoly, QPoly
 from mirahall.partitions import (
     ah_leq,
     bipartitions_of,
+    label_size,
     pair_codim,
     pair_orbit_dim,
     partitions_of,
@@ -357,3 +359,50 @@ def test_c_bipartition_rank_guard():
         c_bipartition((1, 1, 1), (), 2)
     with pytest.raises(RankTooSmall):
         c_bipartition((), (1, 1, 1), 2)
+
+
+@pytest.fixture
+def cold_tables():
+    # the corruption below must reach no table a later test reads
+    caches = (pi_table, bimodule._basis_in_tensor, bimodule._right_vacuum,
+              hall._gen_decomposition)
+    for table in caches:
+        table.cache_clear()
+    yield
+    for table in caches:
+        table.cache_clear()
+
+
+def test_both_triangular_systems_refuse_a_corrupt_cyclic_vector(monkeypatch, cold_tables):
+    # one rule per system: pi and mhl read the same checked cyclic
+    # vectors, and the generator decomposition's lead must be exactly 1
+    real_act, real_gen_mul = bimodule.act, hall.gen_mul
+    top = ((3,), ())
+
+    def negated(side, a, m):
+        out = real_act(side, a, m)
+        return -1 * out if label_size(next(iter(out._c))) == 3 else out
+
+    def above(side, a, m):
+        # every size-3 vector but the top column's gains the top label
+        out = real_act(side, a, m)
+        if label_size(next(iter(out._c))) == 3 and top not in out._c:
+            out = out + u_bip(top, m.rank)
+        return out
+
+    for corrupt, error in ((negated, DiagonalNotUnit), (above, OracleMismatch)):
+        monkeypatch.setattr(bimodule, "act", corrupt)
+        # a refused table leaves no cache entry behind
+        for build in (lambda: pi_table(3, 3), lambda: mhl_poly(((1,), (1, 1)), 3)):
+            with pytest.raises(error):
+                build()
+    monkeypatch.setattr(bimodule, "act", real_act)
+
+    def gen_mul(r, m):
+        out = real_gen_mul(r, m)
+        return -1 * out if r == 1 else out
+
+    monkeypatch.setattr(hall, "gen_mul", gen_mul)
+    hall._gen_decomposition.cache_clear()
+    with pytest.raises(DiagonalNotUnit):
+        hall._gen_decomposition((1,), 2)

@@ -865,6 +865,11 @@ SERVED_DIGESTS = {
     ("pi", "--n", "5"): "492fe5f72799489cdbac0bceac414ce033103304e445a263834da2f4705dbe4f",
     ("pi", "--n", "6"): "202ef7a04112617aa7de6a2bf3e3ad088fd9ff9b9a0b4e6a1012dd5cc6ee9465",
     ("mhl", "--n", "5"): "adc58f797631bf6dadf6ca53390e609a3e49701d1f728085933fcd245a45ef7a",
+    ("mhl", "--n", "6"): "541b97b4ba11ee4a739943722f30af6a27c72e26047f2f86f1b745b53975cbc3",
+    ("mhl", "--n", "4", "--N", "6"):
+        "de7bbd6d27985b98e11b5d266ec91dedac56e3a124b34fc7ef2588fdcb68b68e",
+    ("hall", "--x", "4,2", "--y", "2,1,1", "--N", "5"):
+        "2dcfa5c5195b3081b9e76e6388319711f95dcf3552fc96d3c04a837d180473c7",
     ("trace", "--n", "5", "--q", "3"):
         "95a4d7afdcf008d36979bb7a325b95c985ed453d4c7fe71f2b621ff8c2123a9d",
     ("trace", "--n", "6", "--q", "3"):
