@@ -72,9 +72,10 @@ WARM_LAUNCHES = 9
 IWAHORI_NS = (2, 3, 4)
 
 # further cold requests timed in every record: a Hall product that once
-# built every pair table of its sizes, a low-rank `pi` at large n, and
-# the two other views of the transition table, `trace` and `mhl` (each
-# at the largest `pi` size too)
+# built every pair table of its sizes, a low-rank `pi` at large n, the
+# two other views of the transition table, `trace` and `mhl` (each at
+# the largest `pi` size too), and a csv and a latex render of a large
+# table
 COLD_EXTRA = (
     ("hall", "--x", "5,4", "--y", "4,4"),
     ("pi", "--n", "12", "--N", "1"),
@@ -82,6 +83,8 @@ COLD_EXTRA = (
     ("trace", "--n", "9", "--q", "3"),
     ("mhl", "--n", "8"),
     ("mhl", "--n", "9"),
+    ("pi", "--n", "8", "--format", "csv"),
+    ("trace", "--n", "8", "--q", "3", "--format", "latex"),
 )
 
 # the host speed gauge of perfbench/run.py, with its thread pins

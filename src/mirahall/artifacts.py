@@ -2,7 +2,8 @@
 
 A payload builder (`pi_payload` ... `iwahori_payload`) is pure: cost
 guard (in `costs`), then table build, then JSON tree; `render` writes a
-tree in one of FORMATS, json through `json_text`.  `cli` registers this
+tree in one of FORMATS, json through `json_text`, csv and latex each in
+its own format only, one text per distinct cell.  `cli` registers this
 module lazily, so an artifact hit never runs it.  It never imports
 `cli`, which under `python -m mirahall.cli` is `__main__` and would run
 twice; it reads the kernel and table modules from the package, which
@@ -194,56 +195,56 @@ def iwahori_payload(N: int, window: int) -> dict:
 # --- rendering ----------------------------------------------------------------
 
 
-def _poly_cell(d: Mapping[str, int], cls=None) -> tuple[str, str]:
+def _poly_cell(d: Mapping[str, int], fmt: str, cls=None) -> str:
     poly = (cls or laurent.LaurentPoly).from_json(d)
-    return poly.pretty(), f"${poly.latex()}$"
+    return poly.pretty() if fmt == "csv" else f"${poly.latex()}$"
 
 
-def _text_cell(text: str) -> tuple[str, str]:
-    return text, rf"$\mathtt{{{text}}}$"
+def _text_cell(text: str, fmt: str) -> str:
+    return text if fmt == "csv" else rf"$\mathtt{{{text}}}$"
 
 
-def _plain_cell(text) -> tuple[str, str]:
-    return str(text), str(text)
-
-
-def _trace_cell(cell: dict) -> tuple[str, str]:
+def _trace_cell(cell: dict, fmt: str) -> str:
     """plain(q) + radical(q)*sqrt(q), the radical left out when zero."""
     a = laurent.QPoly.from_json(cell["plain"])
     b = laurent.QPoly.from_json(cell["radical"])
-    if b.is_zero():
-        return a.pretty(), f"${a.latex()}$"
-    return (f"{a.pretty()} + ({b.pretty()})*sqrt(q)",
-            rf"${a.latex()} + ({b.latex()})\sqrt{{q}}$")
+    if fmt == "csv":
+        text = a.pretty()
+        return text if b.is_zero() else f"{text} + ({b.pretty()})*sqrt(q)"
+    text = a.latex()
+    return f"${text}$" if b.is_zero() else rf"${text} + ({b.latex()})\sqrt{{q}}$"
 
 
-def _grid(payload: dict) -> tuple[list[str], list[list[tuple[str, str]]]]:
+def _grid(payload: dict, fmt: str) -> tuple[list[str], list[list[str]]]:
+    """The header and the rows of cell texts, each cell in `fmt`."""
     kind = payload["kind"]
     # one text per distinct coefficient (and iwahori label) per render;
     # kept local, as a module-level memo would grow with every table
     texts = {}
 
-    def poly(d: Mapping[str, int], cls=None) -> tuple[str, str]:
+    def poly(d: Mapping[str, int], cls=None) -> str:
         key = (cls, *d.items())
         cell = texts.get(key)
         if cell is None:
-            cell = texts[key] = _poly_cell(d, cls)
+            cell = texts[key] = _poly_cell(d, fmt, cls)
         return cell
 
     if kind in ("pi", "trace"):
-        listed = payload["calibrated"] if kind == "pi" else payload["cells"]
-        text = (lambda c: poly(c["coeff"])) if kind == "pi" else _trace_cell
+        if kind == "pi":
+            listed, text = payload["calibrated"], lambda c: poly(c["coeff"])
+        else:
+            listed, text = payload["cells"], lambda c: _trace_cell(c, fmt)
         cells = {(c["row"], c["col"]): text(c) for c in listed}
-        order, zero = payload["order"], _plain_cell(0)
+        order = payload["order"]
         rows = [
-            [_text_cell(row)] + [cells.get((row, col), zero) for col in order]
+            [_text_cell(row, fmt)] + [cells.get((row, col), "0") for col in order]
             for row in order
         ]
         return [""] + order, rows
     if kind == "mhl":
         rows = [
-            [_text_cell(entry["label"]), poly(entry["prefactor"]),
-             _text_cell(term["pair"]), poly(term["coeff"])]
+            [_text_cell(entry["label"], fmt), poly(entry["prefactor"]),
+             _text_cell(term["pair"], fmt), poly(term["coeff"])]
             for entry in payload["entries"]
             for term in entry["tensor"]
         ]
@@ -252,50 +253,40 @@ def _grid(payload: dict) -> tuple[list[str], list[list[tuple[str, str]]]]:
         cls = laurent.LaurentPoly if kind == "hall" else laurent.QPoly
         header = ["label", "coeff"]
         rows = [
-            [_text_cell(term["label"]), poly(term["coeff"], cls)]
+            [_text_cell(term["label"], fmt), poly(term["coeff"], cls)]
             for term in payload["terms"]
         ]
         return header, rows
     if kind == "green":
         header = ["field", "value"]
-        rows = [[_plain_cell("label"), _text_cell(lab)] for lab in payload["labels"]]
-        rows.append([_plain_cell("dimension"), _plain_cell(payload["freeness"]["dimension"])])
-        rows.append([_plain_cell("passed"), _plain_cell(payload["freeness"]["passed"])])
+        rows = [["label", _text_cell(lab, fmt)] for lab in payload["labels"]]
+        rows.append(["dimension", str(payload["freeness"]["dimension"])])
+        rows.append(["passed", str(payload["freeness"]["passed"])])
         return header, rows
     if kind == "iwahori":
         header = ["source", "i", "case", "target", "coeff"]
         labels = {}
 
-        def label(d: dict) -> tuple[str, str]:
+        def label(d: dict) -> str:
             key = (tuple(d["window"]), d["lo"], tuple(d["extra"]))
             cell = labels.get(key)
             if cell is None:
-                cell = labels[key] = _plain_cell(json.dumps(d, sort_keys=True))
+                cell = labels[key] = json.dumps(d, sort_keys=True)
             return cell
 
         rows = []
         for prod in payload["products"]:
-            src = label(prod["source"])
-            for term in prod["terms"]:
-                rows.append(
-                    [
-                        src,
-                        _plain_cell(prod["i"]),
-                        _plain_cell(prod["case"]),
-                        label(term["target"]),
-                        poly(term["coeff"], laurent.QPoly),
-                    ]
-                )
+            head = [label(prod["source"]), str(prod["i"]), str(prod["case"])]
+            rows += (
+                head + [label(term["target"]), poly(term["coeff"], laurent.QPoly)]
+                for term in prod["terms"]
+            )
         return header, rows
     if kind == "verify":
         header = ["suite", "name", "status", "detail"]
+        # suite, name and detail are strings in every report
         rows = [
-            [
-                _plain_cell(c["suite"]),
-                _plain_cell(c["name"]),
-                _plain_cell("PASS" if c["passed"] else "FAIL"),
-                _plain_cell(c["detail"]),
-            ]
+            [c["suite"], c["name"], "PASS" if c["passed"] else "FAIL", c["detail"]]
             for c in payload["checks"]
         ]
         return header, rows
@@ -350,7 +341,9 @@ def json_text(value, pad: str = "\n") -> str:
 def render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json_text(payload) + "\n"
-    header, rows = _grid(payload)
+    if fmt not in FORMATS:
+        raise UsageError(f"format {fmt!r} not one of {FORMATS}")
+    header, rows = _grid(payload, fmt)
     if fmt == "csv":
         import csv
         import io
@@ -358,22 +351,18 @@ def render(payload: dict, fmt: str) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell[0] for cell in row])
+        writer.writerows(rows)
         return buf.getvalue()
-    if fmt == "latex":
-        cols = "l" * len(header)
-        lines = [
-            r"\documentclass{article}",
-            r"\usepackage{amsmath}",
-            r"\begin{document}",
-            r"\begin{center}",
-            rf"\begin{{tabular}}{{{cols}}}",
-            " & ".join(rf"$\mathtt{{{h}}}$" if h else "" for h in header) + r" \\",
-            r"\hline",
-        ]
-        for row in rows:
-            lines.append(" & ".join(cell[1] for cell in row) + r" \\")
-        lines += [r"\end{tabular}", r"\end{center}", r"\end{document}"]
-        return "\n".join(lines) + "\n"
-    raise UsageError(f"format {fmt!r} not one of {FORMATS}")
+    cols = "l" * len(header)
+    lines = [
+        r"\documentclass{article}",
+        r"\usepackage{amsmath}",
+        r"\begin{document}",
+        r"\begin{center}",
+        rf"\begin{{tabular}}{{{cols}}}",
+        " & ".join(_text_cell(h, fmt) if h else "" for h in header) + r" \\",
+        r"\hline",
+    ]
+    lines += [" & ".join(row) + r" \\" for row in rows]
+    lines += [r"\end{tabular}", r"\end{center}", r"\end{document}"]
+    return "\n".join(lines) + "\n"

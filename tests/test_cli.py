@@ -21,6 +21,7 @@ from mirahall import (
     closedform,
     costs,
     hall,
+    laurent,
     oracle,
     partitions,
     symfunc,
@@ -479,7 +480,16 @@ def test_every_order_of_formats_serves_the_cold_bytes(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("build", [
     lambda: artifacts.iwahori_payload(3, 2),
     lambda: artifacts.pi_payload(5, 5),
-], ids=["iwahori mult --N 3", "pi --n 5"])
+    lambda: artifacts.trace_payload(5, 3),
+    lambda: artifacts.mhl_payload(4, 4),
+    lambda: artifacts.hall_payload((2, 1), (2, 1), 4),
+    lambda: artifacts.green_payload(3, 3),
+    lambda: artifacts.mirabolic_payload(((2, 1), (1,)), 2, "left", 6),
+    lambda: artifacts.mirabolic_payload(((2,), (1,)), 1, "right", 4),
+    lambda: cli.verify_payload(["hall"], RunConfig()),
+], ids=["iwahori mult --N 3", "pi --n 5", "trace --n 5 --q 3", "mhl --n 4",
+        "hall --x 2,1 --y 2,1", "green --n 3 --q 3", "mirabolic left",
+        "mirabolic right", "verify --suite hall"])
 def test_parsed_json_artifact_renders_as_the_fresh_tree(build):
     # the render makes each coefficient's and label's text once, keyed
     # by content: the fresh tree shares its subtrees, the parsed one
@@ -488,6 +498,30 @@ def test_parsed_json_artifact_renders_as_the_fresh_tree(build):
     parsed = json.loads(artifacts.render(tree, "json"))
     for fmt in ("csv", "latex"):
         assert artifacts.render(parsed, fmt) == artifacts.render(tree, fmt)
+
+
+@pytest.mark.parametrize("fmt, other", [("csv", "latex"), ("latex", "pretty")])
+@pytest.mark.parametrize("build", [
+    lambda: artifacts.pi_payload(4, 4),
+    lambda: artifacts.trace_payload(4, 3),
+    lambda: artifacts.iwahori_payload(2, 1),
+    lambda: artifacts.mhl_payload(3, 3),
+], ids=["pi", "trace", "iwahori", "mhl"])
+def test_a_render_formats_cells_only_in_its_own_format(monkeypatch, build, fmt, other):
+    tree = build()
+    calls = {"pretty": 0, "latex": 0}
+    for name in calls:
+        method = getattr(laurent._Poly, name)
+
+        def counted(self, var=None, name=name, method=method):
+            calls[name] += 1
+            return method(self, var)
+
+        monkeypatch.setattr(laurent._Poly, name, counted)
+    artifacts.render(tree, fmt)
+    own = "pretty" if fmt == "csv" else "latex"
+    assert calls[other] == 0
+    assert calls[own] > 0
 
 
 @pytest.mark.parametrize("params", [
@@ -888,3 +922,42 @@ def test_served_json_keeps_its_digest(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SERVED_DIGESTS[argv]
+
+
+# sha256 of stdout for the csv and latex renders, as served before each
+# render formatted only its own format
+SERVED_TABLE_DIGESTS = {
+    ("pi", "--n", "6"): (
+        "832a324e972b835945d998eac86af50b5aeb67bfac3042dc40e341f15033eabd",
+        "4ac58b8260eed5be16190dd107177e4e152f9d94d5705f9a3c62f21d06f526ae"),
+    ("mhl", "--n", "5"): (
+        "69e35c69f197a322514ef05bb15a6e8989e94d1855331a86fd5489d6f6c04411",
+        "2561966f2bb139bd8c17bb3e4a295b3f30da95be025c0d755ceae74680e9bafd"),
+    ("trace", "--n", "6", "--q", "3"): (
+        "2d8e899cab82161b528b1aaa7b21420519a7f428e0d57ddaf9e3edeae5936112",
+        "4a018f17577deecbc005b1c994e96c90c9a0fab06630eb039d9b4992f157be73"),
+    ("hall", "--x", "4,2", "--y", "2,1,1", "--N", "5"): (
+        "807851bbd7faa68242888c7e8c83b15119af184d7618911b80a317a67739a227",
+        "6d6317a4a24cc6427323cf6012ea2b7d5f05ab5e3cbe384955c5faa83fb11f4a"),
+    ("mirabolic", "--src", "6|6", "--r", "1", "--side", "right"): (
+        "a778dd513b7fdcbd70e75f354e72ba9b6faf1025e69005a6b6d95a9b3305d19b",
+        "7cccc272cd5b14f586c279a465ae1b3b237d231730ad3156272409c5541de66f"),
+    ("green", "--n", "3", "--q", "3"): (
+        "9cd094c0e0079e06c4884fb34342320983395c1aae46d8defdbf0b87b6b496bc",
+        "4c5ed6d4754210370d61219cc8621c6e264bb8f9a410c00f316d95557c539cc3"),
+    ("iwahori", "mult", "--N", "3"): (
+        "02d4bf5600247b81498ab7035ca225c76e8bb47348df66d97ee4145fa6e94c33",
+        "5974fa0e50f1d96bc76fcfeb0c83e770d26ed02b36a2cb15579b291b99c80ee1"),
+    ("verify", "--suite", "hall"): (
+        "fb2c5afc0ce07130ade6cdc6395ed5d260119bdbb5d6a82a2cd4fe1a1945cedb",
+        "e4e85b1bbf1e30477dd34f7928af797e84c3d298c71a26e365f241456f451f21"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "latex"])
+@pytest.mark.parametrize("argv", SERVED_TABLE_DIGESTS, ids=" ".join)
+def test_served_table_keeps_its_digest(capsys, argv, fmt):
+    code, out = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    digest = SERVED_TABLE_DIGESTS[argv][fmt == "latex"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
