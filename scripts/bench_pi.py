@@ -74,8 +74,8 @@ IWAHORI_NS = (2, 3, 4)
 # further cold requests timed in every record: a Hall product that once
 # built every pair table of its sizes, a low-rank `pi` at large n, the
 # two other views of the transition table, `trace` and `mhl` (each at
-# the largest `pi` size too), and a csv and a latex render of a large
-# table
+# the largest `pi` size too), a csv and a latex render of a large
+# table, and `iwahori mult` at N = 3's widest accepted window
 COLD_EXTRA = (
     ("hall", "--x", "5,4", "--y", "4,4"),
     ("pi", "--n", "12", "--N", "1"),
@@ -85,6 +85,7 @@ COLD_EXTRA = (
     ("mhl", "--n", "9"),
     ("pi", "--n", "8", "--format", "csv"),
     ("trace", "--n", "8", "--q", "3", "--format", "latex"),
+    ("iwahori", "mult", "--N", "3", "--window", "4"),
 )
 
 # the host speed gauge of perfbench/run.py, with its thread pins

@@ -10,12 +10,12 @@ and its marked set is beta with one slot per wall step added or
 dropped, closed downward in the order of the new permutation.  What
 the wall needs of w alone (w s, both inverses, the ascent, the pair
 (top, low)) is made once per window and wall (`_wall`), for every label
-with that permutation.  A coefficient is the summed weight of the
-classes that come back.  Which of the five shapes the product takes,
-and which slot it toggles, is predicted from the ascent or descent at
-the wall and from which classes move beta (`predicted_case`);
-`pattern_check` holds the product to that shape.  No finite field is
-built, and no label is read back from a flag invariant, on that route.
+with that permutation.  The classes carry labels only: which of the
+five shapes (`_shape`) the product takes, and which slot it toggles,
+is predicted from the ascent or descent at the wall and from which of
+x's own classes move beta (`predicted_case`), and the product is that
+shape.  No finite field is built, and no label is read back from a
+flag invariant, on that route.
 
 The counting oracle (`oracle.counted_ts_action`) builds representative
 triples over F_q in a truncated lattice model, classifies every line
@@ -359,9 +359,9 @@ def _wall(window: tuple, i: int):
 
 @lru_cache(maxsize=None)
 def _line_classes(x: RBAffElt, i: int):
-    """The lines of the P^1 at wall i other than x's own, in three classes:
-    (label, weight) for e_b (weight 1), e_a + e_b (weight 1) and
-    e_a + c e_b with c outside {0, 1} (weight q - 2), a = w(i), b = w(i+1).
+    """The labels of the three classes (of 1, 1 and q - 2 lines) of the
+    P^1 at wall i other than x's own line: e_b, e_a + e_b and e_a + c e_b
+    with c outside {0, 1}, a = w(i), b = w(i+1).
 
     Why this is the counting oracle's classification in closed form.  In
     x's representative the step L_j is spanned by e_{w(k)}, k <= j, and
@@ -431,7 +431,7 @@ def _line_classes(x: RBAffElt, i: int):
         same if s == members else RBAffElt._trusted(perm, _closed(u, s, floor, ceil))
         for s in (one, generic)
     )
-    return ((inf, _ONE), (one, _ONE), (generic, _GENERIC))
+    return inf, one, generic
 
 
 def _check_wall(x: RBAffElt, i: int) -> None:
@@ -443,20 +443,11 @@ def _check_wall(x: RBAffElt, i: int) -> None:
 def ts_action(x: RBAffElt, i: int) -> dict:
     """Expansion of the product with the wall generator at position i.
 
-    Closed form: the candidates are x and the labels of x's line classes,
-    and the coefficient of y is the summed weight of y's classes that
-    land on x.  No field size enters.  Cached; treat the result as
-    read-only."""
-    _check_wall(x, i)
-    out = {}
-    for y in sorted({x} | {y for y, _ in _line_classes(x, i)}, key=_sort_key):
-        coeff = QPoly.zero()
-        for z, weight in _line_classes(y, i):
-            if z == x:
-                coeff = coeff + weight
-        if coeff:
-            out[y] = coeff
-    return out
+    Closed form: the shape of the case predicted from x's own line
+    classes (`predicted_case`, `_shape`), its terms in label order.  No
+    field size enters.  Raises NoTemplateMatch where the prediction
+    does.  Cached; treat the result as read-only."""
+    return _shape(x, *predicted_case(x, i))
 
 
 @lru_cache(maxsize=None)
@@ -466,7 +457,7 @@ def _sort_key(x: RBAffElt):
 
 def predicted_case(x: RBAffElt, i: int):
     """(case, roles): the case of the product at wall i and its labels,
-    predicted from the ascent or descent at i and from which line
+    predicted from the ascent or descent at i and from which of x's line
     classes move beta (`_line_classes`), before any product is formed.
 
     On an ascent beta is closed in the w order and w(i) < w(i+1), so
@@ -474,9 +465,10 @@ def predicted_case(x: RBAffElt, i: int):
     does, case 1 if not.  On a descent the c != 0 classes gain a slot
     together (case 3), or the "one" class alone drops one (case 5), or
     neither moves (case 4).  roles names the labels of the shape (see
-    `pattern_check`) and the toggled slot; a move of more than one slot
+    `_shape`) and the toggled slot; a move of more than one slot
     raises NoTemplateMatch."""
-    _, (one, _), (generic, _) = _line_classes(x, i)
+    _check_wall(x, i)
+    _, one, generic = _line_classes(x, i)
     ws, _, _, ascent, _, _ = _wall(x.w.window, i)
     xs = RBAffElt._trusted(ws, x.beta)
     if ascent:
@@ -500,8 +492,8 @@ def predicted_case(x: RBAffElt, i: int):
     return case, roles
 
 
-def pattern_check(x: RBAffElt, i: int, product=None) -> int:
-    """The case of the wall-crossing product, checked against its shape.
+def _shape(x: RBAffElt, case: int, roles: dict) -> dict:
+    """The product of this case with these labels, in label order.
 
     Shapes, with xs = (w s, beta) the wall label, xp a one-element drop
     from the marked set, and xf a one-element fill:
@@ -510,14 +502,7 @@ def pattern_check(x: RBAffElt, i: int, product=None) -> int:
       3: xf + wall(xf)               (descent, the marked vector moves)
       4: (q-1) x + q xs              (plain descent)
       5: (q-2) x + (q-1)(xp + xs)    (descent, drop)
-
-    The case and the toggled slot are predicted (`predicted_case`); the
-    product must equal the predicted shape term for term, or
-    NoTemplateMatch is raised.
     """
-    if product is None:
-        product = ts_action(x, i)
-    case, roles = predicted_case(x, i)
     if case == 1:
         shape = {roles["xs"]: _ONE}
     elif case == 2:
@@ -528,7 +513,15 @@ def pattern_check(x: RBAffElt, i: int, product=None) -> int:
         shape = {x: _Q - 1, roles["xs"]: _Q}
     else:
         shape = {x: _GENERIC, roles["xp"]: _Q - 1, roles["xs"]: _Q - 1}
-    if product != shape:
+    return {y: shape[y] for y in sorted(shape, key=_sort_key)}
+
+
+def pattern_check(x: RBAffElt, i: int, product=None) -> int:
+    """The case of the wall-crossing product at wall i (`predicted_case`).
+    A given product must equal that case's shape (`_shape`) term for
+    term, or NoTemplateMatch is raised; without one, none is formed."""
+    case, roles = predicted_case(x, i)
+    if product is not None and product != _shape(x, case, roles):
         raise NoTemplateMatch(
             f"product at {x}, position {i} is not the case {case} shape: {product}"
         )

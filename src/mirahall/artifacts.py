@@ -173,7 +173,7 @@ def iwahori_payload(N: int, window: int) -> dict:
                 {
                     "source": label_tree(x),
                     "i": i,
-                    "case": affine.pattern_check(x, i, prod),
+                    "case": affine.pattern_check(x, i),
                     # ts_action lists its terms in label order
                     "terms": [
                         {"target": label_tree(y), "coeff": coeff_tree(c)}
@@ -218,22 +218,26 @@ def _trace_cell(cell: dict, fmt: str) -> str:
 def _grid(payload: dict, fmt: str) -> tuple[list[str], list[list[str]]]:
     """The header and the rows of cell texts, each cell in `fmt`."""
     kind = payload["kind"]
-    # one text per distinct coefficient (and iwahori label) per render;
-    # kept local, as a module-level memo would grow with every table
+    # one text per distinct coefficient (trace cell, iwahori label) per
+    # render; kept local, as a module-level memo would grow with every table
     texts = {}
 
-    def poly(d: Mapping[str, int], cls=None) -> str:
-        key = (cls, *d.items())
+    def once(key, make) -> str:
         cell = texts.get(key)
         if cell is None:
-            cell = texts[key] = _poly_cell(d, fmt, cls)
+            cell = texts[key] = make()
         return cell
+
+    def poly(d: Mapping[str, int], cls=None) -> str:
+        return once((cls, *d.items()), lambda: _poly_cell(d, fmt, cls))
 
     if kind in ("pi", "trace"):
         if kind == "pi":
             listed, text = payload["calibrated"], lambda c: poly(c["coeff"])
         else:
-            listed, text = payload["cells"], lambda c: _trace_cell(c, fmt)
+            listed, text = payload["cells"], lambda c: once(
+                (tuple(c["plain"].items()), tuple(c["radical"].items())),
+                lambda: _trace_cell(c, fmt))
         cells = {(c["row"], c["col"]): text(c) for c in listed}
         order = payload["order"]
         rows = [
@@ -265,14 +269,10 @@ def _grid(payload: dict, fmt: str) -> tuple[list[str], list[list[str]]]:
         return header, rows
     if kind == "iwahori":
         header = ["source", "i", "case", "target", "coeff"]
-        labels = {}
 
         def label(d: dict) -> str:
             key = (tuple(d["window"]), d["lo"], tuple(d["extra"]))
-            cell = labels.get(key)
-            if cell is None:
-                cell = labels[key] = json.dumps(d, sort_keys=True)
-            return cell
+            return once(key, lambda: json.dumps(d, sort_keys=True))
 
         rows = []
         for prod in payload["products"]:

@@ -338,21 +338,50 @@ def wall_pairs():
     return [(x, i) for x in pool for i in range(1, x.w.N + 1)]
 
 
+# the lines in each of `affine._line_classes`'s three classes
+CLASS_WEIGHTS = (ONE, ONE, Q - 2)
+
+
+def class_sum_product(x, i):
+    """The product summed from line classes, in label order: the
+    coefficient of y, for y in x and the labels of x's classes, is the
+    summed weight of y's classes that land on x.  The reference for the
+    served product, which reads x's own classes only."""
+    out = {}
+    for y in sorted({x, *affine._line_classes(x, i)}, key=_sort_key):
+        coeff = sum((w for z, w in zip(affine._line_classes(y, i), CLASS_WEIGHTS)
+                     if z == x), QPoly.zero())
+        if coeff:
+            out[y] = coeff
+    return out
+
+
 def test_direct_line_classes_match_jump_round_trip():
     for x, i in wall_pairs():
         direct = affine._line_classes(x, i)
-        assert tuple(lab for lab, _ in direct) == oracle.jump_line_classes(x, i), (x, i)
-        assert [w for _, w in direct] == [ONE, ONE, Q - 2]
-        for lab, _ in direct:
+        assert direct == oracle.jump_line_classes(x, i), (x, i)
+        for lab in direct:
             assert _violation(lab.w, lab.beta) is None, (x, i, lab)
 
 
 def test_predicted_case_matches_template():
     for x, i in wall_pairs():
-        product = ts_action(x, i)
+        product = class_sum_product(x, i)
+        assert list(ts_action(x, i).items()) == list(product.items()), (x, i)
         case, roles = match_template(x, i, product)
         assert predicted_case(x, i) == (case, roles), (x, i)
         assert pattern_check(x, i, product) == case
+
+
+def test_served_products_read_only_their_own_line_classes():
+    # the class sum read the classes of every label it named too:
+    # 323 triples for 232 products at N = 2, 4,128 for 3,288 at N = 3
+    for N in (2, 3):
+        ts_action.cache_clear()
+        affine._line_classes.cache_clear()
+        payload = artifacts.iwahori_payload(N, 2)
+        assert affine._line_classes.cache_info().currsize == len(payload["products"])
+        assert len(payload["products"]) == {2: 232, 3: 3288}[N]
 
 
 def test_pattern_check_refuses_a_product_off_its_shape():

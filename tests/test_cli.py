@@ -524,6 +524,23 @@ def test_a_render_formats_cells_only_in_its_own_format(monkeypatch, build, fmt, 
     assert calls[own] > 0
 
 
+def test_a_trace_render_formats_each_distinct_cell_once(monkeypatch):
+    tree = artifacts.trace_payload(6, 3)
+    distinct = {(json.dumps(c["plain"]), json.dumps(c["radical"])) for c in tree["cells"]}
+    assert (len(distinct), len(tree["cells"])) == (85, 1623)
+    calls = []
+    original = laurent.QPoly.from_json
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(laurent.QPoly, "from_json", staticmethod(counted))
+    artifacts.render(tree, "csv")
+    # a plain and a radical part per distinct cell
+    assert 0 < len(calls) <= 2 * len(distinct)
+
+
 @pytest.mark.parametrize("params", [
     {"n": 2, "N": 2, "format": "csv"},
     {"n": 3, "N": 2, "format": "json"},
@@ -894,7 +911,9 @@ def test_json_text_refuses_what_is_not_a_payload():
 # sha256 of stdout: pi --n 5 and --n 6 as in every record of
 # BENCH_pi.json, mhl --n 5 as served before the trusted Laurent kernel,
 # trace --n 5 and --n 6 as served before the one-walk payload builders,
-# and three right mirabolic columns as served before the one-source mirror
+# three right mirabolic columns as served before the one-source mirror,
+# and iwahori mult at the widest accepted windows of N = 2 and 3 as served
+# before each wall product was written as the shape of its predicted case
 SERVED_DIGESTS = {
     ("pi", "--n", "5"): "492fe5f72799489cdbac0bceac414ce033103304e445a263834da2f4705dbe4f",
     ("pi", "--n", "6"): "202ef7a04112617aa7de6a2bf3e3ad088fd9ff9b9a0b4e6a1012dd5cc6ee9465",
@@ -914,6 +933,10 @@ SERVED_DIGESTS = {
         "0d5576eccef09956f24c3afe31d2fca3d50486fa59916e5274781dfe99a9b749",
     ("mirabolic", "--src", "6|6", "--r", "1", "--side", "right"):
         "8673dcfc459cc87d2c3b238c8ca2d51a83d81bda0effdd021aad34f5ef232ad1",
+    ("iwahori", "mult", "--N", "2", "--window", "6"):
+        "519f2e2971e899205988529643dfda29ecc3fd0a70299b825145b398f0e2a743",
+    ("iwahori", "mult", "--N", "3", "--window", "4"):
+        "143734a71e44d358f5485f924821ad12a46264f57a16b7f99f309285e0241181",
 }
 
 
