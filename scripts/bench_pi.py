@@ -21,10 +21,12 @@ WARM_LAUNCHES import-only launches (`mirahall --help`), of as many
 cached `pi --n 4` requests and of as many cached `iwahori mult --N 2
 --format latex` requests (the heaviest render among the cached tables;
 its cache is filled once in json, so the first of them renders from the
-stored json artifact), taken in turn so that a slow spell of the
-host hits all three, each a fresh process that writes no bytecode
-(PYTHONDONTWRITEBYTECODE=1).  The standard library's bytecode is read
-as installed, so each process compiles only the package from source.
+stored json artifact), and of as many `python3 -c pass` launches (the
+interpreter floor, `floor_p50_s`, under which no request can go), taken
+in turn so that a slow spell of the host hits all four, each a fresh
+process that writes no bytecode (PYTHONDONTWRITEBYTECODE=1).  The
+standard library's bytecode is read as installed, so each process
+compiles only the package from source.
 Records made before this rule also compiled the standard library in
 every process and are not comparable with later ones.  A host speed
 gauge, a `python3 -c "import numpy"` process that runs no mirahall
@@ -74,15 +76,18 @@ IWAHORI_NS = (2, 3, 4)
 # further cold requests timed in every record: a Hall product that once
 # built every pair table of its sizes, a low-rank `pi` at large n, the
 # two other views of the transition table, `trace` and `mhl` (each at
-# the largest `pi` size too), a csv and a latex render of a large
-# table, and `iwahori mult` at N = 3's widest accepted window
+# the largest `pi` size too, where `mhl` is refused by its own budget),
+# a csv and a latex render of a large table, and `iwahori mult` at
+# N = 3's widest accepted window
 COLD_EXTRA = (
     ("hall", "--x", "5,4", "--y", "4,4"),
     ("pi", "--n", "12", "--N", "1"),
     ("trace", "--n", "8", "--q", "3"),
     ("trace", "--n", "9", "--q", "3"),
+    ("trace", "--n", "10", "--q", "3"),
     ("mhl", "--n", "8"),
     ("mhl", "--n", "9"),
+    ("mhl", "--n", "10"),
     ("pi", "--n", "8", "--format", "csv"),
     ("trace", "--n", "8", "--q", "3", "--format", "latex"),
     ("iwahori", "mult", "--N", "3", "--window", "4"),
@@ -155,8 +160,9 @@ def time_cold(checkout: Path, args: list[str]) -> dict:
 
 def time_warm(checkout: Path) -> dict:
     """Median wall times of import-only launches, cached `pi --n 4` and
-    cached `iwahori mult --N 2 --format latex` requests, writing no
-    bytecode, raw and scaled by the host gauge."""
+    cached `iwahori mult --N 2 --format latex` requests and bare
+    interpreter launches, writing no bytecode, raw and scaled by the
+    host gauge."""
     with tempfile.TemporaryDirectory(prefix="bench_warm_") as tmp:
         env = dict(os.environ, PYTHONPATH=clean_src(checkout, tmp),
                    PYTHONDONTWRITEBYTECODE="1")
@@ -175,15 +181,17 @@ def time_warm(checkout: Path) -> dict:
 
         wall(cached)  # fills the cache
         wall(iwahori + ["--format", "json"])
-        help_s, pi_s, iwahori_s, gauge_s = [], [], [], []
+        help_s, pi_s, iwahori_s, floor_s, gauge_s = [], [], [], [], []
         for _ in range(WARM_LAUNCHES):
             help_s.append(wall(cli + ["--help"]))
             pi_s.append(wall(cached))
             iwahori_s.append(wall(iwahori + ["--format", "latex"]))
+            floor_s.append(wall([sys.executable, "-c", "pass"]))
             gauge_s.append(wall([sys.executable, *GAUGE_ARGV], gauge_env))
     gauge = statistics.median(gauge_s)
     speed = GAUGE_REF_S / gauge
     iwahori_p50 = statistics.median(iwahori_s)
+    floor = statistics.median(floor_s)
     return {
         "launches": WARM_LAUNCHES,
         "bytecode_cache": "not-written",
@@ -195,6 +203,8 @@ def time_warm(checkout: Path) -> dict:
         "cached_pi4_p50_scaled_s": round(statistics.median(pi_s) * speed, 4),
         "cached_iwahori2_latex_p50_s": round(iwahori_p50, 4),
         "cached_iwahori2_latex_p50_scaled_s": round(iwahori_p50 * speed, 4),
+        "floor_p50_s": round(floor, 4),
+        "floor_p50_scaled_s": round(floor * speed, 4),
     }
 
 

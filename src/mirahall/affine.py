@@ -455,10 +455,13 @@ def _sort_key(x: RBAffElt):
     return (x.length(), x.w.window, x.beta.lo, x.beta.extra)
 
 
+@lru_cache(maxsize=4096)
 def predicted_case(x: RBAffElt, i: int):
     """(case, roles): the case of the product at wall i and its labels,
     predicted from the ascent or descent at i and from which of x's line
     classes move beta (`_line_classes`), before any product is formed.
+    Cached as `ts_action` is, so a case is predicted once for its
+    product and its check (`pattern_check`); treat roles as read-only.
 
     On an ascent beta is closed in the w order and w(i) < w(i+1), so
     only the "one" class can move beta, dropping a slot: case 2 if it

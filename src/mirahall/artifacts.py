@@ -69,7 +69,7 @@ def pi_payload(n: int, rank: int) -> dict:
 def mhl_payload(n: int, rank: int) -> dict:
     # `cli` refuses rank < n first, as a usage error; below its size
     # `bimodule.mhl_poly` raises RankTooSmall
-    costs.check_cost(n, rank)
+    costs.check_cost(n, rank, costs.MAX_MHL_LABELS)
     entries = []
     for bp in partitions.bipartitions_of(n):
         tensor, prefactor = bimodule.mhl_poly(bp, rank)
@@ -173,6 +173,7 @@ def iwahori_payload(N: int, window: int) -> dict:
                 {
                     "source": label_tree(x),
                     "i": i,
+                    # the prediction ts_action made, from predicted_case's cache
                     "case": affine.pattern_check(x, i),
                     # ts_action lists its terms in label order
                     "terms": [

@@ -361,10 +361,12 @@ def _suite_iwahori(cfg: RunConfig) -> list[dict]:
         hist: Counter = Counter()
         for x in labs:
             for i in (1, 2):
+                # the counted product must be its predicted case's shape
+                counted = counted_ts_action(x, i, cfg.primes)
+                hist[pattern_check(x, i, counted)] += 1
                 prod = ts_action(x, i)
-                if prod != counted_ts_action(x, i, cfg.primes):
+                if prod != counted:
                     raise OracleMismatch(f"served product differs from the count at {x}, {i}")
-                hist[pattern_check(x, i, prod)] += 1
                 if any(c.degree() > 1 for c in prod.values()):
                     raise OracleMismatch(f"coefficient degree above one at {x}, {i}")
                 if not h_basis_check(x, i):

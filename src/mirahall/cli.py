@@ -5,52 +5,24 @@ produces the same bytes, whether the table came out of the cache or was
 rebuilt.  Exit codes: 0 computed or verified, 1 a verification failed,
 2 bad usage.
 
-Every subcommand but `verify` serves through `_serve_cached`, from one
-cache of rendered artifacts, each keyed by the table's parameters plus
-`format`; a hit is written out as stored.  On a miss the requested
-format is rendered from the parsed json artifact or, when that misses
-too, from the payload builder's tree, which is then also stored as the
-json artifact.  The payload builders and the renderers live in
-`artifacts`; a builder is pure: cost guard (in `costs`), then table
-build, then JSON tree.  So a guard runs only when the json artifact
-misses, which changes no verdict: an entry under this code tag exists
-only for input this same code accepted.  `verify` is the check itself
-and always runs.
-
-A request runs only the code it reaches.  The payload builders and
-renderers (`artifacts`), the exact kernel (`laurent`, `partitions`),
-the cost guards (`costs`) and the table modules (`affine`, `bimodule`,
-`closedform`, `hall`, `symfunc`, `traces`) are registered lazily
-(`_lazy`): each is in `sys.modules` from import on, and its body runs
-at its first attribute access.  So an artifact hit runs only `mirahall`, `errors`, `config`,
-`cache` and this module, and imports no `json`; a request served from
-the json artifact runs `artifacts` and at most `laurent` besides (for
-the render), and a refused request `artifacts` and `costs` (with
-`partitions`, for a label count) but no table module.  Each request
-adds the arguments of its own subcommand only (`_Subcommand`).  The
-suites behind `verify` live in `checks`, which this module imports only
-when `verify_payload` runs, so a serving request never loads them or
-the counting oracles.
+`parse_args` reads argv from one option table (`_SUBCOMMANDS`) into the
+namespace argparse would make.  argparse, built from the same table
+(`usage`), runs only to print help or the usage error of an argv that
+`parse_args` declines.  Every subcommand but `verify` serves through
+`_serve_cached`, from the cache of rendered artifacts; the payload
+builders and renderers (`artifacts`), the guards (`costs`), the kernel
+and the table modules are registered lazily (`_lazy`), so an artifact
+hit runs only `mirahall`, `errors`, `config`, `cache` and this module.
 """
 
-import argparse
 import importlib.util
 import sys
-from typing import Sequence
+from collections.abc import Sequence
+from types import SimpleNamespace
 
 from . import cache
-from .config import (
-    FORMATS,
-    RunConfig,
-    bplabel,
-    check_prime,
-    parse_bipartition,
-    parse_partition,
-    parse_primes,
-    plabel,
-    read_config_file,
-    resolve,
-)
+from .config import (FORMATS, RunConfig, bplabel, check_prime, parse_bipartition,
+                     parse_partition, parse_primes, plabel, read_config_file, resolve)
 from .errors import IOFailure, MiraError, UsageError
 
 
@@ -71,9 +43,8 @@ def _lazy(name: str):
     return module
 
 
-# Every module a request can reach is in sys.modules from import on
-# (perfbench/traced.py wraps the modules it finds there), symfunc too,
-# which no payload calls; `artifacts` reads the others from the package.
+# Every module a request can reach is in sys.modules from import on, for perfbench/traced.py
+# to wrap (symfunc too, which no payload calls); `artifacts` reads them from the package.
 for _name in ("laurent", "partitions", "costs", "affine", "bimodule",
               "closedform", "hall", "symfunc", "traces"):
     _lazy(_name)
@@ -81,9 +52,6 @@ artifacts = _lazy("artifacts")
 
 SUITES = ("census", "constants", "hall", "pi", "classical", "trace", "rho", "green",
           "iwahori")
-
-
-# --- verify and output ----------------------------------------------------------
 
 
 def verify_payload(suites: Sequence[str], cfg: RunConfig) -> dict:
@@ -104,114 +72,141 @@ def _emit(text: str, out: str | None) -> None:
         raise IOFailure(f"cannot write {out}: {exc}") from exc
 
 
-# --- argument parsing -----------------------------------------------------------
+# --- the option table, its parser, and the handlers ----------------------------
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser, which adds its arguments (`add_arguments`)
-    when it first parses: a request builds only its own subcommand's."""
-
-    def __init__(self, *, add_arguments=None, **kwargs):
-        super().__init__(**kwargs)
-        self._add_arguments = add_arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._add_arguments is not None:
-            add, self._add_arguments = self._add_arguments, None
-            add(self)
-        return super().parse_known_args(args, namespace)
+def _option(flags: str, dest: str = "", type=str, default=None, choices=None,
+            required: bool = False, help: str | None = None) -> tuple:
+    """A row of the option table: flags, namespace attribute, the type
+    that reads the value (None: the flag counts its uses), default,
+    allowed values, required, help line."""
+    names = tuple(flags.split())
+    return (names, dest or names[-1].lstrip("-").replace("-", "_"), type, default,
+            choices, required, help)
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--format", dest="fmt", choices=FORMATS, default=None)
-    sp.add_argument("--out", default=None, help="artifact file (default stdout)")
-    sp.add_argument("--cache-dir", dest="cache_dir", default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("-v", "--verbose", action="count", default=None)
+_TOP = (_option("--config", help="key=value file; flags win"),)
+_SIZE, _FIELD = _option("--n", type=int), _option("--q", type=int)
+_RANK = _option("--N", "rank", type=int)
+_COMMON = (
+    _option("--format", "fmt", choices=FORMATS),
+    _option("--out", help="artifact file (default stdout)"),
+    _option("--cache-dir"),
+    _option("--seed", type=int),
+    _option("-v --verbose", type=None),
+)
 
 
-def _size_rank(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--N", dest="rank", type=int, default=None)
-    _add_common(sp)
+def _classify(token: str, flags: dict):
+    """argparse's reading of `token` (`_parse_optional`): None for a
+    value, else (flag, text after it or None), the flag exact, before
+    "=" or named by a prefix, and "" where it names none or several."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in flags:
+        return token, None
+    head, eq, tail = token.partition("=")
+    if eq and head in flags:
+        return head, tail
+    if token[1] == "-":
+        found = [(flag, tail if eq else None) for flag in flags if flag.startswith(head)]
+    else:
+        found = [(flag, token[2:]) if flag == token[:2] else (flag, None)
+                 for flag in flags if flag == token[:2] or flag.startswith(token)]
+    if len(found) == 1:
+        return found[0]
+    if not found:  # a negative number, or a string with a space, is a value
+        import re  # only for a token that names no option
+
+        if " " in token or re.match(r"^-\d+$|^-\d*\.\d+$", token):
+            return None
+    return "", None
 
 
-def _size_field(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--q", type=int, default=None)
-    _add_common(sp)
+def _read(argv: list, i: int, options: tuple, ns: SimpleNamespace) -> int:
+    """Read `options` from argv[i:] into `ns` up to the first value no
+    option takes, and return its index; -1 where argparse prints help or
+    a usage error.  `-vv` counts twice, as `-v -v`."""
+    flags = {"-h": None, "--help": None}
+    for option in options:
+        flags.update(dict.fromkeys(option[0], option))
+        setattr(ns, option[1], option[3])
+    given = set()
+    while i < len(argv) and argv[i] != "--":
+        read = _classify(argv[i], flags)
+        if read is None:
+            break
+        flag, value = read
+        option = flags.get(flag)
+        while option is not None and option[2] is None:
+            setattr(ns, option[1], (getattr(ns, option[1]) or 0) + 1)
+            if value is None:
+                break
+            if flag[1] == "-" or not value:
+                return -1
+            flag, value = "-" + value[0], value[1:] or None
+            option = flags.get(flag)
+        else:  # a help or unknown flag, or one that takes a value
+            if option is None:
+                return -1
+            if value is None:
+                i += 1
+                if i == len(argv) or argv[i] == "--" or _classify(argv[i], flags):
+                    return -1
+                value = argv[i]
+            try:
+                value = option[2](value)
+            except ValueError:
+                return -1
+            if option[4] is not None and value not in option[4]:
+                return -1
+            setattr(ns, option[1], value)
+            given.add(option[1])
+        i += 1
+    return -1 if any(o[5] and o[1] not in given for o in options) else i
 
 
-def _hall_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--x", required=True, help="partition, e.g. '2,1'")
-    sp.add_argument("--y", required=True, help="partition, e.g. '1'")
-    sp.add_argument("--N", dest="rank", type=int, default=None)
-    _add_common(sp)
+def parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace of `build_parser().parse_args(argv)`, or None where
+    that prints help or a usage error."""
+    ns = SimpleNamespace()
+    i = _read(argv, 0, _TOP, ns)
+    if not 0 <= i < len(argv) or argv[i] not in _SUBCOMMANDS:
+        return None
+    ns.cmd, i = argv[i], i + 1
+    if ns.cmd in _WORDS:
+        if i == len(argv) or argv[i] not in _WORDS[ns.cmd]:
+            return None
+        ns.icmd, i = argv[i], i + 1
+    return ns if _read(argv, i, _SUBCOMMANDS[ns.cmd][1], ns) == len(argv) else None
 
 
-def _mirabolic_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--src", required=True, help="bipartition, e.g. '|1' or '2|1'")
-    sp.add_argument("--r", type=int, default=1)
-    sp.add_argument("--side", choices=("left", "right"), default="left")
-    sp.add_argument("--N", dest="rank", type=int, default=None)
-    _add_common(sp)
+def build_parser():
+    """argparse built from the option table (`usage.build_parser`)."""
+    from . import usage
+
+    return usage.build_parser(_TOP, _SUBCOMMANDS, _WORDS)
 
 
-def _iwahori_args(sp: argparse.ArgumentParser) -> None:
-    isub = sp.add_subparsers(dest="icmd", required=True)
-    mp = isub.add_parser("mult", help="product table with case assignments")
-    mp.add_argument("--N", type=int, default=2)
-    mp.add_argument("--window", type=int, default=None)
-    _add_common(mp)
-
-
-def _verify_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--suite", default="all", help="one of %s or all" % (SUITES,))
-    sp.add_argument("--qs", default=None, help="comma-separated primes")
-    sp.add_argument("--max-n", dest="max_n", type=int, default=None)
-    _add_common(sp)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mirahall",
-        description="Exact tables for the mirabolic Hall bimodule and its traces.",
-    )
-    parser.add_argument("--config", default=None, help="key=value file; flags win")
-    sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Subcommand)
-    for name, (text, add_arguments, _) in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=text, add_arguments=add_arguments)
-    return parser
-
-
-_CONFIG_KEYS = ("n", "rank", "max_n", "window", "fmt", "cache_dir", "seed")
-
-
-def _flag_values(args: argparse.Namespace) -> dict:
-    out = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+def _flag_values(args: SimpleNamespace) -> dict:
+    out = {key: getattr(args, key, None)
+           for key in ("n", "rank", "max_n", "window", "fmt", "cache_dir", "seed")}
     qs = getattr(args, "qs", None)
-    if qs is not None:
-        out["primes"] = parse_primes(qs)
-    verbose = getattr(args, "verbose", None)
-    if verbose is not None:
-        out["verbosity"] = verbose
+    out["primes"] = None if qs is None else parse_primes(qs)
+    out["verbosity"] = getattr(args, "verbose", None)
     return out
 
 
-# --- handlers -------------------------------------------------------------------
-
-
-def _field_size(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _field_size(args: SimpleNamespace, cfg: RunConfig) -> int:
     """--q, or the first configured prime; the field must be prime."""
     return cfg.primes[0] if args.q is None else check_prime(args.q)
 
 
-def _serve_cached(kind: str, params: dict, build, args: argparse.Namespace,
+def _serve_cached(kind: str, params: dict, build, args: SimpleNamespace,
                   cfg: RunConfig) -> int:
-    """Emit the stored artifact of `kind` at `params` plus the requested
-    format.  On a miss, render it from the parsed json artifact, or from
-    `build()` (cost guard, table build), whose json artifact is then
-    rendered and stored too; then store it."""
+    """Emit the stored artifact of `kind` at `params` and format; on a
+    miss render it from the stored json artifact, or from `build()`
+    (guard, table, tree), storing the json artifact too; then store it."""
     key = {**params, "format": cfg.fmt}
     text = cache.load(kind, key, cfg.cache_dir)
     if text is None:
@@ -235,13 +230,13 @@ def _serve_cached(kind: str, params: dict, build, args: argparse.Namespace,
     return 0
 
 
-def _cmd_pi(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_pi(args: SimpleNamespace, cfg: RunConfig) -> int:
     n, rank = cfg.n, cfg.resolved_rank()
     return _serve_cached("pi", {"n": n, "N": rank},
                          lambda: artifacts.pi_payload(n, rank), args, cfg)
 
 
-def _cmd_mhl(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_mhl(args: SimpleNamespace, cfg: RunConfig) -> int:
     n, rank = cfg.n, cfg.resolved_rank()
     # every label of size n has a two-sided polynomial only at rank >= n
     if rank < n:
@@ -250,33 +245,33 @@ def _cmd_mhl(args: argparse.Namespace, cfg: RunConfig) -> int:
                          lambda: artifacts.mhl_payload(n, rank), args, cfg)
 
 
-def _cmd_trace(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_trace(args: SimpleNamespace, cfg: RunConfig) -> int:
     n, q = cfg.n, _field_size(args, cfg)
     return _serve_cached("trace", {"n": n, "q": q},
                          lambda: artifacts.trace_payload(n, q), args, cfg)
 
 
-def _cmd_hall(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_hall(args: SimpleNamespace, cfg: RunConfig) -> int:
     x, y = parse_partition(args.x), parse_partition(args.y)
     rank = cfg.rank if cfg.rank else max(len(x) + len(y), 1)
     return _serve_cached("hall", {"x": plabel(x), "y": plabel(y), "N": rank},
                          lambda: artifacts.hall_payload(x, y, rank), args, cfg)
 
 
-def _cmd_mirabolic(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_mirabolic(args: SimpleNamespace, cfg: RunConfig) -> int:
     src, r, side = parse_bipartition(args.src), args.r, args.side
     rank = cfg.rank if cfg.rank else sum(src[0]) + sum(src[1]) + r
     return _serve_cached("mirabolic", {"src": bplabel(src), "r": r, "side": side, "N": rank},
                          lambda: artifacts.mirabolic_payload(src, r, side, rank), args, cfg)
 
 
-def _cmd_green(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_green(args: SimpleNamespace, cfg: RunConfig) -> int:
     n, q = cfg.n, _field_size(args, cfg)
     return _serve_cached("green", {"n": n, "q": q},
                          lambda: artifacts.green_payload(n, q), args, cfg)
 
 
-def _cmd_iwahori(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_iwahori(args: SimpleNamespace, cfg: RunConfig) -> int:
     if args.N < 2:
         raise UsageError(f"period must be at least 2, got {args.N}")
     N, window = args.N, cfg.window
@@ -284,7 +279,7 @@ def _cmd_iwahori(args: argparse.Namespace, cfg: RunConfig) -> int:
                          lambda: artifacts.iwahori_payload(N, window), args, cfg)
 
 
-def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_verify(args: SimpleNamespace, cfg: RunConfig) -> int:
     if args.suite == "all":
         suites: Sequence[str] = SUITES
     elif args.suite in SUITES:
@@ -296,25 +291,45 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0 if payload["passed"] else 1
 
 
-# name: help line, arguments, handler
+# name: help line, options, handler
 _SUBCOMMANDS = {
-    "pi": ("calibrated transition table at one size", _size_rank, _cmd_pi),
-    "mhl": ("two-sided deformed polynomials at one size", _size_rank, _cmd_mhl),
-    "trace": ("trace table at one size and prime", _size_field, _cmd_trace),
-    "hall": ("product of two plain classes", _hall_args, _cmd_hall),
-    "mirabolic": ("structure constants on one source", _mirabolic_args, _cmd_mirabolic),
-    "green": ("class-ring labels and freeness report", _size_field, _cmd_green),
-    "iwahori": ("wall-crossing products at Iwahori level", _iwahori_args, _cmd_iwahori),
-    "verify": ("run oracle suites and report", _verify_args, _cmd_verify),
+    "pi": ("calibrated transition table at one size", (_SIZE, _RANK, *_COMMON), _cmd_pi),
+    "mhl": ("two-sided deformed polynomials at one size", (_SIZE, _RANK, *_COMMON),
+            _cmd_mhl),
+    "trace": ("trace table at one size and prime", (_SIZE, _FIELD, *_COMMON), _cmd_trace),
+    "hall": ("product of two plain classes", (
+        _option("--x", required=True, help="partition, e.g. '2,1'"),
+        _option("--y", required=True, help="partition, e.g. '1'"),
+        _RANK, *_COMMON), _cmd_hall),
+    "mirabolic": ("structure constants on one source", (
+        _option("--src", required=True, help="bipartition, e.g. '|1' or '2|1'"),
+        _option("--r", type=int, default=1),
+        _option("--side", choices=("left", "right"), default="left"),
+        _RANK, *_COMMON), _cmd_mirabolic),
+    "green": ("class-ring labels and freeness report", (_SIZE, _FIELD, *_COMMON),
+              _cmd_green),
+    "iwahori": ("wall-crossing products at Iwahori level", (
+        _option("--N", type=int, default=2), _option("--window", type=int),
+        *_COMMON), _cmd_iwahori),
+    "verify": ("run oracle suites and report", (
+        _option("--suite", default="all", help="one of %s or all" % (SUITES,)),
+        _option("--qs", help="comma-separated primes"),
+        _option("--max-n", type=int), *_COMMON), _cmd_verify),
 }
+
+# words a subcommand reads before its options, into `icmd`: word: help line
+_WORDS = {"iwahori": {"mult": "product table with case assignments"}}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if not exc.code else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parse_args(argv)
+    if args is None:
+        try:  # argparse prints the help or the usage error, and exits
+            build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if not exc.code else 2
+        raise AssertionError(f"argparse reads {argv}, which the option table declines")
     try:
         file_values = read_config_file(args.config) if args.config else {}
         cfg = resolve(file_values, _flag_values(args))

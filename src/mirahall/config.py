@@ -7,8 +7,9 @@ cache-directory environment variable, command-line flags.
 """
 
 import os
+from collections import namedtuple
+from collections.abc import Mapping
 from functools import lru_cache
-from typing import Mapping, NamedTuple
 
 from .errors import IOFailure, UsageError
 
@@ -17,34 +18,26 @@ FORMATS = ("json", "csv", "latex")
 DEFAULT_SEED = 2024
 
 
-class RunConfig(NamedTuple):
+class RunConfig(namedtuple(
+        "RunConfig", "n rank max_n primes window fmt cache_dir verbosity seed",
+        defaults=(2, 0, 3, (2, 3), 2, "json", "", 0, DEFAULT_SEED))):
     """Knobs shared by every subcommand; immutable, changed by
-    `_replace`.
+    `_replace`.  Every field is an int but `primes` (a tuple of them),
+    `fmt` and `cache_dir`.
 
     The defaults reproduce the acceptance suite: sizes up to 3, primes
     2 and 3, truncation window 2.  rank=0 means "same as n"."""
 
-    n: int = 2
-    rank: int = 0
-    max_n: int = 3
-    primes: tuple[int, ...] = (2, 3)
-    window: int = 2
-    fmt: str = "json"
-    cache_dir: str = ""
-    verbosity: int = 0
-    seed: int = DEFAULT_SEED
+    __slots__ = ()
 
     def resolved_rank(self) -> int:
         """The rank, or when it is 0 the size, but never below 1."""
         return self.rank if self.rank else max(self.n, 1)
 
     def validate(self) -> "RunConfig":
-        if self.n < 0:
-            raise UsageError(f"size n must be nonnegative, got {self.n}")
-        if self.rank < 0:
-            raise UsageError(f"rank must be nonnegative, got {self.rank}")
-        if self.max_n < 0:
-            raise UsageError(f"max_n must be nonnegative, got {self.max_n}")
+        for what, value in (("size n", self.n), ("rank", self.rank), ("max_n", self.max_n)):
+            if value < 0:
+                raise UsageError(f"{what} must be nonnegative, got {value}")
         if not self.primes:
             raise UsageError("prime list is empty")
         for p in self.primes:
@@ -61,18 +54,10 @@ class RunConfig(NamedTuple):
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    f = 2
+    while f * f <= n and n % f:
+        f += 1
+    return n > 1 and f * f > n
 
 
 def check_prime(p: int) -> int:

@@ -2,10 +2,10 @@
 past its budget before any table work.
 
 `check_cost` and `check_size_cost` bound the labels of the tables that
-`pi`, `mhl`, `trace` and `mirabolic` build, `check_universe_cost` the
-candidate labels of `iwahori mult`, `check_green_cost` the class ring
-of `green` and `check_hall_cost` the generator steps of a `hall`
-product.  Each counts without building anything, from `partitions` at
+`pi`, `mhl` (by a budget of its own), `trace` and `mirabolic` build,
+`check_universe_cost` the candidate labels of `iwahori mult`,
+`check_green_cost` the class ring of `green` and `check_hall_cost` the
+generator steps of a `hall` product.  Each counts without building anything, from `partitions` at
 most, which this module reaches as a module so that a guard that needs
 no label count (`iwahori`) leaves it unrun; a refused request runs no
 table module.  A request runs this module only when a payload builder
@@ -25,16 +25,18 @@ if TYPE_CHECKING:
     from .partitions import Partition
 
 
-# Budgets for the tables that `pi`, `mhl` and `trace` build, checked
-# before any table work.  MAX_LABELS bounds the labels of the table
-# itself, those with at most `rank` rows per component.  Cold on a
-# 2-vCPU box, n = 8 at full rank (185 labels) took 3.4 s for `pi` and
-# 5.1 s for `mhl`, n = 9 (300 labels) 10.9 s and 154 MB for `pi` and
-# 18.7 s for `mhl`.  At n = 10 (481 labels), with the budget raised,
-# `pi` took 37.5 s and 379 MB and `mhl` 61.6 s; in one process the
-# table alone took 27 s and 171 MB, and the inversion that `mhl` adds
-# another 40 s.
-MAX_LABELS = 300
+# Budgets for the tables that `pi`, `trace` (MAX_LABELS) and `mhl`
+# (MAX_MHL_LABELS) build, checked before any table work; each bounds
+# the labels of the table itself, those with at most `rank` rows per
+# component.  Cold on a 2-vCPU box, one run each: `pi --n 10` at full
+# rank (481 labels) took 16.9 s and 222 MB, `--N 8` (472) 18.7 s,
+# `--N 4` (334) 4.1 s; `pi --n 11 --N 4` (480) 11.4 s, `--N 3` (302)
+# 4.2 s; `pi --n 12 --N 3` (407) 5.2 s; `trace --n 10` 17.7 s and
+# 184 MB.  `pi --n 11` (752 labels) took 75.2 s.  `mhl` adds an
+# inversion to the table: `mhl --n 9` (300 labels) took 18.7 s, and
+# `mhl --n 10` 46.5 to 61.6 s, too near a minute.
+MAX_LABELS = 481
+MAX_MHL_LABELS = 300
 
 # MAX_SIZE_LABELS bounds the size n, whatever the rank; a column lists
 # only the targets its step reaches, so it models no column any more.
@@ -46,17 +48,18 @@ MAX_LABELS = 300
 MAX_SIZE_LABELS = 1770
 
 
-def check_cost(n: int, rank: int | None = None) -> None:
+def check_cost(n: int, rank: int | None = None, budget: int = MAX_LABELS) -> None:
     """Refuse a size whose tables would take too long to build, judged
     by label counts before any table work: the labels of the table (at
     most `rank` rows per component; every label of size n without
-    `rank`) and every label of size n, each count stopped past its budget."""
-    count = partitions.bipartition_count(n, rank, MAX_LABELS)
-    if count > MAX_LABELS:
+    `rank`) against `budget`, and every label of size n, each count
+    stopped past its budget."""
+    count = partitions.bipartition_count(n, rank, budget)
+    if count > budget:
         at = f"n={n}" if rank is None or rank >= n else f"n={n}, N={rank}"
         raise CostGuard(
             f"tables at {at} have at least {count} labels, above the budget "
-            f"of {MAX_LABELS}"
+            f"of {budget}"
         )
     check_size_cost(n)
 

@@ -20,7 +20,9 @@ from mirahall.affine import (
     universe,
     validate,
 )
-from mirahall.checks import apply_ts, bruhat_leq, h_basis_check, hecke_quadratic_check
+from mirahall.checks import (apply_ts, bruhat_leq, h_basis_check, hecke_quadratic_check,
+                             verify_payload)
+from mirahall.config import RunConfig
 from mirahall.errors import (
     ComponentMismatch,
     Incompatible,
@@ -256,6 +258,7 @@ def test_served_products_make_no_count(monkeypatch):
 
     ts_action.cache_clear()
     affine._line_classes.cache_clear()
+    affine.predicted_case.cache_clear()
     monkeypatch.setattr(oracle, "_classify_core", forbidden)
     monkeypatch.setattr(oracle, "_ts_counts", forbidden)
     monkeypatch.setattr(oracle, "interpolate", forbidden)
@@ -379,6 +382,7 @@ def test_served_products_read_only_their_own_line_classes():
     for N in (2, 3):
         ts_action.cache_clear()
         affine._line_classes.cache_clear()
+        affine.predicted_case.cache_clear()
         payload = artifacts.iwahori_payload(N, 2)
         assert affine._line_classes.cache_info().currsize == len(payload["products"])
         assert len(payload["products"]) == {2: 232, 3: 3288}[N]
@@ -407,6 +411,7 @@ def test_serving_never_rebuilds_labels(monkeypatch):
 
     ts_action.cache_clear()
     affine._line_classes.cache_clear()
+    affine.predicted_case.cache_clear()
     for name in ROUND_TRIP:
         monkeypatch.setattr(oracle, name, forbidden)
     payload = artifacts.iwahori_payload(3, 2)
@@ -548,3 +553,37 @@ def test_label_properties(x, i, d):
     assert xs.beta == x.beta
     assert abs(xs.length() - x.length()) == 1
     assert xs.wall(i) == x
+
+
+def test_iwahori_payload_predicts_each_case_once():
+    # the product and its case column read one prediction
+    ts_action.cache_clear()
+    affine.predicted_case.cache_clear()
+    payload = artifacts.iwahori_payload(2, 2)
+    info = affine.predicted_case.cache_info()
+    assert info.misses == info.hits == len(payload["products"])
+
+
+@pytest.fixture
+def broken_plain_descent(monkeypatch):
+    """`_shape` with the coefficients of case 4 (a plain descent)
+    swapped, for the served products and the template alike."""
+    shape = affine._shape
+
+    def broken(x, case, roles):
+        out = shape(x, case, roles)
+        return {y: (Q if c == Q - 1 else Q - 1) for y, c in out.items()} if case == 4 else out
+
+    ts_action.cache_clear()
+    monkeypatch.setattr(affine, "_shape", broken)
+    yield
+    ts_action.cache_clear()
+
+
+def test_a_broken_shape_fails_the_iwahori_suite(broken_plain_descent):
+    report = verify_payload(("iwahori",), RunConfig())
+    failed = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
+    # the counted product is read against the shape of its predicted case
+    assert failed["templates"].startswith("NoTemplateMatch: product at")
+    assert "case 4 shape" in failed["templates"]
+    assert not report["passed"]

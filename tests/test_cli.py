@@ -646,6 +646,8 @@ def test_size_zero_serves_at_rank_one(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("pi", "--n", "12"),
     ("mhl", "--n", "12"),
+    # mhl's own budget: pi and trace serve this size
+    pytest.param(("mhl", "--n", "10"), id="mhl --n 10"),
     ("trace", "--n", "12", "--q", "3"),
     # sizes far past every budget, refused without counting their labels
     *(pytest.param(argv, id=" ".join(argv)) for argv in (
@@ -677,9 +679,9 @@ def test_cost_guard_verdicts_match_the_full_count():
                 check_cost(n, rank)
     # at rank 1 a size has exactly its n + 1 labels (k)|(n - k), the
     # fewest of any rank, so the uncounted verdict at n >= budget is exact
-    for n in (298, 299, 300, 301, 1769, 1770, 1771):
+    for n in (298, 299, 300, 301, 479, 480, 481, 482, 1769, 1770, 1771):
         assert partitions.bipartition_count(n, 1) == n + 1
-        for budget in (costs.MAX_LABELS, costs.MAX_SIZE_LABELS):
+        for budget in (costs.MAX_MHL_LABELS, costs.MAX_LABELS, costs.MAX_SIZE_LABELS):
             assert (partitions.bipartition_count(n, 1, budget) > budget) == (n + 1 > budget)
 
 
@@ -794,12 +796,20 @@ def test_hall_cost_guard_passes_the_products_within_budget():
 
 
 def test_cost_guard_counts_the_labels_of_the_rank_and_the_size():
-    # n = 10 has 481 labels, 91 of them with at most 2 rows per side
-    for n, rank in ((8, None), (10, 2), (10, 3), (13, 1), (13, 2), (9, 20)):
+    # n = 10 has 481 labels, 91 of them with at most 2 rows per side,
+    # 334 with at most 4; n = 11 has 752, 480 with at most 4 rows
+    for n, rank in ((8, None), (10, 2), (10, 3), (13, 1), (13, 2), (9, 20), (10, 4),
+                    (10, 10), (10, None), (11, 4), (12, 3)):
         check_cost(n, rank)
-    for n, rank in ((12, None), (10, 4), (10, 10), (14, 1), (20, 1)):
+    for n, rank in ((12, None), (11, None), (11, 5), (12, 4), (13, 3), (14, 1), (20, 1)):
         with pytest.raises(CostGuard):
             check_cost(n, rank)
+    # mhl's own budget still refuses n = 10 at rank 4 and up
+    for n, rank in ((9, None), (10, 3)):
+        check_cost(n, rank, costs.MAX_MHL_LABELS)
+    for n, rank in ((10, 4), (10, 10), (10, None)):
+        with pytest.raises(CostGuard):
+            check_cost(n, rank, costs.MAX_MHL_LABELS)
 
 
 def test_cost_guard_serves_a_low_rank_above_the_full_budget(capsys, monkeypatch):

@@ -23,6 +23,12 @@ runs `artifacts` and skips the cost guard, so runs neither `costs` nor
 mult` (whose guard counts no labels, and whose table needs only
 `affine` and `laurent`) to leave the modules they do not need unrun.
 Every cold request runs `artifacts` and its guard in `costs`.
+
+The front reads argv from its option table and digests with the
+built-in BLAKE2b, so no request but one that prints help or a usage
+error loads argparse (with `gettext` and `locale`), and none loads
+OpenSSL (`_hashlib`).  Under `python3 -S`, where no site `.pth` file
+preloads them, an artifact hit also loads no `tempfile` or `typing`.
 """
 
 from __future__ import annotations
@@ -50,30 +56,35 @@ COUNTING = (
     "fractions",
 )
 
+# the modules of argparse's text, and OpenSSL's hashes
+TEXT = ("argparse", "gettext", "locale", "_hashlib")
+HELP_TEXT = ["argparse", "gettext", "locale"]
+
 CHILD = """
 import json, sys
-COUNTING = %r
+COUNTING, TEXT = %r, %r
 loaded = lambda: [m for m in COUNTING if m in sys.modules]
 import mirahall.cli
 at_import = loaded()
 code = mirahall.cli.main(sys.argv[2:])
+text = [m for m in TEXT if m in sys.modules]
 with open(sys.argv[1], "w") as fh:
-    json.dump({"code": code, "import": at_import, "request": loaded()}, fh)
-""" % (COUNTING,)
+    json.dump({"code": code, "import": at_import, "request": loaded(), "text": text}, fh)
+""" % (COUNTING, TEXT)
 
 SERVING = workloads.COLD_TABLES + (workloads.WARM_RIGHT, ("--help",))
 
 
-def _run(child: str, argv, cache_dir: Path) -> dict:
-    """Run `child` in a fresh interpreter with REPORT and `argv`, and
-    return the JSON it wrote to REPORT."""
+def _run(child: str, argv, cache_dir: Path, flags=()) -> dict:
+    """Run `child` in a fresh interpreter (with `flags`) with REPORT and
+    `argv`, and return the JSON it wrote to REPORT."""
     report = cache_dir.parent / "report.json"
     env = dict(os.environ, MIRAHALL_CACHE_DIR=str(cache_dir))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     subprocess.run(
-        [sys.executable, "-c", child, str(report), *argv],
+        [sys.executable, *flags, "-c", child, str(report), *argv],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         check=True, timeout=120,
     )
@@ -83,7 +94,9 @@ def _run(child: str, argv, cache_dir: Path) -> dict:
 @pytest.mark.parametrize("argv", SERVING, ids=lambda a: " ".join(a[:3]))
 def test_serving_request_loads_no_counting_module(argv, tmp_path):
     got = _run(CHILD, argv, tmp_path / "cache")
-    assert got == {"code": 0, "import": [], "request": []}
+    # a cold request loads no argparse and no OpenSSL; --help loads argparse
+    text = HELP_TEXT if argv == ("--help",) else []
+    assert got == {"code": 0, "import": [], "request": [], "text": text}
 
 
 TABLE_MODULES = ("affine", "bimodule", "closedform", "hall", "symfunc", "traces")
@@ -105,10 +118,11 @@ for name in %r:
     else:
         states[name] = "ran" if type(module) is types.ModuleType else "lazy"
 loaded_json = "json" in sys.modules
+text = [m for m in %r if m in sys.modules]
 import json
 with open(sys.argv[1], "w") as fh:
-    json.dump({"code": code, "states": states, "json": loaded_json}, fh)
-""" % (LAZY_MODULES,)
+    json.dump({"code": code, "states": states, "json": loaded_json, "text": text}, fh)
+""" % (LAZY_MODULES, TEXT)
 
 ALL_LAZY = {name: "lazy" for name in LAZY_MODULES}
 
@@ -129,7 +143,26 @@ def filled_cache(tmp_path_factory):
 
 @pytest.mark.parametrize("argv", CACHED, ids=" ".join)
 def test_cached_request_runs_no_table_module(argv, filled_cache):
-    assert _run(STATES, argv, filled_cache) == {"code": 0, "states": ALL_LAZY, "json": False}
+    assert _run(STATES, argv, filled_cache) == {
+        "code": 0, "states": ALL_LAZY, "json": False, "text": []}
+
+
+# What an artifact hit loads of the modules that a site `.pth` file may
+# preload, under `python3 -S`, which runs no site code.
+BARE = """
+import sys
+import mirahall.cli
+code = mirahall.cli.main(sys.argv[2:])
+loaded = [m for m in %r if m in sys.modules]
+import json
+with open(sys.argv[1], "w") as fh:
+    json.dump({"code": code, "loaded": loaded}, fh)
+""" % (("tempfile", "typing", "json") + TEXT,)
+
+
+def test_cached_request_without_site_loads_no_tempfile_or_typing(filled_cache):
+    for argv in (CACHED[0], CACHED[-1]):
+        assert _run(BARE, argv, filled_cache, flags=("-S",)) == {"code": 0, "loaded": []}
 
 
 # Whether a request loaded `__future__`, when the interpreter had not
@@ -177,24 +210,24 @@ def test_payload_hit_runs_no_table_module(argv, json_artifact_cache):
     # json artifact misses too, so costs and partitions are unrun
     laurent = "lazy" if argv[0] == "green" else "ran"
     assert got == {"code": 0, "states": dict(ALL_LAZY, laurent=laurent, artifacts="ran"),
-                   "json": True}
+                   "json": True, "text": []}
     # an artifact miss: this request stored its own artifact
     assert len(set(json_artifact_cache.iterdir()) - before) == 1
 
 
 def test_help_runs_no_lazy_module(tmp_path):
     got = _run(STATES, ("--help",), tmp_path / "cache")
-    assert got == {"code": 0, "states": ALL_LAZY, "json": False}
+    assert got == {"code": 0, "states": ALL_LAZY, "json": False, "text": HELP_TEXT}
 
 
 def test_mhl_below_its_size_runs_no_lazy_module(tmp_path):
     # a usage error, raised on the front before the cache lookup
     got = _run(STATES, ("mhl", "--n", "5", "--N", "2"), tmp_path / "cache")
-    assert got == {"code": 2, "states": ALL_LAZY, "json": False}
+    assert got == {"code": 2, "states": ALL_LAZY, "json": False, "text": []}
 
 
 REFUSED = (
-    ("pi", "--n", "10"),
+    ("pi", "--n", "11"),
     ("green", "--n", "9", "--q", "2"),
     ("hall", "--x", "13,1,1", "--y", "1", "--N", "16"),
     ("iwahori", "mult", "--N", "5", "--window", "1"),
@@ -209,10 +242,11 @@ def test_refused_request_runs_no_table_module(argv, tmp_path):
     partitions = "lazy" if argv[0] == "iwahori" else "ran"
     assert _run(STATES, argv, tmp_path / "cache") == {
         "code": 1, "states": dict(ALL_LAZY, costs="ran", partitions=partitions, artifacts="ran"),
-        "json": True}
+        "json": True, "text": []}
 
 
 def test_cold_iwahori_runs_only_affine(tmp_path):
     got = _run(STATES, ("iwahori", "mult", "--N", "2"), tmp_path / "cache")
     assert got == {"code": 0, "states": dict(
-        ALL_LAZY, affine="ran", laurent="ran", costs="ran", artifacts="ran"), "json": True}
+        ALL_LAZY, affine="ran", laurent="ran", costs="ran", artifacts="ran"), "json": True,
+        "text": []}

@@ -1,0 +1,187 @@
+"""The option-table parser against argparse built from the same table.
+
+`cli.parse_args` reads every request without argparse; argparse
+(`cli.build_parser`) runs only to print help and usage errors.  So on
+every argv here, either argparse returns a namespace and the table
+parser returns the same one, or argparse exits, the table parser
+declines, and `cli.main` exits with argparse's code and text.
+
+The corpus has every subcommand with every option in its exact, `=`
+and shortest unique-prefix forms, hand-picked edge cases, and a seeded
+random draw of argv from a vocabulary of flags, prefixes and values.
+"""
+
+from __future__ import annotations
+
+import io
+import random
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from mirahall import cli
+
+# the options a subcommand needs for argparse to accept it
+REQUIRED = {"hall": ["--x", "2", "--y", "1"], "mirabolic": ["--src", "|1"]}
+
+
+def _head(name: str) -> list[str]:
+    return [name, *cli._WORDS.get(name, ())]
+
+
+def _value(option: tuple) -> str:
+    _, _, kind, _, choices, _, _ = option
+    if choices:
+        return choices[-1]
+    return "3" if kind is int else "2,1"
+
+
+def _prefix(flag: str, flags: set) -> str | None:
+    """The shortest prefix that names only `flag` among `flags`."""
+    for k in range(3, len(flag)):
+        if [f for f in flags if f.startswith(flag[:k])] == [flag]:
+            return flag[:k]
+    return None
+
+
+def _option_forms() -> list[list[str]]:
+    out = []
+    for name, (_, options, _) in cli._SUBCOMMANDS.items():
+        flags = {"-h", "--help"} | {f for option in options for f in option[0]}
+        for option in options:
+            for flag in option[0]:
+                prefix = _prefix(flag, flags) if flag.startswith("--") else None
+                if option[2] is None:
+                    forms = [[flag]] + ([[prefix]] if prefix else [])
+                else:
+                    value = _value(option)
+                    forms = [[flag, value], [f"{flag}={value}"]]
+                    if prefix:
+                        forms += [[prefix, value], [f"{prefix}={value}"]]
+                for form in forms:
+                    out.append(_head(name) + form + REQUIRED.get(name, []))
+    return out
+
+
+EDGES = [
+    [],
+    ["pi"],
+    ["pi", "--n", "4", "--n", "5"],
+    ["pi", "--n", "4", "--N", "2", "--n=6", "--format", "csv", "--format=latex"],
+    ["pi", "-v"], ["pi", "-vv"], ["pi", "-v", "-v", "--verbose"], ["pi", "-vvv", "--verb"],
+    ["pi", "-v=v"], ["pi", "-v="], ["pi", "-vx"], ["pi", "-vh"], ["pi", "-hv"],
+    ["pi", "--verbose=1"], ["pi", "--verbose=v"], ["pi", "--verb=v"], ["pi", "--verbose="],
+    ["pi", "-v3"],
+    ["pi", "--n", "x"], ["pi", "--n", "4.0"], ["pi", "--n=", "4"], ["pi", "--n", ""],
+    ["pi", "--n", "-4"], ["pi", "--seed", "-5"], ["pi", "--N", "-1"], ["pi", "--n", "-1.5"],
+    ["pi", "--n", " 4 "], ["pi", "--n", "+4"], ["pi", "--n", "1_0"], ["pi", "--n", "٤"],
+    ["pi", "--out", "-"], ["pi", "--out", "-x"], ["pi", "--out", "-4"], ["pi", "--out", "-.5"],
+    ["pi", "--out", "-a b"], ["pi", "--out", "--n 4"], ["pi", "--out=-x"], ["pi", "--out="],
+    ["pi", "--out", "--"], ["pi", "--out", "-h"], ["pi", "--out=--help"], ["pi", "--out", "-4\n"],
+    ["pi", "--format", "xml"], ["pi", "--format", "JSON"], ["pi", "--format="],
+    ["mirabolic", "--src", "|1", "--side", "up"], ["mirabolic", "--src", "|1", "--si=right"],
+    ["mirabolic", "--src", "|1", "--s", "left"], ["mirabolic", "--src", "|1", "--sr", "2|1"],
+    ["mirabolic", "--src=-1|1"], ["mirabolic", "--src", "-1|1"], ["mirabolic", "--r", "2"],
+    ["hall", "--x", "2"], ["hall", "--y", "1"], ["hall", "--x", "-1", "--y", "1"],
+    ["verify", "--s", "pi"], ["verify", "--su", "pi"], ["verify", "--q", "2,3"],
+    ["verify", "--m", "2"], ["verify", "--suite", "nope"], ["verify", "--qs", "x"],
+    ["pi", "--window", "2"], ["pi", "--window-dressing", "9"], ["pi", "-n", "4"],
+    ["pi", "4"], ["pi", "--n", "4", "extra"], ["pi", "--", "--n", "4"], ["pi", "--n", "4", "--"],
+    ["pi", "--=x"], ["pi", "-"], ["pi", ""], ["pi", "--n", "--N", "2"], ["pi", "--n"],
+    ["frobnicate"], ["", "pi"], ["-4"], ["--", "pi"], ["PI"], ["p"],
+    ["--config", "c.conf", "pi", "--n", "4"], ["--config=c.conf", "pi"], ["--conf", "c", "pi"],
+    ["--c", "c", "pi"], ["--config", "a", "--config", "b", "pi"], ["--config", "-", "pi"],
+    ["--config", "-4", "pi"], ["--config", "--n", "pi"], ["--config", "pi"], ["--config"],
+    ["pi", "--config", "c.conf"], ["pi", "--conf", "c"], ["pi", "--c", "d"], ["--n", "4", "pi"],
+    ["--=x", "pi"], ["-x", "pi"], ["--config", "a b", "pi"],
+    ["iwahori"], ["iwahori", "mult"], ["iwahori", "mul"], ["iwahori", "--N", "3", "mult"],
+    ["iwahori", "mult", "--N", "3", "--window", "2", "--format", "csv"],
+    ["iwahori", "mult", "--N", "1"], ["iwahori", "mult", "--N", "-3"], ["iwahori", "mult", "mult"],
+    ["iwahori", "--", "mult"], ["iwahori", "mult", "--"], ["iwahori", "mult", "--w", "3"],
+    ["iwahori", "--=x", "mult"], ["iwahori", "-v", "mult"], ["iwahori", "mult", "-v"],
+    ["trace", "--n", "3", "--q", "4"], ["green", "--n", "2", "--q", "3", "--q", "5"],
+]
+
+
+def _help_forms() -> list[list[str]]:
+    """-h, --help and --he at each position of a few accepted argv."""
+    out = []
+    for argv in (["pi", "--n", "4"], ["--config", "c", "iwahori", "mult", "--N", "3"],
+                 ["hall", "--x", "2", "--y", "1"]):
+        for flag in ("-h", "--help", "--he"):
+            out += [argv[:k] + [flag] + argv[k:] for k in range(len(argv) + 1)]
+    return out
+
+
+VOCABULARY = (
+    ["pi", "mhl", "trace", "hall", "mirabolic", "green", "iwahori", "verify", "mult"]
+    + ["--n", "--N", "--q", "--x", "--y", "--src", "--r", "--side", "--window", "--suite",
+       "--qs", "--max-n", "--format", "--out", "--cache-dir", "--seed", "--verbose", "-v",
+       "--config"]
+    + ["--f", "--fo", "--o", "--ca", "--c", "--co", "--se", "--s", "--si", "--sr", "--su",
+       "--w", "--m", "--ma", "--v", "--n=2", "--N=3", "--format=csv", "--q=5", "--he", "-vv",
+       "-vh", "-v=v", "--=x", "--", "-h", "--help", "-x"]
+    + ["4", "2", "-4", "0", "x", "", "-", "-1.5", "a b", "json", "csv", "left", "right",
+       "2,1", "|1", "2|1", "all", "2,3", "c.conf"]
+)
+
+
+def _drawn(count: int, seed: int) -> list[list[str]]:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        argv = [rng.choice(list(cli._SUBCOMMANDS))] if rng.random() < 0.8 else []
+        if argv == ["iwahori"] and rng.random() < 0.8:
+            argv.append("mult")
+        argv += [rng.choice(VOCABULARY) for _ in range(rng.randrange(6))]
+        out.append(argv)
+    return out
+
+
+CORPUS = _option_forms() + EDGES + _help_forms() + _drawn(1500, 20261020)
+
+
+def _argparse(argv: list[str]):
+    """(namespace attributes, None) when argparse accepts argv, else
+    (None, (exit code, stdout, stderr))."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            ns = cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return None, (0 if not exc.code else 2, out.getvalue(), err.getvalue())
+    return vars(ns), None
+
+
+@pytest.fixture(autouse=True)
+def columns(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+def test_corpus_covers_both_verdicts():
+    verdicts = [_argparse(argv)[0] is not None for argv in CORPUS]
+    assert sum(verdicts) > 300 and verdicts.count(False) > 300
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_table_parser_reads_as_argparse(chunk, capsys):
+    for argv in CORPUS[chunk::8]:
+        expected, refusal = _argparse(argv)
+        got = cli.parse_args(argv)
+        if expected is not None:
+            assert got is not None and vars(got) == expected, argv
+            continue
+        assert got is None, argv
+        # the program prints what argparse prints, with its exit code
+        capsys.readouterr()
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == refusal, argv
+
+
+def test_accepted_argv_builds_no_argparse(monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", None)
+    ns = cli.parse_args(["--conf", "c", "iwahori", "mult", "--N=3", "-vv", "--f", "csv"])
+    assert vars(ns) == {"config": "c", "cmd": "iwahori", "icmd": "mult", "N": 3,
+                        "window": None, "fmt": "csv", "out": None, "cache_dir": None,
+                        "seed": None, "verbose": 2}
