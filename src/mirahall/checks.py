@@ -31,7 +31,7 @@ from .affine import (
 )
 from .bimodule import _minus_v, pi_table
 from .config import RunConfig
-from .errors import ComponentMismatch, MiraError, OracleMismatch, TruncationTooSmall
+from .errors import ComponentMismatch, MiraError, OracleMismatch, TruncationTooSmall, UsageError
 from .hall import hall_mul, u_elt
 from .laurent import Combination, LaurentPoly, QPoly
 from .oracle import (
@@ -170,6 +170,8 @@ def _check(suite: str, name: str, fn) -> dict:
     try:
         detail = fn()
         return {"suite": suite, "name": name, "passed": True, "detail": str(detail)}
+    except UsageError:  # bad arguments, not a failed check: the CLI exits 2
+        raise
     except MiraError as exc:
         return {
             "suite": suite,

@@ -5,10 +5,12 @@ produces the same bytes, whether the table came out of the cache or was
 rebuilt.  Exit codes: 0 computed or verified, 1 a verification failed,
 2 bad usage.
 
-`parse_args` reads argv from one option table (`_SUBCOMMANDS`) into the
+`parse_args` reads canonical argv (exact flags, each value after "=" or
+in a token of its own) from one option table (`_SUBCOMMANDS`) into the
 namespace argparse would make.  argparse, built from the same table
-(`usage`), runs only to print help or the usage error of an argv that
-`parse_args` declines.  Every subcommand but `verify` serves through
+(`usage`), reads every argv that `parse_args` declines (prefixes, `-vv`,
+values that start with "-", `--`, `-h`), and prints help and usage
+errors.  Every subcommand but `verify` serves through
 `_serve_cached`, from the cache of rendered artifacts; the payload
 builders and renderers (`artifacts`), the guards (`costs`), the kernel
 and the table modules are registered lazily (`_lazy`), so an artifact
@@ -50,6 +52,7 @@ for _name in ("laurent", "partitions", "costs", "affine", "bimodule",
     _lazy(_name)
 artifacts = _lazy("artifacts")
 
+# the suites of `checks._SUITE_RUNNERS`, in report order: `verify` checks --suite without numpy
 SUITES = ("census", "constants", "hall", "pi", "classical", "trace", "rho", "green",
           "iwahori")
 
@@ -97,61 +100,27 @@ _COMMON = (
 )
 
 
-def _classify(token: str, flags: dict):
-    """argparse's reading of `token` (`_parse_optional`): None for a
-    value, else (flag, text after it or None), the flag exact, before
-    "=" or named by a prefix, and "" where it names none or several."""
-    if not token.startswith("-") or token == "-":
-        return None
-    if token in flags:
-        return token, None
-    head, eq, tail = token.partition("=")
-    if eq and head in flags:
-        return head, tail
-    if token[1] == "-":
-        found = [(flag, tail if eq else None) for flag in flags if flag.startswith(head)]
-    else:
-        found = [(flag, token[2:]) if flag == token[:2] else (flag, None)
-                 for flag in flags if flag == token[:2] or flag.startswith(token)]
-    if len(found) == 1:
-        return found[0]
-    if not found:  # a negative number, or a string with a space, is a value
-        import re  # only for a token that names no option
-
-        if " " in token or re.match(r"^-\d+$|^-\d*\.\d+$", token):
-            return None
-    return "", None
-
-
 def _read(argv: list, i: int, options: tuple, ns: SimpleNamespace) -> int:
-    """Read `options` from argv[i:] into `ns` up to the first value no
-    option takes, and return its index; -1 where argparse prints help or
-    a usage error.  `-vv` counts twice, as `-v -v`."""
-    flags = {"-h": None, "--help": None}
+    """Read `options` from argv[i:] into `ns` up to the first token that
+    does not start with "-", and return its index; -1 at a flag that is
+    not exact, a value that starts with "-" or fails its type or choices,
+    and a missing required option."""
+    flags = {}
     for option in options:
         flags.update(dict.fromkeys(option[0], option))
         setattr(ns, option[1], option[3])
     given = set()
-    while i < len(argv) and argv[i] != "--":
-        read = _classify(argv[i], flags)
-        if read is None:
-            break
-        flag, value = read
+    while i < len(argv) and argv[i].startswith("-"):
+        flag, eq, value = argv[i].partition("=")
         option = flags.get(flag)
-        while option is not None and option[2] is None:
+        if option is None or option[2] is None and eq:  # a counted flag takes no value
+            return -1
+        if option[2] is None:
             setattr(ns, option[1], (getattr(ns, option[1]) or 0) + 1)
-            if value is None:
-                break
-            if flag[1] == "-" or not value:
-                return -1
-            flag, value = "-" + value[0], value[1:] or None
-            option = flags.get(flag)
-        else:  # a help or unknown flag, or one that takes a value
-            if option is None:
-                return -1
-            if value is None:
+        else:  # a flag that takes a value
+            if not eq:
                 i += 1
-                if i == len(argv) or argv[i] == "--" or _classify(argv[i], flags):
+                if i == len(argv) or argv[i].startswith("-"):
                     return -1
                 value = argv[i]
             try:
@@ -167,8 +136,10 @@ def _read(argv: list, i: int, options: tuple, ns: SimpleNamespace) -> int:
 
 
 def parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
-    """The namespace of `build_parser().parse_args(argv)`, or None where
-    that prints help or a usage error."""
+    """The namespace of `build_parser().parse_args(argv)` where argv
+    names every flag exactly and no value starts with "-"; None where
+    argparse prints help or a usage error, and at any flag that `_read`
+    declines."""
     ns = SimpleNamespace()
     i = _read(argv, 0, _TOP, ns)
     if not 0 <= i < len(argv) or argv[i] not in _SUBCOMMANDS:
@@ -325,11 +296,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parse_args(argv)
     if args is None:
-        try:  # argparse prints the help or the usage error, and exits
-            build_parser().parse_args(argv)
+        try:  # argparse reads the rest, or prints the help or the usage error
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return 0 if not exc.code else 2
-        raise AssertionError(f"argparse reads {argv}, which the option table declines")
     try:
         file_values = read_config_file(args.config) if args.config else {}
         cfg = resolve(file_values, _flag_values(args))

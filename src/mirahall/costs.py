@@ -45,6 +45,15 @@ MAX_MHL_LABELS = 300
 # 2.5 s.  It still holds back the right column, which reads a mirrored
 # left table far above its size: `--src 6,5|5,4 --r 8` (size 28) took
 # 16.9 s and the size-26 source above ran past 150 s.  1770 is n = 13.
+# For `pi` it guards `bimodule._labels(n, rank)`, which lists (and
+# caches) every label of size n to keep those that fit the rank.  Cold
+# with it raised, the faster of two runs: `pi --n 13 --N 2` took 0.78 s
+# and 32 MB, `--n 14 --N 2` 1.09 s and 40 MB; but in process, one run
+# each, `pi_table(25, 1)` (26 labels) lists 129,512 and took 1.4 s and
+# 94 MB, `(30, 1)` 4.8 s and 414 MB, and `(40, 1)` (9.0 M listed) was
+# killed for memory.  Listing only the labels that fit took n = 25, 30
+# and 40 to 0.19, 0.38 and 2.1 s at 17 MB or less, yet
+# `pi_table(60, 1)` still took 56 s: some size bound has to stay.
 MAX_SIZE_LABELS = 1770
 
 

@@ -26,10 +26,6 @@ class NotInImage(MiraError):
     """No preimage exists under the pair-to-bipartition correspondence."""
 
 
-class Ambiguous(MiraError):
-    """More than one preimage exists where exactly one was required."""
-
-
 class NotNilpotent(MiraError):
     """Matrix expected to be nilpotent is not."""
 

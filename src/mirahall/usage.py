@@ -1,8 +1,9 @@
-"""argparse, built from the option table of `mirahall.cli`, for the text
-a request prints: the help pages, and the usage error of an argv that
-`cli.parse_args` declines.  Only such a request imports this module
-and argparse.  The table drives both parsers, so argparse is also the
-reference that `cli.parse_args` is tested against.
+"""argparse, built from the option table of `mirahall.cli`, for every
+argv that `cli.parse_args` declines: it reads the forms the table does
+not (prefixes, `-vv`, values that start with "-", `--`), and prints the
+help pages and usage errors.  A canonical argv imports neither this
+module nor argparse.  The table drives both parsers, so argparse is
+also the reference that `cli.parse_args` is tested against.
 """
 
 import argparse

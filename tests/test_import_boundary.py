@@ -24,11 +24,14 @@ mult` (whose guard counts no labels, and whose table needs only
 `affine` and `laurent`) to leave the modules they do not need unrun.
 Every cold request runs `artifacts` and its guard in `costs`.
 
-The front reads argv from its option table and digests with the
-built-in BLAKE2b, so no request but one that prints help or a usage
-error loads argparse (with `gettext` and `locale`), and none loads
-OpenSSL (`_hashlib`).  Under `python3 -S`, where no site `.pth` file
-preloads them, an artifact hit also loads no `tempfile` or `typing`.
+The front reads canonical argv (exact flags, as every request here
+sends them) from its option table and digests with the built-in
+BLAKE2b, so no request here but `--help` loads argparse (with `gettext`
+and `locale`), and none loads OpenSSL (`_hashlib`).  argparse also
+reads an argv in any other form (prefixes, `-vv`, values that start
+with "-"), which no request here sends.  Under `python3 -S`, where no
+site `.pth` file preloads them, an artifact hit also loads no
+`tempfile` or `typing`.
 """
 
 from __future__ import annotations

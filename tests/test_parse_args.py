@@ -1,10 +1,15 @@
 """The option-table parser against argparse built from the same table.
 
-`cli.parse_args` reads every request without argparse; argparse
-(`cli.build_parser`) runs only to print help and usage errors.  So on
-every argv here, either argparse returns a namespace and the table
-parser returns the same one, or argparse exits, the table parser
-declines, and `cli.main` exits with argparse's code and text.
+`cli.parse_args` reads canonical argv (exact flags, each value after
+`=` or in a token of its own) without argparse, and declines the rest;
+argparse (`cli.build_parser`) reads what it declines, and prints help
+and usage errors.  So on every argv here one of three holds: the table
+parser returns argparse's namespace; it declines an argv that argparse
+accepts, and `cli.main` hands argparse's namespace to the subcommand's
+handler; or argparse exits, the table parser declines, and `cli.main`
+exits with argparse's code and text.  Every argv the benchmark's
+workloads send, and every exact and `=` form of every option, is read
+without argparse.
 
 The corpus has every subcommand with every option in its exact, `=`
 and shortest unique-prefix forms, hand-picked edge cases, and a seeded
@@ -15,11 +20,17 @@ from __future__ import annotations
 
 import io
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from mirahall import cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
 
 # the options a subcommand needs for argparse to accept it
 REQUIRED = {"hall": ["--x", "2", "--y", "1"], "mirabolic": ["--src", "|1"]}
@@ -44,13 +55,15 @@ def _prefix(flag: str, flags: set) -> str | None:
     return None
 
 
-def _option_forms() -> list[list[str]]:
+def _option_forms(prefixes: bool = True) -> list[list[str]]:
+    """Every option of every subcommand in its exact and `=` forms, and
+    with `prefixes` in its shortest unique-prefix forms too."""
     out = []
     for name, (_, options, _) in cli._SUBCOMMANDS.items():
         flags = {"-h", "--help"} | {f for option in options for f in option[0]}
         for option in options:
             for flag in option[0]:
-                prefix = _prefix(flag, flags) if flag.startswith("--") else None
+                prefix = _prefix(flag, flags) if prefixes and flag.startswith("--") else None
                 if option[2] is None:
                     forms = [[flag]] + ([[prefix]] if prefix else [])
                 else:
@@ -92,6 +105,7 @@ EDGES = [
     ["--config", "c.conf", "pi", "--n", "4"], ["--config=c.conf", "pi"], ["--conf", "c", "pi"],
     ["--c", "c", "pi"], ["--config", "a", "--config", "b", "pi"], ["--config", "-", "pi"],
     ["--config", "-4", "pi"], ["--config", "--n", "pi"], ["--config", "pi"], ["--config"],
+    ["--config", "-c", "pi", "--n", "4"], ["--config", "--n", "iwahori", "mult"],
     ["pi", "--config", "c.conf"], ["pi", "--conf", "c"], ["pi", "--c", "d"], ["--n", "4", "pi"],
     ["--=x", "pi"], ["-x", "pi"], ["--config", "a b", "pi"],
     ["iwahori"], ["iwahori", "mult"], ["iwahori", "mul"], ["iwahori", "--N", "3", "mult"],
@@ -120,9 +134,10 @@ VOCABULARY = (
        "--config"]
     + ["--f", "--fo", "--o", "--ca", "--c", "--co", "--se", "--s", "--si", "--sr", "--su",
        "--w", "--m", "--ma", "--v", "--n=2", "--N=3", "--format=csv", "--q=5", "--he", "-vv",
-       "-vh", "-v=v", "--=x", "--", "-h", "--help", "-x"]
+       "-vh", "-v=v", "--=x", "--", "-h", "--help", "-x", "-vvv", "-n", "-N", "--ve",
+       "--max-n=2", "--r=-1", "--src=|1", "--y=", "-v-", "-vn", "--verbose=2", "---n"]
     + ["4", "2", "-4", "0", "x", "", "-", "-1.5", "a b", "json", "csv", "left", "right",
-       "2,1", "|1", "2|1", "all", "2,3", "c.conf"]
+       "2,1", "|1", "2|1", "all", "2,3", "c.conf", "-.5", "-1e3", "-0", " 3", "-a b"]
 )
 
 
@@ -158,30 +173,62 @@ def columns(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
 
 
-def test_corpus_covers_both_verdicts():
-    verdicts = [_argparse(argv)[0] is not None for argv in CORPUS]
-    assert sum(verdicts) > 300 and verdicts.count(False) > 300
+@pytest.fixture
+def handed(monkeypatch):
+    """The namespaces `cli.main` hands to the subcommand handlers, which
+    are patched to record them; the config file and the flag values are
+    not read, so every accepted argv reaches its handler."""
+    seen = []
+    for name, (text, options, _) in cli._SUBCOMMANDS.items():
+        monkeypatch.setitem(cli._SUBCOMMANDS, name,
+                            (text, options, lambda args, cfg: seen.append(vars(args)) or 0))
+    monkeypatch.setattr(cli, "read_config_file", lambda path: {})
+    monkeypatch.setattr(cli, "_flag_values", lambda args: {})
+    monkeypatch.setattr(cli, "resolve", lambda file_values, flag_values: None)
+    return seen
+
+
+def test_corpus_covers_every_verdict():
+    verdicts = [(_argparse(argv)[0] is not None, cli.parse_args(argv) is not None)
+                for argv in CORPUS]
+    assert verdicts.count((True, True)) > 250
+    assert verdicts.count((True, False)) > 100
+    assert verdicts.count((False, False)) > 300
 
 
 @pytest.mark.parametrize("chunk", range(8))
-def test_table_parser_reads_as_argparse(chunk, capsys):
+def test_table_parser_reads_as_argparse(chunk, capsys, handed):
     for argv in CORPUS[chunk::8]:
         expected, refusal = _argparse(argv)
         got = cli.parse_args(argv)
-        if expected is not None:
-            assert got is not None and vars(got) == expected, argv
+        if got is not None:
+            assert vars(got) == expected, argv
             continue
-        assert got is None, argv
-        # the program prints what argparse prints, with its exit code
         capsys.readouterr()
         code = cli.main(argv)
         out = capsys.readouterr()
-        assert (code, out.out, out.err) == refusal, argv
+        if expected is not None:
+            # argparse reads what the table declines, for the handler
+            assert (code, out.out, out.err, handed) == (0, "", "", [expected]), argv
+            handed.clear()
+        else:
+            # the program prints what argparse prints, with its exit code
+            assert (code, out.out, out.err) == refusal, argv
+
+
+def test_canonical_argv_builds_no_argparse(monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", None)
+    for argv in workloads.all_reference_argv():
+        ns = cli.parse_args([*argv, "--cache-dir", "cache"])
+        assert ns is not None and ns.cache_dir == "cache", argv
+    for argv in _option_forms(prefixes=False):
+        assert cli.parse_args(argv) is not None, argv
 
 
 def test_accepted_argv_builds_no_argparse(monkeypatch):
     monkeypatch.setattr(cli, "build_parser", None)
-    ns = cli.parse_args(["--conf", "c", "iwahori", "mult", "--N=3", "-vv", "--f", "csv"])
+    ns = cli.parse_args(["--config", "c", "iwahori", "mult", "--N=3", "-v", "-v", "--format",
+                         "csv"])
     assert vars(ns) == {"config": "c", "cmd": "iwahori", "icmd": "mult", "N": 3,
                         "window": None, "fmt": "csv", "out": None, "cache_dir": None,
                         "seed": None, "verbose": 2}

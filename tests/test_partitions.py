@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mirahall.errors import Ambiguous, MiraError, NotInImage, RankTooSmall
+from mirahall.errors import MiraError, NotInImage, RankTooSmall
 from mirahall.oracle import n_standard_tableaux
 from mirahall.partitions import (
     add_parts,
@@ -62,8 +62,7 @@ def xi_search(nu, theta):
     descend(0, [], [])
     if not found:
         raise NotInImage(f"no bipartition maps to ({nu}, {theta})")
-    if len(found) > 1:
-        raise Ambiguous(f"{sorted(found)} all map to ({nu}, {theta})")
+    assert len(found) == 1, f"{sorted(found)} all map to ({nu}, {theta})"
     return found.pop()
 
 
@@ -335,8 +334,3 @@ def test_dominance():
     assert not dominance_leq((3, 1, 1, 1), (2, 2, 2))
     assert not dominance_leq((2, 2, 2), (3, 1, 1, 1))
     assert not dominance_leq((2,), (2, 1))
-
-
-def test_ambiguous_is_importable():
-    # no ambiguous fiber is known for small sizes; the guard stays live
-    assert issubclass(Ambiguous, Exception)
