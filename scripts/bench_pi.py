@@ -77,8 +77,9 @@ IWAHORI_NS = (2, 3, 4)
 # built every pair table of its sizes, a low-rank `pi` at large n, the
 # two other views of the transition table, `trace` and `mhl` (each at
 # the largest `pi` size too, where `mhl` is refused by its own budget),
-# a csv and a latex render of a large table, and `iwahori mult` at
-# N = 3's widest accepted window
+# a csv and a latex render of a large table, `iwahori mult` at N = 3's
+# widest accepted window, every `verify` suite (its report's sha256 pins
+# the checks) and the latex render of the largest `iwahori mult` table
 COLD_EXTRA = (
     ("hall", "--x", "5,4", "--y", "4,4"),
     ("pi", "--n", "12", "--N", "1"),
@@ -91,6 +92,8 @@ COLD_EXTRA = (
     ("pi", "--n", "8", "--format", "csv"),
     ("trace", "--n", "8", "--q", "3", "--format", "latex"),
     ("iwahori", "mult", "--N", "3", "--window", "4"),
+    ("verify", "--suite", "all"),
+    ("iwahori", "mult", "--N", "4", "--format", "latex"),
 )
 
 # the host speed gauge of perfbench/run.py, with its thread pins

@@ -357,7 +357,6 @@ def _wall(window: tuple, i: int):
             (b, a) if a < b else (a, b), w.spread() + len(window) + 1)
 
 
-@lru_cache(maxsize=None)
 def _line_classes(x: RBAffElt, i: int):
     """The labels of the three classes (of 1, 1 and q - 2 lines) of the
     P^1 at wall i other than x's own line: e_b, e_a + e_b and e_a + c e_b
@@ -439,14 +438,15 @@ def _check_wall(x: RBAffElt, i: int) -> None:
         raise UsageError(f"wall position {i} out of range 1..{x.w.N}")
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=None)
 def ts_action(x: RBAffElt, i: int) -> dict:
     """Expansion of the product with the wall generator at position i.
 
     Closed form: the shape of the case predicted from x's own line
     classes (`predicted_case`, `_shape`), its terms in label order.  No
     field size enters.  Raises NoTemplateMatch where the prediction
-    does.  Cached; treat the result as read-only."""
+    does.  Cached without bound, as checks and oracle reread products;
+    treat the result as read-only."""
     return _shape(x, *predicted_case(x, i))
 
 
@@ -455,13 +455,11 @@ def _sort_key(x: RBAffElt):
     return (x.length(), x.w.window, x.beta.lo, x.beta.extra)
 
 
-@lru_cache(maxsize=4096)
 def predicted_case(x: RBAffElt, i: int):
     """(case, roles): the case of the product at wall i and its labels,
     predicted from the ascent or descent at i and from which of x's line
     classes move beta (`_line_classes`), before any product is formed.
-    Cached as `ts_action` is, so a case is predicted once for its
-    product and its check (`pattern_check`); treat roles as read-only.
+    Not cached: the `iwahori` payload asks once per product.
 
     On an ascent beta is closed in the w order and w(i) < w(i+1), so
     only the "one" class can move beta, dropping a slot: case 2 if it

@@ -168,17 +168,16 @@ def iwahori_payload(N: int, window: int) -> dict:
     products = []
     for x in affine.universe(N, 1, window):
         for i in range(1, N + 1):
-            prod = affine.ts_action(x, i)
+            # one prediction: the case, and its shape's terms in label order
+            case, roles = affine.predicted_case(x, i)
             products.append(
                 {
                     "source": label_tree(x),
                     "i": i,
-                    # the prediction ts_action made, from predicted_case's cache
-                    "case": affine.pattern_check(x, i),
-                    # ts_action lists its terms in label order
+                    "case": case,
                     "terms": [
                         {"target": label_tree(y), "coeff": coeff_tree(c)}
-                        for y, c in prod.items()
+                        for y, c in affine._shape(x, case, roles).items()
                     ],
                 }
             )

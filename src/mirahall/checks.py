@@ -35,6 +35,7 @@ from .errors import ComponentMismatch, MiraError, OracleMismatch, TruncationTooS
 from .hall import hall_mul, u_elt
 from .laurent import Combination, LaurentPoly, QPoly
 from .oracle import (
+    _check_primes,
     _kostka_table,
     _predicted_jumps,
     counted_ts_action,
@@ -427,7 +428,9 @@ _SUITE_RUNNERS = {
 
 def verify_payload(suites: Sequence[str], cfg: RunConfig) -> dict:
     """Run each named suite in turn; the report passes when every check
-    does."""
+    does.  Too few primes for the iwahori suite's counts is refused first."""
+    if "iwahori" in suites:
+        _check_primes(cfg.primes)
     checks: list[dict] = []
     for name in suites:
         if cfg.verbosity:

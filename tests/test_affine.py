@@ -257,8 +257,6 @@ def test_served_products_make_no_count(monkeypatch):
         raise AssertionError("the serving path reached the counting oracle")
 
     ts_action.cache_clear()
-    affine._line_classes.cache_clear()
-    affine.predicted_case.cache_clear()
     monkeypatch.setattr(oracle, "_classify_core", forbidden)
     monkeypatch.setattr(oracle, "_ts_counts", forbidden)
     monkeypatch.setattr(oracle, "interpolate", forbidden)
@@ -376,16 +374,40 @@ def test_predicted_case_matches_template():
         assert pattern_check(x, i, product) == case
 
 
-def test_served_products_read_only_their_own_line_classes():
+def _counted(monkeypatch, name):
+    """Replace `affine.<name>` by a wrapper that lists its calls' args."""
+    calls = []
+    inner = getattr(affine, name)
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(affine, name, counting)
+    return calls
+
+
+def test_served_products_read_only_their_own_line_classes(monkeypatch):
     # the class sum read the classes of every label it named too:
     # 323 triples for 232 products at N = 2, 4,128 for 3,288 at N = 3
+    calls = _counted(monkeypatch, "_line_classes")
     for N in (2, 3):
-        ts_action.cache_clear()
-        affine._line_classes.cache_clear()
-        affine.predicted_case.cache_clear()
+        calls.clear()
         payload = artifacts.iwahori_payload(N, 2)
-        assert affine._line_classes.cache_info().currsize == len(payload["products"])
         assert len(payload["products"]) == {2: 232, 3: 3288}[N]
+        assert calls == [(x, i) for x in universe(N, 1, 2) for i in range(1, N + 1)]
+
+
+def test_iwahori_payload_keeps_no_memo_per_product():
+    # a memo as large as the table is never read again by the payload
+    for obj in vars(affine).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    payload = artifacts.iwahori_payload(3, 2)
+    assert len(payload["products"]) == 3288
+    sizes = {name: obj.cache_info().currsize for name, obj in vars(affine).items()
+             if hasattr(obj, "cache_info")}
+    assert max(sizes.values()) < len(payload["products"]), sizes
 
 
 def test_pattern_check_refuses_a_product_off_its_shape():
@@ -410,8 +432,6 @@ def test_serving_never_rebuilds_labels(monkeypatch):
         raise AssertionError("the serving path rebuilt a label from its jumps")
 
     ts_action.cache_clear()
-    affine._line_classes.cache_clear()
-    affine.predicted_case.cache_clear()
     for name in ROUND_TRIP:
         monkeypatch.setattr(oracle, name, forbidden)
     payload = artifacts.iwahori_payload(3, 2)
@@ -555,13 +575,17 @@ def test_label_properties(x, i, d):
     assert xs.wall(i) == x
 
 
-def test_iwahori_payload_predicts_each_case_once():
+def test_iwahori_payload_predicts_each_case_once(monkeypatch):
     # the product and its case column read one prediction
-    ts_action.cache_clear()
-    affine.predicted_case.cache_clear()
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the payload formed a product outside its prediction")
+
+    monkeypatch.setattr(affine, "ts_action", forbidden)
+    monkeypatch.setattr(affine, "pattern_check", forbidden)
+    calls = _counted(monkeypatch, "predicted_case")
     payload = artifacts.iwahori_payload(2, 2)
-    info = affine.predicted_case.cache_info()
-    assert info.misses == info.hits == len(payload["products"])
+    assert calls == [(x, i) for x in universe(2, 1, 2) for i in (1, 2)]
+    assert len(calls) == len(payload["products"])
 
 
 @pytest.fixture

@@ -27,6 +27,17 @@ def test_one_prime_is_a_usage_error(argv, capsys):
     assert (code, out.out, out.err) == (2, "", ONE_PRIME)
 
 
+def test_one_prime_is_refused_before_any_suite_runs(monkeypatch, capsys):
+    def forbidden(cfg):
+        raise AssertionError("a suite ran before the primes were checked")
+
+    for name in checks._SUITE_RUNNERS:
+        monkeypatch.setitem(checks._SUITE_RUNNERS, name, forbidden)
+    code = cli.main(["verify", "--qs", "2"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", ONE_PRIME)
+
+
 def test_one_prime_serves_the_census(capsys):
     assert cli.main(["verify", "--suite", "census", "--qs", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
