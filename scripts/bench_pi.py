@@ -10,8 +10,12 @@ Each cold request runs once, as one fresh process that runs
 empty `--cache-dir`, so every table is built from scratch.  For each
 the record keeps the wall time, the process's own peak resident size
 (`VmHWM` from `/proc/self/status`, read by the process as it exits),
-its exit code, the sha256 of its stdout, and the number and total bytes
-of the files it left in its cache directory.  Records without
+its exit code, the sha256 of its stdout, the number and total bytes
+of the files it left in its cache directory, and `exit_s`, the time
+from the child's `finally` (after the CLI has returned, so after the
+request's `main` and its exit call) to the harness's reap of the child,
+both read on `time.monotonic()`, the clock every process on the host
+shares: what interpreter shutdown costs the request.  Records without
 `"peak_rss": "VmHWM"` took the `ru_maxrss` that `os.wait4` returns,
 which for a forked child starts from the harness's own size, so their
 small requests read as the harness (about 45 MB) and not as themselves.
@@ -111,18 +115,19 @@ def _git(checkout: Path, *args: str) -> str:
 
 
 # `python3 -c CHILD HWM_FILE ARGS...` runs `mirahall ARGS` as `-m
-# mirahall.cli` would, then writes its own VmHWM line, in kB, to HWM_FILE,
-# whatever the exit.
+# mirahall.cli` would, then writes its own VmHWM, in kB, and the
+# monotonic time at which the CLI returned to HWM_FILE, whatever the exit.
 CHILD = """
-import runpy, sys
+import runpy, sys, time
 hwm_file = sys.argv.pop(1)
 try:
     runpy.run_module("mirahall.cli", run_name="__main__", alter_sys=True)
 finally:
+    returned = time.monotonic()
     with open("/proc/self/status") as fh:
         hwm = next(line for line in fh if line.startswith("VmHWM:"))
     with open(hwm_file, "w") as fh:
-        fh.write(hwm.split()[1])
+        fh.write(f"{hwm.split()[1]} {returned!r}")
 """
 
 
@@ -147,13 +152,15 @@ def time_cold(checkout: Path, args: list[str]) -> dict:
             start = time.perf_counter()
             code = subprocess.run(argv, env=env, stdout=out,
                                   stderr=subprocess.DEVNULL).returncode
+            reaped = time.monotonic()
             wall = time.perf_counter() - start
         digest = hashlib.sha256(Path(out_path).read_bytes()).hexdigest()
-        peak_kb = int(Path(hwm_path).read_text())
+        peak_kb, returned = Path(hwm_path).read_text().split()
         stored = [p.stat().st_size for p in Path(tmp, "cache").glob("*")]
     return {
         "wall_s": round(wall, 3),
-        "peak_rss_mb": round(peak_kb / 1024, 1),
+        "peak_rss_mb": round(int(peak_kb) / 1024, 1),
+        "exit_s": round(reaped - float(returned), 4),
         "exit": code,
         "sha256": digest,
         "cache_files": len(stored),

@@ -15,8 +15,13 @@ errors.  Every subcommand but `verify` serves through
 builders and renderers (`artifacts`), the guards (`costs`), the kernel
 and the table modules are registered lazily (`_lazy`), so an artifact
 hit runs only `mirahall`, `errors`, `config`, `cache` and this module.
+A process ends through `entry`: `main()`, then `gc.freeze()`, so the
+collections of interpreter shutdown skip the whole heap (which teardown
+still frees by reference count), then `sys.exit`; not `os._exit`, which
+would skip `atexit` and the report of a failed flush of stdout.
 """
 
+import gc
 import importlib.util
 import sys
 from collections.abc import Sequence
@@ -312,5 +317,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+def entry() -> None:
+    """The process entry (`python -m mirahall.cli`, the `mirahall` script);
+    `main` itself never freezes, for the callers that stay in process."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -23,32 +23,31 @@ from .partitions import Partition, trim
 def _tableaux(lam: Partition, mu: Partition):
     """Row lists of the semistandard tableaux of shape lam and weight mu,
     letter k + 1 placed as a horizontal strip of mu[k] boxes."""
+    return _strips(lam, mu, [0] * len(lam), 0, [[] for _ in lam])
 
-    def strips(shape: list[int], k: int, rows: list[list[int]]):
-        if k == len(mu):
-            if shape == list(lam):
-                yield rows
-            return
-        new: list[int] = []
 
-        def place(i: int, left: int):
-            if i == len(lam):
-                if left == 0:
-                    yield list(new)
-                return
-            top = lam[i] if i == 0 else min(lam[i], shape[i - 1])
-            for grow in range(min(top - shape[i], left), -1, -1):
-                new.append(shape[i] + grow)
-                yield from place(i + 1, left - grow)
-                new.pop()
+# module level: a closure that calls itself is a cycle only the collector frees
+def _strips(lam: Partition, mu: Partition, shape: list[int], k: int, rows: list[list[int]]):
+    if k == len(mu):
+        if shape == list(lam):
+            yield rows
+        return
+    for nxt in _place(lam, shape, 0, mu[k], []):
+        filled = [row + [k + 1] * (nxt[i] - shape[i]) for i, row in enumerate(rows)]
+        yield from _strips(lam, mu, nxt, k + 1, filled)
 
-        for nxt in place(0, mu[k]):
-            filled = [
-                row + [k + 1] * (nxt[i] - shape[i]) for i, row in enumerate(rows)
-            ]
-            yield from strips(nxt, k + 1, filled)
 
-    yield from strips([0] * len(lam), 0, [[] for _ in lam])
+def _place(lam: Partition, shape: list[int], i: int, left: int, new: list[int]):
+    """Each way to grow rows i on of `shape` by a horizontal strip of `left` boxes."""
+    if i == len(lam):
+        if left == 0:
+            yield list(new)
+        return
+    top = lam[i] if i == 0 else min(lam[i], shape[i - 1])
+    for grow in range(min(top - shape[i], left), -1, -1):
+        new.append(shape[i] + grow)
+        yield from _place(lam, shape, i + 1, left - grow, new)
+        new.pop()
 
 
 def _charge(word: list[int]) -> int:

@@ -187,29 +187,32 @@ def green_labels(n: int, q: int, pure: bool = False) -> list["GreenLabel"]:
         return []
     polys = irreducible_polys(q, max(n, 1))
     out: list[GreenLabel] = []
-
-    # one level per polynomial in the support, so the depth is at most n
-    def rec(start: int, remaining: int, acc: list) -> None:
-        if remaining == 0:
-            out.append(GreenLabel(q, tuple(acc)))
-            return
-        for idx in range(start, len(polys)):
-            f = polys[idx]
-            d = len(f) - 1
-            if d > remaining:
-                break
-            for w in range(d, remaining + 1, d):
-                shapes = (
-                    [((), mu) for mu in partitions_of(w // d)]
-                    if pure
-                    else bipartitions_of(w // d)
-                )
-                for bp in shapes:
-                    rec(idx + 1, remaining - w, acc + [(f, bp)])
-
-    rec(0, n, [])
+    _gather_labels(q, polys, pure, 0, n, [], out)
     out.sort(key=GreenLabel.sort_key)
     return out
+
+
+def _gather_labels(q: int, polys: list, pure: bool, start: int, remaining: int,
+                   acc: list, out: list) -> None:
+    """Append to `out` each label that extends `acc` by polynomials from
+    polys[start:] of total weight `remaining`, one level per polynomial
+    (so the depth is at most n); see `symfunc._strips` on why not a closure."""
+    if remaining == 0:
+        out.append(GreenLabel(q, tuple(acc)))
+        return
+    for idx in range(start, len(polys)):
+        f = polys[idx]
+        d = len(f) - 1
+        if d > remaining:
+            break
+        for w in range(d, remaining + 1, d):
+            shapes = (
+                [((), mu) for mu in partitions_of(w // d)]
+                if pure
+                else bipartitions_of(w // d)
+            )
+            for bp in shapes:
+                _gather_labels(q, polys, pure, idx + 1, remaining - w, acc + [(f, bp)], out)
 
 
 @lru_cache(maxsize=None)
