@@ -11,7 +11,10 @@ empty `--cache-dir`, so every table is built from scratch.  For each
 the record keeps the wall time, the process's own peak resident size
 (`VmHWM` from `/proc/self/status`, read by the process as it exits),
 its exit code, the sha256 of its stdout, the number and total bytes
-of the files it left in its cache directory, and `exit_s`, the time
+of the files it left in its cache directory, `compiled_lines` and
+`compile_s`, the lines of mirahall source that the process compiled
+and the time that took (`SourceFileLoader.source_to_code`, wrapped in
+the child), and `exit_s`, the time
 from the child's `finally` (after the CLI has returned, so after the
 request's `main` and its exit call) to the harness's reap of the child,
 both read on `time.monotonic()`, the clock every process on the host
@@ -83,7 +86,8 @@ IWAHORI_NS = (2, 3, 4)
 # the largest `pi` size too, where `mhl` is refused by its own budget),
 # a csv and a latex render of a large table, `iwahori mult` at N = 3's
 # widest accepted window, every `verify` suite (its report's sha256 pins
-# the checks) and the latex render of the largest `iwahori mult` table
+# the checks), the latex render of the largest `iwahori mult` table and
+# the eight requests of the benchmark's cold-tables workload (json)
 COLD_EXTRA = (
     ("hall", "--x", "5,4", "--y", "4,4"),
     ("pi", "--n", "12", "--N", "1"),
@@ -98,6 +102,14 @@ COLD_EXTRA = (
     ("iwahori", "mult", "--N", "3", "--window", "4"),
     ("verify", "--suite", "all"),
     ("iwahori", "mult", "--N", "4", "--format", "latex"),
+    ("pi", "--n", "4"),
+    ("mhl", "--n", "3"),
+    ("trace", "--n", "3", "--q", "3"),
+    ("hall", "--x", "2", "--y", "1,1"),
+    ("mirabolic", "--src", "2,1|1", "--r", "2"),
+    ("mirabolic", "--src", "2|1", "--r", "1", "--side", "right"),
+    ("green", "--n", "2", "--q", "3"),
+    ("iwahori", "mult", "--N", "2"),
 )
 
 # the host speed gauge of perfbench/run.py, with its thread pins
@@ -115,11 +127,28 @@ def _git(checkout: Path, *args: str) -> str:
 
 
 # `python3 -c CHILD HWM_FILE ARGS...` runs `mirahall ARGS` as `-m
-# mirahall.cli` would, then writes its own VmHWM, in kB, and the
-# monotonic time at which the CLI returned to HWM_FILE, whatever the exit.
+# mirahall.cli` would, then writes its own VmHWM, in kB, the monotonic
+# time at which the CLI returned, and the lines and seconds of the
+# mirahall source it compiled to HWM_FILE, whatever the exit.
 CHILD = """
-import runpy, sys, time
+import os, runpy, sys, time
+from importlib.machinery import SourceFileLoader
 hwm_file = sys.argv.pop(1)
+compiled = [0, 0.0]
+source_to_code = SourceFileLoader.source_to_code
+
+
+def timed_source_to_code(self, data, path, *args, **kwargs):
+    start = time.perf_counter()
+    try:
+        return source_to_code(self, data, path, *args, **kwargs)
+    finally:
+        if os.sep + "mirahall" + os.sep in str(path):
+            compiled[0] += bytes(data).count(b"\\n")
+            compiled[1] += time.perf_counter() - start
+
+
+SourceFileLoader.source_to_code = timed_source_to_code
 try:
     runpy.run_module("mirahall.cli", run_name="__main__", alter_sys=True)
 finally:
@@ -127,7 +156,7 @@ finally:
     with open("/proc/self/status") as fh:
         hwm = next(line for line in fh if line.startswith("VmHWM:"))
     with open(hwm_file, "w") as fh:
-        fh.write(f"{hwm.split()[1]} {returned!r}")
+        fh.write(f"{hwm.split()[1]} {returned!r} {compiled[0]} {compiled[1]!r}")
 """
 
 
@@ -155,12 +184,14 @@ def time_cold(checkout: Path, args: list[str]) -> dict:
             reaped = time.monotonic()
             wall = time.perf_counter() - start
         digest = hashlib.sha256(Path(out_path).read_bytes()).hexdigest()
-        peak_kb, returned = Path(hwm_path).read_text().split()
+        peak_kb, returned, lines, compile_s = Path(hwm_path).read_text().split()
         stored = [p.stat().st_size for p in Path(tmp, "cache").glob("*")]
     return {
         "wall_s": round(wall, 3),
         "peak_rss_mb": round(int(peak_kb) / 1024, 1),
         "exit_s": round(reaped - float(returned), 4),
+        "compiled_lines": int(lines),
+        "compile_s": round(float(compile_s), 4),
         "exit": code,
         "sha256": digest,
         "cache_files": len(stored),

@@ -7,11 +7,11 @@ the point is an eyeball check with provenance in one place.
 """
 
 from mirahall.affine import pattern_check, ts_action, universe
-from mirahall.bimodule import pi_table
+from mirahall.bimodule import pi_table, trace_value
 from mirahall.closedform import closed_form_G
 from mirahall.hall import hall_mul, u_elt
 from mirahall.oracle import counted_ts_action, fiber_oracle_check
-from mirahall.traces import green_freeness_check, trace_value
+from mirahall.traces import green_freeness_check
 
 
 def size_two_table():

@@ -1,198 +1,29 @@
-"""The payload builders and renderers that a cache miss runs.
+"""The renderers that every cache miss runs.
 
-A payload builder (`pi_payload` ... `iwahori_payload`) is pure: cost
-guard (in `costs`), then table build, then JSON tree; `render` writes a
-tree in one of FORMATS, json through `json_text`, csv and latex each in
-its own format only, one text per distinct cell.  `cli` registers this
-module lazily, so an artifact hit never runs it.  It never imports
-`cli`, which under `python -m mirahall.cli` is `__main__` and would run
-twice; it reads the kernel and table modules from the package, which
-keeps each of them lazy until its first use.
+A subcommand's pure payload builder (cost guard, then table build, then
+JSON tree) and its csv and latex rows are its own module's,
+`serve_<subcommand>` (`payload`, `rows`), so a miss compiles no other
+subcommand's.  `render` writes a tree in one of FORMATS, json through
+`json_text` (whose string encoder is `_json`'s, so a miss loads no
+`json` package), csv and latex each in its own format only, one text
+per distinct cell.  `cli` registers this module and the serving modules
+lazily, so an artifact hit never runs them.  They never import `cli`,
+which under `python -m mirahall.cli` is `__main__` and would run twice;
+they read the kernel and table modules from the package, which keeps
+each of them lazy until its first use.
 """
 
-from __future__ import annotations
-
-import json
-from functools import lru_cache
-from json.encoder import encode_basestring_ascii
+import importlib
 from typing import Mapping
 
-from . import affine, bimodule, closedform, costs, hall, laurent, partitions, traces
-from .config import FORMATS, bplabel, plabel
+try:
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter built without the accelerator
+    from json.encoder import encode_basestring_ascii
+
+from . import laurent
+from .config import FORMATS
 from .errors import UsageError
-
-
-# --- payload builders ---------------------------------------------------------
-
-
-def _ilabel(x) -> dict:
-    return {
-        "window": list(x.w.window),
-        "lo": x.beta.lo,
-        "extra": list(x.beta.extra),
-    }
-
-
-def _nonzero_cells(table):
-    """(row, col, value) of each stored cell, row-major in `table.order`."""
-    for row in table.order:
-        for col in table.order:
-            val = table.cells.get((row, col))
-            if val is not None:
-                yield row, col, val
-
-
-def pi_payload(n: int, rank: int) -> dict:
-    costs.check_cost(n, rank)
-    table = bimodule.pi_table(n, rank)
-    calibrated, raw = [], []
-    for row, col, val in _nonzero_cells(table):
-        cell = {"row": bplabel(row), "col": bplabel(col), "coeff": val.to_json()}
-        calibrated.append(cell)
-        if bimodule.calibration_sign(row, col) < 0:
-            cell = {**cell, "coeff": {e: -c for e, c in cell["coeff"].items()}}
-        raw.append(cell)
-    return {
-        "kind": "pi",
-        "n": n,
-        "N": rank,
-        "order": [bplabel(bp) for bp in table.order],
-        "calibrated": calibrated,
-        "raw": raw,
-        "diag_units": [
-            {"col": bplabel(col), "unit": bimodule.diag_unit(col).to_json()}
-            for col in table.order
-        ],
-    }
-
-
-def mhl_payload(n: int, rank: int) -> dict:
-    # `cli` refuses rank < n first, as a usage error; below its size
-    # `bimodule.mhl_poly` raises RankTooSmall
-    costs.check_cost(n, rank, costs.MAX_MHL_LABELS)
-    entries = []
-    for bp in partitions.bipartitions_of(n):
-        tensor, prefactor = bimodule.mhl_poly(bp, rank)
-        entries.append(
-            {
-                "label": bplabel(bp),
-                "prefactor": prefactor.to_json(),
-                "tensor": [
-                    {"pair": bplabel(key), "coeff": val.to_json()}
-                    for key, val in tensor.items()
-                ],
-            }
-        )
-    return {"kind": "mhl", "n": n, "N": rank, "entries": entries}
-
-
-def trace_payload(n: int, q: int) -> dict:
-    costs.check_cost(n)
-    table = bimodule.pi_table(n, max(n, 1))
-    cells = []
-    for row, col, val in _nonzero_cells(table):
-        plain, radical = traces.trace_value(col, row, val)
-        cells.append(
-            {
-                "row": bplabel(row),
-                "col": bplabel(col),
-                "plain": plain.to_json(),
-                "radical": radical.to_json(),
-            }
-        )
-    return {
-        "kind": "trace",
-        "n": n,
-        "q": q,
-        "order": [bplabel(bp) for bp in table.order],
-        "cells": cells,
-    }
-
-
-def hall_payload(x, y, rank: int) -> dict:
-    if len(x) > rank or len(y) > rank:
-        raise UsageError(f"shapes {x} and {y} need rank above {rank}")
-    costs.check_hall_cost(x, y, rank)
-    prod = hall.hall_mul(hall.u_elt(x, rank), hall.u_elt(y, rank))
-    return {
-        "kind": "hall",
-        "N": rank,
-        "x": plabel(x),
-        "y": plabel(y),
-        "terms": [
-            {"label": plabel(lam), "coeff": c.to_json()} for lam, c in prod.items()
-        ],
-    }
-
-
-def mirabolic_payload(src, r: int, side: str, rank: int) -> dict:
-    if r < 1:
-        raise UsageError(f"generator degree must be positive, got {r}")
-    costs.check_size_cost(partitions.size(src[0]) + partitions.size(src[1]) + r)
-    if side == "left":
-        column = closedform.closed_left_column
-    else:
-        column = closedform.stable_right_column
-    table = column(r, src, rank)
-    terms = [{"label": bplabel(tgt), "coeff": c.to_json()} for tgt, c in table.items()]
-    return {
-        "kind": "mirabolic",
-        "side": side,
-        "r": r,
-        "N": rank,
-        "src": bplabel(src),
-        "terms": terms,
-    }
-
-
-def green_payload(n: int, q: int) -> dict:
-    # refused here, before `traces` runs; the freeness check guards its
-    # library callers with the same count
-    costs.check_green_cost(n, q)
-    freeness = traces.green_freeness_check(n, q)
-    return {
-        "kind": "green",
-        "n": n,
-        "q": q,
-        "labels": [lab.pretty() for lab in traces.green_labels(n, q)],
-        "freeness": freeness,
-    }
-
-
-def iwahori_payload(N: int, window: int) -> dict:
-    costs.check_universe_cost(N, window)
-    # one JSON tree per label and coefficient, shared by every product
-    # that names it
-    label_tree = lru_cache(maxsize=None)(_ilabel)
-    coeff_tree = lru_cache(maxsize=None)(laurent.QPoly.to_json)
-    products = []
-    for x in affine.universe(N, 1, window):
-        for i in range(1, N + 1):
-            # one prediction: the case, and its shape's terms in label order
-            case, roles = affine.predicted_case(x, i)
-            products.append(
-                {
-                    "source": label_tree(x),
-                    "i": i,
-                    "case": case,
-                    "terms": [
-                        {"target": label_tree(y), "coeff": coeff_tree(c)}
-                        for y, c in affine._shape(x, case, roles).items()
-                    ],
-                }
-            )
-    return {
-        "kind": "iwahori",
-        "N": N,
-        "window": window,
-        # kept for a stable output format: the closed products take no
-        # field size, and this reads the counting oracle's default primes
-        "qs": list(affine.DEFAULT_PRIMES),
-        "products": products,
-    }
-
-
-# --- rendering ----------------------------------------------------------------
 
 
 def _poly_cell(d: Mapping[str, int], fmt: str, cls=None) -> str:
@@ -204,22 +35,11 @@ def _text_cell(text: str, fmt: str) -> str:
     return text if fmt == "csv" else rf"$\mathtt{{{text}}}$"
 
 
-def _trace_cell(cell: dict, fmt: str) -> str:
-    """plain(q) + radical(q)*sqrt(q), the radical left out when zero."""
-    a = laurent.QPoly.from_json(cell["plain"])
-    b = laurent.QPoly.from_json(cell["radical"])
-    if fmt == "csv":
-        text = a.pretty()
-        return text if b.is_zero() else f"{text} + ({b.pretty()})*sqrt(q)"
-    text = a.latex()
-    return f"${text}$" if b.is_zero() else rf"${text} + ({b.latex()})\sqrt{{q}}$"
-
-
-def _grid(payload: dict, fmt: str) -> tuple[list[str], list[list[str]]]:
-    """The header and the rows of cell texts, each cell in `fmt`."""
-    kind = payload["kind"]
-    # one text per distinct coefficient (trace cell, iwahori label) per
-    # render; kept local, as a module-level memo would grow with every table
+def _cell_texts(fmt: str):
+    """`once(key, make)`, the text `make()` made once per key, and
+    `poly(d, cls)`, a coefficient's text in `fmt` once per distinct one:
+    one text per distinct cell per render, kept local, as a module-level
+    memo would grow with every table."""
     texts = {}
 
     def once(key, make) -> str:
@@ -231,57 +51,29 @@ def _grid(payload: dict, fmt: str) -> tuple[list[str], list[list[str]]]:
     def poly(d: Mapping[str, int], cls=None) -> str:
         return once((cls, *d.items()), lambda: _poly_cell(d, fmt, cls))
 
-    if kind in ("pi", "trace"):
-        if kind == "pi":
-            listed, text = payload["calibrated"], lambda c: poly(c["coeff"])
-        else:
-            listed, text = payload["cells"], lambda c: once(
-                (tuple(c["plain"].items()), tuple(c["radical"].items())),
-                lambda: _trace_cell(c, fmt))
-        cells = {(c["row"], c["col"]): text(c) for c in listed}
-        order = payload["order"]
-        rows = [
-            [_text_cell(row, fmt)] + [cells.get((row, col), "0") for col in order]
-            for row in order
-        ]
-        return [""] + order, rows
-    if kind == "mhl":
-        rows = [
-            [_text_cell(entry["label"], fmt), poly(entry["prefactor"]),
-             _text_cell(term["pair"], fmt), poly(term["coeff"])]
-            for entry in payload["entries"]
-            for term in entry["tensor"]
-        ]
-        return ["label", "prefactor", "pair", "coeff"], rows
-    if kind in ("hall", "mirabolic"):
-        cls = laurent.LaurentPoly if kind == "hall" else laurent.QPoly
-        header = ["label", "coeff"]
-        rows = [
-            [_text_cell(term["label"], fmt), poly(term["coeff"], cls)]
-            for term in payload["terms"]
-        ]
-        return header, rows
-    if kind == "green":
-        header = ["field", "value"]
-        rows = [["label", _text_cell(lab, fmt)] for lab in payload["labels"]]
-        rows.append(["dimension", str(payload["freeness"]["dimension"])])
-        rows.append(["passed", str(payload["freeness"]["passed"])])
-        return header, rows
-    if kind == "iwahori":
-        header = ["source", "i", "case", "target", "coeff"]
+    return once, poly
 
-        def label(d: dict) -> str:
-            key = (tuple(d["window"]), d["lo"], tuple(d["extra"]))
-            return once(key, lambda: json.dumps(d, sort_keys=True))
 
-        rows = []
-        for prod in payload["products"]:
-            head = [label(prod["source"]), str(prod["i"]), str(prod["case"])]
-            rows += (
-                head + [label(term["target"]), poly(term["coeff"], laurent.QPoly)]
-                for term in prod["terms"]
-            )
-        return header, rows
+def _square_rows(order: list, cells: dict, fmt: str) -> tuple[list[str], list[list[str]]]:
+    """A table over `order` both ways (`pi`, `trace`): each row's label,
+    then its cells' texts, "0" where `cells` holds none."""
+    rows = [
+        [_text_cell(row, fmt)] + [cells.get((row, col), "0") for col in order]
+        for row in order
+    ]
+    return [""] + order, rows
+
+
+def _term_rows(payload: dict, fmt: str, cls) -> tuple[list[str], list[list[str]]]:
+    """One row per term (`hall`, `mirabolic`): its label and coefficient."""
+    _, poly = _cell_texts(fmt)
+    rows = [[_text_cell(t["label"], fmt), poly(t["coeff"], cls)] for t in payload["terms"]]
+    return ["label", "coeff"], rows
+
+
+def _grid(payload: dict, fmt: str) -> tuple[list[str], list[list[str]]]:
+    """The header and the rows of cell texts, each cell in `fmt`."""
+    kind = payload["kind"]
     if kind == "verify":
         header = ["suite", "name", "status", "detail"]
         # suite, name and detail are strings in every report
@@ -290,7 +82,11 @@ def _grid(payload: dict, fmt: str) -> tuple[list[str], list[list[str]]]:
             for c in payload["checks"]
         ]
         return header, rows
-    raise UsageError(f"no tabular view for payload kind {kind!r}")
+    try:
+        module = importlib.import_module(f"{__package__}.serve_{kind}")
+    except ModuleNotFoundError:
+        raise UsageError(f"no tabular view for payload kind {kind!r}") from None
+    return module.rows(payload, fmt)
 
 
 _SCALARS = {
@@ -301,18 +97,30 @@ _SCALARS = {
 }
 
 
-def json_text(value, pad: str = "\n") -> str:
+class Shared(dict):
+    """A subtree that one payload tree holds at many places (an iwahori
+    label or coefficient); `json_text` encodes it once per indent."""
+
+    __slots__ = ()
+
+
+def json_text(value, pad: str = "\n", texts: dict | None = None) -> str:
     """`json.dumps(value, sort_keys=True, indent=1)` for a payload tree
     of dicts with str keys, lists, tuples, str, int, bool and None; any
     other value raises TypeError.  `pad` is the newline and indent that
-    `value` sits at.  The standard library's indenting encoder is pure
-    Python, one generator step per token; this joins each container's
-    text once, brackets and separators included, so a large table is
-    held as one string per product."""
+    `value` sits at, and `texts` the text of each `Shared` subtree met
+    so far in this render, by indent and id.  The standard library's
+    indenting encoder is pure Python, one generator step per token; this
+    joins each container's text once, brackets and separators included,
+    so a large table is held as one string per product."""
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         return scalar(value)
+    texts = {} if texts is None else texts
     inner = pad + " "
+    known = texts.get(inner)  # by id, at the indent of `value`'s items
+    if known is None:
+        known = texts[inner] = {}
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -322,17 +130,21 @@ def json_text(value, pad: str = "\n") -> str:
                 raise TypeError(f"payload key {key!r} is not a string")
             v = value[key]
             scalar = _SCALARS.get(type(v))
-            chunks += (inner, encode_basestring_ascii(key), ": ",
-                       scalar(v) if scalar else json_text(v, inner), ",")
+            chunks += (inner, encode_basestring_ascii(key), ": ", scalar(v) if scalar
+                       else known.get(id(v)) or json_text(v, inner, texts), ",")
         chunks[-1] = pad + "}"
-        return "".join(chunks)
+        text = "".join(chunks)
+        if type(value) is Shared:
+            texts.setdefault(pad, {})[id(value)] = text
+        return text
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         chunks = ["["]
         for v in value:
             scalar = _SCALARS.get(type(v))
-            chunks += (inner, scalar(v) if scalar else json_text(v, inner), ",")
+            chunks += (inner, scalar(v) if scalar
+                       else known.get(id(v)) or json_text(v, inner, texts), ",")
         chunks[-1] = pad + "]"
         return "".join(chunks)
     raise TypeError(f"{type(value).__name__} is not a payload value")

@@ -1,7 +1,7 @@
 """Two-sided module over the rank-bounded Hall algebra, spanned by
 pair labels, with the transition table of its cyclic basis.  Module
 elements (`MirElt`) and two-sided Schur expansions (`TensorSym`) are
-`laurent.Combination`s of pair labels.
+`combination.Combination`s of pair labels.
 
 The left action of a shape inserts an invariant subspace below the
 marked vector's line of sight (the vector survives on the quotient);
@@ -20,7 +20,8 @@ inverts it for `mhl`.  Both read each cyclic vector from
 `c_bipartition`, the one place that checks one, and drop it after its
 column.  The table is one store, its nonzero calibrated cells: a raw
 cell is the calibrated one times `calibration_sign`, the parity of the
-codimension gap, and a column's diagonal unit is `diag_unit(col)`.
+codimension gap, a column's diagonal unit is `diag_unit(col)`, and a
+trace cell is a calibrated one read at v = √q (`trace_value`).
 """
 
 from __future__ import annotations
@@ -29,25 +30,13 @@ from functools import lru_cache, partial
 from typing import Mapping
 
 from .closedform import _fits, closed_form_G
-from .errors import (
-    DiagonalNotUnit,
-    NotInTable,
-    OracleMismatch,
-    RankTooSmall,
-)
+from .combination import Combination
+from .errors import DiagonalNotUnit, NonIntegral, NotInTable, OracleMismatch, RankTooSmall
 from .hall import HallElt, c_expand, monomial_action
-from .laurent import Combination, LaurentPoly
-from .partitions import (
-    Bipartition,
-    Partition,
-    ah_leq,
-    bipartitions_of,
-    label_size,
-    pair_codim,
-    pair_orbit_dim,
-    trim,
-    trim_pair,
-)
+from .laurent import LaurentPoly, QPoly
+from .partitions import (Bipartition, Partition, ah_leq, bipartitions_of, conjugate,
+                         interleaved_key, label_size, pair_codim, pair_orbit_dim,
+                         partitions_of, trim, trim_pair)
 
 
 class MirElt(Combination):
@@ -136,15 +125,46 @@ def _right_vacuum(mu: Partition, rank: int) -> MirElt:
 
 
 def _labels(n: int, rank: int) -> tuple[Bipartition, ...]:
-    return tuple(
-        bp for bp in bipartitions_of(n) if _fits(bp, rank)
-    )
+    """The labels of size n with at most `rank` rows per component, in
+    the order of `bipartitions_of(n)`, listing no other label: a shape
+    fits when its conjugate has parts at most `rank`."""
+    if rank >= n:
+        return bipartitions_of(n)
+    fit = [[conjugate(lam) for lam in partitions_of(k, rank)] for k in range(n + 1)]
+    out = [(lam, mu) for k in range(n, -1, -1) for lam in fit[k] for mu in fit[n - k]]
+    out.sort(key=lambda bp: interleaved_key(bp, n), reverse=True)
+    return tuple(out)
 
 
 def calibration_sign(row: Bipartition, col: Bipartition) -> int:
     """The sign that carries a raw cell to its calibrated one: the
     parity of the codimension gap between row and column."""
     return -1 if (pair_codim(row) - pair_codim(col)) % 2 else 1
+
+
+def trace_value(col: Bipartition, row: Bipartition,
+                entry: LaurentPoly) -> tuple[QPoly, QPoly]:
+    """The calibrated entry at (row, col) read at v = √q, carried up by
+    √q to the codimension gap, as (plain, radical): the trace cell reads
+    plain(q) + radical(q)·√q, whatever the prime (counted by
+    `oracle.fiber_oracle_check`).  The gap is nonnegative where the entry
+    is nonzero, and the entry's lowest power is no deeper than the gap,
+    so both parts are polynomials in q; a deeper pole raises NonIntegral.
+
+    >>> col, row = ((1,), (1,)), ((), (1, 1))
+    >>> plain, radical = trace_value(col, row, pi_table(2, 2).value(row, col))
+    >>> plain.pretty(), radical.is_zero(), plain.evaluate(2)
+    ('1 + q', True, 3)
+    """
+    # trailing zeros in a label add nothing to its codimension
+    shift = pair_codim(row) - pair_codim(col)
+    parts: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for e, c in entry.items():
+        k = e + shift
+        if k < 0:
+            raise NonIntegral(f"power √q^{k} survives the shift by {shift}")
+        parts[k % 2][k // 2] = c
+    return QPoly(parts[0]), QPoly(parts[1])
 
 
 def _minus_v(k: int) -> LaurentPoly:
@@ -182,6 +202,14 @@ class PiTable:
     def raw_value(self, row: Bipartition, col: Bipartition) -> LaurentPoly:
         # trailing zeros, which `value` trims, add nothing to a codimension
         return self.value(row, col) * calibration_sign(row, col)
+
+    def nonzero_cells(self):
+        """(row, col, value) of each stored cell, row-major in `order`."""
+        for row in self.order:
+            for col in self.order:
+                val = self.cells.get((row, col))
+                if val is not None:
+                    yield row, col, val
 
 
 @lru_cache(maxsize=None)

@@ -29,11 +29,12 @@ from .affine import (
     universe,
     validate,
 )
-from .bimodule import _minus_v, pi_table
+from .bimodule import _minus_v, pi_table, trace_value
 from .config import RunConfig
 from .errors import ComponentMismatch, MiraError, OracleMismatch, TruncationTooSmall, UsageError
 from .hall import hall_mul, u_elt
-from .laurent import Combination, LaurentPoly, QPoly
+from .combination import Combination
+from .laurent import LaurentPoly, QPoly
 from .oracle import (
     _check_primes,
     _kostka_table,
@@ -48,7 +49,7 @@ from .oracle import (
 )
 from .pairs import orbit_census
 from .partitions import ah_leq, bipartitions_of, partitions_of
-from .traces import green_freeness_check, trace_value
+from .traces import green_freeness_check
 
 # --- wall-crossing relations and the closure order -----------------------------
 

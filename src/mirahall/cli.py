@@ -11,10 +11,12 @@ namespace argparse would make.  argparse, built from the same table
 (`usage`), reads every argv that `parse_args` declines (prefixes, `-vv`,
 values that start with "-", `--`, `-h`), and prints help and usage
 errors.  Every subcommand but `verify` serves through
-`_serve_cached`, from the cache of rendered artifacts; the payload
-builders and renderers (`artifacts`), the guards (`costs`), the kernel
-and the table modules are registered lazily (`_lazy`), so an artifact
-hit runs only `mirahall`, `errors`, `config`, `cache` and this module.
+`_serve_cached`, from the cache of rendered artifacts; the renderers
+(`artifacts`), each subcommand's payload builder and rows (its own
+`serve_<subcommand>`, so a miss compiles no other's), the guards
+(`costs`), the kernel and the table modules are registered lazily
+(`_lazy`), so an artifact hit runs only `mirahall`, `errors`, `config`,
+`cache` and this module.
 A process ends through `entry`: `main()`, then `gc.freeze()`, so the
 collections of interpreter shutdown skip the whole heap (which teardown
 still frees by reference count), then `sys.exit`; not `os._exit`, which
@@ -51,8 +53,9 @@ def _lazy(name: str):
 
 
 # Every module a request can reach is in sys.modules from import on, for perfbench/traced.py
-# to wrap (symfunc too, which no payload calls); `artifacts` reads them from the package.
-for _name in ("laurent", "partitions", "costs", "affine", "bimodule",
+# to wrap (symfunc too, which no payload calls); `artifacts` and the serving modules
+# (`_SERVE`) read them from the package.
+for _name in ("laurent", "combination", "partitions", "costs", "affine", "bimodule",
               "closedform", "hall", "symfunc", "traces"):
     _lazy(_name)
 artifacts = _lazy("artifacts")
@@ -209,7 +212,7 @@ def _serve_cached(kind: str, params: dict, build, args: SimpleNamespace,
 def _cmd_pi(args: SimpleNamespace, cfg: RunConfig) -> int:
     n, rank = cfg.n, cfg.resolved_rank()
     return _serve_cached("pi", {"n": n, "N": rank},
-                         lambda: artifacts.pi_payload(n, rank), args, cfg)
+                         lambda: _SERVE["pi"].payload(n, rank), args, cfg)
 
 
 def _cmd_mhl(args: SimpleNamespace, cfg: RunConfig) -> int:
@@ -218,33 +221,33 @@ def _cmd_mhl(args: SimpleNamespace, cfg: RunConfig) -> int:
     if rank < n:
         raise UsageError(f"mhl needs --N >= n, got n={n}, N={rank}")
     return _serve_cached("mhl", {"n": n, "N": rank},
-                         lambda: artifacts.mhl_payload(n, rank), args, cfg)
+                         lambda: _SERVE["mhl"].payload(n, rank), args, cfg)
 
 
 def _cmd_trace(args: SimpleNamespace, cfg: RunConfig) -> int:
     n, q = cfg.n, _field_size(args, cfg)
     return _serve_cached("trace", {"n": n, "q": q},
-                         lambda: artifacts.trace_payload(n, q), args, cfg)
+                         lambda: _SERVE["trace"].payload(n, q), args, cfg)
 
 
 def _cmd_hall(args: SimpleNamespace, cfg: RunConfig) -> int:
     x, y = parse_partition(args.x), parse_partition(args.y)
     rank = cfg.rank if cfg.rank else max(len(x) + len(y), 1)
     return _serve_cached("hall", {"x": plabel(x), "y": plabel(y), "N": rank},
-                         lambda: artifacts.hall_payload(x, y, rank), args, cfg)
+                         lambda: _SERVE["hall"].payload(x, y, rank), args, cfg)
 
 
 def _cmd_mirabolic(args: SimpleNamespace, cfg: RunConfig) -> int:
     src, r, side = parse_bipartition(args.src), args.r, args.side
     rank = cfg.rank if cfg.rank else sum(src[0]) + sum(src[1]) + r
     return _serve_cached("mirabolic", {"src": bplabel(src), "r": r, "side": side, "N": rank},
-                         lambda: artifacts.mirabolic_payload(src, r, side, rank), args, cfg)
+                         lambda: _SERVE["mirabolic"].payload(src, r, side, rank), args, cfg)
 
 
 def _cmd_green(args: SimpleNamespace, cfg: RunConfig) -> int:
     n, q = cfg.n, _field_size(args, cfg)
     return _serve_cached("green", {"n": n, "q": q},
-                         lambda: artifacts.green_payload(n, q), args, cfg)
+                         lambda: _SERVE["green"].payload(n, q), args, cfg)
 
 
 def _cmd_iwahori(args: SimpleNamespace, cfg: RunConfig) -> int:
@@ -252,7 +255,7 @@ def _cmd_iwahori(args: SimpleNamespace, cfg: RunConfig) -> int:
         raise UsageError(f"period must be at least 2, got {args.N}")
     N, window = args.N, cfg.window
     return _serve_cached("iwahori", {"N": N, "window": window},
-                         lambda: artifacts.iwahori_payload(N, window), args, cfg)
+                         lambda: _SERVE["iwahori"].payload(N, window), args, cfg)
 
 
 def _cmd_verify(args: SimpleNamespace, cfg: RunConfig) -> int:
@@ -292,6 +295,9 @@ _SUBCOMMANDS = {
         _option("--qs", help="comma-separated primes"),
         _option("--max-n", type=int), *_COMMON), _cmd_verify),
 }
+
+# each subcommand's payload builder and rows (`serve_<name>`), all but verify's
+_SERVE = {name: _lazy(f"serve_{name}") for name in _SUBCOMMANDS if name != "verify"}
 
 # words a subcommand reads before its options, into `icmd`: word: help line
 _WORDS = {"iwahori": {"mult": "product table with case assignments"}}

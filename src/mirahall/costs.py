@@ -1,17 +1,16 @@
-"""Cost models of every request, and the guards that refuse a request
-past its budget before any table work.
+"""Cost models of the table requests, and the guards that refuse a
+request past its budget before any table work.
 
 `check_cost` and `check_size_cost` bound the labels of the tables that
 `pi`, `mhl` (by a budget of its own), `trace` and `mirabolic` build,
-`check_universe_cost` the candidate labels of `iwahori mult`,
-`check_green_cost` the class ring of `green` and `check_hall_cost` the
-generator steps of a `hall` product.  Each counts without building anything, from `partitions` at
-most, which this module reaches as a module so that a guard that needs
-no label count (`iwahori`) leaves it unrun; a refused request runs no
-table module.  A request runs this module only when a payload builder
-(in `mirahall.artifacts`) reaches its guard, and
-`traces.green_freeness_check` runs the `green` guard for its library
-callers.
+`check_universe_cost` the candidate labels of `iwahori mult` and
+`check_hall_cost` the generator steps of a `hall` product; the class
+ring of `green` is guarded beside its labels (`traces.check_green_cost`).
+Each counts without building anything, from `partitions` at most, which
+this module reaches as a module so that a guard that needs no label
+count (`iwahori`) leaves it unrun; a refused request runs no table
+module.  A request runs this module only when its payload builder (in
+its `serve_<subcommand>` module) reaches its guard.
 """
 
 from __future__ import annotations
@@ -45,15 +44,12 @@ MAX_MHL_LABELS = 300
 # 2.5 s.  It still holds back the right column, which reads a mirrored
 # left table far above its size: `--src 6,5|5,4 --r 8` (size 28) took
 # 16.9 s and the size-26 source above ran past 150 s.  1770 is n = 13.
-# For `pi` it guards `bimodule._labels(n, rank)`, which lists (and
-# caches) every label of size n to keep those that fit the rank.  Cold
-# with it raised, the faster of two runs: `pi --n 13 --N 2` took 0.78 s
-# and 32 MB, `--n 14 --N 2` 1.09 s and 40 MB; but in process, one run
-# each, `pi_table(25, 1)` (26 labels) lists 129,512 and took 1.4 s and
-# 94 MB, `(30, 1)` 4.8 s and 414 MB, and `(40, 1)` (9.0 M listed) was
-# killed for memory.  Listing only the labels that fit took n = 25, 30
-# and 40 to 0.19, 0.38 and 2.1 s at 17 MB or less, yet
-# `pi_table(60, 1)` still took 56 s: some size bound has to stay.
+# A low-rank `pi` table lists only the labels that fit its rank
+# (`bimodule._labels`): in process, one run each, `pi_table(25, 1)` and
+# `(30, 1)` took 0.16 and 0.39 s at 15 MB, yet `pi_table(60, 1)` took
+# 56 s, so some size bound has to stay.  Cold with it raised, the faster
+# of two runs: `pi --n 13 --N 2` took 0.78 s and 32 MB, `--n 14 --N 2`
+# 1.09 s and 40 MB.
 MAX_SIZE_LABELS = 1770
 
 
@@ -107,96 +103,6 @@ def check_universe_cost(N: int, window: int) -> None:
             f"iwahori mult --N {N} --window {window} tries N! 3^N 4^window"
             f" > {MAX_CANDIDATES} candidate labels"
         )
-
-
-# Budget for the class ring that `green` lists and checks, in labels:
-# `green_freeness_check` takes one product of plain classes per label
-# and eliminates over the square matrix of them.  Cold on a 2-vCPU
-# box: `--n 8 --q 2` (1,606 labels) in 13 s, `--n 4 --q 5` (2,776) in
-# 7 s, `--n 2 --q 31` and `--n 1 --q 1499` in 6 s are accepted;
-# `--n 9 --q 2` (3,650 labels) in 60 s and `--n 4 --q 7` (11,124) in
-# 111 s are refused.  The labels grow with n and q, and the smallest
-# refused input at each q ran past a minute (or, at n = 1, hit the
-# recursion limit) before the elimination was fraction-free, so nothing
-# that finished within a minute is refused.
-MAX_GREEN_LABELS = 3000
-
-
-def _irreducible_count(q: int, d: int) -> int:
-    """Monic irreducibles of degree d over F_q, the coordinate
-    polynomial t left out: Gauss's count (1/d) sum_(e | d) mu(d/e) q^e."""
-    total = sum(_mobius(d // e) * q**e for e in range(1, d + 1) if d % e == 0)
-    return total // d - (d == 1)
-
-
-def _mobius(n: int) -> int:
-    sign, f = 1, 2
-    while f * f <= n:
-        if n % f == 0:
-            n //= f
-            if n % f == 0:
-                return 0
-            sign = -sign
-        f += 1
-    return -sign if n > 1 else sign
-
-
-def green_label_count(n: int, q: int) -> int:
-    """len(green_labels(n, q)), without listing them.
-
-    A label assigns a pair label of size k_f to each irreducible f with
-    sum k_f deg f = n, so the count is the coefficient of x^n in the
-    product over degrees d of (sum_k c(k) x^(dk))^(irreducibles of
-    degree d), c(k) = `bipartition_count(k)`; each power is taken by
-    squaring, so a large field costs no more than a small one."""
-    if n < 0:
-        return 0
-    ways = [1] + [0] * n
-    for d in range(1, n + 1):
-        top = n // d
-        factor = _series_power(
-            [partitions.bipartition_count(k) for k in range(top + 1)],
-            _irreducible_count(q, d),
-        )
-        ways = [
-            sum(ways[m - d * k] * factor[k] for k in range(m // d + 1))
-            for m in range(n + 1)
-        ]
-    return ways[n]
-
-
-def _series_power(base: list[int], e: int) -> list[int]:
-    """base**e as a power series, truncated to len(base) terms."""
-    size = len(base)
-
-    def mul(a: list[int], b: list[int]) -> list[int]:
-        return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(size)]
-
-    out = [1] + [0] * (size - 1)
-    while e:
-        if e & 1:
-            out = mul(out, base)
-        base = mul(base, base)
-        e >>= 1
-    return out
-
-
-def check_green_cost(n: int, q: int) -> None:
-    """Refuse a class ring whose freeness check would run too long,
-    judged by its label count before any label is listed.  Labels on
-    t + 1 alone already number `bipartition_count(n)`, which bounds the
-    sizes whose full count is worth taking."""
-    if all(partitions.bipartition_count(k) <= MAX_GREEN_LABELS for k in range(n + 1)):
-        count = green_label_count(n, q)
-        if count <= MAX_GREEN_LABELS:
-            return
-        many = f"{count} labels"
-    else:
-        many = f"more than {MAX_GREEN_LABELS} labels"
-    raise CostGuard(
-        f"class ring at n={n}, q={q} has {many}; the budget is "
-        f"{MAX_GREEN_LABELS} labels"
-    )
 
 
 # Budget for one product `hall_mul(u_x, u_y)`, in `hall_units`.  Cold

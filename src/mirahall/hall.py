@@ -1,7 +1,7 @@
 """Hall algebra of nilpotent module types, truncated at a fixed number
 of rows.
 
-An element (`HallElt`) is a `laurent.Combination` of shapes.  Shapes
+An element (`HallElt`) is a `combination.Combination` of shapes.  Shapes
 with more rows than `rank` span an ideal (a submodule or quotient of a
 module with at most `rank` generators again has at most `rank`
 generators), so its label rule drops them and leaves an honest algebra.
@@ -24,7 +24,8 @@ from typing import Callable, Mapping
 
 from .closedform import closed_left_table
 from .errors import DiagonalNotUnit, OracleMismatch
-from .laurent import Combination, LaurentPoly
+from .combination import Combination
+from .laurent import LaurentPoly
 from .partitions import (
     Partition,
     conjugate,

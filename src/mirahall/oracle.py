@@ -44,7 +44,7 @@ from .affine import (
     _sort_key,
     ts_action,
 )
-from .bimodule import MirElt, PiTable, pi_table
+from .bimodule import MirElt, PiTable, pi_table, trace_value
 from .closedform import (
     _fits,
     closed_form_G,
@@ -61,7 +61,8 @@ from .errors import (
     UsageError,
 )
 from .hall import HallElt
-from .laurent import Combination, LaurentPoly, QPoly
+from .combination import Combination
+from .laurent import LaurentPoly, QPoly
 from .pairs import interpolate
 from .partitions import (
     Bipartition,
@@ -75,7 +76,6 @@ from .partitions import (
     trim,
     trim_pair,
 )
-from .traces import trace_value
 
 # --- symmetric polynomials in finitely many variables (the antisymmetriser) ----
 

@@ -1,16 +1,13 @@
-"""Trace cells, the calibrated table read at v = √q, and the class ring
-over a fixed finite field with labels split by irreducible polynomial.
+"""The class ring over a fixed finite field, with labels split by
+irreducible polynomial, its freeness check, and the guard that refuses
+a ring too large to check (`check_green_cost`), which counts the labels
+without listing any; the table modules are reached as modules, so a
+refused request runs none of them.
 
-A trace cell is a pair of polynomials in q, (plain, radical), for the
-value plain(q) + radical(q)·√q; it does not depend on the prime.  The
-complete-flag counting oracle that certifies the traces is
-`oracle.fiber_oracle_check`.
-
->>> from .bimodule import pi_table
->>> col, row = ((1,), (1,)), ((), (1, 1))
->>> plain, radical = trace_value(col, row, pi_table(2, 2).value(row, col))
->>> plain.pretty(), radical.is_zero(), plain.evaluate(2)
-('1 + q', True, 3)
+>>> irreducible_polys(2, 2)  # t + 1 and t^2 + t + 1 over F_2
+((1, 1), (1, 1, 1))
+>>> green_label_count(2, 2), len(green_labels(2, 2))
+(7, 7)
 """
 
 from __future__ import annotations
@@ -19,47 +16,101 @@ from functools import lru_cache
 from itertools import product as cartesian
 from typing import Iterable, Mapping
 
-from .bimodule import act, right_on_vacuum, u_bip
+from . import bimodule, combination, hall
 from .config import check_prime
-from .costs import check_green_cost
-from .errors import (
-    FieldMismatch,
-    NonIntegral,
-    NotFree,
-    UsageError,
-)
-from .hall import u_elt
-from .laurent import Combination, LaurentPoly, QPoly
-from .partitions import (
-    Bipartition,
-    bipartitions_of,
-    label_size,
-    pair_codim,
-    partitions_of,
-    trim_pair,
-)
+from .errors import CostGuard, FieldMismatch, NotFree, UsageError
+from .partitions import (Bipartition, bipartition_count, bipartitions_of, label_size,
+                         partitions_of, trim_pair)
 
 
-def trace_value(
-    col: Bipartition, row: Bipartition, entry: LaurentPoly
-) -> tuple[QPoly, QPoly]:
-    """The calibrated entry at (row, col) read at v = √q, carried up by
-    √q to the codimension gap, as (plain, radical): the cell reads
-    plain(q) + radical(q)·√q.
+# Budget for the class ring that `green` lists and checks, in labels:
+# `green_freeness_check` takes one product of plain classes per label
+# and eliminates over the square matrix of them.  Cold on a 2-vCPU
+# box: `--n 8 --q 2` (1,606 labels) in 13 s, `--n 4 --q 5` (2,776) in
+# 7 s, `--n 2 --q 31` and `--n 1 --q 1499` in 6 s are accepted;
+# `--n 9 --q 2` (3,650 labels) in 60 s and `--n 4 --q 7` (11,124) in
+# 111 s are refused.  The labels grow with n and q, and the smallest
+# refused input at each q ran past a minute (or, at n = 1, hit the
+# recursion limit) before the elimination was fraction-free, so nothing
+# that finished within a minute is refused.
+MAX_GREEN_LABELS = 3000
 
-    The gap between the two labels' codimensions is nonnegative whenever
-    the calibrated entry is nonzero, and the entry's lowest power is no
-    deeper than the gap, so both parts are polynomials in q; a deeper
-    pole raises NonIntegral."""
-    # trailing zeros in a label add nothing to its codimension
-    shift = pair_codim(row) - pair_codim(col)
-    parts: tuple[dict[int, int], dict[int, int]] = ({}, {})
-    for e, c in entry.items():
-        k = e + shift
-        if k < 0:
-            raise NonIntegral(f"power √q^{k} survives the shift by {shift}")
-        parts[k % 2][k // 2] = c
-    return QPoly(parts[0]), QPoly(parts[1])
+
+def _irreducible_count(q: int, d: int) -> int:
+    """Monic irreducibles of degree d over F_q, the coordinate
+    polynomial t left out: Gauss's count (1/d) sum_(e | d) mu(d/e) q^e."""
+    total = sum(_mobius(d // e) * q**e for e in range(1, d + 1) if d % e == 0)
+    return total // d - (d == 1)
+
+
+def _mobius(n: int) -> int:
+    sign, f = 1, 2
+    while f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            sign = -sign
+        f += 1
+    return -sign if n > 1 else sign
+
+
+def green_label_count(n: int, q: int) -> int:
+    """len(green_labels(n, q)), without listing them.
+
+    A label assigns a pair label of size k_f to each irreducible f with
+    sum k_f deg f = n, so the count is the coefficient of x^n in the
+    product over degrees d of (sum_k c(k) x^(dk))^(irreducibles of
+    degree d), c(k) = `bipartition_count(k)`; each power is taken by
+    squaring, so a large field costs no more than a small one."""
+    if n < 0:
+        return 0
+    ways = [1] + [0] * n
+    for d in range(1, n + 1):
+        top = n // d
+        factor = _series_power(
+            [bipartition_count(k) for k in range(top + 1)],
+            _irreducible_count(q, d),
+        )
+        ways = [
+            sum(ways[m - d * k] * factor[k] for k in range(m // d + 1))
+            for m in range(n + 1)
+        ]
+    return ways[n]
+
+
+def _series_power(base: list[int], e: int) -> list[int]:
+    """base**e as a power series, truncated to len(base) terms."""
+    size = len(base)
+
+    def mul(a: list[int], b: list[int]) -> list[int]:
+        return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(size)]
+
+    out = [1] + [0] * (size - 1)
+    while e:
+        if e & 1:
+            out = mul(out, base)
+        base = mul(base, base)
+        e >>= 1
+    return out
+
+
+def check_green_cost(n: int, q: int) -> None:
+    """Refuse a class ring whose freeness check would run too long,
+    judged by its label count before any label is listed.  Labels on
+    t + 1 alone already number `bipartition_count(n)`, which bounds the
+    sizes whose full count is worth taking."""
+    if all(bipartition_count(k) <= MAX_GREEN_LABELS for k in range(n + 1)):
+        count = green_label_count(n, q)
+        if count <= MAX_GREEN_LABELS:
+            return
+        many = f"{count} labels"
+    else:
+        many = f"more than {MAX_GREEN_LABELS} labels"
+    raise CostGuard(
+        f"class ring at n={n}, q={q} has {many}; the budget is "
+        f"{MAX_GREEN_LABELS} labels"
+    )
 
 
 # --- class ring over F_q, labels split by irreducible polynomial ------------
@@ -225,9 +276,9 @@ def _image(side: str, nu, src: Bipartition, qd: int) -> tuple:
     in closed form (`right_on_vacuum`)."""
     rank = label_size(src) + sum(nu)
     if side == "right" and src == ((), ()):
-        image = right_on_vacuum(u_elt(nu, rank))
+        image = bimodule.right_on_vacuum(hall.u_elt(nu, rank))
     else:
-        image = act(side, u_elt(nu, rank), u_bip(src, rank))
+        image = bimodule.act(side, hall.u_elt(nu, rank), bimodule.u_bip(src, rank))
     return tuple((tgt, g.bar().to_t_poly().evaluate(qd)) for tgt, g in image.items())
 
 
@@ -265,7 +316,7 @@ def green_mul(
                     support[f] = tgt
             if coeff == 0:
                 continue
-            Combination._accumulate(out, [(GreenLabel(cls.q, support), coeff)])
+            combination.Combination._accumulate(out, [(GreenLabel(cls.q, support), coeff)])
     return out
 
 
@@ -319,8 +370,8 @@ def green_freeness_check(n: int, q: int) -> dict:
     """Two-sided products of plain classes against the empty label must
     hit the size-n labels through a square invertible matrix over Q.
 
-    A ring past the label budget is refused (`costs.check_green_cost`)
-    before any label is listed."""
+    A ring past the label budget is refused (`check_green_cost`) before
+    any label is listed."""
     check_prime(q)
     check_green_cost(n, q)
     labels = green_labels(n, q)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mirahall.affine as affine
-import mirahall.artifacts as artifacts
+import mirahall.serve_iwahori as serve_iwahori
 import mirahall.oracle as oracle
 from mirahall.affine import (
     AffinePerm,
@@ -260,7 +260,7 @@ def test_served_products_make_no_count(monkeypatch):
     monkeypatch.setattr(oracle, "_classify_core", forbidden)
     monkeypatch.setattr(oracle, "_ts_counts", forbidden)
     monkeypatch.setattr(oracle, "interpolate", forbidden)
-    payload = artifacts.iwahori_payload(2, 2)
+    payload = serve_iwahori.payload(2, 2)
     assert len(payload["products"]) == 2 * len(universe(2))
     for args, i in PERIOD3_SPOTS:
         assert pattern_check(validate(*args), i) in range(1, 6)
@@ -393,7 +393,7 @@ def test_served_products_read_only_their_own_line_classes(monkeypatch):
     calls = _counted(monkeypatch, "_line_classes")
     for N in (2, 3):
         calls.clear()
-        payload = artifacts.iwahori_payload(N, 2)
+        payload = serve_iwahori.payload(N, 2)
         assert len(payload["products"]) == {2: 232, 3: 3288}[N]
         assert calls == [(x, i) for x in universe(N, 1, 2) for i in range(1, N + 1)]
 
@@ -403,7 +403,7 @@ def test_iwahori_payload_keeps_no_memo_per_product():
     for obj in vars(affine).values():
         if hasattr(obj, "cache_clear"):
             obj.cache_clear()
-    payload = artifacts.iwahori_payload(3, 2)
+    payload = serve_iwahori.payload(3, 2)
     assert len(payload["products"]) == 3288
     sizes = {name: obj.cache_info().currsize for name, obj in vars(affine).items()
              if hasattr(obj, "cache_info")}
@@ -434,7 +434,7 @@ def test_serving_never_rebuilds_labels(monkeypatch):
     ts_action.cache_clear()
     for name in ROUND_TRIP:
         monkeypatch.setattr(oracle, name, forbidden)
-    payload = artifacts.iwahori_payload(3, 2)
+    payload = serve_iwahori.payload(3, 2)
     assert len(payload["products"]) == 3 * len(universe(3))
     with pytest.raises(AssertionError):
         oracle.rep_roundtrip(validate((1, 2), 0))
@@ -583,7 +583,7 @@ def test_iwahori_payload_predicts_each_case_once(monkeypatch):
     monkeypatch.setattr(affine, "ts_action", forbidden)
     monkeypatch.setattr(affine, "pattern_check", forbidden)
     calls = _counted(monkeypatch, "predicted_case")
-    payload = artifacts.iwahori_payload(2, 2)
+    payload = serve_iwahori.payload(2, 2)
     assert calls == [(x, i) for x in universe(2, 1, 2) for i in (1, 2)]
     assert len(calls) == len(payload["products"])
 

@@ -406,3 +406,13 @@ def test_both_triangular_systems_refuse_a_corrupt_cyclic_vector(monkeypatch, col
     hall._gen_decomposition.cache_clear()
     with pytest.raises(DiagonalNotUnit):
         hall._gen_decomposition((1,), 2)
+
+
+def test_labels_that_fit_a_rank_are_the_filtered_labels_in_order():
+    # listed without the labels that do not fit; a rank of n or more
+    # keeps every label
+    for n in range(13):
+        every = bipartitions_of(n)
+        for rank in range(1, n + 2):
+            fit = tuple(bp for bp in every if len(bp[0]) <= rank and len(bp[1]) <= rank)
+            assert bimodule._labels(n, rank) == fit, (n, rank)

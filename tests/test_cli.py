@@ -24,6 +24,13 @@ from mirahall import (
     laurent,
     oracle,
     partitions,
+    serve_green,
+    serve_hall,
+    serve_iwahori,
+    serve_mhl,
+    serve_mirabolic,
+    serve_pi,
+    serve_trace,
     symfunc,
     traces,
 )
@@ -91,8 +98,8 @@ def test_pi_json_round_trip(capsys):
 
 def test_trace_cells_are_the_nonzero_calibrated_cells_in_order():
     for n in range(6):
-        pi_cells = artifacts.pi_payload(n, max(n, 1))["calibrated"]
-        trace_cells = artifacts.trace_payload(n, 3)["cells"]
+        pi_cells = serve_pi.payload(n, max(n, 1))["calibrated"]
+        trace_cells = serve_trace.payload(n, 3)["cells"]
         assert [(c["row"], c["col"]) for c in trace_cells] == [
             (c["row"], c["col"]) for c in pi_cells
         ], n
@@ -111,7 +118,7 @@ def test_pi_raw_cells_are_the_stored_cells_times_their_sign():
                 for col in table.order
                 if (row, col) in table.cells
             ]
-            assert artifacts.pi_payload(n, rank)["raw"] == want, (n, rank)
+            assert serve_pi.payload(n, rank)["raw"] == want, (n, rank)
 
 
 def test_pi_latex_standalone(capsys):
@@ -478,14 +485,14 @@ def test_every_order_of_formats_serves_the_cold_bytes(tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize("build", [
-    lambda: artifacts.iwahori_payload(3, 2),
-    lambda: artifacts.pi_payload(5, 5),
-    lambda: artifacts.trace_payload(5, 3),
-    lambda: artifacts.mhl_payload(4, 4),
-    lambda: artifacts.hall_payload((2, 1), (2, 1), 4),
-    lambda: artifacts.green_payload(3, 3),
-    lambda: artifacts.mirabolic_payload(((2, 1), (1,)), 2, "left", 6),
-    lambda: artifacts.mirabolic_payload(((2,), (1,)), 1, "right", 4),
+    lambda: serve_iwahori.payload(3, 2),
+    lambda: serve_pi.payload(5, 5),
+    lambda: serve_trace.payload(5, 3),
+    lambda: serve_mhl.payload(4, 4),
+    lambda: serve_hall.payload((2, 1), (2, 1), 4),
+    lambda: serve_green.payload(3, 3),
+    lambda: serve_mirabolic.payload(((2, 1), (1,)), 2, "left", 6),
+    lambda: serve_mirabolic.payload(((2,), (1,)), 1, "right", 4),
     lambda: cli.verify_payload(["hall"], RunConfig()),
 ], ids=["iwahori mult --N 3", "pi --n 5", "trace --n 5 --q 3", "mhl --n 4",
         "hall --x 2,1 --y 2,1", "green --n 3 --q 3", "mirabolic left",
@@ -502,10 +509,10 @@ def test_parsed_json_artifact_renders_as_the_fresh_tree(build):
 
 @pytest.mark.parametrize("fmt, other", [("csv", "latex"), ("latex", "pretty")])
 @pytest.mark.parametrize("build", [
-    lambda: artifacts.pi_payload(4, 4),
-    lambda: artifacts.trace_payload(4, 3),
-    lambda: artifacts.iwahori_payload(2, 1),
-    lambda: artifacts.mhl_payload(3, 3),
+    lambda: serve_pi.payload(4, 4),
+    lambda: serve_trace.payload(4, 3),
+    lambda: serve_iwahori.payload(2, 1),
+    lambda: serve_mhl.payload(3, 3),
 ], ids=["pi", "trace", "iwahori", "mhl"])
 def test_a_render_formats_cells_only_in_its_own_format(monkeypatch, build, fmt, other):
     tree = build()
@@ -525,7 +532,7 @@ def test_a_render_formats_cells_only_in_its_own_format(monkeypatch, build, fmt, 
 
 
 def test_a_trace_render_formats_each_distinct_cell_once(monkeypatch):
-    tree = artifacts.trace_payload(6, 3)
+    tree = serve_trace.payload(6, 3)
     distinct = {(json.dumps(c["plain"]), json.dumps(c["radical"])) for c in tree["cells"]}
     assert (len(distinct), len(tree["cells"])) == (85, 1623)
     calls = []
@@ -871,9 +878,9 @@ def test_serving_path_never_runs_the_antisymmetriser(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     try:
-        assert len(artifacts.pi_payload(5, 5)["order"]) == 36
-        assert len(artifacts.mhl_payload(3, 3)["entries"]) == 10
-        assert len(artifacts.trace_payload(3, 3)["order"]) == 10
+        assert len(serve_pi.payload(5, 5)["order"]) == 36
+        assert len(serve_mhl.payload(3, 3)["entries"]) == 10
+        assert len(serve_trace.payload(3, 3)["order"]) == 10
     finally:
         _clear_caches()
 
@@ -895,14 +902,14 @@ def test_json_text_matches_the_standard_library(tree):
 def test_json_text_on_every_payload_kind(tmp_path):
     cfg = RunConfig(cache_dir=str(tmp_path / "cache"), max_n=2)
     payloads = [
-        artifacts.pi_payload(3, 3),
-        artifacts.mhl_payload(2, 2),
-        artifacts.trace_payload(2, 3),
-        artifacts.hall_payload((2,), (1,), 2),
-        artifacts.mirabolic_payload(((1,), (1,)), 1, "left", 3),
-        artifacts.mirabolic_payload(((1,), ()), 1, "right", 3),
-        artifacts.green_payload(2, 3),
-        artifacts.iwahori_payload(2, 1),
+        serve_pi.payload(3, 3),
+        serve_mhl.payload(2, 2),
+        serve_trace.payload(2, 3),
+        serve_hall.payload((2,), (1,), 2),
+        serve_mirabolic.payload(((1,), (1,)), 1, "left", 3),
+        serve_mirabolic.payload(((1,), ()), 1, "right", 3),
+        serve_green.payload(2, 3),
+        serve_iwahori.payload(2, 1),
         cli.verify_payload(["census"], cfg),
         {"empty_list": [], "empty_dict": {}, "nested": [[], {}, [{}]], "none": None},
     ]
@@ -910,6 +917,28 @@ def test_json_text_on_every_payload_kind(tmp_path):
         for tree in (payload, json.loads(json.dumps(payload))):
             want = json.dumps(tree, sort_keys=True, indent=1) + "\n"
             assert artifacts.render(tree, "json") == want, payload.get("kind")
+
+
+def test_json_text_encodes_a_shared_subtree_once_per_indent():
+    label = artifacts.Shared(window=[1, 2], lo=0, extra=[])
+    tree = {"a": [label, {"b": label}], "c": label, "d": artifacts.Shared()}
+    assert artifacts.json_text(tree) == json.dumps(tree, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("N, calls, digest", [
+    (2, 1833, "92a9e697fe1c17a64c5aa58ad541cce7a803a0b1e3b2db2bd81d9dc15271e009"),
+    (3, 20942, "b7de62cfbd478a89d20a141581879a962cfcce1ea74169f1cec13c033577f5d2"),
+])
+def test_an_iwahori_json_render_encodes_each_label_once_per_indent(monkeypatch, N, calls,
+                                                                   digest):
+    # each label's text is made once at each indent it sits at (a source,
+    # a target), in three calls, and reused there without a call
+    tree = serve_iwahori.payload(N, 2)
+    counted, encode = [], artifacts.json_text
+    monkeypatch.setattr(artifacts, "json_text", lambda *a: counted.append(1) or encode(*a))
+    text = artifacts.render(tree, "json")
+    assert len(counted) == calls
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_json_text_refuses_what_is_not_a_payload():

@@ -29,7 +29,7 @@ from mirahall import (
     traces,
 )
 from mirahall.bimodule import gen_act, mhl_poly, pi_table, u_bip
-from mirahall.artifacts import mirabolic_payload
+from mirahall.serve_mirabolic import payload as mirabolic_payload
 from mirahall.hall import hall_mul, u_elt
 from mirahall.traces import GreenLabel, green_mul
 

@@ -1,4 +1,4 @@
-"""Properties of the one sparse combination type, `laurent.Combination`,
+"""Properties of the one sparse combination type, `combination.Combination`,
 under each of its four label rules: shapes (`HallElt`), pair labels
 (`MirElt`), two-sided Schur pairs (`TensorSym`, no rank) and monomials
 (`VarPoly`)."""

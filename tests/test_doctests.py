@@ -5,7 +5,7 @@ import importlib
 
 import pytest
 
-MODULES = ("affine", "laurent", "pairs", "partitions", "symfunc", "traces")
+MODULES = ("affine", "bimodule", "laurent", "pairs", "partitions", "symfunc", "traces")
 
 
 @pytest.mark.parametrize("name", MODULES)

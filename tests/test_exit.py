@@ -39,6 +39,13 @@ from mirahall import (
     hall,
     laurent,
     partitions,
+    serve_green,
+    serve_hall,
+    serve_iwahori,
+    serve_mhl,
+    serve_mirabolic,
+    serve_pi,
+    serve_trace,
     symfunc,
     traces,
 )
@@ -59,19 +66,19 @@ def _clear_caches():
 # the payload of each request of perfbench's cold-tables workload, and
 # three larger builds of the tables that once left cycles
 BUILDS = {
-    "pi --n 4": lambda: artifacts.pi_payload(4, 4),
-    "mhl --n 3": lambda: artifacts.mhl_payload(3, 3),
-    "trace --n 3 --q 3": lambda: artifacts.trace_payload(3, 3),
-    "hall --x 2 --y 1,1": lambda: artifacts.hall_payload((2,), (1, 1), 3),
-    "mirabolic --src 2,1|1 --r 2": lambda: artifacts.mirabolic_payload(
+    "pi --n 4": lambda: serve_pi.payload(4, 4),
+    "mhl --n 3": lambda: serve_mhl.payload(3, 3),
+    "trace --n 3 --q 3": lambda: serve_trace.payload(3, 3),
+    "hall --x 2 --y 1,1": lambda: serve_hall.payload((2,), (1, 1), 3),
+    "mirabolic --src 2,1|1 --r 2": lambda: serve_mirabolic.payload(
         parse_bipartition("2,1|1"), 2, "left", 6),
-    "mirabolic --src 2|1 --r 1 --side right": lambda: artifacts.mirabolic_payload(
+    "mirabolic --src 2|1 --r 1 --side right": lambda: serve_mirabolic.payload(
         parse_bipartition("2|1"), 1, "right", 4),
-    "green --n 2 --q 3": lambda: artifacts.green_payload(2, 3),
-    "iwahori mult --N 2": lambda: artifacts.iwahori_payload(2, 2),
-    "pi --n 6": lambda: artifacts.pi_payload(6, 6),
-    "mhl --n 5": lambda: artifacts.mhl_payload(5, 5),
-    "green --n 4 --q 5": lambda: artifacts.green_payload(4, 5),
+    "green --n 2 --q 3": lambda: serve_green.payload(2, 3),
+    "iwahori mult --N 2": lambda: serve_iwahori.payload(2, 2),
+    "pi --n 6": lambda: serve_pi.payload(6, 6),
+    "mhl --n 5": lambda: serve_mhl.payload(5, 5),
+    "green --n 4 --q 5": lambda: serve_green.payload(4, 5),
 }
 
 

@@ -9,8 +9,9 @@ serving request of the benchmark's workloads runs in a fresh
 interpreter here, which checks that neither `import mirahall.cli` nor
 the request itself loads them.
 
-The payload builders and renderers (`artifacts`), the exact kernel
-(`laurent`, `partitions`), the cost guards (`costs`) and the table
+The renderers (`artifacts`), each subcommand's payload builder and
+rows (SERVING, `serve_<subcommand>`), the exact kernel (`laurent`,
+`combination`, `partitions`), the cost guards (`costs`) and the table
 modules (TABLE_MODULES) are registered lazily by `mirahall.cli`: each
 is in `sys.modules` from import on, and its body runs at its first
 attribute access.  A request served from a stored artifact, in any
@@ -18,11 +19,16 @@ format and of any kind, `--help` and an `mhl` below its size (a usage
 error) are checked to run none of them and to leave `json` (and, for a
 hit, `__future__`) unimported;
 a csv or latex request rendered from the stored json artifact (which
-runs `artifacts` and skips the cost guard, so runs neither `costs` nor
-`partitions`), a request refused by a cost guard, and a cold `iwahori
-mult` (whose guard counts no labels, and whose table needs only
-`affine` and `laurent`) to leave the modules they do not need unrun.
-Every cold request runs `artifacts` and its guard in `costs`.
+runs `artifacts` and its own rows and skips the cost guard, so runs
+neither `costs` nor `partitions`), a request refused by a cost guard,
+and every cold request of the benchmark to leave the modules they do
+not need unrun.  A cold request runs `artifacts`, its own serving
+module and no other, and its guard: in `costs`, or for `green` in
+`traces`, which no other request runs (so a `trace` miss runs only the
+`pi` table); a `mirabolic` or `iwahori` miss runs no `combination`, and
+no miss but an iwahori csv or latex render (whose label cells are json
+text) loads `json`.  Every module a cold request runs was registered
+at import, so `perfbench/traced.py` wraps it.
 
 The front reads canonical argv (exact flags, as every request here
 sends them) from its option table and digests with the built-in
@@ -103,7 +109,10 @@ def test_serving_request_loads_no_counting_module(argv, tmp_path):
 
 
 TABLE_MODULES = ("affine", "bimodule", "closedform", "hall", "symfunc", "traces")
-LAZY_MODULES = TABLE_MODULES + ("laurent", "partitions", "costs", "artifacts")
+SERVING = tuple(f"serve_{kind}" for kind in
+                ("pi", "mhl", "trace", "hall", "mirabolic", "green", "iwahori"))
+LAZY_MODULES = TABLE_MODULES + ("laurent", "combination", "partitions", "costs",
+                                "artifacts") + SERVING
 
 # Each lazily registered module's state after one request: "lazy"
 # (registered, body not run), "ran" or "absent".  type() reads no
@@ -194,7 +203,8 @@ def json_artifact_cache(tmp_path_factory):
     for argv in workloads.COLD_TABLES:
         got = _run(STATES, workloads.with_format(argv, "json"), cache_dir)
         # a cold request passes its cost guard before any table work
-        assert got["code"] == 0 and got["states"]["costs"] == "ran"
+        guard = "traces" if argv[0] == "green" else "costs"
+        assert got["code"] == 0 and got["states"][guard] == "ran"
         assert got["states"]["artifacts"] == "ran"
     assert len(list(cache_dir.iterdir())) == len(workloads.COLD_TABLES)
     return cache_dir
@@ -208,12 +218,12 @@ def json_artifact_cache(tmp_path_factory):
 def test_payload_hit_runs_no_table_module(argv, json_artifact_cache):
     before = set(json_artifact_cache.iterdir())
     got = _run(STATES, argv, json_artifact_cache)
-    # rendered from the parsed json artifact: the render reads laurent,
-    # but not for green's text cells; the cost guard runs only when the
-    # json artifact misses too, so costs and partitions are unrun
+    # rendered from the parsed json artifact by its own rows: the render
+    # reads laurent, but not for green's text cells; the cost guard runs
+    # only when the json artifact misses too, so costs and partitions are unrun
     laurent = "lazy" if argv[0] == "green" else "ran"
-    assert got == {"code": 0, "states": dict(ALL_LAZY, laurent=laurent, artifacts="ran"),
-                   "json": True, "text": []}
+    states = dict(ALL_LAZY, laurent=laurent, artifacts="ran", **{f"serve_{argv[0]}": "ran"})
+    assert got == {"code": 0, "states": states, "json": True, "text": []}
     # an artifact miss: this request stored its own artifact
     assert len(set(json_artifact_cache.iterdir()) - before) == 1
 
@@ -241,15 +251,80 @@ REFUSED = (
 
 @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
 def test_refused_request_runs_no_table_module(argv, tmp_path):
-    # every guard but iwahori's counts labels in partitions
+    # every guard but iwahori's counts labels in partitions; green's
+    # guard is in traces, which reaches the tables it checks as modules
     partitions = "lazy" if argv[0] == "iwahori" else "ran"
+    guard = "traces" if argv[0] == "green" else "costs"
+    states = {guard: "ran", "partitions": partitions, "artifacts": "ran",
+              f"serve_{argv[0]}": "ran"}
     assert _run(STATES, argv, tmp_path / "cache") == {
-        "code": 1, "states": dict(ALL_LAZY, costs="ran", partitions=partitions, artifacts="ran"),
-        "json": True, "text": []}
+        "code": 1, "states": dict(ALL_LAZY, **states), "json": False, "text": []}
 
 
 def test_cold_iwahori_runs_only_affine(tmp_path):
     got = _run(STATES, ("iwahori", "mult", "--N", "2"), tmp_path / "cache")
     assert got == {"code": 0, "states": dict(
-        ALL_LAZY, affine="ran", laurent="ran", costs="ran", artifacts="ran"), "json": True,
-        "text": []}
+        ALL_LAZY, affine="ran", laurent="ran", costs="ran", artifacts="ran",
+        serve_iwahori="ran"), "json": False, "text": []}
+
+
+# What each cold request runs of the lazy modules besides `artifacts` and
+# its own serving module: its guard (`costs`; green's is in `traces`)
+# and the table code it reads.  The three views of the transition table
+# read the `pi` table and nothing of `traces`; only `green` counts the
+# class ring's labels; a mirabolic column and the iwahori products take
+# no `combination`.
+PI_TABLE = ("bimodule", "closedform", "combination", "hall", "laurent", "partitions",
+            "symfunc")
+COLD_RUNS = {
+    "pi": PI_TABLE + ("costs",),
+    "mhl": PI_TABLE + ("costs",),
+    "trace": PI_TABLE + ("costs",),
+    "hall": ("closedform", "combination", "costs", "hall", "laurent", "partitions",
+             "symfunc"),
+    "mirabolic": ("closedform", "costs", "laurent", "partitions"),
+    "green": PI_TABLE + ("traces",),
+    "iwahori": ("affine", "costs", "laurent"),
+}
+
+# STATES, and the mirahall modules in `sys.modules` after the request
+# that were not there right after `import mirahall.cli`.
+COLD = """
+import sys, types
+import mirahall.cli
+registered = {name for name in sys.modules if name.startswith("mirahall.")}
+code = mirahall.cli.main(sys.argv[2:])
+states = {}
+for name in %r:
+    module = sys.modules["mirahall." + name]
+    states[name] = "ran" if type(module) is types.ModuleType else "lazy"
+loaded_json = "json" in sys.modules
+late = sorted(name for name in sys.modules
+              if name.startswith("mirahall.") and name not in registered)
+import json
+with open(sys.argv[1], "w") as fh:
+    json.dump({"code": code, "states": states, "json": loaded_json, "late": late}, fh)
+""" % (LAZY_MODULES,)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [workloads.with_format(a, f) for a in workloads.COLD_TABLES for f in workloads.FORMATS],
+    ids=" ".join,
+)
+def test_cold_request_runs_only_its_own_subcommand(argv, tmp_path):
+    kind = argv[0]
+    ran = COLD_RUNS[kind] + ("artifacts", f"serve_{kind}")
+    # an iwahori label's csv or latex cell is its json text
+    loads_json = kind == "iwahori" and argv[-1] != "json"
+    assert _run(COLD, argv, tmp_path / "cache") == {
+        "code": 0, "states": dict(ALL_LAZY, **dict.fromkeys(ran, "ran")),
+        "json": loads_json, "late": []}
+
+
+def test_traced_report_reads_ts_action_from_affine():
+    # perfbench/traced.py reads the memo of the wrapped `affine.ts_action`
+    from mirahall import affine
+
+    assert affine.ts_action.__module__ == "mirahall.affine"
+    assert callable(affine.ts_action) and hasattr(affine.ts_action, "cache_info")

@@ -3,10 +3,10 @@
 `perfbench/traced.py REPORT -- <argv>` imports `mirahall.cli`, wraps every
 public function of the mirahall modules in `sys.modules` by then, runs one
 request and writes the calls it counted per layer.  `mirahall.cli`
-registers the payload builders and renderers (`artifacts`) and the table
-modules lazily: each is in `sys.modules` from import on, with its body
-not yet run, and the tracer's first read of the module's namespace runs
-it.  A table module that stopped being registered
+registers the renderers (`artifacts`), each subcommand's payload builder
+(`serve_<subcommand>`) and the table modules lazily: each is in
+`sys.modules` from import on, with its body not yet run, and the
+tracer's first read of the module's namespace runs it.  A table module that stopped being registered
 at import, or a layer whose calls move into a module that is not, would
 read as a layer with no calls; these requests pin that.
 """
@@ -25,14 +25,17 @@ ROOT = Path(__file__).resolve().parents[1]
 
 LAYERS = {
     ("pi", "--n", "2"): {
-        "cli", "artifacts", "cache", "config", "bimodule", "hall", "closedform",
-        "partitions", "symfunc", "laurent",
+        "cli", "artifacts", "serve_pi", "cache", "config", "bimodule", "hall",
+        "closedform", "partitions", "symfunc", "laurent",
     },
+    # a trace cell is read beside the pi table, in bimodule
     ("trace", "--n", "2", "--q", "3"): {
-        "cli", "artifacts", "cache", "config", "bimodule", "hall", "closedform",
-        "partitions", "symfunc", "laurent", "traces",
+        "cli", "artifacts", "serve_trace", "cache", "config", "bimodule", "hall",
+        "closedform", "partitions", "symfunc", "laurent",
     },
-    ("iwahori", "mult", "--N", "2"): {"cli", "artifacts", "cache", "config", "affine"},
+    ("iwahori", "mult", "--N", "2"): {
+        "cli", "artifacts", "serve_iwahori", "cache", "config", "affine",
+    },
 }
 
 

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mirahall.bimodule import act, pi_table, u_bip
-from mirahall.costs import MAX_GREEN_LABELS, check_green_cost, green_label_count
+from mirahall.bimodule import act, pi_table, trace_value, u_bip
 from mirahall.errors import (
     CostGuard,
     FieldMismatch,
@@ -19,14 +18,16 @@ from mirahall.oracle import fiber_oracle_check
 from mirahall.pairs import orbit_census
 from mirahall.partitions import bipartitions_of, pair_codim, partitions_of
 from mirahall.traces import (
+    MAX_GREEN_LABELS,
     GreenLabel,
     _image,
     _invertible_over_rationals,
+    check_green_cost,
     green_freeness_check,
+    green_label_count,
     green_labels,
     green_mul,
     irreducible_polys,
-    trace_value,
 )
 
 
