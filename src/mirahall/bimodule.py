@@ -12,11 +12,13 @@ column from `closedform`.  `oracle.act_direct` reads
 the directly counted tables instead; it is the oracle the tests replay.
 The right action on the vacuum, the only right action that the cyclic
 basis and the class ring take, is read in closed form
-(`right_on_vacuum`), so no serving request reads a right table.
+(`right_on_vacuum`) by `act` itself, so no serving request reads a
+right table.
 
 `pi_table` normalises the cyclic basis into the transition table of
 polynomials the rest of the package consumes; `_basis_in_tensor`
-inverts it for `mhl`.  Both read each cyclic vector from
+inverts it for `mhl`.  Both index their labels by
+`partitions.bipartitions_of(n, rank)`, and read each cyclic vector from
 `c_bipartition`, the one place that checks one, and drop it after its
 column.  The table is one store, its nonzero calibrated cells: a raw
 cell is the calibrated one times `calibration_sign`, the parity of the
@@ -29,14 +31,13 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from typing import Mapping
 
-from .closedform import _fits, closed_form_G
+from .closedform import closed_form_G
 from .combination import Combination
 from .errors import DiagonalNotUnit, NonIntegral, NotInTable, OracleMismatch, RankTooSmall
 from .hall import HallElt, c_expand, monomial_action
 from .laurent import LaurentPoly, QPoly
-from .partitions import (Bipartition, Partition, ah_leq, bipartitions_of, conjugate,
-                         interleaved_key, label_size, pair_codim, pair_orbit_dim,
-                         partitions_of, trim, trim_pair)
+from .partitions import (Bipartition, Partition, ah_leq, bipartitions_of, fits,
+                         label_size, pair_codim, pair_orbit_dim, trim, trim_pair)
 
 
 class MirElt(Combination):
@@ -47,7 +48,7 @@ class MirElt(Combination):
     @staticmethod
     def _label(bp, rank: int) -> Bipartition | None:
         bp = trim_pair(bp)
-        return bp if _fits(bp, rank) else None
+        return bp if fits(bp, rank) else None
 
 
 def u_bip(bp: Bipartition, rank: int) -> MirElt:
@@ -81,17 +82,23 @@ def _v_column(
 
 
 def act(side: str, a: HallElt, m: MirElt) -> MirElt:
-    """Module action of `a` on one side, by `hall.monomial_action`."""
+    """Module action of `a` on one side, by `hall.monomial_action`; the
+    right action on a multiple of the vacuum is read in closed form
+    (`right_on_vacuum`)."""
+    if side == "right" and m._c.keys() <= {((), ())}:
+        a._check(m)
+        return right_on_vacuum(a) * m.coeff(((), ()))
     return monomial_action(a, m, partial(gen_act, side), side == "left")
 
 
 def right_on_vacuum(a: HallElt) -> MirElt:
-    """`act("right", a, vacuum(a.rank))` in closed form: u_b . () = ((), b).
+    """The right action of `a` on the vacuum in closed form: u_b . () = ((), b).
 
     On the vacuum the invariant subspace W is 0, so the marked vector,
     which lies in W, is 0 and the quotient V/W = V has type b: each shape
     b of `a` becomes the label ((), b) with its coefficient, in the same
-    order.  The generator route `act` is the oracle the tests replay."""
+    order.  The generator route (`hall.monomial_action` with the step
+    `gen_act`) is the oracle the tests replay."""
     return MirElt._trusted(a.rank, {((), b): c for b, c in a._c.items()})
 
 
@@ -101,7 +108,7 @@ def c_bipartition(lam: Partition, mu: Partition, rank: int) -> MirElt:
     cone below its column, and once the orbit dimension is scaled out,
     the diagonal `diag_unit(col)`."""
     col = trim(lam), trim(mu)
-    if not _fits(col, rank):
+    if not fits(col, rank):
         raise RankTooSmall(f"label {col} needs more than {rank} rows")
     vec = act("left", c_expand(col[0], rank), _right_vacuum(col[1], rank))
     for row in vec._c:
@@ -120,20 +127,8 @@ def c_bipartition(lam: Partition, mu: Partition, rank: int) -> MirElt:
 @lru_cache(maxsize=None)
 def _right_vacuum(mu: Partition, rank: int) -> MirElt:
     """The right half of `c_bipartition`, shared by every label with
-    second component `mu`, read in closed form (`right_on_vacuum`)."""
-    return right_on_vacuum(c_expand(mu, rank))
-
-
-def _labels(n: int, rank: int) -> tuple[Bipartition, ...]:
-    """The labels of size n with at most `rank` rows per component, in
-    the order of `bipartitions_of(n)`, listing no other label: a shape
-    fits when its conjugate has parts at most `rank`."""
-    if rank >= n:
-        return bipartitions_of(n)
-    fit = [[conjugate(lam) for lam in partitions_of(k, rank)] for k in range(n + 1)]
-    out = [(lam, mu) for k in range(n, -1, -1) for lam in fit[k] for mu in fit[n - k]]
-    out.sort(key=lambda bp: interleaved_key(bp, n), reverse=True)
-    return tuple(out)
+    second component `mu`, read in closed form by `act`."""
+    return act("right", c_expand(mu, rank), vacuum(rank))
 
 
 def calibration_sign(row: Bipartition, col: Bipartition) -> int:
@@ -218,7 +213,7 @@ def pi_table(n: int, rank: int) -> PiTable:
     and dropped after its column): scale row coefficients by signed
     powers of v matching orbit dimensions, divide out the diagonal unit,
     and apply the codimension parity calibration."""
-    order = _labels(n, rank)
+    order = bipartitions_of(n, rank)
     cells: dict[tuple[Bipartition, Bipartition], LaurentPoly] = {}
     for col in order:
         inv = diag_unit(col) ** -1
@@ -247,7 +242,7 @@ def _basis_in_tensor(n: int, rank: int) -> Mapping[Bipartition, TensorSym]:
     """Each pair label of size n written in the two-sided Schur basis,
     by inverting the triangular system of `c_bipartition`'s checked
     cyclic vectors, one column at a time, into labels already normal."""
-    order = _labels(n, rank)
+    order = bipartitions_of(n, rank)
     c_image = _minus_v(-(rank - 1) * n)
     out: dict[Bipartition, TensorSym] = {}
     for col in reversed(order):

@@ -48,7 +48,7 @@ from .oracle import (
     verify_closed_form,
 )
 from .pairs import orbit_census
-from .partitions import ah_leq, bipartitions_of, partitions_of
+from .partitions import ah_leq, bipartitions_of, pair_codim, partitions_of
 from .traces import green_freeness_check
 
 # --- wall-crossing relations and the closure order -----------------------------
@@ -271,8 +271,11 @@ def _suite_pi(cfg: RunConfig) -> list[dict]:
                         continue
                     if not ah_leq(row, col):
                         raise OracleMismatch(f"support at ({row}, {col}) breaks the order")
-                    if row != col and any(e > -1 for e, _ in val.items()):
-                        raise OracleMismatch(f"off-diagonal ({row}, {col}) too shallow")
+                    # off the diagonal every exponent lies in [-gap, -1]
+                    # and has the parity of the codimension gap
+                    gap = pair_codim(row) - pair_codim(col)
+                    if row != col and any(e not in range(-gap, 0, 2) for e, _ in val.items()):
+                        raise OracleMismatch(f"off-diagonal ({row}, {col}) off range(-{gap}, 0, 2)")
                     if any(c <= 0 for _, c in val.items()):
                         raise OracleMismatch(f"negative entry at ({row}, {col})")
             return f"{len(table.order)} columns triangular and nonnegative"

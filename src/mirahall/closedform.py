@@ -26,12 +26,13 @@ These closed tables serve every structure constant in the package: the
 Hall product, both sides of the bimodule, the class ring and the
 `mirabolic` command.  A column (`closed_form_G`) reads them only at
 the targets its step can reach (`reachable_targets`), built from the
-source within the rank.  A right constant is a mirrored left one, read
-cell by cell (`right_via_star`): one rank above the target's size for
-`bimodule.act("right")` away from the vacuum, which no serving request
-reaches (`bimodule.right_on_vacuum`), and at its own rank for a right
-`mirabolic` column.  The counted tables of `pairs` and the checks of
-`oracle` are oracles that only `verify` and the tests reach.
+source within the rank (a label fits by `partitions.fits`).  A right
+constant is a mirrored left one, read cell by cell (`right_via_star`):
+one rank above the target's size for `bimodule.act("right")` away from
+the vacuum, which no serving request reaches (`act` reads the vacuum in
+closed form), and at its own rank for a right `mirabolic` column.  The
+counted tables of `pairs` and the checks of `oracle` are oracles that
+only `verify` and the tests reach.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .partitions import (
     Partition,
     add_parts,
     conjugate,
+    fits,
     interleaved_key,
     label_size,
     shifted,
@@ -232,15 +234,11 @@ def closed_form_G(
     return {tgt: poly for tgt, poly in cells.items() if poly}
 
 
-def _fits(label: Bipartition, rank: int) -> bool:
-    return len(label[0]) <= rank and len(label[1]) <= rank
-
-
 def _rank_source(src: Bipartition, rank: int) -> Bipartition:
     """The trimmed source, which must have at most `rank` rows per
     component."""
     src = trim_pair(src)
-    if not _fits(src, rank):
+    if not fits(src, rank):
         raise UsageError(f"source {src} needs more than {rank} rows")
     return src
 

@@ -45,11 +45,11 @@ MAX_MHL_LABELS = 300
 # left table far above its size: `--src 6,5|5,4 --r 8` (size 28) took
 # 16.9 s and the size-26 source above ran past 150 s.  1770 is n = 13.
 # A low-rank `pi` table lists only the labels that fit its rank
-# (`bimodule._labels`): in process, one run each, `pi_table(25, 1)` and
-# `(30, 1)` took 0.16 and 0.39 s at 15 MB, yet `pi_table(60, 1)` took
-# 56 s, so some size bound has to stay.  Cold with it raised, the faster
-# of two runs: `pi --n 13 --N 2` took 0.78 s and 32 MB, `--n 14 --N 2`
-# 1.09 s and 40 MB.
+# (`partitions.bipartitions_of(n, rank)`): in process, one run each,
+# `pi_table(25, 1)` and `(30, 1)` took 0.16 and 0.39 s at 15 MB, yet
+# `pi_table(60, 1)` took 56 s, so some size bound has to stay.  Cold
+# with it raised, the faster of two runs: `pi --n 13 --N 2` took 0.78 s
+# and 32 MB, `--n 14 --N 2` 1.09 s and 40 MB.
 MAX_SIZE_LABELS = 1770
 
 

@@ -46,7 +46,6 @@ from .affine import (
 )
 from .bimodule import MirElt, PiTable, pi_table, trace_value
 from .closedform import (
-    _fits,
     closed_form_G,
     closed_left_table,
     stable_right_column,
@@ -327,9 +326,7 @@ def act_direct(side: str, a: HallElt, m: MirElt) -> MirElt:
     for w, cw in a._c.items():
         for src, cs in m._c.items():
             n = label_size(src) + sum(w)
-            for tgt in bipartitions_of(n):
-                if not _fits(tgt, m.rank):
-                    continue
+            for tgt in bipartitions_of(n, m.rank):
                 if side == "left":
                     g = pairs.left_constants(tgt, sum(w)).get((w, src))
                 else:
@@ -411,8 +408,7 @@ def rho_check(src: Bipartition, r: int, rank: int) -> bool:
     n = sum(src[0]) + sum(src[1]) + r
     return all(
         stable_right_constant(tgt, src, r, rank) == mirrored.get(tgt, QPoly.zero())
-        for tgt in bipartitions_of(n)
-        if len(tgt[0]) <= rank and len(tgt[1]) <= rank
+        for tgt in bipartitions_of(n, rank)
     )
 
 

@@ -40,10 +40,6 @@ def trim_pair(bp) -> Bipartition:
     return (trim(bp[0]), trim(bp[1]))
 
 
-def size(lam: Partition) -> int:
-    return sum(lam)
-
-
 def label_size(bp: Bipartition) -> int:
     """Boxes in both components of a pair label."""
     return sum(bp[0]) + sum(bp[1])
@@ -150,8 +146,11 @@ def interleaved_key(bp: Bipartition, length: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def bipartitions_of(n: int) -> tuple[Bipartition, ...]:
-    """All bipartitions of n in descending interleaved-lex order.
+def bipartitions_of(n: int, rows: int | None = None) -> tuple[Bipartition, ...]:
+    """All bipartitions of n in descending interleaved-lex order; with
+    `rows`, only those that fit it (`fits`), listing no other: a
+    partition fits when its conjugate has parts at most `rows`.  The
+    labels listed are those `bipartition_count(n, rows)` counts.
 
     The order is a linear extension of the alternating-sum order
     (largest element first), so triangular systems indexed by it can be
@@ -159,15 +158,18 @@ def bipartitions_of(n: int) -> tuple[Bipartition, ...]:
 
     >>> bipartitions_of(2)
     (((2,), ()), ((1,), (1,)), ((1, 1), ()), ((), (2,)), ((), (1, 1)))
+    >>> bipartitions_of(2, 1)
+    (((2,), ()), ((1,), (1,)), ((), (2,)))
     """
-    out = [
-        (lam, mu)
-        for k in range(n, -1, -1)
-        for lam in partitions_of(k)
-        for mu in partitions_of(n - k)
-    ]
+    fit = [[conjugate(lam) for lam in partitions_of(k, rows)] for k in range(n + 1)]
+    out = [(lam, mu) for k in range(n, -1, -1) for lam in fit[k] for mu in fit[n - k]]
     out.sort(key=lambda bp: interleaved_key(bp, n), reverse=True)
     return tuple(out)
+
+
+def fits(bp: Bipartition, rows: int) -> bool:
+    """Whether both partitions of a pair label have at most `rows` rows."""
+    return len(bp[0]) <= rows and len(bp[1]) <= rows
 
 
 def partition_counts(n: int, rows: int | None = None, cap: int | None = None) -> list[int]:
@@ -189,10 +191,10 @@ def partition_counts(n: int, rows: int | None = None, cap: int | None = None) ->
 
 
 def bipartition_count(n: int, rows: int | None = None, cap: int | None = None) -> int:
-    """len(bipartitions_of(n)), without listing them; with `rows`, only
-    the labels whose two partitions have at most `rows` rows each.  With
-    `cap` the count may stop once it passes `cap`, so a result above
-    `cap` is only a lower bound.
+    """len(bipartitions_of(n, rows)), without listing them: with `rows`,
+    only the labels whose two partitions have at most `rows` rows each.
+    With `cap` the count may stop once it passes `cap`, so a result
+    above `cap` is only a lower bound.
 
     >>> bipartition_count(2), bipartition_count(2, 1)
     (5, 3)

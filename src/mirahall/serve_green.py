@@ -7,9 +7,9 @@ from .artifacts import _text_cell
 
 def payload(n: int, q: int) -> dict:
     # refused by its label count before any label is listed
-    freeness = traces.green_freeness_check(n, q)
-    labels = [lab.pretty() for lab in traces.green_labels(n, q)]
-    return {"kind": "green", "n": n, "q": q, "labels": labels, "freeness": freeness}
+    labels, freeness = traces.green_ring(n, q)
+    return {"kind": "green", "n": n, "q": q, "labels": [lab.pretty() for lab in labels],
+            "freeness": freeness}
 
 
 def rows(tree: dict, fmt: str) -> tuple[list[str], list[list[str]]]:

@@ -10,7 +10,7 @@ from .errors import UsageError
 def payload(src, r: int, side: str, rank: int) -> dict:
     if r < 1:
         raise UsageError(f"generator degree must be positive, got {r}")
-    costs.check_size_cost(partitions.size(src[0]) + partitions.size(src[1]) + r)
+    costs.check_size_cost(partitions.label_size(src) + r)
     column = closedform.closed_left_column if side == "left" else closedform.stable_right_column
     terms = [{"label": bplabel(tgt), "coeff": c.to_json()}
              for tgt, c in column(r, src, rank).items()]

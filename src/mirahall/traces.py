@@ -272,13 +272,10 @@ def _image(side: str, nu, src: Bipartition, qd: int) -> tuple:
     they fill; the coefficients are polynomials in q = v**2, read at
     q = qd (q**deg(f) for a polynomial f).  `green_mul` asks for it for
     every label and polynomial of every row, but it depends only on
-    these four arguments.  The right action on the empty label is read
-    in closed form (`right_on_vacuum`)."""
+    these four arguments.  `bimodule.act` reads the right action on the
+    empty label in closed form."""
     rank = label_size(src) + sum(nu)
-    if side == "right" and src == ((), ()):
-        image = bimodule.right_on_vacuum(hall.u_elt(nu, rank))
-    else:
-        image = bimodule.act(side, hall.u_elt(nu, rank), bimodule.u_bip(src, rank))
+    image = bimodule.act(side, hall.u_elt(nu, rank), bimodule.u_bip(src, rank))
     return tuple((tgt, g.bar().to_t_poly().evaluate(qd)) for tgt, g in image.items())
 
 
@@ -367,8 +364,14 @@ def _invertible_over_rationals(rows: list[dict[int, int]]) -> bool:
 
 
 def green_freeness_check(n: int, q: int) -> dict:
-    """Two-sided products of plain classes against the empty label must
-    hit the size-n labels through a square invertible matrix over Q.
+    """The report of `green_ring`, without its labels."""
+    return green_ring(n, q)[1]
+
+
+def green_ring(n: int, q: int) -> tuple[list["GreenLabel"], dict]:
+    """The size-n labels, listed once, and the report that two-sided
+    products of plain classes against the empty label hit them through
+    a square invertible matrix over Q.
 
     A ring past the label budget is refused (`check_green_cost`) before
     any label is listed."""
@@ -389,4 +392,4 @@ def green_freeness_check(n: int, q: int) -> dict:
         )
     if not _invertible_over_rationals(rows):
         raise NotFree(f"transition matrix singular at size {n}, q={q}")
-    return {"n": n, "q": q, "dimension": len(labels), "passed": True}
+    return labels, {"n": n, "q": q, "dimension": len(labels), "passed": True}

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 from mirahall import bimodule, hall
@@ -71,8 +73,29 @@ def test_right_on_vacuum_matches_the_generator_route():
                 assert right_on_vacuum(u_elt(b, rank)) == u_bip(((), b), rank)
                 for a in (u_elt(b, rank), c_expand(b, rank)):
                     got = right_on_vacuum(a)
-                    assert got == act("right", a, vacuum(rank)), (b, rank)
+                    want = hall.monomial_action(
+                        a, vacuum(rank), partial(bimodule.gen_act, "right"), False
+                    )
+                    assert got == want, (b, rank)
                     assert list(got._c) == [((), c) for c in a._c], (b, rank)
+
+
+def test_act_reads_a_multiple_of_the_vacuum_in_closed_form(monkeypatch):
+    # no generator step runs on the right of the vacuum, whatever its
+    # coefficient, and a rank mismatch is still refused
+    rank = 3
+    a = c_expand((2, 1), rank)
+    want = right_on_vacuum(a)
+
+    def no_step(*args):
+        raise AssertionError("a generator step ran on the vacuum")
+
+    monkeypatch.setattr(bimodule, "gen_act", no_step)
+    for c in (1, 3, LaurentPoly.v_power(-2, -1)):
+        assert act("right", a, c * vacuum(rank)) == want * c, c
+    assert act("right", a, MirElt.zero(rank)).is_zero()
+    with pytest.raises(ValueError):
+        act("right", a, vacuum(rank + 1))
 
 
 def test_frozen_left_action():
@@ -415,4 +438,4 @@ def test_labels_that_fit_a_rank_are_the_filtered_labels_in_order():
         every = bipartitions_of(n)
         for rank in range(1, n + 2):
             fit = tuple(bp for bp in every if len(bp[0]) <= rank and len(bp[1]) <= rank)
-            assert bimodule._labels(n, rank) == fit, (n, rank)
+            assert bipartitions_of(n, rank) == fit, (n, rank)

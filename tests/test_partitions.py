@@ -298,6 +298,14 @@ def test_bipartition_count():
     assert bipartition_count(-1) == 0
 
 
+def test_the_guard_counts_the_labels_a_table_lists():
+    # the cost guards count with `bipartition_count(n, rows)` the labels
+    # that `bipartitions_of(n, rows)` lists for the table
+    for n in range(15):
+        for rows in (None, *range(n + 2)):
+            assert bipartition_count(n, rows) == len(bipartitions_of(n, rows)), (n, rows)
+
+
 def test_bipartition_count_stops_past_its_cap():
     # exact up to the cap, and above it exactly when the full count is
     for n in range(41):

@@ -1,10 +1,12 @@
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from mirahall.bimodule import act, pi_table, trace_value, u_bip
+from mirahall import serve_green, traces
+from mirahall.bimodule import act, gen_act, pi_table, trace_value, u_bip
 from mirahall.errors import (
     CostGuard,
     FieldMismatch,
@@ -12,7 +14,7 @@ from mirahall.errors import (
     NotInTable,
     UsageError,
 )
-from mirahall.hall import u_elt
+from mirahall.hall import monomial_action, u_elt
 from mirahall.laurent import LaurentPoly, QPoly
 from mirahall.oracle import fiber_oracle_check
 from mirahall.pairs import orbit_census
@@ -233,6 +235,25 @@ def test_green_freeness():
     assert dims[(2, 3)] == 20
 
 
+def test_a_green_payload_lists_its_labels_once(monkeypatch):
+    # the freeness check lists the size-n labels, and the payload reads
+    # its list rather than listing them again
+    real = traces.green_labels
+    calls = []
+
+    def counted(n, q, pure=False):
+        calls.append((n, q, pure))
+        return real(n, q, pure)
+
+    monkeypatch.setattr(traces, "green_labels", counted)
+    for n, q in ((0, 2), (2, 3), (3, 2)):
+        calls.clear()
+        tree = serve_green.payload(n, q)
+        assert [c for c in calls if not c[2]] == [(n, q, False)], (n, q)
+        assert tree["labels"] == [lab.pretty() for lab in real(n, q)], (n, q)
+        assert tree["freeness"] == green_freeness_check(n, q), (n, q)
+
+
 def test_green_degree_one_matches_finite_action():
     q = 2
     f = (1, 1)
@@ -299,7 +320,9 @@ def test_image_on_the_empty_label_matches_act():
     # against the generator route at several field sizes
     for n in range(1, 6):
         for nu in partitions_of(n):
-            image = act("right", u_elt(nu, n), u_bip(((), ()), n))
+            image = monomial_action(
+                u_elt(nu, n), u_bip(((), ()), n), partial(gen_act, "right"), False
+            )
             for qd in (2, 3, 4, 9):
                 want = tuple(
                     (tgt, g.bar().to_t_poly().evaluate(qd)) for tgt, g in image.items()

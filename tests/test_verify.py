@@ -10,7 +10,10 @@ import json
 
 import pytest
 
-from mirahall import checks, cli
+from mirahall import bimodule, checks, cli
+from mirahall.bimodule import PiTable
+from mirahall.config import RunConfig
+from mirahall.laurent import LaurentPoly
 
 ONE_PRIME = "mirahall: usage error: need at least two primes to pin a linear coefficient\n"
 
@@ -42,3 +45,23 @@ def test_one_prime_serves_the_census(capsys):
     assert cli.main(["verify", "--suite", "census", "--qs", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] and report["primes"] == [2]
+
+
+@pytest.mark.parametrize("entry", [{-2: 1, -1: 1}, {-4: 1}])
+def test_pi_suite_refuses_an_exponent_off_the_gap(monkeypatch, entry):
+    # the cell at ((1, 1)|, (2)|) has gap 2: every off-diagonal exponent
+    # lies in [-gap, -1] and has the gap's parity, so v^-1 (odd) and
+    # v^-4 (below -2) are refused
+    real = bimodule.pi_table(2, 2)
+    cells = dict(real.cells)
+    cells[(((1, 1), ()), ((2,), ()))] = LaurentPoly(entry)
+    bad = PiTable(2, 2, real.order, cells)
+    monkeypatch.setattr(
+        checks, "pi_table", lambda n, rank: bad if n == 2 else bimodule.pi_table(n, rank)
+    )
+    report = {c["name"]: c for c in checks._suite_pi(RunConfig(max_n=2))}
+    assert report["n=1"]["passed"]
+    assert report["n=2"] == {
+        "suite": "pi", "name": "n=2", "passed": False,
+        "detail": "OracleMismatch: off-diagonal (((1, 1), ()), ((2,), ())) off range(-2, 0, 2)",
+    }
