@@ -86,8 +86,9 @@ IWAHORI_NS = (2, 3, 4)
 # the largest `pi` size too, where `mhl` is refused by its own budget),
 # a csv and a latex render of a large table, `iwahori mult` at N = 3's
 # widest accepted window, every `verify` suite (its report's sha256 pins
-# the checks), the latex render of the largest `iwahori mult` table and
-# the eight requests of the benchmark's cold-tables workload (json)
+# the checks), the latex render of the largest `iwahori mult` table,
+# the eight requests of the benchmark's cold-tables workload (json) and
+# the largest `green` rings the budget admits at q = 2, 5 and 1499
 COLD_EXTRA = (
     ("hall", "--x", "5,4", "--y", "4,4"),
     ("pi", "--n", "12", "--N", "1"),
@@ -110,6 +111,9 @@ COLD_EXTRA = (
     ("mirabolic", "--src", "2|1", "--r", "1", "--side", "right"),
     ("green", "--n", "2", "--q", "3"),
     ("iwahori", "mult", "--N", "2"),
+    ("green", "--n", "8", "--q", "2"),
+    ("green", "--n", "4", "--q", "5"),
+    ("green", "--n", "1", "--q", "1499"),
 )
 
 # the host speed gauge of perfbench/run.py, with its thread pins

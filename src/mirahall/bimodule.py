@@ -11,9 +11,9 @@ whose step `gen_act` is the linear extension of one generator's closed
 column from `closedform`.  `oracle.act_direct` reads
 the directly counted tables instead; it is the oracle the tests replay.
 The right action on the vacuum, the only right action that the cyclic
-basis and the class ring take, is read in closed form
-(`right_on_vacuum`) by `act` itself, so no serving request reads a
-right table.
+basis takes, is read in closed form (`right_on_vacuum`) by `act`
+itself, so no serving request reads a right table; a `green` request
+takes no right action at all (`traces.green_ring`).
 
 `pi_table` normalises the cyclic basis into the transition table of
 polynomials the rest of the package consumes; `_basis_in_tensor`

@@ -31,7 +31,9 @@ from .affine import (
 )
 from .bimodule import _minus_v, pi_table, trace_value
 from .config import RunConfig
-from .errors import ComponentMismatch, MiraError, OracleMismatch, TruncationTooSmall, UsageError
+from .costs import check_cost
+from .errors import (ComponentMismatch, CostGuard, MiraError, OracleMismatch, TruncationTooSmall,
+                     UsageError)
 from .hall import hall_mul, u_elt
 from .combination import Combination
 from .laurent import LaurentPoly, QPoly
@@ -430,9 +432,25 @@ _SUITE_RUNNERS = {
 }
 
 
+# The largest --max-n of a suite that sweeps to it with no guard of its
+# own, cold on a 2-vCPU box: census took 28 s to 9 and 62 s to 10; the
+# classical antisymmetriser 1.5 s to 6 and 5.3 s for one of 15 shapes at
+# 7.  The pi suite builds pi_table(n, n), within the budget of `pi`.
+MAX_SWEEP_N = {"census": 9, "classical": 6}
+
+
 def verify_payload(suites: Sequence[str], cfg: RunConfig) -> dict:
     """Run each named suite in turn; the report passes when every check
-    does.  Too few primes for the iwahori suite's counts is refused first."""
+    does.  A --max-n past the bound of a suite that sweeps to it and too
+    few primes for the iwahori suite's counts are refused first."""
+    for suite, bound in MAX_SWEEP_N.items():
+        if suite in suites and cfg.max_n > bound:
+            raise UsageError(f"suite {suite} sweeps to --max-n {cfg.max_n}; its bound is {bound}")
+    if "pi" in suites:
+        try:
+            check_cost(cfg.max_n)
+        except CostGuard as exc:
+            raise UsageError(f"suite pi sweeps to --max-n {cfg.max_n}: {exc}") from None
     if "iwahori" in suites:
         _check_primes(cfg.primes)
     checks: list[dict] = []

@@ -53,8 +53,8 @@ def _lazy(name: str):
 
 
 # Every module a request can reach is in sys.modules from import on, for perfbench/traced.py
-# to wrap (symfunc too, which no payload calls); `artifacts` and the serving modules
-# (`_SERVE`) read them from the package.
+# to wrap (symfunc through `hall.c_expand`, on every `pi`, `mhl` and `trace` build);
+# `artifacts` and the serving modules (`_SERVE`) read them from the package.
 for _name in ("laurent", "combination", "partitions", "costs", "affine", "bimodule",
               "closedform", "hall", "symfunc", "traces"):
     _lazy(_name)

@@ -4,6 +4,9 @@ a ring too large to check (`check_green_cost`), which counts the labels
 without listing any; the table modules are reached as modules, so a
 refused request runs none of them.
 
+The freeness check reads one triangular block per size (`green_ring`
+says why that is enough); `green_mul` is the oracle the tests replay.
+
 >>> irreducible_polys(2, 2)  # t + 1 and t^2 + t + 1 over F_2
 ((1, 1), (1, 1, 1))
 >>> green_label_count(2, 2), len(green_labels(2, 2))
@@ -19,20 +22,17 @@ from typing import Iterable, Mapping
 from . import bimodule, combination, hall
 from .config import check_prime
 from .errors import CostGuard, FieldMismatch, NotFree, UsageError
-from .partitions import (Bipartition, bipartition_count, bipartitions_of, label_size,
-                         partitions_of, trim_pair)
+from .partitions import (Bipartition, ah_leq, bipartition_count, bipartitions_of,
+                         label_size, partitions_of, trim_pair)
 
 
-# Budget for the class ring that `green` lists and checks, in labels:
-# `green_freeness_check` takes one product of plain classes per label
-# and eliminates over the square matrix of them.  Cold on a 2-vCPU
-# box: `--n 8 --q 2` (1,606 labels) in 13 s, `--n 4 --q 5` (2,776) in
-# 7 s, `--n 2 --q 31` and `--n 1 --q 1499` in 6 s are accepted;
-# `--n 9 --q 2` (3,650 labels) in 60 s and `--n 4 --q 7` (11,124) in
-# 111 s are refused.  The labels grow with n and q, and the smallest
-# refused input at each q ran past a minute (or, at n = 1, hit the
-# recursion limit) before the elimination was fraction-free, so nothing
-# that finished within a minute is refused.
+# Budget for the class ring that `green` lists and checks, in labels,
+# kept from when the check eliminated over every label (the smallest
+# refused input at each q then ran past a minute) so that no verdict
+# changes.  The check now reads one block per size k <= n whatever q,
+# 1.1 s in all to k = 8; cold on a 2-vCPU box `--n 8 --q 2` (1,606
+# labels) took 1.2 s, `--n 4 --q 5` (2,776) 0.13 s and `--n 1 --q 1499`
+# (2,996) 0.14 s.
 MAX_GREEN_LABELS = 3000
 
 
@@ -271,8 +271,8 @@ def _image(side: str, nu, src: Bipartition, qd: int) -> tuple:
     """(target, coefficient) pairs of u_nu acting on u_src at the rank
     they fill; the coefficients are polynomials in q = v**2, read at
     q = qd (q**deg(f) for a polynomial f).  `green_mul` asks for it for
-    every label and polynomial of every row, but it depends only on
-    these four arguments.  `bimodule.act` reads the right action on the
+    every label and polynomial it acts on, but it depends only on these
+    four arguments.  `bimodule.act` reads the right action on the
     empty label in closed form."""
     rank = label_size(src) + sum(nu)
     image = bimodule.act(side, hall.u_elt(nu, rank), bimodule.u_bip(src, rank))
@@ -317,52 +317,6 @@ def green_mul(
     return out
 
 
-def _invertible_over_rationals(rows: list[dict[int, int]]) -> bool:
-    """Whether a square integer matrix, given by sparse rows (column ->
-    nonzero entry, columns 0 .. len(rows) - 1), is invertible over Q, by
-    fraction-free (Bareiss) elimination with row pivoting.
-
-    Step k replaces each later row by
-    (p_k * row - row[k] * pivot row) / p_(k-1), p_k the k-th pivot and
-    p_(-1) = 1; the division is exact, as every entry is then a minor of
-    the input.  A row with a zero in the pivot column is only scaled by
-    p_k / p_(k-1), so it is left alone and scaled once, by the
-    telescoped p_(j-1) / p_(s-1), when it next meets a pivot."""
-    size = len(rows)
-    # each row: its nonzero entries and the step it is up to date with
-    live = [(dict(row), 0) for row in rows]
-    pivots = [1]  # pivots[k] divides at step k
-
-    def current(k: int) -> dict:
-        entries, level = live[k]
-        if level == len(pivots) - 1:
-            return entries
-        num, den = pivots[-1], pivots[level]
-        return {j: x * num // den for j, x in entries.items()}
-
-    for k in range(size):
-        piv = next((r for r in range(k, size) if k in live[r][0]), None)
-        if piv is None:
-            return False
-        live[k], live[piv] = live[piv], live[k]
-        top = current(k)
-        p, prev = top[k], pivots[-1]
-        for r in range(k + 1, size):
-            if k not in live[r][0]:
-                continue
-            row = current(r)
-            a = row[k]
-            new = {}
-            for j in row.keys() | top.keys():
-                if j > k:
-                    x = (p * row.get(j, 0) - a * top.get(j, 0)) // prev
-                    if x:
-                        new[j] = x
-            live[r] = (new, k + 1)
-        pivots.append(p)
-    return True
-
-
 def green_freeness_check(n: int, q: int) -> dict:
     """The report of `green_ring`, without its labels."""
     return green_ring(n, q)[1]
@@ -371,25 +325,30 @@ def green_freeness_check(n: int, q: int) -> dict:
 def green_ring(n: int, q: int) -> tuple[list["GreenLabel"], dict]:
     """The size-n labels, listed once, and the report that two-sided
     products of plain classes against the empty label hit them through
-    a square invertible matrix over Q.
+    a square matrix invertible over Q.
+
+    The row of a pair (a, b) of pure labels is
+    `green_mul("left", a, green_mul("right", b, {unit: 1}))`.  The right
+    product on the unit is the identity on pure labels (`bimodule.act`
+    reads u_b on the vacuum as ((), b) with coefficient 1), and every
+    product splits over the polynomials, so the rows are indexed by the
+    labels (f to (a_f, b_f)), the matrix is block-diagonal by the size
+    k_f of each polynomial f, and each block is the Kronecker product
+    over f of one matrix A_k read at q**deg(f): its row at (a, b),
+    |a| + |b| = k, is u_a on the left of ((), b).  A Kronecker product
+    of triangular matrices is triangular, so the matrix is invertible at
+    every q once each A_k, k <= n, is triangular in `ah_leq` with a
+    monomial diagonal, which is checked here.
 
     A ring past the label budget is refused (`check_green_cost`) before
     any label is listed."""
     check_prime(q)
     check_green_cost(n, q)
     labels = green_labels(n, q)
-    column = {lab: j for j, lab in enumerate(labels)}
-    unit = GreenLabel(q)
-    rows = []
-    for k in range(n + 1):
-        for a in green_labels(k, q, pure=True):
-            for b in green_labels(n - k, q, pure=True):
-                vec = green_mul("left", a, green_mul("right", b, {unit: 1}))
-                rows.append({column[lab]: c for lab, c in vec.items() if lab in column})
-    if len(rows) != len(labels):
-        raise NotFree(
-            f"{len(rows)} products against {len(labels)} labels at size {n}, q={q}"
-        )
-    if not _invertible_over_rationals(rows):
-        raise NotFree(f"transition matrix singular at size {n}, q={q}")
+    for k in range(1, n + 1):
+        for a, b in bipartitions_of(k):
+            image = bimodule.act("left", hall.u_elt(a, k), bimodule.u_bip(((), b), k))
+            if (image.coeff((a, b)).as_monomial() is None
+                    or not all(ah_leq(tgt, (a, b)) for tgt, _ in image.items())):
+                raise NotFree(f"block of size {k} is not triangular at {(a, b)}")
     return labels, {"n": n, "q": q, "dimension": len(labels), "passed": True}

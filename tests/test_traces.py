@@ -1,16 +1,16 @@
-import random
 import time
 from fractions import Fraction
 from functools import partial
 
 import pytest
 
-from mirahall import serve_green, traces
+from mirahall import bimodule, serve_green, traces
 from mirahall.bimodule import act, gen_act, pi_table, trace_value, u_bip
 from mirahall.errors import (
     CostGuard,
     FieldMismatch,
     NonIntegral,
+    NotFree,
     NotInTable,
     UsageError,
 )
@@ -18,12 +18,11 @@ from mirahall.hall import monomial_action, u_elt
 from mirahall.laurent import LaurentPoly, QPoly
 from mirahall.oracle import fiber_oracle_check
 from mirahall.pairs import orbit_census
-from mirahall.partitions import bipartitions_of, pair_codim, partitions_of
+from mirahall.partitions import ah_leq, bipartitions_of, pair_codim, partitions_of
 from mirahall.traces import (
     MAX_GREEN_LABELS,
     GreenLabel,
     _image,
-    _invertible_over_rationals,
     check_green_cost,
     green_freeness_check,
     green_label_count,
@@ -276,8 +275,8 @@ def test_green_degree_one_matches_finite_action():
 
 
 def _invertible_by_fractions(rows):
-    """The elimination `green_freeness_check` used before Bareiss:
-    Gauss-Jordan over Fractions on the dense matrix."""
+    """Whether a square matrix is invertible over Q, by Gauss-Jordan
+    over Fractions on the dense matrix."""
     m = [[Fraction(x) for x in row] for row in rows]
     size = len(m)
     for col in range(size):
@@ -294,25 +293,64 @@ def _invertible_by_fractions(rows):
     return True
 
 
-def test_bareiss_matches_fraction_elimination():
-    rng = random.Random(11)
-    verdicts = []
-    for trial in range(300):
-        size = rng.randint(1, 9)
-        density = rng.choice((0.2, 0.5, 1.0))
-        rows = [
-            [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(size)]
-            for _ in range(size)
-        ]
-        if trial % 3 == 0 and size > 1:
-            # a row that is a combination of two others makes it singular
-            a, b, c = (rng.randrange(size) for _ in range(3))
-            rows[c] = [2 * x - 3 * y for x, y in zip(rows[a], rows[b])]
-        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
-        want = _invertible_by_fractions(rows)
-        assert _invertible_over_rationals(sparse) == want, rows
-        verdicts.append(want)
-    assert 50 < sum(verdicts) < 250
+def test_every_block_is_triangular_with_a_unit_diagonal():
+    # the budget admits sizes up to 8 (n = 8 at q = 2), so the freeness
+    # check reads A_k for k <= 8: u_a on the left of ((), b) stays below
+    # (a, b) in the Achar-Henderson order and meets it with coefficient 1
+    for k in range(1, 9):
+        for a, b in bipartitions_of(k):
+            image = act("left", u_elt(a, k), u_bip(((), b), k))
+            assert all(ah_leq(tgt, (a, b)) for tgt, _ in image.items()), (a, b)
+            assert image.coeff((a, b)) == LaurentPoly.one(), (a, b)
+
+
+def test_green_freeness_matches_the_full_product_matrix():
+    # the oracle: one two-sided product per pair of pure labels against
+    # the unit, which must fill a square matrix invertible over Q
+    cases = [(n, 2) for n in range(4)] + [(n, 3) for n in range(3)] + [(1, 5), (2, 5)]
+    for n, q in cases:
+        labels = green_labels(n, q)
+        columns, unit = set(labels), GreenLabel(q)
+        rows = []
+        for k in range(n + 1):
+            for a in green_labels(k, q, pure=True):
+                for b in green_labels(n - k, q, pure=True):
+                    vec = green_mul("left", a, green_mul("right", b, {unit: 1}))
+                    assert vec.keys() <= columns, (n, q, a, b)
+                    rows.append([vec.get(lab, 0) for lab in labels])
+        assert len(rows) == len(labels), (n, q)
+        assert _invertible_by_fractions(rows), (n, q)
+        want = {"n": n, "q": q, "dimension": len(labels), "passed": True}
+        assert green_freeness_check(n, q) == want, (n, q)
+
+
+def test_a_block_off_the_order_is_not_free(monkeypatch):
+    real = bimodule.act
+
+    def above(side, a, m):
+        # every image also reaches the top label ((k), ())
+        return real(side, a, m) + u_bip(((m.rank,), ()), m.rank)
+
+    def doubled(side, a, m):
+        return real(side, a, m) * (LaurentPoly.one() + LaurentPoly.v_power(1))
+
+    for fake in (above, doubled):
+        monkeypatch.setattr(bimodule, "act", fake)
+        for n, q in ((1, 2), (2, 3)):
+            with pytest.raises(NotFree):
+                green_freeness_check(n, q)
+    monkeypatch.setattr(bimodule, "act", real)
+    assert green_freeness_check(2, 3)["passed"]
+
+
+def test_a_green_payload_takes_no_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a green payload took a class-ring product")
+
+    monkeypatch.setattr(traces, "green_mul", refuse)
+    monkeypatch.setattr(traces, "_image", refuse)
+    for n, q in ((0, 2), (2, 3), (3, 2), (2, 5)):
+        assert serve_green.payload(n, q)["freeness"]["passed"], (n, q)
 
 
 def test_image_on_the_empty_label_matches_act():

@@ -7,6 +7,7 @@ program exits 2 with the usage message and writes no report.
 """
 
 import json
+import time
 
 import pytest
 
@@ -65,3 +66,32 @@ def test_pi_suite_refuses_an_exponent_off_the_gap(monkeypatch, entry):
         "suite": "pi", "name": "n=2", "passed": False,
         "detail": "OracleMismatch: off-diagonal (((1, 1), ()), ((2,), ())) off range(-2, 0, 2)",
     }
+
+
+@pytest.mark.parametrize("suite, max_n, err", [
+    ("classical", 7, "suite classical sweeps to --max-n 7; its bound is 6"),
+    ("all", 7, "suite classical sweeps to --max-n 7; its bound is 6"),
+    ("census", 10, "suite census sweeps to --max-n 10; its bound is 9"),
+    ("census", 10**6, "suite census sweeps to --max-n 1000000; its bound is 9"),
+    ("pi", 11, "suite pi sweeps to --max-n 11: tables at n=11 have at least 752 labels, "
+               "above the budget of 481"),
+])
+def test_a_sweep_past_its_bound_is_refused_before_any_suite_runs(
+        suite, max_n, err, monkeypatch, capsys):
+    def forbidden(cfg):
+        raise AssertionError("a suite ran before the sweep was bounded")
+
+    for name in checks._SUITE_RUNNERS:
+        monkeypatch.setitem(checks._SUITE_RUNNERS, name, forbidden)
+    start = time.perf_counter()
+    code = cli.main(["verify", "--suite", suite, "--max-n", str(max_n)])
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", f"mirahall: usage error: {err}\n")
+
+
+def test_each_sweep_bound_is_accepted(monkeypatch):
+    for name in checks._SUITE_RUNNERS:
+        monkeypatch.setitem(checks._SUITE_RUNNERS, name, lambda cfg: [])
+    for suites, max_n in ((cli.SUITES, 6), (("census",), 9), (("pi",), 10)):
+        assert checks.verify_payload(suites, RunConfig(max_n=max_n))["passed"]
