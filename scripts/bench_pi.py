@@ -88,7 +88,8 @@ IWAHORI_NS = (2, 3, 4)
 # widest accepted window, every `verify` suite (its report's sha256 pins
 # the checks), the latex render of the largest `iwahori mult` table,
 # the eight requests of the benchmark's cold-tables workload (json) and
-# the largest `green` rings the budget admits at q = 2, 5 and 1499
+# `green` rings: the largest the guard admits at q = 2, 5, 7 and n = 1,
+# and those the label budget of 3000 once admitted at q = 2 and 1499
 COLD_EXTRA = (
     ("hall", "--x", "5,4", "--y", "4,4"),
     ("pi", "--n", "12", "--N", "1"),
@@ -114,6 +115,10 @@ COLD_EXTRA = (
     ("green", "--n", "8", "--q", "2"),
     ("green", "--n", "4", "--q", "5"),
     ("green", "--n", "1", "--q", "1499"),
+    ("green", "--n", "9", "--q", "2"),
+    ("green", "--n", "10", "--q", "2"),
+    ("green", "--n", "4", "--q", "7"),
+    ("green", "--n", "1", "--q", "5987"),
 )
 
 # the host speed gauge of perfbench/run.py, with its thread pins

@@ -10,10 +10,11 @@ by the one driver of the algebra's actions, `hall.monomial_action`,
 whose step `gen_act` is the linear extension of one generator's closed
 column from `closedform`.  `oracle.act_direct` reads
 the directly counted tables instead; it is the oracle the tests replay.
-The right action on the vacuum, the only right action that the cyclic
-basis takes, is read in closed form (`right_on_vacuum`) by `act`
-itself, so no serving request reads a right table; a `green` request
-takes no right action at all (`traces.green_ring`).
+
+The right action of u_b on the vacuum is the label ((), b), so every
+cyclic vector is read from one checked matrix per size, `action_matrix`
+(u_a on the left of ((), b)), which the class ring (`traces.green_ring`)
+reads too; no serving request takes a right action.
 
 `pi_table` normalises the cyclic basis into the transition table of
 polynomials the rest of the package consumes; `_basis_in_tensor`
@@ -33,8 +34,9 @@ from typing import Mapping
 
 from .closedform import closed_form_G
 from .combination import Combination
-from .errors import DiagonalNotUnit, NonIntegral, NotInTable, OracleMismatch, RankTooSmall
-from .hall import HallElt, c_expand, monomial_action
+from .errors import (DiagonalNotUnit, NonIntegral, NotFree, NotInTable, OracleMismatch,
+                     RankTooSmall)
+from .hall import HallElt, c_expand, monomial_action, u_elt
 from .laurent import LaurentPoly, QPoly
 from .partitions import (Bipartition, Partition, ah_leq, bipartitions_of, fits,
                          label_size, pair_codim, pair_orbit_dim, trim, trim_pair)
@@ -82,35 +84,44 @@ def _v_column(
 
 
 def act(side: str, a: HallElt, m: MirElt) -> MirElt:
-    """Module action of `a` on one side, by `hall.monomial_action`; the
-    right action on a multiple of the vacuum is read in closed form
-    (`right_on_vacuum`)."""
-    if side == "right" and m._c.keys() <= {((), ())}:
-        a._check(m)
-        return right_on_vacuum(a) * m.coeff(((), ()))
+    """Module action of `a` on one side, by `hall.monomial_action`."""
     return monomial_action(a, m, partial(gen_act, side), side == "left")
 
 
-def right_on_vacuum(a: HallElt) -> MirElt:
-    """The right action of `a` on the vacuum in closed form: u_b . () = ((), b).
-
-    On the vacuum the invariant subspace W is 0, so the marked vector,
-    which lies in W, is 0 and the quotient V/W = V has type b: each shape
-    b of `a` becomes the label ((), b) with its coefficient, in the same
-    order.  The generator route (`hall.monomial_action` with the step
-    `gen_act`) is the oracle the tests replay."""
-    return MirElt._trusted(a.rank, {((), b): c for b, c in a._c.items()})
+@lru_cache(maxsize=None)
+def action_matrix(n: int, rank: int) -> Mapping[Bipartition, MirElt]:
+    """B(a, b) = u_a on the left of ((), b) for each label (a, b) of
+    `bipartitions_of(n, rank)`, the matrix `c_bipartition` and
+    `traces.green_ring` read.  NotFree unless each column lies under
+    (a, b) in `ah_leq` and meets it in a monomial: then B is invertible
+    at every q."""
+    out = {}
+    for a, b in bipartitions_of(n, rank):
+        image = act("left", u_elt(a, rank), u_bip(((), b), rank))
+        if (image.coeff((a, b)).as_monomial() is None
+                or not all(ah_leq(tgt, (a, b)) for tgt in image._c)):
+            raise NotFree(f"block of size {n} is not triangular at {(a, b)}")
+        out[(a, b)] = image
+    return out
 
 
 def c_bipartition(lam: Partition, mu: Partition, rank: int) -> MirElt:
     """Cyclic basis: signed-Kostka operators applied to the vacuum on
-    both sides.  The one check of a cyclic vector: no weight outside the
-    cone below its column, and once the orbit dimension is scaled out,
-    the diagonal `diag_unit(col)`."""
+    both sides, the sum of E[lam,a] E[mu,b] B(a,b) (E from `c_expand`,
+    B `action_matrix`).  The one check of a cyclic vector: no weight
+    outside the cone below its column, and once the orbit dimension is
+    scaled out, the diagonal `diag_unit(col)`."""
     col = trim(lam), trim(mu)
     if not fits(col, rank):
         raise RankTooSmall(f"label {col} needs more than {rank} rows")
-    vec = act("left", c_expand(col[0], rank), _right_vacuum(col[1], rank))
+    matrix = action_matrix(label_size(col), rank)
+    left = c_expand(col[0], rank)._c.items()
+    out: dict = {}
+    for b, eb in c_expand(col[1], rank)._c.items():
+        for a, ea in left:
+            scale = ea * eb
+            MirElt._accumulate(out, ((k, scale * c) for k, c in matrix[(a, b)]._c.items()))
+    vec = MirElt._trusted(rank, out)
     for row in vec._c:
         if not ah_leq(row, col):
             raise OracleMismatch(
@@ -122,13 +133,6 @@ def c_bipartition(lam: Partition, mu: Partition, rank: int) -> MirElt:
             f"diagonal at {col}: {diag.pretty()} != {diag_unit(col).pretty()}"
         )
     return vec
-
-
-@lru_cache(maxsize=None)
-def _right_vacuum(mu: Partition, rank: int) -> MirElt:
-    """The right half of `c_bipartition`, shared by every label with
-    second component `mu`, read in closed form by `act`."""
-    return act("right", c_expand(mu, rank), vacuum(rank))
 
 
 def calibration_sign(row: Bipartition, col: Bipartition) -> int:

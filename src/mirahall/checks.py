@@ -49,7 +49,7 @@ from .oracle import (
     rho_check,
     verify_closed_form,
 )
-from .pairs import orbit_census
+from .pairs import MAX_CENSUS_VECTORS, orbit_census
 from .partitions import ah_leq, bipartitions_of, pair_codim, partitions_of
 from .traces import green_freeness_check
 
@@ -442,10 +442,16 @@ MAX_SWEEP_N = {"census": 9, "classical": 6}
 def verify_payload(suites: Sequence[str], cfg: RunConfig) -> dict:
     """Run each named suite in turn; the report passes when every check
     does.  A --max-n past the bound of a suite that sweeps to it and too
-    few primes for the iwahori suite's counts are refused first."""
+    few primes for the iwahori suite's counts are refused first, and so
+    is a census past its budget of vectors at any prime."""
     for suite, bound in MAX_SWEEP_N.items():
         if suite in suites and cfg.max_n > bound:
             raise UsageError(f"suite {suite} sweeps to --max-n {cfg.max_n}; its bound is {bound}")
+    if "census" in suites:
+        q = max(cfg.primes)
+        if q**cfg.max_n > MAX_CENSUS_VECTORS:
+            raise UsageError(f"suite census sweeps to --max-n {cfg.max_n} at q={q}: "
+                             f"{q}^{cfg.max_n} vectors, above the budget of {MAX_CENSUS_VECTORS}")
     if "pi" in suites:
         try:
             check_cost(cfg.max_n)

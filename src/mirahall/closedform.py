@@ -28,11 +28,11 @@ Hall product, both sides of the bimodule, the class ring and the
 the targets its step can reach (`reachable_targets`), built from the
 source within the rank (a label fits by `partitions.fits`).  A right
 constant is a mirrored left one, read cell by cell (`right_via_star`):
-one rank above the target's size for `bimodule.act("right")` away from
-the vacuum, which no serving request reaches (`act` reads the vacuum in
-closed form), and at its own rank for a right `mirabolic` column.  The
-counted tables of `pairs` and the checks of `oracle` are oracles that
-only `verify` and the tests reach.
+one rank above the target's size for `bimodule.act("right")`, which no
+serving request takes (the cyclic basis reads only left actions,
+`bimodule.action_matrix`), and at its own rank for a right `mirabolic`
+column.  The counted tables of `pairs` and the checks of `oracle` are
+oracles that only `verify` and the tests reach.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ request past its budget before any table work.
 `pi`, `mhl` (by a budget of its own), `trace` and `mirabolic` build,
 `check_universe_cost` the candidate labels of `iwahori mult` and
 `check_hall_cost` the generator steps of a `hall` product; the class
-ring of `green` is guarded beside its labels (`traces.check_green_cost`).
+ring of `green` is guarded beside its labels (`traces.check_green_cost`,
+which bounds its blocks, the matrices of `pi`, by `check_cost`).
 Each counts without building anything, from `partitions` at most, which
 this module reaches as a module so that a guard that needs no label
 count (`iwahori`) leaves it unrun; a refused request runs no table

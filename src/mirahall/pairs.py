@@ -584,6 +584,10 @@ def _commutant_basis(u: np.ndarray, p: int) -> np.ndarray:
     return gf.nullspace(A, p)
 
 
+# The budget of one census in vectors, q^n; `verify` refuses past it.
+MAX_CENSUS_VECTORS = 4096
+
+
 def orbit_census(n: int, q: int, seed: int = 0, max_rounds: int = 512):
     """Certified orbit sizes: for each label, the number of vectors in
     the corresponding stabiliser orbit over F_q.
@@ -593,7 +597,7 @@ def orbit_census(n: int, q: int, seed: int = 0, max_rounds: int = 512):
     (every merge is a true orbit relation).  Equality certifies both.
     """
     check_prime(q)
-    if q**n > 4096:
+    if q**n > MAX_CENSUS_VECTORS:
         raise CostGuard(f"census over {q}^{n} vectors exceeds the budget")
     rng = random.Random(seed)
     out: dict[Bipartition, int] = {}

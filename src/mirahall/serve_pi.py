@@ -1,7 +1,7 @@
 """`mirahall pi`: the calibrated transition table, as a payload and as rows."""
 
 from . import bimodule, costs
-from .artifacts import _cell_texts, _square_rows
+from .artifacts import Shared, _cell_texts, _square_rows
 from .config import bplabel
 
 
@@ -10,7 +10,8 @@ def payload(n: int, rank: int) -> dict:
     table = bimodule.pi_table(n, rank)
     calibrated, raw = [], []
     for row, col, val in table.nonzero_cells():
-        cell = {"row": bplabel(row), "col": bplabel(col), "coeff": val.to_json()}
+        # a raw cell with sign +1 is this very cell, encoded once
+        cell = Shared(row=bplabel(row), col=bplabel(col), coeff=val.to_json())
         calibrated.append(cell)
         if bimodule.calibration_sign(row, col) < 0:
             cell = {**cell, "coeff": {e: -c for e, c in cell["coeff"].items()}}

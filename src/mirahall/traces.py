@@ -4,8 +4,9 @@ a ring too large to check (`check_green_cost`), which counts the labels
 without listing any; the table modules are reached as modules, so a
 refused request runs none of them.
 
-The freeness check reads one triangular block per size (`green_ring`
-says why that is enough); `green_mul` is the oracle the tests replay.
+The freeness check reads one block per size, the checked matrix that
+the `pi` table reads too (`bimodule.action_matrix`; `green_ring` says
+why that is enough); `green_mul` is the oracle the tests replay.
 
 >>> irreducible_polys(2, 2)  # t + 1 and t^2 + t + 1 over F_2
 ((1, 1), (1, 1, 1))
@@ -19,21 +20,20 @@ from functools import lru_cache
 from itertools import product as cartesian
 from typing import Iterable, Mapping
 
-from . import bimodule, combination, hall
+from . import bimodule, combination, costs, hall
 from .config import check_prime
-from .errors import CostGuard, FieldMismatch, NotFree, UsageError
-from .partitions import (Bipartition, ah_leq, bipartition_count, bipartitions_of,
-                         label_size, partitions_of, trim_pair)
+from .errors import CostGuard, FieldMismatch, UsageError
+from .partitions import (Bipartition, bipartition_count, bipartitions_of, label_size,
+                         partitions_of, trim_pair)
 
 
-# Budget for the class ring that `green` lists and checks, in labels,
-# kept from when the check eliminated over every label (the smallest
-# refused input at each q then ran past a minute) so that no verdict
-# changes.  The check now reads one block per size k <= n whatever q,
-# 1.1 s in all to k = 8; cold on a 2-vCPU box `--n 8 --q 2` (1,606
-# labels) took 1.2 s, `--n 4 --q 5` (2,776) 0.13 s and `--n 1 --q 1499`
-# (2,996) 0.14 s.
-MAX_GREEN_LABELS = 3000
+# Budget for the labels of the class ring that `green` lists and
+# renders; the freeness check reads the matrices of `pi` at each k <= n,
+# so n is bounded first by the budget of `pi` (`costs.check_cost`).
+# Cold on a 2-vCPU box the slowest accepted rings were `--n 10 --q 2`
+# (8,273 labels) at 12.0 s and 55 MB and `--n 9 --q 2` (3,650) at 3.8 s;
+# at n = 1 listing grows as q^2: `--n 1 --q 5987` (11,972) took 1.2 s.
+MAX_GREEN_LABELS = 12000
 
 
 def _irreducible_count(q: int, d: int) -> int:
@@ -96,21 +96,13 @@ def _series_power(base: list[int], e: int) -> list[int]:
 
 
 def check_green_cost(n: int, q: int) -> None:
-    """Refuse a class ring whose freeness check would run too long,
-    judged by its label count before any label is listed.  Labels on
-    t + 1 alone already number `bipartition_count(n)`, which bounds the
-    sizes whose full count is worth taking."""
-    if all(bipartition_count(k) <= MAX_GREEN_LABELS for k in range(n + 1)):
-        count = green_label_count(n, q)
-        if count <= MAX_GREEN_LABELS:
-            return
-        many = f"{count} labels"
-    else:
-        many = f"more than {MAX_GREEN_LABELS} labels"
-    raise CostGuard(
-        f"class ring at n={n}, q={q} has {many}; the budget is "
-        f"{MAX_GREEN_LABELS} labels"
-    )
+    """Refuse, before any label is listed, a class ring whose blocks pass
+    the budget of `pi` or whose labels, counted, pass MAX_GREEN_LABELS."""
+    costs.check_cost(n)
+    count = green_label_count(n, q)
+    if count > MAX_GREEN_LABELS:
+        raise CostGuard(f"class ring at n={n}, q={q} has {count} labels; the budget is "
+                        f"{MAX_GREEN_LABELS} labels")
 
 
 # --- class ring over F_q, labels split by irreducible polynomial ------------
@@ -272,8 +264,7 @@ def _image(side: str, nu, src: Bipartition, qd: int) -> tuple:
     they fill; the coefficients are polynomials in q = v**2, read at
     q = qd (q**deg(f) for a polynomial f).  `green_mul` asks for it for
     every label and polynomial it acts on, but it depends only on these
-    four arguments.  `bimodule.act` reads the right action on the
-    empty label in closed form."""
+    four arguments."""
     rank = label_size(src) + sum(nu)
     image = bimodule.act(side, hall.u_elt(nu, rank), bimodule.u_bip(src, rank))
     return tuple((tgt, g.bar().to_t_poly().evaluate(qd)) for tgt, g in image.items())
@@ -329,26 +320,16 @@ def green_ring(n: int, q: int) -> tuple[list["GreenLabel"], dict]:
 
     The row of a pair (a, b) of pure labels is
     `green_mul("left", a, green_mul("right", b, {unit: 1}))`.  The right
-    product on the unit is the identity on pure labels (`bimodule.act`
-    reads u_b on the vacuum as ((), b) with coefficient 1), and every
-    product splits over the polynomials, so the rows are indexed by the
-    labels (f to (a_f, b_f)), the matrix is block-diagonal by the size
-    k_f of each polynomial f, and each block is the Kronecker product
-    over f of one matrix A_k read at q**deg(f): its row at (a, b),
-    |a| + |b| = k, is u_a on the left of ((), b).  A Kronecker product
-    of triangular matrices is triangular, so the matrix is invertible at
-    every q once each A_k, k <= n, is triangular in `ah_leq` with a
-    monomial diagonal, which is checked here.
-
-    A ring past the label budget is refused (`check_green_cost`) before
-    any label is listed."""
+    product on the unit is the identity on pure labels, and every
+    product splits over the polynomials, so the matrix is block-diagonal
+    by the size k_f of each polynomial f, each block the Kronecker
+    product over f of `bimodule.action_matrix(k_f, k_f)` read at
+    q**deg(f).  That matrix is checked to be triangular with a monomial
+    diagonal, so the whole is invertible at every q.  A ring past the
+    guard (`check_green_cost`) is refused before any label is listed."""
     check_prime(q)
     check_green_cost(n, q)
     labels = green_labels(n, q)
     for k in range(1, n + 1):
-        for a, b in bipartitions_of(k):
-            image = bimodule.act("left", hall.u_elt(a, k), bimodule.u_bip(((), b), k))
-            if (image.coeff((a, b)).as_monomial() is None
-                    or not all(ah_leq(tgt, (a, b)) for tgt, _ in image.items())):
-                raise NotFree(f"block of size {k} is not triangular at {(a, b)}")
+        bimodule.action_matrix(k, k)
     return labels, {"n": n, "q": q, "dimension": len(labels), "passed": True}

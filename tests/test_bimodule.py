@@ -1,8 +1,6 @@
-from functools import partial
-
 import pytest
 
-from mirahall import bimodule, hall
+from mirahall import bimodule, hall, serve_green, serve_trace, traces
 from mirahall.bimodule import (
     MirElt,
     PiTable,
@@ -14,7 +12,6 @@ from mirahall.bimodule import (
     gen_act,
     mhl_poly,
     pi_table,
-    right_on_vacuum,
     u_bip,
     vacuum,
 )
@@ -62,40 +59,19 @@ def test_vacuum_seeds():
     assert left == u_bip(((1,), ()), rank) + u_bip(((), (1,)), rank)
 
 
-def test_right_on_vacuum_matches_the_generator_route():
-    # u_b . () = ((), b) with coefficient 1, against the generator route
-    # for every shape of size <= 7 at every rank from its row count to
-    # |b| + 1, and for the signed Kostka combination the cyclic basis
-    # applies there; the terms keep the order of the shapes
+def test_right_action_on_the_vacuum_is_its_label():
+    # u_b . () = ((), b) with coefficient 1 by the generator route, for
+    # every shape of size <= 7 at every rank from its row count to
+    # |b| + 1: the identity that lets every cyclic vector read
+    # `action_matrix`; and so the signed Kostka combination the cyclic
+    # basis applies there lands on the labels of its shapes
     for k in range(8):
         for b in partitions_of(k):
             for rank in range(max(len(b), 1), k + 2):
-                assert right_on_vacuum(u_elt(b, rank)) == u_bip(((), b), rank)
-                for a in (u_elt(b, rank), c_expand(b, rank)):
-                    got = right_on_vacuum(a)
-                    want = hall.monomial_action(
-                        a, vacuum(rank), partial(bimodule.gen_act, "right"), False
-                    )
-                    assert got == want, (b, rank)
-                    assert list(got._c) == [((), c) for c in a._c], (b, rank)
-
-
-def test_act_reads_a_multiple_of_the_vacuum_in_closed_form(monkeypatch):
-    # no generator step runs on the right of the vacuum, whatever its
-    # coefficient, and a rank mismatch is still refused
-    rank = 3
-    a = c_expand((2, 1), rank)
-    want = right_on_vacuum(a)
-
-    def no_step(*args):
-        raise AssertionError("a generator step ran on the vacuum")
-
-    monkeypatch.setattr(bimodule, "gen_act", no_step)
-    for c in (1, 3, LaurentPoly.v_power(-2, -1)):
-        assert act("right", a, c * vacuum(rank)) == want * c, c
-    assert act("right", a, MirElt.zero(rank)).is_zero()
-    with pytest.raises(ValueError):
-        act("right", a, vacuum(rank + 1))
+                assert act("right", u_elt(b, rank), vacuum(rank)) == u_bip(((), b), rank)
+                a = c_expand(b, rank)
+                want = MirElt(rank, {((), c): coeff for c, coeff in a._c.items()})
+                assert act("right", a, vacuum(rank)) == want, (b, rank)
 
 
 def test_frozen_left_action():
@@ -387,7 +363,7 @@ def test_c_bipartition_rank_guard():
 @pytest.fixture
 def cold_tables():
     # the corruption below must reach no table a later test reads
-    caches = (pi_table, bimodule._basis_in_tensor, bimodule._right_vacuum,
+    caches = (pi_table, bimodule._basis_in_tensor, bimodule.action_matrix,
               hall._gen_decomposition)
     for table in caches:
         table.cache_clear()
@@ -398,28 +374,35 @@ def cold_tables():
 
 def test_both_triangular_systems_refuse_a_corrupt_cyclic_vector(monkeypatch, cold_tables):
     # one rule per system: pi and mhl read the same checked cyclic
-    # vectors, and the generator decomposition's lead must be exactly 1
-    real_act, real_gen_mul = bimodule.act, hall.gen_mul
-    top = ((3,), ())
+    # vectors, and the generator decomposition's lead must be exactly 1.
+    # Neither corruption is one that `action_matrix`'s own check sees:
+    # a negated action keeps each diagonal a monomial, and the extra
+    # signed Kostka term leaves the matrix untouched
+    real_act, real_c_expand, real_gen_mul = bimodule.act, bimodule.c_expand, hall.gen_mul
+    top = (3,)
 
     def negated(side, a, m):
         out = real_act(side, a, m)
         return -1 * out if label_size(next(iter(out._c))) == 3 else out
 
-    def above(side, a, m):
-        # every size-3 vector but the top column's gains the top label
-        out = real_act(side, a, m)
-        if label_size(next(iter(out._c))) == 3 and top not in out._c:
-            out = out + u_bip(top, m.rank)
+    def above(lam, rank):
+        # every size-3 shape but the top one gains the top shape
+        out = real_c_expand(lam, rank)
+        if sum(lam) == 3 and lam != top:
+            out = out + u_elt(top, rank)
         return out
 
-    for corrupt, error in ((negated, DiagonalNotUnit), (above, OracleMismatch)):
-        monkeypatch.setattr(bimodule, "act", corrupt)
+    for name, corrupt, error in (("act", negated, DiagonalNotUnit),
+                                 ("c_expand", above, OracleMismatch)):
+        real = getattr(bimodule, name)
+        monkeypatch.setattr(bimodule, name, corrupt)
         # a refused table leaves no cache entry behind
         for build in (lambda: pi_table(3, 3), lambda: mhl_poly(((1,), (1, 1)), 3)):
             with pytest.raises(error):
                 build()
-    monkeypatch.setattr(bimodule, "act", real_act)
+        monkeypatch.setattr(bimodule, name, real)
+        # the negated matrix passed its own check, and is forgotten
+        bimodule.action_matrix.cache_clear()
 
     def gen_mul(r, m):
         out = real_gen_mul(r, m)
@@ -429,6 +412,49 @@ def test_both_triangular_systems_refuse_a_corrupt_cyclic_vector(monkeypatch, col
     hall._gen_decomposition.cache_clear()
     with pytest.raises(DiagonalNotUnit):
         hall._gen_decomposition((1,), 2)
+
+
+def _two_sided_route(lam, mu, rank):
+    """The cyclic vector of (lam, mu) as two actions on the vacuum, the
+    right one first: the route `c_bipartition` took before it read
+    `action_matrix`, kept as its oracle."""
+    return act("left", c_expand(lam, rank), act("right", c_expand(mu, rank), vacuum(rank)))
+
+
+def test_c_bipartition_matches_the_two_sided_route():
+    for n in range(7):
+        for rank in sorted({max(n, 1), max(1, n - 2)}):
+            for lam, mu in bipartitions_of(n, rank):
+                got = c_bipartition(lam, mu, rank)
+                assert got == _two_sided_route(lam, mu, rank), (lam, mu, rank)
+
+
+def test_no_table_takes_a_right_action(monkeypatch, cold_tables):
+    # the cyclic basis, the two-sided polynomials, the trace cells and
+    # the class ring all read `action_matrix`, which acts on the left
+    real = bimodule.gen_act
+
+    def left_only(side, r, m):
+        if side == "right":
+            raise AssertionError("a table took a right action")
+        return real(side, r, m)
+
+    monkeypatch.setattr(bimodule, "gen_act", left_only)
+    pi_table(5, 5)
+    mhl_poly(((2,), (1, 1)), 4)
+    serve_trace.payload(4, 3)
+    traces.green_ring(3, 2)
+
+
+def test_a_green_payload_and_pi_share_one_action_matrix(cold_tables):
+    serve_green.payload(3, 2)
+    built = bimodule.action_matrix.cache_info()
+    assert built.misses == 3  # sizes 1, 2 and 3, at their own rank
+    pi_table(3, 3)
+    after = bimodule.action_matrix.cache_info()
+    # one hit per column, and no build
+    assert after.misses == built.misses
+    assert after.hits - built.hits == len(pi_table(3, 3).order)
 
 
 def test_labels_that_fit_a_rank_are_the_filtered_labels_in_order():

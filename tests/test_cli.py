@@ -717,8 +717,8 @@ def test_mhl_rank_below_the_size_is_a_usage_error(capsys, monkeypatch):
     ("hall", "--x", "13,1,1", "--y", "1", "--N", "16"),
     ("hall", "--x", "100", "--y", "100"),
     ("hall", "--x", "200", "--y", "1"),
-    ("green", "--n", "9", "--q", "2"),
-    ("green", "--n", "4", "--q", "7"),
+    ("green", "--n", "11", "--q", "2"),
+    ("green", "--n", "5", "--q", "5"),
     ("green", "--n", "3", "--q", "1000003"),
 ], ids=" ".join)
 def test_hall_and_green_cost_guards_refuse_fast(capsys, argv):

@@ -204,8 +204,8 @@ def test_serving_path_never_counts(monkeypatch):
 
 
 def test_tables_and_class_ring_read_no_right_table(monkeypatch):
-    # the cyclic basis and the class ring's products against the empty
-    # label take the right action on the vacuum in closed form
+    # the cyclic basis and the class ring read `bimodule.action_matrix`,
+    # which takes only left actions
     def refuse(*args, **kwargs):
         raise AssertionError("a table read a right constant")
 

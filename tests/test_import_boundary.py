@@ -23,7 +23,7 @@ runs `artifacts` and its own rows and skips the cost guard, so runs
 neither `costs` nor `partitions`), a request refused by a cost guard,
 and every cold request of the benchmark to leave the modules they do
 not need unrun.  A cold request runs `artifacts`, its own serving
-module and no other, and its guard: in `costs`, or for `green` in
+module and no other, and its guard: in `costs`, and for `green` also in
 `traces`, which no other request runs (so a `trace` miss runs only the
 `pi` table); a `mirabolic` or `iwahori` miss runs no `combination`, and
 no miss but an iwahori csv or latex render (whose label cells are json
@@ -203,8 +203,7 @@ def json_artifact_cache(tmp_path_factory):
     for argv in workloads.COLD_TABLES:
         got = _run(STATES, workloads.with_format(argv, "json"), cache_dir)
         # a cold request passes its cost guard before any table work
-        guard = "traces" if argv[0] == "green" else "costs"
-        assert got["code"] == 0 and got["states"][guard] == "ran"
+        assert got["code"] == 0 and got["states"]["costs"] == "ran"
         assert got["states"]["artifacts"] == "ran"
     assert len(list(cache_dir.iterdir())) == len(workloads.COLD_TABLES)
     return cache_dir
@@ -241,7 +240,7 @@ def test_mhl_below_its_size_runs_no_lazy_module(tmp_path):
 
 REFUSED = (
     ("pi", "--n", "11"),
-    ("green", "--n", "9", "--q", "2"),
+    ("green", "--n", "11", "--q", "2"),
     ("hall", "--x", "13,1,1", "--y", "1", "--N", "16"),
     ("iwahori", "mult", "--N", "5", "--window", "1"),
     ("mirabolic", "--src", "8|8", "--r", "8"),
@@ -252,11 +251,13 @@ REFUSED = (
 @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
 def test_refused_request_runs_no_table_module(argv, tmp_path):
     # every guard but iwahori's counts labels in partitions; green's
-    # guard is in traces, which reaches the tables it checks as modules
+    # guard is in traces, which reaches costs and the tables it checks
+    # as modules
     partitions = "lazy" if argv[0] == "iwahori" else "ran"
-    guard = "traces" if argv[0] == "green" else "costs"
-    states = {guard: "ran", "partitions": partitions, "artifacts": "ran",
+    states = {"costs": "ran", "partitions": partitions, "artifacts": "ran",
               f"serve_{argv[0]}": "ran"}
+    if argv[0] == "green":
+        states["traces"] = "ran"
     assert _run(STATES, argv, tmp_path / "cache") == {
         "code": 1, "states": dict(ALL_LAZY, **states), "json": False, "text": []}
 
@@ -269,11 +270,11 @@ def test_cold_iwahori_runs_only_affine(tmp_path):
 
 
 # What each cold request runs of the lazy modules besides `artifacts` and
-# its own serving module: its guard (`costs`; green's is in `traces`)
-# and the table code it reads.  The three views of the transition table
-# read the `pi` table and nothing of `traces`; only `green` counts the
-# class ring's labels; a mirabolic column and the iwahori products take
-# no `combination`.
+# its own serving module: its guard (`costs`; green's is in `traces`,
+# which runs `costs` too) and the table code it reads.  The three views
+# of the transition table read the `pi` table and nothing of `traces`;
+# only `green` counts the class ring's labels; a mirabolic column and
+# the iwahori products take no `combination`.
 PI_TABLE = ("bimodule", "closedform", "combination", "hall", "laurent", "partitions",
             "symfunc")
 COLD_RUNS = {
@@ -283,7 +284,7 @@ COLD_RUNS = {
     "hall": ("closedform", "combination", "costs", "hall", "laurent", "partitions",
              "symfunc"),
     "mirabolic": ("closedform", "costs", "laurent", "partitions"),
-    "green": PI_TABLE + ("traces",),
+    "green": PI_TABLE + ("costs", "traces"),
     "iwahori": ("affine", "costs", "laurent"),
 }
 

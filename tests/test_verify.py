@@ -73,6 +73,9 @@ def test_pi_suite_refuses_an_exponent_off_the_gap(monkeypatch, entry):
     ("all", 7, "suite classical sweeps to --max-n 7; its bound is 6"),
     ("census", 10, "suite census sweeps to --max-n 10; its bound is 9"),
     ("census", 10**6, "suite census sweeps to --max-n 1000000; its bound is 9"),
+    ("census", 8, "suite census sweeps to --max-n 8 at q=3: 3^8 vectors, above the budget "
+                  "of 4096"),
+    ("all", 8, "suite classical sweeps to --max-n 8; its bound is 6"),
     ("pi", 11, "suite pi sweeps to --max-n 11: tables at n=11 have at least 752 labels, "
                "above the budget of 481"),
 ])
@@ -93,5 +96,7 @@ def test_a_sweep_past_its_bound_is_refused_before_any_suite_runs(
 def test_each_sweep_bound_is_accepted(monkeypatch):
     for name in checks._SUITE_RUNNERS:
         monkeypatch.setitem(checks._SUITE_RUNNERS, name, lambda cfg: [])
-    for suites, max_n in ((cli.SUITES, 6), (("census",), 9), (("pi",), 10)):
+    for suites, max_n in ((cli.SUITES, 6), (("census",), 7), (("pi",), 10)):
         assert checks.verify_payload(suites, RunConfig(max_n=max_n))["passed"]
+    # the census budget binds at the largest prime: 2^9 vectors fit it
+    assert checks.verify_payload(("census",), RunConfig(max_n=9, primes=(2,)))["passed"]
