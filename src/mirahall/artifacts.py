@@ -99,7 +99,7 @@ _SCALARS = {
 
 class Shared(dict):
     """A subtree that one payload tree holds at many places (an iwahori
-    label or coefficient); `json_text` encodes it once per indent."""
+    label or coefficient, a `pi` cell); `json_text` encodes it once per indent."""
 
     __slots__ = ()
 
@@ -133,6 +133,8 @@ def json_text(value, pad: str = "\n", texts: dict | None = None) -> str:
             chunks += (inner, encode_basestring_ascii(key), ": ", scalar(v) if scalar
                        else known.get(id(v)) or json_text(v, inner, texts), ",")
         chunks[-1] = pad + "}"
+        if pad == "\n":  # the whole tree: no subtree is met again
+            texts.clear()
         text = "".join(chunks)
         if type(value) is Shared:
             texts.setdefault(pad, {})[id(value)] = text

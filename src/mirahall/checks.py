@@ -447,11 +447,9 @@ def verify_payload(suites: Sequence[str], cfg: RunConfig) -> dict:
     for suite, bound in MAX_SWEEP_N.items():
         if suite in suites and cfg.max_n > bound:
             raise UsageError(f"suite {suite} sweeps to --max-n {cfg.max_n}; its bound is {bound}")
-    if "census" in suites:
-        q = max(cfg.primes)
-        if q**cfg.max_n > MAX_CENSUS_VECTORS:
-            raise UsageError(f"suite census sweeps to --max-n {cfg.max_n} at q={q}: "
-                             f"{q}^{cfg.max_n} vectors, above the budget of {MAX_CENSUS_VECTORS}")
+    if "census" in suites and (q := max(cfg.primes)) ** cfg.max_n > MAX_CENSUS_VECTORS:
+        raise UsageError(f"suite census sweeps to --max-n {cfg.max_n} at q={q}: "
+                         f"{q}^{cfg.max_n} vectors, above the budget of {MAX_CENSUS_VECTORS}")
     if "pi" in suites:
         try:
             check_cost(cfg.max_n)

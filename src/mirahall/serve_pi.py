@@ -10,12 +10,13 @@ def payload(n: int, rank: int) -> dict:
     table = bimodule.pi_table(n, rank)
     calibrated, raw = [], []
     for row, col, val in table.nonzero_cells():
-        # a raw cell with sign +1 is this very cell, encoded once
-        cell = Shared(row=bplabel(row), col=bplabel(col), coeff=val.to_json())
+        cell = {"row": bplabel(row), "col": bplabel(col), "coeff": val.to_json()}
+        if bimodule.calibration_sign(row, col) > 0:
+            cell = Shared(cell)  # its raw cell is this very cell, encoded once
+            raw.append(cell)
+        else:
+            raw.append({**cell, "coeff": {e: -c for e, c in cell["coeff"].items()}})
         calibrated.append(cell)
-        if bimodule.calibration_sign(row, col) < 0:
-            cell = {**cell, "coeff": {e: -c for e, c in cell["coeff"].items()}}
-        raw.append(cell)
     units = [{"col": bplabel(col), "unit": bimodule.diag_unit(col).to_json()}
              for col in table.order]
     return {"kind": "pi", "n": n, "N": rank, "order": [bplabel(bp) for bp in table.order],
