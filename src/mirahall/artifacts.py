@@ -4,9 +4,9 @@ A subcommand's pure payload builder (cost guard, then table build, then
 JSON tree) and its csv and latex rows are its own module's,
 `serve_<subcommand>` (`payload`, `rows`), so a miss compiles no other
 subcommand's.  `render` writes a tree in one of FORMATS, json through
-`json_text` (whose string encoder is `_json`'s, so a miss loads no
-`json` package), csv and latex each in its own format only, one text
-per distinct cell.  `cli` registers this module and the serving modules
+`json_text` (whose string encoder is `_json`'s, so a miss built from its
+table loads no `json` package), csv and latex each in its own format
+only, one text per distinct cell.  `cli` registers this module and the serving modules
 lazily, so an artifact hit never runs them.  They never import `cli`,
 which under `python -m mirahall.cli` is `__main__` and would run twice;
 they read the kernel and table modules from the package, which keeps

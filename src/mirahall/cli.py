@@ -199,7 +199,7 @@ def _serve_cached(kind: str, params: dict, build, args: SimpleNamespace,
                 # leave gaps that the requested render grows past
                 cache.store(kind, json_key, artifacts.render(tree, "json"), cfg.cache_dir)
         else:
-            import json  # only here: an artifact hit never loads json
+            import json  # only here: no hit and no miss built from its table loads json
 
             tree = json.loads(stored)
             del stored  # not held through the render

@@ -8,7 +8,8 @@ generators), so its label rule drops them and leaves an honest algebra.
 
 One driver, `monomial_action`, runs every action of the algebra one
 square-zero generator at a time: `hall_mul` with the step `gen_mul`,
-`bimodule.act` with `bimodule.gen_act`.  `gen_mul` applies one
+`bimodule.act` with `bimodule.gen_act`; its chain loop also builds the
+signed Kostka operators (`c_expand`).  `gen_mul` applies one
 generator's column from the closed left table at vectorless targets
 (Macdonald's Hall polynomials G^c_{b (1^r)}), nonzero only when c is b
 plus a vertical r-strip, so a step lists no pair label.  The oracle,
@@ -30,12 +31,10 @@ from .partitions import (
     Partition,
     conjugate,
     dominance_leq,
-    n_stat,
-    partitions_of,
     trim,
     vertical_strips,
 )
-from .symfunc import kostka_foulkes
+from .symfunc import elementary_expansion
 
 
 class HallElt(Combination):
@@ -106,14 +105,20 @@ def monomial_action(
 ) -> Combination:
     """`a` acting on `m`, in `m`'s type: `a`'s coefficients are summed
     per generator monomial (its shapes share most of them), then each
-    monomial's chain of `step(r, term)` runs once, the last generator
-    first on the left."""
+    monomial's chain runs once (`_run_chains`)."""
     a._check(m)
     monomials: dict[tuple[int, ...], LaurentPoly] = {}
     for w, cw in a._c.items():
         HallElt._accumulate(monomials, (
             (cols, cw * cf) for cols, cf in _gen_decomposition(w, a.rank).items()
         ))
+    return _run_chains(monomials, m, step, left)
+
+
+def _run_chains(monomials: Mapping[tuple[int, ...], LaurentPoly], m: Combination,
+                step: Callable, left: bool = True) -> Combination:
+    """The sum of each generator monomial's chain of `step(r, term)` on
+    `m`, scaled by its coefficient, the last generator first on the left."""
     out: dict = {}
     for cols, scale in monomials.items():
         term = m
@@ -128,17 +133,20 @@ def hall_mul(x: HallElt, y: HallElt) -> HallElt:
     return monomial_action(x, y, gen_mul)
 
 
+@lru_cache(maxsize=None)
 def c_expand(lam: Partition, rank: int) -> HallElt:
-    """Signed Kostka combination of basis elements; the image of the
-    shape under the involution-adapted change of basis."""
-    lam = trim(lam)
-    n = sum(lam)
-    e = (rank - 1) * n
-    # the constructor drops the zero Kostka polynomials
-    return (-1) ** e * HallElt(rank, {
-        mu: LaurentPoly.from_t_poly(kostka_foulkes(lam, mu)).shift(2 * n_stat(mu) - e)
-        for mu in partitions_of(n)
-        if len(mu) <= rank
-    })
-
-
+    """Signed Kostka combination of basis elements: the preimage of the
+    Schur function s_lam, scaled by (-v)^-((rank-1)|lam|), under the
+    realisation `oracle.psi`, which sends a shape to its deformed basis
+    element scaled by v^(-2 n(shape)).  So psi^-1(e_r) = v^(r(r-1))
+    u_(1^r), the generator `gen_mul` applies, and s_lam is read from its
+    dual Jacobi-Trudi expansion (`symfunc.elementary_expansion`) in
+    e_1 .. e_rank: e_r for r > rank is u_(1^r), which the truncation at
+    `rank` drops.  The coefficient of u_mu is K_{lam mu}(v^-2) v^(2 n(mu))
+    up to that scale, K the deformed Kostka polynomial."""
+    e = (rank - 1) * sum(lam)
+    monomials = {
+        degs: LaurentPoly.v_power(sum(r * (r - 1) for r in degs) - e, (-1) ** e * c)
+        for degs, c in elementary_expansion(lam, rank).items()
+    }
+    return _run_chains(monomials, HallElt.unit(rank), gen_mul)

@@ -7,8 +7,8 @@ so a request never compiles it.
 
 * The antisymmetriser: the deformed basis in finitely many variables
   (`hl_schur_coefficients`, `hall_littlewood_in_vars`), the Kostka
-  table it inverts to (`_kostka_table`, the oracle for
-  `symfunc.kostka_foulkes`) and the character map `psi`.
+  table it inverts to (`_kostka_table`, the oracle for the signed
+  Kostka operators `hall.c_expand`) and the character map `psi`.
 * Counted structure constants: `hall_mul_direct` and `act_direct` read
   the subspace counts of `pairs`; `verify_closed_form` compares a
   closed table with its count entry by entry; `stable_right_constant`
@@ -241,7 +241,7 @@ def hall_littlewood_in_vars(lam: Partition, n_vars: int) -> VarPoly:
 def _kostka_table(n: int, n_vars: int) -> Mapping[tuple[Partition, Partition], QPoly]:
     """Deformed Kostka polynomials at size n, keyed by (lam, mu), from
     inverting `hl_schur_coefficients` in n_vars variables.  The oracle
-    for `kostka_foulkes`."""
+    for `hall.c_expand`."""
     order = list(partitions_of(n))
     size = len(order)
     c = [

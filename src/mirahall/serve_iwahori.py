@@ -29,13 +29,13 @@ def payload(N: int, window: int) -> dict:
 
 
 def rows(tree: dict, fmt: str) -> tuple[list[str], list[list[str]]]:
-    import json  # only here: a label's cell is its json text
-
     once, poly = _cell_texts(fmt)
 
     def label(d: dict) -> str:
+        # its json text, keys sorted: a list of ints reads as json does
         key = (tuple(d["window"]), d["lo"], tuple(d["extra"]))
-        return once(key, lambda: json.dumps(d, sort_keys=True))
+        return once(key, lambda: f'{{"extra": {d["extra"]}, "lo": {d["lo"]}, '
+                                 f'"window": {d["window"]}}}')
 
     rows = []
     for prod in tree["products"]:

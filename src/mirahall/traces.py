@@ -143,6 +143,11 @@ def irreducible_polys(q: int, max_deg: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _irreducible_set(q: int, max_deg: int) -> frozenset[tuple[int, ...]]:
+    return frozenset(irreducible_polys(q, max_deg))
+
+
 def _poly_str(f: tuple[int, ...]) -> str:
     bits = []
     for e in range(len(f) - 1, -1, -1):
@@ -177,7 +182,7 @@ class GreenLabel:
                 raise UsageError(f"{f} is not monic of positive degree")
             if f == (0, 1):
                 raise UsageError("the coordinate polynomial is excluded")
-            if f not in irreducible_polys(q, len(f) - 1):
+            if f not in _irreducible_set(q, len(f) - 1):
                 raise UsageError(f"{f} is reducible over F_{q}")
             clean.append((f, bp))
         clean.sort()
@@ -239,7 +244,8 @@ def _gather_labels(q: int, polys: list, pure: bool, start: int, remaining: int,
                    acc: list, out: list) -> None:
     """Append to `out` each label that extends `acc` by polynomials from
     polys[start:] of total weight `remaining`, one level per polynomial
-    (so the depth is at most n); see `symfunc._strips` on why not a closure."""
+    (so the depth is at most n); module level, since a closure that calls
+    itself is a cycle only the collector frees."""
     if remaining == 0:
         out.append(GreenLabel(q, tuple(acc)))
         return

@@ -6,10 +6,9 @@
 the collector's reach, so interpreter shutdown runs no collection pass
 over it; teardown still frees every object by reference count.  A cycle
 left behind is then never freed, so the table builds that a request
-runs must leave no cyclic garbage: the recursive enumerations of
-`symfunc` and `traces` are module-level functions, not closures that
-call themselves (each call of such a closure leaves a function-cell
-cycle).
+runs must leave no cyclic garbage: the recursive enumeration of
+`traces` is a module-level function, not a closure that calls itself
+(each call of such a closure leaves a function-cell cycle).
 
 `main()` itself never freezes: the tests, `perfbench/traced.py` and
 the import-boundary children call it in process.  The entry is tested

@@ -26,9 +26,9 @@ not need unrun.  A cold request runs `artifacts`, its own serving
 module and no other, and its guard: in `costs`, and for `green` also in
 `traces`, which no other request runs (so a `trace` miss runs only the
 `pi` table); a `mirabolic` or `iwahori` miss runs no `combination`, and
-no miss but an iwahori csv or latex render (whose label cells are json
-text) loads `json`.  Every module a cold request runs was registered
-at import, so `perfbench/traced.py` wraps it.
+no cold request loads `json` (an iwahori label's csv or latex cell, its
+json text, is written without it).  Every module a cold request runs
+was registered at import, so `perfbench/traced.py` wraps it.
 
 The front reads canonical argv (exact flags, as every request here
 sends them) from its option table and digests with the built-in
@@ -316,11 +316,9 @@ with open(sys.argv[1], "w") as fh:
 def test_cold_request_runs_only_its_own_subcommand(argv, tmp_path):
     kind = argv[0]
     ran = COLD_RUNS[kind] + ("artifacts", f"serve_{kind}")
-    # an iwahori label's csv or latex cell is its json text
-    loads_json = kind == "iwahori" and argv[-1] != "json"
     assert _run(COLD, argv, tmp_path / "cache") == {
         "code": 0, "states": dict(ALL_LAZY, **dict.fromkeys(ran, "ran")),
-        "json": loads_json, "late": []}
+        "json": False, "late": []}
 
 
 def test_traced_report_reads_ts_action_from_affine():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mirahall.hall import HallElt, c_expand
 from mirahall.laurent import LaurentPoly, QPoly
 from mirahall.partitions import (
     dominance_leq,
@@ -18,7 +19,16 @@ from mirahall.oracle import (
     schur_decompose,
     schur_in_vars,
 )
-from mirahall.symfunc import _charge, kostka_foulkes
+
+
+def kostka_foulkes(lam, mu):
+    """K_{lam mu}(t), t = v**-2, read from the signed Kostka operator of
+    lam at rank |lam|: (-1)**e v**(e - 2 n(mu)) times its coefficient of
+    mu, e = (|lam| - 1) |lam|."""
+    n = sum(lam)
+    e = (n - 1) * n
+    coeff = c_expand(trim(lam), n).coeff(trim(mu))
+    return (LaurentPoly.v_power(e - 2 * n_stat(trim(mu)), (-1) ** e) * coeff).to_t_poly()
 
 
 def horizontal_strip_predecessors(lam, k):
@@ -228,8 +238,8 @@ def test_kostka_at_one_counts_tableaux():
 
 
 def test_kostka_stable_in_variable_count():
-    # the antisymmetriser oracle is built in n variables; the charge
-    # formula has no variable count to vary
+    # the antisymmetriser oracle is built in n variables; the Kostka
+    # polynomials do not depend on that count
     for n in range(1, 5):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
@@ -250,12 +260,18 @@ def test_charge_matches_antisymmetriser():
     assert pairs == 209
 
 
-def test_charge_of_words():
-    assert _charge([1, 2, 3]) == 3
-    assert _charge([3, 2, 1]) == 0
-    assert _charge([3, 1, 2]) == 2
-    # two standard subwords, 231 and 1, of charge 1 and 0
-    assert _charge([2, 3, 1, 1]) == 1
+def test_c_expand_matches_antisymmetriser_at_every_rank():
+    # below rank n the shapes with more than `rank` rows are dropped
+    for n in range(1, 7):
+        oracle = _kostka_table(n, n)
+        for rank in range(1, n + 2):
+            e = (rank - 1) * n
+            for lam in partitions_of(n):
+                want = HallElt(rank, {
+                    mu: LaurentPoly.from_t_poly(k).shift(2 * n_stat(mu) - e) * (-1) ** e
+                    for (row, mu), k in oracle.items() if row == lam
+                })
+                assert c_expand(lam, rank) == want, (lam, rank)
 
 
 def test_schur_equals_kostka_sum_of_hl():

@@ -132,6 +132,16 @@ def test_green_label_guards():
     assert GreenLabel(2).is_pure()
 
 
+def test_green_label_irreducibility_test_accepts_exactly_the_listed_polys():
+    with pytest.raises(UsageError, match=r"^\(1, 0, 1\) is reducible over F_2$"):
+        GreenLabel(2, {(1, 0, 1): ((), (1,))})  # (t+1)^2
+    with pytest.raises(UsageError, match=r"^\(1, 2\) is not monic of positive degree$"):
+        GreenLabel(3, {(1, 2): ((), (1,))})
+    for q, deg in ((2, 4), (3, 3), (5, 2)):
+        for f in irreducible_polys(q, deg):
+            assert GreenLabel(q, {f: ((), (1,))}).support() == {f: ((), (1,))}
+
+
 def test_green_label_enumeration():
     assert [g.pretty() for g in green_labels(1, 2)] == [
         "[t+1]:((), (1,))",
