@@ -5,11 +5,11 @@ elements (`MirElt`) and two-sided Schur expansions (`TensorSym`) are
 
 The left action of a shape inserts an invariant subspace below the
 marked vector's line of sight (the vector survives on the quotient);
-the right action inserts one containing the vector.  Both are computed
-by the one driver of the algebra's actions, `hall.monomial_action`,
-whose step `gen_act` is the linear extension of one generator's closed
-column from `closedform`.  `oracle.act_direct` reads
-the directly counted tables instead; it is the oracle the tests replay.
+the right action inserts one containing the vector.  Both run each
+shape's column chain (`hall.shape_image`), whose step `gen_act` is the
+linear extension of one generator's closed column from `closedform`.
+`oracle.act_direct` reads the directly counted tables instead; it is
+the oracle the tests replay.
 
 The right action of u_b on the vacuum is the label ((), b), so every
 cyclic vector is read from one checked matrix per size, `action_matrix`
@@ -36,7 +36,7 @@ from .closedform import closed_form_G
 from .combination import Combination
 from .errors import (DiagonalNotUnit, NonIntegral, NotFree, NotInTable, OracleMismatch,
                      RankTooSmall)
-from .hall import HallElt, c_expand, monomial_action, u_elt
+from .hall import HallElt, c_expand, monomial_action, shape_image
 from .laurent import LaurentPoly, QPoly
 from .partitions import (Bipartition, Partition, ah_leq, bipartitions_of, fits,
                          label_size, pair_codim, pair_orbit_dim, trim, trim_pair)
@@ -92,12 +92,13 @@ def act(side: str, a: HallElt, m: MirElt) -> MirElt:
 def action_matrix(n: int, rank: int) -> Mapping[Bipartition, MirElt]:
     """B(a, b) = u_a on the left of ((), b) for each label (a, b) of
     `bipartitions_of(n, rank)`, the matrix `c_bipartition` and
-    `traces.green_ring` read.  NotFree unless each column lies under
-    (a, b) in `ah_leq` and meets it in a monomial: then B is invertible
-    at every q."""
-    out = {}
+    `traces.green_ring` read.  A column is `hall.shape_image` with one
+    `done` per b, so each label's chain of a_1 generators runs once.
+    NotFree unless each column lies under (a, b) in `ah_leq` and meets
+    it in a monomial: then B is invertible at every q."""
+    out, done, step = {}, {}, partial(gen_act, "left")
     for a, b in bipartitions_of(n, rank):
-        image = act("left", u_elt(a, rank), u_bip(((), b), rank))
+        image = shape_image(a, u_bip(((), b), rank), step, True, done.setdefault(b, {}))
         if (image.coeff((a, b)).as_monomial() is None
                 or not all(ah_leq(tgt, (a, b)) for tgt in image._c)):
             raise NotFree(f"block of size {n} is not triangular at {(a, b)}")

@@ -120,10 +120,10 @@ MAX_HALL_UNITS = 500_000
 def hall_units(x: Partition, y: Partition, rank: int) -> int:
     """The work of `hall_mul(u_elt(x, rank), u_elt(y, rank))` from cold
     caches, counted without building any table (or some count past the
-    budget, once it must pass it).  There is one generator monomial per
-    shape dominated by x, each at most x_1 steps; a step runs over at
-    most the shapes of n = |x| + |y| and builds tables that cost about
-    their longest row, at most n: x_1 (dominated * shapes + n) units."""
+    budget, once it must pass it).  There is one chain per shape
+    dominated by x, each at most x_1 steps; a step runs over at most
+    the shapes of n = |x| + |y| and builds tables that cost about their
+    longest row, at most n: x_1 (dominated * shapes + n) units."""
     x, y = partitions.trim(x), partitions.trim(y)
     if not x:
         return 0

@@ -6,22 +6,25 @@ with more rows than `rank` span an ideal (a submodule or quotient of a
 module with at most `rank` generators again has at most `rank`
 generators), so its label rule drops them and leaves an honest algebra.
 
-One driver, `monomial_action`, runs every action of the algebra one
-square-zero generator at a time: `hall_mul` with the step `gen_mul`,
-`bimodule.act` with `bimodule.gen_act`; its chain loop also builds the
-signed Kostka operators (`c_expand`).  `gen_mul` applies one
-generator's column from the closed left table at vectorless targets
-(Macdonald's Hall polynomials G^c_{b (1^r)}), nonzero only when c is b
-plus a vertical r-strip, so a step lists no pair label.  The oracle,
-`oracle.hall_mul_direct`, counts invariant subspaces for each pair of
-factors, and `oracle.psi` realises the algebra on symmetric
-polynomials; only `verify` and the tests reach them.
+A shape acts through its own column chain, one square-zero generator
+at a time.  The chain of lam's columns on the unit (`_chain_image`) is
+u_lam plus shapes that lam dominates (Macdonald, Symmetric Functions
+and Hall Polynomials, ch. II-III), so `shape_image` runs lam's chain
+once and subtracts the images of those shapes: for `hall_mul` with the
+step `gen_mul`, for `bimodule` with `bimodule.gen_act`.  `gen_mul`
+applies one generator's column from the closed left table at
+vectorless targets (Macdonald's Hall polynomials G^c_{b (1^r)}),
+nonzero only when c is b plus a vertical r-strip, so a step lists no
+pair label.  The oracle, `oracle.hall_mul_direct`, counts invariant
+subspaces for each pair of factors, and `oracle.psi` realises the
+algebra on symmetric polynomials; only `verify` and the tests reach
+them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable
 
 from .closedform import closed_left_table
 from .errors import DiagonalNotUnit, OracleMismatch
@@ -73,63 +76,54 @@ def gen_mul(r: int, x: HallElt) -> HallElt:
 
 
 @lru_cache(maxsize=None)
-def _gen_decomposition(
-    lam: Partition, rank: int
-) -> Mapping[tuple[int, ...], LaurentPoly]:
-    """Basis element as a combination of generator monomials, found by
-    peeling each monomial's dominance-leading term, checked here to be 1."""
+def _chain_image(lam: Partition, rank: int) -> HallElt:
+    """The chain of lam's column generators on the unit: u_lam plus
+    shapes that lam dominates, its lead checked here to be exactly 1."""
     lam = trim(lam)
-    if len(lam) > rank:
-        return {}
-    cols = conjugate(lam)
-    mono = HallElt.unit(rank)
-    for r in reversed(cols):
-        mono = gen_mul(r, mono)
-    lead = mono.coeff(lam)
+    chain = HallElt.unit(rank)
+    for r in reversed(conjugate(lam)):
+        chain = gen_mul(r, chain)
+    lead = chain.coeff(lam)
     if lead != 1:
-        raise DiagonalNotUnit(f"generator monomial lead at {lam}: {lead.pretty()}")
-    out: dict[tuple[int, ...], LaurentPoly] = {cols: lead}
-    for mu, c in mono._c.items():
-        if mu == lam:
-            continue
+        raise DiagonalNotUnit(f"column chain lead at {lam}: {lead.pretty()}")
+    for mu in chain._c:
         if not dominance_leq(mu, lam):
-            raise OracleMismatch(f"monomial for {lam} reached {mu}")
-        HallElt._accumulate(out, (
-            (cols2, -c * c2) for cols2, c2 in _gen_decomposition(mu, rank).items()
-        ))
-    return out
+            raise OracleMismatch(f"column chain of {lam} reached {mu}")
+    return chain
+
+
+def shape_image(lam: Partition, m: Combination, step: Callable, left: bool,
+                done: dict) -> Combination:
+    """u_lam acting on `m`: lam's column chain of `step(r, term)` run on
+    `m` once (the last column first on the left), less each shape it
+    dominates times that shape's image.  `done`, which the caller owns,
+    keeps each shape's image on this `m`."""
+    image = done.get(lam)
+    if image is None:
+        cols = conjugate(lam)
+        image = m
+        for r in reversed(cols) if left else cols:
+            image = step(r, image)
+        for mu, c in _chain_image(lam, m.rank)._c.items():
+            if mu != lam:
+                image = image - shape_image(mu, m, step, left, done) * c
+        done[lam] = image
+    return image
 
 
 def monomial_action(
     a: HallElt, m: Combination, step: Callable, left: bool = True
 ) -> Combination:
-    """`a` acting on `m`, in `m`'s type: `a`'s coefficients are summed
-    per generator monomial (its shapes share most of them), then each
-    monomial's chain runs once (`_run_chains`)."""
+    """`a` acting on `m`, in `m`'s type: the sum of `shape_image` over
+    `a`'s shapes, which share one `done`."""
     a._check(m)
-    monomials: dict[tuple[int, ...], LaurentPoly] = {}
-    for w, cw in a._c.items():
-        HallElt._accumulate(monomials, (
-            (cols, cw * cf) for cols, cf in _gen_decomposition(w, a.rank).items()
-        ))
-    return _run_chains(monomials, m, step, left)
-
-
-def _run_chains(monomials: Mapping[tuple[int, ...], LaurentPoly], m: Combination,
-                step: Callable, left: bool = True) -> Combination:
-    """The sum of each generator monomial's chain of `step(r, term)` on
-    `m`, scaled by its coefficient, the last generator first on the left."""
-    out: dict = {}
-    for cols, scale in monomials.items():
-        term = m
-        for r in reversed(cols) if left else cols:
-            term = step(r, term)
-        m._accumulate(out, ((k, scale * c) for k, c in term._c.items()))
-    return m._trusted(m.rank, out)
+    done: dict = {}
+    return sum((shape_image(lam, m, step, left, done) * c for lam, c in a._c.items()),
+               m.zero(m.rank))
 
 
 def hall_mul(x: HallElt, y: HallElt) -> HallElt:
-    """Product via the generator decomposition of the left factor."""
+    """Product by the left factor's shapes, each through its column chain."""
     return monomial_action(x, y, gen_mul)
 
 
@@ -142,11 +136,14 @@ def c_expand(lam: Partition, rank: int) -> HallElt:
     u_(1^r), the generator `gen_mul` applies, and s_lam is read from its
     dual Jacobi-Trudi expansion (`symfunc.elementary_expansion`) in
     e_1 .. e_rank: e_r for r > rank is u_(1^r), which the truncation at
-    `rank` drops.  The coefficient of u_mu is K_{lam mu}(v^-2) v^(2 n(mu))
+    `rank` drops.  A monomial e_d1 .. e_dk (d descending) is the column
+    chain of the shape whose columns are d (`_chain_image`).  The coefficient of u_mu is K_{lam mu}(v^-2) v^(2 n(mu))
     up to that scale, K the deformed Kostka polynomial."""
     e = (rank - 1) * sum(lam)
-    monomials = {
-        degs: LaurentPoly.v_power(sum(r * (r - 1) for r in degs) - e, (-1) ** e * c)
-        for degs, c in elementary_expansion(lam, rank).items()
-    }
-    return _run_chains(monomials, HallElt.unit(rank), gen_mul)
+    out: dict = {}
+    for degs, c in elementary_expansion(lam, rank).items():
+        scale = LaurentPoly.v_power(sum(r * (r - 1) for r in degs) - e, (-1) ** e * c)
+        HallElt._accumulate(out, (
+            (mu, scale * g) for mu, g in _chain_image(conjugate(degs), rank)._c.items()
+        ))
+    return HallElt._trusted(rank, out)

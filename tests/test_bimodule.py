@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 from mirahall import bimodule, hall, serve_green, serve_trace, traces
@@ -21,6 +23,7 @@ from mirahall.laurent import LaurentPoly, QPoly
 from mirahall.partitions import (
     ah_leq,
     bipartitions_of,
+    fits,
     label_size,
     pair_codim,
     pair_orbit_dim,
@@ -221,6 +224,29 @@ def test_basis_in_tensor_rank_stability():
         assert basis_in_tensor(bp, 2) == basis_in_tensor(bp, 3), bp
 
 
+def test_every_low_rank_table_is_the_full_table_restricted():
+    # the shapes past `rank` rows span an ideal of the Hall algebra, so a
+    # low-rank table drops the labels that do not fit it and keeps
+    # every other cell as it is
+    for n in range(1, 7):
+        full = pi_table(n, n)
+        for rank in range(1, n):
+            low = pi_table(n, rank)
+            assert low.order == tuple(bp for bp in full.order if fits(bp, rank)), (n, rank)
+            kept = {(row, col): val for (row, col), val in full.cells.items()
+                    if fits(row, rank) and fits(col, rank)}
+            assert low.cells == kept, (n, rank)
+
+
+def test_every_low_rank_basis_in_tensor_drops_the_pairs_past_it():
+    for n in range(1, 7):
+        for rank in range(1, n):
+            for bp in bipartitions_of(n, rank):
+                full = basis_in_tensor(bp, n)
+                want = TensorSym({k: v for k, v in full._c.items() if fits(k, rank)})
+                assert basis_in_tensor(bp, rank) == want, (bp, rank)
+
+
 def test_mhl_prefactor():
     rank = 2
     body, pre = mhl_poly(((1,), ()), rank)
@@ -362,7 +388,7 @@ def test_c_bipartition_rank_guard():
 def cold_tables():
     # the corruption below must reach no table a later test reads
     caches = (pi_table, bimodule._basis_in_tensor, bimodule.action_matrix,
-              hall._gen_decomposition, hall.c_expand)
+              hall._chain_image, hall.c_expand)
     for table in caches:
         table.cache_clear()
     yield
@@ -372,15 +398,16 @@ def cold_tables():
 
 def test_both_triangular_systems_refuse_a_corrupt_cyclic_vector(monkeypatch, cold_tables):
     # one rule per system: pi and mhl read the same checked cyclic
-    # vectors, and the generator decomposition's lead must be exactly 1.
+    # vectors, and a shape's column chain must lead with exactly 1.
     # Neither corruption is one that `action_matrix`'s own check sees:
     # a negated action keeps each diagonal a monomial, and the extra
     # signed Kostka term leaves the matrix untouched
-    real_act, real_c_expand, real_gen_mul = bimodule.act, bimodule.c_expand, hall.gen_mul
+    real_image, real_c_expand, real_gen_mul = (bimodule.shape_image, bimodule.c_expand,
+                                               hall.gen_mul)
     top = (3,)
 
-    def negated(side, a, m):
-        out = real_act(side, a, m)
+    def negated(lam, m, *rest):
+        out = real_image(lam, m, *rest)
         return -1 * out if label_size(next(iter(out._c))) == 3 else out
 
     def above(lam, rank):
@@ -390,7 +417,7 @@ def test_both_triangular_systems_refuse_a_corrupt_cyclic_vector(monkeypatch, col
             out = out + u_elt(top, rank)
         return out
 
-    for name, corrupt, error in (("act", negated, DiagonalNotUnit),
+    for name, corrupt, error in (("shape_image", negated, DiagonalNotUnit),
                                  ("c_expand", above, OracleMismatch)):
         real = getattr(bimodule, name)
         monkeypatch.setattr(bimodule, name, corrupt)
@@ -407,9 +434,9 @@ def test_both_triangular_systems_refuse_a_corrupt_cyclic_vector(monkeypatch, col
         return -1 * out if r == 1 else out
 
     monkeypatch.setattr(hall, "gen_mul", gen_mul)
-    hall._gen_decomposition.cache_clear()
+    hall._chain_image.cache_clear()
     with pytest.raises(DiagonalNotUnit):
-        hall._gen_decomposition((1,), 2)
+        hall._chain_image((1,), 2)
 
 
 def _two_sided_route(lam, mu, rank):
@@ -453,6 +480,29 @@ def test_a_green_payload_and_pi_share_one_action_matrix(cold_tables):
     # one hit per column, and no build
     assert after.misses == built.misses
     assert after.hits - built.hits == len(pi_table(3, 3).order)
+
+
+def test_action_matrix_runs_one_chain_per_label(monkeypatch, cold_tables):
+    # column (a, b) runs a's column chain of a_1 generators on ((), b)
+    # once; a dominated shape's image is read from the same b's `done`
+    real = bimodule.gen_act
+    steps = [0]
+
+    def counted(side, r, m):
+        steps[0] += 1
+        return real(side, r, m)
+
+    monkeypatch.setattr(bimodule, "gen_act", counted)
+    for n in range(1, 8):
+        steps[0] = 0
+        matrix = bimodule.action_matrix(n, n)
+        labels = bipartitions_of(n, n)
+        assert steps[0] == sum(a[0] for a, _ in labels if a), n
+        step = partial(real, "left")
+        for a, b in labels:
+            alone = hall.shape_image(a, u_bip(((), b), n), step, True, {})
+            assert matrix[(a, b)] == alone, (a, b)
+    assert steps[0] == 227
 
 
 def test_labels_that_fit_a_rank_are_the_filtered_labels_in_order():

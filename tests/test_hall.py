@@ -5,7 +5,7 @@ from mirahall.closedform import closed_form_G, closed_left_table
 from mirahall.costs import hall_units
 from mirahall.hall import (
     HallElt,
-    _gen_decomposition,
+    _chain_image,
     c_expand,
     gen_mul,
     hall_mul,
@@ -64,7 +64,7 @@ def test_products_match_direct_route():
 
 def test_hall_product_is_the_vectorless_left_action():
     # hall_mul runs gen_mul and bimodule.act runs gen_act through the
-    # same driver: on a vectorless label the left action's vectorless
+    # same shape chains: on a vectorless label the left action's vectorless
     # part is the Hall product
     cases = 0
     for rank in range(1, 5):
@@ -170,7 +170,7 @@ def test_c_expand_rank_one():
 def test_hall_product_lists_no_pair_label():
     # gen_mul reads the vectorless targets ((), b + strip) directly, so
     # a product from cold caches adds no bipartitions_of cache miss
-    for table in (closed_left_table, closed_form_G, _gen_decomposition, bipartitions_of):
+    for table in (closed_left_table, closed_form_G, _chain_image, bipartitions_of):
         table.cache_clear()
     for x, y, rank in (((2, 1), (2, 1), 4), ((3,), (1, 1), 2), ((1,), (4, 4), 3)):
         hall_mul(u_elt(x, rank), u_elt(y, rank))

@@ -335,24 +335,24 @@ def test_green_freeness_matches_the_full_product_matrix():
 
 
 def test_a_block_off_the_order_is_not_free(monkeypatch):
-    real = bimodule.act
+    real = bimodule.shape_image
     # a matrix built before the corruption would be read from the memo;
     # a refused one is never stored
     bimodule.action_matrix.cache_clear()
 
-    def above(side, a, m):
+    def above(lam, m, *rest):
         # every image also reaches the top label ((k), ())
-        return real(side, a, m) + u_bip(((m.rank,), ()), m.rank)
+        return real(lam, m, *rest) + u_bip(((m.rank,), ()), m.rank)
 
-    def doubled(side, a, m):
-        return real(side, a, m) * (LaurentPoly.one() + LaurentPoly.v_power(1))
+    def doubled(lam, m, *rest):
+        return real(lam, m, *rest) * (LaurentPoly.one() + LaurentPoly.v_power(1))
 
     for fake in (above, doubled):
-        monkeypatch.setattr(bimodule, "act", fake)
+        monkeypatch.setattr(bimodule, "shape_image", fake)
         for n, q in ((1, 2), (2, 3)):
             with pytest.raises(NotFree):
                 green_freeness_check(n, q)
-    monkeypatch.setattr(bimodule, "act", real)
+    monkeypatch.setattr(bimodule, "shape_image", real)
     assert green_freeness_check(2, 3)["passed"]
 
 
