@@ -29,12 +29,13 @@ if TYPE_CHECKING:
 # (MAX_MHL_LABELS) build, checked before any table work; each bounds
 # the labels of the table itself, those with at most `rank` rows per
 # component.  Cold on a 2-vCPU box, one run each: `pi --n 10` at full
-# rank (481 labels) took 16.9 s and 222 MB, `--N 8` (472) 18.7 s,
-# `--N 4` (334) 4.1 s; `pi --n 11 --N 4` (480) 11.4 s, `--N 3` (302)
-# 4.2 s; `pi --n 12 --N 3` (407) 5.2 s; `trace --n 10` 17.7 s and
-# 184 MB.  `pi --n 11` (752 labels) took 75.2 s.  `mhl` adds an
-# inversion to the table: `mhl --n 9` (300 labels) took 18.7 s, and
-# `mhl --n 10` 46.5 to 61.6 s, too near a minute.
+# rank (481 labels) took 7.8 s and 221 MB, `--N 8` (472) 7.5 s,
+# `--N 4` (334) 3.6 s; `pi --n 11 --N 4` (480) 7.0 s, `--N 3` (302)
+# 2.5 s; `pi --n 12 --N 3` (407) 3.7 s; `trace --n 10` 8.5 s and
+# 186 MB.  With the budgets raised, `pi --n 11` (752 labels) took
+# 19.3 s and 547 MB.  `mhl` adds an inversion to the table: `mhl --n 9`
+# (300 labels) took 7.8 s, and `mhl --n 10` 25.6 s.  Both budgets
+# predate these figures; raising them is a re-timing of its own.
 MAX_LABELS = 481
 MAX_MHL_LABELS = 300
 

@@ -137,13 +137,10 @@ def c_expand(lam: Partition, rank: int) -> HallElt:
     dual Jacobi-Trudi expansion (`symfunc.elementary_expansion`) in
     e_1 .. e_rank: e_r for r > rank is u_(1^r), which the truncation at
     `rank` drops.  A monomial e_d1 .. e_dk (d descending) is the column
-    chain of the shape whose columns are d (`_chain_image`).  The coefficient of u_mu is K_{lam mu}(v^-2) v^(2 n(mu))
-    up to that scale, K the deformed Kostka polynomial."""
+    chain of the shape whose columns are d (`_chain_image`).  The
+    coefficient of u_mu is K_{lam mu}(v^-2) v^(2 n(mu)) up to that
+    scale, K the deformed Kostka polynomial."""
     e = (rank - 1) * sum(lam)
-    out: dict = {}
-    for degs, c in elementary_expansion(lam, rank).items():
-        scale = LaurentPoly.v_power(sum(r * (r - 1) for r in degs) - e, (-1) ** e * c)
-        HallElt._accumulate(out, (
-            (mu, scale * g) for mu, g in _chain_image(conjugate(degs), rank)._c.items()
-        ))
-    return HallElt._trusted(rank, out)
+    return sum((_chain_image(conjugate(degs), rank)
+                * LaurentPoly.v_power(sum(r * (r - 1) for r in degs) - e, (-1) ** e * c)
+                for degs, c in elementary_expansion(lam, rank).items()), HallElt.zero(rank))
